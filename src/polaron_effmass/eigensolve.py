@@ -11,11 +11,14 @@ Three routes, kept deliberately independent so they can cross-check each other:
   diagonal spread makes plain Krylov iteration impractically slow; see the
   solver notes in the README.
 * :func:`dense_ground` / :func:`dense_spectrum`: an in-house Householder
-  tridiagonalization followed by implicit-shift QL sweeps.  Slower than the
-  iterative routes and used only in tests, certificates and oracle checks.
+  tridiagonalization followed by Sturm-count bisection, vectorized across
+  shifts in numpy.  Slower than the iterative routes and used only in tests,
+  certificates and oracle checks.
 
 Small dense/tridiagonal subproblems inside the iterative solvers use LAPACK
-via scipy; the dense oracle route never does.
+via scipy.  The dense route computes its eigenvalues without LAPACK; only
+the inverse iteration for the ground vector of :func:`dense_ground` calls
+``scipy.linalg.solve_banded``.
 """
 
 from __future__ import annotations
@@ -28,14 +31,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import DomainError, SolverError
-
-try:
-    from numba import njit as _njit
-except ImportError:      # pragma: no cover - numba is a declared dependency
-    def _njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (len(args) == 1 and callable(args[0])) else args[0]
 
 __all__ = [
     "EigResult",
@@ -150,6 +145,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
         V = np.empty((max_basis, n))
         V[0] = v
         alphas, betas = [], []
+        scale = 1.0     # running max(1, |alphas|, |betas|)
         k = 0
         exhausted = False
         while k < max_basis:
@@ -157,6 +153,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
             matvecs += 1
             a = float(V[k] @ w)
             alphas.append(a)
+            scale = max(scale, abs(a))
             w = w - a * V[k]
             if k > 0:
                 w -= betas[-1] * V[k - 1]
@@ -165,7 +162,6 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
             b = float(np.linalg.norm(w))
             k += 1
             iterations += 1
-            scale = max(1.0, max(abs(x) for x in alphas), max((abs(x) for x in betas), default=0.0))
             breakdown = b <= 1e-14 * scale
             if breakdown or k % check_every == 0 or k == max_basis:
                 theta, y = _lowest_ritz(alphas, betas)
@@ -190,6 +186,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
                     exhausted = True
                     break
                 betas.append(b)
+                scale = max(scale, b)
                 V[k] = w / b
         # restart preparation
         theta, y = _lowest_ritz(alphas, betas)
@@ -376,8 +373,29 @@ def ritz_ground_sequence(op, steps: int, seed: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dense oracle: Householder tridiagonalization + implicit-shift QL
+# dense oracle: Householder tridiagonalization + Sturm-count bisection
 # ---------------------------------------------------------------------------
+
+# From the Gershgorin bracket, bisection needs about 53 sweeps to reach its
+# tolerance; only a bracket poisoned by a non-finite entry gets near this cap.
+_MAX_SWEEPS = 100
+# Shifts per Sturm sweep once few eigenvalues remain open (multisection).
+_SWEEP_WIDTH = 128
+
+
+def _dense_input(A, who):
+    """Validate a dense oracle input and return it as a float array."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        raise DomainError(f"{who} needs a non-empty square matrix")
+    if A.shape[0] > 2000:
+        raise DomainError("dense oracle is limited to dimension <= 2000")
+    if not np.all(np.isfinite(A)):
+        raise DomainError(f"{who} needs a finite matrix")
+    if np.max(np.abs(A - A.T)) > 1e-10 * np.max(np.abs(A)):
+        raise DomainError(f"{who} needs a symmetric matrix")
+    return A
+
 
 def _householder_tridiagonalize(A):
     """Reduce a symmetric matrix to tridiagonal form.
@@ -387,7 +405,6 @@ def _householder_tridiagonalize(A):
     """
     T = np.array(A, dtype=float, copy=True)
     n = T.shape[0]
-    d = np.empty(n)
     e = np.empty(max(n - 1, 0))
     reflectors = []
     for kcol in range(n - 2):
@@ -405,102 +422,87 @@ def _householder_tridiagonalize(A):
         w = B @ vvec
         tau = float(vvec @ w)
         u2 = 2.0 * (w - tau * vvec)
-        B -= np.outer(vvec, u2) + np.outer(u2, vvec)
-        T[kcol + 1:, kcol + 1:] = B
+        # rank-2 update B - v u2^T - u2 v^T as one GEMM, in place
+        B -= np.stack((vvec, u2), 1) @ np.stack((u2, vvec))
         e[kcol] = alpha
-        T[kcol + 1, kcol] = alpha
-        T[kcol + 2:, kcol] = 0.0
         reflectors.append(vvec)
     if n >= 2:
         e[n - 2] = T[n - 1, n - 2]
-    d[:] = np.diag(T)
-    return d, e, reflectors
+    return np.diag(T).copy(), e, reflectors
 
 
-@_njit(cache=True)
-def _ql_eigenvalues(d, e):     # pragma: no cover - exercised via wrappers
-    """Implicit-shift QL sweeps on a symmetric tridiagonal matrix, in place.
+def _sturm_counts(d, e2, pivmin, x):
+    """Number of eigenvalues of the tridiagonal below each shift in x.
 
-    d holds the diagonal, e the subdiagonal in e[0:n-1] with e[n-1] scratch.
-    Returns 0 on success, -1 when a sweep budget is exhausted.
+    Counts the negative pivots of the LDL^T factorization of T - x I,
+    q_0 = d_0 - x and q_i = d_i - x - e_{i-1}^2 / q_{i-1}.  A pivot smaller
+    than pivmin in magnitude is replaced by -pivmin, as in LAPACK's dstebz,
+    so the next division cannot overflow.  The loop runs over the rows;
+    numpy runs across the shifts.
+    """
+    Q = np.subtract.outer(d, x)
+    t = np.empty_like(x)
+    small = np.empty(x.shape, dtype=bool)
+    for i in range(d.shape[0]):
+        q = Q[i]
+        if i:
+            np.divide(e2[i - 1], Q[i - 1], out=t)
+            q -= t
+        np.abs(q, out=t)
+        np.less(t, pivmin, out=small)
+        q[small] = -pivmin
+    return np.count_nonzero(Q < 0.0, axis=0)
+
+
+def _tridiagonal_eigenvalues(d, e, ks):
+    """Eigenvalues with ascending indices ks of the tridiagonal (d, e).
+
+    Sturm-count bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
+    from the Gershgorin bracket.  Each sweep probes every open interval
+    [lo_k, hi_k], which keeps count(lo_k) <= k < count(hi_k): one probe each
+    while many are open, up to _SWEEP_WIDTH in all when few are.  An
+    interval closes once hi - lo <= 2 eps (bracket scale + |lambda|).
     """
     n = d.shape[0]
-    e[n - 1] = 0.0
-    for l in range(n):
-        iters = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= 1e-16 * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            iters += 1
-            if iters > 64:
-                return -1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            sgn = r if g >= 0.0 else -r
-            g = d[m] - d[l] + e[l] / (g + sgn)
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return 0
+    e = np.abs(e)
+    e2 = e * e
+    eps = np.finfo(float).eps
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    radius = np.r_[e, 0.0] + np.r_[0.0, e]
+    gl, gu = float(np.min(d - radius)), float(np.max(d + radius))
+    pad = 2.1 * (n * eps * max(abs(gl), abs(gu)) + 2.0 * pivmin)
+    gl, gu = gl - pad, gu + pad
+    scale = max(abs(gl), abs(gu))
 
-
-def _tridiagonal_eigenvalues(d, e):
-    dd = np.array(d, dtype=float, copy=True)
-    n = dd.shape[0]
-    ee = np.zeros(n)
-    if n > 1:
-        ee[: n - 1] = e[: n - 1]
-    if n == 1:
-        return dd
-    status = _ql_eigenvalues(dd, ee)
-    if status != 0:
-        raise SolverError("QL iteration failed to converge")
-    return np.sort(dd)
+    ks = np.asarray(ks)
+    lo = np.full(ks.shape, gl)
+    hi = np.full(ks.shape, gu)
+    for _ in range(_MAX_SWEEPS):
+        tol = 2.0 * eps * (scale + np.maximum(abs(lo), abs(hi)))
+        live = np.flatnonzero(~(hi - lo <= tol))     # a NaN bracket stays open
+        if live.size == 0:
+            return 0.5 * (lo + hi)
+        a, b = lo[live], hi[live]
+        p = max(1, _SWEEP_WIDTH // live.size)
+        probes = a[:, None] + (b - a)[:, None] * (np.arange(1, p + 1) / (p + 1))
+        counts = _sturm_counts(d, e2, pivmin, probes.ravel()).reshape(probes.shape)
+        above = counts > ks[live, None]
+        first = np.where(above.any(axis=1), above.argmax(axis=1), p)
+        grid = np.column_stack((a, probes, b))
+        rows = np.arange(live.size)
+        lo[live] = grid[rows, first]
+        hi[live] = grid[rows, first + 1]
+    raise SolverError(f"Sturm bisection did not converge in {_MAX_SWEEPS} sweeps")
 
 
 def dense_spectrum(A) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending (in-house route)."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("dense_spectrum needs a square matrix")
-    if A.shape[0] > 2000:
-        raise DomainError("dense oracle is limited to dimension <= 2000")
-    if not np.allclose(A, A.T, atol=1e-10 * max(1.0, float(np.abs(A).max()))):
-        raise DomainError("dense_spectrum needs a symmetric matrix")
+    A = _dense_input(A, "dense_spectrum")
     n = A.shape[0]
     if n == 1:
         return np.array([A[0, 0]], dtype=float)
     d, e, _ = _householder_tridiagonalize(A)
-    return _tridiagonal_eigenvalues(d, e)
+    return np.sort(_tridiagonal_eigenvalues(d, e, np.arange(n)))
 
 
 def _tridiagonal_ground_vector(d, e, value):
@@ -537,17 +539,12 @@ def dense_ground(A, tol: float = 1e-10) -> EigResult:
     Used only in tests, certificates and oracle checks; production solves go
     through the iterative routes.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("dense_ground needs a square matrix")
-    if A.shape[0] > 2000:
-        raise DomainError("dense oracle is limited to dimension <= 2000")
+    A = _dense_input(A, "dense_ground")
     n = A.shape[0]
     if n == 1:
         return EigResult(float(A[0, 0]), np.ones(1), 0.0, 1, 0, 0, "dense")
     d, e, reflectors = _householder_tridiagonalize(A)
-    vals = _tridiagonal_eigenvalues(d, e)
-    value = float(vals[0])
+    value = float(_tridiagonal_eigenvalues(d, e, [0])[0])
     x = _tridiagonal_ground_vector(d, e, value)
     # undo the Householder similarity, last reflector first
     for kcol in range(len(reflectors) - 1, -1, -1):

@@ -6,14 +6,16 @@ route; the dense route then anchors the two iterative routes.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polaron_effmass.eigensolve import (davidson_ground, dense_ground,
+from polaron_effmass.eigensolve import (_sturm_counts, _tridiagonal_eigenvalues,
+                                        davidson_ground, dense_ground,
                                         dense_spectrum, ground_state,
                                         lowest_two, ritz_ground_sequence)
-from polaron_effmass.errors import SolverError
+from polaron_effmass.errors import DomainError, SolverError
 from polaron_effmass.operators import SymmetricOperator
 
 
@@ -60,6 +62,96 @@ def test_dense_spectrum_exact_2x2():
     spec = dense_spectrum(np.array([[0.0, v], [v, d]]))
     assert spec[0] == pytest.approx((d - np.hypot(d, 2 * v)) / 2.0, abs=1e-14)
     assert spec[1] == pytest.approx((d + np.hypot(d, 2 * v)) / 2.0, abs=1e-14)
+
+
+def tridiagonal(d, e):
+    return np.diag(np.asarray(d, float)) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def rotated(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2))
+    a = q @ np.diag(eigenvalues) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def block_diagonal(rng, sizes):
+    return sla.block_diag(*(random_symmetric(rng, m) for m in sizes))
+
+
+HARD_CASES = {
+    # Wilkinson W21+: its largest eigenvalues come in pairs that agree to
+    # about 15 digits
+    "wilkinson_w21": lambda rng: tridiagonal(np.abs(np.arange(-10, 11)),
+                                             np.ones(20)),
+    "block_zero_couplings": lambda rng: block_diagonal(rng, (3, 5, 1, 4)),
+    "tridiagonal_zero_couplings": lambda rng: tridiagonal(
+        rng.standard_normal(9), [1.0, 0.0, 0.5, 0.0, 0.0, 2.0, 0.0, 1.0]),
+    "repeated": lambda rng: rotated(rng, [-3.0] * 3 + [0.0] * 2 + [1.0] * 4
+                                    + [2.0] * 3),
+    "multiple_of_identity": lambda rng: 5.0 * np.eye(6),
+    "scaled_1e8": lambda rng: random_symmetric(rng, 30, scale=1e8),
+    "scaled_1e-8": lambda rng: random_symmetric(rng, 30, scale=1e-8),
+    "n1": lambda rng: np.array([[2.5]]),
+    "n2": lambda rng: np.array([[1.0, 3.0], [3.0, -2.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HARD_CASES))
+def test_dense_route_hard_cases(rng, case):
+    a = HARD_CASES[case](rng)
+    ref = np.linalg.eigvalsh(a)
+    tol = 1e-10 * np.abs(ref).max()
+    ours = dense_spectrum(a)
+    assert np.all(np.diff(ours) >= 0.0)
+    assert np.max(np.abs(ours - ref)) <= tol
+    res = dense_ground(a)
+    assert abs(res.value - ref[0]) <= tol
+    assert np.linalg.norm(a @ res.vector - res.value * res.vector) <= 1e-8 * np.abs(ref).max()
+
+
+NAN = np.array([[1.0, 0.5], [0.5, np.nan]])
+ASYMMETRIC = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("solver", [dense_ground, dense_spectrum])
+@pytest.mark.parametrize("matrix", [NAN, ASYMMETRIC, np.zeros((2, 3)),
+                                    np.zeros((0, 0))],
+                         ids=["nan", "asymmetric", "non_square", "empty"])
+def test_dense_route_rejects_bad_input(solver, matrix):
+    with pytest.raises(DomainError):
+        solver(matrix)
+
+
+def test_sturm_count_survives_zero_pivots():
+    # the shift 0 makes the first pivot exactly 0 next to a zero coupling;
+    # unguarded, the next pivot would be 0/0 and every later sign lost
+    d, e = np.array([0.0, -5.0, 2.0]), np.array([0.0, 1.0])
+    ev = np.linalg.eigvalsh(tridiagonal(d, e))
+    x = np.array([-10.0, -5.0, 0.0, 1.0, 10.0])
+    counts = _sturm_counts(d, e * e, np.finfo(float).tiny, x)
+    assert np.all(np.searchsorted(ev, x, side="left") <= counts)
+    assert np.all(counts <= np.searchsorted(ev, x, side="right"))
+
+
+def test_bisection_sweep_cap_raises():
+    # a non-finite diagonal never closes its bracket
+    with pytest.raises(SolverError, match="bisection"):
+        _tridiagonal_eigenvalues(np.array([0.0, np.nan]), np.array([1.0]), [0])
+
+
+def test_dense_eigenvalues_do_not_use_lapack(rng, monkeypatch):
+    a = random_symmetric(rng, 25)
+    ref = np.linalg.eigvalsh(a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense route called a LAPACK eigensolver")
+
+    for module, name in ((sla, "eigh_tridiagonal"), (sla, "eigvalsh_tridiagonal"),
+                         (sla, "eigh"), (sla, "eigvalsh"),
+                         (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert np.max(np.abs(dense_spectrum(a) - ref)) < 1e-12 * np.abs(ref).max()
+    assert dense_ground(a).value == pytest.approx(ref[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
