@@ -8,12 +8,9 @@ Two independent lower-bound routes:
       A(lam) >= (D + W) (x) I_F,   D = diag((E(lam q_j) - E0)/lam^2),
 
   and L1 = infspec(D + W) is a rigorous lower bound whenever the D entries
-  are themselves lower bounds on the fiber energies.  The default route
-  solves every fiber exactly and subtracts its residual, which certifies
-  the bound at solver precision.  A cheaper "curve" route interpolates an
-  existing dispersion scan and falls back to the variational ceilings
-  outside the scanned window; ceilings overestimate fiber energies, so that
-  route is diagnostic only and is labeled accordingly.
+  are themselves lower bounds on the fiber energies.  Every fiber at
+  lam * q_j is solved and its residual subtracted from its Ritz value,
+  which certifies the bound at solver precision.
 
 * Scaled-potential split bound (L2).  Splitting trial vectors by how much
   momentum mass sits outside a ball of radius beta = c_beta sqrt(lam) and
@@ -41,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionCurve, FiberCache
+from .dispersion import FiberCache
 from .eigensolve import dense_ground
 from .errors import AnalysisError, ConfigError, DomainError
 from .operators import ElectronGrid, assemble_schrodinger, potential_kernel
@@ -70,8 +67,6 @@ ORDERING_TOL_DEFAULT = 1e-8
 class LowerBoundResult:
     lam: float
     value: float
-    route: str                # "exact" (certified) or "curve" (diagnostic)
-    certified: bool
     n_nodes: int
     max_residual: float
 
@@ -89,47 +84,22 @@ def _fiber_floor_exact(lam: float, q: np.ndarray, cache: FiberCache,
     return (eps - e0) / lam**2, max_res
 
 
-def _fiber_floor_curve(lam: float, q: np.ndarray, curve: DispersionCurve,
-                       e0: float, ceiling) -> np.ndarray:
-    from scipy.interpolate import CubicSpline
-    P = lam * q
-    spl = CubicSpline(curve.momenta, curve.energies)
-    inside = np.abs(P) <= np.max(np.abs(curve.momenta))
-    eps = np.where(inside, spl(P), ceiling(P))
-    return (eps - e0) / lam**2
-
-
 def momentum_lower_bound(lam: float, egrid: ElectronGrid, potential,
-                         e0: float, *, cache: FiberCache | None = None,
-                         curve: DispersionCurve | None = None,
-                         ceiling=None) -> LowerBoundResult:
-    """L1 = infspec(D + W) on the electron grid.
+                         e0: float, *, cache: FiberCache) -> LowerBoundResult:
+    """L1 = infspec(D + W) on the electron grid, certified.
 
-    The exact route (pass `cache`) solves the fiber at every lam*q_j and
-    certifies the result; the curve route (pass `curve` and a `ceiling`
-    callable for momenta beyond the scan) is a fast diagnostic whose
-    interpolation error is not controlled.
+    Solves the fiber at every lam*q_j through `cache` and takes each Ritz
+    value minus its residual as the diagonal entry.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
     if egrid.dimension != 1:
         raise DomainError("lower bounds are implemented in dimension 1")
     q = egrid.points[:, 0]
-    if cache is not None:
-        diag, max_res = _fiber_floor_exact(lam, q, cache, e0)
-        route, certified = "exact", True
-    elif curve is not None:
-        if ceiling is None:
-            raise ConfigError("curve route needs a ceiling callable")
-        diag = _fiber_floor_curve(lam, q, curve, e0, ceiling)
-        route, certified, max_res = "curve", False, math.nan
-    else:
-        raise ConfigError("pass either a fiber cache or a dispersion curve")
+    diag, max_res = _fiber_floor_exact(lam, q, cache, e0)
     h = potential_kernel(potential, egrid)
     h[np.diag_indices_from(h)] += diag
-    value = dense_ground(h).value
-    return LowerBoundResult(lam=lam, value=float(value), route=route,
-                            certified=certified, n_nodes=len(q),
+    return LowerBoundResult(lam=lam, value=dense_ground(h), n_nodes=len(q),
                             max_residual=max_res)
 
 
@@ -197,7 +167,7 @@ def split_lower_bound(lam: float, potential, egrid: ElectronGrid, *,
         )
     m_c = mass * (1.0 + c_min * beta**2)
     op = assemble_schrodinger(potential, egrid, m_c, v_scale=1.0 + eps)
-    operator_branch = float(dense_ground(op).value)
+    operator_branch = dense_ground(op)
     scalar_branch = (beta**2 / (2.0 * lam**2 * m_c)
                      - (1.0 + 1.0 / eps) * potential.sup_norm())
     return SplitBoundResult(lam=lam, value=min(operator_branch, scalar_branch),

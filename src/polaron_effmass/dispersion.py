@@ -1,8 +1,7 @@
 """Ground-state dispersion E(P) of the fibers and derived quantities.
 
-The dispersion is scanned along a single axis (shipped models are
-isotropic; a different axis can be requested for cross-checks).  From the
-curve we extract
+The dispersion is scanned along the first coordinate axis (shipped models
+are isotropic).  From the curve we extract
 
 * the dynamic effective mass, via a windowed least-squares fit of
   E(P) - E(0) against P^2/(2M) + b P^4 (a two-point finite difference would
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from threading import Lock
 
 import numpy as np
@@ -60,18 +59,11 @@ __all__ = [
 GAP_THRESHOLD_DEFAULT = 1e-3
 
 
-def _unit_axis(axis, dimension: int) -> np.ndarray:
-    if axis is None:
-        e = np.zeros(dimension)
-        e[0] = 1.0
-        return e
-    e = np.asarray(axis, dtype=float)
-    if e.shape != (dimension,):
-        raise DomainError(f"axis must have shape ({dimension},)")
-    n = np.linalg.norm(e)
-    if n == 0:
-        raise DomainError("axis must be a nonzero vector")
-    return e / n
+def _first_axis(dimension: int) -> np.ndarray:
+    """Unit vector of the scan axis, the first coordinate axis."""
+    e = np.zeros(dimension)
+    e[0] = 1.0
+    return e
 
 
 class FiberCache:
@@ -84,17 +76,14 @@ class FiberCache:
     """
 
     def __init__(self, template: FiberTemplate, *, tol: float = 1e-9,
-                 seed: int = 0, axis=None, use_parity: bool | None = None):
+                 seed: int = 0):
         self.template = template
         self.tol = tol
         self.seed = seed
-        self.axis = _unit_axis(axis, template.spec.dimension)
+        self.axis = _first_axis(template.spec.dimension)
         self._store: dict = {}
         self._lock = Lock()
-        self._use_parity = (template.grid.is_symmetric() if use_parity is None
-                            else bool(use_parity))
-        if self._use_parity and not template.grid.is_symmetric():
-            raise DomainError("parity reuse needs a symmetric mode grid")
+        self._use_parity = template.grid.is_symmetric()
         self._state_perm = None
         if self._use_parity:
             mode_perm = template.grid.parity_permutation()
@@ -209,14 +198,8 @@ class DispersionCurve:
     def gaps(self) -> np.ndarray:
         return np.array([s.gap for s in self.samples])
 
-    def sample_at(self, P: float) -> DispersionSample:
-        for s in self.samples:
-            if abs(s.P - P) <= 1e-12:
-                return s
-        raise DomainError(f"no sample at P={P}")
 
-
-def scan_dispersion(template: FiberTemplate, P_list, *, axis=None,
+def scan_dispersion(template: FiberTemplate, P_list, *,
                     tol: float = 1e-9, seed: int = 0, threads: int = 1,
                     cache: FiberCache | None = None) -> DispersionCurve:
     """Solve the fibers at the requested momenta and assemble the curve.
@@ -230,7 +213,7 @@ def scan_dispersion(template: FiberTemplate, P_list, *, axis=None,
     if not np.any(np.abs(P_arr) <= 1e-15):
         raise DomainError("P_list must include 0")
     if cache is None:
-        cache = FiberCache(template, tol=tol, seed=seed, axis=axis)
+        cache = FiberCache(template, tol=tol, seed=seed)
     cache.prefetch(P_arr, threads=threads)
     samples = []
     for p in P_arr:
@@ -444,13 +427,13 @@ def estimate_Pc(curve: DispersionCurve,
     return p_c
 
 
-def perturbative_energy(template: FiberTemplate, P_values, axis=None) -> np.ndarray:
+def perturbative_energy(template: FiberTemplate, P_values) -> np.ndarray:
     """Second-order weak-coupling energy E2(P) on the scan axis.
 
     E2(P) = P^2/(2m) - sum_i v_i^2 / ((P - k_i)^2/(2m) + omega_i - P^2/(2m)).
     """
     spec = template.spec
-    axis = _unit_axis(axis, spec.dimension)
+    axis = _first_axis(spec.dimension)
     P_values = np.asarray(P_values, dtype=float)
     k = template.grid.momenta
     omg = template.omegas
@@ -469,7 +452,7 @@ def perturbative_energy(template: FiberTemplate, P_values, axis=None) -> np.ndar
     return out
 
 
-def perturbative_mass(template: FiberTemplate, P_list, *, axis=None,
+def perturbative_mass(template: FiberTemplate, P_list, *,
                       P_fit: float | None = None) -> float:
     """Weak-coupling oracle mass from E2's curvature at 0.
 
@@ -480,13 +463,13 @@ def perturbative_mass(template: FiberTemplate, P_list, *, axis=None,
     P_arr = np.unique(np.asarray(P_list, dtype=float))
     if not np.any(np.abs(P_arr) <= 1e-15):
         P_arr = np.concatenate([[0.0], P_arr])
-    E2 = perturbative_energy(template, P_arr, axis=axis)
+    E2 = perturbative_energy(template, P_arr)
     e0 = float(E2[np.argmin(np.abs(P_arr))])
     samples = tuple(
         DispersionSample(P=float(p), energy=float(e), gap=1.0, residual=0.0,
                          degenerate=False)
         for p, e in zip(P_arr, E2)
     )
-    curve = DispersionCurve(axis=_unit_axis(axis, template.spec.dimension),
+    curve = DispersionCurve(axis=_first_axis(template.spec.dimension),
                             samples=samples, e0=e0)
     return fit_dynamic_mass(curve, P_fit=P_fit).mass

@@ -291,15 +291,13 @@ _REPORT_DOC = (
                              "parameter."),
     ("`upper_bound.boundary_hit`", "True when the radius search stopped at "
                                    "an interval endpoint."),
-    ("`upper_bound.path`", "Evaluation path used, `exact` at family nodes "
-                           "or `spline` (estimate only)."),
     ("`upper_bound.extrapolated`", "Quadratic extrapolation of the upper "
                                    "bounds to zero coupling."),
     ("`split_bound.c_eps`", "Epsilon schedule scale actually used."),
     ("`split_bound.c_beta`", "Momentum-cut schedule scale actually used."),
     ("`split_bound.rows`", "Per-scale splitting bound: `lam`, `eps`, "
                            "`beta`, `operator_branch`, `scalar_branch`, "
-                           "`L2` (the larger of the two branches)."),
+                           "`L2` (the smaller of the two branches)."),
     ("`verdict.pass`", "True when the bound ordering holds at every "
                        "scale."),
     ("`verdict.worst_margin`", "Smallest ordering margin encountered."),

@@ -10,15 +10,14 @@ Three routes, kept deliberately independent so they can cross-check each other:
   thick restarts.  Used for the coupled small-lambda operators, whose
   diagonal spread makes plain Krylov iteration impractically slow; see the
   solver notes in the README.
-* :func:`dense_ground` / :func:`dense_spectrum`: an in-house Householder
-  tridiagonalization followed by Sturm-count bisection, vectorized across
-  shifts in numpy.  Slower than the iterative routes and used only in tests,
-  certificates and oracle checks.
+* :func:`dense_ground` / :func:`dense_spectrum`: eigenvalues only, from an
+  in-house Householder tridiagonalization followed by Sturm-count
+  bisection, vectorized across shifts in numpy.  Slower than the iterative
+  routes; used for the certificates' small dense operators and the oracle
+  checks.
 
 Small dense/tridiagonal subproblems inside the iterative solvers use LAPACK
-via scipy.  The dense route computes its eigenvalues without LAPACK; only
-the inverse iteration for the ground vector of :func:`dense_ground` calls
-``scipy.linalg.solve_banded``.
+via scipy.  The dense route calls no LAPACK at all.
 """
 
 from __future__ import annotations
@@ -40,8 +39,10 @@ __all__ = [
     "davidson_ground",
     "dense_ground",
     "dense_spectrum",
-    "ritz_ground_sequence",
 ]
+
+# Lanczos steps between two estimates of the ground Ritz residual.
+_CHECK_EVERY = 5
 
 
 @dataclass
@@ -103,8 +104,7 @@ def _lowest_ritz(alphas, betas):
 
 
 def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
-                 max_restarts: int = 10, deflate=(), v0=None,
-                 check_every: int = 5) -> EigResult:
+                 max_restarts: int = 10, deflate=(), v0=None) -> EigResult:
     """Lowest eigenpair by Lanczos iteration with full reorthogonalization.
 
     The start vector is drawn from a generator seeded with `seed` (or taken
@@ -163,7 +163,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
             k += 1
             iterations += 1
             breakdown = b <= 1e-14 * scale
-            if breakdown or k % check_every == 0 or k == max_basis:
+            if breakdown or k % _CHECK_EVERY == 0 or k == max_basis:
                 theta, y = _lowest_ritz(alphas, betas)
                 est = b * abs(y[-1])
                 if est <= tol * max(1.0, abs(theta)) or breakdown:
@@ -340,38 +340,6 @@ def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int =
     )
 
 
-def ritz_ground_sequence(op, steps: int, seed: int = 0) -> np.ndarray:
-    """Ground Ritz value after each Lanczos step (no restarts, no stopping).
-
-    By Cauchy interlacing the sequence is non-increasing; tests rely on it.
-    """
-    matvec, n, _ = _as_operator(op)
-    rng = np.random.default_rng(seed)
-    steps = int(min(steps, n))
-    V = np.empty((steps, n))
-    v = rng.standard_normal(n)
-    V[0] = v / np.linalg.norm(v)
-    alphas, betas = [], []
-    out = []
-    for k in range(steps):
-        w = matvec(V[k])
-        a = float(V[k] @ w)
-        alphas.append(a)
-        w = w - a * V[k]
-        if k > 0:
-            w -= betas[-1] * V[k - 1]
-        for _ in range(2):
-            w = _project_out(w, V, k + 1, ())
-        out.append(_lowest_ritz(alphas, betas)[0])
-        b = float(np.linalg.norm(w))
-        if b <= 1e-14 * max(1.0, max(abs(x) for x in alphas)):
-            break
-        if k + 1 < steps:
-            betas.append(b)
-            V[k + 1] = w / b
-    return np.asarray(out)
-
-
 # ---------------------------------------------------------------------------
 # dense oracle: Householder tridiagonalization + Sturm-count bisection
 # ---------------------------------------------------------------------------
@@ -398,21 +366,15 @@ def _dense_input(A, who):
 
 
 def _householder_tridiagonalize(A):
-    """Reduce a symmetric matrix to tridiagonal form.
-
-    Returns (d, e, reflectors) with d the diagonal, e the subdiagonal, and
-    reflectors the list of unit Householder vectors in application order.
-    """
+    """Reduce a symmetric matrix to tridiagonal form; returns (d, e)."""
     T = np.array(A, dtype=float, copy=True)
     n = T.shape[0]
     e = np.empty(max(n - 1, 0))
-    reflectors = []
     for kcol in range(n - 2):
         a = T[kcol + 1:, kcol].copy()
         norm_a = np.linalg.norm(a)
         if norm_a == 0.0 or np.linalg.norm(a[1:]) <= 1e-300:
             e[kcol] = a[0]
-            reflectors.append(None)
             continue
         alpha = -math.copysign(norm_a, a[0] if a[0] != 0 else 1.0)
         vvec = a
@@ -425,10 +387,9 @@ def _householder_tridiagonalize(A):
         # rank-2 update B - v u2^T - u2 v^T as one GEMM, in place
         B -= np.stack((vvec, u2), 1) @ np.stack((u2, vvec))
         e[kcol] = alpha
-        reflectors.append(vvec)
     if n >= 2:
         e[n - 2] = T[n - 1, n - 2]
-    return np.diag(T).copy(), e, reflectors
+    return np.diag(T).copy(), e
 
 
 def _sturm_counts(d, e2, pivmin, x):
@@ -501,58 +462,14 @@ def dense_spectrum(A) -> np.ndarray:
     n = A.shape[0]
     if n == 1:
         return np.array([A[0, 0]], dtype=float)
-    d, e, _ = _householder_tridiagonalize(A)
+    d, e = _householder_tridiagonalize(A)
     return np.sort(_tridiagonal_eigenvalues(d, e, np.arange(n)))
 
 
-def _tridiagonal_ground_vector(d, e, value):
-    """Inverse iteration for the eigenvector of a tridiagonal matrix."""
-    n = d.shape[0]
-    scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(e))) if n > 1 else 0.0)
-    shift = value
-    ab = np.zeros((3, n))
-    x = np.full(n, 1.0 / math.sqrt(n))
-    for attempt in range(4):
-        sig = shift - (10.0 ** attempt) * 1e-12 * scale
-        ab[0, 1:] = e[: n - 1]
-        ab[1, :] = d - sig
-        ab[2, :-1] = e[: n - 1]
-        try:
-            for _ in range(3):
-                x = sla.solve_banded((1, 1), ab, x)
-                x /= np.linalg.norm(x)
-        except np.linalg.LinAlgError:
-            continue
-        resid = np.empty(n)
-        resid[:] = (d - value) * x
-        if n > 1:
-            resid[:-1] += e[: n - 1] * x[1:]
-            resid[1:] += e[: n - 1] * x[:-1]
-        if np.linalg.norm(resid) <= 1e-8 * scale:
-            return x
-    return x
-
-
-def dense_ground(A, tol: float = 1e-10) -> EigResult:
-    """Ground eigenpair of a symmetric matrix via the in-house dense route.
-
-    Used only in tests, certificates and oracle checks; production solves go
-    through the iterative routes.
-    """
+def dense_ground(A) -> float:
+    """Lowest eigenvalue of a symmetric matrix via the in-house dense route."""
     A = _dense_input(A, "dense_ground")
-    n = A.shape[0]
-    if n == 1:
-        return EigResult(float(A[0, 0]), np.ones(1), 0.0, 1, 0, 0, "dense")
-    d, e, reflectors = _householder_tridiagonalize(A)
-    value = float(_tridiagonal_eigenvalues(d, e, [0])[0])
-    x = _tridiagonal_ground_vector(d, e, value)
-    # undo the Householder similarity, last reflector first
-    for kcol in range(len(reflectors) - 1, -1, -1):
-        vvec = reflectors[kcol]
-        if vvec is None:
-            continue
-        seg = x[kcol + 1:]
-        seg -= 2.0 * vvec * (vvec @ seg)
-    x /= np.linalg.norm(x)
-    resid = float(np.linalg.norm(A @ x - value * x))
-    return EigResult(value, x, resid, n, 0, 0, "dense")
+    if A.shape[0] == 1:
+        return float(A[0, 0])
+    d, e = _householder_tridiagonalize(A)
+    return float(_tridiagonal_eigenvalues(d, e, [0])[0])

@@ -26,8 +26,6 @@ from .model import BASIS_CAPACITY, ModeGrid
 __all__ = [
     "FockBasis",
     "enumerate_basis",
-    "apply_creation",
-    "apply_annihilation",
 ]
 
 
@@ -169,34 +167,3 @@ def enumerate_basis(m_modes: int, n_max: int,
         creation_amp=camp,
     )
 
-
-def apply_creation(occ, mode: int, n_max: int):
-    """a_mode^dagger on an occupation tuple.
-
-    Returns (new_occ, sqrt(o_mode + 1)) or None when the result leaves the
-    truncation.
-    """
-    occ = tuple(occ)
-    if not 0 <= mode < len(occ):
-        raise DomainError(f"mode index {mode} out of range")
-    if sum(occ) + 1 > n_max:
-        return None
-    amp = math.sqrt(occ[mode] + 1.0)
-    new = occ[:mode] + (occ[mode] + 1,) + occ[mode + 1:]
-    return new, amp
-
-
-def apply_annihilation(occ, mode: int):
-    """a_mode on an occupation tuple.
-
-    Returns (new_occ, sqrt(o_mode)) or None when the mode is empty (the
-    result is the zero vector, not a basis state).
-    """
-    occ = tuple(occ)
-    if not 0 <= mode < len(occ):
-        raise DomainError(f"mode index {mode} out of range")
-    if occ[mode] == 0:
-        return None
-    amp = math.sqrt(occ[mode])
-    new = occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]
-    return new, amp

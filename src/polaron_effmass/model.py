@@ -426,11 +426,6 @@ class PoschlTeller(_Potential):
     def sup_norm(self):
         return self.depth
 
-    def exact_ground_energy(self, mass: float) -> float:
-        """Closed-form ground energy of p^2/(2 mass) - depth sech^2(x)."""
-        ell = 0.5 * (-1.0 + math.sqrt(1.0 + 8.0 * mass * self.depth))
-        return -ell * ell / (2.0 * mass)
-
 
 @dataclass(frozen=True)
 class SoftStep(_Potential):

@@ -3,7 +3,7 @@
 Operators built here, all real-symmetric:
 
 * fixed-total-momentum fibers  (P - P_f)^2 / (2m) + H_f + sum_i v_i (a_i^+ + a_i)
-  on a truncated Fock space (:class:`FiberTemplate`, :func:`assemble_fiber`);
+  on a truncated Fock space (:class:`FiberTemplate`);
 * the coupled scaling-limit operator on an electron momentum grid tensored
   with the Fock space (:func:`assemble_coupled_llp`),
 
@@ -48,7 +48,6 @@ __all__ = [
     "SymmetricOperator",
     "ElectronGrid",
     "FiberTemplate",
-    "assemble_fiber",
     "assemble_coupled_llp",
     "assemble_schrodinger",
     "potential_kernel",
@@ -184,20 +183,8 @@ class ElectronGrid:
     def size(self) -> int:
         return self.n_per_axis ** self.dimension
 
-    def index_of_zero(self) -> int:
-        idx = np.flatnonzero(np.all(self.points == 0.0, axis=1))
-        return int(idx[0])
-
     def kinetic_diagonal(self, mass: float) -> np.ndarray:
         return np.sum(self.points**2, axis=1) / (2.0 * mass)
-
-    def parity_permutation(self) -> np.ndarray:
-        pts = self.points
-        key = {tuple(np.round(p / self.dq).astype(int)): i for i, p in enumerate(pts)}
-        perm = np.array(
-            [key[tuple(np.round(-p / self.dq).astype(int))] for p in pts], dtype=np.int64
-        )
-        return perm
 
     def scaled(self, factor: float) -> "ElectronGrid":
         if factor <= 0:
@@ -254,11 +241,6 @@ class FiberTemplate:
         diag = self.kinetic_diagonal(P) + self.frequency_sums - shift
         return SymmetricOperator(self.interaction, diag=diag, validate=False,
                                  checked_factors=True, name=f"fiber(P={P})")
-
-
-def assemble_fiber(spec: ModelSpec, P) -> SymmetricOperator:
-    """One fixed-total-momentum fiber (convenience wrapper)."""
-    return FiberTemplate(spec).operator(P)
 
 
 def potential_kernel(potential, egrid: ElectronGrid) -> np.ndarray:

@@ -203,7 +203,6 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
             "extrapolated": float(u_coef[0]),
             "radius": [u.radius for u in u_results],
             "boundary_hit": [u.boundary_hit for u in u_results],
-            "path": [u.result.path for u in u_results],
         },
         "bounds_consistent": consistent,
     }
@@ -306,7 +305,7 @@ def run_oracle_check(cfg: ExperimentConfig) -> tuple:
         a = rng.standard_normal((n, n)) * mask
         a = 0.5 * (a + a.T)
         a[np.diag_indices(n)] += rng.standard_normal(n)
-        dense_val = dense_ground(a).value
+        dense_val = dense_ground(a)
         lanczos_val = ground_state(a, tol=1e-11, seed=cfg.seed + i).value
         diff = abs(dense_val - lanczos_val)
         worst = max(worst, diff)

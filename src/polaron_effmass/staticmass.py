@@ -11,11 +11,8 @@ largely cancels between e0 and the inverse curve.
 
 Pieces:
 
-* :func:`schrodinger_energy`: ground energy of q^2/(2m) + W.  The default
-  mode runs a grid-refinement pair (spacing halved, which also doubles the
-  implied box) and combines them Richardson-style, attaching the pair
-  difference as the discretization error estimate.  Callers that rely on
-  same-grid bias cancellation pass refine=False.
+* :func:`schrodinger_energy`: ground energy of q^2/(2m) + W on the grid it
+  is given, so that its discretization bias matches the coupled solves'.
 * :func:`invert_E`: bisection inverse of the strictly decreasing comparison
   curve, with on-the-fly monotonicity validation and bracket expansion.
 * :func:`coupled_ground`: e(lam) through the preconditioned subspace solver
@@ -42,13 +39,10 @@ from .operators import (ElectronGrid, FiberTemplate, assemble_coupled_llp,
                         assemble_schrodinger)
 
 __all__ = [
-    "SchrodingerEnergy",
-    "SchrodingerCurve",
     "CoupledResult",
     "StaticMassResult",
     "DEFAULT_LAMBDA_SEQ",
     "schrodinger_energy",
-    "schrodinger_curve",
     "invert_E",
     "coupled_ground",
     "extrapolate_static_mass",
@@ -57,79 +51,25 @@ __all__ = [
 DEFAULT_LAMBDA_SEQ = (0.4, 0.28, 0.2, 0.14, 0.1)
 
 
-@dataclass(frozen=True)
-class SchrodingerEnergy:
-    value: float
-    error: float
-    grid_points: int
-    refined: bool
-
-
 def _ground_value(matrix: np.ndarray) -> float:
     n = matrix.shape[0]
     if n <= 2000:
-        return dense_ground(matrix).value
+        return dense_ground(matrix)
     return ground_state(matrix, tol=1e-11, seed=0).value
 
 
-def schrodinger_energy(mass: float, potential, egrid: ElectronGrid,
-                       *, refine: bool = True) -> SchrodingerEnergy:
-    """Ground energy of the one-particle comparison operator.
+def schrodinger_energy(mass: float, potential, egrid: ElectronGrid) -> float:
+    """Ground energy of the one-particle comparison operator on `egrid`.
 
-    With refine=True (default) the energy is recomputed at half the grid
-    spacing and the pair is Richardson-combined; the attached error is the
-    pair difference.  A nonnegative result means the potential has no bound
-    state at this mass and raises NoBoundStateError.
+    A nonnegative result means the potential has no bound state at this
+    mass and raises NoBoundStateError.
     """
-    coarse = _ground_value(assemble_schrodinger(potential, egrid, mass))
-    if refine:
-        fine_grid = ElectronGrid(egrid.dq / 2.0, egrid.q_max, egrid.dimension)
-        fine = _ground_value(assemble_schrodinger(potential, fine_grid, mass))
-        value = fine + (fine - coarse) / 3.0
-        err = abs(fine - coarse)
-        points = fine_grid.size
-        # the combination can dip below zero even when both stages are
-        # nonnegative; judge binding on the variational stage values
-        witness = max(value, coarse, fine)
-    else:
-        value, err, points = coarse, 0.0, egrid.size
-        witness = coarse
-    if witness >= 0.0:
+    value = _ground_value(assemble_schrodinger(potential, egrid, mass))
+    if value >= 0.0:
         raise NoBoundStateError(
-            f"no bound state at mass {mass:g} (ground energy {witness:.3e} >= 0)"
+            f"no bound state at mass {mass:g} (ground energy {value:.3e} >= 0)"
         )
-    return SchrodingerEnergy(value=float(value), error=float(err),
-                             grid_points=points, refined=refine)
-
-
-@dataclass(frozen=True)
-class SchrodingerCurve:
-    masses: np.ndarray
-    energies: np.ndarray
-    errors: np.ndarray
-    refined: bool
-
-    def __post_init__(self):
-        diffs = np.diff(self.energies)
-        if np.any(diffs >= 0.0):
-            i = int(np.argmax(diffs >= 0.0))
-            raise AnalysisError(
-                "comparison curve is not strictly decreasing between "
-                f"m = {self.masses[i]:g} and m = {self.masses[i + 1]:g}"
-            )
-
-
-def schrodinger_curve(masses, potential, egrid: ElectronGrid,
-                      *, refine: bool = False) -> SchrodingerCurve:
-    """Comparison energies at several masses, validated strictly decreasing."""
-    m_arr = np.asarray(sorted(masses), dtype=float)
-    vals, errs = [], []
-    for m in m_arr:
-        res = schrodinger_energy(float(m), potential, egrid, refine=refine)
-        vals.append(res.value)
-        errs.append(res.error)
-    return SchrodingerCurve(masses=m_arr, energies=np.asarray(vals),
-                            errors=np.asarray(errs), refined=refine)
+    return float(value)
 
 
 def invert_E(target: float, potential, egrid: ElectronGrid, *,
@@ -145,7 +85,7 @@ def invert_E(target: float, potential, egrid: ElectronGrid, *,
     lo, hi = float(bracket[0]), float(bracket[1])
     if lo < 0.5:
         raise BracketError(f"bracket must start at mass >= 1/2, got {lo}")
-    e_lo = schrodinger_energy(lo, potential, egrid, refine=False).value
+    e_lo = schrodinger_energy(lo, potential, egrid)
     if abs(target - e_lo) <= endpoint_tol:
         return lo
     if target > e_lo:
@@ -153,7 +93,7 @@ def invert_E(target: float, potential, egrid: ElectronGrid, *,
             f"target energy {target:.6g} is above E({lo:g}) = {e_lo:.6g}; "
             "would need a mass below 1/2"
         )
-    e_hi = schrodinger_energy(hi, potential, egrid, refine=False).value
+    e_hi = schrodinger_energy(hi, potential, egrid)
     while target < e_hi:
         hi *= 2.0
         if hi > max_hi:
@@ -161,11 +101,11 @@ def invert_E(target: float, potential, egrid: ElectronGrid, *,
                 f"target energy {target:.6g} below E({max_hi:g}); bracket "
                 "expansion exhausted"
             )
-        e_hi = schrodinger_energy(hi, potential, egrid, refine=False).value
+        e_hi = schrodinger_energy(hi, potential, egrid)
     slack = 1e-12 * max(1.0, abs(e_lo), abs(e_hi))
     while (hi - lo) > rel_tol * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
-        e_mid = schrodinger_energy(mid, potential, egrid, refine=False).value
+        e_mid = schrodinger_energy(mid, potential, egrid)
         if not (e_hi - slack <= e_mid <= e_lo + slack):
             raise AnalysisError(
                 f"comparison curve non-monotone at m = {mid:g} "
@@ -256,7 +196,7 @@ def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid,
     the largest lam.  The mass uncertainty propagates e0_err through the
     numerically differentiated comparison-curve slope.  A fit with rms
     residual above fit_rms_tol is marked rejected (data still returned);
-    the inversion uses the same grid as the coupled solves, unrefined.
+    the inversion uses the same grid as the coupled solves.
     """
     lams = np.asarray(lambdas, dtype=float)
     evals = np.asarray(e_values, dtype=float)
@@ -286,12 +226,12 @@ def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid,
                         rel_tol=mass_rel_tol)
         h = max(1e-3 * mass, 1e-4)
         if mass - h >= 0.5:
-            e_plus = schrodinger_energy(mass + h, potential, egrid, refine=False).value
-            e_minus = schrodinger_energy(mass - h, potential, egrid, refine=False).value
+            e_plus = schrodinger_energy(mass + h, potential, egrid)
+            e_minus = schrodinger_energy(mass - h, potential, egrid)
             slope = (e_plus - e_minus) / (2.0 * h)
         else:
-            e_plus = schrodinger_energy(mass + h, potential, egrid, refine=False).value
-            e_here = schrodinger_energy(mass, potential, egrid, refine=False).value
+            e_plus = schrodinger_energy(mass + h, potential, egrid)
+            e_here = schrodinger_energy(mass, potential, egrid)
             slope = (e_plus - e_here) / h
         mass_err = e0_err / abs(slope) if slope != 0.0 else math.inf
     except (BracketError, NoBoundStateError, AnalysisError) as exc:
@@ -313,8 +253,6 @@ def scaled_comparison_pair(mass: float, potential, lam: float,
     infspec(p^2/2m + V) on the grid stretched by 1/lam; the match is an
     exact discrete similarity, so the pair agrees to rounding.
     """
-    left = schrodinger_energy(mass, ScaledPotential(potential, lam), egrid,
-                              refine=False).value
-    right = schrodinger_energy(mass, potential, egrid.scaled(1.0 / lam),
-                               refine=False).value
+    left = schrodinger_energy(mass, ScaledPotential(potential, lam), egrid)
+    right = schrodinger_energy(mass, potential, egrid.scaled(1.0 / lam))
     return left, lam * lam * right

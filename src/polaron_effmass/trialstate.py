@@ -13,12 +13,10 @@ G[j, j'] = <Phi(lam q_j), Phi(lam q_j')>:
 
     U = [ sum_j a_j^2 (eps_j - e0)/lam^2 + a^T (W * G) a ] / sum_j a_j^2 ,
 
-with a_j = fhat(q_j) sqrt(dq).  When every support node lam * q_j is an
-actually solved family momentum, U is the exact Rayleigh quotient of an
-explicit vector and hence a certified upper bound on e(lam) up to solver
-and rounding error ("exact" path).  When the meshes do not line up, cubic
-splines in the family data interpolate eps and G ("spline" path); the
-result is then an estimate, and it is labeled as such.
+with a_j = fhat(q_j) sqrt(dq).  Every support node lam * q_j must be a
+solved family momentum, so U is the exact Rayleigh quotient of an explicit
+vector and hence a certified upper bound on e(lam) up to solver and
+rounding error.
 
 Profiles are scaled so their support lam * R stays inside the
 quasi-parabolic window; :func:`minimize_upper_bound` tunes the support
@@ -32,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.optimize import minimize_scalar
 
 from .dispersion import GAP_THRESHOLD_DEFAULT, FiberCache
@@ -65,10 +62,6 @@ class GroundStateFamily:
     @property
     def size(self) -> int:
         return len(self.momenta)
-
-    @property
-    def p_max(self) -> float:
-        return float(np.max(np.abs(self.momenta)))
 
     def index_of(self, P: float) -> int:
         i = int(np.argmin(np.abs(self.momenta - P)))
@@ -132,7 +125,6 @@ class UpperBoundResult:
     fiber_term: float
     potential_term: float
     norm_sq: float
-    path: str                 # "exact" or "spline"
     profile_params: dict
     n_support: int
 
@@ -152,15 +144,14 @@ def _support_data(lam: float, profile, egrid: ElectronGrid):
 
 
 def upper_bound(lam: float, family: GroundStateFamily, profile, potential,
-                egrid: ElectronGrid, e0: float, *, path: str = "exact",
+                egrid: ElectronGrid, e0: float, *,
                 kernel: np.ndarray | None = None,
                 gram: np.ndarray | None = None) -> UpperBoundResult:
     """Rayleigh quotient of the profiled dressed trial vector.
 
-    `path="exact"` requires every support node lam*q_j to be a family
-    momentum and returns a certified bound; `path="spline"` interpolates
-    family data instead (estimate only).  `kernel` and `gram` can be
-    passed in when the caller evaluates many profiles on one grid.
+    Every support node lam*q_j must be a family momentum; the result is a
+    certified bound.  `kernel` and `gram` can be passed in when the caller
+    evaluates many profiles on one grid.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
@@ -169,25 +160,9 @@ def upper_bound(lam: float, family: GroundStateFamily, profile, potential,
     G_fam = overlap_matrix(family) if gram is None else gram
 
     a = f[sup] * math.sqrt(egrid.dq)
-    Psup = lam * q[sup]
-    if path == "exact":
-        idx = np.array([family.index_of(p) for p in Psup])
-        eps = family.energies[idx]
-        G = G_fam[np.ix_(idx, idx)]
-    elif path == "spline":
-        if np.max(np.abs(Psup)) > family.p_max + 1e-12:
-            raise AnalysisError(
-                "profile support leaves the family's momentum range; "
-                "extend the family or shrink the profile"
-            )
-        e_spl = CubicSpline(family.momenta, family.energies)
-        eps = e_spl(Psup)
-        g_spl = RectBivariateSpline(family.momenta, family.momenta, G_fam,
-                                    kx=3, ky=3)
-        G = g_spl(Psup, Psup)
-        G = 0.5 * (G + G.T)
-    else:
-        raise ConfigError(f"unknown upper-bound path {path!r}")
+    idx = np.array([family.index_of(p) for p in lam * q[sup]])
+    eps = family.energies[idx]
+    G = G_fam[np.ix_(idx, idx)]
 
     norm_sq = float(a @ a)
     fiber_term = float(a @ ((eps - e0) / lam**2 * a))
@@ -195,7 +170,7 @@ def upper_bound(lam: float, family: GroundStateFamily, profile, potential,
     value = (fiber_term + potential_term) / norm_sq
     return UpperBoundResult(lam=lam, value=value, fiber_term=fiber_term,
                             potential_term=potential_term, norm_sq=norm_sq,
-                            path=path, profile_params=dict(profile.params()),
+                            profile_params=dict(profile.params()),
                             n_support=len(sup))
 
 

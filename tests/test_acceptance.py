@@ -255,11 +255,11 @@ def test_criterion_07_perturbative_window(acceptance_recorder):
 # ---------------------------------------------------------------------------
 
 def test_criterion_08_static_chain(acceptance_recorder):
-    ref = schrodinger_energy(0.5, POT, EGRID).value
+    ref = schrodinger_energy(0.5, POT, EGRID)
     ok = abs(ref + 1.0) <= 1e-4
 
     masses = (0.5, 0.75, 1.0, 1.5)
-    curve = [schrodinger_energy(m, POT, EGRID).value for m in masses]
+    curve = [schrodinger_energy(m, POT, EGRID) for m in masses]
     ok = ok and all(a - b > 1e-6 for a, b in zip(curve, curve[1:]))
 
     worst_scaling = 0.0
@@ -270,7 +270,7 @@ def test_criterion_08_static_chain(acceptance_recorder):
 
     worst_invert = 0.0
     for mass in (0.8, 1.3, 2.5):
-        target = schrodinger_energy(mass, POT, EGRID, refine=False).value
+        target = schrodinger_energy(mass, POT, EGRID)
         back = invert_E(target, POT, EGRID)
         worst_invert = max(worst_invert, abs(back - mass) / mass)
     ok = ok and worst_invert <= 1e-5

@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from polaron_effmass.eigensolve import (_sturm_counts, _tridiagonal_eigenvalues,
                                         davidson_ground, dense_ground,
                                         dense_spectrum, ground_state,
-                                        lowest_two, ritz_ground_sequence)
+                                        lowest_two)
 from polaron_effmass.errors import DomainError, SolverError
 from polaron_effmass.operators import SymmetricOperator
 
@@ -47,13 +45,8 @@ def test_dense_spectrum_matches_numpy(rng, n):
 
 def test_dense_ground_matches_numpy(rng):
     a = random_symmetric(rng, 60)
-    res = dense_ground(a)
     ref = np.linalg.eigvalsh(a)[0]
-    assert res.value == pytest.approx(ref, abs=1e-10)
-    # eigenvector quality: residual of the returned pair
-    r = a @ res.vector - res.value * res.vector
-    assert np.linalg.norm(r) < 1e-8
-    assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-12)
+    assert dense_ground(a) == pytest.approx(ref, abs=1e-10)
 
 
 def test_dense_spectrum_exact_2x2():
@@ -104,9 +97,7 @@ def test_dense_route_hard_cases(rng, case):
     ours = dense_spectrum(a)
     assert np.all(np.diff(ours) >= 0.0)
     assert np.max(np.abs(ours - ref)) <= tol
-    res = dense_ground(a)
-    assert abs(res.value - ref[0]) <= tol
-    assert np.linalg.norm(a @ res.vector - res.value * res.vector) <= 1e-8 * np.abs(ref).max()
+    assert abs(dense_ground(a) - ref[0]) <= tol
 
 
 NAN = np.array([[1.0, 0.5], [0.5, np.nan]])
@@ -144,14 +135,14 @@ def test_dense_eigenvalues_do_not_use_lapack(rng, monkeypatch):
     ref = np.linalg.eigvalsh(a)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense route called a LAPACK eigensolver")
+        raise AssertionError("dense route called LAPACK")
 
     for module, name in ((sla, "eigh_tridiagonal"), (sla, "eigvalsh_tridiagonal"),
-                         (sla, "eigh"), (sla, "eigvalsh"),
+                         (sla, "eigh"), (sla, "eigvalsh"), (sla, "solve_banded"),
                          (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(module, name, forbidden)
     assert np.max(np.abs(dense_spectrum(a) - ref)) < 1e-12 * np.abs(ref).max()
-    assert dense_ground(a).value == pytest.approx(ref[0], abs=1e-12)
+    assert dense_ground(a) == pytest.approx(ref[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +254,3 @@ def test_davidson_is_deterministic(rng):
     b = davidson_ground(op, tol=1e-10, seed=9)
     assert a.value == b.value
     assert np.array_equal(a.vector, b.vector)
-
-
-# ---------------------------------------------------------------------------
-# variational property
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(5, 40), st.integers(0, 1000))
-def test_ritz_sequence_is_monotone_and_above_ground(n, seed):
-    rng = np.random.default_rng(seed)
-    a = random_symmetric(rng, n)
-    seq = ritz_ground_sequence(a, steps=min(n, 12), seed=seed)
-    ref = np.linalg.eigvalsh(a)[0]
-    assert np.all(np.diff(seq) <= 1e-10)   # Ritz values only improve
-    assert np.all(seq >= ref - 1e-10)      # and never undershoot the ground

@@ -22,7 +22,7 @@ from polaron_effmass.model import (ConstantCoupling, ConstantDispersion,
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        SymmetricOperator,
                                        assemble_coupled_llp,
-                                       assemble_direct_tensor, assemble_fiber,
+                                       assemble_direct_tensor,
                                        assemble_llp_ring,
                                        assemble_schrodinger, potential_kernel,
                                        ring_potential_kernel, ring_sites)
@@ -67,9 +67,7 @@ def test_electron_grid_layout():
     pts = egrid.points[:, 0]
     assert egrid.size == 9
     assert np.allclose(pts, np.arange(-4, 5) * 0.5)
-    assert pts[egrid.index_of_zero()] == 0.0
     assert np.allclose(egrid.kinetic_diagonal(0.5), pts**2)
-    assert np.allclose(egrid.points[egrid.parity_permutation()], -egrid.points)
     half = egrid.scaled(0.5)
     assert half.dq == pytest.approx(0.25)
     assert half.q_max == pytest.approx(1.0)
@@ -88,24 +86,15 @@ def test_two_level_fiber_against_hand_formula():
         d = (P - 1.0) ** 2 + 1.0
         assert np.allclose(dense, [[P * P, 0.2], [0.2, d]], atol=1e-14)
         expected = 0.5 * (P * P + d) - 0.5 * math.hypot(d - P * P, 0.4)
-        got = dense_ground(dense).value
+        got = dense_ground(dense)
         assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_two_level_fiber_frozen_ground_value():
     # P = 0: eigenvalues of [[0, 0.2], [0.2, 2]] are 1 -/+ sqrt(1.04)
     template = _single_mode_template(g=0.2)
-    ground = dense_ground(template.operator(0.0).to_dense()).value
+    ground = dense_ground(template.operator(0.0).to_dense())
     assert ground == pytest.approx(1.0 - math.sqrt(1.04), abs=1e-13)
-
-
-def test_assemble_fiber_matches_template_route():
-    spec = _single_mode_spec()
-    grid = spec.mode_grid()  # {-1, +1}: the symmetric production grid
-    template = FiberTemplate(spec, grid=grid)
-    a = assemble_fiber(spec, 0.4).to_dense()
-    b = template.operator(0.4).to_dense()
-    assert np.allclose(a, b, atol=1e-14)
 
 
 def test_fiber_matrix_elements_from_ladder_rules():
@@ -173,7 +162,7 @@ def test_schrodinger_operator_structure():
     h2 = assemble_schrodinger(pot, egrid, mass=0.5, v_scale=2.0)
     assert np.allclose(h2 - h, w)
     # depth 2 well at mass 1/2 binds at -1; the grid gets close already
-    assert dense_ground(h).value == pytest.approx(-1.0, abs=1e-3)
+    assert dense_ground(h) == pytest.approx(-1.0, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +182,14 @@ def test_coupled_operator_decouples_at_zero_coupling():
         coupled = assemble_coupled_llp(template, pot, egrid, lam, 0.0,
                                        tail_tol=None)
         ours = dense_spectrum(coupled.to_dense())[0]
-        ref = dense_ground(assemble_schrodinger(pot, egrid, 0.5)).value
+        ref = dense_ground(assemble_schrodinger(pot, egrid, 0.5))
         assert ours == pytest.approx(ref, abs=1e-11)
 
 
 def test_coupled_operator_matches_dense_oracle():
     cfg = load_config("oracle")
     template = FiberTemplate(cfg.spec)
-    e0 = dense_ground(template.operator(0.0).to_dense()).value
+    e0 = dense_ground(template.operator(0.0).to_dense())
     coupled = assemble_coupled_llp(template, cfg.potential, cfg.egrid, 0.4,
                                    e0, tail_tol=None)
     dense = coupled.to_dense()

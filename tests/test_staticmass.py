@@ -16,10 +16,10 @@ from polaron_effmass.errors import (AnalysisError, BracketError,
 from polaron_effmass.model import GaussianWell, PoschlTeller
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        assemble_coupled_llp)
-from polaron_effmass.staticmass import (SchrodingerCurve, coupled_ground,
+from polaron_effmass.staticmass import (coupled_ground,
                                         extrapolate_static_mass, invert_E,
                                         scaled_comparison_pair,
-                                        schrodinger_curve, schrodinger_energy)
+                                        schrodinger_energy)
 
 POT = PoschlTeller(depth=2.0)
 EGRID = ElectronGrid(dq=0.25, q_max=6.0)
@@ -55,38 +55,19 @@ class RepulsiveGaussian:
 
 def test_reference_energy_hits_closed_form():
     res = schrodinger_energy(0.5, POT, EGRID)
-    assert res.refined
-    assert res.value == pytest.approx(-1.0, abs=1e-5)
-    assert abs(res.value - (-1.0)) <= 10 * max(res.error, 1e-7)
+    assert res == pytest.approx(-1.0, abs=1e-5)
 
 
 @pytest.mark.parametrize("mass", [0.5, 0.75, 1.0, 1.5])
 def test_reference_curve_matches_exact_formula(mass):
     res = schrodinger_energy(mass, POT, EGRID)
-    assert res.value == pytest.approx(exact_energy(mass), rel=1e-5)
-
-
-def test_refinement_improves_on_single_grid():
-    # quadrature-limited spacing, so halving it visibly helps
-    grid = ElectronGrid(dq=0.5, q_max=6.0)
-    coarse = schrodinger_energy(0.5, POT, grid, refine=False)
-    refined = schrodinger_energy(0.5, POT, grid, refine=True)
-    assert abs(refined.value + 1.0) < abs(coarse.value + 1.0)
-    assert refined.grid_points > coarse.grid_points
-    assert refined.error >= abs(refined.value - coarse.value) / 2.0
+    assert res == pytest.approx(exact_energy(mass), rel=1e-5)
 
 
 def test_curve_is_strictly_decreasing_in_mass():
     masses = np.array([0.5, 0.75, 1.0, 1.5])
-    curve = schrodinger_curve(masses, POT, EGRID)
-    assert np.all(np.diff(curve.energies) < 0)
-
-
-def test_curve_rejects_non_monotone_data():
-    with pytest.raises(AnalysisError):
-        SchrodingerCurve(masses=np.array([0.5, 1.0, 1.5]),
-                         energies=np.array([-1.0, -0.8, -0.9]),
-                         errors=np.zeros(3), refined=False)
+    energies = [schrodinger_energy(m, POT, EGRID) for m in masses]
+    assert np.all(np.diff(energies) < 0)
 
 
 def test_no_bound_state_raises():
@@ -100,27 +81,27 @@ def test_no_bound_state_raises():
 
 def test_invert_roundtrips_through_the_curve():
     for mass in (0.8, 1.3, 2.5):
-        target = schrodinger_energy(mass, POT, EGRID, refine=False).value
+        target = schrodinger_energy(mass, POT, EGRID)
         back = invert_E(target, POT, EGRID)
         assert back == pytest.approx(mass, rel=1e-5)
 
 
 def test_invert_returns_exact_endpoint():
-    target = schrodinger_energy(0.5, POT, EGRID, refine=False).value
+    target = schrodinger_energy(0.5, POT, EGRID)
     assert invert_E(target, POT, EGRID) == 0.5
 
 
 def test_invert_rejects_unreachable_targets():
-    shallow = schrodinger_energy(0.5, POT, EGRID, refine=False).value
+    shallow = schrodinger_energy(0.5, POT, EGRID)
     with pytest.raises(BracketError):
         invert_E(shallow + 0.2, POT, EGRID)  # above the lightest mass
-    deep = schrodinger_energy(8.0, POT, EGRID, refine=False).value
+    deep = schrodinger_energy(8.0, POT, EGRID)
     with pytest.raises(BracketError):
         invert_E(deep, POT, EGRID, max_hi=4.0)  # expansion capped too early
 
 
 def test_invert_expands_bracket_when_needed():
-    heavy = schrodinger_energy(6.0, POT, EGRID, refine=False).value
+    heavy = schrodinger_energy(6.0, POT, EGRID)
     assert invert_E(heavy, POT, EGRID) == pytest.approx(6.0, rel=1e-5)
 
 
@@ -148,7 +129,7 @@ def test_coupled_ground_matches_dense_oracle():
     cfg = load_config("oracle")
     template = FiberTemplate(cfg.spec)
     from polaron_effmass.eigensolve import dense_ground
-    e0 = dense_ground(template.operator(0.0).to_dense()).value
+    e0 = dense_ground(template.operator(0.0).to_dense())
     res = coupled_ground(template, cfg.potential, cfg.egrid, 0.4, e0,
                          tol=1e-10, seed=0, tail_tol=None)
     dense = assemble_coupled_llp(template, cfg.potential, cfg.egrid, 0.4, e0,
@@ -163,7 +144,7 @@ def test_coupled_ground_is_deterministic():
     cfg = load_config("oracle")
     template = FiberTemplate(cfg.spec)
     from polaron_effmass.eigensolve import dense_ground
-    e0 = dense_ground(template.operator(0.0).to_dense()).value
+    e0 = dense_ground(template.operator(0.0).to_dense())
     a = coupled_ground(template, cfg.potential, cfg.egrid, 0.2, e0, seed=3,
                        tail_tol=None)
     b = coupled_ground(template, cfg.potential, cfg.egrid, 0.2, e0, seed=3,
@@ -178,7 +159,7 @@ def test_coupled_ground_is_deterministic():
 
 def test_extrapolation_recovers_planted_quadratic():
     mass_true = 0.8
-    e_limit = schrodinger_energy(mass_true, POT, EGRID, refine=False).value
+    e_limit = schrodinger_energy(mass_true, POT, EGRID)
     lams = np.array([0.4, 0.28, 0.2, 0.14, 0.1])
     evals = e_limit + 0.3 * lams + 0.1 * lams**2
     res = extrapolate_static_mass(lams, evals, POT, EGRID)
