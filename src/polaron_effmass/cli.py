@@ -1,16 +1,13 @@
 """Command-line entry point.
 
-    polaron-effmass <subcommand> --config <path> [--out DIR] [--threads N]
-                                 [--seed S]
+    polaron-effmass <subcommand> --config <path> [--out DIR] [--seed S]
 
 Subcommands: dispersion, staticmass, sandwich, oracle-check, converge,
 validate, docs-tables.  `--config` accepts a file path or a shipped preset
 name (free, toy, small, powerlaw_g01, powerlaw_g03, oracle).
 
 Exit codes: 0 all verdicts pass; 1 a verdict failed (or docs drifted);
-2 configuration/validation error; 3 solver failure.  Thread count
-precedence: --threads, then POLARON_EFFMASS_THREADS, then the config key,
-then 1.
+2 configuration/validation error; 3 solver failure.
 """
 
 from __future__ import annotations
@@ -40,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=needs_config,
                         help="config file path or preset name")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads for independent solves")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
 
@@ -63,20 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--write", action="store_true",
                    help="rewrite the tables instead of checking for drift")
     return p
-
-
-def _resolve_threads(cli_value, cfg_value: int) -> int:
-    if cli_value is not None:
-        return max(1, int(cli_value))
-    env = os.environ.get("POLARON_EFFMASS_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(
-                f"POLARON_EFFMASS_THREADS must be an integer, got {env!r}"
-            ) from exc
-    return cfg_value
 
 
 def main(argv=None) -> int:
@@ -103,8 +84,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=int(args.seed))
-        cfg = replace(cfg, threads=_resolve_threads(args.threads,
-                                                    cfg.threads))
         from .pipeline import run
         passed = run(args.subcommand, cfg, out_dir=args.out)
         out = args.out or cfg.out_dir

@@ -6,7 +6,7 @@ A config file has five blocks:
     potential -- the external well (or "none")
     trial     -- upper-bound profile family and its minimizer knobs
     solver    -- eigensolver tolerances and budgets
-    run       -- seed, threads, momentum list, lambda sequence, electron
+    run       -- seed, momentum list, lambda sequence, electron
                  grid, analysis tolerances, output directory
 
 Validation is strict: unknown keys anywhere are hard errors naming the
@@ -153,7 +153,6 @@ class ExperimentConfig:
     P_list: tuple
     lambda_seq: tuple
     seed: int
-    threads: int
     out_dir: str
     profile_kind: str
     profile_xatol: float
@@ -188,7 +187,7 @@ _SOLVER_KEYS = {
     "tail_tol": (False, float),
 }
 _RUN_KEYS = {
-    "seed": (False, int), "threads": (False, int), "out": (False, str),
+    "seed": (False, int), "out": (False, str),
     "P_list": (False, list), "lambda_seq": (False, list),
     "electron_grid": (False, dict), "gap_threshold": (False, float),
     "fit_rms_tol": (False, float), "ordering_tol": (False, float),
@@ -245,9 +244,6 @@ def parse_config(data: dict) -> ExperimentConfig:
                                                  DEFAULT_LAMBDA_SEQ))
     if any(l <= 0 for l in lambda_seq):
         raise ConfigError("run.lambda_seq entries must be positive")
-    threads = int(run.get("threads", 1))
-    if threads < 1:
-        raise ConfigError("run.threads must be >= 1")
     seed = int(run.get("seed", 0))
 
     return ExperimentConfig(
@@ -258,7 +254,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         P_list=P_list,
         lambda_seq=lambda_seq,
         seed=seed,
-        threads=threads,
         out_dir=run.get("out", "out"),
         profile_kind=profile_kind,
         profile_xatol=float(trial.get("xatol", 1e-3)),

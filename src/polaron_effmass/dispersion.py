@@ -15,11 +15,12 @@ are isotropic).  From the curve we extract
 * the largest momentum window P_c on which the spectral gap stays open,
   which downstream consumers use to bound trial-state supports.
 
-A :class:`FiberCache` memoizes fiber ground pairs by momentum.  On
-parity-symmetric mode grids it solves only |P| and obtains the -P ground
-vector by the mode permutation that realizes k -> -k, and it fixes phases so
-that <Phi_0 | Phi_P> > 0 for every cached vector, making overlap matrices
-well-defined across momenta.
+A :class:`FiberCache` memoizes fiber ground pairs by momentum; each pair
+comes from one two-target Davidson run, and the momenta are solved one after
+another in a fixed order.  On parity-symmetric mode grids it solves only |P|
+and obtains the -P ground vector by the mode permutation that realizes
+k -> -k, and it fixes phases so that <Phi_0 | Phi_P> > 0 for every cached
+vector, making overlap matrices well-defined across momenta.
 
 An independent weak-coupling oracle :func:`perturbative_mass` evaluates the
 second-order energy E2(P) = P^2 - sum_i v_i^2 / ((P - k_i)^2 + omega_i - P^2)
@@ -30,9 +31,7 @@ when comparing masses.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from threading import Lock
 
 import numpy as np
 
@@ -82,7 +81,6 @@ class FiberCache:
         self.seed = seed
         self.axis = _first_axis(template.spec.dimension)
         self._store: dict = {}
-        self._lock = Lock()
         self._use_parity = template.grid.is_symmetric()
         self._state_perm = None
         if self._use_parity:
@@ -95,8 +93,7 @@ class FiberCache:
 
     def solves(self) -> int:
         """Number of momenta actually solved (not derived by parity)."""
-        with self._lock:
-            return sum(1 for rec in self._store.values() if rec["solved"])
+        return sum(1 for rec in self._store.values() if rec["solved"])
 
     def _solve(self, P: float) -> dict:
         op = self.template.operator(P * self.axis)
@@ -114,9 +111,8 @@ class FiberCache:
 
     def _ensure(self, P: float) -> dict:
         key = self._key(P)
-        with self._lock:
-            if key in self._store:
-                return self._store[key]
+        if key in self._store:
+            return self._store[key]
         if self._use_parity and key < 0.0:
             # the parity image of a phase-fixed vector is already
             # phase-consistent (the reference vector is parity even)
@@ -130,9 +126,8 @@ class FiberCache:
                 zero = self._ensure(0.0)
                 if float(zero["vector"] @ rec["vector"]) < 0.0:
                     rec["vector"] = -rec["vector"]
-        # publish once, fully formed; racing threads keep the first record
-        with self._lock:
-            return self._store.setdefault(key, rec)
+        self._store[key] = rec
+        return rec
 
     def pair(self, P: float) -> dict:
         """Record with energy, excited, gap, degenerate, residual, vector."""
@@ -147,23 +142,15 @@ class FiberCache:
     def energies(self, P_values) -> np.ndarray:
         return np.array([self.energy(p) for p in np.asarray(P_values, dtype=float)])
 
-    def prefetch(self, P_values, threads: int = 1):
-        """Solve a batch of momenta, optionally with a thread pool.
+    def prefetch(self, P_values):
+        """Solve a batch of momenta in order of increasing |P|.
 
         Each momentum is solved independently from the same seed, so the
-        results do not depend on the pool size or schedule.
+        results do not depend on the order of requests.
         """
         todo = sorted({self._key(p) for p in np.asarray(P_values, dtype=float)},
                       key=abs)
         self._ensure(0.0)   # phase reference, solved once up front
-        if threads <= 1:
-            for p in todo:
-                self._ensure(p)
-            return
-        # solve canonical representatives concurrently, then derive parities
-        canon = sorted({abs(p) for p in todo}) if self._use_parity else todo
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(self._ensure, canon))
         for p in todo:
             self._ensure(p)
 
@@ -200,21 +187,21 @@ class DispersionCurve:
 
 
 def scan_dispersion(template: FiberTemplate, P_list, *,
-                    tol: float = 1e-9, seed: int = 0, threads: int = 1,
+                    tol: float = 1e-9, seed: int = 0,
                     cache: FiberCache | None = None) -> DispersionCurve:
     """Solve the fibers at the requested momenta and assemble the curve.
 
     P_list must contain 0 (the curve is pinned to E0 = E(0)).  Momenta are
-    solved independently (parallelizable); the curve is reduced in sorted
-    order.  E(P) >= E0 and parity symmetry are validated to solver
-    tolerance.
+    solved independently, one two-target Davidson run each; the curve is
+    reduced in sorted order.  E(P) >= E0 and parity symmetry are validated
+    to solver tolerance.
     """
     P_arr = np.unique(np.asarray(P_list, dtype=float))
     if not np.any(np.abs(P_arr) <= 1e-15):
         raise DomainError("P_list must include 0")
     if cache is None:
         cache = FiberCache(template, tol=tol, seed=seed)
-    cache.prefetch(P_arr, threads=threads)
+    cache.prefetch(P_arr)
     samples = []
     for p in P_arr:
         rec = cache.pair(p)

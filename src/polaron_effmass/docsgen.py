@@ -96,8 +96,6 @@ _CONFIG_DOC = {
     "solver.tail_tol": "Largest admissible relative weight of the potential "
                        "kernel outside the electron grid (default 1e-6).",
     "run.seed": "Base seed for every stochastic choice (default 0).",
-    "run.threads": "Worker threads for fiber prefetching (default 1); the "
-                   "results are independent of this value.",
     "run.out": "Output directory for reports and CSV artifacts "
                "(default \"out\").",
     "run.P_list": "Total momenta scanned for the dispersion curve; must "
@@ -239,7 +237,6 @@ _REPORT_DOC = (
     ("`subcommand`", "Pipeline entry point that produced the report."),
     ("`pass`", "Overall verdict folded over every enabled check."),
     ("`seed`", "Seed actually used after CLI overrides."),
-    ("`threads`", "Worker threads actually used after CLI overrides."),
     ("`package_version`", "Version of the installed package."),
     ("`config`", "Echo of the parsed configuration."),
     ("`config_sha256`", "SHA-256 of the canonical JSON form of the echo."),

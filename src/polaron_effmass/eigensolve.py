@@ -2,14 +2,16 @@
 
 Three routes, kept deliberately independent so they can cross-check each other:
 
-* :func:`ground_state` / :func:`lowest_two`: Lanczos iteration with full
-  reorthogonalization (two classical Gram-Schmidt passes per step), seeded
-  start vector, residual-based stopping, warm restarts on basis exhaustion
-  and reseeding on stagnation.  The default route for fiber-sized problems.
-* :func:`davidson_ground`: diagonally preconditioned subspace iteration with
-  thick restarts.  Used for the coupled small-lambda operators, whose
-  diagonal spread makes plain Krylov iteration impractically slow; see the
-  solver notes in the README.
+* :func:`lowest_two` / :func:`davidson_ground`: diagonally preconditioned
+  subspace iteration (Davidson) with thick restarts, one core for one or
+  two wanted pairs.  :func:`lowest_two` serves the fiber ground pairs and
+  their gap from one run; :func:`davidson_ground` the coupled small-lambda
+  operators, whose diagonal spread makes plain Krylov iteration
+  impractically slow; see the solver notes in the README.
+* :func:`ground_state`: Lanczos iteration with full reorthogonalization
+  (two classical Gram-Schmidt passes per step), seeded random start,
+  residual-based stopping, warm restarts on basis exhaustion and reseeding
+  on stagnation.  The independent route of the oracle checks.
 * :func:`dense_ground` / :func:`dense_spectrum`: eigenvalues only, from an
   in-house Householder tridiagonalization followed by Sturm-count
   bisection, vectorized across shifts in numpy.  Slower than the iterative
@@ -83,12 +85,9 @@ def _as_operator(op):
     return (lambda x: arr @ x), arr.shape[0], (lambda: np.diag(arr).copy())
 
 
-def _project_out(w, V, k, deflate):
-    """One classical Gram-Schmidt pass of w against V[:k] and deflate."""
-    if k > 0:
-        w -= V[:k].T @ (V[:k] @ w)
-    for u in deflate:
-        w -= (u @ w) * u
+def _project_out(w, V, k):
+    """One classical Gram-Schmidt pass of w against V[:k]."""
+    w -= V[:k].T @ (V[:k] @ w)
     return w
 
 
@@ -104,16 +103,14 @@ def _lowest_ritz(alphas, betas):
 
 
 def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
-                 max_restarts: int = 10, deflate=(), v0=None) -> EigResult:
+                 max_restarts: int = 10) -> EigResult:
     """Lowest eigenpair by Lanczos iteration with full reorthogonalization.
 
-    The start vector is drawn from a generator seeded with `seed` (or taken
-    from `v0`).  Convergence is declared when the explicitly computed
-    residual ||A x - theta x|| falls below tol * max(1, |theta|).  When the
-    basis fills up without convergence the iteration restarts from the
-    current Ritz vector; when restarts stagnate the start is reseeded.
-    Vectors in `deflate` are projected out throughout, which realizes
-    deflation for interior runs of :func:`lowest_two`.
+    The start vector is drawn from a generator seeded with `seed`.
+    Convergence is declared when the explicitly computed residual
+    ||A x - theta x|| falls below tol * max(1, |theta|).  When the basis
+    fills up without convergence the iteration restarts from the current
+    Ritz vector; when restarts stagnate the start is reseeded.
 
     Raises SolverError (carrying the best value/residual seen) on failure.
     """
@@ -122,12 +119,11 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
     max_basis = int(min(max_basis, n))
     if max_basis < 1:
         raise DomainError("operator dimension must be >= 1")
-    deflate = [np.asarray(u, dtype=float) for u in deflate]
 
     def fresh_start():
         return rng.standard_normal(n)
 
-    start = np.array(v0, dtype=float, copy=True) if v0 is not None else fresh_start()
+    start = fresh_start()
     best_val, best_vec, best_res = math.inf, None, math.inf
     matvecs = 0
     iterations = 0
@@ -135,8 +131,6 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
 
     for restart in range(max_restarts + 1):
         v = start.copy()
-        for _ in range(2):
-            v = _project_out(v, np.empty((0, n)), 0, deflate)
         nv = np.linalg.norm(v)
         if nv < 1e-14:
             start = fresh_start()
@@ -158,7 +152,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
             if k > 0:
                 w -= betas[-1] * V[k - 1]
             for _ in range(2):
-                w = _project_out(w, V, k + 1, deflate)
+                w = _project_out(w, V, k + 1)
             b = float(np.linalg.norm(w))
             k += 1
             iterations += 1
@@ -210,49 +204,35 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
     )
 
 
-def lowest_two(op, tol: float = 1e-9, seed: int = 0, **kwargs) -> PairResult:
-    """Two lowest eigenpairs; the second comes from a deflated Lanczos run.
+def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
+              v0=None):
+    """Lowest `nwant` Ritz pairs by diagonally preconditioned subspace iteration.
 
-    The gap is the difference of the two Ritz values.  The pair is flagged
-    degenerate when the gap is below max(10 tol, 1e-10) * max(1, |E0|),
-    in which case downstream consumers must not rely on a unique ground
-    direction.
-    """
-    first = ground_state(op, tol=tol, seed=seed, **kwargs)
-    second = ground_state(op, tol=tol, seed=seed + 1, deflate=[first.vector], **kwargs)
-    gap = second.value - first.value
-    degenerate = gap < max(10.0 * tol, 1e-10) * max(1.0, abs(first.value))
-    return PairResult(
-        values=(first.value, second.value),
-        vectors=(first.vector, second.vector),
-        gap=gap,
-        degenerate=degenerate,
-        residuals=(first.residual, second.residual),
-    )
-
-
-def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int = 40,
-                    max_iters: int = 600, restart_keep: int = 4, v0=None) -> EigResult:
-    """Lowest eigenpair by diagonally preconditioned subspace iteration.
-
-    Expansion vectors solve (diag(A) - theta) t = -r approximately, which
-    tames operators whose diagonal spread is many orders of magnitude larger
-    than the spectral gap (the coupled small-lambda assemblies).  The search
-    space is kept orthonormal with two Gram-Schmidt passes and compressed to
-    the best `restart_keep` Ritz vectors when full.  Deterministic for fixed
-    seed and start vector.
+    Each iteration adds the corrections t = r / (diag(A) - theta) of the
+    wanted Ritz pairs that have not converged yet.  Returns (values, vectors,
+    residuals, iterations, matvecs); the residuals are those of the carried
+    A V, not of a fresh matvec.
     """
     matvec, n, diag_fn = _as_operator(op)
     if diag_fn is None:
-        raise DomainError("davidson_ground needs an operator exposing its diagonal")
+        raise DomainError("Davidson needs an operator exposing its diagonal")
+    if n < nwant:
+        raise DomainError(f"operator dimension {n} is below the {nwant} wanted pairs")
     diag = np.asarray(diag_fn(), dtype=float)
     rng = np.random.default_rng(seed)
     max_subspace = int(min(max_subspace, n))
-    restart_keep = int(min(restart_keep, max_subspace - 1)) if max_subspace > 1 else 1
+    restart_keep = max(nwant, int(min(restart_keep, max_subspace - nwant)))
 
     V = np.empty((max_subspace, n))
     AV = np.empty((max_subspace, n))
     H = np.zeros((max_subspace, max_subspace))
+
+    def append(k, w):
+        V[k] = w
+        AV[k] = matvec(w)
+        H[k, :k] = V[k] @ AV[:k].T
+        H[:k, k] = H[k, :k]
+        H[k, k] = V[k] @ AV[k]
 
     # Start from the lowest-diagonal coordinate directions (plus the caller's
     # vector, if any).  For strongly diagonally dominant operators the ground
@@ -277,34 +257,34 @@ def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int =
         nw = np.linalg.norm(w)
         if nw < 1e-12:
             continue
-        V[k] = w / nw
-        AV[k] = matvec(V[k])
-        H[k, :k] = V[k] @ AV[:k].T
-        H[:k, k] = H[k, :k]
-        H[k, k] = V[k] @ AV[k]
+        append(k, w / nw)
         k += 1
     if k == 0:
-        V[0] = rng.standard_normal(n)
-        V[0] /= np.linalg.norm(V[0])
-        AV[0] = matvec(V[0])
-        H[0, 0] = V[0] @ AV[0]
+        w = rng.standard_normal(n)
+        append(0, w / np.linalg.norm(w))
         k = 1
     matvecs = k
     best_val, best_vec, best_res = math.inf, None, math.inf
 
     for it in range(max_iters):
         vals, vecs = sla.eigh(H[:k, :k])
-        theta = float(vals[0])
-        y = vecs[:, 0]
-        x = V[:k].T @ y
-        ax = AV[:k].T @ y
-        r = ax - theta * x
-        res = float(np.linalg.norm(r))
-        if res < best_res:
-            best_val, best_vec, best_res = theta, x, res
-        if res <= tol * max(1.0, abs(theta)):
-            return EigResult(theta, x, res, it, matvecs, 0, "davidson")
-        if k == max_subspace:
+        thetas, xs, rs, ress = [], [], [], []
+        for j in range(min(nwant, k)):
+            y = vecs[:, j]
+            theta = float(vals[j])
+            x = V[:k].T @ y
+            r = AV[:k].T @ y - theta * x
+            thetas.append(theta)
+            xs.append(x)
+            rs.append(r)
+            ress.append(float(np.linalg.norm(r)))
+        if ress[0] < best_res:
+            best_val, best_vec, best_res = thetas[0], xs[0], ress[0]
+        todo = [j for j in range(len(ress))
+                if ress[j] > tol * max(1.0, abs(thetas[j]))]
+        if not todo and len(ress) == nwant:
+            return thetas, xs, ress, it, matvecs
+        if k + len(todo) > max_subspace:
             # thick restart: keep the lowest Ritz vectors
             keep = min(restart_keep, k)
             X = (V[:k].T @ vecs[:, :keep]).T
@@ -312,25 +292,22 @@ def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int =
             V[:keep], AV[:keep] = X, AX
             H[:keep, :keep] = np.diag(vals[:keep])
             k = keep
-        denom = diag - theta
-        floor = 1e-8 * max(1.0, abs(theta))
-        denom = np.where(np.abs(denom) < floor, np.copysign(floor, denom), denom)
-        t = r / denom
-        for _ in range(2):
-            t -= V[:k].T @ (V[:k] @ t)
-        nt = np.linalg.norm(t)
-        if nt < 1e-12:
-            t = rng.standard_normal(n)
+        for j in todo[:max_subspace - k]:
+            denom = diag - thetas[j]
+            floor = 1e-8 * max(1.0, abs(thetas[j]))
+            denom = np.where(np.abs(denom) < floor, np.copysign(floor, denom), denom)
+            t = rs[j] / denom
             for _ in range(2):
                 t -= V[:k].T @ (V[:k] @ t)
             nt = np.linalg.norm(t)
-        V[k] = t / nt
-        AV[k] = matvec(V[k])
-        matvecs += 1
-        H[k, :k] = V[k] @ AV[:k].T
-        H[:k, k] = H[k, :k]
-        H[k, k] = V[k] @ AV[k]
-        k += 1
+            if nt < 1e-12:
+                t = rng.standard_normal(n)
+                for _ in range(2):
+                    t -= V[:k].T @ (V[:k] @ t)
+                nt = np.linalg.norm(t)
+            append(k, t / nt)
+            matvecs += 1
+            k += 1
     raise SolverError(
         f"Davidson failed to reach tol={tol} within {max_iters} iterations "
         f"(best residual {best_res:.3e})",
@@ -338,6 +315,46 @@ def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int =
         best_residual=best_res,
         best_vector=best_vec,
     )
+
+
+def lowest_two(op, tol: float = 1e-9, seed: int = 0, *,
+               max_iters: int = 600) -> PairResult:
+    """Two lowest eigenpairs from one two-target Davidson run.
+
+    The returned residuals ||A x - theta x|| come from a fresh matvec of the
+    returned unit vectors, so `theta - residual` is a certified floor on an
+    eigenvalue.  The gap is the difference of the two Ritz values.  The pair
+    is flagged degenerate when the gap is below
+    max(10 tol, 1e-10) * max(1, |E0|), in which case downstream consumers
+    must not rely on a unique ground direction.
+    """
+    thetas, xs, _, _, _ = _davidson(op, 2, tol, seed, max_subspace=40,
+                                    max_iters=max_iters, restart_keep=6)
+    matvec = _as_operator(op)[0]
+    xs = [x / np.linalg.norm(x) for x in xs]
+    residuals = tuple(float(np.linalg.norm(matvec(x) - t * x))
+                      for t, x in zip(thetas, xs))
+    gap = thetas[1] - thetas[0]
+    degenerate = gap < max(10.0 * tol, 1e-10) * max(1.0, abs(thetas[0]))
+    return PairResult(values=tuple(thetas), vectors=tuple(xs), gap=gap,
+                      degenerate=degenerate, residuals=residuals)
+
+
+def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int = 40,
+                    max_iters: int = 600, restart_keep: int = 4, v0=None) -> EigResult:
+    """Lowest eigenpair by diagonally preconditioned subspace iteration.
+
+    Expansion vectors solve (diag(A) - theta) t = -r approximately, which
+    tames operators whose diagonal spread is many orders of magnitude larger
+    than the spectral gap (the coupled small-lambda assemblies).  The search
+    space is kept orthonormal with two Gram-Schmidt passes and compressed to
+    the best `restart_keep` Ritz vectors when full.  Deterministic for fixed
+    seed and start vector.
+    """
+    thetas, xs, ress, it, matvecs = _davidson(
+        op, 1, tol, seed, max_subspace=max_subspace, max_iters=max_iters,
+        restart_keep=restart_keep, v0=v0)
+    return EigResult(thetas[0], xs[0], ress[0], it, matvecs, 0, "davidson")
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,19 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 2000
-_VALIDATE_NNZ_LIMIT = 2_000_000
+
+
+def _check_symmetric(matrix, name: str):
+    """Raise DomainError unless max|M - M^T| <= 1e-12 max(1, max|M|)."""
+    m = sp.csr_matrix(matrix)
+    diff = (m - m.T).tocoo()
+    err = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+    scale = max(1.0, float(np.max(np.abs(m.data))) if m.nnz else 0.0)
+    if err > 1e-12 * scale:
+        raise DomainError(
+            f"operator {name or '<unnamed>'} is not symmetric "
+            f"(max asymmetry {err:.3e})"
+        )
 
 
 class SymmetricOperator:
@@ -68,12 +80,11 @@ class SymmetricOperator:
     The split keeps assemblies free of explicit stored zeros: purely diagonal
     contributions (kinetic terms, field energies, shifts) live in `diag`,
     everything else in `matrix`.  Hermiticity is verified at construction
-    unless the operator is too large, in which case the caller must vouch for
-    symmetry of the factors it was built from (`checked_factors=True`).
+    unless the caller built the matrix from factors it has checked itself
+    (`validate=False`).
     """
 
-    def __init__(self, matrix, diag=None, *, validate=True, checked_factors=False,
-                 name=""):
+    def __init__(self, matrix, diag=None, *, validate=True, name=""):
         m = sp.csr_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise DomainError("operator matrix must be square")
@@ -85,20 +96,7 @@ class SymmetricOperator:
             raise DomainError("diagonal length does not match operator dimension")
         self.name = name
         if validate:
-            if m.nnz <= _VALIDATE_NNZ_LIMIT:
-                diff = (m - m.T).tocoo()
-                err = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
-                scale = max(1.0, float(np.max(np.abs(m.data))) if m.nnz else 0.0)
-                if err > 1e-12 * scale:
-                    raise DomainError(
-                        f"operator {name or '<unnamed>'} is not symmetric "
-                        f"(max asymmetry {err:.3e})"
-                    )
-            elif not checked_factors:
-                raise DomainError(
-                    "operator too large for a full symmetry check; assemble it "
-                    "from verified symmetric factors and pass checked_factors=True"
-                )
+            _check_symmetric(m, name)
 
     @property
     def dim(self) -> int:
@@ -240,7 +238,7 @@ class FiberTemplate:
         """The fiber at total momentum P, optionally shifted by -shift."""
         diag = self.kinetic_diagonal(P) + self.frequency_sums - shift
         return SymmetricOperator(self.interaction, diag=diag, validate=False,
-                                 checked_factors=True, name=f"fiber(P={P})")
+                                 name=f"fiber(P={P})")
 
 
 def potential_kernel(potential, egrid: ElectronGrid) -> np.ndarray:
@@ -283,16 +281,20 @@ def assemble_schrodinger(potential, egrid: ElectronGrid, mass: float,
 def _grid_times_fock(n_grid: int, interaction: sp.csr_matrix, int_scale: float,
                      kernel: np.ndarray, diag_flat: np.ndarray,
                      name: str) -> SymmetricOperator:
-    """blockdiag(int_scale * interaction) + kernel (x) I_F + diag."""
+    """blockdiag(int_scale * interaction) + kernel (x) I_F + diag.
+
+    The sum is symmetric when both factors are, so each factor is checked
+    once instead of the whole Kronecker assembly.
+    """
+    _check_symmetric(interaction, f"{name} interaction")
+    _check_symmetric(kernel, f"{name} kernel")
     fdim = interaction.shape[0]
     blocks = sp.kron(sp.identity(n_grid, format="csr"),
                      interaction * int_scale, format="csr")
     kern = sp.kron(sp.csr_matrix(kernel), sp.identity(fdim, format="csr"),
                    format="csr")
-    mat = blocks + kern
-    big = mat.nnz > _VALIDATE_NNZ_LIMIT
-    return SymmetricOperator(mat, diag=diag_flat, validate=not big,
-                             checked_factors=True, name=name)
+    return SymmetricOperator(blocks + kern, diag=diag_flat, validate=False,
+                             name=name)
 
 
 def assemble_coupled_llp(template: FiberTemplate, potential, egrid: ElectronGrid,

@@ -6,10 +6,9 @@ subcommand, times the stages, folds their verdicts, and writes every
 artifact in one final sequential pass.
 
 Determinism contract: identical config + seed produce byte-identical CSV
-files.  To keep results independent of the thread count, worker pools are
-used only where jobs are strictly independent (fiber solves from a fixed
-seed); the coupled lam solves run sequentially from cold starts, and all
-floats are printed through one fixed format.
+files.  Everything runs in one thread: each fiber solve depends only on its
+momentum and the seed, the coupled lam solves run sequentially from cold
+starts, and all floats are printed through one fixed format.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
         raise ConfigError("run.P_list is required for this subcommand")
     template = FiberTemplate(cfg.spec)
     cache = FiberCache(template, tol=cfg.solver_tol, seed=cfg.seed)
-    cache.prefetch(cfg.P_list, threads=cfg.threads)
+    cache.prefetch(cfg.P_list)
     curve = scan_dispersion(template, cfg.P_list, tol=cfg.solver_tol,
                             seed=cfg.seed, cache=cache)
     p_c = estimate_Pc(curve, gap_threshold=cfg.gap_threshold)
@@ -157,7 +156,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
 
     # fiber energies used by the momentum bound, batched across lam
     wanted = np.concatenate([lam * q for lam in lams])
-    dstate.cache.prefetch(wanted, threads=cfg.threads)
+    dstate.cache.prefetch(wanted)
 
     e_rows, u_results = [], []
     for lam in lams:
@@ -403,7 +402,6 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | None = None
         "config": cfg.raw,
         "config_sha256": _config_hash(cfg.raw),
         "seed": cfg.seed,
-        "threads": cfg.threads,
     }
     timings: dict = {}
     csvs: dict = {}

@@ -129,7 +129,7 @@ class UpperBoundResult:
     n_support: int
 
 
-def _support_data(lam: float, profile, egrid: ElectronGrid):
+def _support_data(profile, egrid: ElectronGrid):
     if egrid.dimension != 1:
         raise DomainError("trial-state bounds are implemented in dimension 1")
     q = egrid.points[:, 0]
@@ -155,7 +155,7 @@ def upper_bound(lam: float, family: GroundStateFamily, profile, potential,
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    q, f, sup = _support_data(lam, profile, egrid)
+    q, f, sup = _support_data(profile, egrid)
     W = potential_kernel(potential, egrid) if kernel is None else kernel
     G_fam = overlap_matrix(family) if gram is None else gram
 

@@ -9,8 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from polaron_effmass.cli import _resolve_threads, main
-from polaron_effmass.errors import ConfigError
+from polaron_effmass.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,29 +18,6 @@ def _write_config(tmp_path, data):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
-
-
-# ---------------------------------------------------------------------------
-# thread resolution
-# ---------------------------------------------------------------------------
-
-def test_resolve_threads_cli_wins(monkeypatch):
-    monkeypatch.setenv("POLARON_EFFMASS_THREADS", "7")
-    assert _resolve_threads(3, 2) == 3
-    assert _resolve_threads(0, 2) == 1          # clamped
-
-
-def test_resolve_threads_env_then_config(monkeypatch):
-    monkeypatch.setenv("POLARON_EFFMASS_THREADS", "5")
-    assert _resolve_threads(None, 2) == 5
-    monkeypatch.delenv("POLARON_EFFMASS_THREADS")
-    assert _resolve_threads(None, 2) == 2
-
-
-def test_resolve_threads_rejects_bad_env(monkeypatch):
-    monkeypatch.setenv("POLARON_EFFMASS_THREADS", "many")
-    with pytest.raises(ConfigError, match="POLARON_EFFMASS_THREADS"):
-        _resolve_threads(None, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +65,13 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_dispersion_run_writes_artifacts(tmp_path, capsys):
     out = str(tmp_path / "out")
     code = main(["dispersion", "--config", "free", "--out", out,
-                 "--seed", "123", "--threads", "2"])
+                 "--seed", "123"])
     assert code == 0
     assert "dispersion: PASS" in capsys.readouterr().out
     report = json.loads(Path(out, "report.json").read_text())
     assert report["subcommand"] == "dispersion"
     assert report["pass"] is True
     assert report["seed"] == 123
-    assert report["threads"] == 2
     assert len(report["config_sha256"]) == 64
     assert Path(out, "dispersion.csv").exists()
 

@@ -131,8 +131,8 @@ def test_bad_variant_names_list_the_choices():
 def test_run_value_guards():
     with pytest.raises(ConfigError, match="lambda_seq entries must be positive"):
         parse_config(_mutated(run__lambda_seq=[0.4, 0.0]))
-    with pytest.raises(ConfigError, match="threads must be >= 1"):
-        parse_config(_mutated(run__threads=0))
+    with pytest.raises(ConfigError, match="unknown config key 'run.threads'"):
+        parse_config(_mutated(run__threads=1))
     with pytest.raises(ConfigError, match="radius_bounds"):
         parse_config(_mutated(trial__radius_bounds=[2.0, 1.0]))
     with pytest.raises(ConfigError, match="radius_bounds"):
@@ -149,7 +149,7 @@ def test_defaults_of_minimal_config():
     assert cfg.egrid.size == 49
     assert cfg.lambda_seq == DEFAULT_LAMBDA_SEQ
     assert cfg.P_list == ()
-    assert cfg.seed == 0 and cfg.threads == 1 and cfg.out_dir == "out"
+    assert cfg.seed == 0 and cfg.out_dir == "out"
     assert cfg.profile_kind == "bump" and cfg.profile_xatol == 1e-3
     assert cfg.radius_bounds is None
     assert cfg.solver_tol == 1e-9 and cfg.coupled_tol == 1e-9

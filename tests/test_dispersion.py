@@ -9,8 +9,7 @@ from polaron_effmass.dispersion import (DispersionCurve, DispersionSample,
                                         fit_dynamic_mass, perturbative_mass,
                                         scan_dispersion)
 from polaron_effmass.errors import AnalysisError, DomainError
-from polaron_effmass.model import (ConstantCoupling, ConstantDispersion,
-                                   ModelSpec, ZeroCoupling)
+from polaron_effmass.model import ConstantDispersion, ModelSpec, ZeroCoupling
 from polaron_effmass.operators import FiberTemplate
 
 
@@ -74,17 +73,6 @@ def test_cache_parity_vector_matches_independent_solve(toy_template):
     if float(w @ v_minus) < 0:
         w = -w
     assert np.max(np.abs(w - v_minus)) < 1e-8
-
-
-def test_threaded_prefetch_is_deterministic(toy_template):
-    P_values = np.arange(-0.6, 0.6001, 0.15)
-    serial = FiberCache(toy_template, tol=1e-10, seed=0)
-    serial.prefetch(P_values, threads=1)
-    threaded = FiberCache(toy_template, tol=1e-10, seed=0)
-    threaded.prefetch(P_values, threads=4)
-    for p in P_values:
-        assert serial.energy(p) == threaded.energy(p)
-        assert np.array_equal(serial.vector(p), threaded.vector(p))
 
 
 def test_cache_pair_record_fields(toy_cache):

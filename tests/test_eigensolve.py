@@ -1,7 +1,8 @@
 """Eigensolver cross-checks.
 
 numpy.linalg.eigvalsh acts as the test-side oracle for the in-house dense
-route; the dense route then anchors the two iterative routes.
+route; the dense route then anchors the two iterative routes, which also
+check each other on the fibers.
 """
 
 import numpy as np
@@ -9,12 +10,13 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from polaron_effmass.config import load_config
 from polaron_effmass.eigensolve import (_sturm_counts, _tridiagonal_eigenvalues,
                                         davidson_ground, dense_ground,
                                         dense_spectrum, ground_state,
                                         lowest_two)
 from polaron_effmass.errors import DomainError, SolverError
-from polaron_effmass.operators import SymmetricOperator
+from polaron_effmass.operators import FiberTemplate, SymmetricOperator
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -167,13 +169,9 @@ def test_lanczos_is_deterministic(rng):
     assert a.matvecs == b.matvecs
 
 
-def test_lanczos_deflation_finds_second_state(rng):
-    a = random_symmetric(rng, 50)
-    ref = np.linalg.eigvalsh(a)
-    first = ground_state(a, tol=1e-11, seed=1)
-    second = ground_state(a, tol=1e-11, seed=1, deflate=(first.vector,))
-    assert second.value == pytest.approx(ref[1], abs=1e-8)
-
+# ---------------------------------------------------------------------------
+# two-target Davidson route (fiber ground pairs)
+# ---------------------------------------------------------------------------
 
 def test_lowest_two_reports_gap(rng):
     a = np.diag([0.0, 1.0, 3.0]) + 0.01 * random_symmetric(rng, 3)
@@ -183,6 +181,8 @@ def test_lowest_two_reports_gap(rng):
     assert pair.values[1] == pytest.approx(ref[1], abs=1e-10)
     assert pair.gap == pytest.approx(ref[1] - ref[0], abs=1e-9)
     assert not pair.degenerate
+    with pytest.raises(DomainError, match="below the 2 wanted pairs"):
+        lowest_two(np.eye(1))
 
 
 def test_lowest_two_flags_degeneracy():
@@ -190,6 +190,70 @@ def test_lowest_two_flags_degeneracy():
     pair = lowest_two(a, tol=1e-12, seed=0)
     assert pair.degenerate
     assert pair.gap == pytest.approx(0.0, abs=1e-10)
+
+
+def test_lowest_two_matches_dense_on_sparse_matrix(rng):
+    m = random_sparse_symmetric(rng, 200, density=0.05)
+    pair = lowest_two(m, tol=1e-11, seed=0)
+    ref = np.linalg.eigvalsh(m.toarray())[:2]
+    assert np.allclose(pair.values, ref, rtol=0, atol=1e-9)
+    assert pair.gap == pytest.approx(ref[1] - ref[0], abs=1e-9)
+
+
+def rotated_diagonal(rng, values):
+    q, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
+    a = (q * values) @ q.T
+    return (a + a.T) / 2.0
+
+
+@pytest.mark.parametrize("n", [60, 300])
+def test_lowest_two_flags_rotated_degeneracy(rng, n):
+    rest = np.linspace(1.0, 2.0, n - 2)
+    pair = lowest_two(rotated_diagonal(rng, np.r_[0.0, 0.0, rest]), tol=1e-10)
+    assert pair.degenerate
+    assert np.allclose(pair.values, 0.0, rtol=0, atol=1e-9)
+    split = lowest_two(rotated_diagonal(rng, np.r_[0.0, 1e-3, rest]), tol=1e-10)
+    assert not split.degenerate
+    assert split.gap == pytest.approx(1e-3, abs=1e-9)
+
+
+def test_lowest_two_residuals_come_from_returned_vectors(rng):
+    op = SymmetricOperator(random_sparse_symmetric(rng, 150),
+                           diag=np.linspace(0.0, 5.0, 150))
+    pair = lowest_two(op, tol=1e-10, seed=1)
+    for theta, x, res in zip(pair.values, pair.vectors, pair.residuals):
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
+        assert res == np.linalg.norm(op.matvec(x) - theta * x)
+        assert res <= 1e-10 * max(1.0, abs(theta))
+
+
+def test_lowest_two_is_deterministic(rng):
+    m = random_sparse_symmetric(rng, 120)
+    a = lowest_two(m, tol=1e-10, seed=3)
+    b = lowest_two(m, tol=1e-10, seed=3)
+    assert a.values == b.values and a.residuals == b.residuals
+    for u, v in zip(a.vectors, b.vectors):
+        assert np.array_equal(u, v)
+
+
+def test_lowest_two_failure_carries_best_value(rng):
+    m = random_sparse_symmetric(rng, 200)
+    with pytest.raises(SolverError) as info:
+        lowest_two(m, tol=1e-16, seed=0, max_iters=3)
+    assert info.value.best_value is not None
+    assert info.value.best_residual is not None
+
+
+@pytest.mark.parametrize("preset", ["toy", "small"])
+def test_lowest_two_agrees_with_lanczos_and_dense_on_fibers(preset):
+    template = FiberTemplate(load_config(preset).spec)
+    for P in (0.0, 0.25, -0.6, 1.1):
+        op = template.operator(np.array([P]))
+        pair = lowest_two(op, tol=1e-10, seed=0)
+        ref = np.linalg.eigvalsh(op.to_dense())[:2]
+        assert np.allclose(pair.values, ref, rtol=0, atol=1e-9)
+        lanczos = ground_state(op, tol=1e-10, seed=0)
+        assert pair.values[0] == pytest.approx(lanczos.value, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

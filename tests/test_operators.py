@@ -20,7 +20,7 @@ from polaron_effmass.model import (ConstantCoupling, ConstantDispersion,
                                    GaussianWell, ModeGrid, ModelSpec,
                                    PoschlTeller, ZeroCoupling)
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
-                                       SymmetricOperator,
+                                       SymmetricOperator, _grid_times_fock,
                                        assemble_coupled_llp,
                                        assemble_direct_tensor,
                                        assemble_llp_ring,
@@ -60,6 +60,24 @@ def test_symmetric_operator_validates_and_matvecs(rng):
         SymmetricOperator(sym, diag=np.ones(5))
     with pytest.raises(CapacityError):
         op.to_dense(max_dim=3)
+
+
+def test_grid_times_fock_checks_each_factor(rng):
+    template = _single_mode_template(n_max=2)
+    a = rng.standard_normal((5, 5))
+    kernel = (a + a.T) / 2.0
+    diag = np.zeros(5 * template.dim)
+    dense = _grid_times_fock(5, template.interaction, 2.0, kernel, diag,
+                             "ok").to_dense()
+    assert np.array_equal(dense, dense.T)
+    bad_kernel = kernel.copy()
+    bad_kernel[0, 1] += 1e-6
+    with pytest.raises(DomainError, match="kernel is not symmetric"):
+        _grid_times_fock(5, template.interaction, 2.0, bad_kernel, diag, "bad")
+    bad_interaction = template.interaction.tolil()
+    bad_interaction[0, 1] += 1e-6
+    with pytest.raises(DomainError, match="interaction is not symmetric"):
+        _grid_times_fock(5, bad_interaction.tocsr(), 2.0, kernel, diag, "bad")
 
 
 def test_electron_grid_layout():
