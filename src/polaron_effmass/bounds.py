@@ -93,9 +93,7 @@ def momentum_lower_bound(lam: float, egrid: ElectronGrid, potential,
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    if egrid.dimension != 1:
-        raise DomainError("lower bounds are implemented in dimension 1")
-    q = egrid.points[:, 0]
+    q = egrid.points
     diag, max_res = _fiber_floor_exact(lam, q, cache, e0)
     h = potential_kernel(potential, egrid)
     h[np.diag_indices_from(h)] += diag

@@ -2,7 +2,8 @@
 
 A config file has five blocks:
 
-    model     -- dimension, n_max, mode grid, dispersion, coupling
+    model     -- dimension (always 1), n_max, mode grid, dispersion,
+                 coupling
     potential -- the external well (or "none")
     trial     -- upper-bound profile family and its minimizer knobs
     solver    -- eigensolver tolerances and budgets
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import (ConstantCoupling, ConstantDispersion, FroehlichCoupling,
-                    GaussianWell, ModelSpec, PoschlTeller, PowerLawCoupling,
-                    SoftStep, TabulatedDispersion, ZeroCoupling,
-                    fourier_tail_fraction)
+from .model import (ConstantCoupling, ConstantDispersion, GaussianWell,
+                    ModelSpec, PoschlTeller, PowerLawCoupling, SoftStep,
+                    TabulatedDispersion, ZeroCoupling, fourier_tail_fraction)
 from .operators import ElectronGrid
 from .staticmass import DEFAULT_LAMBDA_SEQ
 
@@ -44,7 +44,6 @@ _COUPLING_VARIANTS = {
     "zero": {"type": (True, str)},
     "constant": {"type": (True, str), "g": (True, float)},
     "powerlaw": {"type": (True, str), "g": (True, float), "s": (False, float)},
-    "froehlich": {"type": (True, str), "alpha": (True, float)},
 }
 _POTENTIAL_VARIANTS = {
     "none": {"type": (True, str)},
@@ -117,12 +116,10 @@ def _build_coupling(block: dict):
         return ZeroCoupling()
     if kind == "constant":
         return ConstantCoupling(g=float(b["g"]))
-    if kind == "powerlaw":
-        return PowerLawCoupling(g=float(b["g"]), s=float(b.get("s", 1.0)))
-    return FroehlichCoupling(alpha=float(b["alpha"]))
+    return PowerLawCoupling(g=float(b["g"]), s=float(b.get("s", 1.0)))
 
 
-def _build_potential(block: dict, dimension: int):
+def _build_potential(block: dict):
     kind = block.get("type")
     if kind not in _POTENTIALS:
         raise ConfigError(
@@ -135,8 +132,7 @@ def _build_potential(block: dict, dimension: int):
         return PoschlTeller(depth=float(b["depth"]))
     if kind == "gaussian_well":
         return GaussianWell(depth=float(b["depth"]),
-                            width=float(b.get("width", 1.0)),
-                            dimension=dimension)
+                            width=float(b.get("width", 1.0)))
     return SoftStep(depth=float(b["depth"]),
                     radius=float(b.get("radius", 1.0)),
                     softness=float(b.get("softness", 0.25)))
@@ -205,11 +201,15 @@ def parse_config(data: dict) -> ExperimentConfig:
     """Build a validated ExperimentConfig from a parsed JSON object."""
     top = _require(data, "<top>", _TOP_KEYS)
     model = _require(top["model"], "model", _MODEL_KEYS)
+    if model["dimension"] != 1:
+        raise ConfigError(
+            "config key 'model.dimension' must be 1 (the lab is "
+            f"one-dimensional), got {model['dimension']}"
+        )
     mode_grid = _require(model["mode_grid"], "model.mode_grid", _MODE_GRID_KEYS)
     dispersion = _build_dispersion(model["dispersion"])
     coupling = _build_coupling(model["coupling"])
     spec = ModelSpec(
-        dimension=int(model["dimension"]),
         dispersion=dispersion,
         coupling=coupling,
         dk=float(mode_grid["dk"]),
@@ -217,7 +217,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         ir_cutoff=float(mode_grid.get("ir_cutoff", 0.0)),
         n_max=int(model["n_max"]),
     )
-    potential = _build_potential(top["potential"], spec.dimension)
+    potential = _build_potential(top["potential"])
 
     trial = _require(top.get("trial", {}), "trial", _TRIAL_KEYS)
     profile_kind = trial.get("profile", "bump")
@@ -237,7 +237,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     eg = _require(run.get("electron_grid", {"dq": 0.25, "q_max": 6.0}),
                   "run.electron_grid", _EGRID_KEYS)
-    egrid = ElectronGrid(float(eg["dq"]), float(eg["q_max"]), spec.dimension)
+    egrid = ElectronGrid(float(eg["dq"]), float(eg["q_max"]))
 
     P_list = tuple(float(p) for p in run.get("P_list", ()))
     lambda_seq = tuple(float(l) for l in run.get("lambda_seq",

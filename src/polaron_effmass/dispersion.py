@@ -1,7 +1,6 @@
 """Ground-state dispersion E(P) of the fibers and derived quantities.
 
-The dispersion is scanned along the first coordinate axis (shipped models
-are isotropic).  From the curve we extract
+From the scanned curve E(P) we extract
 
 * the dynamic effective mass, via a windowed least-squares fit of
   E(P) - E(0) against P^2/(2M) + b P^4 (a two-point finite difference would
@@ -57,21 +56,17 @@ __all__ = [
 
 GAP_THRESHOLD_DEFAULT = 1e-3
 
-
-def _first_axis(dimension: int) -> np.ndarray:
-    """Unit vector of the scan axis, the first coordinate axis."""
-    e = np.zeros(dimension)
-    e[0] = 1.0
-    return e
+# Relative slack of the certificate sweep and the ceiling checks.
+_CERTIFY_TOL = 1e-9
 
 
 class FiberCache:
-    """Memoized fiber ground pairs along a fixed scan axis.
+    """Memoized fiber ground pairs by total momentum.
 
-    Stores, per momentum magnitude-with-sign P (a scalar coordinate along
-    the axis), the two lowest energies, the phase-fixed ground vector, the
-    residual and the degeneracy flag.  On symmetric grids the -P data is
-    derived from +P by the parity permutation instead of a second solve.
+    Stores, per momentum P, the two lowest energies, the phase-fixed ground
+    vector, the residual and the degeneracy flag.  On symmetric grids the -P
+    data is derived from +P by the parity permutation instead of a second
+    solve.
     """
 
     def __init__(self, template: FiberTemplate, *, tol: float = 1e-9,
@@ -79,7 +74,6 @@ class FiberCache:
         self.template = template
         self.tol = tol
         self.seed = seed
-        self.axis = _first_axis(template.spec.dimension)
         self._store: dict = {}
         self._use_parity = template.grid.is_symmetric()
         self._state_perm = None
@@ -96,7 +90,7 @@ class FiberCache:
         return sum(1 for rec in self._store.values() if rec["solved"])
 
     def _solve(self, P: float) -> dict:
-        op = self.template.operator(P * self.axis)
+        op = self.template.operator(P)
         pair = lowest_two(op, tol=self.tol, seed=self.seed)
         vec = pair.vectors[0]
         return {
@@ -166,9 +160,8 @@ class DispersionSample:
 
 @dataclass(frozen=True)
 class DispersionCurve:
-    """E(P) samples along one axis, sorted by P, including P = 0."""
+    """E(P) samples sorted by P, including P = 0."""
 
-    axis: np.ndarray
     samples: tuple
     e0: float
     parity_max_diff: float = 0.0
@@ -224,7 +217,7 @@ def scan_dispersion(template: FiberTemplate, P_list, *,
             parity_diff = max(parity_diff, abs(s.energy - twin.energy))
     if parity_diff > slack:
         raise AnalysisError(f"dispersion not even in P (max diff {parity_diff:.3e})")
-    return DispersionCurve(axis=cache.axis, samples=tuple(samples), e0=e0,
+    return DispersionCurve(samples=tuple(samples), e0=e0,
                            parity_max_diff=parity_diff)
 
 
@@ -306,8 +299,7 @@ class QuasiParabolicCertificate:
 
 
 def certify_quasi_parabolic(curve: DispersionCurve, mass: float,
-                            extra_samples=None, *, tol: float = 1e-9
-                            ) -> QuasiParabolicCertificate:
+                            extra_samples=None) -> QuasiParabolicCertificate:
     """Smallest C >= 0 with E(P) >= E0 + P^2/(2 mass (1 + C P^2)) at samples.
 
     `extra_samples` is an optional array of (P, E) rows folded into the
@@ -315,6 +307,7 @@ def certify_quasi_parabolic(curve: DispersionCurve, mass: float,
     momenta that need not lie on the scanned curve).  The certificate is
     re-verified by a direct sweep; its margin is the worst slack.
     """
+    tol = _CERTIFY_TOL
     P = curve.momenta
     E = curve.energies
     if extra_samples is not None:
@@ -358,8 +351,8 @@ class CeilingReport:
     passed: bool
 
 
-def check_ceilings(curve: DispersionCurve, template: FiberTemplate,
-                   *, tol: float = 1e-9) -> CeilingReport:
+def check_ceilings(curve: DispersionCurve, template: FiberTemplate
+                   ) -> CeilingReport:
     """Verify E(P) <= min_i[(P - k_i)^2/(2m) + omega_i] and E <= E0 + P^2/(2m).
 
     Both are variational on the truncated model: the first uses a
@@ -367,17 +360,16 @@ def check_ceilings(curve: DispersionCurve, template: FiberTemplate,
     the second the P = 0 ground state (whose field momentum has zero mean
     on a symmetric grid).  Margins are (ceiling - E); report-only.
     """
+    tol = _CERTIFY_TOL
     k = template.grid.momenta
     omg = template.omegas
     inv2m = 1.0 / (2.0 * template.spec.mass)
-    axis = curve.axis
     one_ph = math.inf
     parab = math.inf
     violations = []
     scale = max(1.0, abs(curve.e0))
     for s in curve.samples:
-        Pvec = s.P * axis
-        ceil1 = float(np.min(np.sum((Pvec[None, :] - k) ** 2, axis=1) * inv2m + omg))
+        ceil1 = float(np.min((s.P - k) ** 2 * inv2m + omg))
         ceil2 = curve.e0 + s.P * s.P * inv2m
         m1 = ceil1 - s.energy
         m2 = ceil2 - s.energy
@@ -415,12 +407,11 @@ def estimate_Pc(curve: DispersionCurve,
 
 
 def perturbative_energy(template: FiberTemplate, P_values) -> np.ndarray:
-    """Second-order weak-coupling energy E2(P) on the scan axis.
+    """Second-order weak-coupling energy E2(P).
 
     E2(P) = P^2/(2m) - sum_i v_i^2 / ((P - k_i)^2/(2m) + omega_i - P^2/(2m)).
     """
     spec = template.spec
-    axis = _first_axis(spec.dimension)
     P_values = np.asarray(P_values, dtype=float)
     k = template.grid.momenta
     omg = template.omegas
@@ -428,8 +419,7 @@ def perturbative_energy(template: FiberTemplate, P_values) -> np.ndarray:
     inv2m = 1.0 / (2.0 * spec.mass)
     out = np.empty(P_values.shape)
     for idx, p in np.ndenumerate(P_values):
-        Pvec = p * axis
-        denom = np.sum((Pvec[None, :] - k) ** 2, axis=1) * inv2m + omg - p * p * inv2m
+        denom = (p - k) ** 2 * inv2m + omg - p * p * inv2m
         if np.any(denom <= 0.0):
             raise DomainError(
                 f"second-order denominator vanishes at P = {p:g}; "
@@ -457,6 +447,5 @@ def perturbative_mass(template: FiberTemplate, P_list, *,
                          degenerate=False)
         for p, e in zip(P_arr, E2)
     )
-    curve = DispersionCurve(axis=_first_axis(template.spec.dimension),
-                            samples=samples, e0=e0)
+    curve = DispersionCurve(samples=samples, e0=e0)
     return fit_dynamic_mass(curve, P_fit=P_fit).mass

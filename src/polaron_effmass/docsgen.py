@@ -37,8 +37,8 @@ _CONFIG_DOC = {
     "<top>.trial": "Trial-profile options for the variational upper bound.",
     "<top>.solver": "Iterative eigensolver budgets.",
     "<top>.run": "Run control: output paths, scan lists, tolerances.",
-    "model.dimension": "Spatial dimension d; the full pipeline currently "
-                       "runs end to end for d = 1.",
+    "model.dimension": "Spatial dimension; must be 1 (the lab is "
+                       "one-dimensional).",
     "model.n_max": "Largest total field occupation kept in the truncated "
                    "basis.",
     "model.mode_grid": "Field-mode lattice block.",
@@ -64,9 +64,6 @@ _CONFIG_DOC = {
     "model.coupling[powerlaw].g": "Overall coupling amplitude.",
     "model.coupling[powerlaw].s": "Power-law exponent (default 1; grids "
                                   "must keep |k| away from zero when s > 0).",
-    "model.coupling[froehlich].type": "Selects the 1/|k| coupling with the "
-                                      "conventional d = 3 normalization.",
-    "model.coupling[froehlich].alpha": "Dimensionless coupling strength.",
     "potential[none].type": "No external potential; only the dispersion "
                             "stage is available.",
     "potential[poschl_teller].type": "Selects V(x) = -depth sech^2(x).",

@@ -45,6 +45,9 @@ __all__ = [
 
 # Lanczos steps between two estimates of the ground Ritz residual.
 _CHECK_EVERY = 5
+# Lanczos basis size before a restart, and restarts before giving up.
+_MAX_BASIS = 300
+_MAX_RESTARTS = 10
 
 
 @dataclass
@@ -102,8 +105,7 @@ def _lowest_ritz(alphas, betas):
     return float(vals[0]), vecs[:, 0]
 
 
-def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
-                 max_restarts: int = 10) -> EigResult:
+def ground_state(op, tol: float = 1e-9, seed: int = 0) -> EigResult:
     """Lowest eigenpair by Lanczos iteration with full reorthogonalization.
 
     The start vector is drawn from a generator seeded with `seed`.
@@ -116,7 +118,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
     """
     matvec, n, _ = _as_operator(op)
     rng = np.random.default_rng(seed)
-    max_basis = int(min(max_basis, n))
+    max_basis = int(min(_MAX_BASIS, n))
     if max_basis < 1:
         raise DomainError("operator dimension must be >= 1")
 
@@ -129,7 +131,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
     iterations = 0
     prev_best_res = math.inf
 
-    for restart in range(max_restarts + 1):
+    for restart in range(_MAX_RESTARTS + 1):
         v = start.copy()
         nv = np.linalg.norm(v)
         if nv < 1e-14:
@@ -197,7 +199,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0, *, max_basis: int = 300,
         prev_best_res = min(prev_best_res, res)
         start = fresh_start() if (exhausted or stagnated) else x
     raise SolverError(
-        f"Lanczos failed to reach tol={tol} within {max_restarts} restarts "
+        f"Lanczos failed to reach tol={tol} within {_MAX_RESTARTS} restarts "
         f"(best residual {best_res:.3e})",
         best_value=best_val,
         best_residual=best_res,
@@ -341,19 +343,19 @@ def lowest_two(op, tol: float = 1e-9, seed: int = 0, *,
 
 
 def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int = 40,
-                    max_iters: int = 600, restart_keep: int = 4, v0=None) -> EigResult:
+                    max_iters: int = 600, v0=None) -> EigResult:
     """Lowest eigenpair by diagonally preconditioned subspace iteration.
 
     Expansion vectors solve (diag(A) - theta) t = -r approximately, which
     tames operators whose diagonal spread is many orders of magnitude larger
     than the spectral gap (the coupled small-lambda assemblies).  The search
     space is kept orthonormal with two Gram-Schmidt passes and compressed to
-    the best `restart_keep` Ritz vectors when full.  Deterministic for fixed
-    seed and start vector.
+    the best 4 Ritz vectors when full.  Deterministic for fixed seed and
+    start vector.
     """
     thetas, xs, ress, it, matvecs = _davidson(
         op, 1, tol, seed, max_subspace=max_subspace, max_iters=max_iters,
-        restart_keep=restart_keep, v0=v0)
+        restart_keep=4, v0=v0)
     return EigResult(thetas[0], xs[0], ress[0], it, matvecs, 0, "davidson")
 
 

@@ -18,7 +18,7 @@ class CapacityError(PolaronError):
 
 
 class DomainError(PolaronError):
-    """Mathematically invalid argument (negative scale, wrong dimension, ...)."""
+    """Mathematically invalid argument (negative scale, wrong shape, ...)."""
 
 
 class SolverError(PolaronError):

@@ -81,7 +81,7 @@ class FockBasis:
         return tuple(int(o) for o in self.occupations[index])
 
     def field_momenta(self, grid: ModeGrid) -> np.ndarray:
-        """Total field momentum of every state, shape (dim, d)."""
+        """Total field momentum of every state, shape (dim,)."""
         if grid.size != self.m_modes:
             raise DomainError("mode grid does not match the basis mode count")
         return self.occupations.astype(float) @ grid.momenta

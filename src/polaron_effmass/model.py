@@ -2,22 +2,23 @@
 
 Units and conventions used throughout the package:
 
+* Space is one-dimensional: momenta, positions and mode wave numbers are
+  scalars.
 * hbar = 1 and the particle mass is fixed at m = 1/2, so the bare kinetic
   energy of the particle is p^2.
-* Fourier transform: Vhat(q) = (2*pi)^(-d/2) * integral V(x) exp(-i q x) dx.
+* Fourier transform: Vhat(q) = (2*pi)^(-1/2) * integral V(x) exp(-i q x) dx.
   Every module uses this convention; the inverse carries the same prefactor
   with exp(+i q x).
 * A field mode lattice with spacing dk carries midpoint quadrature weights
-  w_i = dk^d.  The discretized coupling amplitude of mode i is
+  w_i = dk.  The discretized coupling amplitude of mode i is
   v_i = v(k_i) * sqrt(w_i), which makes sum_i |v_i|^2 a Riemann sum of
   integral |v(k)|^2 dk.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate as _integrate
@@ -27,14 +28,12 @@ from .errors import CapacityError, ConfigError, DomainError
 
 __all__ = [
     "MASS",
-    "FROEHLICH_CONSTANT",
     "BASIS_CAPACITY",
     "ConstantDispersion",
     "TabulatedDispersion",
     "ZeroCoupling",
     "ConstantCoupling",
     "PowerLawCoupling",
-    "FroehlichCoupling",
     "ModeGrid",
     "build_mode_grid",
     "effective_couplings",
@@ -50,9 +49,6 @@ __all__ = [
 
 #: Particle mass.  Fixed by convention; the kinetic term is p^2 = p^2/(2*MASS).
 MASS = 0.5
-
-#: Normalization constant of the Froehlich-form coupling v(k) = c sqrt(alpha)/|k|.
-FROEHLICH_CONSTANT = 1.0 / (math.sqrt(2.0) * math.pi)
 
 #: Hard ceiling on the truncated Fock dimension before a CapacityError is raised.
 BASIS_CAPACITY = 5_000_000
@@ -152,25 +148,6 @@ class PowerLawCoupling:
         return self.g * k ** (-self.s)
 
 
-@dataclass(frozen=True)
-class FroehlichCoupling:
-    """Froehlich-form coupling v(k) = FROEHLICH_CONSTANT sqrt(alpha)/|k| in d = 3."""
-
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-
-    def __call__(self, k_mag: np.ndarray) -> np.ndarray:
-        k = np.asarray(k_mag, dtype=float)
-        if np.any(k == 0.0):
-            raise ConfigError(
-                "Froehlich coupling evaluated at k = 0; use a positive ir_cutoff"
-            )
-        return FROEHLICH_CONSTANT * math.sqrt(self.alpha) / k
-
-
 # ---------------------------------------------------------------------------
 # mode grid
 # ---------------------------------------------------------------------------
@@ -179,9 +156,8 @@ class FroehlichCoupling:
 class ModeGrid:
     """Finite set of retained field modes with quadrature weights.
 
-    momenta has shape (m, d); weights has shape (m,).  Grids built by
-    :func:`build_mode_grid` are symmetric under k -> -k and ordered
-    lexicographically in the underlying integer lattice indices.
+    momenta and weights have shape (m,).  Grids built by
+    :func:`build_mode_grid` are symmetric under k -> -k and sorted by k.
     """
 
     momenta: np.ndarray
@@ -189,9 +165,12 @@ class ModeGrid:
     dk: float
 
     def __post_init__(self):
-        momenta = np.atleast_2d(np.asarray(self.momenta, dtype=float))
+        momenta = np.asarray(self.momenta, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if momenta.shape[0] != weights.shape[0]:
+        if momenta.ndim != 1:
+            raise DomainError(
+                f"mode momenta must be a 1-d array, got shape {momenta.shape}")
+        if momenta.shape != weights.shape:
             raise DomainError("mode grid momenta and weights disagree in length")
         if np.any(weights <= 0):
             raise DomainError("mode quadrature weights must be positive")
@@ -202,12 +181,8 @@ class ModeGrid:
     def size(self) -> int:
         return self.momenta.shape[0]
 
-    @property
-    def dimension(self) -> int:
-        return self.momenta.shape[1]
-
     def magnitudes(self) -> np.ndarray:
-        return np.linalg.norm(self.momenta, axis=1)
+        return np.abs(self.momenta)
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         """True when for every retained k there is a retained -k."""
@@ -222,23 +197,23 @@ class ModeGrid:
 
         Raises DomainError when the grid is not closed under k -> -k.
         """
-        keys = {tuple(np.round(k / max(self.dk, 1e-300), 6)): i
+        keys = {round(k / max(self.dk, 1e-300), 6): i
                 for i, k in enumerate(self.momenta)}
         perm = np.empty(self.size, dtype=np.int64)
         for i, k in enumerate(self.momenta):
-            j = keys.get(tuple(np.round(-k / max(self.dk, 1e-300), 6)))
-            if j is None or not np.allclose(self.momenta[j], -k, atol=tol):
+            j = keys.get(round(-k / max(self.dk, 1e-300), 6))
+            if j is None or not np.isclose(self.momenta[j], -k, atol=tol):
                 raise DomainError("mode grid is not symmetric under k -> -k")
             perm[i] = j
         return perm
 
 
-def build_mode_grid(dk: float, uv_cutoff: float, ir_cutoff: float = 0.0,
-                    dimension: int = 1) -> ModeGrid:
+def build_mode_grid(dk: float, uv_cutoff: float, ir_cutoff: float = 0.0
+                    ) -> ModeGrid:
     """Enumerate lattice modes k = dk * n, n integer, with ir <= |k| <= uv.
 
-    The |k| comparisons use the Euclidean norm.  Weights are the midpoint
-    quadrature weights dk^d.  An empty selection is a configuration error.
+    Weights are the midpoint quadrature weights dk.  An empty selection is a
+    configuration error.
     """
     if dk <= 0:
         raise ConfigError(f"dk must be positive, got {dk}")
@@ -246,22 +221,15 @@ def build_mode_grid(dk: float, uv_cutoff: float, ir_cutoff: float = 0.0,
         raise ConfigError(f"uv_cutoff must be positive, got {uv_cutoff}")
     if ir_cutoff < 0:
         raise ConfigError(f"ir_cutoff must be >= 0, got {ir_cutoff}")
-    if dimension not in (1, 2, 3):
-        raise ConfigError(f"dimension must be 1, 2 or 3, got {dimension}")
     nmax = int(math.floor(uv_cutoff / dk + 1e-9))
-    sel = []
-    for n in itertools.product(range(-nmax, nmax + 1), repeat=dimension):
-        k = dk * np.asarray(n, dtype=float)
-        mag = float(np.linalg.norm(k))
-        if ir_cutoff - 1e-12 * dk <= mag <= uv_cutoff + 1e-12 * dk:
-            sel.append(n)
+    sel = [n for n in range(-nmax, nmax + 1)
+           if ir_cutoff - 1e-12 * dk <= abs(dk * n) <= uv_cutoff + 1e-12 * dk]
     if not sel:
         raise ConfigError(
             f"mode window [{ir_cutoff}, {uv_cutoff}] with dk={dk} retains no modes"
         )
-    sel.sort()
     momenta = dk * np.asarray(sel, dtype=float)
-    weights = np.full(len(sel), dk ** dimension, dtype=float)
+    weights = np.full(len(sel), dk, dtype=float)
     return ModeGrid(momenta=momenta, weights=weights, dk=dk)
 
 
@@ -283,7 +251,6 @@ class ModelSpec:
     retained mode grid; total field occupation is capped at n_max.
     """
 
-    dimension: int
     dispersion: object
     coupling: object
     dk: float
@@ -293,15 +260,9 @@ class ModelSpec:
     mass: float = field(default=MASS, init=False)
 
     def __post_init__(self):
-        if self.dimension not in (1, 2, 3):
-            raise ConfigError(f"dimension must be 1, 2 or 3, got {self.dimension}")
         if self.n_max < 0:
             raise ConfigError(f"n_max must be >= 0, got {self.n_max}")
-        if isinstance(self.coupling, FroehlichCoupling) and self.dimension != 3:
-            raise ConfigError("the Froehlich coupling is defined in dimension 3 only")
-        singular = isinstance(self.coupling, FroehlichCoupling) or (
-            isinstance(self.coupling, PowerLawCoupling) and self.coupling.s > 0
-        )
+        singular = isinstance(self.coupling, PowerLawCoupling) and self.coupling.s > 0
         if singular and self.ir_cutoff < 0.5 * self.dk:
             raise ConfigError(
                 "singular couplings require ir_cutoff >= dk/2 "
@@ -309,7 +270,7 @@ class ModelSpec:
             )
 
     def mode_grid(self) -> ModeGrid:
-        grid = build_mode_grid(self.dk, self.uv_cutoff, self.ir_cutoff, self.dimension)
+        grid = build_mode_grid(self.dk, self.uv_cutoff, self.ir_cutoff)
         omega = self.dispersion(grid.magnitudes())
         if np.any(omega <= 0):
             raise ConfigError("dispersion must be positive on every retained mode")
@@ -332,8 +293,6 @@ class ModelSpec:
 class _Potential:
     """Shared helpers for the closed-form potential families."""
 
-    dimension: int = 1
-
     def values(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -347,42 +306,27 @@ class _Potential:
         return self.values(x)
 
 
-def _axis_norm_sq(x: np.ndarray, dimension: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if dimension == 1:
-        # accept scalars, flat arrays, matrices of scalar arguments, or
-        # explicit (..., 1) point arrays
-        if x.ndim >= 2 and x.shape[-1] == 1:
-            x = x[..., 0]
-        return x * x
-    x = np.atleast_2d(x)
-    if x.shape[-1] != dimension:
-        raise DomainError(f"expected points of dimension {dimension}")
-    return np.sum(x * x, axis=-1)
-
-
 @dataclass(frozen=True)
 class GaussianWell(_Potential):
-    """Attractive Gaussian well V(x) = -depth exp(-|x|^2/(2 width^2)).
+    """Attractive Gaussian well V(x) = -depth exp(-x^2/(2 width^2)).
 
-    Closed-form transform: Vhat(q) = -depth width^d exp(-width^2 |q|^2 / 2).
+    Closed-form transform: Vhat(q) = -depth width exp(-width^2 q^2 / 2).
     """
 
     depth: float
     width: float = 1.0
-    dimension: int = 1
 
     def __post_init__(self):
         if self.depth <= 0 or self.width <= 0:
             raise ConfigError("GaussianWell needs depth > 0 and width > 0")
 
     def values(self, x):
-        r2 = _axis_norm_sq(x, self.dimension)
-        return -self.depth * np.exp(-0.5 * r2 / self.width**2)
+        x = np.asarray(x, dtype=float)
+        return -self.depth * np.exp(-0.5 * (x * x) / self.width**2)
 
     def fourier(self, q):
-        q2 = _axis_norm_sq(q, self.dimension)
-        return -self.depth * self.width**self.dimension * np.exp(-0.5 * self.width**2 * q2)
+        q = np.asarray(q, dtype=float)
+        return -self.depth * self.width * np.exp(-0.5 * self.width**2 * (q * q))
 
     def sup_norm(self):
         return self.depth
@@ -390,7 +334,7 @@ class GaussianWell(_Potential):
 
 @dataclass(frozen=True)
 class PoschlTeller(_Potential):
-    """One-dimensional well V(x) = -depth sech^2(x).
+    """Poschl-Teller well V(x) = -depth sech^2(x).
 
     Vhat(q) = -depth (2 pi)^(-1/2) * pi q / sinh(pi q / 2), continuous at q=0
     with value -2 depth / sqrt(2 pi).  For depth = l(l+1)/2m the ground energy
@@ -398,13 +342,10 @@ class PoschlTeller(_Potential):
     """
 
     depth: float
-    dimension: int = 1
 
     def __post_init__(self):
         if self.depth <= 0:
             raise ConfigError("PoschlTeller needs depth > 0")
-        if self.dimension != 1:
-            raise ConfigError("PoschlTeller is implemented in dimension 1 only")
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
@@ -439,13 +380,10 @@ class SoftStep(_Potential):
     depth: float
     radius: float = 1.0
     softness: float = 0.25
-    dimension: int = 1
 
     def __post_init__(self):
         if self.depth <= 0 or self.radius <= 0 or self.softness <= 0:
             raise ConfigError("SoftStep needs depth, radius and softness > 0")
-        if self.dimension != 1:
-            raise ConfigError("SoftStep is implemented in dimension 1 only")
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
@@ -471,7 +409,7 @@ class SoftStep(_Potential):
 class ScaledPotential(_Potential):
     """The rescaled well lam^2 V(lam x) that drives the small-lam limit.
 
-    Vhat_scaled(q) = lam^(2-d) Vhat(q/lam).
+    Vhat_scaled(q) = lam Vhat(q/lam).
     """
 
     base: _Potential
@@ -480,23 +418,20 @@ class ScaledPotential(_Potential):
     def __post_init__(self):
         if self.lam <= 0:
             raise DomainError(f"scale parameter must be positive, got {self.lam}")
-        object.__setattr__(self, "dimension", self.base.dimension)
 
     def values(self, x):
         return self.lam**2 * self.base.values(self.lam * np.asarray(x, dtype=float))
 
     def fourier(self, q):
         q = np.asarray(q, dtype=float)
-        return self.lam ** (2 - self.base.dimension) * self.base.fourier(q / self.lam)
+        return self.lam * self.base.fourier(q / self.lam)
 
     def sup_norm(self):
         return self.lam**2 * self.base.sup_norm()
 
 
 def fourier_tail_fraction(potential: _Potential, q_cut: float) -> float:
-    """Fraction of integral |Vhat| carried by |q| > q_cut (dimension 1 only)."""
-    if potential.dimension != 1:
-        raise DomainError("tail fraction implemented for 1-d potentials")
+    """Fraction of integral |Vhat| carried by |q| > q_cut."""
     absf = lambda q: abs(float(potential.fourier(np.asarray([q]))[0]))
     head, _ = _integrate.quad(absf, 0.0, q_cut, limit=200)
     tail, _ = _integrate.quad(absf, q_cut, np.inf, limit=200)
@@ -524,26 +459,23 @@ class _TrialFunction:
 
 @dataclass(frozen=True)
 class FourierBump(_TrialFunction):
-    """fhat(P) proportional to prod_a (1 - (P_a/R)^2)^2 on |P_a| < R.
+    """fhat(P) proportional to (1 - (P/R)^2)^2 on |P| < R.
 
-    The per-axis normalization integral of (1-u^2)^4 over [-1, 1] is 256/315,
-    giving ||fhat||_2 = 1 in closed form.
+    The normalization integral of (1-u^2)^4 over [-1, 1] is 256/315, giving
+    ||fhat||_2 = 1 in closed form.
     """
 
     radius: float
-    dimension: int = 1
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ConfigError("FourierBump needs radius > 0")
 
     def fhat(self, P):
-        c = (315.0 / (256.0 * self.radius)) ** (0.5 * self.dimension)
-        u2 = np.clip((np.atleast_2d(np.asarray(P, float).reshape(-1, self.dimension))
-                      / self.radius) ** 2, 0.0, None)
-        prof = np.where(u2 < 1.0, (1.0 - u2) ** 2, 0.0)
-        out = c * np.prod(prof, axis=-1)
-        return out if np.ndim(P) else float(out[0])
+        c = (315.0 / (256.0 * self.radius)) ** 0.5
+        u2 = (np.asarray(P, float) / self.radius) ** 2
+        out = c * np.where(u2 < 1.0, (1.0 - u2) ** 2, 0.0)
+        return out if np.ndim(P) else float(out)
 
     @property
     def support_radius(self):
@@ -552,17 +484,13 @@ class FourierBump(_TrialFunction):
     def params(self):
         return {"type": "bump", "radius": self.radius}
 
-    def replace(self, **kw):
-        return replace(self, **kw)
-
 
 @dataclass(frozen=True)
 class TruncatedGaussian(_TrialFunction):
-    """fhat(P) proportional to exp(-P^2/(4 sigma^2)) restricted to |P_a| < R."""
+    """fhat(P) proportional to exp(-P^2/(4 sigma^2)) restricted to |P| < R."""
 
     sigma: float
     radius: float
-    dimension: int = 1
 
     def __post_init__(self):
         if self.sigma <= 0 or self.radius <= 0:
@@ -572,12 +500,11 @@ class TruncatedGaussian(_TrialFunction):
         norm1 = self.sigma * math.sqrt(2.0 * math.pi) * float(
             _special.erf(self.radius / (math.sqrt(2.0) * self.sigma))
         )
-        c = norm1 ** (-0.5 * self.dimension)
-        pts = np.atleast_2d(np.asarray(P, float).reshape(-1, self.dimension))
-        prof = np.where(np.abs(pts) < self.radius,
-                        np.exp(-pts**2 / (4.0 * self.sigma**2)), 0.0)
-        out = c * np.prod(prof, axis=-1)
-        return out if np.ndim(P) else float(out[0])
+        c = norm1 ** -0.5
+        P_arr = np.asarray(P, float)
+        out = c * np.where(np.abs(P_arr) < self.radius,
+                           np.exp(-P_arr**2 / (4.0 * self.sigma**2)), 0.0)
+        return out if np.ndim(P) else float(out)
 
     @property
     def support_radius(self):
@@ -585,6 +512,3 @@ class TruncatedGaussian(_TrialFunction):
 
     def params(self):
         return {"type": "gaussian", "sigma": self.sigma, "radius": self.radius}
-
-    def replace(self, **kw):
-        return replace(self, **kw)

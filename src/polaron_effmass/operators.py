@@ -41,7 +41,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import AccuracyWarning, CapacityError, ConfigError, DomainError
-from .fock import FockBasis, enumerate_basis
+from .fock import enumerate_basis
 from .model import ModelSpec, ModeGrid, effective_couplings, fourier_tail_fraction
 
 __all__ = [
@@ -131,63 +131,41 @@ class SymmetricOperator:
         return f"<SymmetricOperator{label} dim={self.dim} nnz={self.nnz}>"
 
 
-def _as_momentum(P, dimension: int) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    if P.ndim == 0:
-        if dimension != 1:
-            raise DomainError(f"scalar momentum given for dimension {dimension}")
-        return P.reshape(1)
-    if P.shape != (dimension,):
-        raise DomainError(f"momentum must have shape ({dimension},), got {P.shape}")
-    return P
-
-
 @dataclass(frozen=True)
 class ElectronGrid:
-    """Symmetric momentum lattice for the particle, q in dq * {-n, ..., n}^d.
+    """Symmetric momentum lattice for the particle, q in dq * {-n, ..., n}.
 
     The lattice spacing determines an implied periodic box of circumference
     2 pi / dq; kernels built on the grid are convolution operators on that
-    box.  The point count per axis is always odd so that q = 0 is a grid
-    point and the grid is symmetric under q -> -q.
+    box.  The point count is always odd so that q = 0 is a grid point and
+    the grid is symmetric under q -> -q.
     """
 
     dq: float
     q_max: float
-    dimension: int = 1
 
     def __post_init__(self):
         if self.dq <= 0:
             raise ConfigError(f"grid spacing must be positive, got {self.dq}")
         if self.q_max < 0:
             raise ConfigError(f"grid extent must be nonnegative, got {self.q_max}")
-        if self.dimension < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
 
     @property
-    def n_per_axis(self) -> int:
+    def size(self) -> int:
         return 2 * int(math.floor(self.q_max / self.dq + 1e-12)) + 1
 
     @cached_property
     def points(self) -> np.ndarray:
-        n_half = (self.n_per_axis - 1) // 2
-        axis = np.arange(-n_half, n_half + 1)
-        grids = np.meshgrid(*([axis] * self.dimension), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-        order = np.lexsort(pts.T[::-1])
-        return pts[order] * self.dq
-
-    @property
-    def size(self) -> int:
-        return self.n_per_axis ** self.dimension
+        n_half = self.size // 2
+        return np.arange(-n_half, n_half + 1).astype(float) * self.dq
 
     def kinetic_diagonal(self, mass: float) -> np.ndarray:
-        return np.sum(self.points**2, axis=1) / (2.0 * mass)
+        return self.points**2 / (2.0 * mass)
 
     def scaled(self, factor: float) -> "ElectronGrid":
         if factor <= 0:
             raise DomainError("scale factor must be positive")
-        return ElectronGrid(self.dq * factor, self.q_max * factor, self.dimension)
+        return ElectronGrid(self.dq * factor, self.q_max * factor)
 
 
 class FiberTemplate:
@@ -198,13 +176,10 @@ class FiberTemplate:
     once and reused across momenta.
     """
 
-    def __init__(self, spec: ModelSpec, *, grid: ModeGrid | None = None,
-                 basis: FockBasis | None = None):
+    def __init__(self, spec: ModelSpec, *, grid: ModeGrid | None = None):
         self.spec = spec
         self.grid = spec.mode_grid() if grid is None else grid
-        self.basis = (
-            enumerate_basis(self.grid.size, spec.n_max) if basis is None else basis
-        )
+        self.basis = enumerate_basis(self.grid.size, spec.n_max)
         self.omegas = np.asarray(spec.dispersion(self.grid.magnitudes()), dtype=float)
         self.couplings = effective_couplings(spec.coupling, self.grid)
         self.field_momenta = self.basis.field_momenta(self.grid)
@@ -229,37 +204,27 @@ class FiberTemplate:
     def dim(self) -> int:
         return self.basis.dim
 
-    def kinetic_diagonal(self, P) -> np.ndarray:
-        P = _as_momentum(P, self.spec.dimension)
-        diff = P[None, :] - self.field_momenta
-        return np.sum(diff * diff, axis=1) / (2.0 * self.spec.mass)
+    def kinetic_diagonal(self, P: float) -> np.ndarray:
+        diff = P - self.field_momenta
+        return diff * diff / (2.0 * self.spec.mass)
 
-    def operator(self, P, *, shift: float = 0.0) -> SymmetricOperator:
-        """The fiber at total momentum P, optionally shifted by -shift."""
-        diag = self.kinetic_diagonal(P) + self.frequency_sums - shift
+    def operator(self, P: float) -> SymmetricOperator:
+        """The fiber at total momentum P."""
+        diag = self.kinetic_diagonal(P) + self.frequency_sums
         return SymmetricOperator(self.interaction, diag=diag, validate=False,
                                  name=f"fiber(P={P})")
 
 
 def potential_kernel(potential, egrid: ElectronGrid) -> np.ndarray:
-    """Momentum-space kernel W[j,j'] = (2 pi)^(-d/2) Vhat(q_j - q_j') dq^d.
+    """Momentum-space kernel W[j,j'] = (2 pi)^(-1/2) Vhat(q_j - q_j') dq.
 
     Dense, symmetric, and includes the diagonal (the q = 0 transform).  This
     is the quadrature of the convolution with Vhat on the implied box.
     """
-    if potential.dimension != egrid.dimension:
-        raise DomainError(
-            f"potential dimension {potential.dimension} != grid dimension "
-            f"{egrid.dimension}"
-        )
     pts = egrid.points
-    n, d = pts.shape
-    diffs = pts[:, None, :] - pts[None, :, :]
-    if d == 1:
-        fhat = potential.fourier(diffs[..., 0].ravel()).reshape(n, n)
-    else:
-        fhat = potential.fourier(diffs.reshape(-1, d)).reshape(n, n)
-    w = (2.0 * math.pi) ** (-0.5 * d) * egrid.dq**d * fhat
+    n = pts.shape[0]
+    fhat = potential.fourier((pts[:, None] - pts[None, :]).ravel()).reshape(n, n)
+    w = (2.0 * math.pi) ** -0.5 * egrid.dq * fhat
     return 0.5 * (w + w.T)
 
 
@@ -314,15 +279,13 @@ def assemble_coupled_llp(template: FiberTemplate, potential, egrid: ElectronGrid
     if lam <= 0:
         raise DomainError(f"scaling parameter must be positive, got {lam}")
     spec = template.spec
-    if egrid.dimension != spec.dimension:
-        raise DomainError("electron grid and model dimensions differ")
     fdim = template.dim
     n_q = egrid.size
     if n_q * fdim > 40_000_000:
         raise CapacityError(
             f"coupled operator dimension {n_q * fdim} exceeds the supported size"
         )
-    if tail_tol is not None and egrid.dimension == 1:
+    if tail_tol is not None:
         tail = fourier_tail_fraction(potential, 2.0 * egrid.q_max)
         if tail > tail_tol:
             warnings.warn(
@@ -335,8 +298,8 @@ def assemble_coupled_llp(template: FiberTemplate, potential, egrid: ElectronGrid
     kernel = potential_kernel(potential, egrid)
     inv_l2 = 1.0 / (lam * lam)
     # kinetic diagonal of all fibers at once: |lam q_j - P_f|^2 / (2m)
-    diff = lam * egrid.points[:, None, :] - template.field_momenta[None, :, :]
-    kin = np.sum(diff * diff, axis=2) / (2.0 * spec.mass)
+    diff = lam * egrid.points[:, None] - template.field_momenta[None, :]
+    kin = diff * diff / (2.0 * spec.mass)
     diag_flat = ((kin + (template.frequency_sums - e0)[None, :]) * inv_l2).ravel()
     return _grid_times_fock(n_q, template.interaction, inv_l2, kernel, diag_flat,
                             name=f"coupled(lam={lam:g})")
@@ -354,9 +317,7 @@ def assemble_coupled_llp(template: FiberTemplate, potential, egrid: ElectronGrid
 # matched pair below requires commensurate mode momenta and checks for them.
 
 def ring_sites(egrid: ElectronGrid) -> np.ndarray:
-    """Sites of the position ring paired with a one-dimensional grid."""
-    if egrid.dimension != 1:
-        raise DomainError("ring pairing is one-dimensional")
+    """Sites of the position ring paired with an electron grid."""
     n_x = egrid.size
     box = 2.0 * math.pi / egrid.dq
     dx = box / n_x
@@ -386,8 +347,6 @@ def ring_potential_kernel(potential, egrid: ElectronGrid) -> np.ndarray:
 
 
 def _ring_guard(template: FiberTemplate, egrid: ElectronGrid):
-    if template.spec.dimension != 1 or egrid.dimension != 1:
-        raise DomainError("ring cross-check operators are one-dimensional")
     if egrid.size < 3:
         raise DomainError("ring needs at least 3 sites")
     if egrid.size * template.dim > DENSE_LIMIT:
@@ -395,7 +354,7 @@ def _ring_guard(template: FiberTemplate, egrid: ElectronGrid):
             f"ring operator dimension {egrid.size * template.dim} exceeds "
             f"{DENSE_LIMIT}; the pair exists for dense cross-checks only"
         )
-    ratios = template.grid.momenta[:, 0] / egrid.dq
+    ratios = template.grid.momenta / egrid.dq
     if np.max(np.abs(ratios - np.round(ratios))) > 1e-9:
         raise ConfigError(
             "matched ring pair needs mode momenta that are integer multiples "
@@ -414,8 +373,7 @@ def assemble_llp_ring(template: FiberTemplate, potential,
     spec = template.spec
     n_x = egrid.size
     dx = 2.0 * math.pi / egrid.dq / n_x
-    p = egrid.points[:, 0]
-    arg = (p[:, None] - template.field_momenta[None, :, 0]) * dx
+    arg = (egrid.points[:, None] - template.field_momenta[None, :]) * dx
     kin = (2.0 - 2.0 * np.cos(arg)) / (2.0 * spec.mass * dx * dx)
     diag_flat = (kin + template.frequency_sums[None, :]).ravel()
     if potential is None:
@@ -458,7 +416,7 @@ def assemble_direct_tensor(template: FiberTemplate, potential,
         if j == i:
             fields[i, :] = v[i]
         elif i < j:
-            kpos = grid.momenta[j, 0]
+            kpos = grid.momenta[j]
             if abs(v[i] - v[j]) > 1e-12 * max(1.0, abs(v[i])):
                 raise DomainError("realification needs even couplings in k")
             fields[i, :] = math.sqrt(2.0) * v[i] * np.cos(kpos * sites)

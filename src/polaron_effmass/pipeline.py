@@ -152,7 +152,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         raise ConfigError("run.lambda_seq needs >= 4 values to extrapolate")
     lams = sorted(set(cfg.lambda_seq), reverse=True)
     e0 = dstate.curve.e0
-    q = cfg.egrid.points[:, 0]
+    q = cfg.egrid.points
 
     # fiber energies used by the momentum bound, batched across lam
     wanted = np.concatenate([lam * q for lam in lams])

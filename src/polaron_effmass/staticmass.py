@@ -16,8 +16,7 @@ Pieces:
 * :func:`invert_E`: bisection inverse of the strictly decreasing comparison
   curve, with on-the-fly monotonicity validation and bracket expansion.
 * :func:`coupled_ground`: e(lam) through the preconditioned subspace solver
-  (the coupled operators' diagonal spread rules out plain Lanczos); supports
-  warm starts across a descending lam sequence.
+  (the coupled operators' diagonal spread rules out plain Lanczos).
 * :func:`extrapolate_static_mass`: fits e(lam) = e0 + c1 lam + c2 lam^2
   (the leading correction of the scaling limit is O(lam)), propagates the
   fit uncertainty and a drop-the-largest-lam refit shift into e0 and the
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import davidson_ground, dense_ground, ground_state
+from .eigensolve import davidson_ground, dense_ground
 from .errors import (AnalysisError, BracketError, NoBoundStateError,
                      SolverError)
 from .model import ScaledPotential
@@ -51,20 +50,14 @@ __all__ = [
 DEFAULT_LAMBDA_SEQ = (0.4, 0.28, 0.2, 0.14, 0.1)
 
 
-def _ground_value(matrix: np.ndarray) -> float:
-    n = matrix.shape[0]
-    if n <= 2000:
-        return dense_ground(matrix)
-    return ground_state(matrix, tol=1e-11, seed=0).value
-
-
 def schrodinger_energy(mass: float, potential, egrid: ElectronGrid) -> float:
     """Ground energy of the one-particle comparison operator on `egrid`.
 
-    A nonnegative result means the potential has no bound state at this
-    mass and raises NoBoundStateError.
+    The dense route caps the grid at 2000 points (DomainError beyond).  A
+    nonnegative result means the potential has no bound state at this mass
+    and raises NoBoundStateError.
     """
-    value = _ground_value(assemble_schrodinger(potential, egrid, mass))
+    value = dense_ground(assemble_schrodinger(potential, egrid, mass))
     if value >= 0.0:
         raise NoBoundStateError(
             f"no bound state at mass {mass:g} (ground energy {value:.3e} >= 0)"
@@ -73,20 +66,18 @@ def schrodinger_energy(mass: float, potential, egrid: ElectronGrid) -> float:
 
 
 def invert_E(target: float, potential, egrid: ElectronGrid, *,
-             bracket=(0.5, 4.0), rel_tol: float = 1e-6,
-             endpoint_tol: float = 1e-7, max_hi: float = 1024.0) -> float:
+             max_hi: float = 1024.0) -> float:
     """Mass m with E(m) = target, by bisection on the decreasing curve.
 
-    The bracket's upper end expands geometrically until it straddles the
-    target.  Every evaluation is checked against monotonicity; a violation
-    (a grid artifact) is a hard error.  A target within endpoint_tol of
-    E(1/2) returns exactly the endpoint mass (the free-particle edge case).
+    The bracket [1/2, 4] is bisected to a relative width of 1e-6; its upper
+    end first expands geometrically until it straddles the target.  Every
+    evaluation is checked against monotonicity; a violation (a grid
+    artifact) is a hard error.  A target within 1e-7 of E(1/2) returns
+    exactly the endpoint mass (the free-particle edge case).
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if lo < 0.5:
-        raise BracketError(f"bracket must start at mass >= 1/2, got {lo}")
+    lo, hi = 0.5, 4.0
     e_lo = schrodinger_energy(lo, potential, egrid)
-    if abs(target - e_lo) <= endpoint_tol:
+    if abs(target - e_lo) <= 1e-7:
         return lo
     if target > e_lo:
         raise BracketError(
@@ -103,7 +94,7 @@ def invert_E(target: float, potential, egrid: ElectronGrid, *,
             )
         e_hi = schrodinger_energy(hi, potential, egrid)
     slack = 1e-12 * max(1.0, abs(e_lo), abs(e_hi))
-    while (hi - lo) > rel_tol * 0.5 * (hi + lo):
+    while (hi - lo) > 1e-6 * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
         e_mid = schrodinger_energy(mid, potential, egrid)
         if not (e_hi - slack <= e_mid <= e_lo + slack):
@@ -131,25 +122,22 @@ class CoupledResult:
 
 def coupled_ground(template: FiberTemplate, potential, egrid: ElectronGrid,
                    lam: float, e0: float, *, tol: float = 1e-9, seed: int = 0,
-                   v0=None, max_subspace: int = 40, max_iters: int = 600,
                    tail_tol: float = 1e-6) -> CoupledResult:
     """e(lam) = infspec A(lam), via the preconditioned subspace solver.
 
-    `v0` warm-starts the iteration (the ground vector of a neighboring lam
-    is an excellent start).  One reseeded retry with a larger search space
+    The solve starts cold.  One reseeded retry with a larger search space
     runs before giving up.
     """
     op = assemble_coupled_llp(template, potential, egrid, lam, e0,
                               tail_tol=tail_tol)
     try:
-        res = davidson_ground(op, tol=tol, seed=seed, v0=v0,
-                              max_subspace=max_subspace, max_iters=max_iters)
+        res = davidson_ground(op, tol=tol, seed=seed)
     except SolverError as exc:
-        # continue from the stalled attempt's best vector, larger space
+        # continue from the stalled attempt's best vector with twice the
+        # default search space (40) and iteration budget (600)
         res = davidson_ground(op, tol=tol, seed=seed + 101,
                               v0=exc.best_vector,
-                              max_subspace=min(2 * max_subspace, op.dim),
-                              max_iters=2 * max_iters)
+                              max_subspace=min(80, op.dim), max_iters=1200)
     return CoupledResult(lam=lam, value=res.value, residual=res.residual,
                          iterations=res.iterations, matvecs=res.matvecs,
                          dim=op.dim, vector=res.vector)
@@ -186,9 +174,7 @@ def _fit_quadratic_in_lambda(lams: np.ndarray, evals: np.ndarray):
 
 
 def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid,
-                            *, fit_rms_tol: float = 1e-3,
-                            mass_bracket=(0.5, 4.0),
-                            mass_rel_tol: float = 1e-6) -> StaticMassResult:
+                            *, fit_rms_tol: float = 1e-3) -> StaticMassResult:
     """Extrapolate e(lam) to lam = 0 and invert the comparison curve.
 
     Fit model e(lam) = e0 + c1 lam + c2 lam^2.  The e0 uncertainty is the
@@ -222,8 +208,7 @@ def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid,
     mass = math.nan
     mass_err = math.nan
     try:
-        mass = invert_E(e0, potential, egrid, bracket=mass_bracket,
-                        rel_tol=mass_rel_tol)
+        mass = invert_E(e0, potential, egrid)
         h = max(1e-3 * mass, 1e-4)
         if mass - h >= 0.5:
             e_plus = schrodinger_energy(mass + h, potential, egrid)

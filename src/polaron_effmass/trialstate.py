@@ -50,9 +50,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroundStateFamily:
-    """Phase-aligned fiber ground states on a momentum mesh (one axis)."""
+    """Phase-aligned fiber ground states on a momentum mesh."""
 
-    momenta: np.ndarray        # (n,) sorted scalar momenta along the axis
+    momenta: np.ndarray        # (n,) sorted momenta
     energies: np.ndarray       # (n,)
     gaps: np.ndarray           # (n,)
     residuals: np.ndarray      # (n,)
@@ -130,10 +130,8 @@ class UpperBoundResult:
 
 
 def _support_data(profile, egrid: ElectronGrid):
-    if egrid.dimension != 1:
-        raise DomainError("trial-state bounds are implemented in dimension 1")
-    q = egrid.points[:, 0]
-    f = np.asarray(profile.fhat(q.reshape(-1, 1)), dtype=float)
+    q = egrid.points
+    f = np.asarray(profile.fhat(q), dtype=float)
     sup = np.flatnonzero(f != 0.0)
     if len(sup) < 3:
         raise AnalysisError(
@@ -184,13 +182,12 @@ class MinimizedUpperBound:
     family_size: int
 
 
-def _make_profile(kind: str, radius: float, dimension: int):
+def _make_profile(kind: str, radius: float):
     if kind == "bump":
-        return FourierBump(radius=radius, dimension=dimension)
+        return FourierBump(radius=radius)
     if kind == "gaussian":
         # sigma tracks the radius so one scalar controls the shape
-        return TruncatedGaussian(sigma=radius / 3.0, radius=radius,
-                                 dimension=dimension)
+        return TruncatedGaussian(sigma=radius / 3.0, radius=radius)
     raise ConfigError(f"unknown trial profile kind {kind!r}")
 
 
@@ -220,7 +217,7 @@ def minimize_upper_bound(lam: float, cache: FiberCache, potential,
             "window is too narrow for this lam and grid"
         )
 
-    q = egrid.points[:, 0]
+    q = egrid.points
     wide = np.flatnonzero(np.abs(q) < r_hi)
     mesh = np.concatenate([[0.0], lam * q[wide]])
     family = build_family(cache, mesh, p_c=p_c, gap_threshold=gap_threshold)
@@ -231,7 +228,7 @@ def minimize_upper_bound(lam: float, cache: FiberCache, potential,
 
     def objective(r: float) -> float:
         evals["n"] += 1
-        prof = _make_profile(profile_kind, float(r), egrid.dimension)
+        prof = _make_profile(profile_kind, float(r))
         return upper_bound(lam, family, prof, potential, egrid, e0,
                            kernel=kernel, gram=gram).value
 
@@ -239,7 +236,7 @@ def minimize_upper_bound(lam: float, cache: FiberCache, potential,
                           options={"xatol": xatol})
     radius = float(opt.x)
     best = upper_bound(lam, family,
-                       _make_profile(profile_kind, radius, egrid.dimension),
+                       _make_profile(profile_kind, radius),
                        potential, egrid, e0, kernel=kernel, gram=gram)
     boundary = (radius - r_lo <= 2 * xatol) or (r_hi - radius <= 2 * xatol)
     return MinimizedUpperBound(result=best, radius=radius,

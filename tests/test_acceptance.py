@@ -232,8 +232,7 @@ def test_criterion_07_perturbative_window(acceptance_recorder):
     P_list = np.round(np.arange(-0.45, 0.4501, 0.05), 10)
     deltas = {}
     for g in (0.1, 0.05):
-        spec = ModelSpec(dimension=1,
-                         dispersion=ConstantDispersion(omega0=1.0),
+        spec = ModelSpec(dispersion=ConstantDispersion(omega0=1.0),
                          coupling=PowerLawCoupling(g=g, s=1.0),
                          dk=0.25, uv_cutoff=1.5, ir_cutoff=0.125, n_max=3)
         template = FiberTemplate(spec)

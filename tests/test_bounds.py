@@ -19,14 +19,13 @@ from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        assemble_schrodinger)
 from polaron_effmass.staticmass import coupled_ground
 
-EGRID = ElectronGrid(dq=0.25, q_max=6.0, dimension=1)
+EGRID = ElectronGrid(dq=0.25, q_max=6.0)
 WELL = PoschlTeller(depth=2.0)
 
 
 class _PositiveBump:
     """Repulsive stand-in used to exercise the sign guard."""
 
-    dimension = 1
 
     def values(self, x):
         x = np.asarray(x, dtype=float)
@@ -42,7 +41,7 @@ class _PositiveBump:
 
 @pytest.fixture(scope="module")
 def free_cache():
-    spec = ModelSpec(dimension=1, dispersion=ConstantDispersion(omega0=1.0),
+    spec = ModelSpec(dispersion=ConstantDispersion(omega0=1.0),
                      coupling=ZeroCoupling(), dk=0.5, uv_cutoff=1.0,
                      ir_cutoff=0.0, n_max=2)
     template = FiberTemplate(spec)

@@ -40,6 +40,14 @@ def test_validate_reports_errors(tmp_path, capsys):
     assert "validation FAILED" in out
 
 
+def test_validate_rejects_dimension_two(tmp_path, capsys):
+    data = json.loads(Path(REPO_ROOT, "src", "polaron_effmass", "presets",
+                           "toy.json").read_text())
+    data["model"]["dimension"] = 2
+    assert main(["validate", "--config", _write_config(tmp_path, data)]) == 2
+    assert "'model.dimension'" in capsys.readouterr().err
+
+
 def test_unknown_config_path_exits_2(capsys):
     assert main(["validate", "--config", "/nope/missing.json"]) == 2
     assert "configuration error:" in capsys.readouterr().err

@@ -50,7 +50,6 @@ def _mutated(**paths):
 def test_all_presets_parse_and_validate():
     for name in PRESET_NAMES:
         cfg = load_config(name)
-        assert cfg.spec.dimension == 1
         assert cfg.egrid.size >= 9
         assert all(l > 0 for l in cfg.lambda_seq)
         notes = validate_config(cfg.raw)
@@ -97,6 +96,12 @@ def test_missing_required_keys():
     with pytest.raises(ConfigError,
                        match="missing required config key '<top>.potential'"):
         parse_config(_mutated(potential=...))
+
+
+@pytest.mark.parametrize("dimension", [0, 2, 3])
+def test_dimension_other_than_one_is_rejected(dimension):
+    with pytest.raises(ConfigError, match="'model.dimension'"):
+        parse_config(_mutated(model__dimension=dimension))
 
 
 def test_type_errors_name_the_key():
@@ -215,7 +220,7 @@ def test_estimate_window_hand_values():
     # single mode |k| = 1, omega = 1: crossing at (1 + 1)/2 = 1
     assert estimate_window(parse_config(_base())) == pytest.approx(1.0)
     # modes 0.5 and 1.0: min(1.25/1, 2/2) = 1.0
-    spec = ModelSpec(dimension=1, dispersion=ConstantDispersion(omega0=1.0),
+    spec = ModelSpec(dispersion=ConstantDispersion(omega0=1.0),
                      coupling=ZeroCoupling(), dk=0.5, uv_cutoff=1.0,
                      ir_cutoff=0.0, n_max=1)
     cfg = parse_config(_mutated(

@@ -14,7 +14,7 @@ from polaron_effmass.operators import FiberTemplate
 
 
 def _free_template():
-    spec = ModelSpec(dimension=1, dispersion=ConstantDispersion(omega0=1.0),
+    spec = ModelSpec(dispersion=ConstantDispersion(omega0=1.0),
                      coupling=ZeroCoupling(), dk=0.5, uv_cutoff=1.0,
                      ir_cutoff=0.0, n_max=2)
     return FiberTemplate(spec)
@@ -27,7 +27,7 @@ def _synthetic_curve(mass, quartic, P_values):
                                                   + quartic * p**4),
                          gap=1.0, residual=0.0, degenerate=False)
         for p in P_values)
-    return DispersionCurve(axis=np.array([1.0]), samples=samples, e0=0.0)
+    return DispersionCurve(samples=samples, e0=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_fit_rejects_concave_curves():
     samples = tuple(DispersionSample(P=float(p), energy=float(-p * p),
                                      gap=1.0, residual=0.0, degenerate=False)
                     for p in P)
-    curve = DispersionCurve(axis=np.array([1.0]), samples=samples, e0=0.0)
+    curve = DispersionCurve(samples=samples, e0=0.0)
     with pytest.raises(AnalysisError):
         fit_dynamic_mass(curve)
 
@@ -175,7 +175,7 @@ def test_estimate_pc_tracks_gap_closing():
         samples.append(DispersionSample(P=float(p), energy=float(p * p),
                                         gap=gap, residual=0.0,
                                         degenerate=False))
-    curve = DispersionCurve(axis=np.array([1.0]), samples=tuple(samples),
+    curve = DispersionCurve(samples=tuple(samples),
                             e0=0.0)
     assert estimate_Pc(curve, gap_threshold=1e-3) == pytest.approx(0.6)
 
@@ -185,7 +185,7 @@ def test_estimate_pc_needs_gap_at_origin():
                                 degenerate=False),
                DispersionSample(P=0.5, energy=0.25, gap=1.0, residual=0.0,
                                 degenerate=False))
-    curve = DispersionCurve(axis=np.array([1.0]), samples=samples, e0=0.0)
+    curve = DispersionCurve(samples=samples, e0=0.0)
     with pytest.raises(AnalysisError):
         estimate_Pc(curve)
 

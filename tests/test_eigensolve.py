@@ -248,7 +248,7 @@ def test_lowest_two_failure_carries_best_value(rng):
 def test_lowest_two_agrees_with_lanczos_and_dense_on_fibers(preset):
     template = FiberTemplate(load_config(preset).spec)
     for P in (0.0, 0.25, -0.6, 1.1):
-        op = template.operator(np.array([P]))
+        op = template.operator(P)
         pair = lowest_two(op, tol=1e-10, seed=0)
         ref = np.linalg.eigvalsh(op.to_dense())[:2]
         assert np.allclose(pair.values, ref, rtol=0, atol=1e-9)

@@ -1,5 +1,6 @@
-"""Every name a module exports in `__all__` exists in that module, and no
-module of the package or its tests imports a name it never uses."""
+"""Every name a module exports in `__all__` exists in that module, no
+module of the package or its tests imports a name it never uses, and every
+keyword-only option of the package has a caller that sets it."""
 
 import ast
 import importlib
@@ -23,6 +24,11 @@ def test_all_exports_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+def _python_files(*folders):
+    return [path for folder in folders
+            for path in sorted((REPO_ROOT / folder).rglob("*.py"))]
 
 
 def _unused_imports(path):
@@ -49,7 +55,46 @@ def _unused_imports(path):
 
 def test_no_unused_imports():
     unused = {str(path.relative_to(REPO_ROOT)): names
-              for folder in ("src", "tests")
-              for path in sorted((REPO_ROOT / folder).rglob("*.py"))
+              for path in _python_files("src", "tests")
               if (names := _unused_imports(path))}
     assert not unused, f"unused imports: {unused}"
+
+
+def _keyword_options(path):
+    """(callable name, option, line) for every keyword-only parameter with a
+    default; a constructor is named after its class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owners = {child: node.name for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for child in node.body}
+    options = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = owners[node] if node.name == "__init__" else node.name
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                options.append((name, arg.arg, node.lineno))
+    return options
+
+
+def _keywords_passed(path):
+    """(callee name, keyword) for every call that passes an option by name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = (func.id if isinstance(func, ast.Name)
+                  else func.attr if isinstance(func, ast.Attribute) else None)
+        passed |= {(callee, kw.arg) for kw in node.keywords if kw.arg}
+    return passed
+
+
+def test_every_keyword_option_has_a_caller():
+    passed = set().union(*map(_keywords_passed, _python_files("src", "tests")))
+    orphans = [f"{path.relative_to(REPO_ROOT)}:{line} {name}({option}=)"
+               for path in _python_files("src")
+               for name, option, line in _keyword_options(path)
+               if (name, option) not in passed]
+    assert not orphans, f"keyword options no call sets: {orphans}"

@@ -89,7 +89,7 @@ def test_field_momenta_and_frequency_sums():
     freq = basis.frequency_sums(omegas)
     for i in range(basis.dim):
         occ = np.asarray(basis.state(i), dtype=float)
-        assert mom[i, 0] == pytest.approx(occ @ grid.momenta[:, 0])
+        assert mom[i] == pytest.approx(occ @ grid.momenta)
         assert freq[i] == pytest.approx(occ @ omegas)
     with pytest.raises(DomainError):
         basis.frequency_sums(np.array([1.0]))

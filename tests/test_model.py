@@ -14,8 +14,7 @@ from scipy.integrate import quad
 
 from polaron_effmass.errors import CapacityError, ConfigError, DomainError
 from polaron_effmass.model import (ConstantCoupling, ConstantDispersion,
-                                   FourierBump, FroehlichCoupling,
-                                   GaussianWell, ModelSpec, ModeGrid,
+                                   FourierBump, GaussianWell, ModelSpec, ModeGrid,
                                    PoschlTeller, PowerLawCoupling,
                                    ScaledPotential, SoftStep,
                                    TabulatedDispersion, TruncatedGaussian,
@@ -58,9 +57,6 @@ def test_coupling_values_match_formulas():
     assert np.allclose(ConstantCoupling(g=0.2)(k), 0.2)
     assert np.allclose(PowerLawCoupling(g=0.3, s=1.0)(k), 0.3 / k)
     assert np.allclose(PowerLawCoupling(g=0.3, s=0.0)(k), 0.3)
-    froe = FroehlichCoupling(alpha=1.0)
-    assert np.allclose(FroehlichCoupling(alpha=4.0)(k), 2.0 * froe(k))
-    assert froe(np.array([2.0]))[0] == pytest.approx(0.5 * froe(np.array([1.0]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +65,7 @@ def test_coupling_values_match_formulas():
 
 def test_build_mode_grid_enumerates_lattice():
     grid = build_mode_grid(dk=0.5, uv_cutoff=1.0)
-    assert np.allclose(np.sort(grid.momenta[:, 0]),
+    assert np.allclose(np.sort(grid.momenta),
                        [-1.0, -0.5, 0.0, 0.5, 1.0])
     assert np.allclose(grid.weights, 0.5)
     assert grid.is_symmetric()
@@ -77,7 +73,7 @@ def test_build_mode_grid_enumerates_lattice():
 
 def test_build_mode_grid_ir_cutoff_drops_origin():
     grid = build_mode_grid(dk=0.5, uv_cutoff=1.0, ir_cutoff=0.25)
-    assert 0.0 not in grid.momenta[:, 0]
+    assert 0.0 not in grid.momenta
     assert grid.size == 4
 
 
@@ -94,9 +90,15 @@ def test_parity_permutation_roundtrip():
     grid = build_mode_grid(dk=0.5, uv_cutoff=1.5)
     perm = grid.parity_permutation()
     assert np.allclose(grid.momenta[perm], -grid.momenta)
-    asym = ModeGrid(momenta=np.array([[0.5], [1.0]]),
+    asym = ModeGrid(momenta=np.array([0.5, 1.0]),
                     weights=np.array([1.0, 1.0]), dk=0.5)
     assert not asym.is_symmetric()
+
+
+def test_mode_grid_rejects_vector_momenta():
+    with pytest.raises(DomainError, match="1-d"):
+        ModeGrid(momenta=np.array([[0.5], [1.0]]),
+                 weights=np.array([1.0, 1.0]), dk=0.5)
 
 
 def test_effective_couplings_include_sqrt_weight():
@@ -110,7 +112,7 @@ def test_effective_couplings_include_sqrt_weight():
 # ---------------------------------------------------------------------------
 
 def _spec(**kw):
-    base = dict(dimension=1, dispersion=ConstantDispersion(),
+    base = dict(dispersion=ConstantDispersion(),
                 coupling=ConstantCoupling(g=0.2), dk=0.5, uv_cutoff=1.0,
                 ir_cutoff=0.0, n_max=2)
     base.update(kw)
@@ -121,7 +123,7 @@ def test_particle_mass_is_fixed():
     spec = _spec()
     assert spec.mass == 0.5
     with pytest.raises(TypeError):
-        ModelSpec(dimension=1, dispersion=ConstantDispersion(),
+        ModelSpec(dispersion=ConstantDispersion(),
                   coupling=ZeroCoupling(), dk=0.5, uv_cutoff=1.0,
                   ir_cutoff=0.0, n_max=1, mass=1.0)
 
@@ -136,11 +138,6 @@ def test_singular_coupling_needs_ir_cutoff():
     with pytest.raises(ConfigError):
         _spec(coupling=PowerLawCoupling(g=0.1, s=1.0), ir_cutoff=0.0)
     _spec(coupling=PowerLawCoupling(g=0.1, s=1.0), ir_cutoff=0.25)
-
-
-def test_froehlich_requires_dimension_three():
-    with pytest.raises(ConfigError):
-        _spec(coupling=FroehlichCoupling(alpha=1.0), ir_cutoff=0.25)
 
 
 def test_capacity_guard_fires_before_allocation():
@@ -243,10 +240,9 @@ def test_profiles_are_normalized_with_compact_support(profile):
 
 def test_profile_replace_roundtrip():
     bump = FourierBump(radius=0.5)
-    assert bump.replace(radius=0.7).radius == pytest.approx(0.7)
     assert bump.params() == {"type": "bump", "radius": 0.5}
     gauss = TruncatedGaussian(sigma=0.2, radius=0.6)
-    assert gauss.replace(sigma=0.25).params()["sigma"] == pytest.approx(0.25)
+    assert gauss.params()["sigma"] == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------------------

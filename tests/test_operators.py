@@ -29,14 +29,14 @@ from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
 
 
 def _single_mode_spec(g=0.2, n_max=1):
-    return ModelSpec(dimension=1, dispersion=ConstantDispersion(omega0=1.0),
+    return ModelSpec(dispersion=ConstantDispersion(omega0=1.0),
                      coupling=ConstantCoupling(g=g), dk=1.0, uv_cutoff=1.0,
                      ir_cutoff=0.5, n_max=n_max)
 
 
 def _single_mode_template(g=0.2, n_max=1):
     # one retained mode at k = +1 with unit weight: v_eff = g exactly
-    grid = ModeGrid(momenta=np.array([[1.0]]), weights=np.array([1.0]),
+    grid = ModeGrid(momenta=np.array([1.0]), weights=np.array([1.0]),
                     dk=1.0)
     return FiberTemplate(_single_mode_spec(g=g, n_max=n_max), grid=grid)
 
@@ -82,7 +82,7 @@ def test_grid_times_fock_checks_each_factor(rng):
 
 def test_electron_grid_layout():
     egrid = ElectronGrid(dq=0.5, q_max=2.0)
-    pts = egrid.points[:, 0]
+    pts = egrid.points
     assert egrid.size == 9
     assert np.allclose(pts, np.arange(-4, 5) * 0.5)
     assert np.allclose(egrid.kinetic_diagonal(0.5), pts**2)
@@ -139,7 +139,7 @@ def test_potential_kernel_closed_form_entries():
     pot = GaussianWell(depth=1.0, width=0.7)
     egrid = ElectronGrid(dq=0.5, q_max=1.0)
     w = potential_kernel(pot, egrid)
-    pts = egrid.points[:, 0]
+    pts = egrid.points
     for i, qi in enumerate(pts):
         for j, qj in enumerate(pts):
             expected = (0.5 / math.sqrt(2 * math.pi)
@@ -158,7 +158,7 @@ def test_kernel_quadratic_form_matches_box_integral(rng):
     quadratic = float(a @ w @ a)
 
     L = 2.0 * math.pi / egrid.dq
-    qs = egrid.points[:, 0]
+    qs = egrid.points
 
     def v_periodized(x):
         return sum(float(pot(np.array([x + n * L]))[0]) for n in range(-4, 5))
@@ -190,7 +190,7 @@ def test_schrodinger_operator_structure():
 def test_coupled_operator_decouples_at_zero_coupling():
     """With zero coupling the vacuum sector of the scaled operator is exactly
     the one-particle comparison operator, so the grounds agree."""
-    spec = ModelSpec(dimension=1, dispersion=ConstantDispersion(omega0=1.0),
+    spec = ModelSpec(dispersion=ConstantDispersion(omega0=1.0),
                      coupling=ZeroCoupling(), dk=1.0, uv_cutoff=1.0,
                      ir_cutoff=0.5, n_max=2)
     template = FiberTemplate(spec)
@@ -241,7 +241,7 @@ def test_ring_pair_spectra_agree_when_commensurate():
 
 
 def test_ring_pair_rejects_incommensurate_modes():
-    spec = ModelSpec(dimension=1, dispersion=ConstantDispersion(omega0=1.0),
+    spec = ModelSpec(dispersion=ConstantDispersion(omega0=1.0),
                      coupling=ConstantCoupling(g=0.2), dk=0.3, uv_cutoff=0.3,
                      ir_cutoff=0.0, n_max=1)
     template = FiberTemplate(spec)
@@ -261,7 +261,7 @@ def test_ring_kernel_is_dft_sampled_potential():
     # the kernel is the DFT of the site-sampled potential values; row sums
     # with alternating phases reproduce those samples
     n = egrid.size
-    qs = egrid.points[:, 0]
+    qs = egrid.points
     vals = np.array([sum(kernel[i, j] * np.exp(1j * (qs[i] - qs[j]) * x)
                          for i in range(n) for j in range(n)) / n
                      for x in sites[:2]])

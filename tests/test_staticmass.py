@@ -12,7 +12,7 @@ import pytest
 
 from polaron_effmass.config import load_config
 from polaron_effmass.errors import (AnalysisError, BracketError,
-                                    NoBoundStateError)
+                                    DomainError, NoBoundStateError)
 from polaron_effmass.model import GaussianWell, PoschlTeller
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        assemble_coupled_llp)
@@ -34,7 +34,6 @@ def exact_energy(mass):
 class RepulsiveGaussian:
     """Positive-definite stub used to exercise the no-bound-state path."""
 
-    dimension = 1
 
     def values(self, x):
         return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
@@ -73,6 +72,13 @@ def test_curve_is_strictly_decreasing_in_mass():
 def test_no_bound_state_raises():
     with pytest.raises(NoBoundStateError):
         schrodinger_energy(0.5, RepulsiveGaussian(), EGRID)
+
+
+def test_reference_energy_refuses_grids_beyond_the_dense_cap():
+    egrid = ElectronGrid(dq=0.01, q_max=10.01)
+    assert egrid.size == 2003
+    with pytest.raises(DomainError, match="2000"):
+        schrodinger_energy(0.5, POT, egrid)
 
 
 # ---------------------------------------------------------------------------

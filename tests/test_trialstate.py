@@ -30,7 +30,7 @@ EGRID = ElectronGrid(dq=0.25, q_max=6.0)
 
 @pytest.fixture(scope="module")
 def free_cache():
-    spec = ModelSpec(dimension=1, dispersion=ConstantDispersion(omega0=1.0),
+    spec = ModelSpec(dispersion=ConstantDispersion(omega0=1.0),
                      coupling=ZeroCoupling(), dk=0.5, uv_cutoff=1.0,
                      ir_cutoff=0.0, n_max=2)
     return FiberCache(FiberTemplate(spec), tol=1e-11, seed=0)
@@ -77,13 +77,13 @@ def test_overlap_matrix_properties(toy_cache):
 def test_upper_bound_reduces_to_rayleigh_quotient(free_cache):
     lam = 0.3
     profile = FourierBump(radius=2.0)
-    nodes = lam * EGRID.points[:, 0]
-    family = build_family(free_cache, nodes[np.abs(EGRID.points[:, 0])
+    nodes = lam * EGRID.points
+    family = build_family(free_cache, nodes[np.abs(EGRID.points)
                                             <= 2.0 + 1e-12])
     res = upper_bound(lam, family, profile, POT, EGRID, e0=0.0)
 
     # independent route: Rayleigh quotient of q^2 + W with the profile vector
-    q = EGRID.points[:, 0]
+    q = EGRID.points
     a = np.array([profile.fhat(np.array([qi]))[0] for qi in q]) * math.sqrt(
         EGRID.dq)
     h = assemble_schrodinger(POT, EGRID, 0.5)
@@ -97,8 +97,8 @@ def test_upper_bound_reduces_to_rayleigh_quotient(free_cache):
 def test_upper_bound_term_decomposition(free_cache):
     lam = 0.25
     profile = FourierBump(radius=1.5)
-    nodes = lam * EGRID.points[:, 0]
-    family = build_family(free_cache, nodes[np.abs(EGRID.points[:, 0])
+    nodes = lam * EGRID.points
+    family = build_family(free_cache, nodes[np.abs(EGRID.points)
                                             <= 1.5 + 1e-12])
     res = upper_bound(lam, family, profile, POT, EGRID, e0=0.0)
     assert res.value == pytest.approx(
@@ -120,8 +120,8 @@ def test_upper_bound_needs_all_support_nodes(free_cache):
 def test_precomputed_kernel_and_gram_give_same_answer(free_cache):
     lam = 0.3
     profile = TruncatedGaussian(sigma=0.8, radius=2.0)
-    nodes = lam * EGRID.points[:, 0]
-    family = build_family(free_cache, nodes[np.abs(EGRID.points[:, 0])
+    nodes = lam * EGRID.points
+    family = build_family(free_cache, nodes[np.abs(EGRID.points)
                                             <= 2.0 + 1e-12])
     plain = upper_bound(lam, family, profile, POT, EGRID, e0=0.0)
     primed = upper_bound(lam, family, profile, POT, EGRID, e0=0.0,
