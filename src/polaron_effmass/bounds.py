@@ -145,10 +145,16 @@ class SplitBoundResult:
 def split_lower_bound(lam: float, potential, egrid: ElectronGrid, *,
                       mass: float, c_min: float, p_c: float,
                       params: SplitParams) -> SplitBoundResult:
-    """L2 from the momentum-split argument (nonpositive potentials only)."""
+    """L2 from the momentum-split argument (nonpositive potentials only).
+
+    The sign of the potential is checked on |x| <= max(q_max, pi / dq): the
+    kernel is a convolution on the box of circumference 2 pi / dq implied by
+    the grid, so a positive part anywhere in that box is rejected.
+    """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    x_probe = np.linspace(-egrid.q_max, egrid.q_max, 4001)
+    half_width = max(egrid.q_max, math.pi / egrid.dq)
+    x_probe = np.linspace(-half_width, half_width, 4001)
     if float(np.max(potential.values(x_probe))) > 1e-12:
         raise DomainError(
             "the split lower bound is implemented for nonpositive "

@@ -1,4 +1,4 @@
-"""Sparse assembly of the model Hamiltonians.
+"""Sparse and factored assembly of the model Hamiltonians.
 
 Operators built here, all real-symmetric:
 
@@ -20,6 +20,10 @@ Operators built here, all real-symmetric:
   commensurate with the ring the two have identical spectra in exact
   arithmetic, which pins down the frame transform, the realification and
   the grid (x) Fock layout at once.
+
+The coupled operator and the field-momentum-frame ring operator are
+Kronecker sums of a dense grid kernel and one sparse Fock block; both are
+stored as those two factors and applied in factored form, never assembled.
 
 The production assembly uses the exact quadratic kinetic energy and the
 closed-form potential transform; the ring pair uses the cosine kinetic and
@@ -75,45 +79,73 @@ def _check_symmetric(matrix, name: str):
 
 
 class SymmetricOperator:
-    """A real-symmetric operator stored as CSR plus an optional extra diagonal.
+    """A real-symmetric operator: a CSR matrix plus an optional extra diagonal.
 
     The split keeps assemblies free of explicit stored zeros: purely diagonal
     contributions (kinetic terms, field energies, shifts) live in `diag`,
-    everything else in `matrix`.  Hermiticity is verified at construction
-    unless the caller built the matrix from factors it has checked itself
-    (`validate=False`).
+    everything else in `matrix`.  With a dense grid factor `kernel`
+    (n_q x n_q) the operator is the Kronecker sum
+
+        I_{n_q} (x) matrix + kernel (x) I_F + diag
+
+    on the grid-major layout, stored as its two factors and applied in
+    factored form; `matrix` is then the F x F block of one grid node.
+    Hermiticity is verified at construction (of each factor) unless the
+    caller has checked the factors itself (`validate=False`).
     """
 
-    def __init__(self, matrix, diag=None, *, validate=True, name=""):
+    def __init__(self, matrix, diag=None, *, kernel=None, validate=True, name=""):
         m = sp.csr_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise DomainError("operator matrix must be square")
         m.sum_duplicates()
         m.eliminate_zeros()
         self.matrix = m
+        self.kernel = None if kernel is None else np.asarray(kernel, dtype=float)
+        if self.kernel is not None and (
+                self.kernel.ndim != 2 or self.kernel.shape[0] != self.kernel.shape[1]):
+            raise DomainError("operator kernel must be square")
         self.diag = None if diag is None else np.asarray(diag, dtype=float)
-        if self.diag is not None and self.diag.shape != (m.shape[0],):
+        if self.diag is not None and self.diag.shape != (self.dim,):
             raise DomainError("diagonal length does not match operator dimension")
         self.name = name
         if validate:
             _check_symmetric(m, name)
+            if self.kernel is not None:
+                _check_symmetric(self.kernel, f"{name} kernel")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        if self.kernel is None:
+            return self.matrix.shape[0]
+        return self.kernel.shape[0] * self.matrix.shape[0]
 
     @property
     def nnz(self) -> int:
-        return self.matrix.nnz + (0 if self.diag is None else self.dim)
+        """Stored entries of the equivalent assembled matrix."""
+        extra = 0 if self.diag is None else self.dim
+        if self.kernel is None:
+            return self.matrix.nnz + extra
+        n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
+        return n_q * self.matrix.nnz + n_q * n_q * fdim + extra
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.matrix @ x
+        if self.kernel is None:
+            y = self.matrix @ x
+        else:
+            X = x.reshape(self.kernel.shape[0], -1)
+            Y = self.kernel @ X
+            Y += (self.matrix @ X.T).T
+            y = Y.ravel()
         if self.diag is not None:
             y += self.diag * x
         return y
 
     def diagonal(self) -> np.ndarray:
         d = np.asarray(self.matrix.diagonal(), dtype=float)
+        if self.kernel is not None:
+            n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
+            d = np.tile(d, n_q) + np.repeat(np.diag(self.kernel), fdim)
         if self.diag is not None:
             d = d + self.diag
         return d
@@ -121,7 +153,15 @@ class SymmetricOperator:
     def to_dense(self, max_dim: int = 4000) -> np.ndarray:
         if self.dim > max_dim:
             raise CapacityError(f"refusing to densify dimension {self.dim} > {max_dim}")
-        out = self.matrix.toarray()
+        if self.kernel is None:
+            out = self.matrix.toarray()
+        else:
+            n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
+            out = np.zeros((n_q, fdim, n_q, fdim))
+            s, j = np.arange(fdim), np.arange(n_q)
+            out[:, s, :, s] = self.kernel
+            out[j, :, j, :] += self.matrix.toarray()
+            out = out.reshape(self.dim, self.dim)
         if self.diag is not None:
             out[np.diag_indices_from(out)] += self.diag
         return out
@@ -246,20 +286,17 @@ def assemble_schrodinger(potential, egrid: ElectronGrid, mass: float,
 def _grid_times_fock(n_grid: int, interaction: sp.csr_matrix, int_scale: float,
                      kernel: np.ndarray, diag_flat: np.ndarray,
                      name: str) -> SymmetricOperator:
-    """blockdiag(int_scale * interaction) + kernel (x) I_F + diag.
+    """blockdiag(int_scale * interaction) + kernel (x) I_F + diag, factored.
 
     The sum is symmetric when both factors are, so each factor is checked
-    once instead of the whole Kronecker assembly.
+    once; the Kronecker sum itself is never assembled.
     """
     _check_symmetric(interaction, f"{name} interaction")
     _check_symmetric(kernel, f"{name} kernel")
-    fdim = interaction.shape[0]
-    blocks = sp.kron(sp.identity(n_grid, format="csr"),
-                     interaction * int_scale, format="csr")
-    kern = sp.kron(sp.csr_matrix(kernel), sp.identity(fdim, format="csr"),
-                   format="csr")
-    return SymmetricOperator(blocks + kern, diag=diag_flat, validate=False,
-                             name=name)
+    if kernel.shape != (n_grid, n_grid):
+        raise DomainError(f"{name} kernel does not match the {n_grid}-point grid")
+    return SymmetricOperator(interaction * int_scale, diag=diag_flat,
+                             kernel=kernel, validate=False, name=name)
 
 
 def assemble_coupled_llp(template: FiberTemplate, potential, egrid: ElectronGrid,

@@ -102,6 +102,34 @@ def test_split_bound_rejects_positive_potential():
                           p_c=0.7, params=SplitParams(c_eps=4.0))
 
 
+class _WellWithFarBumps:
+    """Poschl-Teller well (depth 2) plus bumps 0.5 exp(-4 (x -+ 10)^2).
+
+    Its positive part lies beyond |x| = q_max = 6 of EGRID but inside the
+    box |x| <= pi / dq ~ 12.6 on which the grid's kernel acts.
+    """
+
+    def values(self, x):
+        x = np.asarray(x, dtype=float)
+        bumps = np.exp(-4.0 * (x - 10.0)**2) + np.exp(-4.0 * (x + 10.0)**2)
+        return WELL.values(x) + 0.5 * bumps
+
+    def fourier(self, q):
+        q = np.asarray(q, dtype=float)
+        bumps = (math.sqrt(math.pi) / 2.0 * np.exp(-q**2 / 16.0)
+                 * 2.0 * np.cos(10.0 * q) / math.sqrt(2.0 * math.pi))
+        return WELL.fourier(q) + 0.5 * bumps
+
+    def sup_norm(self):
+        return WELL.sup_norm()
+
+
+def test_split_bound_sees_positive_part_beyond_q_max():
+    with pytest.raises(DomainError, match="nonpositive"):
+        split_lower_bound(0.2, _WellWithFarBumps(), EGRID, mass=0.5,
+                          c_min=0.1, p_c=0.7, params=SplitParams(c_eps=4.0))
+
+
 def test_split_bound_rejects_beta_at_window_edge():
     # beta = sqrt(0.5) ~ 0.707 reaches p_c = 0.7
     with pytest.raises(AnalysisError, match="window"):

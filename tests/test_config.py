@@ -62,6 +62,14 @@ def test_clean_presets_have_no_warnings():
         assert [n for n in notes if n[0] == "warning"] == []
 
 
+@pytest.mark.parametrize("name", ["free", "toy", "small", "powerlaw_g01",
+                                  "powerlaw_g03"])
+def test_static_presets_resolve_their_potential_tail(name):
+    # every preset that builds a coupled operator keeps its own tail_tol
+    notes = validate_config(load_config(name).raw)
+    assert [n for n in notes if "tail" in n[1]] == []
+
+
 def test_preset_path_rejects_unknown_name():
     with pytest.raises(ConfigError, match="unknown preset"):
         preset_path("gigantic")

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from polaron_effmass.config import load_config
@@ -214,6 +215,58 @@ def test_coupled_operator_matches_dense_oracle():
     assert np.allclose(dense, dense.T, atol=1e-12)
     ref = np.linalg.eigvalsh(dense)[0]
     assert dense_spectrum(dense)[0] == pytest.approx(ref, abs=1e-10)
+
+
+def _kronecker_reference(block, kernel, diag):
+    """I (x) block + kernel (x) I_F + diag, assembled explicitly."""
+    n_q, fdim = kernel.shape[0], block.shape[0]
+    ref = (sp.kron(sp.identity(n_q), block)
+           + sp.kron(sp.csr_matrix(kernel), sp.identity(fdim))).tocsr()
+    return ref + sp.diags(diag)
+
+
+def _check_against_kronecker(op, block, kernel, rng):
+    ref = _kronecker_reference(block, kernel, op.diag)
+    n_q, fdim = kernel.shape[0], block.shape[0]
+    assert op.dim == n_q * fdim
+    assert op.nnz == n_q * block.nnz + n_q * n_q * fdim + op.dim
+    x = rng.standard_normal(op.dim)
+    y_ref = ref @ x
+    assert np.max(np.abs(op.matvec(x) - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
+    assert np.array_equal(op.diagonal(), ref.diagonal())
+    assert np.array_equal(op.to_dense(), ref.toarray())
+    with pytest.raises(DomainError, match="diagonal length"):
+        SymmetricOperator(block, diag=op.diag[:-1], kernel=kernel)
+    bad_kernel = kernel.copy()
+    bad_kernel[0, 1] += 1e-6
+    with pytest.raises(DomainError, match="kernel is not symmetric"):
+        SymmetricOperator(block, diag=op.diag, kernel=bad_kernel)
+
+
+@pytest.mark.parametrize("lam", [0.4, 0.1])
+def test_coupled_operator_is_the_kronecker_sum(toy_cfg, toy_template, lam,
+                                               rng):
+    op = assemble_coupled_llp(toy_template, toy_cfg.potential, toy_cfg.egrid,
+                              lam, -0.3, tail_tol=None)
+    block = toy_template.interaction * (1.0 / (lam * lam))
+    kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
+    _check_against_kronecker(op, block, kernel, rng)
+
+
+def test_ring_operator_is_the_kronecker_sum(toy_cfg, toy_template, rng):
+    op = assemble_llp_ring(toy_template, toy_cfg.potential, toy_cfg.egrid)
+    kernel = ring_potential_kernel(toy_cfg.potential, toy_cfg.egrid)
+    _check_against_kronecker(op, toy_template.interaction, kernel, rng)
+
+
+def test_factored_operator_with_a_general_kernel(toy_template, rng):
+    # the shipped kernels are Toeplitz (constant diagonal); this one is not
+    a = rng.standard_normal((5, 5))
+    kernel = a + a.T
+    diag = rng.standard_normal(5 * toy_template.dim)
+    op = _grid_times_fock(5, toy_template.interaction, 2.0, kernel, diag,
+                          "general")
+    _check_against_kronecker(op, toy_template.interaction * 2.0, kernel, rng)
 
 
 def test_coupled_operator_warns_on_fat_kernel_tail():
