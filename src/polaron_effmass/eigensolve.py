@@ -19,13 +19,17 @@ Three routes, kept deliberately independent so they can cross-check each other:
   checks.
 
 Small dense/tridiagonal subproblems inside the iterative solvers use LAPACK
-via scipy.  The dense route calls no LAPACK at all.
+via scipy.linalg: Davidson's projected eigenproblems call dsyevr directly,
+with the arguments and workspace sizes that scipy.linalg.eigh passes, so
+the Ritz pairs are those of eigh bit for bit without its per-call checks
+and workspace query.  The dense route calls no LAPACK at all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -86,6 +90,39 @@ def _as_operator(op):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DomainError("operator must be square")
     return (lambda x: arr @ x), arr.shape[0], (lambda: np.diag(arr).copy())
+
+
+_SYEVR, _SYEVR_LWORK = sla.get_lapack_funcs(("syevr", "syevr_lwork"),
+                                           dtype=np.float64)
+
+
+@cache
+def _syevr_workspace(k):
+    """(lwork, liwork) of dsyevr for a k x k problem, as eigh queries them."""
+    lwork, liwork, info = _SYEVR_LWORK(n=k, lower=1)
+    if info != 0:
+        raise SolverError(f"dsyevr workspace query failed for k={k} (info {info})")
+    return int(lwork), int(liwork)
+
+
+def _projected_eigh(A, best):
+    """All eigenpairs, ascending, of a small symmetric matrix (lower triangle).
+
+    Returns the bits of ``scipy.linalg.eigh(A)``.  LAPACK can loop forever
+    on a non-finite entry, so those are refused up front, as eigh does.
+    A failure raises SolverError carrying `best` (value, residual, vector).
+    """
+    k = A.shape[0]
+    if not np.isfinite(A).all():
+        raise SolverError(f"projected {k}x{k} matrix has non-finite entries",
+                          *best)
+    lwork, liwork = _syevr_workspace(k)
+    vals, vecs, _, _, info = _SYEVR(A, compute_v=1, lower=1, lwork=lwork,
+                                    liwork=liwork)
+    if info != 0:
+        raise SolverError(f"dsyevr failed on the projected {k}x{k} matrix "
+                          f"(info {info})", *best)
+    return vals, vecs
 
 
 def _project_out(w, V, k):
@@ -269,7 +306,7 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
     best_val, best_vec, best_res = math.inf, None, math.inf
 
     for it in range(max_iters):
-        vals, vecs = sla.eigh(H[:k, :k])
+        vals, vecs = _projected_eigh(H[:k, :k], (best_val, best_res, best_vec))
         thetas, xs, rs, ress = [], [], [], []
         for j in range(min(nwant, k)):
             y = vecs[:, j]

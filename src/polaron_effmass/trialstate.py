@@ -21,7 +21,11 @@ rounding error.
 Profiles are scaled so their support lam * R stays inside the
 quasi-parabolic window; :func:`minimize_upper_bound` tunes the support
 radius by bounded scalar minimization, reusing one ground-state family
-for every candidate radius.
+for every candidate radius.  The minimizer is an in-house port of the
+bounded Brent search of scipy.optimize.minimize_scalar(method="bounded")
+(Forsythe, Malcolm & Moler's fmin): it takes the same steps in the same
+floating-point order, so it returns the same radius bit for bit without
+importing scipy.optimize.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dispersion import GAP_THRESHOLD_DEFAULT, FiberCache
 from .errors import AnalysisError, ConfigError, DomainError
@@ -182,6 +185,90 @@ class MinimizedUpperBound:
     family_size: int
 
 
+# Square root of the unit roundoff, the golden section ratio, and the budget
+# of function evaluations of the bounded Brent search (scipy's constants).
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAX_EVALUATIONS = 500
+
+
+def _bounded_brent(func, lo: float, hi: float, xatol: float):
+    """Minimize func on [lo, hi] by Brent's golden-section/parabolic search.
+
+    A line-for-line port of scipy.optimize's _minimize_scalar_bounded (as
+    of scipy 1.17): returns (x, func(x), evaluations) with the same values
+    bit for bit.  Stops when the bracket is within about xatol of the best
+    point, or after _MAX_EVALUATIONS evaluations.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # try a parabolic step through the three best points
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALUATIONS:
+            break
+    return xf, fx, num
+
+
 def _make_profile(kind: str, radius: float):
     if kind == "bump":
         return FourierBump(radius=radius)
@@ -224,17 +311,12 @@ def minimize_upper_bound(lam: float, cache: FiberCache, potential,
     kernel = potential_kernel(potential, egrid)
     gram = overlap_matrix(family)
 
-    evals = {"n": 0}
-
     def objective(r: float) -> float:
-        evals["n"] += 1
         prof = _make_profile(profile_kind, float(r))
         return upper_bound(lam, family, prof, potential, egrid, e0,
                            kernel=kernel, gram=gram).value
 
-    opt = minimize_scalar(objective, bounds=(r_lo, r_hi), method="bounded",
-                          options={"xatol": xatol})
-    radius = float(opt.x)
+    radius, _, n_evaluations = _bounded_brent(objective, r_lo, r_hi, xatol)
     best = upper_bound(lam, family,
                        _make_profile(profile_kind, radius),
                        potential, egrid, e0, kernel=kernel, gram=gram)
@@ -242,5 +324,5 @@ def minimize_upper_bound(lam: float, cache: FiberCache, potential,
     return MinimizedUpperBound(result=best, radius=radius,
                                radius_bounds=(r_lo, r_hi),
                                boundary_hit=boundary,
-                               n_evaluations=evals["n"] + 1,
+                               n_evaluations=n_evaluations + 1,
                                family_size=family.size)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from polaron_effmass.config import load_config
 from polaron_effmass.dispersion import FiberCache
@@ -43,6 +44,17 @@ def toy_template(toy_cfg):
 @pytest.fixture(scope="session")
 def toy_cache(toy_template):
     return FiberCache(toy_template, tol=1e-9, seed=0)
+
+
+@pytest.fixture(scope="session")
+def tight_tail_fraction():
+    """fourier_tail_fraction from adaptive quadrature at a tight tolerance."""
+    def fraction(potential, q_cut):
+        absf = lambda q: abs(float(potential.fourier(np.asarray([q]))[0]))
+        head, _ = quad(absf, 0.0, q_cut, epsabs=0.0, epsrel=1e-13, limit=500)
+        tail, _ = quad(absf, q_cut, np.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+        return tail / (head + tail)
+    return fraction
 
 
 @pytest.fixture

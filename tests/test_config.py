@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from polaron_effmass import config as config_module
 from polaron_effmass.config import (PRESET_NAMES, estimate_window,
                                     load_config, parse_config, preset_path,
                                     validate_config)
@@ -68,6 +69,18 @@ def test_static_presets_resolve_their_potential_tail(name):
     # every preset that builds a coupled operator keeps its own tail_tol
     notes = validate_config(load_config(name).raw)
     assert [n for n in notes if "tail" in n[1]] == []
+
+
+def test_validate_notes_match_a_tight_tail_quadrature(monkeypatch,
+                                                      tight_tail_fraction):
+    # the presets, plus a grid too short for the Poschl-Teller tail (2e-6)
+    raws = [load_config(name).raw for name in PRESET_NAMES]
+    raws.append(_mutated(run__electron_grid={"dq": 0.25, "q_max": 5.0}))
+    notes = [validate_config(raw) for raw in raws]
+    assert any("2.041e-06 > tail_tol" in message for _, message in notes[-1])
+    monkeypatch.setattr(config_module, "fourier_tail_fraction",
+                        tight_tail_fraction)
+    assert [validate_config(raw) for raw in raws] == notes
 
 
 def test_preset_path_rejects_unknown_name():

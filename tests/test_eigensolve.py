@@ -11,7 +11,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from polaron_effmass.config import load_config
-from polaron_effmass.eigensolve import (_sturm_counts, _tridiagonal_eigenvalues,
+from polaron_effmass.eigensolve import (_projected_eigh, _sturm_counts,
+                                        _tridiagonal_eigenvalues,
                                         davidson_ground, dense_ground,
                                         dense_spectrum, ground_state,
                                         lowest_two)
@@ -318,3 +319,30 @@ def test_davidson_is_deterministic(rng):
     b = davidson_ground(op, tol=1e-10, seed=9)
     assert a.value == b.value
     assert np.array_equal(a.vector, b.vector)
+
+
+def test_projected_eigh_is_eigh_bit_for_bit(rng):
+    # Davidson's projected matrices are leading blocks of a larger array
+    H = np.zeros((90, 90))
+    for k in range(1, 81):
+        H[:k, :k] = random_symmetric(rng, k)
+        vals, vecs = _projected_eigh(H[:k, :k], (None, None, None))
+        ref_vals, ref_vecs = sla.eigh(H[:k, :k])
+        assert np.array_equal(vals, ref_vals), k
+        assert np.array_equal(vecs, ref_vecs), k
+
+
+class _NaNOperator:
+    dim = 6
+
+    def matvec(self, x):
+        return np.full_like(x, np.nan)
+
+    def diagonal(self):
+        return np.arange(6.0)
+
+
+def test_davidson_refuses_a_non_finite_projection():
+    # LAPACK may never return on a NaN entry; the projection is checked first
+    with pytest.raises(SolverError, match="non-finite"):
+        davidson_ground(_NaNOperator(), tol=1e-10, seed=0)

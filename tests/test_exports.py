@@ -1,10 +1,15 @@
 """Every name a module exports in `__all__` exists in that module, no
-module of the package or its tests imports a name it never uses, and every
-keyword-only option of the package has a caller that sets it."""
+module of the package or its tests imports a name it never uses, every
+keyword-only option of the package has a caller that sets it, and a run
+imports no scipy beyond scipy.linalg and scipy.sparse."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -98,3 +103,24 @@ def test_every_keyword_option_has_a_caller():
                for name, option, line in _keyword_options(path)
                if (name, option) not in passed]
     assert not orphans, f"keyword options no call sets: {orphans}"
+
+
+_IMPORT_GUARD = textwrap.dedent("""
+    import sys
+    import polaron_effmass.cli
+    from polaron_effmass import pipeline
+    from polaron_effmass.config import load_config, validate_config
+    validate_config("toy")
+    pipeline.run("sandwich", load_config("toy"), out_dir=sys.argv[1])
+    print(sorted(m for m in ("scipy.integrate", "scipy.optimize",
+                             "scipy.special") if m in sys.modules))
+""")
+
+
+def test_a_run_imports_only_linalg_and_sparse_from_scipy(tmp_path):
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -221,6 +221,20 @@ def test_fourier_tail_fraction_decays():
     assert t10 < 1e-5
 
 
+@pytest.mark.parametrize("potential, rtol", [
+    (GaussianWell(depth=1.0, width=1.0), 1e-10),
+    (PoschlTeller(depth=2.0), 1e-10),
+    # |Vhat| has kinks at the zeros of sin(q a)
+    (SoftStep(depth=1.0), 1e-6),
+])
+@pytest.mark.parametrize("q_cut", [2.0, 4.0, 8.0, 10.0, 11.0, 12.0])
+def test_fourier_tail_fraction_matches_tight_quadrature(potential, rtol, q_cut,
+                                                        tight_tail_fraction):
+    ref = tight_tail_fraction(potential, q_cut)
+    assert fourier_tail_fraction(potential, q_cut) == pytest.approx(
+        ref, rel=rtol, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # trial profiles
 # ---------------------------------------------------------------------------

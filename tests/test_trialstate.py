@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from polaron_effmass import trialstate
 from polaron_effmass.dispersion import FiberCache
 from polaron_effmass.eigensolve import dense_ground
 from polaron_effmass.errors import AnalysisError
@@ -21,8 +23,9 @@ from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        assemble_schrodinger,
                                        potential_kernel)
 from polaron_effmass.staticmass import coupled_ground
-from polaron_effmass.trialstate import (build_family, minimize_upper_bound,
-                                        overlap_matrix, upper_bound)
+from polaron_effmass.trialstate import (_bounded_brent, build_family,
+                                        minimize_upper_bound, overlap_matrix,
+                                        upper_bound)
 
 POT = PoschlTeller(depth=2.0)
 EGRID = ElectronGrid(dq=0.25, q_max=6.0)
@@ -157,3 +160,41 @@ def test_minimize_upper_bound_reports_search(toy_cfg, toy_cache):
     assert mub.family_size >= mub.result.n_support
     assert isinstance(mub.boundary_hit, bool)
     assert mub.result.profile_params["type"] == "gaussian"
+
+
+# ---------------------------------------------------------------------------
+# the bounded Brent port against scipy
+# ---------------------------------------------------------------------------
+
+def _scipy_bounded(func, lo, hi, xatol):
+    ref = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol})
+    return float(ref.x), float(ref.fun), ref.nfev
+
+
+@pytest.mark.parametrize("func, lo, hi, xatol", [
+    (lambda x: (x - 1.3) ** 2 + 0.1 * math.cos(5.0 * x), 0.0, 3.0, 1e-5),
+    (lambda x: x * x, 0.5, 2.0, 1e-3),           # minimum at the lower bound
+    (lambda x: -math.exp(x), -1.0, 1.5, 1e-3),   # minimum at the upper bound
+    (lambda x: 1.0, -2.0, 2.0, 1e-4),            # constant
+    (lambda x: abs(x - 0.37), -1.0, 2.0, 1e-6),  # kink at the minimum
+])
+def test_bounded_brent_matches_scipy_bit_for_bit(func, lo, hi, xatol):
+    assert _bounded_brent(func, lo, hi, xatol) == _scipy_bounded(func, lo, hi,
+                                                                  xatol)
+
+
+def test_bounded_brent_matches_scipy_on_the_toy_upper_bound(
+        toy_cfg, toy_cache, monkeypatch):
+    calls = []
+
+    def recording(func, lo, hi, xatol):
+        calls.append((func, lo, hi, xatol, _bounded_brent(func, lo, hi, xatol)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(trialstate, "_bounded_brent", recording)
+    mub = minimize_upper_bound(0.4, toy_cache, toy_cfg.potential,
+                               toy_cfg.egrid, toy_cache.energy(0.0), p_c=0.7)
+    [(func, lo, hi, xatol, found)] = calls
+    assert found == _scipy_bounded(func, lo, hi, xatol)
+    assert (mub.radius, mub.n_evaluations) == (found[0], found[2] + 1)
