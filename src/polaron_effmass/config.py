@@ -1,14 +1,15 @@
 """Experiment configuration: JSON schema, strict validation, object builders.
 
-A config file has five blocks:
+A config file has three blocks:
 
     model     -- dimension (always 1), n_max, mode grid, dispersion,
                  coupling
     potential -- the external well (or "none")
-    trial     -- upper-bound profile family and its minimizer knobs
-    solver    -- eigensolver tolerances and budgets
     run       -- seed, momentum list, lambda sequence, electron
-                 grid, analysis tolerances, output directory
+                 grid, output directory
+
+The numerical tolerances are constants of the modules that use them, not
+config keys.
 
 Validation is strict: unknown keys anywhere are hard errors naming the
 full dotted path, as are missing required keys and out-of-range values.
@@ -27,9 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import (ConstantCoupling, ConstantDispersion, GaussianWell,
-                    ModelSpec, PoschlTeller, PowerLawCoupling, SoftStep,
-                    TabulatedDispersion, ZeroCoupling, fourier_tail_fraction)
+from .bounds import SplitParams
+from .model import (TAIL_TOL, ConstantCoupling, ConstantDispersion,
+                    GaussianWell, ModelSpec, PoschlTeller, PowerLawCoupling,
+                    SoftStep, TabulatedDispersion, ZeroCoupling,
+                    fourier_tail_fraction)
 from .operators import ElectronGrid
 from .staticmass import DEFAULT_LAMBDA_SEQ
 
@@ -56,7 +59,6 @@ _POTENTIAL_VARIANTS = {
 _DISPERSIONS = set(_DISPERSION_VARIANTS)
 _COUPLINGS = set(_COUPLING_VARIANTS)
 _POTENTIALS = set(_POTENTIAL_VARIANTS)
-_PROFILES = {"bump", "gaussian"}
 
 
 def _require(block: dict, path: str, allowed: dict):
@@ -150,19 +152,6 @@ class ExperimentConfig:
     lambda_seq: tuple
     seed: int
     out_dir: str
-    profile_kind: str
-    profile_xatol: float
-    radius_bounds: tuple | None
-    solver_tol: float
-    coupled_tol: float
-    tail_tol: float
-    gap_threshold: float
-    fit_rms_tol: float
-    ordering_tol: float
-    c_eps: float | None
-    c_beta: float
-    P_fit: float | None
-    mass_rel_tol: float
 
 
 _MODEL_KEYS = {
@@ -174,26 +163,14 @@ _MODE_GRID_KEYS = {
     "dk": (True, float), "uv_cutoff": (True, float),
     "ir_cutoff": (False, float),
 }
-_TRIAL_KEYS = {
-    "profile": (False, str), "xatol": (False, float),
-    "radius_bounds": (False, list),
-}
-_SOLVER_KEYS = {
-    "tol": (False, float), "coupled_tol": (False, float),
-    "tail_tol": (False, float),
-}
 _RUN_KEYS = {
     "seed": (False, int), "out": (False, str),
     "P_list": (False, list), "lambda_seq": (False, list),
-    "electron_grid": (False, dict), "gap_threshold": (False, float),
-    "fit_rms_tol": (False, float), "ordering_tol": (False, float),
-    "c_eps": (False, float), "c_beta": (False, float),
-    "P_fit": (False, float), "mass_rel_tol": (False, float),
+    "electron_grid": (False, dict),
 }
 _EGRID_KEYS = {"dq": (True, float), "q_max": (True, float)}
 _TOP_KEYS = {
-    "model": (True, dict), "potential": (True, dict), "trial": (False, dict),
-    "solver": (False, dict), "run": (False, dict),
+    "model": (True, dict), "potential": (True, dict), "run": (False, dict),
 }
 
 
@@ -219,20 +196,6 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
     potential = _build_potential(top["potential"])
 
-    trial = _require(top.get("trial", {}), "trial", _TRIAL_KEYS)
-    profile_kind = trial.get("profile", "bump")
-    if profile_kind not in _PROFILES:
-        raise ConfigError(
-            f"trial.profile must be one of {sorted(_PROFILES)}, "
-            f"got {profile_kind!r}"
-        )
-    radius_bounds = trial.get("radius_bounds")
-    if radius_bounds is not None:
-        if len(radius_bounds) != 2 or radius_bounds[0] >= radius_bounds[1]:
-            raise ConfigError("trial.radius_bounds must be [lo, hi] with lo < hi")
-        radius_bounds = (float(radius_bounds[0]), float(radius_bounds[1]))
-
-    solver = _require(top.get("solver", {}), "solver", _SOLVER_KEYS)
     run = _require(top.get("run", {}), "run", _RUN_KEYS)
 
     eg = _require(run.get("electron_grid", {"dq": 0.25, "q_max": 6.0}),
@@ -255,19 +218,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         lambda_seq=lambda_seq,
         seed=seed,
         out_dir=run.get("out", "out"),
-        profile_kind=profile_kind,
-        profile_xatol=float(trial.get("xatol", 1e-3)),
-        radius_bounds=radius_bounds,
-        solver_tol=float(solver.get("tol", 1e-9)),
-        coupled_tol=float(solver.get("coupled_tol", 1e-9)),
-        tail_tol=float(solver.get("tail_tol", 1e-6)),
-        gap_threshold=float(run.get("gap_threshold", 1e-3)),
-        fit_rms_tol=float(run.get("fit_rms_tol", 1e-3)),
-        ordering_tol=float(run.get("ordering_tol", 1e-8)),
-        c_eps=(float(run["c_eps"]) if "c_eps" in run else None),
-        c_beta=float(run.get("c_beta", 1.0)),
-        P_fit=(float(run["P_fit"]) if "P_fit" in run else None),
-        mass_rel_tol=float(run.get("mass_rel_tol", 0.02)),
     )
 
 
@@ -331,21 +281,22 @@ def validate_config(path_or_data) -> list:
                 f"estimated window {p_c_est:.4g}; the trial-profile support "
                 "will be clipped to the window at every lambda"
             ))
-        if cfg.c_beta * math.sqrt(lam_max) >= p_c_est:
+        beta_max = SplitParams.c_beta * math.sqrt(lam_max)
+        if beta_max >= p_c_est:
             notes.append((
                 "warning",
-                f"beta(lambda_max) = {cfg.c_beta * math.sqrt(lam_max):.4g} "
+                f"beta(lambda_max) = {beta_max:.4g} "
                 f">= estimated window {p_c_est:.4g}; the split bound will "
                 "fail at the largest lambda unless the measured window is "
                 "wider"
             ))
     if cfg.potential is not None:
         tail = fourier_tail_fraction(cfg.potential, 2.0 * cfg.egrid.q_max)
-        if tail > cfg.tail_tol:
+        if tail > TAIL_TOL:
             notes.append((
                 "warning",
                 f"potential transform tail beyond 2 Q_max carries a fraction "
-                f"{tail:.3e} > tail_tol {cfg.tail_tol:g}; enlarge q_max"
+                f"{tail:.3e} > tail_tol {TAIL_TOL:g}; enlarge q_max"
             ))
     if cfg.P_list:
         if 0.0 not in cfg.P_list:

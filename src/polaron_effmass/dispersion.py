@@ -133,9 +133,6 @@ class FiberCache:
     def vector(self, P: float) -> np.ndarray:
         return self.pair(P)["vector"]
 
-    def energies(self, P_values) -> np.ndarray:
-        return np.array([self.energy(p) for p in np.asarray(P_values, dtype=float)])
-
     def prefetch(self, P_values):
         """Solve a batch of momenta in order of increasing |P|.
 
@@ -179,21 +176,21 @@ class DispersionCurve:
         return np.array([s.gap for s in self.samples])
 
 
-def scan_dispersion(template: FiberTemplate, P_list, *,
-                    tol: float = 1e-9, seed: int = 0,
+def scan_dispersion(template: FiberTemplate, P_list, *, tol: float = 1e-9,
                     cache: FiberCache | None = None) -> DispersionCurve:
     """Solve the fibers at the requested momenta and assemble the curve.
 
     P_list must contain 0 (the curve is pinned to E0 = E(0)).  Momenta are
     solved independently, one two-target Davidson run each; the curve is
     reduced in sorted order.  E(P) >= E0 and parity symmetry are validated
-    to solver tolerance.
+    to the cache's solver tolerance; `tol` applies only to the cache built
+    when none is passed.
     """
     P_arr = np.unique(np.asarray(P_list, dtype=float))
     if not np.any(np.abs(P_arr) <= 1e-15):
         raise DomainError("P_list must include 0")
     if cache is None:
-        cache = FiberCache(template, tol=tol, seed=seed)
+        cache = FiberCache(template, tol=tol)
     cache.prefetch(P_arr)
     samples = []
     for p in P_arr:
@@ -203,7 +200,7 @@ def scan_dispersion(template: FiberTemplate, P_list, *,
             residual=rec["residual"], degenerate=rec["degenerate"],
         ))
     e0 = cache.energy(0.0)
-    slack = 10.0 * tol * max(1.0, abs(e0))
+    slack = 10.0 * cache.tol * max(1.0, abs(e0))
     for s in samples:
         if s.energy < e0 - slack:
             raise AnalysisError(
@@ -229,17 +226,14 @@ class MassFit:
     rms: float
     mass_half_window: float
     window_sensitivity: float
-    condition: float
     n_samples: int
 
 
 def _quartic_fit(P: np.ndarray, dE: np.ndarray):
     X = np.column_stack([0.5 * P * P, P**4])
-    coef, _, _, sv = np.linalg.lstsq(X, dE, rcond=None)
+    coef, _, _, _ = np.linalg.lstsq(X, dE, rcond=None)
     resid = dE - X @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    return coef, rms, cond
+    return coef, float(np.sqrt(np.mean(resid**2)))
 
 
 def fit_dynamic_mass(curve: DispersionCurve, P_fit: float | None = None,
@@ -259,7 +253,7 @@ def fit_dynamic_mass(curve: DispersionCurve, P_fit: float | None = None,
         sel = nz & (np.abs(P) <= 0.5 * coarse_window)
         if np.count_nonzero(sel) < 2:
             sel = nz
-        coef, _, _ = _quartic_fit(P[sel], dE[sel])
+        coef, _ = _quartic_fit(P[sel], dE[sel])
         if coef[0] <= 0:
             raise AnalysisError("pre-fit found non-positive curvature at P=0")
         m_guess = 1.0 / coef[0]
@@ -272,13 +266,13 @@ def fit_dynamic_mass(curve: DispersionCurve, P_fit: float | None = None,
             f"need >= 4 nonzero samples within the fit window {P_fit:g}, "
             f"have {np.count_nonzero(sel)}"
         )
-    coef, rms, cond = _quartic_fit(P[sel], dE[sel])
+    coef, rms = _quartic_fit(P[sel], dE[sel])
     if coef[0] <= 0:
         raise AnalysisError("fitted curvature at P=0 is not positive")
     mass = 1.0 / coef[0]
     half = nz & (np.abs(P) <= 0.5 * P_fit + 1e-12)
     if np.count_nonzero(half) >= 4:
-        coef_h, _, _ = _quartic_fit(P[half], dE[half])
+        coef_h, _ = _quartic_fit(P[half], dE[half])
         mass_half = 1.0 / coef_h[0] if coef_h[0] > 0 else math.inf
         sens = abs(mass_half - mass) / mass
     else:
@@ -286,7 +280,7 @@ def fit_dynamic_mass(curve: DispersionCurve, P_fit: float | None = None,
         sens = math.nan
     return MassFit(mass=mass, quartic=float(coef[1]), window=float(P_fit),
                    rms=rms, mass_half_window=mass_half, window_sensitivity=sens,
-                   condition=cond, n_samples=int(np.count_nonzero(sel)))
+                   n_samples=int(np.count_nonzero(sel)))
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,8 @@ _CONFIG_DOC = {
     "<top>.model": "Model definition block (required).",
     "<top>.potential": "External potential block (required; type \"none\" "
                        "for the translation-invariant model).",
-    "<top>.trial": "Trial-profile options for the variational upper bound.",
-    "<top>.solver": "Iterative eigensolver budgets.",
-    "<top>.run": "Run control: output paths, scan lists, tolerances.",
+    "<top>.run": "Run control: seed, output directory, scan lists, electron "
+                 "grid.",
     "model.dimension": "Spatial dimension; must be 1 (the lab is "
                        "one-dimensional).",
     "model.n_max": "Largest total field occupation kept in the truncated "
@@ -78,20 +77,6 @@ _CONFIG_DOC = {
     "potential[soft_step].radius": "Half-width of the flat part (default 1).",
     "potential[soft_step].softness": "Edge mollification width "
                                      "(default 0.25).",
-    "trial.profile": "Trial profile family, \"bump\" (compactly supported "
-                     "cosine bump) or \"gaussian\" (truncated Gaussian); "
-                     "default \"bump\".",
-    "trial.xatol": "Absolute tolerance of the profile-radius line search "
-                   "(default 1e-3).",
-    "trial.radius_bounds": "[lo, hi] search interval for the profile "
-                           "support radius; default derived from the "
-                           "momentum window and the electron grid.",
-    "solver.tol": "Residual tolerance for fiber ground states "
-                  "(default 1e-9).",
-    "solver.coupled_tol": "Residual tolerance for the coupled "
-                          "electron-field ground states (default 1e-9).",
-    "solver.tail_tol": "Largest admissible relative weight of the potential "
-                       "kernel outside the electron grid (default 1e-6).",
     "run.seed": "Base seed for every stochastic choice (default 0).",
     "run.out": "Output directory for reports and CSV artifacts "
                "(default \"out\").",
@@ -104,29 +89,12 @@ _CONFIG_DOC = {
                          "(default dq 0.25, q_max 6).",
     "run.electron_grid.dq": "Electron momentum grid spacing.",
     "run.electron_grid.q_max": "Electron momentum grid half-width.",
-    "run.gap_threshold": "Smallest accepted fiber spectral gap when ground "
-                         "vectors are reused (default 1e-3).",
-    "run.fit_rms_tol": "Largest accepted rms misfit of the quadratic "
-                       "small-coupling extrapolation (default 1e-3).",
-    "run.ordering_tol": "Additive slack used when checking the two-sided "
-                        "bound ordering (default 1e-8).",
-    "run.c_eps": "Scale factor for the epsilon schedule of the splitting "
-                 "lower bound; default derived from the certificate and the "
-                 "potential depth.",
-    "run.c_beta": "Scale factor for the momentum-cut schedule of the "
-                  "splitting lower bound (default 1).",
-    "run.P_fit": "Half-width of the curvature fit window; default chosen "
-                 "automatically inside the certified window.",
-    "run.mass_rel_tol": "Largest accepted relative gap between the dynamic "
-                        "and the static mass (default 0.02).",
 }
 
 _CONFIG_SECTIONS = (
     ("<top>", _config._TOP_KEYS),
     ("model", _config._MODEL_KEYS),
     ("model.mode_grid", _config._MODE_GRID_KEYS),
-    ("trial", _config._TRIAL_KEYS),
-    ("solver", _config._SOLVER_KEYS),
     ("run", _config._RUN_KEYS),
     ("run.electron_grid", _config._EGRID_KEYS),
 )
@@ -148,6 +116,7 @@ def _doc_for(path: str, key: str) -> str:
 
 
 def _config_rows():
+    """One table row per parser key; every _CONFIG_DOC entry must be used."""
     rows = []
     for path, keys in _CONFIG_SECTIONS:
         for key, (required, typ) in keys.items():
@@ -162,6 +131,11 @@ def _config_rows():
                                      "yes" if required else "no",
                                      _TYPE_NAMES[typ],
                                      _doc_for(tagged, key)))
+    documented = {row[0].strip("`") for row in rows}
+    for full in _CONFIG_DOC:
+        if full not in documented:
+            raise DocsDriftError(
+                f"description for unknown config key '{full}'")
     return rows
 
 

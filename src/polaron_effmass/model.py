@@ -15,10 +15,11 @@ Units and conventions used throughout the package:
   integral |v(k)|^2 dk.
 
 Only numpy is imported at module load.  The error function that the
-soft-step potential and the truncated-Gaussian profile need comes from
-scipy.special, imported inside the methods that call it; no shipped preset
-uses either.  :func:`fourier_tail_fraction` integrates |Vhat| with a fixed
-composite Gauss-Legendre rule, not an adaptive quadrature.
+soft-step potential needs comes from scipy.special, imported inside the
+methods that call it; no shipped preset uses it.
+:func:`fourier_tail_fraction` integrates |Vhat| with a fixed composite
+Gauss-Legendre rule, not an adaptive quadrature; :data:`TAIL_TOL` is the
+largest tail fraction a run accepts without an AccuracyWarning.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ __all__ = [
     "PoschlTeller",
     "SoftStep",
     "ScaledPotential",
+    "TAIL_TOL",
     "fourier_tail_fraction",
     "FourierBump",
-    "TruncatedGaussian",
 ]
 
 #: Particle mass.  Fixed by convention; the kinetic term is p^2 = p^2/(2*MASS).
@@ -76,9 +77,6 @@ class ConstantDispersion:
     def __call__(self, k_mag: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(k_mag, dtype=float), self.omega0)
 
-    def floor(self) -> float:
-        return self.omega0
-
 
 @dataclass(frozen=True)
 class TabulatedDispersion:
@@ -102,9 +100,6 @@ class TabulatedDispersion:
         if np.any(k < pts[0, 0] - 1e-12) or np.any(k > pts[-1, 0] + 1e-12):
             raise DomainError("tabulated dispersion queried outside its sample range")
         return np.interp(k, pts[:, 0], pts[:, 1])
-
-    def floor(self) -> float:
-        return float(min(p[1] for p in self.samples))
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +432,10 @@ class ScaledPotential(_Potential):
         return self.lam**2 * self.base.sup_norm()
 
 
+#: Largest fraction of integral |Vhat| the potential kernel may leave beyond
+#: the grid's maximum momentum transfer 2 q_max before a run warns.
+TAIL_TOL = 1e-6
+
 # Composite Gauss-Legendre rule of fourier_tail_fraction: _GL_ORDER nodes per
 # panel; panels of width _PANEL on [0, q_cut], then _TAIL_PANELS panels from
 # q_cut whose widths start at _PANEL and grow by _TAIL_RATIO, reaching about
@@ -532,33 +531,3 @@ class FourierBump(_TrialFunction):
 
     def params(self):
         return {"type": "bump", "radius": self.radius}
-
-
-@dataclass(frozen=True)
-class TruncatedGaussian(_TrialFunction):
-    """fhat(P) proportional to exp(-P^2/(4 sigma^2)) restricted to |P| < R."""
-
-    sigma: float
-    radius: float
-
-    def __post_init__(self):
-        if self.sigma <= 0 or self.radius <= 0:
-            raise ConfigError("TruncatedGaussian needs sigma > 0 and radius > 0")
-
-    def fhat(self, P):
-        from scipy.special import erf
-        norm1 = self.sigma * math.sqrt(2.0 * math.pi) * float(
-            erf(self.radius / (math.sqrt(2.0) * self.sigma))
-        )
-        c = norm1 ** -0.5
-        P_arr = np.asarray(P, float)
-        out = c * np.where(np.abs(P_arr) < self.radius,
-                           np.exp(-P_arr**2 / (4.0 * self.sigma**2)), 0.0)
-        return out if np.ndim(P) else float(out)
-
-    @property
-    def support_radius(self):
-        return self.radius
-
-    def params(self):
-        return {"type": "gaussian", "sigma": self.sigma, "radius": self.radius}

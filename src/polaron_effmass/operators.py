@@ -36,7 +36,6 @@ Index layout everywhere: grid-major, state = j * fock_dim + s.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,9 +43,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import AccuracyWarning, CapacityError, ConfigError, DomainError
+from .errors import CapacityError, ConfigError, DomainError
 from .fock import enumerate_basis
-from .model import ModelSpec, ModeGrid, effective_couplings, fourier_tail_fraction
+from .model import ModelSpec, ModeGrid, effective_couplings
 
 __all__ = [
     "SymmetricOperator",
@@ -300,18 +299,13 @@ def _grid_times_fock(n_grid: int, interaction: sp.csr_matrix, int_scale: float,
 
 
 def assemble_coupled_llp(template: FiberTemplate, potential, egrid: ElectronGrid,
-                         lam: float, e0: float, *,
-                         tail_tol: float | None = 1e-6) -> SymmetricOperator:
+                         lam: float, e0: float) -> SymmetricOperator:
     """The coupled operator A(lam) on the electron grid (x) Fock space.
 
     Block j carries the grounded fiber (fiber(lam q_j) - e0) / lam^2; the
     external potential acts through its momentum kernel on the grid index
     only.  `e0` is the fiber ground energy at P = 0 and must be supplied by
     the caller (it is a solver output, not a model parameter).
-
-    When the potential transform has more than `tail_tol` of its integral
-    beyond the largest momentum transfer resolved by the grid, an
-    AccuracyWarning is emitted (set tail_tol=None to skip the check).
     """
     if lam <= 0:
         raise DomainError(f"scaling parameter must be positive, got {lam}")
@@ -322,16 +316,6 @@ def assemble_coupled_llp(template: FiberTemplate, potential, egrid: ElectronGrid
         raise CapacityError(
             f"coupled operator dimension {n_q * fdim} exceeds the supported size"
         )
-    if tail_tol is not None:
-        tail = fourier_tail_fraction(potential, 2.0 * egrid.q_max)
-        if tail > tail_tol:
-            warnings.warn(
-                f"potential transform carries {tail:.2e} of its weight beyond "
-                f"the grid's maximum momentum transfer {2.0 * egrid.q_max:g}; "
-                "the kernel quadrature may be under-resolved",
-                AccuracyWarning,
-                stacklevel=2,
-            )
     kernel = potential_kernel(potential, egrid)
     inv_l2 = 1.0 / (lam * lam)
     # kinetic diagonal of all fibers at once: |lam q_j - P_f|^2 / (2m)

@@ -49,6 +49,9 @@ __all__ = [
 
 DEFAULT_LAMBDA_SEQ = (0.4, 0.28, 0.2, 0.14, 0.1)
 
+# Largest rms residual of the quadratic fit in lam that is not rejected.
+_FIT_RMS_TOL = 1e-3
+
 
 def schrodinger_energy(mass: float, potential, egrid: ElectronGrid) -> float:
     """Ground energy of the one-particle comparison operator on `egrid`.
@@ -121,15 +124,14 @@ class CoupledResult:
 
 
 def coupled_ground(template: FiberTemplate, potential, egrid: ElectronGrid,
-                   lam: float, e0: float, *, tol: float = 1e-9, seed: int = 0,
-                   tail_tol: float = 1e-6) -> CoupledResult:
+                   lam: float, e0: float, *, tol: float = 1e-9, seed: int = 0
+                   ) -> CoupledResult:
     """e(lam) = infspec A(lam), via the preconditioned subspace solver.
 
     The solve starts cold.  One reseeded retry with a larger search space
     runs before giving up.
     """
-    op = assemble_coupled_llp(template, potential, egrid, lam, e0,
-                              tail_tol=tail_tol)
+    op = assemble_coupled_llp(template, potential, egrid, lam, e0)
     try:
         res = davidson_ground(op, tol=tol, seed=seed)
     except SolverError as exc:
@@ -173,15 +175,15 @@ def _fit_quadratic_in_lambda(lams: np.ndarray, evals: np.ndarray):
     return coef, rms, e0_sigma
 
 
-def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid,
-                            *, fit_rms_tol: float = 1e-3) -> StaticMassResult:
+def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid
+                            ) -> StaticMassResult:
     """Extrapolate e(lam) to lam = 0 and invert the comparison curve.
 
     Fit model e(lam) = e0 + c1 lam + c2 lam^2.  The e0 uncertainty is the
     larger of the fit's standard error and the shift from refitting without
     the largest lam.  The mass uncertainty propagates e0_err through the
     numerically differentiated comparison-curve slope.  A fit with rms
-    residual above fit_rms_tol is marked rejected (data still returned);
+    residual above _FIT_RMS_TOL is marked rejected (data still returned);
     the inversion uses the same grid as the coupled solves.
     """
     lams = np.asarray(lambdas, dtype=float)
@@ -201,8 +203,8 @@ def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid,
     e0 = float(coef[0])
     e0_err = max(e0_sigma, drop_shift)
 
-    rejected = rms > fit_rms_tol
-    reason = (f"fit rms {rms:.3e} exceeds tolerance {fit_rms_tol:g}"
+    rejected = rms > _FIT_RMS_TOL
+    reason = (f"fit rms {rms:.3e} exceeds tolerance {_FIT_RMS_TOL:g}"
               if rejected else "")
 
     mass = math.nan

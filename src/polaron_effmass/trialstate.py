@@ -18,7 +18,8 @@ solved family momentum, so U is the exact Rayleigh quotient of an explicit
 vector and hence a certified upper bound on e(lam) up to solver and
 rounding error.
 
-Profiles are scaled so their support lam * R stays inside the
+The profile is the bump fhat ~ (1 - (q/R)^2)^2 of
+:class:`~.model.FourierBump`, scaled so its support lam * R stays inside the
 quasi-parabolic window; :func:`minimize_upper_bound` tunes the support
 radius by bounded scalar minimization, reusing one ground-state family
 for every candidate radius.  The minimizer is an in-house port of the
@@ -37,7 +38,7 @@ import numpy as np
 
 from .dispersion import GAP_THRESHOLD_DEFAULT, FiberCache
 from .errors import AnalysisError, ConfigError, DomainError
-from .model import FourierBump, TruncatedGaussian
+from .model import FourierBump
 from .operators import ElectronGrid, potential_kernel
 
 __all__ = [
@@ -190,6 +191,8 @@ class MinimizedUpperBound:
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _MAX_EVALUATIONS = 500
+# Absolute tolerance of the support-radius search.
+_XATOL = 1e-3
 
 
 def _bounded_brent(func, lo: float, hi: float, xatol: float):
@@ -269,22 +272,10 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float):
     return xf, fx, num
 
 
-def _make_profile(kind: str, radius: float):
-    if kind == "bump":
-        return FourierBump(radius=radius)
-    if kind == "gaussian":
-        # sigma tracks the radius so one scalar controls the shape
-        return TruncatedGaussian(sigma=radius / 3.0, radius=radius)
-    raise ConfigError(f"unknown trial profile kind {kind!r}")
-
-
 def minimize_upper_bound(lam: float, cache: FiberCache, potential,
                          egrid: ElectronGrid, e0: float, *,
-                         p_c: float, profile_kind: str = "bump",
-                         gap_threshold: float = GAP_THRESHOLD_DEFAULT,
-                         radius_bounds: tuple | None = None,
-                         xatol: float = 1e-3) -> MinimizedUpperBound:
-    """Tune the profile support radius to the smallest upper bound.
+                         p_c: float) -> MinimizedUpperBound:
+    """Tune the bump profile's support radius to the smallest upper bound.
 
     The radius ranges over [3 dq, min(p_c/lam, q_max)] (the upper cap keeps
     every node of the dressed family strictly inside the quasi-particle
@@ -293,11 +284,8 @@ def minimize_upper_bound(lam: float, cache: FiberCache, potential,
     radius the scalar minimizer returns, the reported value is a bound;
     `boundary_hit` flags a minimum pinned at either end.
     """
-    if radius_bounds is None:
-        r_hi = min(p_c / lam * (1.0 - 1e-9), egrid.q_max)
-        r_lo = 3.0 * egrid.dq
-        radius_bounds = (r_lo, r_hi)
-    r_lo, r_hi = float(radius_bounds[0]), float(radius_bounds[1])
+    r_hi = min(p_c / lam * (1.0 - 1e-9), egrid.q_max)
+    r_lo = 3.0 * egrid.dq
     if not r_lo < r_hi:
         raise ConfigError(
             f"empty radius range [{r_lo:g}, {r_hi:g}]; the quasi-particle "
@@ -307,20 +295,18 @@ def minimize_upper_bound(lam: float, cache: FiberCache, potential,
     q = egrid.points
     wide = np.flatnonzero(np.abs(q) < r_hi)
     mesh = np.concatenate([[0.0], lam * q[wide]])
-    family = build_family(cache, mesh, p_c=p_c, gap_threshold=gap_threshold)
+    family = build_family(cache, mesh, p_c=p_c)
     kernel = potential_kernel(potential, egrid)
     gram = overlap_matrix(family)
 
     def objective(r: float) -> float:
-        prof = _make_profile(profile_kind, float(r))
-        return upper_bound(lam, family, prof, potential, egrid, e0,
-                           kernel=kernel, gram=gram).value
+        return upper_bound(lam, family, FourierBump(radius=float(r)),
+                           potential, egrid, e0, kernel=kernel, gram=gram).value
 
-    radius, _, n_evaluations = _bounded_brent(objective, r_lo, r_hi, xatol)
-    best = upper_bound(lam, family,
-                       _make_profile(profile_kind, radius),
+    radius, _, n_evaluations = _bounded_brent(objective, r_lo, r_hi, _XATOL)
+    best = upper_bound(lam, family, FourierBump(radius=radius),
                        potential, egrid, e0, kernel=kernel, gram=gram)
-    boundary = (radius - r_lo <= 2 * xatol) or (r_hi - radius <= 2 * xatol)
+    boundary = (radius - r_lo <= 2 * _XATOL) or (r_hi - radius <= 2 * _XATOL)
     return MinimizedUpperBound(result=best, radius=radius,
                                radius_bounds=(r_lo, r_hi),
                                boundary_hit=boundary,

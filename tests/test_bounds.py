@@ -54,7 +54,7 @@ def toy_ground(toy_cfg, toy_template, toy_cache):
     e0 = toy_cache.pair(0.0)["energy"]
     energies = {
         lam: coupled_ground(toy_template, toy_cfg.potential, toy_cfg.egrid,
-                            lam, e0, tol=1e-9, tail_tol=None).value
+                            lam, e0, tol=1e-9).value
         for lam in (0.4, 0.2)
     }
     return e0, energies

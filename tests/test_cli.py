@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from polaron_effmass import staticmass
 from polaron_effmass.cli import main
+from polaron_effmass.errors import SolverError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,14 +87,27 @@ def test_dispersion_run_writes_artifacts(tmp_path, capsys):
     assert Path(out, "dispersion.csv").exists()
 
 
-def test_unreachable_tolerance_exits_3(tmp_path, capsys):
-    data = json.loads(Path(REPO_ROOT, "src", "polaron_effmass", "presets",
-                           "toy.json").read_text())
-    data.setdefault("solver", {})["coupled_tol"] = 1e-16
-    code = main(["staticmass", "--config", _write_config(tmp_path, data),
+def test_unreachable_tolerance_exits_3(tmp_path, capsys, monkeypatch):
+    # a coupled solve that never reaches its tolerance: both the first
+    # attempt and the retry from its best vector give up
+    calls = []
+
+    def stalled(op, **kwargs):
+        calls.append(kwargs)
+        raise SolverError("stalled", best_value=0.0, best_residual=1.0,
+                          best_vector=np.full(op.dim, len(calls), float))
+
+    monkeypatch.setattr(staticmass, "davidson_ground", stalled)
+    code = main(["staticmass", "--config", "toy",
                  "--out", str(tmp_path / "out")])
     assert code == 3
     assert "solver failure:" in capsys.readouterr().err
+    first, retry = calls
+    assert "v0" not in first
+    dim = len(retry["v0"])
+    assert np.array_equal(retry["v0"], np.full(dim, 1.0))
+    assert retry["max_subspace"] == min(80, dim)
+    assert retry["max_iters"] == 1200
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from polaron_effmass import docsgen
 from polaron_effmass.docsgen import (FIXTURE_NAMES, generate_reference_tables,
                                      render_reference, trim_report)
 from polaron_effmass.errors import DocsDriftError
@@ -94,6 +95,15 @@ def test_extra_section_is_rejected(tmp_path):
     ref.write_text(text + "## Bonus\n\nstray\n")
     with pytest.raises(DocsDriftError, match="unexpected section"):
         generate_reference_tables(str(docs), write=False)
+
+
+def test_description_of_an_unknown_config_key_is_drift(monkeypatch):
+    stale = dict(docsgen._CONFIG_DOC, **{"solver.tol": "Removed key."})
+    monkeypatch.setattr(docsgen, "_CONFIG_DOC", stale)
+    with pytest.raises(DocsDriftError,
+                       match="description for unknown config key "
+                             "'solver.tol'"):
+        render_reference(str(DOCS))
 
 
 def test_trim_report_selects_and_rounds():

@@ -17,8 +17,7 @@ from polaron_effmass.model import (ConstantCoupling, ConstantDispersion,
                                    FourierBump, GaussianWell, ModelSpec, ModeGrid,
                                    PoschlTeller, PowerLawCoupling,
                                    ScaledPotential, SoftStep,
-                                   TabulatedDispersion, TruncatedGaussian,
-                                   ZeroCoupling, build_mode_grid,
+                                   TabulatedDispersion, ZeroCoupling, build_mode_grid,
                                    effective_couplings,
                                    fourier_tail_fraction)
 
@@ -239,10 +238,8 @@ def test_fourier_tail_fraction_matches_tight_quadrature(potential, rtol, q_cut,
 # trial profiles
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("profile", [
-    FourierBump(radius=0.8),
-    TruncatedGaussian(sigma=0.3, radius=0.8),
-], ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize("profile", [FourierBump(radius=0.8)],
+                         ids=lambda p: type(p).__name__)
 def test_profiles_are_normalized_with_compact_support(profile):
     assert profile.support_radius == pytest.approx(0.8)
     assert profile.fhat(np.array([1.0]))[0] == 0.0
@@ -255,8 +252,7 @@ def test_profiles_are_normalized_with_compact_support(profile):
 def test_profile_replace_roundtrip():
     bump = FourierBump(radius=0.5)
     assert bump.params() == {"type": "bump", "radius": 0.5}
-    gauss = TruncatedGaussian(sigma=0.2, radius=0.6)
-    assert gauss.params()["sigma"] == pytest.approx(0.2)
+    assert FourierBump(radius=bump.params()["radius"]) == bump
 
 
 # ---------------------------------------------------------------------------

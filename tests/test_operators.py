@@ -15,8 +15,7 @@ from scipy.integrate import quad
 
 from polaron_effmass.config import load_config
 from polaron_effmass.eigensolve import dense_ground, dense_spectrum
-from polaron_effmass.errors import (AccuracyWarning, CapacityError,
-                                    ConfigError, DomainError)
+from polaron_effmass.errors import CapacityError, ConfigError, DomainError
 from polaron_effmass.model import (ConstantCoupling, ConstantDispersion,
                                    GaussianWell, ModeGrid, ModelSpec,
                                    PoschlTeller, ZeroCoupling)
@@ -198,8 +197,7 @@ def test_coupled_operator_decouples_at_zero_coupling():
     pot = GaussianWell(depth=1.0)
     egrid = ElectronGrid(dq=0.5, q_max=3.0)
     for lam in (0.4, 0.15):
-        coupled = assemble_coupled_llp(template, pot, egrid, lam, 0.0,
-                                       tail_tol=None)
+        coupled = assemble_coupled_llp(template, pot, egrid, lam, 0.0)
         ours = dense_spectrum(coupled.to_dense())[0]
         ref = dense_ground(assemble_schrodinger(pot, egrid, 0.5))
         assert ours == pytest.approx(ref, abs=1e-11)
@@ -209,8 +207,7 @@ def test_coupled_operator_matches_dense_oracle():
     cfg = load_config("oracle")
     template = FiberTemplate(cfg.spec)
     e0 = dense_ground(template.operator(0.0).to_dense())
-    coupled = assemble_coupled_llp(template, cfg.potential, cfg.egrid, 0.4,
-                                   e0, tail_tol=None)
+    coupled = assemble_coupled_llp(template, cfg.potential, cfg.egrid, 0.4, e0)
     dense = coupled.to_dense()
     assert np.allclose(dense, dense.T, atol=1e-12)
     ref = np.linalg.eigvalsh(dense)[0]
@@ -247,7 +244,7 @@ def _check_against_kronecker(op, block, kernel, rng):
 def test_coupled_operator_is_the_kronecker_sum(toy_cfg, toy_template, lam,
                                                rng):
     op = assemble_coupled_llp(toy_template, toy_cfg.potential, toy_cfg.egrid,
-                              lam, -0.3, tail_tol=None)
+                              lam, -0.3)
     block = toy_template.interaction * (1.0 / (lam * lam))
     kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
     _check_against_kronecker(op, block, kernel, rng)
@@ -267,15 +264,6 @@ def test_factored_operator_with_a_general_kernel(toy_template, rng):
     op = _grid_times_fock(5, toy_template.interaction, 2.0, kernel, diag,
                           "general")
     _check_against_kronecker(op, toy_template.interaction * 2.0, kernel, rng)
-
-
-def test_coupled_operator_warns_on_fat_kernel_tail():
-    cfg = load_config("oracle")
-    template = FiberTemplate(cfg.spec)
-    tight = ElectronGrid(dq=0.5, q_max=1.0)  # too narrow for the well
-    with pytest.warns(AccuracyWarning):
-        assemble_coupled_llp(template, cfg.potential, tight, 0.4, 0.0,
-                             tail_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

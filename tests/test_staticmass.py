@@ -6,16 +6,21 @@ l(m) = (-1 + sqrt(1 + 16 m))/2, derived independently of the code.
 """
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polaron_effmass.config import load_config
-from polaron_effmass.errors import (AnalysisError, BracketError,
-                                    DomainError, NoBoundStateError)
-from polaron_effmass.model import GaussianWell, PoschlTeller
+from polaron_effmass.errors import (AccuracyWarning, AnalysisError,
+                                    BracketError, DomainError,
+                                    NoBoundStateError)
+from polaron_effmass.model import (TAIL_TOL, GaussianWell, PoschlTeller,
+                                   fourier_tail_fraction)
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        assemble_coupled_llp)
+from polaron_effmass.pipeline import stage_dispersion, stage_static
 from polaron_effmass.staticmass import (coupled_ground,
                                         extrapolate_static_mass, invert_E,
                                         scaled_comparison_pair,
@@ -137,9 +142,9 @@ def test_coupled_ground_matches_dense_oracle():
     from polaron_effmass.eigensolve import dense_ground
     e0 = dense_ground(template.operator(0.0).to_dense())
     res = coupled_ground(template, cfg.potential, cfg.egrid, 0.4, e0,
-                         tol=1e-10, seed=0, tail_tol=None)
-    dense = assemble_coupled_llp(template, cfg.potential, cfg.egrid, 0.4, e0,
-                                 tail_tol=None).to_dense()
+                         tol=1e-10, seed=0)
+    dense = assemble_coupled_llp(template, cfg.potential, cfg.egrid, 0.4,
+                                 e0).to_dense()
     ref = np.linalg.eigvalsh(dense)[0]
     assert res.value == pytest.approx(ref, abs=1e-9)
     assert res.residual <= 1e-9
@@ -151,12 +156,28 @@ def test_coupled_ground_is_deterministic():
     template = FiberTemplate(cfg.spec)
     from polaron_effmass.eigensolve import dense_ground
     e0 = dense_ground(template.operator(0.0).to_dense())
-    a = coupled_ground(template, cfg.potential, cfg.egrid, 0.2, e0, seed=3,
-                       tail_tol=None)
-    b = coupled_ground(template, cfg.potential, cfg.egrid, 0.2, e0, seed=3,
-                       tail_tol=None)
+    a = coupled_ground(template, cfg.potential, cfg.egrid, 0.2, e0, seed=3)
+    b = coupled_ground(template, cfg.potential, cfg.egrid, 0.2, e0, seed=3)
     assert a.value == b.value
     assert np.array_equal(a.vector, b.vector)
+
+
+def test_static_stage_warns_once_on_fat_kernel_tail(toy_cfg):
+    # at q_max 5 the sech^2 transform keeps 2.04e-6 of its weight beyond
+    # the grid's reach, over TAIL_TOL; the check runs once per stage, not
+    # once per lam
+    cfg = replace(toy_cfg, egrid=ElectronGrid(dq=0.25, q_max=5.0))
+    dstate, _, _ = stage_dispersion(cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stage_static(cfg, dstate)
+    messages = [str(w.message) for w in caught
+                if issubclass(w.category, AccuracyWarning)]
+    assert messages == [
+        "potential transform carries 2.04e-06 of its weight beyond the "
+        "grid's maximum momentum transfer 10; the kernel quadrature may be "
+        "under-resolved"]
+    assert fourier_tail_fraction(cfg.potential, 10.0) > TAIL_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from polaron_effmass.dispersion import FiberCache
 from polaron_effmass.eigensolve import dense_ground
 from polaron_effmass.errors import AnalysisError
 from polaron_effmass.model import (ConstantDispersion, FourierBump,
-                                   ModelSpec, PoschlTeller,
-                                   TruncatedGaussian, ZeroCoupling)
+                                   ModelSpec, PoschlTeller, ZeroCoupling)
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        assemble_schrodinger,
                                        potential_kernel)
@@ -122,7 +121,7 @@ def test_upper_bound_needs_all_support_nodes(free_cache):
 
 def test_precomputed_kernel_and_gram_give_same_answer(free_cache):
     lam = 0.3
-    profile = TruncatedGaussian(sigma=0.8, radius=2.0)
+    profile = FourierBump(radius=2.0)
     nodes = lam * EGRID.points
     family = build_family(free_cache, nodes[np.abs(EGRID.points)
                                             <= 2.0 + 1e-12])
@@ -154,12 +153,12 @@ def test_upper_bound_dominates_coupled_ground(toy_cfg, toy_template,
 def test_minimize_upper_bound_reports_search(toy_cfg, toy_cache):
     e0 = toy_cache.energy(0.0)
     mub = minimize_upper_bound(0.4, toy_cache, toy_cfg.potential,
-                               toy_cfg.egrid, e0, p_c=0.7,
-                               profile_kind="gaussian")
+                               toy_cfg.egrid, e0, p_c=0.7)
     assert mub.n_evaluations > 3
     assert mub.family_size >= mub.result.n_support
     assert isinstance(mub.boundary_hit, bool)
-    assert mub.result.profile_params["type"] == "gaussian"
+    assert mub.result.profile_params == {"type": "bump",
+                                         "radius": mub.radius}
 
 
 # ---------------------------------------------------------------------------
