@@ -296,7 +296,7 @@ def validate_config(path_or_data) -> list:
             notes.append((
                 "warning",
                 f"potential transform tail beyond 2 Q_max carries a fraction "
-                f"{tail:.3e} > tail_tol {TAIL_TOL:g}; enlarge q_max"
+                f"{tail:.3e} > TAIL_TOL {TAIL_TOL:g}; enlarge q_max"
             ))
     if cfg.P_list:
         if 0.0 not in cfg.P_list:

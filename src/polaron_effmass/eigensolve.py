@@ -16,7 +16,13 @@ Three routes, kept deliberately independent so they can cross-check each other:
   in-house Householder tridiagonalization followed by Sturm-count
   bisection, vectorized across shifts in numpy.  Slower than the iterative
   routes; used for the certificates' small dense operators and the oracle
-  checks.
+  checks.  The reduction is panel-blocked (Dongarra, Hammarling & Sorensen
+  1989, as in LAPACK's dsytrd): panels of 32 columns, each updating the
+  trailing block with one GEMM, while more than 49 rows remain; the last
+  block, and every matrix of 49 rows or fewer (all the electron-grid
+  operators), takes the per-column loop.  The panel width comes from
+  timings of this route, the crossover from the electron grids' size; see
+  the comment on _CROSSOVER.
 
 Small dense/tridiagonal subproblems inside the iterative solvers use LAPACK
 via scipy.linalg: Davidson's projected eigenproblems call dsyevr directly,
@@ -35,7 +41,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import DomainError, SolverError
+from .errors import CapacityError, DomainError, SolverError
 
 __all__ = [
     "EigResult",
@@ -52,6 +58,12 @@ _CHECK_EVERY = 5
 # Lanczos basis size before a restart, and restarts before giving up.
 _MAX_BASIS = 300
 _MAX_RESTARTS = 10
+# Davidson's search space V and its images AV, 2 x max_subspace x dim
+# doubles, may take at most this many bytes.  The largest shipped run, the
+# retry space (80) of the powerlaw presets' coupled operator (dim 478,170),
+# needs 584 MiB, so 2 GiB leaves room for a grid or truncation about 3x
+# larger; anything beyond fails at once, not after swapping or being killed.
+_DAVIDSON_MAX_BYTES = 2 * 2**30
 
 
 @dataclass
@@ -250,16 +262,22 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
     Each iteration adds the corrections t = r / (diag(A) - theta) of the
     wanted Ritz pairs that have not converged yet.  Returns (values, vectors,
     residuals, iterations, matvecs); the residuals are those of the carried
-    A V, not of a fresh matvec.
+    A V, not of a fresh matvec.  Raises CapacityError, before touching the
+    operator, when V and A V would exceed _DAVIDSON_MAX_BYTES.
     """
     matvec, n, diag_fn = _as_operator(op)
     if diag_fn is None:
         raise DomainError("Davidson needs an operator exposing its diagonal")
     if n < nwant:
         raise DomainError(f"operator dimension {n} is below the {nwant} wanted pairs")
+    max_subspace = int(min(max_subspace, n))
+    nbytes = 2 * max_subspace * n * 8
+    if nbytes > _DAVIDSON_MAX_BYTES:
+        raise CapacityError(
+            f"Davidson space of {max_subspace} vectors at dimension {n} needs "
+            f"{nbytes / 2**20:.0f} MiB, over {_DAVIDSON_MAX_BYTES / 2**20:.0f} MiB")
     diag = np.asarray(diag_fn(), dtype=float)
     rng = np.random.default_rng(seed)
-    max_subspace = int(min(max_subspace, n))
     restart_keep = max(nwant, int(min(restart_keep, max_subspace - nwant)))
 
     V = np.empty((max_subspace, n))
@@ -405,6 +423,16 @@ def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int =
 _MAX_SWEEPS = 100
 # Shifts per Sturm sweep once few eigenvalues remain open (multisection).
 _SWEEP_WIDTH = 128
+# Householder panel width, and the block size at or below which the
+# per-column loop finishes the reduction.  Timed with one BLAS thread on a
+# 2-core x86 host, panels of 16 to 64 columns ran within noise of each other
+# and beat the per-column loop from about 40 rows: by about 10% at 41-49
+# rows and 3x at 500.  The crossover is held at the largest electron grid in
+# use (n_q 41-49 on every preset), so the operators of L1, L2 and E(m) keep
+# their arithmetic bit for bit; that forgoes about 0.2 ms per call.  A panel
+# must leave rows below it: _PANEL < _CROSSOVER - 1.
+_PANEL = 32
+_CROSSOVER = 49
 
 
 def _dense_input(A, who):
@@ -421,21 +449,77 @@ def _dense_input(A, who):
     return A
 
 
+def _reflector(a):
+    """(alpha, v) with (I - 2 v v^T) a = alpha e_1 and v unit, built in a.
+
+    None when a is already a multiple of e_1, so no reflector is needed.
+    """
+    norm_a = np.linalg.norm(a)
+    if norm_a == 0.0 or np.linalg.norm(a[1:]) <= 1e-300:
+        return None
+    alpha = -math.copysign(norm_a, a[0] if a[0] != 0 else 1.0)
+    a[0] -= alpha
+    a /= np.linalg.norm(a)
+    return alpha, a
+
+
+def _reduce_panel(T, e, p, nb):
+    """Reduce columns p .. p + nb - 1 of T, then update its trailing block.
+
+    Lower form of LAPACK's dlatrd.  Column k = p + j takes the reflector
+    I - 2 v_j v_j^T, which changes the block B below and right of it by
+    -(v_j w_j^T + w_j v_j^T), w_j = 2 (B v_j - (v_j^T B v_j) v_j), as in the
+    per-column loop.  Within the panel
+    those changes are kept in V and W, not applied: each column is brought
+    up to date just before its reflector is made, and B v_j comes from the
+    block as it stood at the start of the panel, corrected by V and W.  The
+    block past the panel then takes all of them in one rank-2nb GEMM,
+    [V W] [W V]^T.  d_k lands in T[k, k] and e_k in e[k]; the rest of the
+    panel's columns is left stale.
+    """
+    m = T.shape[0] - p
+    VW = np.zeros((m, 2 * nb))   # [V W]
+    WV = np.zeros((m, 2 * nb))   # [W V]
+    for j in range(nb):
+        k = p + j
+        col = T[k:, k] - VW[j:] @ WV[j]
+        T[k, k] = col[0]
+        reflector = _reflector(col[1:])
+        if reflector is None:
+            e[k] = col[1]
+            continue
+        alpha, vvec = reflector
+        w = T[k + 1:, k + 1:] @ vvec - VW[j + 1:] @ (WV[j + 1:].T @ vvec)
+        tau = float(vvec @ w)
+        VW[j + 1:, j] = WV[j + 1:, nb + j] = vvec
+        VW[j + 1:, nb + j] = WV[j + 1:, j] = 2.0 * (w - tau * vvec)
+        e[k] = alpha
+    T[p + nb:, p + nb:] -= VW[nb:] @ WV[nb:].T
+
+
 def _householder_tridiagonalize(A):
-    """Reduce a symmetric matrix to tridiagonal form; returns (d, e)."""
+    """Reduce a symmetric matrix to tridiagonal form; returns (d, e).
+
+    Householder reflectors, one per column.  While more than _CROSSOVER
+    rows remain, the columns go in panels of _PANEL (Dongarra, Hammarling &
+    Sorensen, J. Comput. Appl. Math. 27, 1989; LAPACK dsytrd), so the
+    trailing block is updated once per panel by one GEMM (_reduce_panel).
+    The last block, and a matrix of _CROSSOVER rows or fewer, takes the
+    per-column loop, whose rank-2 update is one GEMM per column.
+    """
     T = np.array(A, dtype=float, copy=True)
     n = T.shape[0]
     e = np.empty(max(n - 1, 0))
-    for kcol in range(n - 2):
-        a = T[kcol + 1:, kcol].copy()
-        norm_a = np.linalg.norm(a)
-        if norm_a == 0.0 or np.linalg.norm(a[1:]) <= 1e-300:
-            e[kcol] = a[0]
+    k = 0
+    while n - k > _CROSSOVER:
+        _reduce_panel(T, e, k, _PANEL)
+        k += _PANEL
+    for kcol in range(k, n - 2):
+        reflector = _reflector(T[kcol + 1:, kcol].copy())
+        if reflector is None:
+            e[kcol] = T[kcol + 1, kcol]
             continue
-        alpha = -math.copysign(norm_a, a[0] if a[0] != 0 else 1.0)
-        vvec = a
-        vvec[0] -= alpha
-        vvec /= np.linalg.norm(vvec)
+        alpha, vvec = reflector
         B = T[kcol + 1:, kcol + 1:]
         w = B @ vvec
         tau = float(vvec @ w)

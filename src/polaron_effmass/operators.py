@@ -310,12 +310,7 @@ def assemble_coupled_llp(template: FiberTemplate, potential, egrid: ElectronGrid
     if lam <= 0:
         raise DomainError(f"scaling parameter must be positive, got {lam}")
     spec = template.spec
-    fdim = template.dim
     n_q = egrid.size
-    if n_q * fdim > 40_000_000:
-        raise CapacityError(
-            f"coupled operator dimension {n_q * fdim} exceeds the supported size"
-        )
     kernel = potential_kernel(potential, egrid)
     inv_l2 = 1.0 / (lam * lam)
     # kinetic diagonal of all fibers at once: |lam q_j - P_f|^2 / (2m)

@@ -67,7 +67,7 @@ def test_clean_presets_have_no_warnings():
 @pytest.mark.parametrize("name", ["free", "toy", "small", "powerlaw_g01",
                                   "powerlaw_g03"])
 def test_static_presets_resolve_their_potential_tail(name):
-    # every preset that builds a coupled operator keeps its own tail_tol
+    # every preset that builds a coupled operator keeps within TAIL_TOL
     notes = validate_config(load_config(name).raw)
     assert [n for n in notes if "tail" in n[1]] == []
 
@@ -78,7 +78,7 @@ def test_validate_notes_match_a_tight_tail_quadrature(monkeypatch,
     raws = [load_config(name).raw for name in PRESET_NAMES]
     raws.append(_mutated(run__electron_grid={"dq": 0.25, "q_max": 5.0}))
     notes = [validate_config(raw) for raw in raws]
-    assert any("2.041e-06 > tail_tol" in message for _, message in notes[-1])
+    assert any("2.041e-06 > TAIL_TOL" in message for _, message in notes[-1])
     monkeypatch.setattr(config_module, "fourier_tail_fraction",
                         tight_tail_fraction)
     assert [validate_config(raw) for raw in raws] == notes

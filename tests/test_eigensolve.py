@@ -11,12 +11,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from polaron_effmass.config import load_config
-from polaron_effmass.eigensolve import (_projected_eigh, _sturm_counts,
+from polaron_effmass.eigensolve import (_DAVIDSON_MAX_BYTES, _projected_eigh,
+                                        _sturm_counts,
                                         _tridiagonal_eigenvalues,
                                         davidson_ground, dense_ground,
                                         dense_spectrum, ground_state,
                                         lowest_two)
-from polaron_effmass.errors import DomainError, SolverError
+from polaron_effmass.errors import CapacityError, DomainError, SolverError
 from polaron_effmass.operators import FiberTemplate, SymmetricOperator
 
 
@@ -37,7 +38,7 @@ def random_sparse_symmetric(rng, n, density=0.05):
 # dense route vs numpy
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 7, 40, 120])
+@pytest.mark.parametrize("n", [2, 7, 40, 120, 300, 500])
 def test_dense_spectrum_matches_numpy(rng, n):
     a = random_symmetric(rng, n)
     ours = dense_spectrum(a)
@@ -87,6 +88,15 @@ HARD_CASES = {
     "multiple_of_identity": lambda rng: 5.0 * np.eye(6),
     "scaled_1e8": lambda rng: random_symmetric(rng, 30, scale=1e8),
     "scaled_1e-8": lambda rng: random_symmetric(rng, 30, scale=1e-8),
+    # above the Householder crossover: blocks end at columns 39, 139 and 140,
+    # inside panels, so those panel columns skip their reflectors
+    "block_zero_couplings_large": lambda rng: block_diagonal(
+        rng, (40, 100, 1, 159)),
+    "multiple_of_identity_large": lambda rng: 5.0 * np.eye(200),
+    "repeated_large": lambda rng: rotated(rng, [-3.0] * 100 + [0.0] * 50
+                                          + [1.0] * 100 + [2.0] * 50),
+    "scaled_1e8_large": lambda rng: random_symmetric(rng, 300, scale=1e8),
+    "scaled_1e-8_large": lambda rng: random_symmetric(rng, 300, scale=1e-8),
     "n1": lambda rng: np.array([[2.5]]),
     "n2": lambda rng: np.array([[1.0, 3.0], [3.0, -2.0]]),
 }
@@ -134,8 +144,9 @@ def test_bisection_sweep_cap_raises():
 
 
 def test_dense_eigenvalues_do_not_use_lapack(rng, monkeypatch):
-    a = random_symmetric(rng, 25)
-    ref = np.linalg.eigvalsh(a)
+    # one matrix below the Householder crossover and one above it
+    cases = [(a, np.linalg.eigvalsh(a))
+             for a in (random_symmetric(rng, 25), random_symmetric(rng, 300))]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense route called LAPACK")
@@ -144,8 +155,9 @@ def test_dense_eigenvalues_do_not_use_lapack(rng, monkeypatch):
                          (sla, "eigh"), (sla, "eigvalsh"), (sla, "solve_banded"),
                          (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(module, name, forbidden)
-    assert np.max(np.abs(dense_spectrum(a) - ref)) < 1e-12 * np.abs(ref).max()
-    assert dense_ground(a) == pytest.approx(ref[0], abs=1e-12)
+    for a, ref in cases:
+        assert np.max(np.abs(dense_spectrum(a) - ref)) < 1e-12 * np.abs(ref).max()
+        assert dense_ground(a) == pytest.approx(ref[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -346,3 +358,33 @@ def test_davidson_refuses_a_non_finite_projection():
     # LAPACK may never return on a NaN entry; the projection is checked first
     with pytest.raises(SolverError, match="non-finite"):
         davidson_ground(_NaNOperator(), tol=1e-10, seed=0)
+
+
+class _Touched(Exception):
+    pass
+
+
+class _HugeOperator:
+    """An operator of which Davidson may read nothing but the dimension."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def matvec(self, x):
+        raise _Touched("matvec")
+
+    def diagonal(self):
+        raise _Touched("diagonal")
+
+
+@pytest.mark.parametrize("space", [40, 80], ids=["default", "retry"])
+def test_davidson_refuses_a_space_over_its_storage_cap(space):
+    # V and AV hold 2 x space x dim doubles; the largest dim within the cap
+    # reaches the operator, one more is refused before anything is read
+    edge = _DAVIDSON_MAX_BYTES // (2 * space * 8)
+    kwargs = {} if space == 40 else {"max_subspace": space}
+    for dim in (edge + 1, 10**12):
+        with pytest.raises(CapacityError, match=f"{space} vectors"):
+            davidson_ground(_HugeOperator(dim), **kwargs)
+    with pytest.raises(_Touched, match="diagonal"):
+        davidson_ground(_HugeOperator(edge), **kwargs)
