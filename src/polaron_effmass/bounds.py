@@ -10,7 +10,9 @@ Two independent lower-bound routes:
   and L1 = infspec(D + W) is a rigorous lower bound whenever the D entries
   are themselves lower bounds on the fiber energies.  Every fiber at
   lam * q_j is solved and its residual subtracted from its Ritz value,
-  which certifies the bound at solver precision.
+  which certifies the bound at solver precision.  The dense eigenvalue is
+  then lowered to a floor verified in floating point
+  (:func:`~.eigensolve.verified_floor`), as is L2's operator branch.
 
 * Scaled-potential split bound (L2).  Splitting trial vectors by how much
   momentum mass sits outside a ball of radius beta = c_beta sqrt(lam) and
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import FiberCache
-from .eigensolve import dense_ground
+from .eigensolve import dense_ground, verified_floor
 from .errors import AnalysisError, ConfigError, DomainError
 from .operators import ElectronGrid, assemble_schrodinger, potential_kernel
 
@@ -89,7 +91,9 @@ def momentum_lower_bound(lam: float, egrid: ElectronGrid, potential,
     """L1 = infspec(D + W) on the electron grid, certified.
 
     Solves the fiber at every lam*q_j through `cache` and takes each Ritz
-    value minus its residual as the diagonal entry.
+    value minus its residual as the diagonal entry.  The value is a
+    verified floor on that matrix's lowest eigenvalue; SolverError when
+    the verification fails.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
@@ -97,8 +101,8 @@ def momentum_lower_bound(lam: float, egrid: ElectronGrid, potential,
     diag, max_res = _fiber_floor_exact(lam, q, cache, e0)
     h = potential_kernel(potential, egrid)
     h[np.diag_indices_from(h)] += diag
-    return LowerBoundResult(lam=lam, value=dense_ground(h), n_nodes=len(q),
-                            max_residual=max_res)
+    return LowerBoundResult(lam=lam, value=verified_floor(h, dense_ground(h)),
+                            n_nodes=len(q), max_residual=max_res)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +175,7 @@ def split_lower_bound(lam: float, potential, egrid: ElectronGrid, *,
         )
     m_c = mass * (1.0 + c_min * beta**2)
     op = assemble_schrodinger(potential, egrid, m_c, v_scale=1.0 + eps)
-    operator_branch = dense_ground(op)
+    operator_branch = verified_floor(op, dense_ground(op))
     scalar_branch = (beta**2 / (2.0 * lam**2 * m_c)
                      - (1.0 + 1.0 / eps) * potential.sup_norm())
     return SplitBoundResult(lam=lam, value=min(operator_branch, scalar_branch),

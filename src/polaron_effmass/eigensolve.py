@@ -5,9 +5,12 @@ Three routes, kept deliberately independent so they can cross-check each other:
 * :func:`lowest_two` / :func:`davidson_ground`: diagonally preconditioned
   subspace iteration (Davidson) with thick restarts, one core for one or
   two wanted pairs.  :func:`lowest_two` serves the fiber ground pairs and
-  their gap from one run; :func:`davidson_ground` the coupled small-lambda
-  operators, whose diagonal spread makes plain Krylov iteration
-  impractically slow; see the solver notes in the README.
+  their gap from one run, from the lowest-diagonal coordinate directions;
+  :func:`davidson_ground` the coupled small-lambda operators, whose
+  diagonal spread makes plain Krylov iteration impractically slow.  Its
+  caller may supply the start vector and a refinement of each correction,
+  which the coupled solve uses for its fiber-Galerkin start and coarse
+  correction; see the solver notes in the README.
 * :func:`ground_state`: Lanczos iteration with full reorthogonalization
   (two classical Gram-Schmidt passes per step), seeded random start,
   residual-based stopping, warm restarts on basis exhaustion and reseeding
@@ -23,6 +26,10 @@ Three routes, kept deliberately independent so they can cross-check each other:
   operators), takes the per-column loop.  The panel width comes from
   timings of this route, the crossover from the electron grids' size; see
   the comment on _CROSSOVER.
+* :func:`verified_floor`: turns a computed lowest eigenvalue of a small
+  dense matrix into a float that is provably below the spectrum, by a
+  floating-point Cholesky of the shifted matrix (Rump 2006); L1 and L2
+  take their values from it.
 
 Small dense/tridiagonal subproblems inside the iterative solvers use LAPACK
 via scipy.linalg: Davidson's projected eigenproblems call dsyevr directly,
@@ -51,6 +58,7 @@ __all__ = [
     "davidson_ground",
     "dense_ground",
     "dense_spectrum",
+    "verified_floor",
 ]
 
 # Lanczos steps between two estimates of the ground Ritz residual.
@@ -256,14 +264,17 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0) -> EigResult:
 
 
 def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
-              v0=None):
+              v0=None, correction=None):
     """Lowest `nwant` Ritz pairs by diagonally preconditioned subspace iteration.
 
-    Each iteration adds the corrections t = r / (diag(A) - theta) of the
-    wanted Ritz pairs that have not converged yet.  Returns (values, vectors,
-    residuals, iterations, matvecs); the residuals are those of the carried
-    A V, not of a fresh matvec.  Raises CapacityError, before touching the
-    operator, when V and A V would exceed _DAVIDSON_MAX_BYTES.
+    The space starts from `v0` when given, else from the unit vectors on the
+    smallest diagonal entries.  Each iteration adds the corrections
+    t = r / (diag(A) - theta) of the wanted Ritz pairs that have not
+    converged yet; `correction(t, r, theta)`, when given, refines each t in
+    place.  Returns (values, vectors, residuals, iterations, matvecs); the
+    residuals are those of the carried A V, not of a fresh matvec.  Raises
+    CapacityError, before touching the operator, when V and A V would
+    exceed _DAVIDSON_MAX_BYTES.
     """
     matvec, n, diag_fn = _as_operator(op)
     if diag_fn is None:
@@ -291,20 +302,18 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
         H[:k, k] = H[k, :k]
         H[k, k] = V[k] @ AV[k]
 
-    # Start from the lowest-diagonal coordinate directions (plus the caller's
-    # vector, if any).  For strongly diagonally dominant operators the ground
+    # Without the caller's vector, start from the lowest-diagonal coordinate
+    # directions.  For strongly diagonally dominant operators the ground
     # vector lives there; a purely random start can lock onto an interior
     # eigenpair whose residual passes the test.
-    starts = []
-    if v0 is not None:
-        w = np.array(v0, dtype=float, copy=True)
-        if np.linalg.norm(w) > 1e-14:
-            starts.append(w)
-    n_seed = min(4, n, max_subspace)
-    for i in np.argsort(diag, kind="stable")[:n_seed]:
-        e_i = np.zeros(n)
-        e_i[i] = 1.0
-        starts.append(e_i)
+    if v0 is not None and np.linalg.norm(v0) > 1e-14:
+        starts = [np.array(v0, dtype=float, copy=True)]
+    else:
+        starts = []
+        for i in np.argsort(diag, kind="stable")[:min(4, n, max_subspace)]:
+            e_i = np.zeros(n)
+            e_i[i] = 1.0
+            starts.append(e_i)
     k = 0
     for w in starts:
         if k >= max_subspace:
@@ -354,10 +363,15 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
             floor = 1e-8 * max(1.0, abs(thetas[j]))
             denom = np.where(np.abs(denom) < floor, np.copysign(floor, denom), denom)
             t = rs[j] / denom
+            if correction is not None:
+                correction(t, rs[j], thetas[j])
+            # a correction already in the space is replaced by a random
+            # vector; the test is relative, since t shrinks with r
+            nt0 = np.linalg.norm(t)
             for _ in range(2):
                 t -= V[:k].T @ (V[:k] @ t)
             nt = np.linalg.norm(t)
-            if nt < 1e-12:
+            if nt <= 1e-12 * nt0:
                 t = rng.standard_normal(n)
                 for _ in range(2):
                     t -= V[:k].T @ (V[:k] @ t)
@@ -397,20 +411,22 @@ def lowest_two(op, tol: float = 1e-9, seed: int = 0, *,
                       degenerate=degenerate, residuals=residuals)
 
 
-def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int = 40,
-                    max_iters: int = 600, v0=None) -> EigResult:
-    """Lowest eigenpair by diagonally preconditioned subspace iteration.
+def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int = 20,
+                    max_iters: int = 600, v0=None, correction=None) -> EigResult:
+    """Lowest eigenpair by preconditioned subspace iteration.
 
     Expansion vectors solve (diag(A) - theta) t = -r approximately, which
     tames operators whose diagonal spread is many orders of magnitude larger
-    than the spectral gap (the coupled small-lambda assemblies).  The search
-    space is kept orthonormal with two Gram-Schmidt passes and compressed to
-    the best 4 Ritz vectors when full.  Deterministic for fixed seed and
-    start vector.
+    than the spectral gap (the coupled small-lambda operators);
+    `correction(t, r, theta)` may refine each one in place, as the coupled
+    solve's coarse correction does.  The space starts from `v0` when given,
+    else from the unit vectors on the four smallest diagonal entries.  It is
+    kept orthonormal with two Gram-Schmidt passes and compressed to the best
+    4 Ritz vectors when full.  Deterministic for fixed seed and start vector.
     """
     thetas, xs, ress, it, matvecs = _davidson(
         op, 1, tol, seed, max_subspace=max_subspace, max_iters=max_iters,
-        restart_keep=4, v0=v0)
+        restart_keep=4, v0=v0, correction=correction)
     return EigResult(thetas[0], xs[0], ress[0], it, matvecs, 0, "davidson")
 
 
@@ -613,3 +629,71 @@ def dense_ground(A) -> float:
         return float(A[0, 0])
     d, e = _householder_tridiagonalize(A)
     return float(_tridiagonal_eigenvalues(d, e, [0])[0])
+
+
+# ---------------------------------------------------------------------------
+# verified floor: a floating-point Cholesky proves positive definiteness
+# ---------------------------------------------------------------------------
+
+_U = 2.0**-53           # unit roundoff of IEEE double, round to nearest
+_ETA = 2.0**-1074       # smallest positive subnormal
+
+
+def _cholesky(B):
+    """Lower Cholesky factor of B in floating point, or None on breakdown.
+
+    Textbook column order; every pivot must be positive (a NaN fails).
+    """
+    n = B.shape[0]
+    G = np.zeros_like(B)
+    for j in range(n):
+        pivot = B[j, j] - G[j, :j] @ G[j, :j]
+        if not pivot > 0.0:
+            return None
+        G[j, j] = math.sqrt(pivot)
+        G[j + 1:, j] = (B[j + 1:, j] - G[j + 1:, :j] @ G[j, :j]) / G[j, j]
+    return G
+
+
+def verified_floor(A, mu: float) -> float:
+    """A float sigma <= lambda_min(A), verified in floating point.
+
+    `mu` is a computed lowest eigenvalue of the exactly symmetric matrix A
+    (from :func:`dense_ground`).  The trial shift tau = mu - delta lies
+    below mu by n u ||A||_inf, which covers mu's error, plus
+    gamma_{n+1} ||A - mu I||_inf, room for the factorization's own
+    rounding.  A floating-point Cholesky of B = fl(A - tau I) must then
+    complete.  Its factor G satisfies G G^T = B + dB with
+    |dB| <= gamma_{n+1} |G||G^T| for any order of the inner products
+    (Demmel; Higham, Accuracy and Stability, Thm 10.3), so
+    lambda_min(B) >= -gamma_{n+1} || |G||G^T| ||_inf, which bounds the
+    2-norm of that nonnegative symmetric matrix.  Forming B rounded its
+    diagonal once (u max b_ii more), and an allowance for underflow
+    3 n (2n + max b_ii) eta follows Rump (BIT 46, 2006), whose method of
+    verifying positive definiteness this is.  The slack is inflated by 1%
+    for its own rounding, and sigma = tau - slack is rounded down.
+
+    A factorization that breaks down means mu is not within delta of the
+    bottom of the spectrum: it raises SolverError carrying mu, so a failed
+    verification never becomes a silent floor.
+    """
+    A = _dense_input(A, "verified_floor")
+    if not np.array_equal(A, A.T):
+        raise DomainError("verified_floor needs an exactly symmetric matrix")
+    n = A.shape[0]
+    eye = np.eye(n)
+    gamma = (n + 1) * _U / (1.0 - (n + 1) * _U)
+    delta = (n * _U * float(np.abs(A).sum(axis=1).max())
+             + gamma * float(np.abs(A - mu * eye).sum(axis=1).max()))
+    tau = mu - delta
+    B = A - tau * eye
+    G = _cholesky(B)
+    if G is None:
+        raise SolverError(
+            f"could not verify that A - ({tau:.17g}) I is positive definite "
+            f"(computed lowest eigenvalue {mu:.17g})", best_value=mu)
+    absG = np.abs(G)
+    dmax = float(np.diag(B).max())
+    slack = (gamma * float((absG @ absG.T).sum(axis=1).max()) + _U * dmax
+             + 3.0 * n * (2 * n + dmax) * _ETA)
+    return float(np.nextafter(tau - 1.01 * slack, -np.inf))

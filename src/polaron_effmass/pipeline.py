@@ -7,8 +7,9 @@ artifact in one final sequential pass.
 
 Determinism contract: identical config + seed produce byte-identical CSV
 files.  Everything runs in one thread: each fiber solve depends only on its
-momentum and the seed, the coupled lam solves run sequentially from cold
-starts, and all floats are printed through one fixed format.
+momentum and the seed, each coupled lam solve starts from that lam's fibers
+alone (not from its neighbor's result), and all floats are printed through
+one fixed format.
 """
 
 from __future__ import annotations
@@ -170,9 +171,9 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     wanted = np.concatenate([lam * q for lam in lams])
     dstate.cache.prefetch(wanted)
 
-    e_rows, u_results = [], []
+    e_rows, u_results, solves = [], [], []
     for lam in lams:
-        res = coupled_ground(dstate.template, cfg.potential, cfg.egrid, lam,
+        res = coupled_ground(dstate.cache, cfg.potential, cfg.egrid, lam,
                              e0=e0, seed=cfg.seed)
         l1 = momentum_lower_bound(lam, cfg.egrid, cfg.potential, e0,
                                   cache=dstate.cache)
@@ -181,6 +182,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         e_rows.append((lam, res.value, l1.value, ub.result.value,
                        res.residual))
         u_results.append(ub)
+        solves.append(res)
 
     extrap = extrapolate_static_mass(
         [r[0] for r in e_rows], [r[1] for r in e_rows], cfg.potential,
@@ -198,6 +200,8 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
             "M_stat_err": extrap.mass_err,
             "lambda_seq": list(extrap.lambdas),
             "e_values": list(extrap.e_values),
+            "davidson_iterations": [r.iterations for r in solves],
+            "davidson_matvecs": [r.matvecs for r in solves],
             "fit_coeffs": list(extrap.coeffs),
             "fit_rms": extrap.fit_rms,
             "drop_largest_shift": extrap.drop_shift,

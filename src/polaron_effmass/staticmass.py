@@ -15,8 +15,10 @@ Pieces:
   is given, so that its discretization bias matches the coupled solves'.
 * :func:`invert_E`: bisection inverse of the strictly decreasing comparison
   curve, with on-the-fly monotonicity validation and bracket expansion.
-* :func:`coupled_ground`: e(lam) through the preconditioned subspace solver
-  (the coupled operators' diagonal spread rules out plain Lanczos).
+* :func:`coupled_ground`: e(lam) through a two-level Davidson solve (the
+  coupled operators' diagonal spread rules out plain Lanczos): it starts
+  from the fiber-Galerkin vector and corrects the envelope on the grid by
+  a coarse solve with the Galerkin matrix of :func:`fiber_galerkin`.
 * :func:`extrapolate_static_mass`: fits e(lam) = e0 + c1 lam + c2 lam^2
   (the leading correction of the scaling limit is O(lam)), propagates the
   fit uncertainty and a drop-the-largest-lam refit shift into e0 and the
@@ -30,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dispersion import FiberCache
 from .eigensolve import davidson_ground, dense_ground
 from .errors import (AnalysisError, BracketError, NoBoundStateError,
                      SolverError)
 from .model import ScaledPotential
-from .operators import (ElectronGrid, FiberTemplate, assemble_coupled_llp,
+from .operators import (ElectronGrid, assemble_coupled_llp,
                         assemble_schrodinger)
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
     "schrodinger_energy",
     "invert_E",
     "coupled_ground",
+    "fiber_galerkin",
     "extrapolate_static_mass",
 ]
 
@@ -123,22 +127,78 @@ class CoupledResult:
     vector: np.ndarray
 
 
-def coupled_ground(template: FiberTemplate, potential, egrid: ElectronGrid,
+def fiber_galerkin(cache: FiberCache, kernel: np.ndarray, lam: float,
+                   points: np.ndarray, e0: float) -> tuple:
+    """(Phi, M): the fiber ground states Phi_j = Phi(lam q_j) and Z^T A Z.
+
+    Row j of Phi is the cached unit ground vector at total momentum lam q_j,
+    so the columns Z = [e_j (x) Phi_j] are orthonormal, and
+
+        M = diag((E(lam q_j) - e0) / lam^2) + kernel o (Phi Phi^T)
+
+    is A(lam) projected onto them, with each fiber's Rayleigh quotient
+    taken as its Ritz value.  Every fiber comes from `cache`.
+    """
+    recs = [cache.pair(float(lam * qi)) for qi in points]
+    phi = np.array([rec["vector"] for rec in recs])
+    energies = np.array([rec["energy"] for rec in recs])
+    M = kernel * (phi @ phi.T)
+    M[np.diag_indices_from(M)] += (energies - e0) / (lam * lam)
+    return phi, M
+
+
+def _coarse_correction(phi: np.ndarray, evals: np.ndarray, U: np.ndarray):
+    """Davidson correction whose Z component solves (M - theta) c = Z^T r.
+
+    `evals` and `U` are the eigenpairs of the Galerkin matrix M.  The
+    diagonal correction t handles the Fock excitations at each node; the
+    envelope on the grid, which the kernel couples, comes from M.
+    Eigenvalues of M within 1e-8 max(1, |theta|) of theta are held at that
+    distance, as the diagonal correction's are.
+    """
+    n_q, fdim = phi.shape
+
+    def correct(t, r, theta):
+        T = t.reshape(n_q, fdim)
+        zr = np.einsum("jf,jf->j", phi, r.reshape(n_q, fdim))
+        zt = np.einsum("jf,jf->j", phi, T)
+        denom = evals - theta
+        floor = 1e-8 * max(1.0, abs(theta))
+        denom = np.where(np.abs(denom) < floor, np.copysign(floor, denom),
+                         denom)
+        c = U @ ((U.T @ zr) / denom)
+        T += (c - zt)[:, None] * phi
+
+    return correct
+
+
+def coupled_ground(cache: FiberCache, potential, egrid: ElectronGrid,
                    lam: float, e0: float, *, tol: float = 1e-9, seed: int = 0
                    ) -> CoupledResult:
-    """e(lam) = infspec A(lam), via the preconditioned subspace solver.
+    """e(lam) = infspec A(lam), by a two-level Davidson solve.
 
-    The solve starts cold.  One reseeded retry with a larger search space
-    runs before giving up.
+    The fiber ground states Phi(lam q_j) in `cache` span a coarse space
+    Z = [e_j (x) Phi(lam q_j)] that holds most of the ground vector.  The
+    solve starts from Z y0, y0 the lowest eigenvector of the Galerkin
+    matrix M = Z^T A Z (:func:`fiber_galerkin`), in a search space of 20
+    vectors.  Each correction r / (diag(A) - theta) has its Z component
+    replaced by Z (M - theta)^{-1} Z^T r (Nicolaides' deflation applied to
+    Davidson's correction equation).  Rayleigh-Ritz still produces the
+    value, so the correction can slow the solve but not change its answer.
+    One retry from the stalled attempt's best vector, with a space of 80
+    and 1200 iterations, runs before giving up.
     """
-    op = assemble_coupled_llp(template, potential, egrid, lam, e0)
+    op = assemble_coupled_llp(cache.template, potential, egrid, lam, e0)
+    phi, M = fiber_galerkin(cache, op.kernel, lam, egrid.points, e0)
+    evals, U = np.linalg.eigh(M)
+    correct = _coarse_correction(phi, evals, U)
+    start = (U[:, 0, None] * phi).ravel()
     try:
-        res = davidson_ground(op, tol=tol, seed=seed)
+        res = davidson_ground(op, tol=tol, seed=seed, v0=start,
+                              correction=correct)
     except SolverError as exc:
-        # continue from the stalled attempt's best vector with twice the
-        # default search space (40) and iteration budget (600)
         res = davidson_ground(op, tol=tol, seed=seed + 101,
-                              v0=exc.best_vector,
+                              v0=exc.best_vector, correction=correct,
                               max_subspace=min(80, op.dim), max_iters=1200)
     return CoupledResult(lam=lam, value=res.value, residual=res.residual,
                          iterations=res.iterations, matvecs=res.matvecs,

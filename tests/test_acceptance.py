@@ -17,6 +17,7 @@ import pytest
 from polaron_effmass.config import load_config
 from polaron_effmass.dispersion import (FiberCache, fit_dynamic_mass,
                                         perturbative_mass, scan_dispersion)
+from polaron_effmass.docsgen import trim_report
 from polaron_effmass.model import (ConstantDispersion, ModelSpec,
                                    PoschlTeller, PowerLawCoupling)
 from polaron_effmass.operators import ElectronGrid, FiberTemplate
@@ -328,3 +329,23 @@ def test_criterion_10_determinism(toy_sandwich, toy_sandwich_repeat,
         f"reports match: {r1 == r2}")
     assert same == {n: True for n in names}
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# the docs fixtures are the code's output, not a stale copy
+# ---------------------------------------------------------------------------
+
+DOCS_FIXTURES = Path(__file__).resolve().parents[1] / "docs" / "fixtures"
+
+
+@pytest.mark.parametrize("preset,run_fixture", [
+    ("free", "free_sandwich"), ("toy", "toy_sandwich"),
+    ("oracle", "oracle_run")])
+def test_docs_fixture_matches_the_session_run(preset, run_fixture, request):
+    fresh = trim_report(request.getfixturevalue(run_fixture).report, preset)
+    frozen = json.loads((DOCS_FIXTURES / f"{preset}.json").read_text())
+    assert {k: v for k, v in fresh.items() if k != "metrics"} \
+        == {k: v for k, v in frozen.items() if k != "metrics"}
+    assert sorted(fresh["metrics"]) == sorted(frozen["metrics"])
+    for name, value in frozen["metrics"].items():
+        assert fresh["metrics"][name] == value, name

@@ -2,17 +2,22 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polaron_effmass import bounds
 from polaron_effmass.bounds import (SandwichRow, SplitParams,
                                     momentum_lower_bound, sandwich_report,
                                     split_lower_bound, suggest_c_eps)
 from polaron_effmass.dispersion import (FiberCache, certify_quasi_parabolic,
                                         fit_dynamic_mass, scan_dispersion)
-from polaron_effmass.errors import AnalysisError, ConfigError, DomainError
+from polaron_effmass.config import load_config
+from polaron_effmass.eigensolve import dense_ground, verified_floor
+from polaron_effmass.errors import (AnalysisError, ConfigError, DomainError,
+                                    SolverError)
 from polaron_effmass.model import (ConstantDispersion, ModelSpec,
                                    PoschlTeller, ZeroCoupling)
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
@@ -49,11 +54,11 @@ def free_cache():
 
 
 @pytest.fixture(scope="module")
-def toy_ground(toy_cfg, toy_template, toy_cache):
+def toy_ground(toy_cfg, toy_cache):
     """e(lam) for the small interacting model at two coupling scales."""
     e0 = toy_cache.pair(0.0)["energy"]
     energies = {
-        lam: coupled_ground(toy_template, toy_cfg.potential, toy_cfg.egrid,
+        lam: coupled_ground(toy_cache, toy_cfg.potential, toy_cfg.egrid,
                             lam, e0, tol=1e-9).value
         for lam in (0.4, 0.2)
     }
@@ -221,6 +226,59 @@ def test_momentum_bound_zero_coupling_matches_schrodinger(free_cache):
     ground = float(np.linalg.eigvalsh(h)[0])
     assert res.value <= ground + 1e-12
     assert res.value == pytest.approx(ground, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the floor of L1 and L2 holds in floating point
+# ---------------------------------------------------------------------------
+
+def _lowest_at_40_digits(A):
+    with mpmath.workdps(40):
+        return min(mpmath.eigsy(mpmath.matrix(A.tolist()),
+                                eigvals_only=True))
+
+
+def _l1_matrix_and_value(preset, lam, monkeypatch):
+    """L1 at lam on a preset, and the matrix h it is the floor of."""
+    cfg = load_config(preset)
+    cache = FiberCache(FiberTemplate(cfg.spec), seed=0)
+    seen = []
+
+    def spy(h, mu):
+        seen.append(h.copy())
+        return verified_floor(h, mu)
+
+    monkeypatch.setattr(bounds, "verified_floor", spy)
+    value = momentum_lower_bound(lam, cfg.egrid, cfg.potential,
+                                 cache.energy(0.0), cache=cache).value
+    (h,) = seen
+    return h, value
+
+
+@pytest.mark.parametrize("source", ["free", "toy", "random"])
+def test_certified_floor_lies_below_the_40_digit_eigenvalue(source,
+                                                            monkeypatch):
+    if source == "random":
+        a = np.random.default_rng(49).standard_normal((49, 49))
+        h = 0.5 * (a + a.T)
+        value = verified_floor(h, dense_ground(h))
+    else:
+        h, value = _l1_matrix_and_value(source, 0.1, monkeypatch)
+    exact = _lowest_at_40_digits(h)
+    assert h.shape == (49, 49)
+    assert mpmath.mpf(value) < exact
+    assert exact - mpmath.mpf(value) < 1e-10     # a floor, not a guess
+
+
+def test_unverifiable_floor_raises_solver_error():
+    a = np.random.default_rng(49).standard_normal((49, 49))
+    h = 0.5 * (a + a.T)
+    mu = dense_ground(h)
+    with pytest.raises(SolverError, match="positive definite") as info:
+        verified_floor(h, mu + 1e-6)
+    assert info.value.best_value == mu + 1e-6
+    with pytest.raises(DomainError, match="exactly symmetric"):
+        verified_floor(h + np.triu(np.full((49, 49), 1e-15), 1), mu)
 
 
 # ---------------------------------------------------------------------------

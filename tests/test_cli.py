@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polaron_effmass import staticmass
+from polaron_effmass import bounds, staticmass
 from polaron_effmass.cli import main
 from polaron_effmass.errors import SolverError
 
@@ -103,11 +103,25 @@ def test_unreachable_tolerance_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "solver failure:" in capsys.readouterr().err
     first, retry = calls
-    assert "v0" not in first
-    dim = len(retry["v0"])
+    # the first attempt starts from the unit Galerkin vector Z y0
+    dim = len(first["v0"])
+    assert np.linalg.norm(first["v0"]) == pytest.approx(1.0)
+    assert "max_subspace" not in first and "max_iters" not in first
     assert np.array_equal(retry["v0"], np.full(dim, 1.0))
+    assert retry["correction"] is first["correction"]
     assert retry["max_subspace"] == min(80, dim)
     assert retry["max_iters"] == 1200
+
+
+def test_unverified_floor_exits_3(tmp_path, capsys, monkeypatch):
+    # a dense eigenvalue 1e-6 too high cannot be verified as a floor of L1
+    true_ground = bounds.dense_ground
+    monkeypatch.setattr(bounds, "dense_ground",
+                        lambda A: true_ground(A) + 1e-6)
+    code = main(["sandwich", "--config", "free",
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "positive definite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -377,14 +377,17 @@ class _HugeOperator:
         raise _Touched("diagonal")
 
 
-@pytest.mark.parametrize("space", [40, 80], ids=["default", "retry"])
-def test_davidson_refuses_a_space_over_its_storage_cap(space):
+@pytest.mark.parametrize("solver,space,kwargs", [
+    (davidson_ground, 20, {}), (davidson_ground, 80, {"max_subspace": 80}),
+    (lowest_two, 40, {})], ids=["default", "retry", "fiber-pair"])
+def test_davidson_refuses_a_space_over_its_storage_cap(solver, space, kwargs):
     # V and AV hold 2 x space x dim doubles; the largest dim within the cap
-    # reaches the operator, one more is refused before anything is read
+    # reaches the operator, one more is refused before anything is read.
+    # The spaces are the coupled solve's (20 by default, 80 on its retry)
+    # and the fiber pairs' (40).
     edge = _DAVIDSON_MAX_BYTES // (2 * space * 8)
-    kwargs = {} if space == 40 else {"max_subspace": space}
     for dim in (edge + 1, 10**12):
         with pytest.raises(CapacityError, match=f"{space} vectors"):
-            davidson_ground(_HugeOperator(dim), **kwargs)
+            solver(_HugeOperator(dim), **kwargs)
     with pytest.raises(_Touched, match="diagonal"):
-        davidson_ground(_HugeOperator(edge), **kwargs)
+        solver(_HugeOperator(edge), **kwargs)

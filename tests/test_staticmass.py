@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from polaron_effmass.config import load_config
+from polaron_effmass.dispersion import FiberCache
+from polaron_effmass.eigensolve import dense_ground
 from polaron_effmass.errors import (AccuracyWarning, AnalysisError,
                                     BracketError, DomainError,
                                     NoBoundStateError)
@@ -136,28 +138,78 @@ def test_scaling_identity_for_gaussian_well():
 # coupled solves
 # ---------------------------------------------------------------------------
 
-def test_coupled_ground_matches_dense_oracle():
+@pytest.fixture(scope="module")
+def oracle_setup():
+    """(cfg, cache, e0) of the dense-verifiable oracle preset."""
     cfg = load_config("oracle")
-    template = FiberTemplate(cfg.spec)
-    from polaron_effmass.eigensolve import dense_ground
-    e0 = dense_ground(template.operator(0.0).to_dense())
-    res = coupled_ground(template, cfg.potential, cfg.egrid, 0.4, e0,
-                         tol=1e-10, seed=0)
-    dense = assemble_coupled_llp(template, cfg.potential, cfg.egrid, 0.4,
-                                 e0).to_dense()
-    ref = np.linalg.eigvalsh(dense)[0]
-    assert res.value == pytest.approx(ref, abs=1e-9)
-    assert res.residual <= 1e-9
-    assert res.dim == dense.shape[0]
+    cache = FiberCache(FiberTemplate(cfg.spec), seed=0)
+    e0 = dense_ground(cache.template.operator(0.0).to_dense())
+    return cfg, cache, e0
 
 
-def test_coupled_ground_is_deterministic():
-    cfg = load_config("oracle")
-    template = FiberTemplate(cfg.spec)
-    from polaron_effmass.eigensolve import dense_ground
-    e0 = dense_ground(template.operator(0.0).to_dense())
-    a = coupled_ground(template, cfg.potential, cfg.egrid, 0.2, e0, seed=3)
-    b = coupled_ground(template, cfg.potential, cfg.egrid, 0.2, e0, seed=3)
+def _dense_coupled_ground(cache, cfg, lam, e0):
+    return np.linalg.eigvalsh(assemble_coupled_llp(
+        cache.template, cfg.potential, cfg.egrid, lam, e0).to_dense())[0]
+
+
+def test_coupled_ground_matches_dense_oracle(oracle_setup):
+    cfg, cache, e0 = oracle_setup
+    for lam in (0.4, 0.1):
+        res = coupled_ground(cache, cfg.potential, cfg.egrid, lam, e0,
+                             tol=1e-10, seed=0)
+        ref = _dense_coupled_ground(cache, cfg, lam, e0)
+        assert res.value == pytest.approx(ref, abs=1e-9), lam
+        assert res.residual <= 1e-9
+        assert res.dim == cache.template.dim * cfg.egrid.size
+
+
+class _SabotagedCache:
+    """A fiber cache that hands out wrong ground vectors, right energies.
+
+    "permuted" gives the node at P the vector of the node at -P, which
+    reverses the rows of Phi; "scrambled" reverses each vector's Fock
+    coordinates; "random" gives random unit vectors.
+    """
+
+    def __init__(self, cache, how):
+        self.template = cache.template
+        self._cache = cache
+        self._how = how
+        self._rng = np.random.default_rng(7)
+
+    def pair(self, P):
+        rec = self._cache.pair(P)
+        if self._how == "permuted":
+            vec = self._cache.pair(-P)["vector"]
+        elif self._how == "scrambled":
+            vec = rec["vector"][::-1].copy()
+        else:
+            vec = self._rng.standard_normal(rec["vector"].shape)
+            vec /= np.linalg.norm(vec)
+        return dict(rec, vector=vec)
+
+
+@pytest.mark.parametrize("how", ["permuted", "scrambled", "random"])
+@pytest.mark.parametrize("lam", [0.4, 0.1])
+def test_a_wrong_coarse_space_costs_iterations_not_accuracy(oracle_setup,
+                                                            lam, how):
+    # the coarse space only steers the search; Rayleigh-Ritz and the
+    # residual test still decide e, so e must stay right
+    cfg, cache, e0 = oracle_setup
+    good = coupled_ground(cache, cfg.potential, cfg.egrid, lam, e0,
+                          tol=1e-10, seed=0)
+    bad = coupled_ground(_SabotagedCache(cache, how), cfg.potential,
+                         cfg.egrid, lam, e0, tol=1e-10, seed=0)
+    ref = _dense_coupled_ground(cache, cfg, lam, e0)
+    assert bad.value == pytest.approx(ref, abs=1e-9)
+    assert bad.residual <= 1e-9
+    assert bad.iterations > good.iterations
+
+
+def test_coupled_ground_is_deterministic(oracle_setup):
+    cfg, cache, e0 = oracle_setup
+    a = coupled_ground(cache, cfg.potential, cfg.egrid, 0.2, e0, seed=3)
+    b = coupled_ground(cache, cfg.potential, cfg.egrid, 0.2, e0, seed=3)
     assert a.value == b.value
     assert np.array_equal(a.vector, b.vector)
 

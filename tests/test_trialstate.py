@@ -136,11 +136,10 @@ def test_precomputed_kernel_and_gram_give_same_answer(free_cache):
 # coupled model: bound property
 # ---------------------------------------------------------------------------
 
-def test_upper_bound_dominates_coupled_ground(toy_cfg, toy_template,
-                                              toy_cache):
+def test_upper_bound_dominates_coupled_ground(toy_cfg, toy_cache):
     e0 = toy_cache.energy(0.0)
     for lam in (0.4, 0.2):
-        coupled = coupled_ground(toy_template, toy_cfg.potential,
+        coupled = coupled_ground(toy_cache, toy_cfg.potential,
                                  toy_cfg.egrid, lam, e0, seed=0)
         mub = minimize_upper_bound(lam, toy_cache, toy_cfg.potential,
                                    toy_cfg.egrid, e0, p_c=0.7)
