@@ -7,7 +7,8 @@ validate, docs-tables.  `--config` accepts a file path or a shipped preset
 name (free, toy, small, powerlaw_g01, powerlaw_g03, oracle).
 
 Exit codes: 0 all verdicts pass; 1 a verdict failed (or docs drifted);
-2 configuration/validation error; 3 solver failure.
+2 configuration/validation error, including a truncation over the size
+budget; 3 solver failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import sys
 from dataclasses import replace
 
 from .config import load_config, validate_config
-from .errors import (ConfigError, DomainError, PolaronError, SolverError)
+from .errors import (CapacityError, ConfigError, DomainError, PolaronError,
+                     SolverError)
 
 _RUN_SUBCOMMANDS = ("dispersion", "staticmass", "sandwich", "oracle-check",
                     "converge")
@@ -91,7 +93,7 @@ def main(argv=None) -> int:
               f"(report in {os.path.join(out, 'report.json')})")
         return 0 if passed else 1
 
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, CapacityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 from .bounds import SplitParams
 from .model import (TAIL_TOL, ConstantCoupling, ConstantDispersion,
                     GaussianWell, ModelSpec, PoschlTeller, PowerLawCoupling,
@@ -258,7 +258,8 @@ def validate_config(path_or_data) -> list:
 
     Returns a list of (severity, message) with severity "error" or
     "warning"; schema violations raise ConfigError instead (they carry the
-    dotted key path).
+    dotted key path).  A Fock dimension over BASIS_CAPACITY is an "error"
+    note, and the diagnostics stop there.
     """
     if isinstance(path_or_data, dict):
         cfg = parse_config(path_or_data)
@@ -266,7 +267,11 @@ def validate_config(path_or_data) -> list:
         cfg = load_config(path_or_data)
     notes = []
     grid = cfg.spec.mode_grid()
-    fdim = cfg.spec.fock_dimension(grid)
+    try:
+        fdim = cfg.spec.fock_dimension(grid)
+    except CapacityError as exc:
+        notes.append(("error", str(exc)))
+        return notes
     notes.append(("info", f"{grid.size} field modes, Fock dimension {fdim}, "
                           f"electron grid {cfg.egrid.size} nodes"))
     p_c_est = estimate_window(cfg)

@@ -1,7 +1,9 @@
 """Error taxonomy shared by all modules.
 
 Exit-code mapping used by the command line front end:
-config problems -> 2, solver failures -> 3, FAIL verdicts -> 1.
+config problems (ConfigError, DomainError, and CapacityError for a
+truncation over the size budget) -> 2, solver failures -> 3, FAIL verdicts
+and other analysis failures -> 1.
 """
 
 

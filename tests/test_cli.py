@@ -51,6 +51,28 @@ def test_validate_rejects_dimension_two(tmp_path, capsys):
     assert "'model.dimension'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["validate", "dispersion"])
+def test_over_capacity_config_exits_2(tmp_path, capsys, subcommand):
+    # Fock dimension C(24 + 12, 12) = 1,251,677,700 > BASIS_CAPACITY
+    data = json.loads(Path(REPO_ROOT, "src", "polaron_effmass", "presets",
+                           "small.json").read_text())
+    data["model"]["n_max"] = 12
+    data["model"]["mode_grid"]["uv_cutoff"] = 6.0
+    argv = [subcommand, "--config", _write_config(tmp_path, data)]
+    if subcommand == "dispersion":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    if subcommand == "validate":
+        assert ("error: truncated Fock dimension 1251677700 exceeds capacity"
+                in captured.out)
+        assert "validation FAILED" in captured.out
+    else:
+        assert "configuration error:" in captured.err
+        assert "1251677700 exceeds capacity" in captured.err
+    assert "analysis failure" not in captured.err
+
+
 def test_unknown_config_path_exits_2(capsys):
     assert main(["validate", "--config", "/nope/missing.json"]) == 2
     assert "configuration error:" in capsys.readouterr().err
