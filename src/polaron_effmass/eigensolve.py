@@ -4,7 +4,9 @@ Three routes, kept deliberately independent so they can cross-check each other:
 
 * :func:`lowest_two` / :func:`davidson_ground`: diagonally preconditioned
   subspace iteration (Davidson) with thick restarts, one core for one or
-  two wanted pairs.  :func:`lowest_two` serves the fiber ground pairs and
+  two wanted pairs.  Each iteration forms only the Ritz pairs it uses, and
+  each new vector takes one Gram-Schmidt pass, a second only when the DGKS
+  test asks for it.  :func:`lowest_two` serves the fiber ground pairs and
   their gap from one run, from the lowest-diagonal coordinate directions;
   :func:`davidson_ground` the coupled small-lambda operators, whose
   diagonal spread makes plain Krylov iteration impractically slow.  Its
@@ -37,10 +39,11 @@ Three routes, kept deliberately independent so they can cross-check each other:
   take their values from it.
 
 Small dense/tridiagonal subproblems inside the iterative solvers use LAPACK
-via scipy.linalg: Davidson's projected eigenproblems call dsyevr directly,
-with the arguments and workspace sizes that scipy.linalg.eigh passes, so
-the Ritz pairs are those of eigh bit for bit without its per-call checks
-and workspace query.  The dense route calls no LAPACK at all.
+via scipy.linalg: Davidson's projected eigenproblems call dsyevr directly
+for the lowest m pairs (range "I"), with the arguments and workspace sizes
+that scipy.linalg.eigh(subset_by_index=[0, m - 1]) passes, so the Ritz
+pairs are those of eigh bit for bit without its per-call checks and
+workspace query.  The dense route calls no LAPACK at all.
 """
 
 from __future__ import annotations
@@ -77,6 +80,11 @@ _MAX_RESTARTS = 10
 # needs 584 MiB, so 2 GiB leaves room for a grid or truncation about 3x
 # larger; anything beyond fails at once, not after swapping or being killed.
 _DAVIDSON_MAX_BYTES = 2 * 2**30
+# Davidson iterations of one fiber pair before lowest_two gives up.
+_PAIR_MAX_ITERS = 600
+# A Gram-Schmidt pass that leaves less than this fraction of a vector's norm
+# is repeated once (the DGKS test).
+_DGKS = 1.0 / math.sqrt(2.0)
 
 
 @dataclass
@@ -130,30 +138,50 @@ def _syevr_workspace(k):
     return int(lwork), int(liwork)
 
 
-def _projected_eigh(A, best):
-    """All eigenpairs, ascending, of a small symmetric matrix (lower triangle).
+def _projected_eigh(A, best, m):
+    """Lowest `m` eigenpairs, ascending, of a small symmetric matrix.
 
-    Returns the bits of ``scipy.linalg.eigh(A)``.  LAPACK can loop forever
-    on a non-finite entry, so those are refused up front, as eigh does.
-    A failure raises SolverError carrying `best` (value, residual, vector).
+    LAPACK dsyevr on the lower triangle with range "I", il = 1, iu = m, so
+    only the wanted pairs are formed.  Returns the bits of
+    ``scipy.linalg.eigh(A, subset_by_index=[0, m - 1])``.  LAPACK can loop
+    forever on a non-finite entry, so those are refused up front, as eigh
+    does.  A failure raises SolverError carrying `best` (value, residual,
+    vector).
     """
     k = A.shape[0]
     if not np.isfinite(A).all():
         raise SolverError(f"projected {k}x{k} matrix has non-finite entries",
                           *best)
     lwork, liwork = _syevr_workspace(k)
-    vals, vecs, _, _, info = _SYEVR(A, compute_v=1, lower=1, lwork=lwork,
-                                    liwork=liwork)
+    vals, vecs, _, _, info = _SYEVR(A, compute_v=1, range="I", lower=1, il=1,
+                                    iu=m, lwork=lwork, liwork=liwork)
     if info != 0:
         raise SolverError(f"dsyevr failed on the projected {k}x{k} matrix "
                           f"(info {info})", *best)
-    return vals, vecs
+    return vals[:m], vecs
 
 
 def _project_out(w, V, k):
     """One classical Gram-Schmidt pass of w against V[:k]."""
     w -= V[:k].T @ (V[:k] @ w)
     return w
+
+
+def _orthogonalize(w, V, norm):
+    """Gram-Schmidt w against the orthonormal rows of V, in place; new norm.
+
+    `norm` is the norm of w on entry.  One classical pass, and a second only
+    when the first leaves w below 1/sqrt(2) of `norm`: the test of Daniel,
+    Gragg, Kaufman & Stewart (Math. Comp. 30, 1976), past which one pass has
+    cancelled too much to leave w orthogonal to working precision.
+    """
+    k = V.shape[0]
+    _project_out(w, V, k)
+    nw = math.sqrt(w @ w)
+    if nw < _DGKS * norm:
+        _project_out(w, V, k)
+        nw = math.sqrt(w @ w)
+    return nw
 
 
 def _lowest_ritz(alphas, betas):
@@ -276,8 +304,12 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
     smallest diagonal entries.  Each iteration adds the corrections
     t = r / (diag(A) - theta) of the wanted Ritz pairs that have not
     converged yet; `correction(t, r, theta)`, when given, refines each t in
-    place.  Returns (values, vectors, residuals, iterations, matvecs); the
-    residuals are those of the carried A V, not of a fresh matvec.  Raises
+    place.  Each iteration forms only the `nwant` lowest Ritz pairs, or the
+    `restart_keep` lowest when the space may have to be compressed to them
+    before the corrections go in (a thick restart).  Every new vector is
+    orthogonalized by _orthogonalize.  Returns (values, vectors, residuals,
+    iterations, matvecs, restarts); the residuals are those of the carried
+    A V, not of a fresh matvec, and restarts counts the compressions.  Raises
     CapacityError, before touching the operator, when V and A V would
     exceed _DAVIDSON_MAX_BYTES.
     """
@@ -323,22 +355,23 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
     for w in starts:
         if k >= max_subspace:
             break
-        for _ in range(2):
-            w -= V[:k].T @ (V[:k] @ w)
-        nw = np.linalg.norm(w)
+        nw = _orthogonalize(w, V[:k], math.sqrt(w @ w))
         if nw < 1e-12:
             continue
         append(k, w / nw)
         k += 1
     if k == 0:
         w = rng.standard_normal(n)
-        append(0, w / np.linalg.norm(w))
+        append(0, w / math.sqrt(w @ w))
         k = 1
     matvecs = k
+    restarts = 0
     best_val, best_vec, best_res = math.inf, None, math.inf
 
     for it in range(max_iters):
-        vals, vecs = _projected_eigh(H[:k, :k], (best_val, best_res, best_vec))
+        m = restart_keep if k + nwant > max_subspace else nwant
+        vals, vecs = _projected_eigh(H[:k, :k], (best_val, best_res, best_vec),
+                                     min(m, k))
         thetas, xs, rs, ress = [], [], [], []
         for j in range(min(nwant, k)):
             y = vecs[:, j]
@@ -348,13 +381,13 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
             thetas.append(theta)
             xs.append(x)
             rs.append(r)
-            ress.append(float(np.linalg.norm(r)))
+            ress.append(math.sqrt(r @ r))
         if ress[0] < best_res:
             best_val, best_vec, best_res = thetas[0], xs[0], ress[0]
         todo = [j for j in range(len(ress))
                 if ress[j] > tol * max(1.0, abs(thetas[j]))]
         if not todo and len(ress) == nwant:
-            return thetas, xs, ress, it, matvecs
+            return thetas, xs, ress, it, matvecs, restarts
         if k + len(todo) > max_subspace:
             # thick restart: keep the lowest Ritz vectors
             keep = min(restart_keep, k)
@@ -363,6 +396,7 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
             V[:keep], AV[:keep] = X, AX
             H[:keep, :keep] = np.diag(vals[:keep])
             k = keep
+            restarts += 1
         for j in todo[:max_subspace - k]:
             denom = diag - thetas[j]
             floor = 1e-8 * max(1.0, abs(thetas[j]))
@@ -372,15 +406,11 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
                 correction(t, rs[j], thetas[j])
             # a correction already in the space is replaced by a random
             # vector; the test is relative, since t shrinks with r
-            nt0 = np.linalg.norm(t)
-            for _ in range(2):
-                t -= V[:k].T @ (V[:k] @ t)
-            nt = np.linalg.norm(t)
+            nt0 = math.sqrt(t @ t)
+            nt = _orthogonalize(t, V[:k], nt0)
             if nt <= 1e-12 * nt0:
                 t = rng.standard_normal(n)
-                for _ in range(2):
-                    t -= V[:k].T @ (V[:k] @ t)
-                nt = np.linalg.norm(t)
+                nt = _orthogonalize(t, V[:k], math.sqrt(t @ t))
             append(k, t / nt)
             matvecs += 1
             k += 1
@@ -393,8 +423,7 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
     )
 
 
-def lowest_two(op, tol: float = 1e-9, seed: int = 0, *,
-               max_iters: int = 600) -> PairResult:
+def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> PairResult:
     """Two lowest eigenpairs from one two-target Davidson run.
 
     The returned residuals ||A x - theta x|| come from a fresh matvec of the
@@ -404,16 +433,18 @@ def lowest_two(op, tol: float = 1e-9, seed: int = 0, *,
     max(10 tol, 1e-10) * max(1, |E0|), in which case downstream consumers
     must not rely on a unique ground direction.
     """
-    thetas, xs, _, _, _ = _davidson(op, 2, tol, seed, max_subspace=40,
-                                    max_iters=max_iters, restart_keep=6)
+    thetas, xs = _davidson(op, 2, tol, seed, max_subspace=40,
+                           max_iters=_PAIR_MAX_ITERS, restart_keep=6)[:2]
     matvec = _as_operator(op)[0]
-    xs = [x / np.linalg.norm(x) for x in xs]
-    residuals = tuple(float(np.linalg.norm(matvec(x) - t * x))
-                      for t, x in zip(thetas, xs))
+    xs = [x / math.sqrt(x @ x) for x in xs]
+    residuals = []
+    for t, x in zip(thetas, xs):
+        r = matvec(x) - t * x
+        residuals.append(math.sqrt(r @ r))
     gap = thetas[1] - thetas[0]
     degenerate = gap < max(10.0 * tol, 1e-10) * max(1.0, abs(thetas[0]))
     return PairResult(values=tuple(thetas), vectors=tuple(xs), gap=gap,
-                      degenerate=degenerate, residuals=residuals)
+                      degenerate=degenerate, residuals=tuple(residuals))
 
 
 def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int = 20,
@@ -426,13 +457,16 @@ def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int =
     `correction(t, r, theta)` may refine each one in place, as the coupled
     solve's coarse correction does.  The space starts from `v0` when given,
     else from the unit vectors on the four smallest diagonal entries.  It is
-    kept orthonormal with two Gram-Schmidt passes and compressed to the best
-    4 Ritz vectors when full.  Deterministic for fixed seed and start vector.
+    kept orthonormal by one Gram-Schmidt pass per vector, with a second
+    when the DGKS test asks for it, and compressed to the best 4 Ritz
+    vectors when full; `restarts` counts those compressions.  Deterministic
+    for fixed seed and start vector.
     """
-    thetas, xs, ress, it, matvecs = _davidson(
+    thetas, xs, ress, it, matvecs, restarts = _davidson(
         op, 1, tol, seed, max_subspace=max_subspace, max_iters=max_iters,
         restart_keep=4, v0=v0, correction=correction)
-    return EigResult(thetas[0], xs[0], ress[0], it, matvecs, 0, "davidson")
+    return EigResult(thetas[0], xs[0], ress[0], it, matvecs, restarts,
+                     "davidson")
 
 
 # ---------------------------------------------------------------------------

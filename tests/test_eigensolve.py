@@ -15,7 +15,8 @@ from polaron_effmass import eigensolve
 from polaron_effmass.config import load_config
 from polaron_effmass.eigensolve import (_DAVIDSON_MAX_BYTES,
                                         _householder_tridiagonalize,
-                                        _projected_eigh, _sturm_counts,
+                                        _orthogonalize, _projected_eigh,
+                                        _sturm_counts,
                                         _sturm_counts_guarded, _sturm_setup,
                                         _tridiagonal_eigenvalues,
                                         davidson_ground, dense_ground,
@@ -373,10 +374,11 @@ def test_lowest_two_is_deterministic(rng):
         assert np.array_equal(u, v)
 
 
-def test_lowest_two_failure_carries_best_value(rng):
+def test_lowest_two_failure_carries_best_value(rng, monkeypatch):
+    monkeypatch.setattr(eigensolve, "_PAIR_MAX_ITERS", 3)
     m = random_sparse_symmetric(rng, 200)
     with pytest.raises(SolverError) as info:
-        lowest_two(m, tol=1e-16, seed=0, max_iters=3)
+        lowest_two(m, tol=1e-16, seed=0)
     assert info.value.best_value is not None
     assert info.value.best_residual is not None
 
@@ -458,14 +460,176 @@ def test_davidson_is_deterministic(rng):
 
 
 def test_projected_eigh_is_eigh_bit_for_bit(rng):
-    # Davidson's projected matrices are leading blocks of a larger array
+    # Davidson's projected matrices are leading blocks of a larger array,
+    # and it asks for the lowest 1 or 2 pairs, or 4 or 6 before a restart
     H = np.zeros((90, 90))
     for k in range(1, 81):
         H[:k, :k] = random_symmetric(rng, k)
-        vals, vecs = _projected_eigh(H[:k, :k], (None, None, None))
-        ref_vals, ref_vecs = sla.eigh(H[:k, :k])
-        assert np.array_equal(vals, ref_vals), k
-        assert np.array_equal(vecs, ref_vecs), k
+        for m in sorted({1, 2, 4, 6, k}):
+            if m > k:
+                continue
+            vals, vecs = _projected_eigh(H[:k, :k], (None, None, None), m)
+            ref_vals, ref_vecs = sla.eigh(H[:k, :k],
+                                          subset_by_index=[0, m - 1])
+            assert np.array_equal(vals, ref_vals), (k, m)
+            assert np.array_equal(vecs, ref_vecs), (k, m)
+
+
+def _count_passes(monkeypatch):
+    """Spy on the Gram-Schmidt passes; returns the list it appends to."""
+    passes = []
+    project_out = eigensolve._project_out
+
+    def spy(w, V, k):
+        passes.append(k)
+        return project_out(w, V, k)
+
+    monkeypatch.setattr(eigensolve, "_project_out", spy)
+    return passes
+
+
+def test_orthogonalize_repeats_a_pass_only_when_dgks_asks(rng, monkeypatch):
+    passes = _count_passes(monkeypatch)
+    V, _ = np.linalg.qr(rng.standard_normal((50, 8)))
+    V = np.ascontiguousarray(V.T)
+    # orthogonal to the basis: one pass
+    w = rng.standard_normal(50)
+    w -= V.T @ (V @ w)
+    w -= V.T @ (V @ w)
+    norm = np.linalg.norm(w)
+    assert _orthogonalize(w, V, norm) == pytest.approx(norm, rel=1e-12)
+    assert len(passes) == 1
+    # 1e-6 off the span: the first pass keeps 1e-6 of the norm, so a second
+    passes.clear()
+    w = V.T @ rng.standard_normal(8) + 1e-6 * w / norm
+    nw = _orthogonalize(w, V, np.linalg.norm(w))
+    assert len(passes) == 2
+    assert np.max(np.abs(V @ w)) <= 1e-12 * nw
+
+
+def _orthogonality_cases(rng):
+    for values in ([0.0, 0.0], [0.0, 1e-3], [0.0, 0.0, 0.0]):
+        for n in (60, 300):
+            rest = np.linspace(1.0, 2.0, n - len(values))
+            yield rotated_diagonal(rng, np.r_[values, rest])
+    for n in (80, 200, 400):
+        yield random_sparse_symmetric(rng, n)
+
+
+def test_davidson_vectors_stay_orthogonal(rng, monkeypatch):
+    # every vector that enters the space is orthogonal to it to 1e-12 of its
+    # norm; a rejected correction (norm at or below 1e-12 of what it was
+    # before the projection) never enters it and is not checked
+    orthogonalize = eigensolve._orthogonalize
+    checked = []
+
+    def spy(w, V, norm):
+        nw = orthogonalize(w, V, norm)
+        if nw > 1e-12 * norm and V.shape[0]:
+            assert np.max(np.abs(V @ w)) <= 1e-12 * nw
+            checked.append(V.shape[0])
+        return nw
+
+    monkeypatch.setattr(eigensolve, "_orthogonalize", spy)
+    for a in _orthogonality_cases(rng):
+        lowest_two(a, tol=1e-10, seed=0)
+        davidson_ground(a, tol=1e-10, seed=0)
+    assert len(checked) > 100
+
+
+def test_davidson_reports_its_restarts(rng, monkeypatch):
+    # with nwant 1 and a space of 5, each iteration orthogonalizes one
+    # correction; the basis it is orthogonalized against grows by one per
+    # iteration unless the space was just compressed
+    orthogonalize = eigensolve._orthogonalize
+    sizes = []
+
+    def spy(w, V, norm):
+        sizes.append(V.shape[0])
+        return orthogonalize(w, V, norm)
+
+    monkeypatch.setattr(eigensolve, "_orthogonalize", spy)
+    m = random_sparse_symmetric(rng, 200)
+    res = davidson_ground(m, tol=1e-10, seed=0, max_subspace=5)
+    compressions = sum(b <= a for a, b in zip(sizes, sizes[1:]))
+    assert compressions > 0
+    assert res.restarts == compressions
+    assert res.value == pytest.approx(np.linalg.eigvalsh(m.toarray())[0],
+                                      abs=1e-8)
+
+
+def test_projected_eigh_forms_only_the_pairs_in_use(rng, monkeypatch):
+    # nwant pairs per iteration, restart_keep of them when the space may be
+    # compressed next; never the full projected spectrum once k exceeds that
+    projected_eigh = eigensolve._projected_eigh
+    asked = []
+
+    def spy(A, best, m):
+        asked.append((A.shape[0], m))
+        return projected_eigh(A, best, m)
+
+    monkeypatch.setattr(eigensolve, "_projected_eigh", spy)
+    template = FiberTemplate(load_config("small").spec)
+    # the fiber converges before its space fills; the other two restart
+    for solve, nwant, keep, space, sizes in (
+            (lambda: lowest_two(template.operator(0.5), tol=1e-10),
+             2, 6, 40, {2}),
+            (lambda: lowest_two(random_sparse_symmetric(rng, 300), tol=1e-10),
+             2, 6, 40, {2, 6}),
+            (lambda: davidson_ground(random_sparse_symmetric(rng, 200),
+                                     tol=1e-10, max_subspace=8),
+             1, 4, 8, {1, 4})):
+        asked.clear()
+        solve()
+        assert {m for _, m in asked} == sizes
+        for k, m in asked:
+            assert m <= max(nwant, keep)
+            assert m == min(keep if k + nwant > space else nwant, k)
+
+
+# iterations and matvecs of lowest_two(tol=1e-10, seed=0) on the toy and
+# small fibers, as before the subset projected solve and the DGKS pass
+PAIR_COUNTS = {
+    ("toy", 0.0): (7, 17), ("toy", 0.25): (8, 19), ("toy", -0.6): (9, 21),
+    ("toy", 1.1): (8, 20), ("small", 0.0): (20, 37),
+    ("small", 0.25): (18, 35), ("small", -0.6): (18, 36),
+    ("small", 1.1): (18, 38),
+}
+
+
+@pytest.mark.parametrize("preset", ["toy", "small"])
+def test_lowest_two_keeps_its_iteration_counts(preset, monkeypatch):
+    davidson = eigensolve._davidson
+    counts = []
+
+    def spy(*args, **kwargs):
+        out = davidson(*args, **kwargs)
+        counts.append(out[3:5])
+        return out
+
+    monkeypatch.setattr(eigensolve, "_davidson", spy)
+    template = FiberTemplate(load_config(preset).spec)
+    for P in (0.0, 0.25, -0.6, 1.1):
+        counts.clear()
+        lowest_two(template.operator(P), tol=1e-10, seed=0)
+        assert counts == [PAIR_COUNTS[preset, P]], P
+
+
+def test_second_gram_schmidt_pass_is_the_exception(monkeypatch):
+    # on the small fiber at P = 0.5, 3 of 36 orthogonalizations took the
+    # second pass; unconditional double passes would make that 36 of 36
+    orthogonalize = eigensolve._orthogonalize
+    calls = []
+
+    def spy(w, V, norm):
+        calls.append(V.shape[0])
+        return orthogonalize(w, V, norm)
+
+    monkeypatch.setattr(eigensolve, "_orthogonalize", spy)
+    passes = _count_passes(monkeypatch)
+    template = FiberTemplate(load_config("small").spec)
+    lowest_two(template.operator(0.5), tol=1e-10, seed=0)
+    assert len(passes) - len(calls) < len(calls) / 2
 
 
 class _NaNOperator:
