@@ -15,7 +15,7 @@ Two independent lower-bound routes:
   (:func:`~.eigensolve.verified_floor`), as is L2's operator branch.
 
 * Scaled-potential split bound (L2).  Splitting trial vectors by how much
-  momentum mass sits outside a ball of radius beta = c_beta sqrt(lam) and
+  momentum mass sits outside a ball of radius beta = C_BETA sqrt(lam) and
   using the quasi-parabolic certificate E(P) >= E0 + P^2/(2M(1+CP^2))
   yields
 
@@ -55,10 +55,16 @@ __all__ = [
     "momentum_lower_bound",
     "split_lower_bound",
     "sandwich_report",
-    "ORDERING_TOL_DEFAULT",
+    "ORDERING_TOL",
+    "C_BETA",
 ]
 
-ORDERING_TOL_DEFAULT = 1e-8
+# Additive slack of the sandwich's ordering checks.
+ORDERING_TOL = 1e-8
+# Momentum-cut schedule of the split bound: beta = C_BETA sqrt(lam).
+C_BETA = 1.0
+# Factor by which suggest_c_eps exceeds the smallest admissible c_eps.
+_C_EPS_SAFETY = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -111,28 +117,26 @@ def momentum_lower_bound(lam: float, egrid: ElectronGrid, potential,
 
 @dataclass(frozen=True)
 class SplitParams:
-    """Split-bound knobs: eps = c_eps * lam, beta = c_beta * sqrt(lam)."""
+    """Split-bound schedules: eps = c_eps * lam, beta = C_BETA * sqrt(lam)."""
 
     c_eps: float
-    c_beta: float = 1.0
 
     def eps(self, lam: float) -> float:
         return self.c_eps * lam
 
     def beta(self, lam: float) -> float:
-        return self.c_beta * math.sqrt(lam)
+        return C_BETA * math.sqrt(lam)
 
 
 def suggest_c_eps(mass: float, c_min: float, sup_norm: float,
-                  lam_max: float, *, c_beta: float = 1.0,
-                  safety: float = 2.0) -> float:
-    """Smallest c_eps (times a safety factor) keeping the scalar branch
+                  lam_max: float) -> float:
+    """Smallest c_eps (times _C_EPS_SAFETY) keeping the scalar branch
 
     beta^2/(2 lam^2 M_c) - (1 + 1/eps) sup|V| bounded below as lam -> 0;
     the threshold is c_eps = 2 M_c sup|V| with M_c at the largest lam.
     """
-    m_c = mass * (1.0 + c_min * c_beta**2 * lam_max)
-    return safety * 2.0 * m_c * sup_norm
+    m_c = mass * (1.0 + c_min * C_BETA**2 * lam_max)
+    return _C_EPS_SAFETY * 2.0 * m_c * sup_norm
 
 
 @dataclass(frozen=True)
@@ -219,18 +223,17 @@ class SandwichReport:
         return "\n".join(lines)
 
 
-def sandwich_report(rows, *, ordering_tol: float = ORDERING_TOL_DEFAULT
-                    ) -> SandwichReport:
-    """Check L2 - tol <= L1 <= e <= U* + tol at every lam."""
+def sandwich_report(rows) -> SandwichReport:
+    """Check L2 - tol <= L1 <= e <= U* + tol at every lam (ORDERING_TOL)."""
     rows = tuple(sorted(rows, key=lambda r: -r.lam))
     if not rows:
         raise ConfigError("sandwich report needs at least one row")
     pair_names = ("L1-L2", "e-L1", "U*-e")
     margin_min, worst_lam, worst_pair = math.inf, rows[0].lam, pair_names[0]
     for r in rows:
-        for name, m in zip(pair_names, r.margins(ordering_tol)):
+        for name, m in zip(pair_names, r.margins(ORDERING_TOL)):
             if m < margin_min:
                 margin_min, worst_lam, worst_pair = m, r.lam, name
-    return SandwichReport(rows=rows, ordering_tol=ordering_tol,
+    return SandwichReport(rows=rows, ordering_tol=ORDERING_TOL,
                           passed=margin_min >= 0.0, margin_min=margin_min,
                           worst_lam=worst_lam, worst_pair=worst_pair)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .bounds import SplitParams
+from .bounds import C_BETA
 from .model import (TAIL_TOL, ConstantCoupling, ConstantDispersion,
                     GaussianWell, ModelSpec, PoschlTeller, PowerLawCoupling,
                     SoftStep, TabulatedDispersion, ZeroCoupling,
@@ -286,7 +286,7 @@ def validate_config(path_or_data) -> list:
                 f"estimated window {p_c_est:.4g}; the trial-profile support "
                 "will be clipped to the window at every lambda"
             ))
-        beta_max = SplitParams.c_beta * math.sqrt(lam_max)
+        beta_max = C_BETA * math.sqrt(lam_max)
         if beta_max >= p_c_est:
             notes.append((
                 "warning",

@@ -51,10 +51,14 @@ __all__ = [
     "check_ceilings",
     "estimate_Pc",
     "perturbative_mass",
-    "GAP_THRESHOLD_DEFAULT",
+    "GAP_THRESHOLD",
 ]
 
-GAP_THRESHOLD_DEFAULT = 1e-3
+# Smallest gap E1 - E0 at which a fiber ground state counts as unique.
+GAP_THRESHOLD = 1e-3
+
+# Residual tolerance of each fiber pair solve.
+_FIBER_TOL = 1e-9
 
 # Relative slack of the certificate sweep and the ceiling checks.
 _CERTIFY_TOL = 1e-9
@@ -64,15 +68,13 @@ class FiberCache:
     """Memoized fiber ground pairs by total momentum.
 
     Stores, per momentum P, the two lowest energies, the phase-fixed ground
-    vector, the residual and the degeneracy flag.  On symmetric grids the -P
-    data is derived from +P by the parity permutation instead of a second
-    solve.
+    vector, the residual, the degeneracy flag and the solver's iterations,
+    matvecs and restarts.  On symmetric grids the -P data is derived from +P
+    by the parity permutation instead of a second solve.
     """
 
-    def __init__(self, template: FiberTemplate, *, tol: float = 1e-9,
-                 seed: int = 0):
+    def __init__(self, template: FiberTemplate, *, seed: int = 0):
         self.template = template
-        self.tol = tol
         self.seed = seed
         self._store: dict = {}
         self._use_parity = template.grid.is_symmetric()
@@ -89,9 +91,13 @@ class FiberCache:
         """Number of momenta actually solved (not derived by parity)."""
         return sum(1 for rec in self._store.values() if rec["solved"])
 
+    def work(self, key: str) -> int:
+        """Sum of "iterations", "matvecs" or "restarts" over the solves."""
+        return sum(rec[key] for rec in self._store.values() if rec["solved"])
+
     def _solve(self, P: float) -> dict:
         op = self.template.operator(P)
-        pair = lowest_two(op, tol=self.tol, seed=self.seed)
+        pair = lowest_two(op, tol=_FIBER_TOL, seed=self.seed)
         vec = pair.vectors[0]
         return {
             "energy": pair.values[0],
@@ -100,6 +106,9 @@ class FiberCache:
             "degenerate": pair.degenerate,
             "residual": max(pair.residuals),
             "vector": vec,
+            "iterations": pair.iterations,
+            "matvecs": pair.matvecs,
+            "restarts": pair.restarts,
             "solved": True,
         }
 
@@ -176,21 +185,17 @@ class DispersionCurve:
         return np.array([s.gap for s in self.samples])
 
 
-def scan_dispersion(template: FiberTemplate, P_list, *, tol: float = 1e-9,
-                    cache: FiberCache | None = None) -> DispersionCurve:
+def scan_dispersion(cache: FiberCache, P_list) -> DispersionCurve:
     """Solve the fibers at the requested momenta and assemble the curve.
 
     P_list must contain 0 (the curve is pinned to E0 = E(0)).  Momenta are
-    solved independently, one two-target Davidson run each; the curve is
-    reduced in sorted order.  E(P) >= E0 and parity symmetry are validated
-    to the cache's solver tolerance; `tol` applies only to the cache built
-    when none is passed.
+    solved through `cache`, independently, one two-target Davidson run
+    each; the curve is reduced in sorted order.  E(P) >= E0 and parity
+    symmetry are validated to the fiber solver tolerance.
     """
     P_arr = np.unique(np.asarray(P_list, dtype=float))
     if not np.any(np.abs(P_arr) <= 1e-15):
         raise DomainError("P_list must include 0")
-    if cache is None:
-        cache = FiberCache(template, tol=tol)
     cache.prefetch(P_arr)
     samples = []
     for p in P_arr:
@@ -200,7 +205,7 @@ def scan_dispersion(template: FiberTemplate, P_list, *, tol: float = 1e-9,
             residual=rec["residual"], degenerate=rec["degenerate"],
         ))
     e0 = cache.energy(0.0)
-    slack = 10.0 * cache.tol * max(1.0, abs(e0))
+    slack = 10.0 * _FIBER_TOL * max(1.0, abs(e0))
     for s in samples:
         if s.energy < e0 - slack:
             raise AnalysisError(
@@ -292,24 +297,16 @@ class QuasiParabolicCertificate:
     n_samples: int
 
 
-def certify_quasi_parabolic(curve: DispersionCurve, mass: float,
-                            extra_samples=None) -> QuasiParabolicCertificate:
+def certify_quasi_parabolic(curve: DispersionCurve, mass: float
+                            ) -> QuasiParabolicCertificate:
     """Smallest C >= 0 with E(P) >= E0 + P^2/(2 mass (1 + C P^2)) at samples.
 
-    `extra_samples` is an optional array of (P, E) rows folded into the
-    certificate (the lower-bound machinery evaluates the inequality at
-    momenta that need not lie on the scanned curve).  The certificate is
-    re-verified by a direct sweep; its margin is the worst slack.
+    The certificate is re-verified by a direct sweep; its margin is the
+    worst slack.
     """
     tol = _CERTIFY_TOL
     P = curve.momenta
-    E = curve.energies
-    if extra_samples is not None:
-        extra = np.atleast_2d(np.asarray(extra_samples, dtype=float))
-        if extra.size:
-            P = np.concatenate([P, extra[:, 0]])
-            E = np.concatenate([E, extra[:, 1]])
-    dE = E - curve.e0
+    dE = curve.energies - curve.e0
     nz = np.abs(P) > 1e-15
     c_min = 0.0
     worst = 0.0
@@ -377,21 +374,21 @@ def check_ceilings(curve: DispersionCurve, template: FiberTemplate
                          violations=tuple(violations), passed=not violations)
 
 
-def estimate_Pc(curve: DispersionCurve,
-                gap_threshold: float = GAP_THRESHOLD_DEFAULT) -> float:
-    """Largest contiguous |P| from 0 with open gap and no degeneracy flags."""
+def estimate_Pc(curve: DispersionCurve) -> float:
+    """Largest contiguous |P| from 0 with a gap above GAP_THRESHOLD and no
+    degeneracy flags."""
     order = np.argsort(np.abs(curve.momenta))
     samples = [curve.samples[i] for i in order]
-    if samples[0].gap <= gap_threshold or samples[0].degenerate:
+    if samples[0].gap <= GAP_THRESHOLD or samples[0].degenerate:
         raise AnalysisError(
-            f"gap at P=0 is {samples[0].gap:.3e} <= threshold {gap_threshold:g}; "
-            "a unique ground state at 0 is required"
+            f"gap at P=0 is {samples[0].gap:.3e} <= threshold "
+            f"{GAP_THRESHOLD:g}; a unique ground state at 0 is required"
         )
     p_c = 0.0
     seen = {}
     for s in samples:
         ap = abs(s.P)
-        ok = s.gap > gap_threshold and not s.degenerate
+        ok = s.gap > GAP_THRESHOLD and not s.degenerate
         seen[ap] = min(seen.get(ap, True), ok)
     for ap in sorted(seen):
         if not seen[ap]:

@@ -231,6 +231,11 @@ _REPORT_DOC = (
                                        "used as a cross-check."),
     ("`dispersion.fiber_solves`", "Number of distinct fiber "
                                   "diagonalizations performed."),
+    ("`dispersion.fiber_iterations`", "Davidson iterations summed over "
+                                      "those fiber diagonalizations."),
+    ("`dispersion.fiber_matvecs`", "Fiber-operator applications summed "
+                                   "over those diagonalizations, including "
+                                   "the residual checks."),
     ("`static_mass.lambda_seq`", "Scaling parameters actually used, "
                                  "descending."),
     ("`static_mass.e_values`", "Coupled ground energies per scaling "

@@ -109,6 +109,9 @@ class PairResult:
     gap: float
     degenerate: bool
     residuals: tuple
+    iterations: int
+    matvecs: int
+    restarts: int
 
 
 def _as_operator(op):
@@ -431,10 +434,12 @@ def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> PairResult:
     eigenvalue.  The gap is the difference of the two Ritz values.  The pair
     is flagged degenerate when the gap is below
     max(10 tol, 1e-10) * max(1, |E0|), in which case downstream consumers
-    must not rely on a unique ground direction.
+    must not rely on a unique ground direction.  `matvecs` counts the
+    two fresh ones too.
     """
-    thetas, xs = _davidson(op, 2, tol, seed, max_subspace=40,
-                           max_iters=_PAIR_MAX_ITERS, restart_keep=6)[:2]
+    thetas, xs, _, iterations, matvecs, restarts = _davidson(
+        op, 2, tol, seed, max_subspace=40, max_iters=_PAIR_MAX_ITERS,
+        restart_keep=6)
     matvec = _as_operator(op)[0]
     xs = [x / math.sqrt(x @ x) for x in xs]
     residuals = []
@@ -444,7 +449,9 @@ def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> PairResult:
     gap = thetas[1] - thetas[0]
     degenerate = gap < max(10.0 * tol, 1e-10) * max(1.0, abs(thetas[0]))
     return PairResult(values=tuple(thetas), vectors=tuple(xs), gap=gap,
-                      degenerate=degenerate, residuals=tuple(residuals))
+                      degenerate=degenerate, residuals=tuple(residuals),
+                      iterations=iterations, matvecs=matvecs + len(xs),
+                      restarts=restarts)
 
 
 def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int = 20,

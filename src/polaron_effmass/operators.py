@@ -45,7 +45,7 @@ import scipy.sparse as sp
 
 from .errors import CapacityError, ConfigError, DomainError
 from .fock import enumerate_basis
-from .model import ModelSpec, ModeGrid, effective_couplings
+from .model import ModelSpec, effective_couplings
 
 __all__ = [
     "SymmetricOperator",
@@ -215,9 +215,9 @@ class FiberTemplate:
     once and reused across momenta.
     """
 
-    def __init__(self, spec: ModelSpec, *, grid: ModeGrid | None = None):
+    def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.grid = spec.mode_grid() if grid is None else grid
+        self.grid = spec.mode_grid()
         self.basis = enumerate_basis(self.grid.size, spec.n_max)
         self.omegas = np.asarray(spec.dispersion(self.grid.magnitudes()), dtype=float)
         self.couplings = effective_couplings(spec.coupling, self.grid)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .bounds import (ORDERING_TOL_DEFAULT, SandwichRow, SplitParams,
+from .bounds import (C_BETA, ORDERING_TOL, SandwichRow, SplitParams,
                      momentum_lower_bound, sandwich_report, split_lower_bound,
                      suggest_c_eps)
 from .config import ExperimentConfig
@@ -100,7 +100,7 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
         raise ConfigError("run.P_list is required for this subcommand")
     template = FiberTemplate(cfg.spec)
     cache = FiberCache(template, seed=cfg.seed)
-    curve = scan_dispersion(template, cfg.P_list, cache=cache)
+    curve = scan_dispersion(cache, cfg.P_list)
     p_c = estimate_Pc(curve)
     fit = fit_dynamic_mass(curve, P_c=p_c)
     cert = certify_quasi_parabolic(curve, fit.mass)
@@ -133,6 +133,8 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
         },
         "perturbative_mass": m_pt,
         "fiber_solves": cache.solves(),
+        "fiber_iterations": cache.work("iterations"),
+        "fiber_matvecs": cache.work("matvecs"),
     }
     rows = [(s.P, s.energy, s.gap, s.residual) for s in curve.samples]
     state = DispersionState(template, cache, curve, p_c, fit, cert, ceilings)
@@ -190,7 +192,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
 
     u_vals = np.array([u.result.value for u in u_results])
     u_coef, _, _ = _fit_quadratic_in_lambda(np.array(lams), u_vals)
-    tol = ORDERING_TOL_DEFAULT
+    tol = ORDERING_TOL
     consistent = all(r[2] - tol <= r[1] <= r[3] + tol for r in e_rows)
     block = {
         "static_mass": {
@@ -251,7 +253,7 @@ def stage_sandwich(cfg: ExperimentConfig, dstate: DispersionState,
         })
     report = sandwich_report(rows)
     block = {
-        "split_bound": {"c_eps": params.c_eps, "c_beta": params.c_beta,
+        "split_bound": {"c_eps": params.c_eps, "c_beta": C_BETA,
                         "rows": l2_blocks},
         "verdict": {
             "pass": report.passed,
@@ -267,6 +269,13 @@ def stage_sandwich(cfg: ExperimentConfig, dstate: DispersionState,
         for r in report.rows
     ]
     return report, block, csv_rows
+
+
+def _mass_verdict(m_dyn: float, extrap) -> tuple:
+    """(|M_dyn - M_stat| / M_dyn, whether the masses agree)."""
+    rel_gap = (abs(m_dyn - extrap.mass) / m_dyn
+               if not math.isnan(extrap.mass) else math.inf)
+    return rel_gap, (not extrap.rejected) and rel_gap <= MASS_REL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +372,7 @@ def run_converge(cfg: ExperimentConfig) -> tuple:
         report, wblock, _ = stage_sandwich(vcfg, dstate, sstate)
         m_dyn = dstate.fit.mass
         extrap = sstate.extrapolation
-        rel_gap = (abs(m_dyn - extrap.mass) / m_dyn
-                   if not math.isnan(extrap.mass) else math.inf)
-        mass_ok = (not extrap.rejected) and rel_gap <= MASS_REL_TOL
+        rel_gap, mass_ok = _mass_verdict(m_dyn, extrap)
         verdicts = (report.passed, mass_ok, dblock["ceilings"]["passed"])
         if base_verdicts is None:
             base_verdicts = verdicts
@@ -437,9 +444,7 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | None = None
             for r, u in zip(sstate.e_rows, sstate.u_results)]
         extrap = sstate.extrapolation
         m_dyn = dstate.fit.mass
-        rel_gap = (abs(m_dyn - extrap.mass) / m_dyn
-                   if not math.isnan(extrap.mass) else math.inf)
-        mass_ok = (not extrap.rejected) and rel_gap <= MASS_REL_TOL
+        rel_gap, mass_ok = _mass_verdict(m_dyn, extrap)
         report["mass_comparison"] = {
             "M_dyn": m_dyn,
             "M_stat": extrap.mass,

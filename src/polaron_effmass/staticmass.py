@@ -55,6 +55,10 @@ DEFAULT_LAMBDA_SEQ = (0.4, 0.28, 0.2, 0.14, 0.1)
 
 # Largest rms residual of the quadratic fit in lam that is not rejected.
 _FIT_RMS_TOL = 1e-3
+# Largest mass to which invert_E expands its bracket.
+_MAX_HI = 1024.0
+# Residual tolerance of the coupled Davidson solve.
+_COUPLED_TOL = 1e-9
 
 
 def schrodinger_energy(mass: float, potential, egrid: ElectronGrid) -> float:
@@ -72,15 +76,14 @@ def schrodinger_energy(mass: float, potential, egrid: ElectronGrid) -> float:
     return float(value)
 
 
-def invert_E(target: float, potential, egrid: ElectronGrid, *,
-             max_hi: float = 1024.0) -> float:
+def invert_E(target: float, potential, egrid: ElectronGrid) -> float:
     """Mass m with E(m) = target, by bisection on the decreasing curve.
 
     The bracket [1/2, 4] is bisected to a relative width of 1e-6; its upper
-    end first expands geometrically until it straddles the target.  Every
-    evaluation is checked against monotonicity; a violation (a grid
-    artifact) is a hard error.  A target within 1e-7 of E(1/2) returns
-    exactly the endpoint mass (the free-particle edge case).
+    end first expands geometrically, up to _MAX_HI, until it straddles the
+    target.  Every evaluation is checked against monotonicity; a violation
+    (a grid artifact) is a hard error.  A target within 1e-7 of E(1/2)
+    returns exactly the endpoint mass (the free-particle edge case).
     """
     lo, hi = 0.5, 4.0
     e_lo = schrodinger_energy(lo, potential, egrid)
@@ -94,9 +97,9 @@ def invert_E(target: float, potential, egrid: ElectronGrid, *,
     e_hi = schrodinger_energy(hi, potential, egrid)
     while target < e_hi:
         hi *= 2.0
-        if hi > max_hi:
+        if hi > _MAX_HI:
             raise BracketError(
-                f"target energy {target:.6g} below E({max_hi:g}); bracket "
+                f"target energy {target:.6g} below E({_MAX_HI:g}); bracket "
                 "expansion exhausted"
             )
         e_hi = schrodinger_energy(hi, potential, egrid)
@@ -173,8 +176,7 @@ def _coarse_correction(phi: np.ndarray, evals: np.ndarray, U: np.ndarray):
 
 
 def coupled_ground(cache: FiberCache, potential, egrid: ElectronGrid,
-                   lam: float, e0: float, *, tol: float = 1e-9, seed: int = 0
-                   ) -> CoupledResult:
+                   lam: float, e0: float, *, seed: int = 0) -> CoupledResult:
     """e(lam) = infspec A(lam), by a two-level Davidson solve.
 
     The fiber ground states Phi(lam q_j) in `cache` span a coarse space
@@ -194,10 +196,10 @@ def coupled_ground(cache: FiberCache, potential, egrid: ElectronGrid,
     correct = _coarse_correction(phi, evals, U)
     start = (U[:, 0, None] * phi).ravel()
     try:
-        res = davidson_ground(op, tol=tol, seed=seed, v0=start,
+        res = davidson_ground(op, tol=_COUPLED_TOL, seed=seed, v0=start,
                               correction=correct)
     except SolverError as exc:
-        res = davidson_ground(op, tol=tol, seed=seed + 101,
+        res = davidson_ground(op, tol=_COUPLED_TOL, seed=seed + 101,
                               v0=exc.best_vector, correction=correct,
                               max_subspace=min(80, op.dim), max_iters=1200)
     return CoupledResult(lam=lam, value=res.value, residual=res.residual,

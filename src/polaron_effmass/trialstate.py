@@ -1,32 +1,23 @@
-"""Variational upper bounds on e(lam) from dressed ground-state families.
+"""Variational upper bound U* on e(lam): the dressed trial state's energy.
 
-A trial vector for the coupled scaling-limit operator A(lam) is built by
-placing, at each electron momentum node q_j, the fiber ground state at
-total momentum lam * q_j, weighted by a smooth compactly supported profile
-fhat:
+The trial vector for the coupled operator A(lam) places, at each electron
+momentum node q_j, the fiber ground state Phi(lam q_j), weighted by the bump
+profile fhat ~ (1 - (q/R)^2)^2 of :class:`~.model.FourierBump`.  It is Z a,
+with a_j = fhat(q_j) (exactly 0 off the support) and Z = [e_j (x) Phi_j]
+the coarse space of the coupled solve, so its Rayleigh quotient is
 
-    psi[j, :] = fhat(q_j) * sqrt(dq) * Phi(lam * q_j).
+    U = a^T M a / a^T a,
+    M = Z^T A(lam) Z = diag((E(lam q_j) - e0) / lam^2) + W o (Phi Phi^T),
 
-Its Rayleigh quotient is computable from scalars alone -- the fiber ground
-energies eps_j, the potential kernel W and the Gram matrix
-G[j, j'] = <Phi(lam q_j), Phi(lam q_j')>:
-
-    U = [ sum_j a_j^2 (eps_j - e0)/lam^2 + a^T (W * G) a ] / sum_j a_j^2 ,
-
-with a_j = fhat(q_j) sqrt(dq).  Every support node lam * q_j must be a
-solved family momentum, so U is the exact Rayleigh quotient of an explicit
-vector and hence a certified upper bound on e(lam) up to solver and
-rounding error.
-
-The profile is the bump fhat ~ (1 - (q/R)^2)^2 of
-:class:`~.model.FourierBump`, scaled so its support lam * R stays inside the
-quasi-parabolic window; :func:`minimize_upper_bound` tunes the support
-radius by bounded scalar minimization, reusing one ground-state family
-for every candidate radius.  The minimizer is an in-house port of the
-bounded Brent search of scipy.optimize.minimize_scalar(method="bounded")
-(Forsythe, Malcolm & Moler's fmin): it takes the same steps in the same
-floating-point order, so it returns the same radius bit for bit without
-importing scipy.optimize.
+with M the fiber-Galerkin matrix of :func:`~.staticmass.fiber_galerkin`;
+there is no separate family of ground states.  U is the Rayleigh quotient
+of an explicit vector and hence an upper bound on e(lam) up to solver and
+rounding error.  :func:`minimize_upper_bound` builds M once per lam and
+tunes the radius R, keeping lam R inside the quasi-parabolic window, by an
+in-house port of the bounded Brent search of
+scipy.optimize.minimize_scalar(method="bounded") (Forsythe, Malcolm &
+Moler's fmin): it takes the same steps in the same floating-point order, so
+it returns the same radius bit for bit without importing scipy.optimize.
 """
 
 from __future__ import annotations
@@ -36,154 +27,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import GAP_THRESHOLD_DEFAULT, FiberCache
+from .dispersion import GAP_THRESHOLD, FiberCache
 from .errors import AnalysisError, ConfigError, DomainError
 from .model import FourierBump
 from .operators import ElectronGrid, potential_kernel
+from .staticmass import fiber_galerkin
 
-__all__ = [
-    "GroundStateFamily",
-    "UpperBoundResult",
-    "MinimizedUpperBound",
-    "build_family",
-    "overlap_matrix",
-    "upper_bound",
-    "minimize_upper_bound",
-]
-
-
-@dataclass(frozen=True)
-class GroundStateFamily:
-    """Phase-aligned fiber ground states on a momentum mesh."""
-
-    momenta: np.ndarray        # (n,) sorted momenta
-    energies: np.ndarray       # (n,)
-    gaps: np.ndarray           # (n,)
-    residuals: np.ndarray      # (n,)
-    vectors: np.ndarray        # (n, fock_dim), rows unit norm
-    continuity: np.ndarray     # (n-1,) adjacent ||Phi_i+1 - Phi_i||
-
-    @property
-    def size(self) -> int:
-        return len(self.momenta)
-
-    def index_of(self, P: float) -> int:
-        i = int(np.argmin(np.abs(self.momenta - P)))
-        if abs(self.momenta[i] - P) > 1e-9:
-            raise AnalysisError(
-                f"momentum {P:.6g} is not a family node "
-                f"(nearest: {self.momenta[i]:.6g})"
-            )
-        return i
-
-
-def build_family(cache: FiberCache, P_values, *, p_c: float | None = None,
-                 gap_threshold: float = GAP_THRESHOLD_DEFAULT
-                 ) -> GroundStateFamily:
-    """Solve (or fetch) the fiber ground pair on a momentum mesh.
-
-    Every requested momentum must sit strictly inside the quasi-particle
-    window (-p_c, p_c) when p_c is given, and must have a safely
-    non-degenerate ground state; violations name the offending momentum.
-    """
-    P = np.unique(np.round(np.asarray(P_values, dtype=float), 12))
-    if len(P) == 0:
-        raise ConfigError("family mesh is empty")
-    if p_c is not None and np.max(np.abs(P)) >= p_c:
-        raise AnalysisError(
-            f"family momentum {P[np.argmax(np.abs(P))]:.6g} lies outside "
-            f"the open window (-{p_c:g}, {p_c:g})"
-        )
-    energies, gaps, residuals, vectors = [], [], [], []
-    for p in P:
-        rec = cache.pair(float(p))
-        if rec["degenerate"] or rec["gap"] <= gap_threshold:
-            raise AnalysisError(
-                f"ground state at P = {p:.6g} is (near-)degenerate "
-                f"(gap {rec['gap']:.3e} <= threshold {gap_threshold:g})"
-            )
-        energies.append(rec["energy"])
-        gaps.append(rec["gap"])
-        residuals.append(rec["residual"])
-        vectors.append(rec["vector"])
-    vecs = np.asarray(vectors)
-    cont = np.linalg.norm(np.diff(vecs, axis=0), axis=1) if len(P) > 1 else np.zeros(0)
-    return GroundStateFamily(momenta=P, energies=np.asarray(energies),
-                             gaps=np.asarray(gaps),
-                             residuals=np.asarray(residuals),
-                             vectors=vecs, continuity=cont)
-
-
-def overlap_matrix(family: GroundStateFamily) -> np.ndarray:
-    """Gram matrix of the family vectors: symmetric with unit diagonal."""
-    G = family.vectors @ family.vectors.T
-    G = 0.5 * (G + G.T)
-    np.fill_diagonal(G, 1.0)
-    return G
+__all__ = ["UpperBoundResult", "MinimizedUpperBound", "upper_bound",
+           "minimize_upper_bound"]
 
 
 @dataclass(frozen=True)
 class UpperBoundResult:
     lam: float
     value: float
-    fiber_term: float
-    potential_term: float
-    norm_sq: float
     profile_params: dict
-    n_support: int
 
 
-def _support_data(profile, egrid: ElectronGrid):
-    q = egrid.points
-    f = np.asarray(profile.fhat(q), dtype=float)
-    sup = np.flatnonzero(f != 0.0)
-    if len(sup) < 3:
-        raise AnalysisError(
-            f"profile support radius {profile.support_radius:g} covers only "
-            f"{len(sup)} grid nodes; widen it or refine the grid"
-        )
-    return q, f, sup
+def upper_bound(lam: float, galerkin: np.ndarray, profile,
+                egrid: ElectronGrid) -> UpperBoundResult:
+    """Rayleigh quotient a^T M a / a^T a of the profiled trial vector.
 
-
-def upper_bound(lam: float, family: GroundStateFamily, profile, potential,
-                egrid: ElectronGrid, e0: float, *,
-                kernel: np.ndarray | None = None,
-                gram: np.ndarray | None = None) -> UpperBoundResult:
-    """Rayleigh quotient of the profiled dressed trial vector.
-
-    Every support node lam*q_j must be a family momentum; the result is a
-    certified bound.  `kernel` and `gram` can be passed in when the caller
-    evaluates many profiles on one grid.
+    `galerkin` is the fiber-Galerkin matrix M of `lam` on `egrid`, and
+    a_j = fhat(q_j) at every grid node.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    q, f, sup = _support_data(profile, egrid)
-    W = potential_kernel(potential, egrid) if kernel is None else kernel
-    G_fam = overlap_matrix(family) if gram is None else gram
-
-    a = f[sup] * math.sqrt(egrid.dq)
-    idx = np.array([family.index_of(p) for p in lam * q[sup]])
-    eps = family.energies[idx]
-    G = G_fam[np.ix_(idx, idx)]
-
-    norm_sq = float(a @ a)
-    fiber_term = float(a @ ((eps - e0) / lam**2 * a))
-    potential_term = float(a @ ((W[np.ix_(sup, sup)] * G) @ a))
-    value = (fiber_term + potential_term) / norm_sq
-    return UpperBoundResult(lam=lam, value=value, fiber_term=fiber_term,
-                            potential_term=potential_term, norm_sq=norm_sq,
-                            profile_params=dict(profile.params()),
-                            n_support=len(sup))
+    a = np.asarray(profile.fhat(egrid.points), dtype=float)
+    value = float(a @ galerkin @ a) / float(a @ a)
+    return UpperBoundResult(lam=lam, value=value,
+                            profile_params=dict(profile.params()))
 
 
 @dataclass(frozen=True)
 class MinimizedUpperBound:
     result: UpperBoundResult
     radius: float
-    radius_bounds: tuple
     boundary_hit: bool
-    n_evaluations: int
-    family_size: int
 
 
 # Square root of the unit roundoff, the golden section ratio, and the budget
@@ -278,11 +158,10 @@ def minimize_upper_bound(lam: float, cache: FiberCache, potential,
     """Tune the bump profile's support radius to the smallest upper bound.
 
     The radius ranges over [3 dq, min(p_c/lam, q_max)] (the upper cap keeps
-    every node of the dressed family strictly inside the quasi-particle
-    window).  One family is built at the widest support and reused for all
-    candidate radii, so the scan costs no extra eigensolves.  Whatever
-    radius the scalar minimizer returns, the reported value is a bound;
-    `boundary_hit` flags a minimum pinned at either end.
+    every dressed node strictly inside the quasi-particle window), and every
+    node of that range must have a non-degenerate fiber ground state.  All
+    candidate radii share one M.  Whatever radius the search returns, the
+    value is a bound; `boundary_hit` flags a minimum pinned at either end.
     """
     r_hi = min(p_c / lam * (1.0 - 1e-9), egrid.q_max)
     r_lo = 3.0 * egrid.dq
@@ -291,24 +170,22 @@ def minimize_upper_bound(lam: float, cache: FiberCache, potential,
             f"empty radius range [{r_lo:g}, {r_hi:g}]; the quasi-particle "
             "window is too narrow for this lam and grid"
         )
-
     q = egrid.points
-    wide = np.flatnonzero(np.abs(q) < r_hi)
-    mesh = np.concatenate([[0.0], lam * q[wide]])
-    family = build_family(cache, mesh, p_c=p_c)
-    kernel = potential_kernel(potential, egrid)
-    gram = overlap_matrix(family)
+    for p in lam * q[np.abs(q) < r_hi]:
+        rec = cache.pair(float(p))
+        if rec["degenerate"] or rec["gap"] <= GAP_THRESHOLD:
+            raise AnalysisError(
+                f"ground state at P = {p:.6g} is (near-)degenerate "
+                f"(gap {rec['gap']:.3e} <= threshold {GAP_THRESHOLD:g})"
+            )
+    _, M = fiber_galerkin(cache, potential_kernel(potential, egrid), lam, q,
+                          e0)
 
     def objective(r: float) -> float:
-        return upper_bound(lam, family, FourierBump(radius=float(r)),
-                           potential, egrid, e0, kernel=kernel, gram=gram).value
+        return upper_bound(lam, M, FourierBump(radius=float(r)), egrid).value
 
-    radius, _, n_evaluations = _bounded_brent(objective, r_lo, r_hi, _XATOL)
-    best = upper_bound(lam, family, FourierBump(radius=radius),
-                       potential, egrid, e0, kernel=kernel, gram=gram)
+    radius, _, _ = _bounded_brent(objective, r_lo, r_hi, _XATOL)
+    best = upper_bound(lam, M, FourierBump(radius=radius), egrid)
     boundary = (radius - r_lo <= 2 * _XATOL) or (r_hi - radius <= 2 * _XATOL)
     return MinimizedUpperBound(result=best, radius=radius,
-                               radius_bounds=(r_lo, r_hi),
-                               boundary_hit=boundary,
-                               n_evaluations=n_evaluations + 1,
-                               family_size=family.size)
+                               boundary_hit=boundary)

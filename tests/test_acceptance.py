@@ -14,10 +14,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from polaron_effmass import dispersion
 from polaron_effmass.config import load_config
 from polaron_effmass.dispersion import (FiberCache, fit_dynamic_mass,
                                         perturbative_mass, scan_dispersion)
-from polaron_effmass.docsgen import trim_report
+from polaron_effmass.docsgen import _REPORT_DOC, trim_report
 from polaron_effmass.model import (ConstantDispersion, ModelSpec,
                                    PoschlTeller, PowerLawCoupling)
 from polaron_effmass.operators import ElectronGrid, FiberTemplate
@@ -229,7 +230,8 @@ def test_criterion_06_oracle_suite(oracle_run, acceptance_recorder):
 # criterion 7: weak-coupling limit approaches the perturbative mass
 # ---------------------------------------------------------------------------
 
-def test_criterion_07_perturbative_window(acceptance_recorder):
+def test_criterion_07_perturbative_window(acceptance_recorder, monkeypatch):
+    monkeypatch.setattr(dispersion, "_FIBER_TOL", 1e-11)
     P_list = np.round(np.arange(-0.45, 0.4501, 0.05), 10)
     deltas = {}
     for g in (0.1, 0.05):
@@ -237,8 +239,8 @@ def test_criterion_07_perturbative_window(acceptance_recorder):
                          coupling=PowerLawCoupling(g=g, s=1.0),
                          dk=0.25, uv_cutoff=1.5, ir_cutoff=0.125, n_max=3)
         template = FiberTemplate(spec)
-        cache = FiberCache(template, tol=1e-11, seed=0)
-        fit = fit_dynamic_mass(scan_dispersion(template, P_list, cache=cache))
+        cache = FiberCache(template, seed=0)
+        fit = fit_dynamic_mass(scan_dispersion(cache, P_list))
         m_pt = perturbative_mass(template, P_list, P_fit=fit.window)
         deltas[g] = abs(fit.mass - m_pt)
     factor = deltas[0.1] / deltas[0.05]
@@ -349,3 +351,28 @@ def test_docs_fixture_matches_the_session_run(preset, run_fixture, request):
     assert sorted(fresh["metrics"]) == sorted(frozen["metrics"])
     for name, value in frozen["metrics"].items():
         assert fresh["metrics"][name] == value, name
+
+
+# ---------------------------------------------------------------------------
+# the report keys and their documentation stay in step
+# ---------------------------------------------------------------------------
+
+def _written_keys(report, documented):
+    """Each top-level key with a row of its own, else each `block.key`."""
+    keys = set()
+    for top, value in report.items():
+        if top in documented or not isinstance(value, dict):
+            keys.add(top)
+        else:
+            keys |= {f"{top}.{key}" for key in value}
+    return keys
+
+
+def test_report_keys_match_their_docs(free_sandwich, toy_sandwich,
+                                      oracle_run, converge_runs):
+    documented = {key.strip("`") for key, _ in _REPORT_DOC}
+    runs = [free_sandwich, toy_sandwich, oracle_run, *converge_runs.values()]
+    written = set().union(*(_written_keys(r.report, documented)
+                            for r in runs))
+    assert sorted(written - documented) == []
+    assert sorted(documented - written) == []

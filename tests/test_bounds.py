@@ -50,7 +50,7 @@ def free_cache():
                      coupling=ZeroCoupling(), dk=0.5, uv_cutoff=1.0,
                      ir_cutoff=0.0, n_max=2)
     template = FiberTemplate(spec)
-    return FiberCache(template, tol=1e-9, seed=0)
+    return FiberCache(template, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -59,15 +59,15 @@ def toy_ground(toy_cfg, toy_cache):
     e0 = toy_cache.pair(0.0)["energy"]
     energies = {
         lam: coupled_ground(toy_cache, toy_cfg.potential, toy_cfg.egrid,
-                            lam, e0, tol=1e-9).value
+                            lam, e0).value
         for lam in (0.4, 0.2)
     }
     return e0, energies
 
 
 @pytest.fixture(scope="module")
-def toy_certificate(toy_cfg, toy_template, toy_cache):
-    curve = scan_dispersion(toy_template, toy_cfg.P_list, cache=toy_cache)
+def toy_certificate(toy_cfg, toy_cache):
+    curve = scan_dispersion(toy_cache, toy_cfg.P_list)
     fit = fit_dynamic_mass(curve)
     cert = certify_quasi_parabolic(curve, fit.mass)
     return curve, fit, cert
@@ -77,22 +77,26 @@ def toy_certificate(toy_cfg, toy_template, toy_cache):
 # split-bound knobs
 # ---------------------------------------------------------------------------
 
-def test_split_params_schedules():
-    params = SplitParams(c_eps=3.0, c_beta=0.8)
+def test_split_params_schedules(monkeypatch):
+    monkeypatch.setattr(bounds, "C_BETA", 0.8)
+    params = SplitParams(c_eps=3.0)
     assert params.eps(0.2) == pytest.approx(0.6, rel=1e-15)
     assert params.beta(0.25) == pytest.approx(0.8 * 0.5, rel=1e-15)
 
 
 def test_suggest_c_eps_frozen_formula():
     # m_c = 0.5 * (1 + 0.2 * 1^2 * 0.4) = 0.54; 2 * 2 * 0.54 * 1.5 = 3.24
-    got = suggest_c_eps(0.5, 0.2, 1.5, 0.4, c_beta=1.0, safety=2.0)
+    assert (bounds.C_BETA, bounds._C_EPS_SAFETY) == (1.0, 2.0)
+    got = suggest_c_eps(0.5, 0.2, 1.5, 0.4)
     assert got == pytest.approx(3.24, rel=1e-14)
 
 
-def test_suggest_c_eps_scales_linearly_in_safety_and_sup_norm():
+def test_suggest_c_eps_scales_linearly_in_safety_and_sup_norm(monkeypatch):
     base = suggest_c_eps(0.5, 0.1, 1.0, 0.3)
-    assert suggest_c_eps(0.5, 0.1, 1.0, 0.3, safety=4.0) == pytest.approx(
-        2.0 * base, rel=1e-14)
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "_C_EPS_SAFETY", 4.0)
+        assert suggest_c_eps(0.5, 0.1, 1.0, 0.3) == pytest.approx(
+            2.0 * base, rel=1e-14)
     assert suggest_c_eps(0.5, 0.1, 3.0, 0.3) == pytest.approx(
         3.0 * base, rel=1e-14)
 
@@ -139,7 +143,7 @@ def test_split_bound_rejects_beta_at_window_edge():
     # beta = sqrt(0.5) ~ 0.707 reaches p_c = 0.7
     with pytest.raises(AnalysisError, match="window"):
         split_lower_bound(0.5, WELL, EGRID, mass=0.5, c_min=0.1, p_c=0.7,
-                          params=SplitParams(c_eps=4.0, c_beta=1.0))
+                          params=SplitParams(c_eps=4.0))
 
 
 def test_split_bound_guards():
@@ -151,9 +155,10 @@ def test_split_bound_guards():
                           params=SplitParams(c_eps=0.0))
 
 
-def test_split_bound_components_match_hand_assembly():
+def test_split_bound_components_match_hand_assembly(monkeypatch):
+    monkeypatch.setattr(bounds, "C_BETA", 0.9)
     lam, mass, c_min = 0.2, 0.52, 0.15
-    params = SplitParams(c_eps=5.0, c_beta=0.9)
+    params = SplitParams(c_eps=5.0)
     res = split_lower_bound(lam, WELL, EGRID, mass=mass, c_min=c_min,
                             p_c=0.7, params=params)
     eps = 5.0 * lam
@@ -298,7 +303,7 @@ def test_sandwich_report_passes_ordered_rows():
         SandwichRow(lam=0.4, l2=-1.3, l1=-1.1, e=-1.0, u_star=-0.9),
         SandwichRow(lam=0.2, l2=-1.2, l1=-1.05, e=-1.01, u_star=-0.95),
     ]
-    rep = sandwich_report(rows, ordering_tol=1e-8)
+    rep = sandwich_report(rows)
     assert rep.passed
     # worst slack: e - L1 = 0.04 on the lam = 0.2 row
     assert rep.margin_min == pytest.approx(0.04, rel=1e-12)
@@ -312,17 +317,19 @@ def test_sandwich_report_flags_upper_bound_violation():
         SandwichRow(lam=0.4, l2=-1.3, l1=-1.1, e=-1.0, u_star=-0.97),
         SandwichRow(lam=0.2, l2=-1.2, l1=-1.05, e=-0.9, u_star=-0.95),
     ]
-    rep = sandwich_report(rows, ordering_tol=1e-8)
+    rep = sandwich_report(rows)
     assert not rep.passed
     assert rep.worst_pair == "U*-e"
     assert rep.worst_lam == 0.2
     assert rep.margin_min == pytest.approx(-0.05 + 1e-8, rel=1e-9)
 
 
-def test_sandwich_report_tolerance_absorbs_roundoff():
+def test_sandwich_report_tolerance_absorbs_roundoff(monkeypatch):
     row = SandwichRow(lam=0.1, l2=-1.0 + 1e-10, l1=-1.0, e=-0.9, u_star=-0.9)
-    assert sandwich_report([row], ordering_tol=1e-8).passed
-    assert not sandwich_report([row], ordering_tol=0.0).passed
+    assert bounds.ORDERING_TOL == 1e-8
+    assert sandwich_report([row]).passed
+    monkeypatch.setattr(bounds, "ORDERING_TOL", 0.0)
+    assert not sandwich_report([row]).passed
 
 
 def test_sandwich_report_sorts_rows_by_decreasing_lam():
@@ -357,7 +364,7 @@ _finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False,
 def test_sandwich_report_verdict_matches_margins(raw):
     rows = [SandwichRow(lam=a, l2=b, l1=c, e=d, u_star=f)
             for a, b, c, d, f in raw]
-    rep = sandwich_report(rows, ordering_tol=1e-8)
+    rep = sandwich_report(rows)
     margins = [m for r in rows for m in r.margins(1e-8)]
     assert rep.margin_min == min(margins)
     assert rep.passed == (min(margins) >= 0.0)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from polaron_effmass import dispersion
 from polaron_effmass.dispersion import (DispersionCurve, DispersionSample,
                                         FiberCache, certify_quasi_parabolic,
                                         check_ceilings, estimate_Pc,
                                         fit_dynamic_mass, perturbative_mass,
                                         scan_dispersion)
+from polaron_effmass.eigensolve import lowest_two
 from polaron_effmass.errors import AnalysisError, DomainError
 from polaron_effmass.model import ConstantDispersion, ModelSpec, ZeroCoupling
 from polaron_effmass.operators import FiberTemplate
@@ -34,10 +36,10 @@ def _synthetic_curve(mass, quartic, P_values):
 # scanning and caching
 # ---------------------------------------------------------------------------
 
-def test_free_model_dispersion_is_exact_parabola():
-    template = _free_template()
+def test_free_model_dispersion_is_exact_parabola(monkeypatch):
+    monkeypatch.setattr(dispersion, "_FIBER_TOL", 1e-11)
     P_list = np.arange(-0.7, 0.7001, 0.1)
-    curve = scan_dispersion(template, P_list, tol=1e-11)
+    curve = scan_dispersion(FiberCache(_free_template()), P_list)
     assert curve.e0 == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(curve.energies, curve.momenta**2, atol=1e-10)
     assert curve.parity_max_diff < 1e-12
@@ -46,13 +48,12 @@ def test_free_model_dispersion_is_exact_parabola():
 
 
 def test_scan_requires_origin():
-    template = _free_template()
     with pytest.raises(DomainError):
-        scan_dispersion(template, [0.1, 0.2])
+        scan_dispersion(FiberCache(_free_template()), [0.1, 0.2])
 
 
 def test_cache_reuses_parity_and_counts_solves(toy_template):
-    cache = FiberCache(toy_template, tol=1e-9, seed=0)
+    cache = FiberCache(toy_template, seed=0)
     e_plus = cache.energy(0.3)
     solves_after_plus = cache.solves()
     e_minus = cache.energy(-0.3)
@@ -64,10 +65,12 @@ def test_cache_reuses_parity_and_counts_solves(toy_template):
     assert np.linalg.norm(v_minus) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_cache_parity_vector_matches_independent_solve(toy_template):
-    cache = FiberCache(toy_template, tol=1e-11, seed=0)
+def test_cache_parity_vector_matches_independent_solve(toy_template,
+                                                      monkeypatch):
+    monkeypatch.setattr(dispersion, "_FIBER_TOL", 1e-11)
+    cache = FiberCache(toy_template, seed=0)
     v_minus = cache.vector(-0.4)
-    fresh = FiberCache(toy_template, tol=1e-11, seed=4)
+    fresh = FiberCache(toy_template, seed=4)
     w = fresh.vector(-0.4)
     # align signs before comparing: eigenvectors are defined up to sign
     if float(w @ v_minus) < 0:
@@ -78,9 +81,42 @@ def test_cache_parity_vector_matches_independent_solve(toy_template):
 def test_cache_pair_record_fields(toy_cache):
     rec = toy_cache.pair(0.0)
     assert set(rec) >= {"energy", "excited", "gap", "degenerate", "residual",
-                        "vector", "solved"}
+                        "vector", "iterations", "matvecs", "restarts",
+                        "solved"}
     assert rec["gap"] == pytest.approx(rec["excited"] - rec["energy"])
     assert not rec["degenerate"]
+
+
+class _CountingOperator:
+    """Delegates to a fiber operator and counts its matvecs."""
+
+    def __init__(self, op):
+        self.op, self.dim, self.calls = op, op.dim, 0
+
+    def matvec(self, x):
+        self.calls += 1
+        return self.op.matvec(x)
+
+    def diagonal(self):
+        return self.op.diagonal()
+
+
+def test_fiber_pair_reports_its_work(toy_template):
+    op = _CountingOperator(toy_template.operator(0.0))
+    pair = lowest_two(op, tol=dispersion._FIBER_TOL, seed=0)
+    # every application, the two fresh residual matvecs included
+    assert pair.matvecs == op.calls
+    assert pair.iterations > 0
+    cache = FiberCache(toy_template, seed=0)
+    rec = cache.pair(0.0)
+    assert (rec["iterations"], rec["matvecs"], rec["restarts"]) == (
+        pair.iterations, pair.matvecs, pair.restarts)
+    cache.pair(0.3)
+    cache.pair(-0.3)   # from parity: no solve, no work
+    assert cache.solves() == 2
+    assert cache.work("matvecs") == pair.matvecs + cache.pair(0.3)["matvecs"]
+    assert cache.work("iterations") == (pair.iterations
+                                        + cache.pair(0.3)["iterations"])
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +178,9 @@ def test_certificate_detects_flattening():
     assert cert.worst_P == pytest.approx(0.8)
 
 
-def test_certificate_folds_extra_samples():
-    curve = _synthetic_curve(mass=0.5, quartic=0.0,
-                             P_values=np.arange(-0.4, 0.4001, 0.1))
-    soft = np.array([[0.6, 0.6**2 * 0.7]])  # below the parabola at P=0.6
-    cert = certify_quasi_parabolic(curve, mass=0.5, extra_samples=soft)
-    assert cert.c_min > 0.0
-    assert cert.worst_P == pytest.approx(0.6)
-
-
 def test_ceilings_hold_on_free_model():
     template = _free_template()
-    curve = scan_dispersion(template, np.arange(-0.7, 0.7001, 0.1))
+    curve = scan_dispersion(FiberCache(template), np.arange(-0.7, 0.7001, 0.1))
     report = check_ceilings(curve, template)
     assert report.passed
     assert report.one_phonon_margin >= -1e-9
@@ -162,8 +189,7 @@ def test_ceilings_hold_on_free_model():
 
 
 def test_ceilings_hold_on_coupled_model(toy_template, toy_cache):
-    curve = scan_dispersion(toy_template, np.arange(-0.7, 0.7001, 0.1),
-                            cache=toy_cache)
+    curve = scan_dispersion(toy_cache, np.arange(-0.7, 0.7001, 0.1))
     report = check_ceilings(curve, toy_template)
     assert report.passed
 
@@ -177,7 +203,8 @@ def test_estimate_pc_tracks_gap_closing():
                                         degenerate=False))
     curve = DispersionCurve(samples=tuple(samples),
                             e0=0.0)
-    assert estimate_Pc(curve, gap_threshold=1e-3) == pytest.approx(0.6)
+    assert dispersion.GAP_THRESHOLD == 1e-3
+    assert estimate_Pc(curve) == pytest.approx(0.6)
 
 
 def test_estimate_pc_needs_gap_at_origin():
@@ -205,7 +232,7 @@ def test_perturbative_mass_tracks_weak_coupling(toy_template, toy_cache):
     """At g = 0.2 the second-order mass agrees with the measured curvature
     to a few parts in 1e3 (the residual is fourth order)."""
     P_list = np.arange(-0.7, 0.7001, 0.05)
-    curve = scan_dispersion(toy_template, P_list, cache=toy_cache)
+    curve = scan_dispersion(toy_cache, P_list)
     fit = fit_dynamic_mass(curve, P_c=estimate_Pc(curve))
     m2 = perturbative_mass(toy_template, P_list, P_fit=fit.window)
     assert m2 == pytest.approx(fit.mass, rel=5e-3)

@@ -28,17 +28,19 @@ from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        ring_potential_kernel, ring_sites)
 
 
-def _single_mode_spec(g=0.2, n_max=1):
-    return ModelSpec(dispersion=ConstantDispersion(omega0=1.0),
-                     coupling=ConstantCoupling(g=g), dk=1.0, uv_cutoff=1.0,
-                     ir_cutoff=0.5, n_max=n_max)
+class _SingleModeSpec(ModelSpec):
+    """One retained mode at k = +1 with unit weight: v_eff = g exactly."""
+
+    def mode_grid(self):
+        return ModeGrid(momenta=np.array([1.0]), weights=np.array([1.0]),
+                        dk=1.0)
 
 
 def _single_mode_template(g=0.2, n_max=1):
-    # one retained mode at k = +1 with unit weight: v_eff = g exactly
-    grid = ModeGrid(momenta=np.array([1.0]), weights=np.array([1.0]),
-                    dk=1.0)
-    return FiberTemplate(_single_mode_spec(g=g, n_max=n_max), grid=grid)
+    return FiberTemplate(_SingleModeSpec(
+        dispersion=ConstantDispersion(omega0=1.0),
+        coupling=ConstantCoupling(g=g), dk=1.0, uv_cutoff=1.0, ir_cutoff=0.5,
+        n_max=n_max))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from polaron_effmass import staticmass
 from polaron_effmass.config import load_config
 from polaron_effmass.dispersion import FiberCache
 from polaron_effmass.eigensolve import dense_ground
@@ -104,13 +105,14 @@ def test_invert_returns_exact_endpoint():
     assert invert_E(target, POT, EGRID) == 0.5
 
 
-def test_invert_rejects_unreachable_targets():
+def test_invert_rejects_unreachable_targets(monkeypatch):
     shallow = schrodinger_energy(0.5, POT, EGRID)
     with pytest.raises(BracketError):
         invert_E(shallow + 0.2, POT, EGRID)  # above the lightest mass
     deep = schrodinger_energy(8.0, POT, EGRID)
+    monkeypatch.setattr(staticmass, "_MAX_HI", 4.0)
     with pytest.raises(BracketError):
-        invert_E(deep, POT, EGRID, max_hi=4.0)  # expansion capped too early
+        invert_E(deep, POT, EGRID)  # expansion capped too early
 
 
 def test_invert_expands_bracket_when_needed():
@@ -152,11 +154,11 @@ def _dense_coupled_ground(cache, cfg, lam, e0):
         cache.template, cfg.potential, cfg.egrid, lam, e0).to_dense())[0]
 
 
-def test_coupled_ground_matches_dense_oracle(oracle_setup):
+def test_coupled_ground_matches_dense_oracle(oracle_setup, monkeypatch):
+    monkeypatch.setattr(staticmass, "_COUPLED_TOL", 1e-10)
     cfg, cache, e0 = oracle_setup
     for lam in (0.4, 0.1):
-        res = coupled_ground(cache, cfg.potential, cfg.egrid, lam, e0,
-                             tol=1e-10, seed=0)
+        res = coupled_ground(cache, cfg.potential, cfg.egrid, lam, e0, seed=0)
         ref = _dense_coupled_ground(cache, cfg, lam, e0)
         assert res.value == pytest.approx(ref, abs=1e-9), lam
         assert res.residual <= 1e-9
@@ -192,14 +194,15 @@ class _SabotagedCache:
 @pytest.mark.parametrize("how", ["permuted", "scrambled", "random"])
 @pytest.mark.parametrize("lam", [0.4, 0.1])
 def test_a_wrong_coarse_space_costs_iterations_not_accuracy(oracle_setup,
-                                                            lam, how):
+                                                            lam, how,
+                                                            monkeypatch):
     # the coarse space only steers the search; Rayleigh-Ritz and the
     # residual test still decide e, so e must stay right
+    monkeypatch.setattr(staticmass, "_COUPLED_TOL", 1e-10)
     cfg, cache, e0 = oracle_setup
-    good = coupled_ground(cache, cfg.potential, cfg.egrid, lam, e0,
-                          tol=1e-10, seed=0)
+    good = coupled_ground(cache, cfg.potential, cfg.egrid, lam, e0, seed=0)
     bad = coupled_ground(_SabotagedCache(cache, how), cfg.potential,
-                         cfg.egrid, lam, e0, tol=1e-10, seed=0)
+                         cfg.egrid, lam, e0, seed=0)
     ref = _dense_coupled_ground(cache, cfg, lam, e0)
     assert bad.value == pytest.approx(ref, abs=1e-9)
     assert bad.residual <= 1e-9

@@ -1,9 +1,8 @@
-"""Variational upper bounds from dressed ground-state families.
+"""The variational upper bound U* = a^T M a / a^T a on the Galerkin matrix.
 
-The decisive oracle: with zero coupling every fiber ground state is the
-vacuum, the Gram matrix is identically 1, and the bound reduces exactly to
-the Rayleigh quotient of the one-particle comparison operator with the
-profile vector -- computable independently with plain numpy.
+The decisive oracle: with zero coupling every fiber ground state near P = 0
+is the vacuum, Phi Phi^T is identically 1 there, and M reduces exactly to
+the one-particle comparison operator -- assembled independently.
 """
 
 import math
@@ -14,16 +13,14 @@ from scipy.optimize import minimize_scalar
 
 from polaron_effmass import trialstate
 from polaron_effmass.dispersion import FiberCache
-from polaron_effmass.eigensolve import dense_ground
-from polaron_effmass.errors import AnalysisError
+from polaron_effmass.errors import AnalysisError, ConfigError
 from polaron_effmass.model import (ConstantDispersion, FourierBump,
                                    ModelSpec, PoschlTeller, ZeroCoupling)
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        assemble_schrodinger,
                                        potential_kernel)
-from polaron_effmass.staticmass import coupled_ground
-from polaron_effmass.trialstate import (_bounded_brent, build_family,
-                                        minimize_upper_bound, overlap_matrix,
+from polaron_effmass.staticmass import coupled_ground, fiber_galerkin
+from polaron_effmass.trialstate import (_bounded_brent, minimize_upper_bound,
                                         upper_bound)
 
 POT = PoschlTeller(depth=2.0)
@@ -35,41 +32,7 @@ def free_cache():
     spec = ModelSpec(dispersion=ConstantDispersion(omega0=1.0),
                      coupling=ZeroCoupling(), dk=0.5, uv_cutoff=1.0,
                      ir_cutoff=0.0, n_max=2)
-    return FiberCache(FiberTemplate(spec), tol=1e-11, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# family construction
-# ---------------------------------------------------------------------------
-
-def test_family_structure(toy_cache):
-    P = np.arange(-0.5, 0.5001, 0.1)
-    family = build_family(toy_cache, P, gap_threshold=1e-3)
-    assert family.size == len(np.unique(np.round(P, 12)))
-    assert np.all(np.diff(family.momenta) > 0)
-    assert np.allclose(np.linalg.norm(family.vectors, axis=1), 1.0,
-                       atol=1e-10)
-    assert np.all(family.gaps > 1e-3)
-    # phase alignment keeps adjacent vectors close, not sign-flipped
-    assert np.all(family.continuity < 0.5)
-    i = family.index_of(0.3)
-    assert family.momenta[i] == pytest.approx(0.3, abs=1e-12)
-    with pytest.raises(AnalysisError):
-        family.index_of(0.123456)
-
-
-def test_family_respects_window(toy_cache):
-    with pytest.raises(AnalysisError):
-        build_family(toy_cache, [0.0, 0.2, 0.9], p_c=0.5)
-
-
-def test_overlap_matrix_properties(toy_cache):
-    family = build_family(toy_cache, np.arange(-0.4, 0.4001, 0.1))
-    g = overlap_matrix(family)
-    assert np.allclose(g, g.T)
-    assert np.allclose(np.diag(g), 1.0)
-    assert np.max(np.abs(g)) <= 1.0 + 1e-10
-    assert np.all(g > 0.5)  # smooth family, no sign flips
+    return FiberCache(FiberTemplate(spec), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -77,59 +40,85 @@ def test_overlap_matrix_properties(toy_cache):
 # ---------------------------------------------------------------------------
 
 def test_upper_bound_reduces_to_rayleigh_quotient(free_cache):
+    # the cheapest excitation, one phonon at k = 1 with omega 1, costs
+    # (P - 1)^2 + 1 > P^2 for |P| < 1: there the fiber ground state is the
+    # vacuum at energy P^2, and M is q^2 + W node for node
     lam = 0.3
-    profile = FourierBump(radius=2.0)
-    nodes = lam * EGRID.points
-    family = build_family(free_cache, nodes[np.abs(EGRID.points)
-                                            <= 2.0 + 1e-12])
-    res = upper_bound(lam, family, profile, POT, EGRID, e0=0.0)
-
-    # independent route: Rayleigh quotient of q^2 + W with the profile vector
     q = EGRID.points
-    a = np.array([profile.fhat(np.array([qi]))[0] for qi in q]) * math.sqrt(
-        EGRID.dq)
+    _, M = fiber_galerkin(free_cache, potential_kernel(POT, EGRID), lam, q,
+                          0.0)
     h = assemble_schrodinger(POT, EGRID, 0.5)
+    vacuum = np.abs(lam * q) < 1.0
+    assert np.max(np.abs(M - h)[np.ix_(vacuum, vacuum)]) <= 1e-12
+
+    # the bump of radius 2 lives on those nodes alone
+    profile = FourierBump(radius=2.0)
+    a = np.array([profile.fhat(np.array([qi]))[0] for qi in q])
+    assert np.all(a[~vacuum] == 0.0)
     expected = float(a @ h @ a) / float(a @ a)
-    assert res.value == pytest.approx(expected, abs=1e-11)
-    assert res.norm_sq == pytest.approx(float(a @ a), abs=1e-13)
+    res = upper_bound(lam, M, profile, EGRID)
+    assert res.value == pytest.approx(expected, abs=1e-12)
+    assert res.profile_params == {"type": "bump", "radius": 2.0}
     # and the bound property itself
-    assert res.value >= dense_ground(h) - 1e-11
+    assert res.value >= np.linalg.eigvalsh(h)[0] - 1e-12
 
 
-def test_upper_bound_term_decomposition(free_cache):
-    lam = 0.25
-    profile = FourierBump(radius=1.5)
-    nodes = lam * EGRID.points
-    family = build_family(free_cache, nodes[np.abs(EGRID.points)
-                                            <= 1.5 + 1e-12])
-    res = upper_bound(lam, family, profile, POT, EGRID, e0=0.0)
-    assert res.value == pytest.approx(
-        (res.fiber_term + res.potential_term) / res.norm_sq, abs=1e-13)
-    assert res.fiber_term >= 0.0      # zero-coupling fibers sit at (lam q)^2
-    assert res.potential_term < 0.0   # attractive well
-    assert res.n_support >= 3
+# ---------------------------------------------------------------------------
+# the Galerkin matrix on the coupled model
+# ---------------------------------------------------------------------------
+
+def test_galerkin_fibers_are_phase_aligned_in_the_window(toy_cfg, toy_cache):
+    lam, p_c = 0.4, 0.7
+    q = toy_cfg.egrid.points
+    phi, M = fiber_galerkin(toy_cache,
+                            potential_kernel(toy_cfg.potential, toy_cfg.egrid),
+                            lam, q, toy_cache.energy(0.0))
+    assert np.allclose(M, M.T, rtol=0.0, atol=1e-14)
+    assert np.allclose(np.linalg.norm(phi, axis=1), 1.0, atol=1e-10)
+    inside = phi[np.abs(lam * q) < p_c]
+    # phase alignment keeps adjacent vectors close, not sign-flipped
+    assert np.all(np.linalg.norm(np.diff(inside, axis=0), axis=1) < 0.5)
+    assert np.all(inside @ inside.T > 0.5)
 
 
-def test_upper_bound_needs_all_support_nodes(free_cache):
-    lam = 0.3
-    profile = FourierBump(radius=2.0)
-    sparse_nodes = lam * np.array([-1.0, 0.0, 1.0])  # missing most support
-    family = build_family(free_cache, sparse_nodes)
-    with pytest.raises(AnalysisError):
-        upper_bound(lam, family, profile, POT, EGRID, e0=0.0)
+class _GapClosedAt:
+    """The fiber cache, except that the fiber at one momentum reports a
+    degenerate or a too-small gap."""
+
+    def __init__(self, cache, P, field, value):
+        self.template = cache.template
+        self._cache, self._P = cache, P
+        self._field, self._value = field, value
+
+    def pair(self, P):
+        rec = self._cache.pair(P)
+        if abs(P - self._P) < 1e-12:
+            return dict(rec, **{self._field: self._value})
+        return rec
 
 
-def test_precomputed_kernel_and_gram_give_same_answer(free_cache):
-    lam = 0.3
-    profile = FourierBump(radius=2.0)
-    nodes = lam * EGRID.points
-    family = build_family(free_cache, nodes[np.abs(EGRID.points)
-                                            <= 2.0 + 1e-12])
-    plain = upper_bound(lam, family, profile, POT, EGRID, e0=0.0)
-    primed = upper_bound(lam, family, profile, POT, EGRID, e0=0.0,
-                         kernel=potential_kernel(POT, EGRID),
-                         gram=overlap_matrix(family))
-    assert primed.value == plain.value
+@pytest.mark.parametrize("field, value", [("degenerate", True),
+                                          ("gap", 1e-4)])
+def test_degenerate_node_inside_the_window_is_rejected(toy_cfg, toy_cache,
+                                                       field, value):
+    # at lam 0.4 and p_c 0.7 the radius reaches 1.75: the node q = 1 is
+    # inside, q = 2.5 is not
+    lam, e0 = 0.4, toy_cache.energy(0.0)
+    inside = _GapClosedAt(toy_cache, lam * 1.0, field, value)
+    with pytest.raises(AnalysisError, match=r"\(near-\)degenerate"):
+        minimize_upper_bound(lam, inside, toy_cfg.potential, toy_cfg.egrid,
+                             e0, p_c=0.7)
+    outside = _GapClosedAt(toy_cache, lam * 2.5, field, value)
+    mub = minimize_upper_bound(lam, outside, toy_cfg.potential,
+                               toy_cfg.egrid, e0, p_c=0.7)
+    assert math.isfinite(mub.result.value)
+
+
+def test_empty_radius_range_is_a_config_error(toy_cfg, toy_cache):
+    # p_c / lam = 0.25 lies below the smallest radius 3 dq = 0.75
+    with pytest.raises(ConfigError, match="empty radius range"):
+        minimize_upper_bound(0.4, toy_cache, toy_cfg.potential,
+                             toy_cfg.egrid, toy_cache.energy(0.0), p_c=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +127,27 @@ def test_precomputed_kernel_and_gram_give_same_answer(free_cache):
 
 def test_upper_bound_dominates_coupled_ground(toy_cfg, toy_cache):
     e0 = toy_cache.energy(0.0)
+    kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
     for lam in (0.4, 0.2):
         coupled = coupled_ground(toy_cache, toy_cfg.potential,
                                  toy_cfg.egrid, lam, e0, seed=0)
         mub = minimize_upper_bound(lam, toy_cache, toy_cfg.potential,
                                    toy_cfg.egrid, e0, p_c=0.7)
         assert mub.result.value >= coupled.value - 1e-9
-        lo, hi = mub.radius_bounds
-        assert lo <= mub.radius <= hi
-        assert lam * hi <= 0.7 + 1e-9  # support stays inside the window
+        assert 3.0 * toy_cfg.egrid.dq <= mub.radius
+        assert lam * mub.radius < 0.7  # support stays inside the window
+        # the lowest eigenvalue of M minimizes the same quotient over all
+        # weights, so it lies below U*
+        _, M = fiber_galerkin(toy_cache, kernel, lam, toy_cfg.egrid.points,
+                              e0)
+        assert np.linalg.eigvalsh(M)[0] <= mub.result.value
 
 
 def test_minimize_upper_bound_reports_search(toy_cfg, toy_cache):
     e0 = toy_cache.energy(0.0)
     mub = minimize_upper_bound(0.4, toy_cache, toy_cfg.potential,
                                toy_cfg.egrid, e0, p_c=0.7)
-    assert mub.n_evaluations > 3
-    assert mub.family_size >= mub.result.n_support
+    assert mub.result.lam == 0.4
     assert isinstance(mub.boundary_hit, bool)
     assert mub.result.profile_params == {"type": "bump",
                                          "radius": mub.radius}
@@ -195,4 +188,4 @@ def test_bounded_brent_matches_scipy_on_the_toy_upper_bound(
                                toy_cfg.egrid, toy_cache.energy(0.0), p_c=0.7)
     [(func, lo, hi, xatol, found)] = calls
     assert found == _scipy_bounded(func, lo, hi, xatol)
-    assert (mub.radius, mub.n_evaluations) == (found[0], found[2] + 1)
+    assert (mub.radius, mub.result.value) == found[:2]
