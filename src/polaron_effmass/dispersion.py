@@ -180,10 +180,6 @@ class DispersionCurve:
     def energies(self) -> np.ndarray:
         return np.array([s.energy for s in self.samples])
 
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.array([s.gap for s in self.samples])
-
 
 def scan_dispersion(cache: FiberCache, P_list) -> DispersionCurve:
     """Solve the fibers at the requested momenta and assemble the curve.

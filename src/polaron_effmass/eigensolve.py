@@ -1,7 +1,5 @@
 """Ground-state eigensolvers for real-symmetric operators.
 
-Three routes, kept deliberately independent so they can cross-check each other:
-
 * :func:`lowest_two` / :func:`davidson_ground`: diagonally preconditioned
   subspace iteration (Davidson) with thick restarts, one core for one or
   two wanted pairs.  Each iteration forms only the Ritz pairs it uses, and
@@ -16,34 +14,23 @@ Three routes, kept deliberately independent so they can cross-check each other:
 * :func:`ground_state`: Lanczos iteration with full reorthogonalization
   (two classical Gram-Schmidt passes per step), seeded random start,
   residual-based stopping, warm restarts on basis exhaustion and reseeding
-  on stagnation.  The independent route of the oracle checks.
-* :func:`dense_ground` / :func:`dense_spectrum`: eigenvalues only, from an
-  in-house Householder tridiagonalization.  :func:`dense_spectrum` then
-  runs Sturm-count bisection, vectorized across shifts in numpy.
-  :func:`dense_ground` runs Laguerre's iteration on the tridiagonal (Li &
-  Zeng 1994), one scalar pass over the pivots per step, and verifies its
-  estimate with one Sturm sweep that must leave a bracket as narrow as
-  bisection's; otherwise it bisects.  The Sturm counts skip the pivot guard
-  and count a shift again with it only where a pivot came out tiny or not
-  finite.  Slower than the iterative routes; used for the certificates'
-  small dense operators, the Schroedinger curve and the oracle checks.  The
-  reduction is panel-blocked (Dongarra, Hammarling & Sorensen 1989, as in
-  LAPACK's dsytrd): panels of 32 columns, each updating the trailing block
-  with one GEMM, while more than 49 rows remain; the last block, and every
-  matrix of 49 rows or fewer (all the electron-grid operators), takes the
-  per-column loop.  The panel width comes from timings of this route, the
-  crossover from the electron grids' size; see the comment on _CROSSOVER.
+  on stagnation.  The iterative route of the oracle checks.
+* :func:`dense_ground` / :func:`dense_spectrum`: eigenvalues of a small
+  dense matrix (at most 2000 rows) by LAPACK dsyevr without vectors;
+  :func:`dense_ground` asks for the lowest one only.  They serve the
+  certificates' small dense operators, the Schroedinger curve and the
+  oracle checks.
 * :func:`verified_floor`: turns a computed lowest eigenvalue of a small
   dense matrix into a float that is provably below the spectrum, by a
   floating-point Cholesky of the shifted matrix (Rump 2006); L1 and L2
-  take their values from it.
+  take their values from it, so no certificate rests on the accuracy of
+  the dense eigenvalues.
 
-Small dense/tridiagonal subproblems inside the iterative solvers use LAPACK
-via scipy.linalg: Davidson's projected eigenproblems call dsyevr directly
-for the lowest m pairs (range "I"), with the arguments and workspace sizes
-that scipy.linalg.eigh(subset_by_index=[0, m - 1]) passes, so the Ritz
-pairs are those of eigh bit for bit without its per-call checks and
-workspace query.  The dense route calls no LAPACK at all.
+Davidson's projected eigenproblems call dsyevr directly for the lowest m
+pairs (range "I"), with the arguments and workspace sizes that
+scipy.linalg.eigh(subset_by_index=[0, m - 1]) passes, so the Ritz pairs are
+those of eigh bit for bit without its per-call checks and workspace query.
+Lanczos' Ritz pair comes from scipy.linalg.eigh_tridiagonal.
 """
 
 from __future__ import annotations
@@ -477,34 +464,8 @@ def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int =
 
 
 # ---------------------------------------------------------------------------
-# dense oracle: Householder tridiagonalization, then Sturm-count bisection
-# (all eigenvalues) or Sturm-verified Laguerre (the lowest)
+# dense oracle: LAPACK dsyevr, eigenvalues only
 # ---------------------------------------------------------------------------
-
-# From the Gershgorin bracket, bisection needs about 53 sweeps to reach its
-# tolerance; only a bracket poisoned by a non-finite entry gets near this cap.
-_MAX_SWEEPS = 100
-# Shifts per Sturm sweep once few eigenvalues remain open (multisection),
-# and in the sweep that verifies a Laguerre estimate.
-_SWEEP_WIDTH = 128
-_EPS = float(np.finfo(float).eps)
-# Laguerre steps before dense_ground gives up and bisects.  The pipeline's
-# matrices take 4 to 10; a cluster at the bottom of the spectrum slows the
-# iteration to linear convergence.  Timed with one BLAS thread on a 2-core
-# x86 host, a step costs about 1/60 of a bisection from the Gershgorin
-# bracket at 300 rows (1/80 at 45), so a failed run at most doubles the cost.
-_LAGUERRE_STEPS = 60
-# Householder panel width, and the block size at or below which the
-# per-column loop finishes the reduction.  Timed with one BLAS thread on a
-# 2-core x86 host, panels of 16 to 64 columns ran within noise of each other
-# and beat the per-column loop from about 40 rows: by about 10% at 41-49
-# rows and 3x at 500.  The crossover is held at the largest electron grid in
-# use (n_q 41-49 on every preset), so the operators of L1, L2 and E(m) keep
-# their arithmetic bit for bit; that forgoes about 0.2 ms per call.  A panel
-# must leave rows below it: _PANEL < _CROSSOVER - 1.
-_PANEL = 32
-_CROSSOVER = 49
-
 
 def _dense_input(A, who):
     """Validate a dense oracle input and return it as a float array."""
@@ -520,290 +481,32 @@ def _dense_input(A, who):
     return A
 
 
-def _reflector(a):
-    """(alpha, v) with (I - 2 v v^T) a = alpha e_1 and v unit, built in a.
+def _dense_eigenvalues(A, who, **window):
+    """Ascending eigenvalues of a symmetric matrix by LAPACK dsyevr.
 
-    None when a is already a multiple of e_1, so no reflector is needed.
+    Lower triangle, no vectors; `window` is dsyevr's range selection
+    (range "A" by default).  A nonzero info raises SolverError.
     """
-    tail = a[1:]
-    norm_a = math.sqrt(a @ a)
-    if norm_a == 0.0 or math.sqrt(tail @ tail) <= 1e-300:
-        return None
-    alpha = -math.copysign(norm_a, a[0] if a[0] != 0 else 1.0)
-    a[0] -= alpha
-    a /= math.sqrt(a @ a)
-    return alpha, a
-
-
-def _reduce_panel(T, e, p, nb):
-    """Reduce columns p .. p + nb - 1 of T, then update its trailing block.
-
-    Lower form of LAPACK's dlatrd.  Column k = p + j takes the reflector
-    I - 2 v_j v_j^T, which changes the block B below and right of it by
-    -(v_j w_j^T + w_j v_j^T), w_j = 2 (B v_j - (v_j^T B v_j) v_j), as in the
-    per-column loop.  Within the panel
-    those changes are kept in V and W, not applied: each column is brought
-    up to date just before its reflector is made, and B v_j comes from the
-    block as it stood at the start of the panel, corrected by V and W.  The
-    block past the panel then takes all of them in one rank-2nb GEMM,
-    [V W] [W V]^T.  d_k lands in T[k, k] and e_k in e[k]; the rest of the
-    panel's columns is left stale.
-    """
-    m = T.shape[0] - p
-    VW = np.zeros((m, 2 * nb))   # [V W]
-    WV = np.zeros((m, 2 * nb))   # [W V]
-    for j in range(nb):
-        k = p + j
-        col = T[k:, k] - VW[j:] @ WV[j]
-        T[k, k] = col[0]
-        reflector = _reflector(col[1:])
-        if reflector is None:
-            e[k] = col[1]
-            continue
-        alpha, vvec = reflector
-        w = T[k + 1:, k + 1:] @ vvec - VW[j + 1:] @ (WV[j + 1:].T @ vvec)
-        tau = float(vvec @ w)
-        VW[j + 1:, j] = WV[j + 1:, nb + j] = vvec
-        VW[j + 1:, nb + j] = WV[j + 1:, j] = 2.0 * (w - tau * vvec)
-        e[k] = alpha
-    T[p + nb:, p + nb:] -= VW[nb:] @ WV[nb:].T
-
-
-def _householder_tridiagonalize(A):
-    """Reduce a symmetric matrix to tridiagonal form; returns (d, e).
-
-    Householder reflectors, one per column.  While more than _CROSSOVER
-    rows remain, the columns go in panels of _PANEL (Dongarra, Hammarling &
-    Sorensen, J. Comput. Appl. Math. 27, 1989; LAPACK dsytrd), so the
-    trailing block is updated once per panel by one GEMM (_reduce_panel).
-    The last block, and a matrix of _CROSSOVER rows or fewer, takes the
-    per-column loop, whose rank-2 update is one GEMM per column.
-    """
-    T = np.array(A, dtype=float, copy=True)
-    n = T.shape[0]
-    e = np.empty(max(n - 1, 0))
-    k = 0
-    while n - k > _CROSSOVER:
-        _reduce_panel(T, e, k, _PANEL)
-        k += _PANEL
-    VU = np.empty((n, 2))        # [v u2], then [u2 v]^T: the GEMM operands
-    UV = np.empty((2, n))
-    for kcol in range(k, n - 2):
-        reflector = _reflector(T[kcol + 1:, kcol].copy())
-        if reflector is None:
-            e[kcol] = T[kcol + 1, kcol]
-            continue
-        alpha, vvec = reflector
-        B = T[kcol + 1:, kcol + 1:]
-        w = B @ vvec
-        tau = float(vvec @ w)
-        u2 = 2.0 * (w - tau * vvec)
-        # rank-2 update B - v u2^T - u2 v^T as one GEMM, in place
-        m = n - kcol - 1
-        VU[:m, 0] = UV[1, :m] = vvec
-        VU[:m, 1] = UV[0, :m] = u2
-        B -= VU[:m] @ UV[:, :m]
-        e[kcol] = alpha
-    if n >= 2:
-        e[n - 2] = T[n - 1, n - 2]
-    return np.diag(T).copy(), e
-
-
-def _sturm_setup(d, e):
-    """(e2, pivmin, gl, gu, scale) for the Sturm counts of the tridiagonal.
-
-    e2 holds the squared couplings and pivmin is LAPACK dstebz's pivot
-    guard.  [gl, gu] is the Gershgorin bracket of the spectrum, padded as
-    in dstebz, and scale = max(|gl|, |gu|) sets the tolerance of _closed.
-    """
-    n = d.shape[0]
-    e = np.abs(e)
-    e2 = e * e
-    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
-    radius = np.r_[e, 0.0] + np.r_[0.0, e]
-    gl, gu = float(np.min(d - radius)), float(np.max(d + radius))
-    pad = 2.1 * (n * _EPS * max(abs(gl), abs(gu)) + 2.0 * pivmin)
-    gl, gu = gl - pad, gu + pad
-    return e2, pivmin, gl, gu, max(abs(gl), abs(gu))
-
-
-def _closed(lo, hi, scale):
-    """Whether [lo, hi] is narrow enough: hi - lo <= 2 eps (scale + max |end|).
-
-    False for a NaN end, so a poisoned interval stays open.
-    """
-    return hi - lo <= 2.0 * _EPS * (scale + np.maximum(abs(lo), abs(hi)))
-
-
-def _sturm_counts_guarded(d, e2, pivmin, x):
-    """_sturm_counts with every pivot guarded, as in LAPACK's dstebz.
-
-    A pivot smaller than pivmin in magnitude is replaced by -pivmin, so the
-    next division cannot overflow and a zero pivot cannot make 0/0.
-    """
-    Q = np.subtract.outer(d, x)
-    t = np.empty_like(x)
-    small = np.empty(x.shape, dtype=bool)
-    for i in range(d.shape[0]):
-        q = Q[i]
-        if i:
-            np.divide(e2[i - 1], Q[i - 1], out=t)
-            q -= t
-        np.abs(q, out=t)
-        np.less(t, pivmin, out=small)
-        q[small] = -pivmin
-    return np.count_nonzero(Q < 0.0, axis=0)
-
-
-def _sturm_counts(d, e2, pivmin, x):
-    """Number of eigenvalues of the tridiagonal below each shift in x.
-
-    Counts the negative pivots of the LDL^T factorization of T - x I,
-    q_0 = d_0 - x and q_i = d_i - x - e_{i-1}^2 / q_{i-1}.  The loop runs
-    over the rows, two in-place ufunc calls each; numpy runs across the
-    shifts.  The pivots go unguarded.  A shift where some pivot came out
-    below pivmin in magnitude, or not finite, is counted again by
-    _sturm_counts_guarded; elsewhere the guard would have changed nothing.
-    So the counts are those of the guarded recurrence, exactly.
-    """
-    Q = np.subtract.outer(d, x)
-    t = np.empty_like(x)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for c, prev, q in zip(e2.tolist(), Q, Q[1:]):
-            np.divide(c, prev, out=t)
-            q -= t
-    counts = np.count_nonzero(Q < 0.0, axis=0)
-    bad = ~(np.abs(Q, out=Q) >= pivmin).all(axis=0)
-    if bad.any():
-        counts[bad] = _sturm_counts_guarded(d, e2, pivmin, x[bad])
-    return counts
-
-
-def _tridiagonal_eigenvalues(d, e, ks):
-    """Eigenvalues with ascending indices ks of the tridiagonal (d, e).
-
-    Sturm-count bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
-    from the Gershgorin bracket of _sturm_setup.  Each sweep probes every
-    open interval [lo_k, hi_k], which keeps count(lo_k) <= k < count(hi_k):
-    one probe each while many are open, up to _SWEEP_WIDTH in all when few
-    are.  It ends once every interval is _closed, that is no wider than
-    2 eps (bracket scale + max(|lo|, |hi|)), and returns the midpoints.
-    """
-    e2, pivmin, gl, gu, scale = _sturm_setup(d, e)
-    ks = np.asarray(ks)
-    lo = np.full(ks.shape, gl)
-    hi = np.full(ks.shape, gu)
-    for _ in range(_MAX_SWEEPS):
-        live = np.flatnonzero(~_closed(lo, hi, scale))
-        if live.size == 0:
-            return 0.5 * (lo + hi)
-        a, b = lo[live], hi[live]
-        p = max(1, _SWEEP_WIDTH // live.size)
-        probes = a[:, None] + (b - a)[:, None] * (np.arange(1, p + 1) / (p + 1))
-        counts = _sturm_counts(d, e2, pivmin, probes.ravel()).reshape(probes.shape)
-        above = counts > ks[live, None]
-        first = np.where(above.any(axis=1), above.argmax(axis=1), p)
-        grid = np.column_stack((a, probes, b))
-        rows = np.arange(live.size)
-        lo[live] = grid[rows, first]
-        hi[live] = grid[rows, first + 1]
-    raise SolverError(f"Sturm bisection did not converge in {_MAX_SWEEPS} sweeps")
-
-
-def _laguerre_ground(d, e2, pivmin, x, scale):
-    """Laguerre's iteration toward the lowest eigenvalue from x below it.
-
-    Li & Zeng, SIAM J. Sci. Comput. 15 (1994).  Each step is one scalar pass
-    over the LDL^T pivots q_i of T - x I and their x-derivatives, which give
-    S1 = sum_j 1/(lambda_j - x) = -sum q_i'/q_i and
-    S2 = sum_j 1/(lambda_j - x)^2 = sum (q_i'/q_i)^2 - q_i''/q_i, then
-    x += n / (S1 + sqrt((n - 1)(n S2 - S1^2))).  From below lambda_0 the
-    iterates rise monotonically to it, cubically once close.  Stops after a
-    step no larger than the bisection tolerance, or at a pivot of pivmin or
-    below (x has reached lambda_0 in rounding); the estimate is not
-    verified here.  None after _LAGUERRE_STEPS steps or a non-finite step.
-    """
-    n = d.shape[0]
-    el = e2.tolist()
-    for _ in range(_LAGUERRE_STEPS):
-        dx = (d - x).tolist()
-        # row 0: q = d_0 - x, q' = -1, q'' = 0; a = q'/q and b = q''/q
-        q = dx[0]
-        if not q > pivmin:
-            return x
-        r = 1.0 / q
-        a, b = -r, 0.0
-        s1, s2 = r, r * r
-        for dxi, c in zip(dx[1:], el):
-            # q_i = d_i - x - c, c = e_{i-1}^2 / q_{i-1};
-            # q_i' = c a - 1, q_i'' = c (b - 2 a^2), with a, b of row i - 1
-            c *= r
-            q = dxi - c
-            if not q > pivmin:
-                return x
-            r = 1.0 / q
-            b = c * (b - 2.0 * a * a) * r
-            a = (c * a - 1.0) * r
-            s1 -= a
-            s2 += a * a - b
-        step = n / (s1 + math.sqrt(max(0.0, (n - 1) * (n * s2 - s1 * s1))))
-        if not math.isfinite(step):
-            return None
-        x += step
-        if step <= 2.0 * _EPS * (scale + abs(x)):
-            return x
-    return None
-
-
-def _tridiagonal_ground(d, e):
-    """Lowest eigenvalue of the tridiagonal (d, e), Sturm-verified.
-
-    _laguerre_ground runs from the Gershgorin floor of _sturm_setup.  One
-    sweep of _SWEEP_WIDTH shifts, spaced eps (scale + |x|) apart around its
-    estimate x, must then show count 0 at the left end and at least 1 at
-    the right; the first shift with a nonzero count and the one before it
-    bound lambda_0 as bisection's final interval does, and must pass the
-    same _closed test.  Their midpoint is returned.  Any other outcome
-    falls back to bisection from the Gershgorin bracket, so every value
-    comes from a bracket that Sturm counts certify.
-    """
-    e2, pivmin, gl, gu, scale = _sturm_setup(d, e)
-    x = _laguerre_ground(d, e2, pivmin, gl, scale)
-    if x is not None and gl <= x <= gu:
-        half = _SWEEP_WIDTH // 2
-        probes = x + _EPS * (scale + abs(x)) * np.arange(1 - half, half + 1)
-        counts = _sturm_counts(d, e2, pivmin, probes)
-        k = int(np.argmax(counts > 0))
-        if k > 0 and _closed(probes[k - 1], probes[k], scale):
-            return float(0.5 * (probes[k - 1] + probes[k]))
-    return float(_tridiagonal_eigenvalues(d, e, [0])[0])
+    A = _dense_input(A, who)
+    n = A.shape[0]
+    lwork, liwork = _syevr_workspace(n)
+    vals, _, m, _, info = _SYEVR(A, compute_v=0, lower=1, lwork=lwork,
+                                 liwork=liwork, **window)
+    if info != 0:
+        raise SolverError(f"dsyevr failed on the {n}x{n} matrix of {who} "
+                          f"(info {info})")
+    return vals[:m]
 
 
 def dense_spectrum(A) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending (in-house route)."""
-    A = _dense_input(A, "dense_spectrum")
-    n = A.shape[0]
-    if n == 1:
-        return np.array([A[0, 0]], dtype=float)
-    d, e = _householder_tridiagonalize(A)
-    return np.sort(_tridiagonal_eigenvalues(d, e, np.arange(n)))
+    """All eigenvalues of a symmetric matrix, ascending."""
+    return _dense_eigenvalues(A, "dense_spectrum")
 
 
 def dense_ground(A) -> float:
-    """Lowest eigenvalue of a symmetric matrix via the in-house dense route.
-
-    Householder tridiagonalization, then _tridiagonal_ground: Laguerre's
-    iteration from the Gershgorin floor, verified by one Sturm sweep, with
-    bisection from the Gershgorin bracket when the verification fails.
-    Either way the value is the midpoint of an interval that Sturm counts
-    show to hold the lowest eigenvalue of the tridiagonal, no wider than
-    2 eps (scale + max(|lo|, |hi|)).
-    """
-    A = _dense_input(A, "dense_ground")
-    if A.shape[0] == 1:
-        return float(A[0, 0])
-    d, e = _householder_tridiagonalize(A)
-    return _tridiagonal_ground(d, e)
+    """Lowest eigenvalue of a symmetric matrix; dsyevr forms no other."""
+    return float(_dense_eigenvalues(A, "dense_ground", range="I", il=1,
+                                    iu=1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -68,15 +68,6 @@ class FockBasis:
     def dim(self) -> int:
         return self.occupations.shape[0]
 
-    def index_of(self, occ) -> int:
-        """Rank of one occupation vector; DomainError when out of truncation."""
-        occ = np.asarray(occ, dtype=np.int64)
-        if occ.shape != (self.m_modes,) or np.any(occ < 0):
-            raise DomainError("occupation vector has wrong shape or negative entries")
-        if int(occ.sum()) > self.n_max:
-            raise DomainError("occupation total exceeds n_max")
-        return int(_rank_batch(occ[None, :], self.m_modes)[0])
-
     def state(self, index: int) -> tuple:
         return tuple(int(o) for o in self.occupations[index])
 

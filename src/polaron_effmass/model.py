@@ -497,10 +497,6 @@ class _TrialFunction:
     def fhat(self, P: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def support_radius(self) -> float:
-        raise NotImplementedError
-
     def params(self) -> dict:
         raise NotImplementedError
 
@@ -524,10 +520,6 @@ class FourierBump(_TrialFunction):
         u2 = (np.asarray(P, float) / self.radius) ** 2
         out = c * np.where(u2 < 1.0, (1.0 - u2) ** 2, 0.0)
         return out if np.ndim(P) else float(out)
-
-    @property
-    def support_radius(self):
-        return self.radius
 
     def params(self):
         return {"type": "bump", "radius": self.radius}

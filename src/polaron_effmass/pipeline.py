@@ -179,8 +179,8 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
                              e0=e0, seed=cfg.seed)
         l1 = momentum_lower_bound(lam, cfg.egrid, cfg.potential, e0,
                                   cache=dstate.cache)
-        ub = minimize_upper_bound(lam, dstate.cache, cfg.potential, cfg.egrid,
-                                  e0=e0, p_c=dstate.p_c)
+        ub = minimize_upper_bound(lam, dstate.cache, res.galerkin, cfg.egrid,
+                                  p_c=dstate.p_c)
         e_rows.append((lam, res.value, l1.value, ub.result.value,
                        res.residual))
         u_results.append(ub)
@@ -293,8 +293,9 @@ def run_oracle_check(cfg: ExperimentConfig) -> tuple:
     1.  The translation-covariant frame (electron momentum blocks) and the
         direct position-space tensor assembly describe the same operator on
         commensurate grids; full sorted spectra must agree.
-    2.  The iterative ground-state solver must reproduce the in-house dense
-        solver on a seeded batch of random sparse symmetric instances.
+    2.  The iterative ground-state solver (Lanczos) must reproduce the
+        dense LAPACK eigenvalue on a seeded batch of random sparse
+        symmetric instances.
     """
     template = FiberTemplate(cfg.spec)
     dim = cfg.egrid.size * template.dim

@@ -128,6 +128,7 @@ class CoupledResult:
     matvecs: int
     dim: int
     vector: np.ndarray
+    galerkin: np.ndarray   # the fiber-Galerkin matrix M the solve used
 
 
 def fiber_galerkin(cache: FiberCache, kernel: np.ndarray, lam: float,
@@ -188,7 +189,8 @@ def coupled_ground(cache: FiberCache, potential, egrid: ElectronGrid,
     Davidson's correction equation).  Rayleigh-Ritz still produces the
     value, so the correction can slow the solve but not change its answer.
     One retry from the stalled attempt's best vector, with a space of 80
-    and 1200 iterations, runs before giving up.
+    and 1200 iterations, runs before giving up.  M is returned with the
+    result, for U* (:func:`~.trialstate.minimize_upper_bound`).
     """
     op = assemble_coupled_llp(cache.template, potential, egrid, lam, e0)
     phi, M = fiber_galerkin(cache, op.kernel, lam, egrid.points, e0)
@@ -204,7 +206,7 @@ def coupled_ground(cache: FiberCache, potential, egrid: ElectronGrid,
                               max_subspace=min(80, op.dim), max_iters=1200)
     return CoupledResult(lam=lam, value=res.value, residual=res.residual,
                          iterations=res.iterations, matvecs=res.matvecs,
-                         dim=op.dim, vector=res.vector)
+                         dim=op.dim, vector=res.vector, galerkin=M)
 
 
 @dataclass

@@ -12,9 +12,9 @@ the coarse space of the coupled solve, so its Rayleigh quotient is
 with M the fiber-Galerkin matrix of :func:`~.staticmass.fiber_galerkin`;
 there is no separate family of ground states.  U is the Rayleigh quotient
 of an explicit vector and hence an upper bound on e(lam) up to solver and
-rounding error.  :func:`minimize_upper_bound` builds M once per lam and
-tunes the radius R, keeping lam R inside the quasi-parabolic window, by an
-in-house port of the bounded Brent search of
+rounding error.  :func:`minimize_upper_bound` takes the M of the coupled
+solve at lam and tunes the radius R, keeping lam R inside the
+quasi-parabolic window, by an in-house port of the bounded Brent search of
 scipy.optimize.minimize_scalar(method="bounded") (Forsythe, Malcolm &
 Moler's fmin): it takes the same steps in the same floating-point order, so
 it returns the same radius bit for bit without importing scipy.optimize.
@@ -30,8 +30,7 @@ import numpy as np
 from .dispersion import GAP_THRESHOLD, FiberCache
 from .errors import AnalysisError, ConfigError, DomainError
 from .model import FourierBump
-from .operators import ElectronGrid, potential_kernel
-from .staticmass import fiber_galerkin
+from .operators import ElectronGrid
 
 __all__ = ["UpperBoundResult", "MinimizedUpperBound", "upper_bound",
            "minimize_upper_bound"]
@@ -152,15 +151,18 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float):
     return xf, fx, num
 
 
-def minimize_upper_bound(lam: float, cache: FiberCache, potential,
-                         egrid: ElectronGrid, e0: float, *,
+def minimize_upper_bound(lam: float, cache: FiberCache, M: np.ndarray,
+                         egrid: ElectronGrid, *,
                          p_c: float) -> MinimizedUpperBound:
     """Tune the bump profile's support radius to the smallest upper bound.
 
-    The radius ranges over [3 dq, min(p_c/lam, q_max)] (the upper cap keeps
-    every dressed node strictly inside the quasi-particle window), and every
-    node of that range must have a non-degenerate fiber ground state.  All
-    candidate radii share one M.  Whatever radius the search returns, the
+    `M` is the fiber-Galerkin matrix of `lam` on `egrid`
+    (:func:`~.staticmass.fiber_galerkin`, as the coupled solve returns it),
+    and `cache` holds the fibers it was built from.  The radius ranges over
+    [3 dq, min(p_c/lam, q_max)] (the upper cap keeps every dressed node
+    strictly inside the quasi-particle window), and every node of that
+    range must have a non-degenerate fiber ground state.  All candidate
+    radii share M.  Whatever radius the search returns, the
     value is a bound; `boundary_hit` flags a minimum pinned at either end.
     """
     r_hi = min(p_c / lam * (1.0 - 1e-9), egrid.q_max)
@@ -178,8 +180,6 @@ def minimize_upper_bound(lam: float, cache: FiberCache, potential,
                 f"ground state at P = {p:.6g} is (near-)degenerate "
                 f"(gap {rec['gap']:.3e} <= threshold {GAP_THRESHOLD:g})"
             )
-    _, M = fiber_galerkin(cache, potential_kernel(potential, egrid), lam, q,
-                          e0)
 
     def objective(r: float) -> float:
         return upper_bound(lam, M, FourierBump(radius=float(r)), egrid).value

@@ -44,7 +44,7 @@ def test_free_model_dispersion_is_exact_parabola(monkeypatch):
     assert np.allclose(curve.energies, curve.momenta**2, atol=1e-10)
     assert curve.parity_max_diff < 1e-12
     # the first excited state is one field quantum away
-    assert np.all(curve.gaps > 0.5)
+    assert all(s.gap > 0.5 for s in curve.samples)
 
 
 def test_scan_requires_origin():

@@ -1,8 +1,8 @@
 """Eigensolver cross-checks.
 
 numpy.linalg.eigvalsh and 40-digit mpmath eigenvalues act as the test-side
-oracles for the in-house dense route; the dense route then anchors the two
-iterative routes, which also check each other on the fibers.
+oracles for the dense route and for the verified floor; numpy then anchors
+the two iterative routes, which also check each other on the fibers.
 """
 
 import mpmath
@@ -14,17 +14,12 @@ import scipy.sparse as sp
 from polaron_effmass import eigensolve
 from polaron_effmass.config import load_config
 from polaron_effmass.eigensolve import (_DAVIDSON_MAX_BYTES,
-                                        _householder_tridiagonalize,
                                         _orthogonalize, _projected_eigh,
-                                        _sturm_counts,
-                                        _sturm_counts_guarded, _sturm_setup,
-                                        _tridiagonal_eigenvalues,
                                         davidson_ground, dense_ground,
                                         dense_spectrum, ground_state,
-                                        lowest_two)
+                                        lowest_two, verified_floor)
 from polaron_effmass.errors import CapacityError, DomainError, SolverError
-from polaron_effmass.operators import (FiberTemplate, SymmetricOperator,
-                                       assemble_schrodinger)
+from polaron_effmass.operators import FiberTemplate, SymmetricOperator
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -94,8 +89,8 @@ HARD_CASES = {
     "multiple_of_identity": lambda rng: 5.0 * np.eye(6),
     "scaled_1e8": lambda rng: random_symmetric(rng, 30, scale=1e8),
     "scaled_1e-8": lambda rng: random_symmetric(rng, 30, scale=1e-8),
-    # above the Householder crossover: blocks end at columns 39, 139 and 140,
-    # inside panels, so those panel columns skip their reflectors
+    # 200 and 300 rows: exactly uncoupled blocks (one of a single row), an
+    # exact multiple of the identity, clusters and extreme scales
     "block_zero_couplings_large": lambda rng: block_diagonal(
         rng, (40, 100, 1, 159)),
     "multiple_of_identity_large": lambda rng: 5.0 * np.eye(200),
@@ -141,148 +136,33 @@ def test_dense_route_rejects_bad_input(solver, matrix):
         solver(matrix)
 
 
-def test_sturm_count_survives_zero_pivots(monkeypatch):
-    # the shift 0 makes the first pivot exactly 0 next to a zero coupling;
-    # unguarded, the next pivot would be 0/0 and every later sign lost.
-    # The shift -5 makes the second pivot exactly 0.  Those two shifts, and
-    # only they, are counted again with the guard.
-    guarded = []
-
-    def spy(d, e2, pivmin, x):
-        guarded.append(x.copy())
-        return _sturm_counts_guarded(d, e2, pivmin, x)
-
-    monkeypatch.setattr(eigensolve, "_sturm_counts_guarded", spy)
-    d, e = np.array([0.0, -5.0, 2.0]), np.array([0.0, 1.0])
-    ev = np.linalg.eigvalsh(tridiagonal(d, e))
-    x = np.array([-10.0, -5.0, 0.0, 1.0, 10.0])
-    counts = _sturm_counts(d, e * e, np.finfo(float).tiny, x)
-    assert len(guarded) == 1
-    assert np.array_equal(guarded[0], [-5.0, 0.0])
-    assert np.all(np.searchsorted(ev, x, side="left") <= counts)
-    assert np.all(counts <= np.searchsorted(ev, x, side="right"))
-
-
-@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
-def test_lazy_sturm_counts_equal_guarded(rng, scale):
-    # the unguarded recurrence with a guarded recount where a pivot went
-    # small or non-finite must give the guarded counts exactly; exact-zero
-    # couplings and the shifts d_i (an exactly zero pivot at row 0, and
-    # after each zero coupling) are where the guard acts
-    for _ in range(30):
-        n = int(rng.integers(1, 40))
-        d = scale * rng.standard_normal(n)
-        e = scale * rng.standard_normal(n - 1)
-        e[rng.random(n - 1) < 0.3] = 0.0
-        e2, pivmin, gl, gu, _ = _sturm_setup(d, e)
-        x = np.concatenate((rng.uniform(gl, gu, 60), d, [gl, gu]))
-        assert np.array_equal(_sturm_counts(d, e2, pivmin, x),
-                              _sturm_counts_guarded(d, e2, pivmin, x))
-
-
-def test_bisection_sweep_cap_raises():
-    # a non-finite diagonal never closes its bracket
-    with pytest.raises(SolverError, match="bisection"):
-        _tridiagonal_eigenvalues(np.array([0.0, np.nan]), np.array([1.0]), [0])
-
-
-def _mp_tridiagonal_ground(d, e):
-    """Lowest eigenvalue of the tridiagonal (d, e) by 40-digit bisection."""
+def _mp_rayleigh_quotient(a, x):
+    """x^T a x / x^T x in 40 digits: an upper bound on lambda_min(a)."""
     with mpmath.workdps(40):
-        d = [mpmath.mpf(v) for v in d.tolist()]
-        e2 = [mpmath.mpf(v) ** 2 for v in e.tolist()]
-        width = 2 * max([abs(mpmath.mpf(v)) for v in e.tolist()] + [1])
-        lo, hi = min(d) - width, min(d) + width    # lambda_0 <= min(d)
-        for _ in range(250):
-            mid = (lo + hi) / 2
-            q, below = d[0] - mid, 0
-            for i in range(len(d)):
-                if i:
-                    q = d[i] - mid - e2[i - 1] / q
-                if q == 0:
-                    q = -mpmath.mpf(10) ** -200
-                below += q < 0
-            lo, hi = (lo, mid) if below else (mid, hi)
-        return (lo + hi) / 2
+        x = [mpmath.mpf(v) for v in x.tolist()]
+        ax = [mpmath.fdot(row, x) for row in a.tolist()]
+        return mpmath.fdot(x, ax) / mpmath.fdot(x, x)
 
 
 @pytest.mark.parametrize("case", sorted(HARD_CASES))
 def test_dense_ground_matches_40_digit_eigenvalues(rng, case):
-    # Against the tridiagonal the Householder reduction produced, the error
-    # is within the bisection tolerance 2 eps (scale + |lambda|).  Against
-    # A itself, add the reduction's backward error, taken as n eps ||A||_F.
-    # mpmath reduces A itself up to 60 rows; beyond that its O(n^3) reduction
-    # takes minutes, so those cases check against the tridiagonal only.
+    # Against A itself, within dsyevr's backward error, taken as
+    # n eps ||A||_F; the verified floor must lie at or below the 40-digit
+    # lambda_min.  mpmath diagonalizes A up to 60 rows; beyond that its
+    # O(n^3) reduction takes minutes, so the reference is the 40-digit
+    # Rayleigh quotient of numpy's ground vector, which lies above
+    # lambda_min by far less than the tolerance.
     a = HARD_CASES[case](rng)
     n = a.shape[0]
     got = dense_ground(a)
-    d, e = _householder_tridiagonalize(a)
-    scale = _sturm_setup(d, e)[4]
-    eps = np.finfo(float).eps
-    tol = 2.0 * eps * (scale + abs(got))
-    assert abs(got - _mp_tridiagonal_ground(d, e)) <= tol
-    if n <= 60:
-        with mpmath.workdps(40):
+    with mpmath.workdps(40):
+        if n <= 60:
             ref = min(mpmath.eigsy(mpmath.matrix(a.tolist()),
                                    eigvals_only=True))
-        assert abs(got - ref) <= tol + n * eps * np.linalg.norm(a)
-
-
-@pytest.mark.parametrize("offset", [1e-6, -1e-6, None])
-def test_dense_ground_falls_back_to_bisection(rng, monkeypatch, offset):
-    # a Laguerre estimate 1e-6 off, or none, fails the verifying sweep, and
-    # the value then comes from bisection on the Gershgorin bracket
-    a = random_symmetric(rng, 60)
-    laguerre = eigensolve._laguerre_ground
-    monkeypatch.setattr(
-        eigensolve, "_laguerre_ground",
-        lambda *args: None if offset is None else laguerre(*args) + offset)
-    d, e = _householder_tridiagonalize(a)
-    assert dense_ground(a) == _tridiagonal_eigenvalues(d, e, [0])[0]
-
-
-def _schrodinger_powerlaw_g01():
-    cfg = load_config("powerlaw_g01")
-    return [assemble_schrodinger(cfg.potential, cfg.egrid, mass)
-            for mass in (0.5, 0.75, 1.0, 2.0, 4.0)]
-
-
-@pytest.mark.parametrize("inputs", [
-    lambda rng: [random_symmetric(rng, 500)],
-    lambda rng: _schrodinger_powerlaw_g01()],
-    ids=["random_500", "schrodinger_powerlaw_g01"])
-def test_dense_ground_takes_at_most_two_sweeps(rng, monkeypatch, inputs):
-    # the Laguerre path costs one verifying sweep; a silent fall back to
-    # bisection from the Gershgorin bracket would take about nine
-    sweeps = []
-
-    def spy(*args):
-        sweeps.append(1)
-        return _sturm_counts(*args)
-
-    monkeypatch.setattr(eigensolve, "_sturm_counts", spy)
-    for a in inputs(rng):
-        sweeps.clear()
-        assert dense_ground(a) == pytest.approx(np.linalg.eigvalsh(a)[0],
-                                                abs=1e-10)
-        assert len(sweeps) <= 2
-
-
-def test_dense_eigenvalues_do_not_use_lapack(rng, monkeypatch):
-    # one matrix below the Householder crossover and one above it
-    cases = [(a, np.linalg.eigvalsh(a))
-             for a in (random_symmetric(rng, 25), random_symmetric(rng, 300))]
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense route called LAPACK")
-
-    for module, name in ((sla, "eigh_tridiagonal"), (sla, "eigvalsh_tridiagonal"),
-                         (sla, "eigh"), (sla, "eigvalsh"), (sla, "solve_banded"),
-                         (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
-        monkeypatch.setattr(module, name, forbidden)
-    for a, ref in cases:
-        assert np.max(np.abs(dense_spectrum(a) - ref)) < 1e-12 * np.abs(ref).max()
-        assert dense_ground(a) == pytest.approx(ref[0], abs=1e-12)
+        else:
+            ref = _mp_rayleigh_quotient(a, np.linalg.eigh(a)[1][:, 0])
+        assert abs(got - ref) <= n * np.finfo(float).eps * np.linalg.norm(a)
+        assert verified_floor(a, got) <= ref
 
 
 # ---------------------------------------------------------------------------

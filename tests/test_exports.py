@@ -1,8 +1,9 @@
 """Every name a module exports in `__all__` exists in that module, no
 module of the package or its tests imports a name it never uses, every
-keyword-only option of the package is set by a call inside the package (a
-value only tests set is a module constant they patch), and a run imports no
-scipy beyond scipy.linalg and scipy.sparse."""
+function, class and method of the package is referenced inside the package,
+every keyword-only option of the package is set by a call inside the package
+(a value only tests set is a module constant they patch), and a run imports
+no scipy beyond scipy.linalg and scipy.sparse."""
 
 import ast
 import importlib
@@ -64,6 +65,46 @@ def test_no_unused_imports():
               for path in _python_files("src", "tests")
               if (names := _unused_imports(path))}
     assert not unused, f"unused imports: {unused}"
+
+
+# Definitions kept although nothing in the package refers to them: the
+# docs fixture test trims reports with trim_report, and criterion 8 checks
+# the scaling identity on scaled_comparison_pair.
+UNREFERENCED_ALLOWED = {"docsgen.trim_report",
+                        "staticmass.scaled_comparison_pair"}
+
+
+def _definitions(path):
+    """module.name of every top-level function and class, and
+    module.Class.method of every method that is not a dunder."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(f"{path.stem}.{node.name}")
+        if isinstance(node, ast.ClassDef):
+            names += [f"{path.stem}.{node.name}.{child.name}"
+                      for child in node.body
+                      if isinstance(child, ast.FunctionDef)
+                      and not (child.name.startswith("__")
+                               and child.name.endswith("__"))]
+    return names
+
+
+def _referenced_names(path):
+    """Every name the module reads, bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def test_every_definition_is_referenced_in_the_package():
+    referenced = set().union(*map(_referenced_names, _python_files("src")))
+    dead = [name for path in _python_files("src")
+            for name in _definitions(path)
+            if name.rsplit(".", 1)[1] not in referenced
+            and name not in UNREFERENCED_ALLOWED]
+    assert not dead, f"definitions nothing in src/ refers to: {dead}"
 
 
 def _keyword_options(path):

@@ -241,7 +241,7 @@ def test_fourier_tail_fraction_matches_tight_quadrature(potential, rtol, q_cut,
 @pytest.mark.parametrize("profile", [FourierBump(radius=0.8)],
                          ids=lambda p: type(p).__name__)
 def test_profiles_are_normalized_with_compact_support(profile):
-    assert profile.support_radius == pytest.approx(0.8)
+    assert profile.radius == pytest.approx(0.8)
     assert profile.fhat(np.array([1.0]))[0] == 0.0
     assert profile.fhat(np.array([0.0]))[0] > 0.0
     norm, _ = quad(lambda p: profile.fhat(np.array([p]))[0] ** 2,

@@ -81,6 +81,12 @@ def test_galerkin_fibers_are_phase_aligned_in_the_window(toy_cfg, toy_cache):
     assert np.all(inside @ inside.T > 0.5)
 
 
+def _galerkin(cfg, cache, lam):
+    """The fiber-Galerkin matrix M of `lam` on the config's grid."""
+    return fiber_galerkin(cache, potential_kernel(cfg.potential, cfg.egrid),
+                          lam, cfg.egrid.points, cache.energy(0.0))[1]
+
+
 class _GapClosedAt:
     """The fiber cache, except that the fiber at one momentum reports a
     degenerate or a too-small gap."""
@@ -103,22 +109,22 @@ def test_degenerate_node_inside_the_window_is_rejected(toy_cfg, toy_cache,
                                                        field, value):
     # at lam 0.4 and p_c 0.7 the radius reaches 1.75: the node q = 1 is
     # inside, q = 2.5 is not
-    lam, e0 = 0.4, toy_cache.energy(0.0)
+    lam = 0.4
+    M = _galerkin(toy_cfg, toy_cache, lam)
     inside = _GapClosedAt(toy_cache, lam * 1.0, field, value)
     with pytest.raises(AnalysisError, match=r"\(near-\)degenerate"):
-        minimize_upper_bound(lam, inside, toy_cfg.potential, toy_cfg.egrid,
-                             e0, p_c=0.7)
+        minimize_upper_bound(lam, inside, M, toy_cfg.egrid, p_c=0.7)
     outside = _GapClosedAt(toy_cache, lam * 2.5, field, value)
-    mub = minimize_upper_bound(lam, outside, toy_cfg.potential,
-                               toy_cfg.egrid, e0, p_c=0.7)
+    mub = minimize_upper_bound(lam, outside, M, toy_cfg.egrid, p_c=0.7)
     assert math.isfinite(mub.result.value)
 
 
 def test_empty_radius_range_is_a_config_error(toy_cfg, toy_cache):
     # p_c / lam = 0.25 lies below the smallest radius 3 dq = 0.75
     with pytest.raises(ConfigError, match="empty radius range"):
-        minimize_upper_bound(0.4, toy_cache, toy_cfg.potential,
-                             toy_cfg.egrid, toy_cache.energy(0.0), p_c=0.1)
+        minimize_upper_bound(0.4, toy_cache,
+                             _galerkin(toy_cfg, toy_cache, 0.4),
+                             toy_cfg.egrid, p_c=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +137,25 @@ def test_upper_bound_dominates_coupled_ground(toy_cfg, toy_cache):
     for lam in (0.4, 0.2):
         coupled = coupled_ground(toy_cache, toy_cfg.potential,
                                  toy_cfg.egrid, lam, e0, seed=0)
-        mub = minimize_upper_bound(lam, toy_cache, toy_cfg.potential,
-                                   toy_cfg.egrid, e0, p_c=0.7)
+        # the solve returns the M it built, bit for bit the one
+        # fiber_galerkin builds from the same kernel and fibers
+        M = coupled.galerkin
+        _, ref = fiber_galerkin(toy_cache, kernel, lam, toy_cfg.egrid.points,
+                                e0)
+        assert np.array_equal(M, ref)
+        mub = minimize_upper_bound(lam, toy_cache, M, toy_cfg.egrid, p_c=0.7)
         assert mub.result.value >= coupled.value - 1e-9
         assert 3.0 * toy_cfg.egrid.dq <= mub.radius
         assert lam * mub.radius < 0.7  # support stays inside the window
         # the lowest eigenvalue of M minimizes the same quotient over all
         # weights, so it lies below U*
-        _, M = fiber_galerkin(toy_cache, kernel, lam, toy_cfg.egrid.points,
-                              e0)
         assert np.linalg.eigvalsh(M)[0] <= mub.result.value
 
 
 def test_minimize_upper_bound_reports_search(toy_cfg, toy_cache):
-    e0 = toy_cache.energy(0.0)
-    mub = minimize_upper_bound(0.4, toy_cache, toy_cfg.potential,
-                               toy_cfg.egrid, e0, p_c=0.7)
+    mub = minimize_upper_bound(0.4, toy_cache,
+                               _galerkin(toy_cfg, toy_cache, 0.4),
+                               toy_cfg.egrid, p_c=0.7)
     assert mub.result.lam == 0.4
     assert isinstance(mub.boundary_hit, bool)
     assert mub.result.profile_params == {"type": "bump",
@@ -184,8 +193,9 @@ def test_bounded_brent_matches_scipy_on_the_toy_upper_bound(
         return calls[-1][-1]
 
     monkeypatch.setattr(trialstate, "_bounded_brent", recording)
-    mub = minimize_upper_bound(0.4, toy_cache, toy_cfg.potential,
-                               toy_cfg.egrid, toy_cache.energy(0.0), p_c=0.7)
+    mub = minimize_upper_bound(0.4, toy_cache,
+                               _galerkin(toy_cfg, toy_cache, 0.4),
+                               toy_cfg.egrid, p_c=0.7)
     [(func, lo, hi, xatol, found)] = calls
     assert found == _scipy_bounded(func, lo, hi, xatol)
     assert (mub.radius, mub.result.value) == found[:2]
