@@ -215,13 +215,6 @@ class SandwichReport:
     worst_lam: float
     worst_pair: str
 
-    def table(self) -> str:
-        lines = ["lam        L2              L1              e               U*"]
-        for r in self.rows:
-            lines.append("%-10.4g %-15.10g %-15.10g %-15.10g %-15.10g"
-                         % (r.lam, r.l2, r.l1, r.e, r.u_star))
-        return "\n".join(lines)
-
 
 def sandwich_report(rows) -> SandwichReport:
     """Check L2 - tol <= L1 <= e <= U* + tol at every lam (ORDERING_TOL)."""

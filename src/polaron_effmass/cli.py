@@ -35,8 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp, needs_config=True):
-        sp.add_argument("--config", required=needs_config,
+    def add_common(sp):
+        sp.add_argument("--config", required=True,
                         help="config file path or preset name")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None,

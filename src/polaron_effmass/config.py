@@ -56,9 +56,6 @@ _POTENTIAL_VARIANTS = {
     "soft_step": {"type": (True, str), "depth": (True, float),
                   "radius": (False, float), "softness": (False, float)},
 }
-_DISPERSIONS = set(_DISPERSION_VARIANTS)
-_COUPLINGS = set(_COUPLING_VARIANTS)
-_POTENTIALS = set(_POTENTIAL_VARIANTS)
 
 
 def _require(block: dict, path: str, allowed: dict):
@@ -95,10 +92,10 @@ def _require(block: dict, path: str, allowed: dict):
 
 def _build_dispersion(block: dict):
     kind = block.get("type")
-    if kind not in _DISPERSIONS:
+    if kind not in _DISPERSION_VARIANTS:
         raise ConfigError(
-            f"model.dispersion.type must be one of {sorted(_DISPERSIONS)}, "
-            f"got {kind!r}"
+            "model.dispersion.type must be one of "
+            f"{sorted(_DISPERSION_VARIANTS)}, got {kind!r}"
         )
     b = _require(block, "model.dispersion", _DISPERSION_VARIANTS[kind])
     if kind == "constant":
@@ -108,10 +105,10 @@ def _build_dispersion(block: dict):
 
 def _build_coupling(block: dict):
     kind = block.get("type")
-    if kind not in _COUPLINGS:
+    if kind not in _COUPLING_VARIANTS:
         raise ConfigError(
-            f"model.coupling.type must be one of {sorted(_COUPLINGS)}, "
-            f"got {kind!r}"
+            "model.coupling.type must be one of "
+            f"{sorted(_COUPLING_VARIANTS)}, got {kind!r}"
         )
     b = _require(block, "model.coupling", _COUPLING_VARIANTS[kind])
     if kind == "zero":
@@ -123,9 +120,10 @@ def _build_coupling(block: dict):
 
 def _build_potential(block: dict):
     kind = block.get("type")
-    if kind not in _POTENTIALS:
+    if kind not in _POTENTIAL_VARIANTS:
         raise ConfigError(
-            f"potential.type must be one of {sorted(_POTENTIALS)}, got {kind!r}"
+            f"potential.type must be one of {sorted(_POTENTIAL_VARIANTS)}, "
+            f"got {kind!r}"
         )
     b = _require(block, "potential", _POTENTIAL_VARIANTS[kind])
     if kind == "none":

@@ -139,9 +139,6 @@ class FiberCache:
     def energy(self, P: float) -> float:
         return self.pair(P)["energy"]
 
-    def vector(self, P: float) -> np.ndarray:
-        return self.pair(P)["vector"]
-
     def prefetch(self, P_values):
         """Solve a batch of momenta in order of increasing |P|.
 
@@ -307,11 +304,10 @@ def certify_quasi_parabolic(curve: DispersionCurve, mass: float
     c_min = 0.0
     worst = 0.0
     for p, d in zip(P[nz], dE[nz]):
-        if d <= tol * max(1.0, abs(curve.e0)):
-            if d <= 0.0:
-                raise AnalysisError(
-                    f"E(P) = E0 at P = {p:g}; quasi-parabolic bound unverifiable"
-                )
+        if d <= 0.0:
+            raise AnalysisError(
+                f"E(P) = E0 at P = {p:g}; quasi-parabolic bound unverifiable"
+            )
         c_here = (p * p / (2.0 * mass * d) - 1.0) / (p * p)
         if c_here > c_min:
             c_min, worst = c_here, p

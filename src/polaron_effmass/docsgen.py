@@ -230,12 +230,19 @@ _REPORT_DOC = (
     ("`dispersion.perturbative_mass`", "Second-order weak-coupling mass "
                                        "used as a cross-check."),
     ("`dispersion.fiber_solves`", "Number of distinct fiber "
-                                  "diagonalizations performed."),
+                                  "diagonalizations the dispersion scan "
+                                  "performed."),
     ("`dispersion.fiber_iterations`", "Davidson iterations summed over "
                                       "those fiber diagonalizations."),
     ("`dispersion.fiber_matvecs`", "Fiber-operator applications summed "
                                    "over those diagonalizations, including "
                                    "the residual checks."),
+    ("`telemetry.fiber`", "Every fiber diagonalization of the run, the "
+                          "scan's and the static stage's (summed over the "
+                          "variants of `converge`): `solves`, and the "
+                          "Davidson `iterations`, `matvecs` (with the "
+                          "residual checks) and thick `restarts` summed "
+                          "over them."),
     ("`static_mass.lambda_seq`", "Scaling parameters actually used, "
                                  "descending."),
     ("`static_mass.e_values`", "Coupled ground energies per scaling "
@@ -317,7 +324,8 @@ def _section_report() -> str:
              "`staticmass` adds the static-mass, upper-bound and "
              "mass-comparison blocks, `sandwich` adds the splitting bound "
              "and the ordering verdict, `oracle-check` and `converge` "
-             "write their own blocks.")
+             "write their own blocks.  Every subcommand but `oracle-check` "
+             "writes the telemetry block.")
     table = _table(("Key", "Meaning"), _REPORT_DOC)
     return intro + "\n\n" + table
 
@@ -427,8 +435,7 @@ def _section_fixtures(fixtures_dir: str) -> str:
     for name in FIXTURE_NAMES:
         fix = _load_fixture(fixtures_dir, name)
         rows = [(f"`{k}`", v) for k, v in sorted(fix["metrics"].items())]
-        cmd = ("oracle-check" if fix["subcommand"] == "oracle-check"
-               else fix["subcommand"])
+        cmd = fix["subcommand"]
         parts.append(
             f"### {fix['preset']} ({cmd})\n\n"
             f"`polaron-effmass {cmd} --config {fix['preset']}` — overall "

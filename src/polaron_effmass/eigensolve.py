@@ -11,10 +11,11 @@
   caller may supply the start vector and a refinement of each correction,
   which the coupled solve uses for its fiber-Galerkin start and coarse
   correction; see the solver notes in the README.
-* :func:`ground_state`: Lanczos iteration with full reorthogonalization
-  (two classical Gram-Schmidt passes per step), seeded random start,
-  residual-based stopping, warm restarts on basis exhaustion and reseeding
-  on stagnation.  The iterative route of the oracle checks.
+* :func:`ground_state`: one Lanczos pass with full reorthogonalization
+  (two classical Gram-Schmidt passes per step), seeded random start and
+  residual-based stopping.  The basis may grow to the full dimension (at
+  most 2000), where the Ritz value is exact, so nothing restarts.  The
+  iterative route of the oracle checks.
 * :func:`dense_ground` / :func:`dense_spectrum`: eigenvalues of a small
   dense matrix (at most 2000 rows) by LAPACK dsyevr without vectors;
   :func:`dense_ground` asks for the lowest one only.  They serve the
@@ -58,9 +59,9 @@ __all__ = [
 
 # Lanczos steps between two estimates of the ground Ritz residual.
 _CHECK_EVERY = 5
-# Lanczos basis size before a restart, and restarts before giving up.
-_MAX_BASIS = 300
-_MAX_RESTARTS = 10
+# Largest dimension of the dense eigenvalue routes and of Lanczos, whose
+# basis may grow to the full dimension.
+_DENSE_MAX = 2000
 # Davidson's search space V and its images AV, 2 x max_subspace x dim
 # doubles, may take at most this many bytes.  The largest shipped run, the
 # retry space (80) of the powerlaw presets' coupled operator (dim 478,170),
@@ -186,104 +187,67 @@ def _lowest_ritz(alphas, betas):
 
 
 def ground_state(op, tol: float = 1e-9, seed: int = 0) -> EigResult:
-    """Lowest eigenpair by Lanczos iteration with full reorthogonalization.
+    """Lowest eigenpair by one Lanczos pass with full reorthogonalization.
 
     The start vector is drawn from a generator seeded with `seed`.
     Convergence is declared when the explicitly computed residual
-    ||A x - theta x|| falls below tol * max(1, |theta|).  When the basis
-    fills up without convergence the iteration restarts from the current
-    Ritz vector; when restarts stagnate the start is reseeded.
+    ||A x - theta x|| falls below tol * max(1, |theta|).  The basis may grow
+    to the full dimension n, where the Krylov space is invariant and the
+    Ritz value exact, so there are no restarts.  Dimensions above
+    _DENSE_MAX are refused with DomainError before anything is allocated.
 
-    Raises SolverError (carrying the best value/residual seen) on failure.
+    Raises SolverError (carrying the best value/residual seen) when the
+    pass ends, by breakdown or at step n, without meeting the tolerance.
     """
     matvec, n, _ = _as_operator(op)
-    rng = np.random.default_rng(seed)
-    max_basis = int(min(_MAX_BASIS, n))
-    if max_basis < 1:
+    if n < 1:
         raise DomainError("operator dimension must be >= 1")
-
-    def fresh_start():
-        return rng.standard_normal(n)
-
-    start = fresh_start()
-    best_val, best_vec, best_res = math.inf, None, math.inf
+    if n > _DENSE_MAX:
+        raise DomainError(f"Lanczos is limited to dimension <= {_DENSE_MAX}, "
+                          f"got {n}")
+    v = np.random.default_rng(seed).standard_normal(n)
+    V = np.empty((n, n))
+    V[0] = v / np.linalg.norm(v)
+    best_val, best_res = math.inf, math.inf
+    alphas, betas = [], []
+    scale = 1.0     # running max(1, |alphas|, |betas|)
     matvecs = 0
-    iterations = 0
-    prev_best_res = math.inf
-
-    for restart in range(_MAX_RESTARTS + 1):
-        v = start.copy()
-        nv = np.linalg.norm(v)
-        if nv < 1e-14:
-            start = fresh_start()
-            continue
-        v /= nv
-        V = np.empty((max_basis, n))
-        V[0] = v
-        alphas, betas = [], []
-        scale = 1.0     # running max(1, |alphas|, |betas|)
-        k = 0
-        exhausted = False
-        while k < max_basis:
-            w = matvec(V[k])
-            matvecs += 1
-            a = float(V[k] @ w)
-            alphas.append(a)
-            scale = max(scale, abs(a))
-            w = w - a * V[k]
-            if k > 0:
-                w -= betas[-1] * V[k - 1]
-            for _ in range(2):
-                w = _project_out(w, V, k + 1)
-            b = float(np.linalg.norm(w))
-            k += 1
-            iterations += 1
-            breakdown = b <= 1e-14 * scale
-            if breakdown or k % _CHECK_EVERY == 0 or k == max_basis:
-                theta, y = _lowest_ritz(alphas, betas)
-                est = b * abs(y[-1])
-                if est <= tol * max(1.0, abs(theta)) or breakdown:
-                    x = V[:k].T @ y
-                    x /= np.linalg.norm(x)
-                    r = matvec(x) - theta * x
-                    matvecs += 1
-                    res = float(np.linalg.norm(r))
-                    if res < best_res:
-                        best_val, best_vec, best_res = theta, x, res
-                    if res <= tol * max(1.0, abs(theta)):
-                        return EigResult(theta, x, res, iterations, matvecs,
-                                         restart, "lanczos")
-                    if breakdown:
-                        # invariant subspace that misses the ground state
-                        exhausted = True
-                        break
-            if k < max_basis:
-                if b <= 1e-14 * scale:
-                    exhausted = True
-                    break
-                betas.append(b)
-                scale = max(scale, b)
-                V[k] = w / b
-        # restart preparation
-        theta, y = _lowest_ritz(alphas, betas)
-        x = V[:len(alphas)].T @ y
-        x /= np.linalg.norm(x)
-        r = matvec(x) - theta * x
+    k = 0
+    while True:
+        w = matvec(V[k])
         matvecs += 1
-        res = float(np.linalg.norm(r))
-        if res < best_res:
-            best_val, best_vec, best_res = theta, x, res
-        if res <= tol * max(1.0, abs(theta)):
-            return EigResult(theta, x, res, iterations, matvecs, restart, "lanczos")
-        stagnated = res > 0.5 * prev_best_res
-        prev_best_res = min(prev_best_res, res)
-        start = fresh_start() if (exhausted or stagnated) else x
-    raise SolverError(
-        f"Lanczos failed to reach tol={tol} within {_MAX_RESTARTS} restarts "
-        f"(best residual {best_res:.3e})",
-        best_value=best_val,
-        best_residual=best_res,
-    )
+        a = float(V[k] @ w)
+        alphas.append(a)
+        scale = max(scale, abs(a))
+        w = w - a * V[k]
+        if k > 0:
+            w -= betas[-1] * V[k - 1]
+        for _ in range(2):
+            w = _project_out(w, V, k + 1)
+        b = float(np.linalg.norm(w))
+        k += 1
+        # the pass ends at breakdown (an invariant subspace) or at step n
+        last = b <= 1e-14 * scale or k == n
+        if last or k % _CHECK_EVERY == 0:
+            theta, y = _lowest_ritz(alphas, betas)
+            if last or b * abs(y[-1]) <= tol * max(1.0, abs(theta)):
+                x = V[:k].T @ y
+                x /= np.linalg.norm(x)
+                r = matvec(x) - theta * x
+                matvecs += 1
+                res = float(np.linalg.norm(r))
+                if res < best_res:
+                    best_val, best_res = theta, res
+                if res <= tol * max(1.0, abs(theta)):
+                    return EigResult(theta, x, res, k, matvecs, 0, "lanczos")
+                if last:
+                    raise SolverError(
+                        f"Lanczos failed to reach tol={tol} in {k} steps at "
+                        f"dimension {n} (best residual {best_res:.3e})",
+                        best_value=best_val, best_residual=best_res)
+        betas.append(b)
+        scale = max(scale, b)
+        V[k] = w / b
 
 
 def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
@@ -472,8 +436,8 @@ def _dense_input(A, who):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise DomainError(f"{who} needs a non-empty square matrix")
-    if A.shape[0] > 2000:
-        raise DomainError("dense oracle is limited to dimension <= 2000")
+    if A.shape[0] > _DENSE_MAX:
+        raise DomainError(f"dense oracle is limited to dimension <= {_DENSE_MAX}")
     if not np.all(np.isfinite(A)):
         raise DomainError(f"{who} needs a finite matrix")
     if np.max(np.abs(A - A.T)) > 1e-10 * np.max(np.abs(A)):

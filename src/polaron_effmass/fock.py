@@ -68,9 +68,6 @@ class FockBasis:
     def dim(self) -> int:
         return self.occupations.shape[0]
 
-    def state(self, index: int) -> tuple:
-        return tuple(int(o) for o in self.occupations[index])
-
     def field_momenta(self, grid: ModeGrid) -> np.ndarray:
         """Total field momentum of every state, shape (dim,)."""
         if grid.size != self.m_modes:
@@ -114,21 +111,20 @@ def _rank_batch(occ: np.ndarray, m: int) -> np.ndarray:
     return rank
 
 
-def enumerate_basis(m_modes: int, n_max: int,
-                    capacity: int = BASIS_CAPACITY) -> FockBasis:
+def enumerate_basis(m_modes: int, n_max: int) -> FockBasis:
     """Build the full truncated basis with creation index maps.
 
     Raises CapacityError before allocating anything when C(m + n_max, n_max)
-    exceeds the capacity budget.
+    exceeds BASIS_CAPACITY.
     """
     if m_modes < 1:
         raise DomainError(f"need at least one mode, got {m_modes}")
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     dim = math.comb(m_modes + n_max, n_max)
-    if dim > capacity:
+    if dim > BASIS_CAPACITY:
         raise CapacityError(
-            f"basis dimension {dim} exceeds capacity {capacity} "
+            f"basis dimension {dim} exceeds capacity {BASIS_CAPACITY} "
             f"(m={m_modes}, n_max={n_max})"
         )
     occ = np.empty((dim, m_modes), dtype=np.uint16)

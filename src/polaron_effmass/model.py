@@ -184,15 +184,15 @@ class ModeGrid:
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.momenta)
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         """True when for every retained k there is a retained -k."""
         try:
-            self.parity_permutation(tol=tol)
+            self.parity_permutation()
         except DomainError:
             return False
         return True
 
-    def parity_permutation(self, tol: float = 1e-12) -> np.ndarray:
+    def parity_permutation(self) -> np.ndarray:
         """Index permutation pi with momenta[pi[i]] = -momenta[i].
 
         Raises DomainError when the grid is not closed under k -> -k.
@@ -202,7 +202,7 @@ class ModeGrid:
         perm = np.empty(self.size, dtype=np.int64)
         for i, k in enumerate(self.momenta):
             j = keys.get(round(-k / max(self.dk, 1e-300), 6))
-            if j is None or not np.isclose(self.momenta[j], -k, atol=tol):
+            if j is None or not np.isclose(self.momenta[j], -k, atol=1e-12):
                 raise DomainError("mode grid is not symmetric under k -> -k")
             perm[i] = j
         return perm

@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 2000
+# Largest dimension SymmetricOperator.to_dense forms.
+_DENSIFY_MAX = 4000
 
 
 def _check_symmetric(matrix, name: str):
@@ -149,9 +151,10 @@ class SymmetricOperator:
             d = d + self.diag
         return d
 
-    def to_dense(self, max_dim: int = 4000) -> np.ndarray:
-        if self.dim > max_dim:
-            raise CapacityError(f"refusing to densify dimension {self.dim} > {max_dim}")
+    def to_dense(self) -> np.ndarray:
+        if self.dim > _DENSIFY_MAX:
+            raise CapacityError(
+                f"refusing to densify dimension {self.dim} > {_DENSIFY_MAX}")
         if self.kernel is None:
             out = self.matrix.toarray()
         else:

@@ -271,6 +271,14 @@ def stage_sandwich(cfg: ExperimentConfig, dstate: DispersionState,
     return report, block, csv_rows
 
 
+def _fiber_telemetry(caches) -> dict:
+    """Fiber solves and their solver work summed over `caches`: every
+    fiber solve of the run, whichever stage asked for it."""
+    return {"solves": sum(c.solves() for c in caches),
+            **{key: sum(c.work(key) for c in caches)
+               for key in ("iterations", "matvecs", "restarts")}}
+
+
 def _mass_verdict(m_dyn: float, extrap) -> tuple:
     """(|M_dyn - M_stat| / M_dyn, whether the masses agree)."""
     rel_gap = (abs(m_dyn - extrap.mass) / m_dyn
@@ -364,13 +372,14 @@ def run_converge(cfg: ExperimentConfig) -> tuple:
     the base truncation and n_max +- 1 or half the mode spacing; the masses
     themselves may drift within their tolerances.
     """
-    rows, table = [], []
+    rows, table, caches = [], [], []
     base_verdicts = None
     for label, spec in _variant_specs(cfg.spec):
         vcfg = replace(cfg, spec=spec)
         dstate, dblock, _ = stage_dispersion(vcfg)
         sstate, sblock = stage_static(vcfg, dstate)
         report, wblock, _ = stage_sandwich(vcfg, dstate, sstate)
+        caches.append(dstate.cache)
         m_dyn = dstate.fit.mass
         extrap = sstate.extrapolation
         rel_gap, mass_ok = _mass_verdict(m_dyn, extrap)
@@ -388,7 +397,9 @@ def run_converge(cfg: ExperimentConfig) -> tuple:
         })
     passed = all(t["stable"] for t in table) and base_verdicts[0] \
         and base_verdicts[1] and base_verdicts[2]
-    return passed, {"convergence": {"table": table, "passed": passed}}, rows
+    block = {"convergence": {"table": table, "passed": passed},
+             "telemetry": {"fiber": _fiber_telemetry(caches)}}
+    return passed, block, rows
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +489,9 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | None = None
                           "oracle-check", "converge"):
         raise ConfigError(f"unknown subcommand {subcommand!r}")
 
+    if subcommand in ("dispersion", "staticmass", "sandwich"):
+        # after every stage, so the static stage's fiber solves count too
+        report["telemetry"] = {"fiber": _fiber_telemetry([dstate.cache])}
     report["timings_seconds"] = timings
     report["pass"] = bool(passed)
     # all artifact writes happen here, sequentially

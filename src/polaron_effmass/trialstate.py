@@ -14,10 +14,9 @@ there is no separate family of ground states.  U is the Rayleigh quotient
 of an explicit vector and hence an upper bound on e(lam) up to solver and
 rounding error.  :func:`minimize_upper_bound` takes the M of the coupled
 solve at lam and tunes the radius R, keeping lam R inside the
-quasi-parabolic window, by an in-house port of the bounded Brent search of
-scipy.optimize.minimize_scalar(method="bounded") (Forsythe, Malcolm &
-Moler's fmin): it takes the same steps in the same floating-point order, so
-it returns the same radius bit for bit without importing scipy.optimize.
+quasi-parabolic window, by a golden-section search to within 1e-3.  Every
+candidate radius is scored by :func:`upper_bound`, so whichever radius the
+search returns, U* is the Rayleigh quotient of an explicit vector.
 """
 
 from __future__ import annotations
@@ -65,90 +64,33 @@ class MinimizedUpperBound:
     boundary_hit: bool
 
 
-# Square root of the unit roundoff, the golden section ratio, and the budget
-# of function evaluations of the bounded Brent search (scipy's constants).
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_MAX_EVALUATIONS = 500
+# Interval shrink factor of the golden-section search, 1 / golden ratio.
+_INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 # Absolute tolerance of the support-radius search.
 _XATOL = 1e-3
 
 
-def _bounded_brent(func, lo: float, hi: float, xatol: float):
-    """Minimize func on [lo, hi] by Brent's golden-section/parabolic search.
+def _golden_section(func, lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of func on [lo, hi] by golden-section search.
 
-    A line-for-line port of scipy.optimize's _minimize_scalar_bounded (as
-    of scipy 1.17): returns (x, func(x), evaluations) with the same values
-    bit for bit.  Stops when the bracket is within about xatol of the best
-    point, or after _MAX_EVALUATIONS evaluations.
+    Each step drops the part of the bracket beyond the worse of its two
+    interior points and evaluates one new point.  For unimodal func the
+    minimizer stays in the bracket, so the better interior point returned
+    once the bracket is narrower than xatol lies within xatol of it.
     """
     a, b = lo, hi
-    fulc = a + _GOLDEN * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # try a parabolic step through the three best points
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN * e
-
-        step = max(abs(rat), tol1)
-        x = xf + (step if rat >= 0.0 else -step)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = func(c), func(d)
+    while b - a > xatol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = func(c)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAX_EVALUATIONS:
-            break
-    return xf, fx, num
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = func(d)
+    return c if fc <= fd else d
 
 
 def minimize_upper_bound(lam: float, cache: FiberCache, M: np.ndarray,
@@ -184,7 +126,7 @@ def minimize_upper_bound(lam: float, cache: FiberCache, M: np.ndarray,
     def objective(r: float) -> float:
         return upper_bound(lam, M, FourierBump(radius=float(r)), egrid).value
 
-    radius, _, _ = _bounded_brent(objective, r_lo, r_hi, _XATOL)
+    radius = _golden_section(objective, r_lo, r_hi, _XATOL)
     best = upper_bound(lam, M, FourierBump(radius=radius), egrid)
     boundary = (radius - r_lo <= 2 * _XATOL) or (r_hi - radius <= 2 * _XATOL)
     return MinimizedUpperBound(result=best, radius=radius,

@@ -344,15 +344,6 @@ def test_sandwich_report_rejects_empty():
         sandwich_report([])
 
 
-def test_sandwich_table_format():
-    rows = [SandwichRow(lam=0.25, l2=-1.0, l1=-0.5, e=-0.25, u_star=0.0)]
-    table = sandwich_report(rows).table()
-    lines = table.split("\n")
-    assert lines[0] == ("lam        L2              L1              "
-                        "e               U*")
-    assert lines[1].split() == ["0.25", "-1", "-0.5", "-0.25", "0"]
-
-
 _finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False,
                     allow_infinity=False)
 

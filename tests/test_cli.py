@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polaron_effmass import bounds, staticmass
+from polaron_effmass import bounds, dispersion, staticmass
 from polaron_effmass.cli import main
 from polaron_effmass.errors import SolverError
 
@@ -107,6 +107,32 @@ def test_dispersion_run_writes_artifacts(tmp_path, capsys):
     assert report["seed"] == 123
     assert len(report["config_sha256"]) == 64
     assert Path(out, "dispersion.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand, preset", [("sandwich", "toy"),
+                                                ("converge", "free")])
+def test_fiber_telemetry_counts_every_fiber_solve(tmp_path, monkeypatch,
+                                                  subcommand, preset):
+    # the static stage solves most fibers after the scan's counts are
+    # written, and converge solves them again for every variant
+    pairs = []
+
+    def recording(*args, **kwargs):
+        pairs.append(true_lowest_two(*args, **kwargs))
+        return pairs[-1]
+
+    true_lowest_two = dispersion.lowest_two
+    monkeypatch.setattr(dispersion, "lowest_two", recording)
+    out = str(tmp_path / "out")
+    assert main([subcommand, "--config", preset, "--out", out]) == 0
+    report = json.loads(Path(out, "report.json").read_text())
+    assert report["telemetry"]["fiber"] == {
+        "solves": len(pairs),
+        "iterations": sum(p.iterations for p in pairs),
+        "matvecs": sum(p.matvecs for p in pairs),
+        "restarts": sum(p.restarts for p in pairs)}
+    if subcommand == "sandwich":
+        assert report["dispersion"]["fiber_solves"] < len(pairs)
 
 
 def test_unreachable_tolerance_exits_3(tmp_path, capsys, monkeypatch):

@@ -59,8 +59,8 @@ def test_cache_reuses_parity_and_counts_solves(toy_template):
     e_minus = cache.energy(-0.3)
     assert cache.solves() == solves_after_plus  # -P came from parity, free
     assert e_minus == pytest.approx(e_plus, abs=1e-11)
-    v_plus = cache.vector(0.3)
-    v_minus = cache.vector(-0.3)
+    v_plus = cache.pair(0.3)["vector"]
+    v_minus = cache.pair(-0.3)["vector"]
     assert v_plus.shape == v_minus.shape
     assert np.linalg.norm(v_minus) == pytest.approx(1.0, abs=1e-10)
 
@@ -69,9 +69,9 @@ def test_cache_parity_vector_matches_independent_solve(toy_template,
                                                       monkeypatch):
     monkeypatch.setattr(dispersion, "_FIBER_TOL", 1e-11)
     cache = FiberCache(toy_template, seed=0)
-    v_minus = cache.vector(-0.4)
+    v_minus = cache.pair(-0.4)["vector"]
     fresh = FiberCache(toy_template, seed=4)
-    w = fresh.vector(-0.4)
+    w = fresh.pair(-0.4)["vector"]
     # align signs before comparing: eigenvectors are defined up to sign
     if float(w @ v_minus) < 0:
         w = -w

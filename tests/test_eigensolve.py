@@ -5,13 +5,15 @@ oracles for the dense route and for the verified floor; numpy then anchors
 the two iterative routes, which also check each other on the fibers.
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from polaron_effmass import eigensolve
+from polaron_effmass import eigensolve, pipeline
 from polaron_effmass.config import load_config
 from polaron_effmass.eigensolve import (_DAVIDSON_MAX_BYTES,
                                         _orthogonalize, _projected_eigh,
@@ -187,6 +189,63 @@ def test_lanczos_is_deterministic(rng):
     assert a.matvecs == b.matvecs
 
 
+class _CountingOperator:
+    """A dense matrix behind the matvec/dim protocol, counting matvecs."""
+
+    def __init__(self, a):
+        self.a, self.dim, self.calls = a, a.shape[0], 0
+
+    def matvec(self, x):
+        self.calls += 1
+        return self.a @ x
+
+
+def test_lanczos_failure_ends_the_pass_by_step_n(rng):
+    # tol 0 is never met, so the pass runs until the Krylov space is
+    # invariant: the Ritz value it carries out is the exact one
+    n = 60
+    op = _CountingOperator(random_symmetric(rng, n))
+    with pytest.raises(SolverError) as info:
+        ground_state(op, tol=0.0, seed=1)
+    assert op.calls <= n + 1   # at most n steps and one residual check
+    ref = np.linalg.eigvalsh(op.a)[0]
+    assert abs(info.value.best_value - ref) <= 1e-12
+
+
+def test_lanczos_refuses_dimensions_beyond_the_dense_cap():
+    class Huge:
+        dim = 2001
+
+        def matvec(self, x):
+            raise AssertionError("no matvec before the dimension check")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="2000"):
+            ground_state(Huge())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2001 * 8 * 4   # a basis of n x n doubles was never formed
+
+
+def test_lanczos_converges_on_every_oracle_instance(monkeypatch):
+    # the oracle preset's 50 random instances converge in one pass, with
+    # room to spare below the 150-step guard (105 steps at most)
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(ground_state(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(pipeline, "ground_state", recording)
+    passed, _, _ = pipeline.run_oracle_check(load_config("oracle"))
+    assert passed
+    assert len(results) == 50
+    assert max(r.iterations for r in results) <= 150
+    assert all(r.restarts == 0 for r in results)
+
+
 # ---------------------------------------------------------------------------
 # two-target Davidson route (fiber ground pairs)
 # ---------------------------------------------------------------------------
@@ -298,7 +357,7 @@ def test_davidson_cold_start_finds_true_ground(rng):
     operator must not lock onto an interior eigenpair."""
     op = spread_diag_operator(rng)
     res = davidson_ground(op, tol=1e-10, seed=11)
-    dense = op.to_dense(max_dim=400)
+    dense = op.to_dense()
     ref = np.linalg.eigvalsh(dense)[0]
     assert ref < 0  # the well really is attractive
     assert res.value == pytest.approx(ref, abs=1e-8)

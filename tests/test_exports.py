@@ -1,9 +1,10 @@
 """Every name a module exports in `__all__` exists in that module, no
 module of the package or its tests imports a name it never uses, every
-function, class and method of the package is referenced inside the package,
-every keyword-only option of the package is set by a call inside the package
-(a value only tests set is a module constant they patch), and a run imports
-no scipy beyond scipy.linalg and scipy.sparse."""
+function, class and method of the package is referenced inside the package
+(a method through attribute access), every option of the package (a
+parameter with a default that a call can pass by name) is set by a call
+inside the package (a value only tests set is a module constant they
+patch), and a run imports no scipy beyond scipy.linalg and scipy.sparse."""
 
 import ast
 import importlib
@@ -91,25 +92,36 @@ def _definitions(path):
 
 
 def _referenced_names(path):
-    """Every name the module reads, bare or as an attribute."""
+    """(names the module reads bare or as an attribute, names it reads as
+    an attribute): a method counts only through the second, ``x.name``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            | {node.attr for node in ast.walk(tree)
-               if isinstance(node, ast.Attribute)})
+    attributes = {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    bare = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bare | attributes, attributes
 
 
 def test_every_definition_is_referenced_in_the_package():
-    referenced = set().union(*map(_referenced_names, _python_files("src")))
+    refs = [_referenced_names(path) for path in _python_files("src")]
+    anywhere = set().union(*(names for names, _ in refs))
+    attributes = set().union(*(attrs for _, attrs in refs))
     dead = [name for path in _python_files("src")
             for name in _definitions(path)
-            if name.rsplit(".", 1)[1] not in referenced
+            if name.rsplit(".", 1)[1] not in
+            (attributes if name.count(".") == 2 else anywhere)
             and name not in UNREFERENCED_ALLOWED]
     assert not dead, f"definitions nothing in src/ refers to: {dead}"
 
 
+# Options only tests set: the CLI's argument list is how they drive it.
+OPTIONS_ALLOWED = {"main(argv=)"}
+
+
 def _keyword_options(path):
-    """(callable name, option, line) for every keyword-only parameter with a
-    default; a constructor is named after its class."""
+    """(callable name, option, position, line) for every parameter with a
+    default that a call can pass by name; position is its index among the
+    positional arguments of a call (None for keyword-only ones), not
+    counting a method's self.  A constructor is named after its class."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     owners = {child: node.name for node in ast.walk(tree)
               if isinstance(node, ast.ClassDef) for child in node.body}
@@ -118,33 +130,51 @@ def _keyword_options(path):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         name = owners[node] if node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        skip = int(node in owners and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list))
+        defaulted = positional[len(positional) - len(node.args.defaults):]
+        for arg in defaulted:
+            if arg not in node.args.posonlyargs:
+                options.append((name, arg.arg,
+                                positional.index(arg) - skip, node.lineno))
         for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
             if default is not None:
-                options.append((name, arg.arg, node.lineno))
+                options.append((name, arg.arg, None, node.lineno))
     return options
 
 
-def _keywords_passed(path):
-    """(callee name, keyword) for every call that passes an option by name."""
+def _calls(path):
+    """(callee name, keywords passed by name, positional arguments passed)
+    for every call; a starred argument counts as filling every position."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    passed = set()
+    calls = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         callee = (func.id if isinstance(func, ast.Name)
                   else func.attr if isinstance(func, ast.Attribute) else None)
-        passed |= {(callee, kw.arg) for kw in node.keywords if kw.arg}
-    return passed
+        n_args = (float("inf")
+                  if any(isinstance(a, ast.Starred) for a in node.args)
+                  else len(node.args))
+        calls.append((callee, {kw.arg for kw in node.keywords if kw.arg},
+                      n_args))
+    return calls
 
 
 def test_every_keyword_option_has_a_caller():
-    passed = set().union(*map(_keywords_passed, _python_files("src")))
+    calls = [c for path in _python_files("src") for c in _calls(path)]
     orphans = [f"{path.relative_to(REPO_ROOT)}:{line} {name}({option}=)"
                for path in _python_files("src")
-               for name, option, line in _keyword_options(path)
-               if (name, option) not in passed]
-    assert not orphans, f"keyword options no call sets: {orphans}"
+               for name, option, position, line in _keyword_options(path)
+               if f"{name}({option}=)" not in OPTIONS_ALLOWED
+               and not any(callee == name and (
+                   option in keywords
+                   or (position is not None and n_args > position))
+                           for callee, keywords, n_args in calls)]
+    assert not orphans, f"options no call in src/ sets: {orphans}"
 
 
 _IMPORT_GUARD = textwrap.dedent("""
@@ -154,6 +184,7 @@ _IMPORT_GUARD = textwrap.dedent("""
     from polaron_effmass.config import load_config, validate_config
     validate_config("toy")
     pipeline.run("sandwich", load_config("toy"), out_dir=sys.argv[1])
+    pipeline.run("oracle-check", load_config("oracle"), out_dir=sys.argv[1])
     print(sorted(m for m in ("scipy.integrate", "scipy.optimize",
                              "scipy.special") if m in sys.modules))
 """)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polaron_effmass import fock
 from polaron_effmass.errors import CapacityError, DomainError
 from polaron_effmass.fock import _rank_batch, enumerate_basis
 from polaron_effmass.model import build_mode_grid
@@ -41,8 +42,8 @@ def test_dimension_is_binomial(m, n):
 def test_graded_lex_order():
     basis = enumerate_basis(2, 2)
     expected = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-    assert [basis.state(i) for i in range(basis.dim)] == expected
-    assert basis.state(0) == (0, 0)  # vacuum first
+    assert [tuple(row) for row in basis.occupations.tolist()] == expected
+    assert basis.occupations[0].tolist() == [0, 0]  # vacuum first
 
 
 def test_totals_are_nondecreasing_and_states_unique():
@@ -60,7 +61,7 @@ def rank(basis, occ) -> int:
 def test_index_of_inverts_state():
     basis = enumerate_basis(3, 4)
     for i in range(basis.dim):
-        assert rank(basis, basis.state(i)) == i
+        assert rank(basis, basis.occupations[i]) == i
 
 
 def test_creation_maps_match_ladder_action():
@@ -68,7 +69,7 @@ def test_creation_maps_match_ladder_action():
     index = {tuple(int(o) for o in row): i
              for i, row in enumerate(basis.occupations)}
     for s in range(basis.dim):
-        occ = basis.state(s)
+        occ = tuple(basis.occupations[s].tolist())
         for mode in range(3):
             target = basis.creation_index[s, mode]
             out = apply_creation(occ, mode, basis.n_max)
@@ -91,7 +92,7 @@ def test_field_momenta_and_frequency_sums():
     mom = basis.field_momenta(grid)
     freq = basis.frequency_sums(omegas)
     for i in range(basis.dim):
-        occ = np.asarray(basis.state(i), dtype=float)
+        occ = basis.occupations[i].astype(float)
         assert mom[i] == pytest.approx(occ @ grid.momenta)
         assert freq[i] == pytest.approx(occ @ omegas)
     with pytest.raises(DomainError):
@@ -108,9 +109,10 @@ def test_permute_modes_realizes_parity():
     assert np.array_equal(sigma[sigma], np.arange(basis.dim))
 
 
-def test_capacity_error_before_allocation():
+def test_capacity_error_before_allocation(monkeypatch):
+    monkeypatch.setattr(fock, "BASIS_CAPACITY", 10_000)
     with pytest.raises(CapacityError):
-        enumerate_basis(40, 12, capacity=10_000)
+        enumerate_basis(40, 12)
 
 
 def test_basis_guards():
@@ -125,4 +127,4 @@ def test_basis_guards():
 def test_rank_roundtrip_property(m, n, data):
     basis = enumerate_basis(m, n)
     idx = data.draw(st.integers(0, basis.dim - 1))
-    assert rank(basis, basis.state(idx)) == idx
+    assert rank(basis, basis.occupations[idx]) == idx

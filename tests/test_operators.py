@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import quad
 
+from polaron_effmass import operators
 from polaron_effmass.config import load_config
 from polaron_effmass.eigensolve import dense_ground, dense_spectrum
 from polaron_effmass.errors import CapacityError, ConfigError, DomainError
@@ -47,7 +48,7 @@ def _single_mode_template(g=0.2, n_max=1):
 # SymmetricOperator and ElectronGrid plumbing
 # ---------------------------------------------------------------------------
 
-def test_symmetric_operator_validates_and_matvecs(rng):
+def test_symmetric_operator_validates_and_matvecs(rng, monkeypatch):
     a = rng.standard_normal((6, 6))
     sym = (a + a.T) / 2
     diag = rng.standard_normal(6)
@@ -60,8 +61,9 @@ def test_symmetric_operator_validates_and_matvecs(rng):
         SymmetricOperator(a + np.triu(np.ones((6, 6)), 1))
     with pytest.raises(DomainError):
         SymmetricOperator(sym, diag=np.ones(5))
+    monkeypatch.setattr(operators, "_DENSIFY_MAX", 3)
     with pytest.raises(CapacityError):
-        op.to_dense(max_dim=3)
+        op.to_dense()
 
 
 def test_grid_times_fock_checks_each_factor(rng):

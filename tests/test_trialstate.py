@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from polaron_effmass import trialstate
 from polaron_effmass.dispersion import FiberCache
 from polaron_effmass.errors import AnalysisError, ConfigError
 from polaron_effmass.model import (ConstantDispersion, FourierBump,
@@ -20,7 +19,7 @@ from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        assemble_schrodinger,
                                        potential_kernel)
 from polaron_effmass.staticmass import coupled_ground, fiber_galerkin
-from polaron_effmass.trialstate import (_bounded_brent, minimize_upper_bound,
+from polaron_effmass.trialstate import (_golden_section, minimize_upper_bound,
                                         upper_bound)
 
 POT = PoschlTeller(depth=2.0)
@@ -163,39 +162,38 @@ def test_minimize_upper_bound_reports_search(toy_cfg, toy_cache):
 
 
 # ---------------------------------------------------------------------------
-# the bounded Brent port against scipy
+# the golden-section radius search
 # ---------------------------------------------------------------------------
 
-def _scipy_bounded(func, lo, hi, xatol):
-    ref = minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                          options={"xatol": xatol})
-    return float(ref.x), float(ref.fun), ref.nfev
+def _interior(x):
+    return (x - 1.3) ** 2 + 0.1 * math.cos(5.0 * x)
 
 
-@pytest.mark.parametrize("func, lo, hi, xatol", [
-    (lambda x: (x - 1.3) ** 2 + 0.1 * math.cos(5.0 * x), 0.0, 3.0, 1e-5),
-    (lambda x: x * x, 0.5, 2.0, 1e-3),           # minimum at the lower bound
-    (lambda x: -math.exp(x), -1.0, 1.5, 1e-3),   # minimum at the upper bound
-    (lambda x: 1.0, -2.0, 2.0, 1e-4),            # constant
-    (lambda x: abs(x - 0.37), -1.0, 2.0, 1e-6),  # kink at the minimum
-])
-def test_bounded_brent_matches_scipy_bit_for_bit(func, lo, hi, xatol):
-    assert _bounded_brent(func, lo, hi, xatol) == _scipy_bounded(func, lo, hi,
-                                                                  xatol)
+@pytest.mark.parametrize("func, lo, hi, xatol, minimizer", [
+    (_interior, 0.0, 3.0, 1e-5,
+     minimize_scalar(_interior, bounds=(0.0, 3.0), method="bounded",
+                     options={"xatol": 1e-12}).x),
+    (lambda x: x * x, 0.5, 2.0, 1e-3, 0.5),
+    (lambda x: -math.exp(x), -1.0, 1.5, 1e-3, 1.5),
+    (lambda x: 1.0, -2.0, 2.0, 1e-4, None),
+    (lambda x: abs(x - 0.37), -1.0, 2.0, 1e-6, 0.37),
+], ids=["interior", "lower_bound", "upper_bound", "constant", "kink"])
+def test_golden_section_lands_within_xatol(func, lo, hi, xatol, minimizer):
+    x = _golden_section(func, lo, hi, xatol)
+    assert lo <= x <= hi
+    if minimizer is not None:
+        assert abs(x - minimizer) <= xatol
 
 
-def test_bounded_brent_matches_scipy_on_the_toy_upper_bound(
-        toy_cfg, toy_cache, monkeypatch):
-    calls = []
-
-    def recording(func, lo, hi, xatol):
-        calls.append((func, lo, hi, xatol, _bounded_brent(func, lo, hi, xatol)))
-        return calls[-1][-1]
-
-    monkeypatch.setattr(trialstate, "_bounded_brent", recording)
-    mub = minimize_upper_bound(0.4, toy_cache,
-                               _galerkin(toy_cfg, toy_cache, 0.4),
-                               toy_cfg.egrid, p_c=0.7)
-    [(func, lo, hi, xatol, found)] = calls
-    assert found == _scipy_bounded(func, lo, hi, xatol)
-    assert (mub.radius, mub.result.value) == found[:2]
+def test_upper_bound_is_no_worse_than_scipy_bounded_brent(toy_cfg, toy_cache):
+    # scipy's bounded Brent search, the reference: U* may only be lower
+    egrid = toy_cfg.egrid
+    for lam in toy_cfg.lambda_seq:
+        M = _galerkin(toy_cfg, toy_cache, lam)
+        mub = minimize_upper_bound(lam, toy_cache, M, egrid, p_c=0.7)
+        ref = minimize_scalar(
+            lambda r: upper_bound(lam, M, FourierBump(radius=float(r)),
+                                  egrid).value,
+            bounds=(3.0 * egrid.dq, min(0.7 / lam * (1.0 - 1e-9), egrid.q_max)),
+            method="bounded", options={"xatol": 1e-3})
+        assert mub.result.value <= ref.fun + 1e-7
