@@ -22,12 +22,14 @@ Two independent lower-bound routes:
       L2 = min( infspec(p^2/(2 M_c) + (1+eps) V),
                 beta^2/(2 lam^2 M_c) - (1 + 1/eps) sup|V| ),
 
-  with M_c = M (1 + C beta^2) and eps = c_eps lam.  The first branch is a
-  one-particle operator on the same grid; the second is scalar.  With
-  c_eps > 2 M_c sup|V| the scalar branch grows like 1/lam and the first
-  branch converges to the static-mass comparison energy, so the bound is
-  tight in the limit.  Implemented for nonpositive potentials (wells);
-  sign-mixed potentials are rejected.
+  with M_c = M (1 + C beta^2).  The two schedules are eps = c_eps lam,
+  with the caller's c_eps (:func:`suggest_c_eps`), and beta =
+  C_BETA sqrt(lam).  The first branch is a one-particle operator on the
+  same grid; the second is scalar.  With c_eps > 2 M_c sup|V| the scalar
+  branch grows like 1/lam and the first branch converges to the
+  static-mass comparison energy, so the bound is tight in the limit.
+  Implemented for nonpositive potentials (wells); sign-mixed potentials
+  are rejected.
 
 :func:`sandwich_report` lines the bounds up against e(lam) and the trial
 upper bound U(lam) and checks the ordering chain at a pinned tolerance.
@@ -46,8 +48,6 @@ from .errors import AnalysisError, ConfigError, DomainError
 from .operators import ElectronGrid, assemble_schrodinger, potential_kernel
 
 __all__ = [
-    "SplitParams",
-    "LowerBoundResult",
     "SplitBoundResult",
     "SandwichRow",
     "SandwichReport",
@@ -71,62 +71,30 @@ _C_EPS_SAFETY = 2.0
 # momentum-decomposition bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LowerBoundResult:
-    lam: float
-    value: float
-    n_nodes: int
-    max_residual: float
-
-
-def _fiber_floor_exact(lam: float, q: np.ndarray, cache: FiberCache,
-                       e0: float) -> tuple:
-    eps = np.empty(len(q))
-    max_res = 0.0
-    for i, qi in enumerate(q):
-        rec = cache.pair(float(lam * qi))
-        # Ritz value minus residual is a certified lower bound on the
-        # fiber ground energy for a symmetric operator
-        eps[i] = rec["energy"] - rec["residual"]
-        max_res = max(max_res, rec["residual"])
-    return (eps - e0) / lam**2, max_res
-
-
 def momentum_lower_bound(lam: float, egrid: ElectronGrid, potential,
-                         e0: float, *, cache: FiberCache) -> LowerBoundResult:
+                         e0: float, *, cache: FiberCache) -> float:
     """L1 = infspec(D + W) on the electron grid, certified.
 
     Solves the fiber at every lam*q_j through `cache` and takes each Ritz
-    value minus its residual as the diagonal entry.  The value is a
-    verified floor on that matrix's lowest eigenvalue; SolverError when
-    the verification fails.
+    value minus its residual, a certified floor on the fiber ground energy
+    of a symmetric operator, as the diagonal entry.  Returns a verified
+    floor on that matrix's lowest eigenvalue; SolverError when the
+    verification fails.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    q = egrid.points
-    diag, max_res = _fiber_floor_exact(lam, q, cache, e0)
+    floors = np.empty(egrid.size)
+    for i, qi in enumerate(egrid.points):
+        rec = cache.pair(float(lam * qi))
+        floors[i] = rec["energy"] - rec["residual"]
     h = potential_kernel(potential, egrid)
-    h[np.diag_indices_from(h)] += diag
-    return LowerBoundResult(lam=lam, value=verified_floor(h, dense_ground(h)),
-                            n_nodes=len(q), max_residual=max_res)
+    h[np.diag_indices_from(h)] += (floors - e0) / lam**2
+    return verified_floor(h, dense_ground(h))
 
 
 # ---------------------------------------------------------------------------
 # scaled-potential split bound
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SplitParams:
-    """Split-bound schedules: eps = c_eps * lam, beta = C_BETA * sqrt(lam)."""
-
-    c_eps: float
-
-    def eps(self, lam: float) -> float:
-        return self.c_eps * lam
-
-    def beta(self, lam: float) -> float:
-        return C_BETA * math.sqrt(lam)
-
 
 def suggest_c_eps(mass: float, c_min: float, sup_norm: float,
                   lam_max: float) -> float:
@@ -141,18 +109,16 @@ def suggest_c_eps(mass: float, c_min: float, sup_norm: float,
 
 @dataclass(frozen=True)
 class SplitBoundResult:
-    lam: float
     value: float
     operator_branch: float
     scalar_branch: float
     eps: float
     beta: float
-    effective_mass_arg: float
 
 
 def split_lower_bound(lam: float, potential, egrid: ElectronGrid, *,
                       mass: float, c_min: float, p_c: float,
-                      params: SplitParams) -> SplitBoundResult:
+                      c_eps: float) -> SplitBoundResult:
     """L2 from the momentum-split argument (nonpositive potentials only).
 
     The sign of the potential is checked on |x| <= max(q_max, pi / dq): the
@@ -168,8 +134,8 @@ def split_lower_bound(lam: float, potential, egrid: ElectronGrid, *,
             "the split lower bound is implemented for nonpositive "
             "potentials; this one takes positive values"
         )
-    eps = params.eps(lam)
-    beta = params.beta(lam)
+    eps = c_eps * lam
+    beta = C_BETA * math.sqrt(lam)
     if eps <= 0:
         raise ConfigError(f"eps = {eps:g} must be positive")
     if beta >= p_c:
@@ -182,10 +148,9 @@ def split_lower_bound(lam: float, potential, egrid: ElectronGrid, *,
     operator_branch = verified_floor(op, dense_ground(op))
     scalar_branch = (beta**2 / (2.0 * lam**2 * m_c)
                      - (1.0 + 1.0 / eps) * potential.sup_norm())
-    return SplitBoundResult(lam=lam, value=min(operator_branch, scalar_branch),
+    return SplitBoundResult(value=min(operator_branch, scalar_branch),
                             operator_branch=operator_branch,
-                            scalar_branch=scalar_branch, eps=eps, beta=beta,
-                            effective_mass_arg=m_c)
+                            scalar_branch=scalar_branch, eps=eps, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ From the scanned curve E(P) we extract
   which downstream consumers use to bound trial-state supports.
 
 A :class:`FiberCache` memoizes fiber ground pairs by momentum; each pair
-comes from one two-target Davidson run, and the momenta are solved one after
-another in a fixed order.  On parity-symmetric mode grids it solves only |P|
+comes from one two-target Davidson run, solved on first request.  Mode
+grids are symmetric under k -> -k by construction, so it solves only |P|
 and obtains the -P ground vector by the mode permutation that realizes
 k -> -k, and it fixes phases so that <Phi_0 | Phi_P> > 0 for every cached
 vector, making overlap matrices well-defined across momenta.
@@ -67,21 +67,21 @@ _CERTIFY_TOL = 1e-9
 class FiberCache:
     """Memoized fiber ground pairs by total momentum.
 
-    Stores, per momentum P, the two lowest energies, the phase-fixed ground
-    vector, the residual, the degeneracy flag and the solver's iterations,
-    matvecs and restarts.  On symmetric grids the -P data is derived from +P
-    by the parity permutation instead of a second solve.
+    Stores, per momentum P, the ground energy, the gap to the next level,
+    the phase-fixed ground vector, the residual, the degeneracy flag and the
+    solver's iterations, matvecs and restarts.  Each momentum is solved
+    independently from the same seed, so results do not depend on the order
+    of requests.  The -P data is derived from +P by the parity permutation
+    instead of a second solve (DomainError on a grid not closed under
+    k -> -k).
     """
 
     def __init__(self, template: FiberTemplate, *, seed: int = 0):
         self.template = template
         self.seed = seed
         self._store: dict = {}
-        self._use_parity = template.grid.is_symmetric()
-        self._state_perm = None
-        if self._use_parity:
-            mode_perm = template.grid.parity_permutation()
-            self._state_perm = template.basis.permute_modes(mode_perm)
+        self._state_perm = template.basis.permute_modes(
+            template.grid.parity_permutation())
 
     @staticmethod
     def _key(P: float) -> float:
@@ -101,7 +101,6 @@ class FiberCache:
         vec = pair.vectors[0]
         return {
             "energy": pair.values[0],
-            "excited": pair.values[1],
             "gap": pair.gap,
             "degenerate": pair.degenerate,
             "residual": max(pair.residuals),
@@ -116,7 +115,7 @@ class FiberCache:
         key = self._key(P)
         if key in self._store:
             return self._store[key]
-        if self._use_parity and key < 0.0:
+        if key < 0.0:
             # the parity image of a phase-fixed vector is already
             # phase-consistent (the reference vector is parity even)
             pos = self._ensure(-key)
@@ -133,23 +132,8 @@ class FiberCache:
         return rec
 
     def pair(self, P: float) -> dict:
-        """Record with energy, excited, gap, degenerate, residual, vector."""
+        """Record with energy, gap, degenerate, residual, vector."""
         return self._ensure(float(P))
-
-    def energy(self, P: float) -> float:
-        return self.pair(P)["energy"]
-
-    def prefetch(self, P_values):
-        """Solve a batch of momenta in order of increasing |P|.
-
-        Each momentum is solved independently from the same seed, so the
-        results do not depend on the order of requests.
-        """
-        todo = sorted({self._key(p) for p in np.asarray(P_values, dtype=float)},
-                      key=abs)
-        self._ensure(0.0)   # phase reference, solved once up front
-        for p in todo:
-            self._ensure(p)
 
 
 @dataclass(frozen=True)
@@ -189,7 +173,6 @@ def scan_dispersion(cache: FiberCache, P_list) -> DispersionCurve:
     P_arr = np.unique(np.asarray(P_list, dtype=float))
     if not np.any(np.abs(P_arr) <= 1e-15):
         raise DomainError("P_list must include 0")
-    cache.prefetch(P_arr)
     samples = []
     for p in P_arr:
         rec = cache.pair(p)
@@ -197,7 +180,7 @@ def scan_dispersion(cache: FiberCache, P_list) -> DispersionCurve:
             P=float(p), energy=rec["energy"], gap=rec["gap"],
             residual=rec["residual"], degenerate=rec["degenerate"],
         ))
-    e0 = cache.energy(0.0)
+    e0 = cache.pair(0.0)["energy"]
     slack = 10.0 * _FIBER_TOL * max(1.0, abs(e0))
     for s in samples:
         if s.energy < e0 - slack:
@@ -246,6 +229,11 @@ def fit_dynamic_mass(curve: DispersionCurve, P_fit: float | None = None,
     P = curve.momenta
     dE = curve.energies - curve.e0
     nz = np.abs(P) > 1e-15
+    if np.count_nonzero(nz) < 4:
+        raise AnalysisError(
+            f"need >= 4 nonzero samples to fit the dynamic mass, "
+            f"have {np.count_nonzero(nz)}"
+        )
     if P_fit is None:
         coarse_window = float(np.max(np.abs(P[nz])))
         sel = nz & (np.abs(P) <= 0.5 * coarse_window)
@@ -283,11 +271,9 @@ def fit_dynamic_mass(curve: DispersionCurve, P_fit: float | None = None,
 
 @dataclass(frozen=True)
 class QuasiParabolicCertificate:
-    mass: float
     c_min: float
     worst_P: float
     margin: float
-    n_samples: int
 
 
 def certify_quasi_parabolic(curve: DispersionCurve, mass: float
@@ -321,9 +307,7 @@ def certify_quasi_parabolic(curve: DispersionCurve, mass: float
         raise AnalysisError(
             f"certificate sweep failed: margin {margin:.3e} at C = {c_min:g}"
         )
-    return QuasiParabolicCertificate(mass=mass, c_min=c_min, worst_P=worst,
-                                     margin=margin,
-                                     n_samples=int(np.count_nonzero(nz)))
+    return QuasiParabolicCertificate(c_min=c_min, worst_P=worst, margin=margin)
 
 
 @dataclass(frozen=True)

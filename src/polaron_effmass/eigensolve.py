@@ -85,7 +85,6 @@ class EigResult:
     iterations: int
     matvecs: int
     restarts: int
-    method: str
 
 
 @dataclass
@@ -239,7 +238,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0) -> EigResult:
                 if res < best_res:
                     best_val, best_res = theta, res
                 if res <= tol * max(1.0, abs(theta)):
-                    return EigResult(theta, x, res, k, matvecs, 0, "lanczos")
+                    return EigResult(theta, x, res, k, matvecs, 0)
                 if last:
                     raise SolverError(
                         f"Lanczos failed to reach tol={tol} in {k} steps at "
@@ -423,8 +422,7 @@ def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int =
     thetas, xs, ress, it, matvecs, restarts = _davidson(
         op, 1, tol, seed, max_subspace=max_subspace, max_iters=max_iters,
         restart_keep=4, v0=v0, correction=correction)
-    return EigResult(thetas[0], xs[0], ress[0], it, matvecs, restarts,
-                     "davidson")
+    return EigResult(thetas[0], xs[0], ress[0], it, matvecs, restarts)
 
 
 # ---------------------------------------------------------------------------

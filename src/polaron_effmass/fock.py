@@ -60,7 +60,6 @@ class FockBasis:
     m_modes: int
     n_max: int
     occupations: np.ndarray   # (dim, m) uint16
-    totals: np.ndarray        # (dim,)   int32
     creation_index: np.ndarray  # (dim, m) int32, -1 when sum would exceed n_max
     creation_amp: np.ndarray    # (dim, m) float64, sqrt(o_i + 1)
 
@@ -133,12 +132,11 @@ def enumerate_basis(m_modes: int, n_max: int) -> FockBasis:
         for state in _compositions(m_modes, total):
             occ[row] = state
             row += 1
-    totals = occ.sum(axis=1).astype(np.int32)
 
     # creation maps: index of o + e_i, or -1 when the cap would be exceeded
     cidx = np.full((dim, m_modes), -1, dtype=np.int32)
     camp = np.zeros((dim, m_modes), dtype=float)
-    open_rows = totals < n_max
+    open_rows = occ.sum(axis=1) < n_max
     base = occ[open_rows].astype(np.int64)
     for i in range(m_modes):
         bumped = base.copy()
@@ -149,7 +147,6 @@ def enumerate_basis(m_modes: int, n_max: int) -> FockBasis:
         m_modes=m_modes,
         n_max=n_max,
         occupations=occ,
-        totals=totals,
         creation_index=cidx,
         creation_amp=camp,
     )

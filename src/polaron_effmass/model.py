@@ -1,4 +1,4 @@
-"""Model definitions: dispersions, couplings, mode grids, potentials, trial functions.
+"""Model definitions: dispersions, couplings, mode grids, potentials.
 
 Units and conventions used throughout the package:
 
@@ -50,7 +50,6 @@ __all__ = [
     "ScaledPotential",
     "TAIL_TOL",
     "fourier_tail_fraction",
-    "FourierBump",
 ]
 
 #: Particle mass.  Fixed by convention; the kinetic term is p^2 = p^2/(2*MASS).
@@ -183,14 +182,6 @@ class ModeGrid:
 
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.momenta)
-
-    def is_symmetric(self) -> bool:
-        """True when for every retained k there is a retained -k."""
-        try:
-            self.parity_permutation()
-        except DomainError:
-            return False
-        return True
 
     def parity_permutation(self) -> np.ndarray:
         """Index permutation pi with momenta[pi[i]] = -momenta[i].
@@ -485,41 +476,3 @@ def fourier_tail_fraction(potential: _Potential, q_cut: float) -> float:
                          q_cut + _PANEL * (growth - 1.0) / (_TAIL_RATIO - 1.0))
     total = head + tail
     return tail / total if total > 0 else 0.0
-
-
-# ---------------------------------------------------------------------------
-# trial momentum profiles
-# ---------------------------------------------------------------------------
-
-class _TrialFunction:
-    """Normalized momentum profile fhat with compact support."""
-
-    def fhat(self, P: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def params(self) -> dict:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class FourierBump(_TrialFunction):
-    """fhat(P) proportional to (1 - (P/R)^2)^2 on |P| < R.
-
-    The normalization integral of (1-u^2)^4 over [-1, 1] is 256/315, giving
-    ||fhat||_2 = 1 in closed form.
-    """
-
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ConfigError("FourierBump needs radius > 0")
-
-    def fhat(self, P):
-        c = (315.0 / (256.0 * self.radius)) ** 0.5
-        u2 = (np.asarray(P, float) / self.radius) ** 2
-        out = c * np.where(u2 < 1.0, (1.0 - u2) ** 2, 0.0)
-        return out if np.ndim(P) else float(out)
-
-    def params(self):
-        return {"type": "bump", "radius": self.radius}

@@ -58,10 +58,8 @@ __all__ = [
     "ring_potential_kernel",
     "assemble_llp_ring",
     "assemble_direct_tensor",
-    "DENSE_LIMIT",
 ]
 
-DENSE_LIMIT = 2000
 # Largest dimension SymmetricOperator.to_dense forms.
 _DENSIFY_MAX = 4000
 
@@ -368,11 +366,6 @@ def ring_potential_kernel(potential, egrid: ElectronGrid) -> np.ndarray:
 def _ring_guard(template: FiberTemplate, egrid: ElectronGrid):
     if egrid.size < 3:
         raise DomainError("ring needs at least 3 sites")
-    if egrid.size * template.dim > DENSE_LIMIT:
-        raise CapacityError(
-            f"ring operator dimension {egrid.size * template.dim} exceeds "
-            f"{DENSE_LIMIT}; the pair exists for dense cross-checks only"
-        )
     ratios = template.grid.momenta / egrid.dq
     if np.max(np.abs(ratios - np.round(ratios))) > 1e-9:
         raise ConfigError(
@@ -420,8 +413,6 @@ def assemble_direct_tensor(template: FiberTemplate, potential,
     spec = template.spec
     grid = template.grid
     basis = template.basis
-    if not grid.is_symmetric():
-        raise DomainError("realified assembly needs a parity-symmetric mode grid")
     sites = ring_sites(egrid)
     n_x = egrid.size
     dx = 2.0 * math.pi / egrid.dq / n_x

@@ -25,9 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .bounds import (C_BETA, ORDERING_TOL, SandwichRow, SplitParams,
-                     momentum_lower_bound, sandwich_report, split_lower_bound,
-                     suggest_c_eps)
+from .bounds import (C_BETA, ORDERING_TOL, SandwichRow, momentum_lower_bound,
+                     sandwich_report, split_lower_bound, suggest_c_eps)
 from .config import ExperimentConfig
 from .dispersion import (FiberCache, certify_quasi_parabolic, check_ceilings,
                          estimate_Pc, fit_dynamic_mass, perturbative_mass,
@@ -85,13 +84,11 @@ def write_csv(path: str, header: str, rows) -> None:
 
 @dataclass
 class DispersionState:
-    template: FiberTemplate
     cache: FiberCache
     curve: object
     p_c: float
     fit: object
     certificate: object
-    ceilings: object
 
 
 def stage_dispersion(cfg: ExperimentConfig) -> tuple:
@@ -137,7 +134,7 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
         "fiber_matvecs": cache.work("matvecs"),
     }
     rows = [(s.P, s.energy, s.gap, s.residual) for s in curve.samples]
-    state = DispersionState(template, cache, curve, p_c, fit, cert, ceilings)
+    state = DispersionState(cache, curve, p_c, fit, cert)
     return state, block, rows
 
 
@@ -158,7 +155,6 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         raise ConfigError("run.lambda_seq needs >= 4 values to extrapolate")
     lams = sorted(set(cfg.lambda_seq), reverse=True)
     e0 = dstate.curve.e0
-    q = cfg.egrid.points
     # the kernel's tail depends on the grid alone, not on lam: check it once
     tail = fourier_tail_fraction(cfg.potential, 2.0 * cfg.egrid.q_max)
     if tail > TAIL_TOL:
@@ -169,10 +165,6 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
             AccuracyWarning,
         )
 
-    # fiber energies used by the momentum bound, batched across lam
-    wanted = np.concatenate([lam * q for lam in lams])
-    dstate.cache.prefetch(wanted)
-
     e_rows, u_results, solves = [], [], []
     for lam in lams:
         res = coupled_ground(dstate.cache, cfg.potential, cfg.egrid, lam,
@@ -181,8 +173,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
                                   cache=dstate.cache)
         ub = minimize_upper_bound(lam, dstate.cache, res.galerkin, cfg.egrid,
                                   p_c=dstate.p_c)
-        e_rows.append((lam, res.value, l1.value, ub.result.value,
-                       res.residual))
+        e_rows.append((lam, res.value, l1, ub.value, res.residual))
         u_results.append(ub)
         solves.append(res)
 
@@ -190,7 +181,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         [r[0] for r in e_rows], [r[1] for r in e_rows], cfg.potential,
         cfg.egrid)
 
-    u_vals = np.array([u.result.value for u in u_results])
+    u_vals = np.array([u.value for u in u_results])
     u_coef, _, _ = _fit_quadratic_in_lambda(np.array(lams), u_vals)
     tol = ORDERING_TOL
     consistent = all(r[2] - tol <= r[1] <= r[3] + tol for r in e_rows)
@@ -212,7 +203,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         },
         "upper_bound": {
             "lambda_seq": list(lams),
-            "U_star": [u.result.value for u in u_results],
+            "U_star": [u.value for u in u_results],
             "extrapolated": float(u_coef[0]),
             "radius": [u.radius for u in u_results],
             "boundary_hit": [u.boundary_hit for u in u_results],
@@ -222,27 +213,18 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     return StaticState(e_rows, u_results, extrap), block
 
 
-def _profile_string(params: dict) -> str:
-    items = sorted(params.items())
-    return ";".join(
-        f"{k}={v}" if isinstance(v, str) else f"{k}={FMT % v}"
-        for k, v in items
-    )
-
-
 def stage_sandwich(cfg: ExperimentConfig, dstate: DispersionState,
                    sstate: StaticState) -> tuple:
     """Split lower bound per lam and the ordering verdict."""
     lam_max = max(r[0] for r in sstate.e_rows)
-    params = SplitParams(c_eps=suggest_c_eps(
-        dstate.fit.mass, dstate.certificate.c_min, cfg.potential.sup_norm(),
-        lam_max))
+    c_eps = suggest_c_eps(dstate.fit.mass, dstate.certificate.c_min,
+                          cfg.potential.sup_norm(), lam_max)
     rows, l2_blocks = [], []
     for lam, e_val, l1, u_star, _res in sstate.e_rows:
         l2 = split_lower_bound(lam, cfg.potential, cfg.egrid,
                                mass=dstate.fit.mass,
                                c_min=dstate.certificate.c_min,
-                               p_c=dstate.p_c, params=params)
+                               p_c=dstate.p_c, c_eps=c_eps)
         rows.append(SandwichRow(lam=lam, l2=l2.value, l1=l1, e=e_val,
                                 u_star=u_star))
         l2_blocks.append({
@@ -253,7 +235,7 @@ def stage_sandwich(cfg: ExperimentConfig, dstate: DispersionState,
         })
     report = sandwich_report(rows)
     block = {
-        "split_bound": {"c_eps": params.c_eps, "c_beta": C_BETA,
+        "split_bound": {"c_eps": c_eps, "c_beta": C_BETA,
                         "rows": l2_blocks},
         "verdict": {
             "pass": report.passed,
@@ -452,7 +434,7 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | None = None
         report.update(sblock)
         csvs["staticmass.csv"] = sstate.e_rows
         csvs["trialstate.csv"] = [
-            (r[0], _profile_string(u.result.profile_params), r[3])
+            (r[0], f"radius={FMT % u.radius};type=bump", r[3])
             for r, u in zip(sstate.e_rows, sstate.u_results)]
         extrap = sstate.extrapolation
         m_dyn = dstate.fit.mass

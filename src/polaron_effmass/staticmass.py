@@ -121,12 +121,10 @@ def invert_E(target: float, potential, egrid: ElectronGrid) -> float:
 
 @dataclass
 class CoupledResult:
-    lam: float
     value: float
     residual: float
     iterations: int
     matvecs: int
-    dim: int
     vector: np.ndarray
     galerkin: np.ndarray   # the fiber-Galerkin matrix M the solve used
 
@@ -204,9 +202,9 @@ def coupled_ground(cache: FiberCache, potential, egrid: ElectronGrid,
         res = davidson_ground(op, tol=_COUPLED_TOL, seed=seed + 101,
                               v0=exc.best_vector, correction=correct,
                               max_subspace=min(80, op.dim), max_iters=1200)
-    return CoupledResult(lam=lam, value=res.value, residual=res.residual,
+    return CoupledResult(value=res.value, residual=res.residual,
                          iterations=res.iterations, matvecs=res.matvecs,
-                         dim=op.dim, vector=res.vector, galerkin=M)
+                         vector=res.vector, galerkin=M)
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 The trial vector for the coupled operator A(lam) places, at each electron
 momentum node q_j, the fiber ground state Phi(lam q_j), weighted by the bump
-profile fhat ~ (1 - (q/R)^2)^2 of :class:`~.model.FourierBump`.  It is Z a,
-with a_j = fhat(q_j) (exactly 0 off the support) and Z = [e_j (x) Phi_j]
-the coarse space of the coupled solve, so its Rayleigh quotient is
+profile :func:`bump`, fhat(q) ~ (1 - (q/R)^2)^2 on |q| < R, normalized in
+closed form.  It is Z a, with a_j = fhat(q_j) (exactly 0 off the support)
+and Z = [e_j (x) Phi_j] the coarse space of the coupled solve, so its
+Rayleigh quotient is
 
     U = a^T M a / a^T a,
     M = Z^T A(lam) Z = diag((E(lam q_j) - e0) / lam^2) + W o (Phi Phi^T),
@@ -28,38 +29,39 @@ import numpy as np
 
 from .dispersion import GAP_THRESHOLD, FiberCache
 from .errors import AnalysisError, ConfigError, DomainError
-from .model import FourierBump
 from .operators import ElectronGrid
 
-__all__ = ["UpperBoundResult", "MinimizedUpperBound", "upper_bound",
+__all__ = ["MinimizedUpperBound", "bump", "upper_bound",
            "minimize_upper_bound"]
 
 
-@dataclass(frozen=True)
-class UpperBoundResult:
-    lam: float
-    value: float
-    profile_params: dict
+def bump(q, radius: float):
+    """fhat(q) = c (1 - (q/R)^2)^2 on |q| < R, 0 elsewhere, R = `radius`.
+
+    The integral of (1-u^2)^4 over [-1, 1] is 256/315, so c =
+    (315 / (256 R))^(1/2) gives ||fhat||_2 = 1 in closed form.
+    """
+    c = (315.0 / (256.0 * radius)) ** 0.5
+    u2 = (np.asarray(q, float) / radius) ** 2
+    return c * np.where(u2 < 1.0, (1.0 - u2) ** 2, 0.0)
 
 
-def upper_bound(lam: float, galerkin: np.ndarray, profile,
-                egrid: ElectronGrid) -> UpperBoundResult:
-    """Rayleigh quotient a^T M a / a^T a of the profiled trial vector.
+def upper_bound(lam: float, galerkin: np.ndarray, radius: float,
+                egrid: ElectronGrid) -> float:
+    """Rayleigh quotient a^T M a / a^T a of the bump-profiled trial vector.
 
     `galerkin` is the fiber-Galerkin matrix M of `lam` on `egrid`, and
-    a_j = fhat(q_j) at every grid node.
+    a_j = bump(q_j, radius) at every grid node.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    a = np.asarray(profile.fhat(egrid.points), dtype=float)
-    value = float(a @ galerkin @ a) / float(a @ a)
-    return UpperBoundResult(lam=lam, value=value,
-                            profile_params=dict(profile.params()))
+    a = bump(egrid.points, radius)
+    return float(a @ galerkin @ a) / float(a @ a)
 
 
 @dataclass(frozen=True)
 class MinimizedUpperBound:
-    result: UpperBoundResult
+    value: float
     radius: float
     boundary_hit: bool
 
@@ -123,11 +125,8 @@ def minimize_upper_bound(lam: float, cache: FiberCache, M: np.ndarray,
                 f"(gap {rec['gap']:.3e} <= threshold {GAP_THRESHOLD:g})"
             )
 
-    def objective(r: float) -> float:
-        return upper_bound(lam, M, FourierBump(radius=float(r)), egrid).value
-
-    radius = _golden_section(objective, r_lo, r_hi, _XATOL)
-    best = upper_bound(lam, M, FourierBump(radius=radius), egrid)
+    radius = _golden_section(lambda r: upper_bound(lam, M, r, egrid),
+                             r_lo, r_hi, _XATOL)
     boundary = (radius - r_lo <= 2 * _XATOL) or (r_hi - radius <= 2 * _XATOL)
-    return MinimizedUpperBound(result=best, radius=radius,
-                               boundary_hit=boundary)
+    return MinimizedUpperBound(value=upper_bound(lam, M, radius, egrid),
+                               radius=radius, boundary_hit=boundary)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polaron_effmass import bounds
-from polaron_effmass.bounds import (SandwichRow, SplitParams,
-                                    momentum_lower_bound, sandwich_report,
-                                    split_lower_bound, suggest_c_eps)
+from polaron_effmass.bounds import (SandwichRow, momentum_lower_bound,
+                                    sandwich_report, split_lower_bound,
+                                    suggest_c_eps)
 from polaron_effmass.dispersion import (FiberCache, certify_quasi_parabolic,
                                         fit_dynamic_mass, scan_dispersion)
 from polaron_effmass.config import load_config
@@ -77,13 +77,6 @@ def toy_certificate(toy_cfg, toy_cache):
 # split-bound knobs
 # ---------------------------------------------------------------------------
 
-def test_split_params_schedules(monkeypatch):
-    monkeypatch.setattr(bounds, "C_BETA", 0.8)
-    params = SplitParams(c_eps=3.0)
-    assert params.eps(0.2) == pytest.approx(0.6, rel=1e-15)
-    assert params.beta(0.25) == pytest.approx(0.8 * 0.5, rel=1e-15)
-
-
 def test_suggest_c_eps_frozen_formula():
     # m_c = 0.5 * (1 + 0.2 * 1^2 * 0.4) = 0.54; 2 * 2 * 0.54 * 1.5 = 3.24
     assert (bounds.C_BETA, bounds._C_EPS_SAFETY) == (1.0, 2.0)
@@ -108,7 +101,7 @@ def test_suggest_c_eps_scales_linearly_in_safety_and_sup_norm(monkeypatch):
 def test_split_bound_rejects_positive_potential():
     with pytest.raises(DomainError, match="nonpositive"):
         split_lower_bound(0.2, _PositiveBump(), EGRID, mass=0.5, c_min=0.1,
-                          p_c=0.7, params=SplitParams(c_eps=4.0))
+                          p_c=0.7, c_eps=4.0)
 
 
 class _WellWithFarBumps:
@@ -136,37 +129,35 @@ class _WellWithFarBumps:
 def test_split_bound_sees_positive_part_beyond_q_max():
     with pytest.raises(DomainError, match="nonpositive"):
         split_lower_bound(0.2, _WellWithFarBumps(), EGRID, mass=0.5,
-                          c_min=0.1, p_c=0.7, params=SplitParams(c_eps=4.0))
+                          c_min=0.1, p_c=0.7, c_eps=4.0)
 
 
 def test_split_bound_rejects_beta_at_window_edge():
     # beta = sqrt(0.5) ~ 0.707 reaches p_c = 0.7
     with pytest.raises(AnalysisError, match="window"):
         split_lower_bound(0.5, WELL, EGRID, mass=0.5, c_min=0.1, p_c=0.7,
-                          params=SplitParams(c_eps=4.0))
+                          c_eps=4.0)
 
 
 def test_split_bound_guards():
     with pytest.raises(DomainError):
         split_lower_bound(0.0, WELL, EGRID, mass=0.5, c_min=0.1, p_c=0.7,
-                          params=SplitParams(c_eps=4.0))
+                          c_eps=4.0)
     with pytest.raises(ConfigError):
         split_lower_bound(0.2, WELL, EGRID, mass=0.5, c_min=0.1, p_c=0.7,
-                          params=SplitParams(c_eps=0.0))
+                          c_eps=0.0)
 
 
 def test_split_bound_components_match_hand_assembly(monkeypatch):
     monkeypatch.setattr(bounds, "C_BETA", 0.9)
     lam, mass, c_min = 0.2, 0.52, 0.15
-    params = SplitParams(c_eps=5.0)
     res = split_lower_bound(lam, WELL, EGRID, mass=mass, c_min=c_min,
-                            p_c=0.7, params=params)
+                            p_c=0.7, c_eps=5.0)
     eps = 5.0 * lam
     beta = 0.9 * math.sqrt(lam)
     m_c = mass * (1.0 + c_min * beta**2)
     assert res.eps == pytest.approx(eps, rel=1e-15)
     assert res.beta == pytest.approx(beta, rel=1e-15)
-    assert res.effective_mass_arg == pytest.approx(m_c, rel=1e-15)
     h = assemble_schrodinger(WELL, EGRID, m_c, v_scale=1.0 + eps)
     assert res.operator_branch == pytest.approx(
         float(np.linalg.eigvalsh(h)[0]), abs=1e-11)
@@ -178,9 +169,8 @@ def test_split_bound_components_match_hand_assembly(monkeypatch):
 def test_split_bound_scalar_branch_grows_as_lam_shrinks():
     # with c_eps above the threshold the scalar branch must climb ~ 1/lam
     c_eps = suggest_c_eps(0.5, 0.1, WELL.sup_norm(), 0.4)
-    params = SplitParams(c_eps=c_eps)
     res = [split_lower_bound(lam, WELL, EGRID, mass=0.5, c_min=0.1, p_c=0.7,
-                             params=params) for lam in (0.4, 0.2, 0.1)]
+                             c_eps=c_eps) for lam in (0.4, 0.2, 0.1)]
     scalars = [r.scalar_branch for r in res]
     assert scalars[0] < scalars[1] < scalars[2]
     # eventually the operator branch is the binding one
@@ -193,11 +183,10 @@ def test_split_bound_sits_below_coupled_energy(toy_cfg, toy_ground,
     _, fit, cert = toy_certificate
     c_eps = suggest_c_eps(fit.mass, cert.c_min, toy_cfg.potential.sup_norm(),
                           0.4)
-    params = SplitParams(c_eps=c_eps)
     for lam, e in energies.items():
         res = split_lower_bound(lam, toy_cfg.potential, toy_cfg.egrid,
                                 mass=fit.mass, c_min=cert.c_min, p_c=0.7,
-                                params=params)
+                                c_eps=c_eps)
         assert res.value <= e + 1e-9
 
 
@@ -214,11 +203,11 @@ def test_momentum_bound_certified_below_coupled_energy(toy_cfg, toy_cache,
                                                        toy_ground):
     e0, energies = toy_ground
     for lam, e in energies.items():
-        res = momentum_lower_bound(lam, toy_cfg.egrid, toy_cfg.potential, e0,
-                                   cache=toy_cache)
-        assert res.n_nodes == len(toy_cfg.egrid.points)
-        assert res.max_residual < 1e-7
-        assert res.value <= e + 1e-12
+        l1 = momentum_lower_bound(lam, toy_cfg.egrid, toy_cfg.potential, e0,
+                                  cache=toy_cache)
+        assert max(toy_cache.pair(lam * q)["residual"]
+                   for q in toy_cfg.egrid.points) < 1e-7
+        assert l1 <= e + 1e-12
 
 
 def test_momentum_bound_zero_coupling_matches_schrodinger(free_cache):
@@ -226,11 +215,11 @@ def test_momentum_bound_zero_coupling_matches_schrodinger(free_cache):
     # zero-excitation sector carries every fiber ground, the bound
     # collapses to the bare-mass comparison operator
     e0 = free_cache.pair(0.0)["energy"]
-    res = momentum_lower_bound(0.15, EGRID, WELL, e0, cache=free_cache)
+    l1 = momentum_lower_bound(0.15, EGRID, WELL, e0, cache=free_cache)
     h = assemble_schrodinger(WELL, EGRID, 0.5)
     ground = float(np.linalg.eigvalsh(h)[0])
-    assert res.value <= ground + 1e-12
-    assert res.value == pytest.approx(ground, abs=1e-6)
+    assert l1 <= ground + 1e-12
+    assert l1 == pytest.approx(ground, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +244,7 @@ def _l1_matrix_and_value(preset, lam, monkeypatch):
 
     monkeypatch.setattr(bounds, "verified_floor", spy)
     value = momentum_lower_bound(lam, cfg.egrid, cfg.potential,
-                                 cache.energy(0.0), cache=cache).value
+                                 cache.pair(0.0)["energy"], cache=cache)
     (h,) = seen
     return h, value
 

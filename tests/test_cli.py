@@ -109,6 +109,19 @@ def test_dispersion_run_writes_artifacts(tmp_path, capsys):
     assert Path(out, "dispersion.csv").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["dispersion", "staticmass",
+                                        "sandwich", "converge"])
+def test_too_few_momenta_for_the_mass_fit_exits_1(tmp_path, capsys,
+                                                  subcommand):
+    # the oracle preset scans P = 0 alone: no sample to fit a mass to
+    code = main([subcommand, "--config", "oracle", "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "analysis failure: need >= 4 nonzero samples" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("subcommand, preset", [("sandwich", "toy"),
                                                 ("converge", "free")])
 def test_fiber_telemetry_counts_every_fiber_solve(tmp_path, monkeypatch,

@@ -54,9 +54,9 @@ def test_scan_requires_origin():
 
 def test_cache_reuses_parity_and_counts_solves(toy_template):
     cache = FiberCache(toy_template, seed=0)
-    e_plus = cache.energy(0.3)
+    e_plus = cache.pair(0.3)["energy"]
     solves_after_plus = cache.solves()
-    e_minus = cache.energy(-0.3)
+    e_minus = cache.pair(-0.3)["energy"]
     assert cache.solves() == solves_after_plus  # -P came from parity, free
     assert e_minus == pytest.approx(e_plus, abs=1e-11)
     v_plus = cache.pair(0.3)["vector"]
@@ -80,10 +80,11 @@ def test_cache_parity_vector_matches_independent_solve(toy_template,
 
 def test_cache_pair_record_fields(toy_cache):
     rec = toy_cache.pair(0.0)
-    assert set(rec) >= {"energy", "excited", "gap", "degenerate", "residual",
-                        "vector", "iterations", "matvecs", "restarts",
-                        "solved"}
-    assert rec["gap"] == pytest.approx(rec["excited"] - rec["energy"])
+    assert set(rec) == {"energy", "gap", "degenerate", "residual", "vector",
+                        "iterations", "matvecs", "restarts", "solved"}
+    pair = lowest_two(toy_cache.template.operator(0.0),
+                      tol=dispersion._FIBER_TOL, seed=toy_cache.seed)
+    assert rec["gap"] == pytest.approx(pair.values[1] - pair.values[0])
     assert not rec["degenerate"]
 
 

@@ -1,10 +1,11 @@
 """Every name a module exports in `__all__` exists in that module, no
 module of the package or its tests imports a name it never uses, every
 function, class and method of the package is referenced inside the package
-(a method through attribute access), every option of the package (a
-parameter with a default that a call can pass by name) is set by a call
-inside the package (a value only tests set is a module constant they
-patch), and a run imports no scipy beyond scipy.linalg and scipy.sparse."""
+(a method through attribute access), every dataclass field is read in the
+package, every option of the package (a parameter with a default that a
+call can pass by name) is set by a call inside the package (a value only
+tests set is a module constant they patch), and a run imports no scipy
+beyond scipy.linalg and scipy.sparse."""
 
 import ast
 import importlib
@@ -197,3 +198,26 @@ def test_a_run_imports_only_linalg_and_sparse_from_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _is_dataclass(node):
+    """True for a class decorated with ``@dataclass`` or ``@dataclass(...)``."""
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    """A field nothing reads (``x.field`` in a load) is carried for no one."""
+    trees = [(path, ast.parse(path.read_text(encoding="utf-8")))
+             for path in _python_files("src")]
+    read = {node.attr for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{node.name}.{item.target.id}"
+              for path, tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign)
+              and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    assert not unread, f"dataclass fields nothing in src/ reads: {unread}"

@@ -48,7 +48,7 @@ def test_graded_lex_order():
 
 def test_totals_are_nondecreasing_and_states_unique():
     basis = enumerate_basis(4, 3)
-    assert np.all(np.diff(basis.totals) >= 0)
+    assert np.all(np.diff(basis.occupations.sum(1)) >= 0)
     seen = {tuple(row) for row in basis.occupations}
     assert len(seen) == basis.dim
 

@@ -1,4 +1,4 @@
-"""Model-layer checks: grids, couplings, potentials, trial profiles.
+"""Model-layer checks: grids, couplings, potentials.
 
 Closed-form Fourier transforms are verified against direct numerical
 quadrature, so the two routes are independent.
@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from polaron_effmass.errors import CapacityError, ConfigError, DomainError
 from polaron_effmass.model import (ConstantCoupling, ConstantDispersion,
-                                   FourierBump, GaussianWell, ModelSpec, ModeGrid,
+                                   GaussianWell, ModelSpec, ModeGrid,
                                    PoschlTeller, PowerLawCoupling,
                                    ScaledPotential, SoftStep,
                                    TabulatedDispersion, ZeroCoupling, build_mode_grid,
@@ -67,7 +67,7 @@ def test_build_mode_grid_enumerates_lattice():
     assert np.allclose(np.sort(grid.momenta),
                        [-1.0, -0.5, 0.0, 0.5, 1.0])
     assert np.allclose(grid.weights, 0.5)
-    assert grid.is_symmetric()
+    assert np.allclose(grid.momenta[grid.parity_permutation()], -grid.momenta)
 
 
 def test_build_mode_grid_ir_cutoff_drops_origin():
@@ -91,7 +91,8 @@ def test_parity_permutation_roundtrip():
     assert np.allclose(grid.momenta[perm], -grid.momenta)
     asym = ModeGrid(momenta=np.array([0.5, 1.0]),
                     weights=np.array([1.0, 1.0]), dk=0.5)
-    assert not asym.is_symmetric()
+    with pytest.raises(DomainError, match="not symmetric"):
+        asym.parity_permutation()
 
 
 def test_mode_grid_rejects_vector_momenta():
@@ -232,27 +233,6 @@ def test_fourier_tail_fraction_matches_tight_quadrature(potential, rtol, q_cut,
     ref = tight_tail_fraction(potential, q_cut)
     assert fourier_tail_fraction(potential, q_cut) == pytest.approx(
         ref, rel=rtol, abs=0.0)
-
-
-# ---------------------------------------------------------------------------
-# trial profiles
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("profile", [FourierBump(radius=0.8)],
-                         ids=lambda p: type(p).__name__)
-def test_profiles_are_normalized_with_compact_support(profile):
-    assert profile.radius == pytest.approx(0.8)
-    assert profile.fhat(np.array([1.0]))[0] == 0.0
-    assert profile.fhat(np.array([0.0]))[0] > 0.0
-    norm, _ = quad(lambda p: profile.fhat(np.array([p]))[0] ** 2,
-                   -0.8, 0.8, limit=200)
-    assert norm == pytest.approx(1.0, rel=1e-9)
-
-
-def test_profile_replace_roundtrip():
-    bump = FourierBump(radius=0.5)
-    assert bump.params() == {"type": "bump", "radius": 0.5}
-    assert FourierBump(radius=bump.params()["radius"]) == bump
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_coupled_ground_matches_dense_oracle(oracle_setup, monkeypatch):
         ref = _dense_coupled_ground(cache, cfg, lam, e0)
         assert res.value == pytest.approx(ref, abs=1e-9), lam
         assert res.residual <= 1e-9
-        assert res.dim == cache.template.dim * cfg.egrid.size
+        assert res.vector.shape == (cache.template.dim * cfg.egrid.size,)
 
 
 class _SabotagedCache:

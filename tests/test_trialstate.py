@@ -9,18 +9,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from polaron_effmass.dispersion import FiberCache
 from polaron_effmass.errors import AnalysisError, ConfigError
-from polaron_effmass.model import (ConstantDispersion, FourierBump,
-                                   ModelSpec, PoschlTeller, ZeroCoupling)
+from polaron_effmass.model import (ConstantDispersion, ModelSpec,
+                                   PoschlTeller, ZeroCoupling)
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        assemble_schrodinger,
                                        potential_kernel)
 from polaron_effmass.staticmass import coupled_ground, fiber_galerkin
-from polaron_effmass.trialstate import (_golden_section, minimize_upper_bound,
-                                        upper_bound)
+from polaron_effmass.trialstate import (_golden_section, bump,
+                                        minimize_upper_bound, upper_bound)
 
 POT = PoschlTeller(depth=2.0)
 EGRID = ElectronGrid(dq=0.25, q_max=6.0)
@@ -32,6 +33,18 @@ def free_cache():
                      coupling=ZeroCoupling(), dk=0.5, uv_cutoff=1.0,
                      ir_cutoff=0.0, n_max=2)
     return FiberCache(FiberTemplate(spec), seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the bump profile
+# ---------------------------------------------------------------------------
+
+def test_bump_is_normalized_with_compact_support():
+    assert bump(np.array([0.8, 1.0]), 0.8).tolist() == [0.0, 0.0]
+    assert bump(np.array([0.0]), 0.8)[0] > 0.0
+    norm, _ = quad(lambda p: bump(np.array([p]), 0.8)[0] ** 2,
+                   -0.8, 0.8, limit=200)
+    assert norm == pytest.approx(1.0, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -51,15 +64,13 @@ def test_upper_bound_reduces_to_rayleigh_quotient(free_cache):
     assert np.max(np.abs(M - h)[np.ix_(vacuum, vacuum)]) <= 1e-12
 
     # the bump of radius 2 lives on those nodes alone
-    profile = FourierBump(radius=2.0)
-    a = np.array([profile.fhat(np.array([qi]))[0] for qi in q])
+    a = np.array([bump(np.array([qi]), 2.0)[0] for qi in q])
     assert np.all(a[~vacuum] == 0.0)
     expected = float(a @ h @ a) / float(a @ a)
-    res = upper_bound(lam, M, profile, EGRID)
-    assert res.value == pytest.approx(expected, abs=1e-12)
-    assert res.profile_params == {"type": "bump", "radius": 2.0}
+    value = upper_bound(lam, M, 2.0, EGRID)
+    assert value == pytest.approx(expected, abs=1e-12)
     # and the bound property itself
-    assert res.value >= np.linalg.eigvalsh(h)[0] - 1e-12
+    assert value >= np.linalg.eigvalsh(h)[0] - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +82,7 @@ def test_galerkin_fibers_are_phase_aligned_in_the_window(toy_cfg, toy_cache):
     q = toy_cfg.egrid.points
     phi, M = fiber_galerkin(toy_cache,
                             potential_kernel(toy_cfg.potential, toy_cfg.egrid),
-                            lam, q, toy_cache.energy(0.0))
+                            lam, q, toy_cache.pair(0.0)["energy"])
     assert np.allclose(M, M.T, rtol=0.0, atol=1e-14)
     assert np.allclose(np.linalg.norm(phi, axis=1), 1.0, atol=1e-10)
     inside = phi[np.abs(lam * q) < p_c]
@@ -83,7 +94,7 @@ def test_galerkin_fibers_are_phase_aligned_in_the_window(toy_cfg, toy_cache):
 def _galerkin(cfg, cache, lam):
     """The fiber-Galerkin matrix M of `lam` on the config's grid."""
     return fiber_galerkin(cache, potential_kernel(cfg.potential, cfg.egrid),
-                          lam, cfg.egrid.points, cache.energy(0.0))[1]
+                          lam, cfg.egrid.points, cache.pair(0.0)["energy"])[1]
 
 
 class _GapClosedAt:
@@ -115,7 +126,7 @@ def test_degenerate_node_inside_the_window_is_rejected(toy_cfg, toy_cache,
         minimize_upper_bound(lam, inside, M, toy_cfg.egrid, p_c=0.7)
     outside = _GapClosedAt(toy_cache, lam * 2.5, field, value)
     mub = minimize_upper_bound(lam, outside, M, toy_cfg.egrid, p_c=0.7)
-    assert math.isfinite(mub.result.value)
+    assert math.isfinite(mub.value)
 
 
 def test_empty_radius_range_is_a_config_error(toy_cfg, toy_cache):
@@ -131,7 +142,7 @@ def test_empty_radius_range_is_a_config_error(toy_cfg, toy_cache):
 # ---------------------------------------------------------------------------
 
 def test_upper_bound_dominates_coupled_ground(toy_cfg, toy_cache):
-    e0 = toy_cache.energy(0.0)
+    e0 = toy_cache.pair(0.0)["energy"]
     kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
     for lam in (0.4, 0.2):
         coupled = coupled_ground(toy_cache, toy_cfg.potential,
@@ -143,22 +154,20 @@ def test_upper_bound_dominates_coupled_ground(toy_cfg, toy_cache):
                                 e0)
         assert np.array_equal(M, ref)
         mub = minimize_upper_bound(lam, toy_cache, M, toy_cfg.egrid, p_c=0.7)
-        assert mub.result.value >= coupled.value - 1e-9
+        assert mub.value >= coupled.value - 1e-9
         assert 3.0 * toy_cfg.egrid.dq <= mub.radius
         assert lam * mub.radius < 0.7  # support stays inside the window
         # the lowest eigenvalue of M minimizes the same quotient over all
         # weights, so it lies below U*
-        assert np.linalg.eigvalsh(M)[0] <= mub.result.value
+        assert np.linalg.eigvalsh(M)[0] <= mub.value
 
 
 def test_minimize_upper_bound_reports_search(toy_cfg, toy_cache):
-    mub = minimize_upper_bound(0.4, toy_cache,
-                               _galerkin(toy_cfg, toy_cache, 0.4),
-                               toy_cfg.egrid, p_c=0.7)
-    assert mub.result.lam == 0.4
+    M = _galerkin(toy_cfg, toy_cache, 0.4)
+    mub = minimize_upper_bound(0.4, toy_cache, M, toy_cfg.egrid, p_c=0.7)
     assert isinstance(mub.boundary_hit, bool)
-    assert mub.result.profile_params == {"type": "bump",
-                                         "radius": mub.radius}
+    # the value is the quotient at the radius reported with it
+    assert mub.value == upper_bound(0.4, M, mub.radius, toy_cfg.egrid)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +201,7 @@ def test_upper_bound_is_no_worse_than_scipy_bounded_brent(toy_cfg, toy_cache):
         M = _galerkin(toy_cfg, toy_cache, lam)
         mub = minimize_upper_bound(lam, toy_cache, M, egrid, p_c=0.7)
         ref = minimize_scalar(
-            lambda r: upper_bound(lam, M, FourierBump(radius=float(r)),
-                                  egrid).value,
+            lambda r: upper_bound(lam, M, float(r), egrid),
             bounds=(3.0 * egrid.dq, min(0.7 / lam * (1.0 - 1e-9), egrid.q_max)),
             method="bounded", options={"xatol": 1e-3})
-        assert mub.result.value <= ref.fun + 1e-7
+        assert mub.value <= ref.fun + 1e-7
