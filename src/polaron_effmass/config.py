@@ -304,6 +304,14 @@ def validate_config(path_or_data) -> list:
     if cfg.P_list:
         if 0.0 not in cfg.P_list:
             notes.append(("error", "run.P_list must contain P = 0"))
+        nonzero = len({p for p in cfg.P_list if abs(p) > 1e-15})
+        if nonzero < 4:
+            notes.append((
+                "warning",
+                f"run.P_list has {nonzero} nonzero momenta, fewer than the 4 "
+                "the dynamic-mass fit needs: dispersion, staticmass, sandwich "
+                "and converge cannot fit a mass, so this config serves "
+                "oracle-check only"))
         if len(cfg.P_list) >= 2 and p_c_est and math.isfinite(p_c_est):
             if max(abs(p) for p in cfg.P_list) > 2.0 * p_c_est:
                 notes.append(("warning",

@@ -14,8 +14,11 @@ From the scanned curve E(P) we extract
 * the largest momentum window P_c on which the spectral gap stays open,
   which downstream consumers use to bound trial-state supports.
 
-A :class:`FiberCache` memoizes fiber ground pairs by momentum; each pair
-comes from one two-target Davidson run, solved on first request.  Mode
+A :class:`FiberCache` memoizes fiber ground pairs by momentum.  The pairs
+come from two-target Davidson runs, solved on first request: the scan asks
+for one momentum at a time, and the static stage for each lambda's grid
+nodes at once, which run as one lockstep batch whose members share every
+block product.  A momentum gets the same bits alone or in any batch.  Mode
 grids are symmetric under k -> -k by construction, so it solves only |P|
 and obtains the -P ground vector by the mode permutation that realizes
 k -> -k, and it fixes phases so that <Phi_0 | Phi_P> > 0 for every cached
@@ -69,11 +72,14 @@ class FiberCache:
 
     Stores, per momentum P, the ground energy, the gap to the next level,
     the phase-fixed ground vector, the residual, the degeneracy flag and the
-    solver's iterations, matvecs and restarts.  Each momentum is solved
-    independently from the same seed, so results do not depend on the order
-    of requests.  The -P data is derived from +P by the parity permutation
-    instead of a second solve (DomainError on a grid not closed under
-    k -> -k).
+    solver's iterations, matvecs and restarts.  :meth:`pair` solves one
+    momentum at a time; :meth:`pairs` solves all the momenta it lacks as one
+    lockstep batch (:func:`~.eigensolve.lowest_two`).  Every momentum is
+    solved from the same seed, and a member of a batch gets the same bits as
+    it would alone, so a record depends neither on the order of requests nor
+    on the batch it was solved in; each record counts only its own solver
+    work.  The -P data is derived from +P by the parity permutation instead
+    of a second solve (DomainError on a grid not closed under k -> -k).
     """
 
     def __init__(self, template: FiberTemplate, *, seed: int = 0):
@@ -95,21 +101,28 @@ class FiberCache:
         """Sum of "iterations", "matvecs" or "restarts" over the solves."""
         return sum(rec[key] for rec in self._store.values() if rec["solved"])
 
-    def _solve(self, P: float) -> dict:
-        op = self.template.operator(P)
-        pair = lowest_two(op, tol=_FIBER_TOL, seed=self.seed)
-        vec = pair.vectors[0]
-        return {
+    def _solve(self, P: float, *more: float) -> list:
+        """Records of the fibers at P and at every momentum of `more`,
+        solved as one batch."""
+        pairs = lowest_two(self.template.operator((P, *more)), tol=_FIBER_TOL,
+                           seed=self.seed)
+        return [{
             "energy": pair.values[0],
             "gap": pair.gap,
             "degenerate": pair.degenerate,
             "residual": max(pair.residuals),
-            "vector": vec,
+            "vector": pair.vectors[0],
             "iterations": pair.iterations,
             "matvecs": pair.matvecs,
             "restarts": pair.restarts,
             "solved": True,
-        }
+        } for pair in pairs]
+
+    @staticmethod
+    def _fix_phase(rec: dict, zero: dict):
+        """Flip rec's vector, if need be, so that <Phi_0 | Phi_P> >= 0."""
+        if float(zero["vector"] @ rec["vector"]) < 0.0:
+            rec["vector"] = -rec["vector"]
 
     def _ensure(self, P: float) -> dict:
         key = self._key(P)
@@ -123,17 +136,30 @@ class FiberCache:
             vec[self._state_perm] = pos["vector"]
             rec = dict(pos, vector=vec, solved=False)
         else:
-            rec = self._solve(key)
+            rec = self._solve(key)[0]
             if key != 0.0:
-                zero = self._ensure(0.0)
-                if float(zero["vector"] @ rec["vector"]) < 0.0:
-                    rec["vector"] = -rec["vector"]
+                self._fix_phase(rec, self._ensure(0.0))
         self._store[key] = rec
         return rec
 
     def pair(self, P: float) -> dict:
         """Record with energy, gap, degenerate, residual, vector."""
         return self._ensure(float(P))
+
+    def pairs(self, Ps) -> list:
+        """The records of :meth:`pair` at every momentum of `Ps`.
+
+        Every |P| not cached yet, and P = 0 if it is missing, is solved in
+        one batch; the -P records then follow by parity.
+        """
+        keys = [self._key(P) for P in Ps]
+        todo = sorted(({abs(key) for key in keys} | {0.0}) - self._store.keys())
+        if todo:
+            for key, rec in zip(todo, self._solve(*todo)):
+                if key != 0.0:
+                    self._fix_phase(rec, self._store[0.0])
+                self._store[key] = rec
+        return [self._ensure(key) for key in keys]
 
 
 @dataclass(frozen=True)

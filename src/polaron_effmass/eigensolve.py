@@ -1,16 +1,23 @@
 """Ground-state eigensolvers for real-symmetric operators.
 
 * :func:`lowest_two` / :func:`davidson_ground`: diagonally preconditioned
-  subspace iteration (Davidson) with thick restarts, one core for one or
-  two wanted pairs.  Each iteration forms only the Ritz pairs it uses, and
-  each new vector takes one Gram-Schmidt pass, a second only when the DGKS
-  test asks for it.  :func:`lowest_two` serves the fiber ground pairs and
-  their gap from one run, from the lowest-diagonal coordinate directions;
-  :func:`davidson_ground` the coupled small-lambda operators, whose
-  diagonal spread makes plain Krylov iteration impractically slow.  Its
-  caller may supply the start vector and a refinement of each correction,
-  which the coupled solve uses for its fiber-Galerkin start and coarse
-  correction; see the solver notes in the README.
+  subspace iteration (Davidson) with thick restarts, one lockstep core for
+  a batch of independent problems that share one block apply, in the
+  manner of Liu's simultaneous expansion (1978), one or two wanted pairs
+  each.  Each iteration applies the new vectors of every active member at
+  once and forms Ritz vectors, residuals and Gram-Schmidt projections as
+  stacked matrix products; the projected eigenproblems stay per member and
+  form only the Ritz pairs in use.  Each new vector takes one Gram-Schmidt
+  pass, a second only when the DGKS test asks for it.  A member's result
+  is the same bits alone or in any batch.  :func:`lowest_two` serves the
+  fiber ground pairs and their gaps, a batch of fibers
+  (:class:`~.operators.FiberBatch`) or one operator, from the
+  lowest-diagonal coordinate directions; :func:`davidson_ground` the
+  coupled small-lambda operators, a batch of one, whose diagonal spread
+  makes plain Krylov iteration impractically slow.  Its caller may supply
+  the start vector and a refinement of each correction, which the coupled
+  solve uses for its fiber-Galerkin start and coarse correction; see the
+  solver notes in the README.
 * :func:`ground_state`: one Lanczos pass with full reorthogonalization
   (two classical Gram-Schmidt passes per step), seeded random start and
   residual-based stopping.  The basis may grow to the full dimension (at
@@ -62,13 +69,14 @@ _CHECK_EVERY = 5
 # Largest dimension of the dense eigenvalue routes and of Lanczos, whose
 # basis may grow to the full dimension.
 _DENSE_MAX = 2000
-# Davidson's search space V and its images AV, 2 x max_subspace x dim
-# doubles, may take at most this many bytes.  The largest shipped run, the
-# retry space (80) of the powerlaw presets' coupled operator (dim 478,170),
-# needs 584 MiB, so 2 GiB leaves room for a grid or truncation about 3x
-# larger; anything beyond fails at once, not after swapping or being killed.
+# Davidson's search spaces V and their images AV, 2 x members x
+# max_subspace x dim doubles over a batch, may take at most this many
+# bytes.  The largest shipped run, the retry space (80) of the powerlaw
+# presets' coupled operator (dim 478,170), needs 584 MiB, so 2 GiB leaves
+# room for a grid or truncation about 3x larger; anything beyond fails at
+# once, not after swapping or being killed.
 _DAVIDSON_MAX_BYTES = 2 * 2**30
-# Davidson iterations of one fiber pair before lowest_two gives up.
+# Davidson iterations of a fiber pair before lowest_two gives up.
 _PAIR_MAX_ITERS = 600
 # A Gram-Schmidt pass that leaves less than this fraction of a vector's norm
 # is repeated once (the DGKS test).
@@ -128,49 +136,50 @@ def _syevr_workspace(k):
     return int(lwork), int(liwork)
 
 
-def _projected_eigh(A, best, m):
+def _projected_eigh(A, m):
     """Lowest `m` eigenpairs, ascending, of a small symmetric matrix.
 
     LAPACK dsyevr on the lower triangle with range "I", il = 1, iu = m, so
     only the wanted pairs are formed.  Returns the bits of
     ``scipy.linalg.eigh(A, subset_by_index=[0, m - 1])``.  LAPACK can loop
-    forever on a non-finite entry, so those are refused up front, as eigh
-    does.  A failure raises SolverError carrying `best` (value, residual,
-    vector).
+    forever on a non-finite entry, so the caller must refuse those first,
+    as eigh does.  A failure raises SolverError.
     """
     k = A.shape[0]
-    if not np.isfinite(A).all():
-        raise SolverError(f"projected {k}x{k} matrix has non-finite entries",
-                          *best)
     lwork, liwork = _syevr_workspace(k)
     vals, vecs, _, _, info = _SYEVR(A, compute_v=1, range="I", lower=1, il=1,
                                     iu=m, lwork=lwork, liwork=liwork)
     if info != 0:
         raise SolverError(f"dsyevr failed on the projected {k}x{k} matrix "
-                          f"(info {info})", *best)
+                          f"(info {info})")
     return vals[:m], vecs
 
 
-def _project_out(w, V, k):
-    """One classical Gram-Schmidt pass of w against V[:k]."""
-    w -= V[:k].T @ (V[:k] @ w)
-    return w
+def _row_norms(W):
+    """2-norms of the rows of a stack of vectors, each by one dot product."""
+    return np.sqrt(np.vecdot(W, W))
 
 
-def _orthogonalize(w, V, norm):
-    """Gram-Schmidt w against the orthonormal rows of V, in place; new norm.
+def _project_out(W, V):
+    """One classical Gram-Schmidt pass of each W[a] against the rows of V[a]."""
+    W -= ((V @ W[:, :, None]).transpose(0, 2, 1) @ V)[:, 0]
 
-    `norm` is the norm of w on entry.  One classical pass, and a second only
-    when the first leaves w below 1/sqrt(2) of `norm`: the test of Daniel,
-    Gragg, Kaufman & Stewart (Math. Comp. 30, 1976), past which one pass has
-    cancelled too much to leave w orthogonal to working precision.
+
+def _orthogonalize(W, V, norms):
+    """Gram-Schmidt each W[a] against the orthonormal rows of V[a]; new norms.
+
+    `norms` are the norms of the rows of W on entry.  One classical pass,
+    and a second only for the rows that the first leaves below 1/sqrt(2) of
+    their norm: the test of Daniel, Gragg, Kaufman & Stewart (Math. Comp.
+    30, 1976), past which one pass has cancelled too much to leave w
+    orthogonal to working precision.  The second pass works on views of
+    its row and basis, so no basis is copied.
     """
-    k = V.shape[0]
-    _project_out(w, V, k)
-    nw = math.sqrt(w @ w)
-    if nw < _DGKS * norm:
-        _project_out(w, V, k)
-        nw = math.sqrt(w @ w)
+    _project_out(W, V)
+    nw = _row_norms(W)
+    for a in (nw < _DGKS * norms).nonzero()[0]:
+        _project_out(W[a:a + 1], V[a:a + 1])
+        nw[a:a + 1] = _row_norms(W[a:a + 1])
     return nw
 
 
@@ -222,7 +231,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0) -> EigResult:
         if k > 0:
             w -= betas[-1] * V[k - 1]
         for _ in range(2):
-            w = _project_out(w, V, k + 1)
+            w -= V[:k + 1].T @ (V[:k + 1] @ w)
         b = float(np.linalg.norm(w))
         k += 1
         # the pass ends at breakdown (an invariant subspace) or at step n
@@ -249,177 +258,250 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0) -> EigResult:
         V[k] = w / b
 
 
+def _as_batch(op):
+    """Adapt an operator, or a batch of them, to (apply, members, dim, diagonals).
+
+    A batch (:class:`~.operators.FiberBatch`) exposes `dim`, its length,
+    `diagonals()`, one row per member, and `apply(members, X)`, the image of
+    each row X[i] under the operator of member members[i].  Anything
+    :func:`_as_operator` takes is a batch of one, applied a row at a time.
+    """
+    if hasattr(op, "apply"):
+        return op.apply, len(op), op.dim, op.diagonals
+    matvec, n, diag_fn = _as_operator(op)
+
+    def apply(members, X):
+        if len(X) == 1:
+            return matvec(X[0])[None]
+        return np.stack([matvec(x) for x in X])
+
+    return apply, 1, n, (None if diag_fn is None else lambda: diag_fn()[None])
+
+
+def _fill_rows(H, V, AV, A, k0, k1):
+    """Rows k0..k1-1 of the projected matrices H[a] = V[a] A V[a]^T of the
+    first A slots: entry (i, j) is v_i . (A v_j).  Only the lower triangle
+    is kept up to date, which is all dsyevr reads."""
+    H[:A, k0:k1, :k1] = V[:A, k0:k1] @ AV[:A, :k1].transpose(0, 2, 1)
+
+
 def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
               v0=None, correction=None):
-    """Lowest `nwant` Ritz pairs by diagonally preconditioned subspace iteration.
+    """Lowest `nwant` Ritz pairs of every member of `op`, in lockstep.
 
-    The space starts from `v0` when given, else from the unit vectors on the
-    smallest diagonal entries.  Each iteration adds the corrections
-    t = r / (diag(A) - theta) of the wanted Ritz pairs that have not
-    converged yet; `correction(t, r, theta)`, when given, refines each t in
-    place.  Each iteration forms only the `nwant` lowest Ritz pairs, or the
-    `restart_keep` lowest when the space may have to be compressed to them
-    before the corrections go in (a thick restart).  Every new vector is
-    orthogonalized by _orthogonalize.  Returns (values, vectors, residuals,
-    iterations, matvecs, restarts); the residuals are those of the carried
-    A V, not of a fresh matvec, and restarts counts the compressions.  Raises
-    CapacityError, before touching the operator, when V and A V would
-    exceed _DAVIDSON_MAX_BYTES.
+    Diagonally preconditioned subspace iteration on B independent problems
+    that share one block apply (:func:`_as_batch`).  Each space starts from
+    `v0` when given (a batch of one), else from the unit vectors on its
+    member's smallest diagonal entries.  Each iteration every active member
+    adds the corrections t = r / (diag(A) - theta) of all its `nwant` Ritz
+    pairs, so the space size k is the same for all of them and a thick
+    restart (to the `restart_keep` lowest Ritz vectors, when the next
+    corrections would not fit) compresses all spaces together.
+    `correction(t, r, theta)`, when given, refines each t in place.  The
+    new vectors of all members go through one apply; Ritz vectors,
+    residuals and Gram-Schmidt projections are stacked matrix products.
+    Every new vector is orthogonalized by _orthogonalize; one that is
+    already in its space is replaced by a random vector from a generator
+    seeded with `seed`, one per member.  The projected eigenproblems stay
+    per member and form only the `nwant` lowest pairs, or the
+    `restart_keep` lowest before a restart.  A member leaves the batch once
+    all its pairs meet the tolerance, and the members that stay move up
+    into its slot.
+
+    No floating-point operation mixes two members, and every operation on
+    a member has the same shape whatever the batch, so a member's results
+    are the same bits alone or in any batch.  Returns, per member,
+    (values, vectors, residuals, iterations, matvecs, restarts), counted
+    while the member was active; the residuals are those of the carried
+    A V, not of a fresh matvec.  Raises CapacityError, before touching the
+    operator, when V and A V of all members would exceed
+    _DAVIDSON_MAX_BYTES.
     """
-    matvec, n, diag_fn = _as_operator(op)
+    apply, B, n, diag_fn = _as_batch(op)
     if diag_fn is None:
         raise DomainError("Davidson needs an operator exposing its diagonal")
     if n < nwant:
         raise DomainError(f"operator dimension {n} is below the {nwant} wanted pairs")
     max_subspace = int(min(max_subspace, n))
-    nbytes = 2 * max_subspace * n * 8
+    nbytes = 2 * B * max_subspace * n * 8
     if nbytes > _DAVIDSON_MAX_BYTES:
         raise CapacityError(
-            f"Davidson space of {max_subspace} vectors at dimension {n} needs "
-            f"{nbytes / 2**20:.0f} MiB, over {_DAVIDSON_MAX_BYTES / 2**20:.0f} MiB")
-    diag = np.asarray(diag_fn(), dtype=float)
-    rng = np.random.default_rng(seed)
+            f"Davidson space of {max_subspace} vectors at dimension {n} for "
+            f"{B} operator(s) needs {nbytes / 2**20:.0f} MiB, over "
+            f"{_DAVIDSON_MAX_BYTES / 2**20:.0f} MiB")
+    diag = np.array(diag_fn(), dtype=float)
     restart_keep = max(nwant, int(min(restart_keep, max_subspace - nwant)))
 
-    V = np.empty((max_subspace, n))
-    AV = np.empty((max_subspace, n))
-    H = np.zeros((max_subspace, max_subspace))
-
-    def append(k, w):
-        V[k] = w
-        AV[k] = matvec(w)
-        H[k, :k] = V[k] @ AV[:k].T
-        H[:k, k] = H[k, :k]
-        H[k, k] = V[k] @ AV[k]
-
+    V = np.empty((B, max_subspace, n))
+    AV = np.empty((B, max_subspace, n))
+    H = np.zeros((B, max_subspace, max_subspace))
     # Without the caller's vector, start from the lowest-diagonal coordinate
     # directions.  For strongly diagonally dominant operators the ground
     # vector lives there; a purely random start can lock onto an interior
     # eigenpair whose residual passes the test.
     if v0 is not None and np.linalg.norm(v0) > 1e-14:
-        starts = [np.array(v0, dtype=float, copy=True)]
-    else:
-        starts = []
-        for i in np.argsort(diag, kind="stable")[:min(4, n, max_subspace)]:
-            e_i = np.zeros(n)
-            e_i[i] = 1.0
-            starts.append(e_i)
-    k = 0
-    for w in starts:
-        if k >= max_subspace:
-            break
-        nw = _orthogonalize(w, V[:k], math.sqrt(w @ w))
-        if nw < 1e-12:
-            continue
-        append(k, w / nw)
-        k += 1
-    if k == 0:
-        w = rng.standard_normal(n)
-        append(0, w / math.sqrt(w @ w))
         k = 1
+        V[0, 0] = v0 / math.sqrt(v0 @ v0)
+    else:
+        k = min(4, max_subspace)
+        V[:, :k] = 0.0
+        lowest = np.argsort(diag, axis=1, kind="stable")[:, :k]
+        V[np.arange(B)[:, None], np.arange(k), lowest] = 1.0
+    ids = np.arange(B)           # the member in each slot
+    AV[:, :k] = apply(np.repeat(ids, k), V[:, :k].reshape(B * k, n)
+                      ).reshape(B, k, n)
+    _fill_rows(H, V, AV, B, 0, k)
     matvecs = k
     restarts = 0
-    best_val, best_vec, best_res = math.inf, None, math.inf
+    rngs = {}
+    out = [None] * B
+    thetas = ress = X = None
+
+    def failure(message, a):
+        """SolverError carrying the last lowest Ritz pair of slot a.  Each
+        space keeps its lowest Ritz vector, so that value is the lowest the
+        member reached."""
+        if thetas is None:
+            return SolverError(message)
+        return SolverError(message, best_value=float(thetas[a, 0]),
+                           best_residual=float(ress[a, 0]),
+                           best_vector=X[a, 0])
 
     for it in range(max_iters):
-        m = restart_keep if k + nwant > max_subspace else nwant
-        vals, vecs = _projected_eigh(H[:k, :k], (best_val, best_res, best_vec),
-                                     min(m, k))
-        thetas, xs, rs, ress = [], [], [], []
-        for j in range(min(nwant, k)):
-            y = vecs[:, j]
-            theta = float(vals[j])
-            x = V[:k].T @ y
-            r = AV[:k].T @ y - theta * x
-            thetas.append(theta)
-            xs.append(x)
-            rs.append(r)
-            ress.append(math.sqrt(r @ r))
-        if ress[0] < best_res:
-            best_val, best_vec, best_res = thetas[0], xs[0], ress[0]
-        todo = [j for j in range(len(ress))
-                if ress[j] > tol * max(1.0, abs(thetas[j]))]
-        if not todo and len(ress) == nwant:
-            return thetas, xs, ress, it, matvecs, restarts
-        if k + len(todo) > max_subspace:
+        A = len(ids)
+        m = min(restart_keep if k + nwant > max_subspace else nwant, k)
+        finite = np.isfinite(H[:A, :k, :k])
+        if not finite.all():
+            raise failure(f"projected {k}x{k} matrix has non-finite entries",
+                          int(finite.all(axis=(1, 2)).argmin()))
+        vals, vecs = np.empty((A, m)), np.empty((A, k, m))
+        for a in range(A):
+            try:
+                vals[a], vecs[a] = _projected_eigh(H[a, :k, :k], m)
+            except SolverError as exc:
+                raise failure(str(exc), a) from exc
+        thetas = vals[:, :nwant]
+        Y = vecs[:, :, :nwant].transpose(0, 2, 1)
+        X, R = Y @ V[:A, :k], Y @ AV[:A, :k]
+        R -= thetas[:, :, None] * X
+        ress = _row_norms(R)
+        scale = np.maximum(1.0, np.abs(thetas))
+        done = (ress <= tol * scale).all(axis=1)
+        if np.count_nonzero(done):      # the cheapest test of a small mask
+            for a in done.nonzero()[0]:
+                out[ids[a]] = ([float(t) for t in thetas[a]], list(X[a]),
+                               [float(r) for r in ress[a]], it, matvecs,
+                               restarts)
+            stay = (~done).nonzero()[0]
+            if not stay.size:
+                return out
+            for a, src in enumerate(stay):
+                if a != src:
+                    V[a], AV[a], H[a], diag[a] = V[src], AV[src], H[src], diag[src]
+            ids, A = ids[stay], stay.size
+            vals, vecs, thetas, ress, scale = (vals[stay], vecs[stay],
+                                               thetas[stay], ress[stay],
+                                               scale[stay])
+            X, R = X[stay], R[stay]
+        if k + nwant > max_subspace:
             # thick restart: keep the lowest Ritz vectors
             keep = min(restart_keep, k)
-            X = (V[:k].T @ vecs[:, :keep]).T
-            AX = (AV[:k].T @ vecs[:, :keep]).T
-            V[:keep], AV[:keep] = X, AX
-            H[:keep, :keep] = np.diag(vals[:keep])
+            Y = vecs[:, :, :keep].transpose(0, 2, 1)
+            V[:A, :keep], AV[:A, :keep] = Y @ V[:A, :k], Y @ AV[:A, :k]
+            H[:A, :keep, :keep] = 0.0
+            H[:A, np.arange(keep), np.arange(keep)] = vals[:, :keep]
             k = keep
             restarts += 1
-        for j in todo[:max_subspace - k]:
-            denom = diag - thetas[j]
-            floor = 1e-8 * max(1.0, abs(thetas[j]))
-            denom = np.where(np.abs(denom) < floor, np.copysign(floor, denom), denom)
-            t = rs[j] / denom
-            if correction is not None:
-                correction(t, rs[j], thetas[j])
-            # a correction already in the space is replaced by a random
-            # vector; the test is relative, since t shrinks with r
-            nt0 = math.sqrt(t @ t)
-            nt = _orthogonalize(t, V[:k], nt0)
-            if nt <= 1e-12 * nt0:
-                t = rng.standard_normal(n)
-                nt = _orthogonalize(t, V[:k], math.sqrt(t @ t))
-            append(k, t / nt)
-            matvecs += 1
-            k += 1
-    raise SolverError(
+        # the corrections go straight into the next rows of V
+        nadd = min(nwant, max_subspace - k)
+        theta = thetas[:, :nadd, None]
+        denom = diag[:A, None] - theta
+        floor = 1e-8 * scale[:, :nadd, None]
+        small = np.abs(denom) < floor
+        if np.count_nonzero(small):
+            denom = np.where(small, np.copysign(floor, denom), denom)
+        T = V[:A, k:k + nadd]
+        np.divide(R[:, :nadd], denom, out=T)
+        if correction is not None:
+            for a in range(A):
+                for j in range(nadd):
+                    correction(T[a, j], R[a, j], float(theta[a, j, 0]))
+        # a correction already in the space is replaced by a random vector;
+        # the test is relative, since t shrinks with r
+        nt0 = _row_norms(T)
+        tiny = 1e-12 * nt0
+        for j in range(nadd):
+            t = T[:, j]
+            nt = _orthogonalize(t, V[:A, :k + j], nt0[:, j])
+            lost = nt <= tiny[:, j]
+            if np.count_nonzero(lost):
+                for a in lost.nonzero()[0]:
+                    rng = rngs.setdefault(ids[a], np.random.default_rng(seed))
+                    t[a] = rng.standard_normal(n)
+                    nt[a] = _orthogonalize(t[a:a + 1], V[a:a + 1, :k + j],
+                                           _row_norms(t[a:a + 1]))[0]
+            t /= nt[:, None]
+        AV[:A, k:k + nadd] = apply(np.repeat(ids, nadd),
+                                   T.reshape(A * nadd, n)).reshape(A, nadd, n)
+        _fill_rows(H, V, AV, A, k, k + nadd)
+        k += nadd
+        matvecs += nadd
+    raise failure(
         f"Davidson failed to reach tol={tol} within {max_iters} iterations "
-        f"(best residual {best_res:.3e})",
-        best_value=best_val,
-        best_residual=best_res,
-        best_vector=best_vec,
-    )
+        f"on {len(ids)} of {B} operator(s) (last residual {ress[0, 0]:.3e})", 0)
 
 
-def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> PairResult:
-    """Two lowest eigenpairs from one two-target Davidson run.
+def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> list:
+    """Two lowest eigenpairs of every member of `op`, one PairResult each.
 
-    The returned residuals ||A x - theta x|| come from a fresh matvec of the
-    returned unit vectors, so `theta - residual` is a certified floor on an
-    eigenvalue.  The gap is the difference of the two Ritz values.  The pair
-    is flagged degenerate when the gap is below
+    `op` is a :class:`~.operators.FiberBatch`, whose members run through one
+    lockstep two-target Davidson run (space 20, thick restarts to 6), or a
+    single operator, a batch of one.  A member's result does not depend on
+    the batch.  The returned residuals ||A x - theta x|| come from a fresh
+    block apply of the returned unit vectors, so `theta - residual` is a
+    certified floor on an eigenvalue.  The gap is the difference of the two
+    Ritz values.  The pair is flagged degenerate when the gap is below
     max(10 tol, 1e-10) * max(1, |E0|), in which case downstream consumers
-    must not rely on a unique ground direction.  `matvecs` counts the
-    two fresh ones too.
+    must not rely on a unique ground direction.  Iterations, matvecs and
+    restarts are each member's own; matvecs counts the two fresh ones too.
     """
-    thetas, xs, _, iterations, matvecs, restarts = _davidson(
-        op, 2, tol, seed, max_subspace=40, max_iters=_PAIR_MAX_ITERS,
-        restart_keep=6)
-    matvec = _as_operator(op)[0]
-    xs = [x / math.sqrt(x @ x) for x in xs]
-    residuals = []
-    for t, x in zip(thetas, xs):
-        r = matvec(x) - t * x
-        residuals.append(math.sqrt(r @ r))
-    gap = thetas[1] - thetas[0]
-    degenerate = gap < max(10.0 * tol, 1e-10) * max(1.0, abs(thetas[0]))
-    return PairResult(values=tuple(thetas), vectors=tuple(xs), gap=gap,
-                      degenerate=degenerate, residuals=tuple(residuals),
-                      iterations=iterations, matvecs=matvecs + len(xs),
-                      restarts=restarts)
+    runs = _davidson(op, 2, tol, seed, max_subspace=20,
+                     max_iters=_PAIR_MAX_ITERS, restart_keep=6)
+    apply = _as_batch(op)[0]
+    xs = [[x / math.sqrt(x @ x) for x in run[1]] for run in runs]
+    X = np.array(xs)
+    B, n = len(runs), X.shape[-1]
+    R = apply(np.repeat(np.arange(B), 2), X.reshape(2 * B, n)).reshape(B, 2, n)
+    R -= np.array([run[0] for run in runs])[:, :, None] * X
+    res = _row_norms(R)
+    pairs = []
+    for (thetas, _, _, iterations, matvecs, restarts), x, r in zip(runs, xs, res):
+        gap = thetas[1] - thetas[0]
+        degenerate = gap < max(10.0 * tol, 1e-10) * max(1.0, abs(thetas[0]))
+        pairs.append(PairResult(
+            values=tuple(thetas), vectors=tuple(x), gap=gap,
+            degenerate=degenerate, residuals=tuple(float(v) for v in r),
+            iterations=iterations, matvecs=matvecs + 2, restarts=restarts))
+    return pairs
 
 
 def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int = 20,
                     max_iters: int = 600, v0=None, correction=None) -> EigResult:
     """Lowest eigenpair by preconditioned subspace iteration.
 
-    Expansion vectors solve (diag(A) - theta) t = -r approximately, which
-    tames operators whose diagonal spread is many orders of magnitude larger
-    than the spectral gap (the coupled small-lambda operators);
+    The lockstep core of :func:`lowest_two` with one member and one wanted
+    pair.  Expansion vectors solve (diag(A) - theta) t = -r approximately,
+    which tames operators whose diagonal spread is many orders of magnitude
+    larger than the spectral gap (the coupled small-lambda operators);
     `correction(t, r, theta)` may refine each one in place, as the coupled
     solve's coarse correction does.  The space starts from `v0` when given,
     else from the unit vectors on the four smallest diagonal entries.  It is
     kept orthonormal by one Gram-Schmidt pass per vector, with a second
-    when the DGKS test asks for it, and compressed to the best 4 Ritz
+    when the DGKS test asks for it, and compressed to the lowest 4 Ritz
     vectors when full; `restarts` counts those compressions.  Deterministic
     for fixed seed and start vector.
     """
-    thetas, xs, ress, it, matvecs, restarts = _davidson(
+    (thetas, xs, ress, it, matvecs, restarts), = _davidson(
         op, 1, tol, seed, max_subspace=max_subspace, max_iters=max_iters,
         restart_keep=4, v0=v0, correction=correction)
     return EigResult(thetas[0], xs[0], ress[0], it, matvecs, restarts)

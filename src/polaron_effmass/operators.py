@@ -3,7 +3,8 @@
 Operators built here, all real-symmetric:
 
 * fixed-total-momentum fibers  (P - P_f)^2 / (2m) + H_f + sum_i v_i (a_i^+ + a_i)
-  on a truncated Fock space (:class:`FiberTemplate`);
+  on a truncated Fock space (:class:`FiberTemplate`), built for any list of
+  momenta as one :class:`FiberBatch` that shares the interaction matrix;
 * the coupled scaling-limit operator on an electron momentum grid tensored
   with the Fock space (:func:`assemble_coupled_llp`),
 
@@ -51,6 +52,7 @@ __all__ = [
     "SymmetricOperator",
     "ElectronGrid",
     "FiberTemplate",
+    "FiberBatch",
     "assemble_coupled_llp",
     "assemble_schrodinger",
     "potential_kernel",
@@ -213,7 +215,8 @@ class FiberTemplate:
 
     Only the kinetic diagonal depends on the total momentum, so the Fock
     basis, the interaction matrix and the field-energy diagonal are built
-    once and reused across momenta.
+    once and reused across momenta; :meth:`operator` gives the fibers of
+    any list of momenta as one :class:`FiberBatch`.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -244,15 +247,43 @@ class FiberTemplate:
     def dim(self) -> int:
         return self.basis.dim
 
-    def kinetic_diagonal(self, P: float) -> np.ndarray:
-        diff = P - self.field_momenta
-        return diff * diff / (2.0 * self.spec.mass)
+    def operator(self, Ps) -> "FiberBatch":
+        """The fibers at the total momenta `Ps`, as one batch."""
+        diff = np.asarray(Ps, dtype=float)[:, None] - self.field_momenta
+        diag = diff * diff / (2.0 * self.spec.mass) + self.frequency_sums
+        return FiberBatch(self.interaction, diag)
 
-    def operator(self, P: float) -> SymmetricOperator:
-        """The fiber at total momentum P."""
-        diag = self.kinetic_diagonal(P) + self.frequency_sums
-        return SymmetricOperator(self.interaction, diag=diag, validate=False,
-                                 name=f"fiber(P={P})")
+
+class FiberBatch:
+    """Fibers of one template at several momenta: interaction + diag(diag[b]).
+
+    The members share the interaction matrix, so a block of vectors of
+    several members is applied by one CSR product, and each member adds its
+    own diagonal.  Each column of the product sums its row entries in the
+    same order whatever else is in the block, so a vector's image does not
+    depend on the batch it is applied in.
+    """
+
+    def __init__(self, interaction: sp.csr_matrix, diag: np.ndarray):
+        self.interaction = interaction
+        self.diag = diag
+
+    @property
+    def dim(self) -> int:
+        return self.interaction.shape[0]
+
+    def __len__(self) -> int:
+        return self.diag.shape[0]
+
+    def diagonals(self) -> np.ndarray:
+        """(members, dim) array of the members' diagonals."""
+        return self.diag + self.interaction.diagonal()
+
+    def apply(self, members: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Row i of X times the fiber of member members[i]."""
+        Y = (self.interaction @ X.T).T
+        Y += self.diag[members] * X
+        return Y
 
 
 def potential_kernel(potential, egrid: ElectronGrid) -> np.ndarray:

@@ -139,9 +139,10 @@ def fiber_galerkin(cache: FiberCache, kernel: np.ndarray, lam: float,
         M = diag((E(lam q_j) - e0) / lam^2) + kernel o (Phi Phi^T)
 
     is A(lam) projected onto them, with each fiber's Rayleigh quotient
-    taken as its Ritz value.  Every fiber comes from `cache`.
+    taken as its Ritz value.  Every fiber comes from `cache`, the missing
+    ones solved as one batch.
     """
-    recs = [cache.pair(float(lam * qi)) for qi in points]
+    recs = cache.pairs([float(lam * qi) for qi in points])
     phi = np.array([rec["vector"] for rec in recs])
     energies = np.array([rec["energy"] for rec in recs])
     M = kernel * (phi @ phi.T)
@@ -186,7 +187,7 @@ def coupled_ground(cache: FiberCache, potential, egrid: ElectronGrid,
     replaced by Z (M - theta)^{-1} Z^T r (Nicolaides' deflation applied to
     Davidson's correction equation).  Rayleigh-Ritz still produces the
     value, so the correction can slow the solve but not change its answer.
-    One retry from the stalled attempt's best vector, with a space of 80
+    One retry from the stalled attempt's last Ritz vector, with a space of 80
     and 1200 iterations, runs before giving up.  M is returned with the
     result, for U* (:func:`~.trialstate.minimize_upper_bound`).
     """

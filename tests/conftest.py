@@ -47,6 +47,15 @@ def toy_cache(toy_template):
 
 
 @pytest.fixture(scope="session")
+def fiber_matrix():
+    """The fiber of a template at one total momentum, as a dense matrix."""
+    def matrix(template, P):
+        return (template.interaction.toarray()
+                + np.diag(template.operator([P]).diag[0]))
+    return matrix
+
+
+@pytest.fixture(scope="session")
 def tight_tail_fraction():
     """fourier_tail_fraction from adaptive quadrature at a tight tolerance."""
     def fraction(potential, q_cut):

@@ -33,6 +33,15 @@ def test_validate_preset_ok(capsys):
     assert "validation OK" in out
 
 
+def test_validate_warns_that_too_few_momenta_serve_oracle_check_only(capsys):
+    # the oracle preset scans P = 0 alone: valid, but no mass can be fitted
+    assert main(["validate", "--config", "oracle"]) == 0
+    out = capsys.readouterr().out
+    assert ("warning: run.P_list has 0 nonzero momenta, fewer than the 4 the "
+            "dynamic-mass fit needs" in out)
+    assert "serves oracle-check only" in out
+
+
 def test_validate_reports_errors(tmp_path, capsys):
     data = json.loads(Path(REPO_ROOT, "src", "polaron_effmass", "presets",
                            "toy.json").read_text())
@@ -127,12 +136,14 @@ def test_too_few_momenta_for_the_mass_fit_exits_1(tmp_path, capsys,
 def test_fiber_telemetry_counts_every_fiber_solve(tmp_path, monkeypatch,
                                                   subcommand, preset):
     # the static stage solves most fibers after the scan's counts are
-    # written, and converge solves them again for every variant
+    # written, in batches, and converge solves them again for every variant;
+    # every result of every batch counts its own work
     pairs = []
 
     def recording(*args, **kwargs):
-        pairs.append(true_lowest_two(*args, **kwargs))
-        return pairs[-1]
+        batch = true_lowest_two(*args, **kwargs)
+        pairs.extend(batch)
+        return batch
 
     true_lowest_two = dispersion.lowest_two
     monkeypatch.setattr(dispersion, "lowest_two", recording)

@@ -1,9 +1,12 @@
 """Dispersion scan, caching, curvature fit, certificates, ceilings."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from polaron_effmass import dispersion
+from polaron_effmass.config import load_config
 from polaron_effmass.dispersion import (DispersionCurve, DispersionSample,
                                         FiberCache, certify_quasi_parabolic,
                                         check_ceilings, estimate_Pc,
@@ -82,29 +85,32 @@ def test_cache_pair_record_fields(toy_cache):
     rec = toy_cache.pair(0.0)
     assert set(rec) == {"energy", "gap", "degenerate", "residual", "vector",
                         "iterations", "matvecs", "restarts", "solved"}
-    pair = lowest_two(toy_cache.template.operator(0.0),
-                      tol=dispersion._FIBER_TOL, seed=toy_cache.seed)
+    pair, = lowest_two(toy_cache.template.operator([0.0]),
+                       tol=dispersion._FIBER_TOL, seed=toy_cache.seed)
     assert rec["gap"] == pytest.approx(pair.values[1] - pair.values[0])
     assert not rec["degenerate"]
 
 
-class _CountingOperator:
-    """Delegates to a fiber operator and counts its matvecs."""
+class _CountingBatch:
+    """Delegates to a batch of fibers and counts the vectors it applies."""
 
     def __init__(self, op):
         self.op, self.dim, self.calls = op, op.dim, 0
 
-    def matvec(self, x):
-        self.calls += 1
-        return self.op.matvec(x)
+    def __len__(self):
+        return len(self.op)
 
-    def diagonal(self):
-        return self.op.diagonal()
+    def apply(self, members, X):
+        self.calls += len(X)
+        return self.op.apply(members, X)
+
+    def diagonals(self):
+        return self.op.diagonals()
 
 
 def test_fiber_pair_reports_its_work(toy_template):
-    op = _CountingOperator(toy_template.operator(0.0))
-    pair = lowest_two(op, tol=dispersion._FIBER_TOL, seed=0)
+    op = _CountingBatch(toy_template.operator([0.0]))
+    pair, = lowest_two(op, tol=dispersion._FIBER_TOL, seed=0)
     # every application, the two fresh residual matvecs included
     assert pair.matvecs == op.calls
     assert pair.iterations > 0
@@ -118,6 +124,56 @@ def test_fiber_pair_reports_its_work(toy_template):
     assert cache.work("matvecs") == pair.matvecs + cache.pair(0.3)["matvecs"]
     assert cache.work("iterations") == (pair.iterations
                                         + cache.pair(0.3)["iterations"])
+
+
+@pytest.fixture(scope="module")
+def batch_templates():
+    """toy, and two truncations of the small model (fiber dims 28, 455, 91)."""
+    small = load_config("small").spec
+    return {"toy": FiberTemplate(load_config("toy").spec),
+            "small": FiberTemplate(small),
+            "small n_max-1": FiberTemplate(replace(small, n_max=small.n_max - 1))}
+
+
+def _record_fields(rec):
+    return {key: value for key, value in rec.items() if key != "vector"}
+
+
+@pytest.mark.parametrize("model", ["toy", "small", "small n_max-1"])
+def test_a_batch_gives_the_records_of_single_requests(batch_templates, model,
+                                                      rng):
+    # +P and -P of the same momentum, -P alone, +P alone and 0, shuffled
+    template = batch_templates[model]
+    P = np.round(rng.uniform(0.05, 1.0, 12), 6)
+    Ps = [0.0, *P[:8], *-P[4:]]
+    rng.shuffle(Ps)
+    batched = FiberCache(template, seed=0)
+    records = batched.pairs(Ps)
+    assert batched.solves() == 13        # 12 |P| and 0, in one batch
+    single = FiberCache(template, seed=0)
+    for P, rec in zip(Ps, records):
+        ref = single.pair(P)
+        assert _record_fields(rec) == _record_fields(ref), P
+        assert np.array_equal(rec["vector"], ref["vector"]), P
+    assert batched.work("matvecs") == single.work("matvecs")
+
+
+@pytest.mark.parametrize("model", ["toy", "small", "small n_max-1"])
+def test_a_fiber_gets_the_same_bits_alone_or_in_a_batch_of_20(batch_templates,
+                                                              model, rng):
+    template = batch_templates[model]
+    Ps = rng.uniform(-1.1, 1.1, 20)
+    batch = lowest_two(template.operator(Ps), tol=dispersion._FIBER_TOL,
+                       seed=0)
+    assert len({pair.iterations for pair in batch}) > 1  # members leave apart
+    for P, pair in zip(Ps, batch):
+        alone, = lowest_two(template.operator([P]), tol=dispersion._FIBER_TOL,
+                            seed=0)
+        for field in ("values", "residuals", "gap", "degenerate",
+                      "iterations", "matvecs", "restarts"):
+            assert getattr(pair, field) == getattr(alone, field), (P, field)
+        for u, v in zip(pair.vectors, alone.vectors):
+            assert np.array_equal(u, v), P
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ def test_lanczos_converges_on_every_oracle_instance(monkeypatch):
 
 def test_lowest_two_reports_gap(rng):
     a = np.diag([0.0, 1.0, 3.0]) + 0.01 * random_symmetric(rng, 3)
-    pair = lowest_two(a, tol=1e-12, seed=0)
+    pair, = lowest_two(a, tol=1e-12, seed=0)
     ref = np.linalg.eigvalsh(a)
     assert pair.values[0] == pytest.approx(ref[0], abs=1e-10)
     assert pair.values[1] == pytest.approx(ref[1], abs=1e-10)
@@ -264,14 +264,14 @@ def test_lowest_two_reports_gap(rng):
 
 def test_lowest_two_flags_degeneracy():
     a = np.diag([0.0, 0.0, 1.0])
-    pair = lowest_two(a, tol=1e-12, seed=0)
+    pair, = lowest_two(a, tol=1e-12, seed=0)
     assert pair.degenerate
     assert pair.gap == pytest.approx(0.0, abs=1e-10)
 
 
 def test_lowest_two_matches_dense_on_sparse_matrix(rng):
     m = random_sparse_symmetric(rng, 200, density=0.05)
-    pair = lowest_two(m, tol=1e-11, seed=0)
+    pair, = lowest_two(m, tol=1e-11, seed=0)
     ref = np.linalg.eigvalsh(m.toarray())[:2]
     assert np.allclose(pair.values, ref, rtol=0, atol=1e-9)
     assert pair.gap == pytest.approx(ref[1] - ref[0], abs=1e-9)
@@ -286,10 +286,11 @@ def rotated_diagonal(rng, values):
 @pytest.mark.parametrize("n", [60, 300])
 def test_lowest_two_flags_rotated_degeneracy(rng, n):
     rest = np.linspace(1.0, 2.0, n - 2)
-    pair = lowest_two(rotated_diagonal(rng, np.r_[0.0, 0.0, rest]), tol=1e-10)
+    pair, = lowest_two(rotated_diagonal(rng, np.r_[0.0, 0.0, rest]), tol=1e-10)
     assert pair.degenerate
     assert np.allclose(pair.values, 0.0, rtol=0, atol=1e-9)
-    split = lowest_two(rotated_diagonal(rng, np.r_[0.0, 1e-3, rest]), tol=1e-10)
+    split, = lowest_two(rotated_diagonal(rng, np.r_[0.0, 1e-3, rest]),
+                        tol=1e-10)
     assert not split.degenerate
     assert split.gap == pytest.approx(1e-3, abs=1e-9)
 
@@ -297,7 +298,7 @@ def test_lowest_two_flags_rotated_degeneracy(rng, n):
 def test_lowest_two_residuals_come_from_returned_vectors(rng):
     op = SymmetricOperator(random_sparse_symmetric(rng, 150),
                            diag=np.linspace(0.0, 5.0, 150))
-    pair = lowest_two(op, tol=1e-10, seed=1)
+    pair, = lowest_two(op, tol=1e-10, seed=1)
     for theta, x, res in zip(pair.values, pair.vectors, pair.residuals):
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
         assert res == np.linalg.norm(op.matvec(x) - theta * x)
@@ -306,8 +307,8 @@ def test_lowest_two_residuals_come_from_returned_vectors(rng):
 
 def test_lowest_two_is_deterministic(rng):
     m = random_sparse_symmetric(rng, 120)
-    a = lowest_two(m, tol=1e-10, seed=3)
-    b = lowest_two(m, tol=1e-10, seed=3)
+    a, = lowest_two(m, tol=1e-10, seed=3)
+    b, = lowest_two(m, tol=1e-10, seed=3)
     assert a.values == b.values and a.residuals == b.residuals
     for u, v in zip(a.vectors, b.vectors):
         assert np.array_equal(u, v)
@@ -323,14 +324,15 @@ def test_lowest_two_failure_carries_best_value(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("preset", ["toy", "small"])
-def test_lowest_two_agrees_with_lanczos_and_dense_on_fibers(preset):
+def test_lowest_two_agrees_with_lanczos_and_dense_on_fibers(preset,
+                                                            fiber_matrix):
     template = FiberTemplate(load_config(preset).spec)
     for P in (0.0, 0.25, -0.6, 1.1):
-        op = template.operator(P)
-        pair = lowest_two(op, tol=1e-10, seed=0)
-        ref = np.linalg.eigvalsh(op.to_dense())[:2]
+        pair, = lowest_two(template.operator([P]), tol=1e-10, seed=0)
+        dense = fiber_matrix(template, P)
+        ref = np.linalg.eigvalsh(dense)[:2]
         assert np.allclose(pair.values, ref, rtol=0, atol=1e-9)
-        lanczos = ground_state(op, tol=1e-10, seed=0)
+        lanczos = ground_state(dense, tol=1e-10, seed=0)
         assert pair.values[0] == pytest.approx(lanczos.value, abs=1e-9)
 
 
@@ -388,6 +390,12 @@ def test_davidson_failure_carries_best_pair(rng):
     assert err.best_value is not None
     assert err.best_residual is not None
     assert err.best_vector is not None and err.best_vector.shape == (op.dim,)
+    # the last lowest Ritz pair: a Rayleigh quotient above the ground
+    # energy, with the residual of its own vector
+    v = err.best_vector
+    assert err.best_value >= np.linalg.eigvalsh(op.to_dense())[0] - 1e-12
+    assert np.linalg.norm(op.matvec(v) - err.best_value * v) == pytest.approx(
+        err.best_residual, rel=1e-6)
 
 
 def test_davidson_is_deterministic(rng):
@@ -407,7 +415,7 @@ def test_projected_eigh_is_eigh_bit_for_bit(rng):
         for m in sorted({1, 2, 4, 6, k}):
             if m > k:
                 continue
-            vals, vecs = _projected_eigh(H[:k, :k], (None, None, None), m)
+            vals, vecs = _projected_eigh(H[:k, :k], m)
             ref_vals, ref_vecs = sla.eigh(H[:k, :k],
                                           subset_by_index=[0, m - 1])
             assert np.array_equal(vals, ref_vals), (k, m)
@@ -419,9 +427,9 @@ def _count_passes(monkeypatch):
     passes = []
     project_out = eigensolve._project_out
 
-    def spy(w, V, k):
-        passes.append(k)
-        return project_out(w, V, k)
+    def spy(W, V):
+        passes.extend([V.shape[1]] * len(W))   # one pass of each row
+        return project_out(W, V)
 
     monkeypatch.setattr(eigensolve, "_project_out", spy)
     return passes
@@ -436,14 +444,23 @@ def test_orthogonalize_repeats_a_pass_only_when_dgks_asks(rng, monkeypatch):
     w -= V.T @ (V @ w)
     w -= V.T @ (V @ w)
     norm = np.linalg.norm(w)
-    assert _orthogonalize(w, V, norm) == pytest.approx(norm, rel=1e-12)
+    nw = _orthogonalize(w[None].copy(), V[None], np.array([norm]))
+    assert nw[0] == pytest.approx(norm, rel=1e-12)
     assert len(passes) == 1
     # 1e-6 off the span: the first pass keeps 1e-6 of the norm, so a second
     passes.clear()
-    w = V.T @ rng.standard_normal(8) + 1e-6 * w / norm
-    nw = _orthogonalize(w, V, np.linalg.norm(w))
+    off = V.T @ rng.standard_normal(8) + 1e-6 * w / norm
+    nw = _orthogonalize(off[None].copy(), V[None], np.array([np.linalg.norm(off)]))
     assert len(passes) == 2
-    assert np.max(np.abs(V @ w)) <= 1e-12 * nw
+    # in a batch the test is per row: only the row 1e-6 off the span takes
+    # the second pass, and each row ends as it would alone
+    passes.clear()
+    W = np.array([w, off])
+    both = _orthogonalize(W, np.array([V, V]),
+                          np.array([norm, np.linalg.norm(off)]))
+    assert len(passes) == 3
+    assert both[1] == nw[0]
+    assert np.max(np.abs(V @ W[1])) <= 1e-12 * both[1]
 
 
 def _orthogonality_cases(rng):
@@ -462,12 +479,13 @@ def test_davidson_vectors_stay_orthogonal(rng, monkeypatch):
     orthogonalize = eigensolve._orthogonalize
     checked = []
 
-    def spy(w, V, norm):
-        nw = orthogonalize(w, V, norm)
-        if nw > 1e-12 * norm and V.shape[0]:
-            assert np.max(np.abs(V @ w)) <= 1e-12 * nw
-            checked.append(V.shape[0])
-        return nw
+    def spy(W, V, norms):
+        nws = orthogonalize(W, V, norms)
+        for w, basis, norm, nw in zip(W, V, norms, nws):
+            if nw > 1e-12 * norm and basis.shape[0]:
+                assert np.max(np.abs(basis @ w)) <= 1e-12 * nw
+                checked.append(basis.shape[0])
+        return nws
 
     monkeypatch.setattr(eigensolve, "_orthogonalize", spy)
     for a in _orthogonality_cases(rng):
@@ -483,9 +501,9 @@ def test_davidson_reports_its_restarts(rng, monkeypatch):
     orthogonalize = eigensolve._orthogonalize
     sizes = []
 
-    def spy(w, V, norm):
-        sizes.append(V.shape[0])
-        return orthogonalize(w, V, norm)
+    def spy(W, V, norms):
+        sizes.append(V.shape[1])
+        return orthogonalize(W, V, norms)
 
     monkeypatch.setattr(eigensolve, "_orthogonalize", spy)
     m = random_sparse_symmetric(rng, 200)
@@ -503,18 +521,18 @@ def test_projected_eigh_forms_only_the_pairs_in_use(rng, monkeypatch):
     projected_eigh = eigensolve._projected_eigh
     asked = []
 
-    def spy(A, best, m):
+    def spy(A, m):
         asked.append((A.shape[0], m))
-        return projected_eigh(A, best, m)
+        return projected_eigh(A, m)
 
     monkeypatch.setattr(eigensolve, "_projected_eigh", spy)
     template = FiberTemplate(load_config("small").spec)
-    # the fiber converges before its space fills; the other two restart
+    # all three fill their space and restart at least once
     for solve, nwant, keep, space, sizes in (
-            (lambda: lowest_two(template.operator(0.5), tol=1e-10),
-             2, 6, 40, {2}),
+            (lambda: lowest_two(template.operator([0.5]), tol=1e-10),
+             2, 6, 20, {2, 6}),
             (lambda: lowest_two(random_sparse_symmetric(rng, 300), tol=1e-10),
-             2, 6, 40, {2, 6}),
+             2, 6, 20, {2, 6}),
             (lambda: davidson_ground(random_sparse_symmetric(rng, 200),
                                      tol=1e-10, max_subspace=8),
              1, 4, 8, {1, 4})):
@@ -526,13 +544,14 @@ def test_projected_eigh_forms_only_the_pairs_in_use(rng, monkeypatch):
             assert m == min(keep if k + nwant > space else nwant, k)
 
 
-# iterations and matvecs of lowest_two(tol=1e-10, seed=0) on the toy and
-# small fibers, as before the subset projected solve and the DGKS pass
+# iterations and matvecs (before the two fresh ones) of
+# lowest_two(tol=1e-10, seed=0) on the toy and small fibers, in the space of
+# 20 to which every iteration adds both pairs' corrections
 PAIR_COUNTS = {
-    ("toy", 0.0): (7, 17), ("toy", 0.25): (8, 19), ("toy", -0.6): (9, 21),
-    ("toy", 1.1): (8, 20), ("small", 0.0): (20, 37),
-    ("small", 0.25): (18, 35), ("small", -0.6): (18, 36),
-    ("small", 1.1): (18, 38),
+    ("toy", 0.0): (7, 18), ("toy", 0.25): (8, 20), ("toy", -0.6): (9, 22),
+    ("toy", 1.1): (8, 20), ("small", 0.0): (22, 48),
+    ("small", 0.25): (21, 46), ("small", -0.6): (20, 44),
+    ("small", 1.1): (21, 46),
 }
 
 
@@ -543,14 +562,14 @@ def test_lowest_two_keeps_its_iteration_counts(preset, monkeypatch):
 
     def spy(*args, **kwargs):
         out = davidson(*args, **kwargs)
-        counts.append(out[3:5])
+        counts.extend(run[3:5] for run in out)
         return out
 
     monkeypatch.setattr(eigensolve, "_davidson", spy)
     template = FiberTemplate(load_config(preset).spec)
     for P in (0.0, 0.25, -0.6, 1.1):
         counts.clear()
-        lowest_two(template.operator(P), tol=1e-10, seed=0)
+        lowest_two(template.operator([P]), tol=1e-10, seed=0)
         assert counts == [PAIR_COUNTS[preset, P]], P
 
 
@@ -560,14 +579,14 @@ def test_second_gram_schmidt_pass_is_the_exception(monkeypatch):
     orthogonalize = eigensolve._orthogonalize
     calls = []
 
-    def spy(w, V, norm):
-        calls.append(V.shape[0])
-        return orthogonalize(w, V, norm)
+    def spy(W, V, norms):
+        calls.extend([V.shape[1]] * len(W))
+        return orthogonalize(W, V, norms)
 
     monkeypatch.setattr(eigensolve, "_orthogonalize", spy)
     passes = _count_passes(monkeypatch)
     template = FiberTemplate(load_config("small").spec)
-    lowest_two(template.operator(0.5), tol=1e-10, seed=0)
+    lowest_two(template.operator([0.5]), tol=1e-10, seed=0)
     assert len(passes) - len(calls) < len(calls) / 2
 
 
@@ -604,17 +623,42 @@ class _HugeOperator:
         raise _Touched("diagonal")
 
 
-@pytest.mark.parametrize("solver,space,kwargs", [
-    (davidson_ground, 20, {}), (davidson_ground, 80, {"max_subspace": 80}),
-    (lowest_two, 40, {})], ids=["default", "retry", "fiber-pair"])
-def test_davidson_refuses_a_space_over_its_storage_cap(solver, space, kwargs):
-    # V and AV hold 2 x space x dim doubles; the largest dim within the cap
-    # reaches the operator, one more is refused before anything is read.
-    # The spaces are the coupled solve's (20 by default, 80 on its retry)
-    # and the fiber pairs' (40).
-    edge = _DAVIDSON_MAX_BYTES // (2 * space * 8)
+class _HugeBatch(_HugeOperator):
+    """A batch of which Davidson may read nothing but the dimension and the
+    number of members."""
+
+    def __init__(self, dim, members):
+        super().__init__(dim)
+        self.members = members
+
+    def __len__(self):
+        return self.members
+
+    def apply(self, members, X):
+        raise _Touched("apply")
+
+    def diagonals(self):
+        raise _Touched("diagonal")
+
+
+@pytest.mark.parametrize("solver,space,members,kwargs", [
+    (davidson_ground, 20, 1, {}),
+    (davidson_ground, 80, 1, {"max_subspace": 80}),
+    (lowest_two, 20, 1, {}), (lowest_two, 20, 21, {})],
+    ids=["default", "retry", "fiber-pair", "fiber-batch"])
+def test_davidson_refuses_a_space_over_its_storage_cap(solver, space, members,
+                                                       kwargs):
+    # V and AV hold 2 x members x space x dim doubles; the largest dim within
+    # the cap reaches the operator, one more is refused before anything is
+    # read.  The spaces are the coupled solve's (20 by default, 80 on its
+    # retry) and the fiber pairs' (20), alone and in a batch of 21 members.
+    edge = _DAVIDSON_MAX_BYTES // (2 * members * space * 8)
+
+    def huge(dim):
+        return _HugeOperator(dim) if members == 1 else _HugeBatch(dim, members)
+
     for dim in (edge + 1, 10**12):
         with pytest.raises(CapacityError, match=f"{space} vectors"):
-            solver(_HugeOperator(dim), **kwargs)
+            solver(huge(dim), **kwargs)
     with pytest.raises(_Touched, match="diagonal"):
-        solver(_HugeOperator(edge), **kwargs)
+        solver(huge(edge), **kwargs)

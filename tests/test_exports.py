@@ -4,11 +4,13 @@ function, class and method of the package is referenced inside the package
 (a method through attribute access), every dataclass field is read in the
 package, every option of the package (a parameter with a default that a
 call can pass by name) is set by a call inside the package (a value only
-tests set is a module constant they patch), and a run imports no scipy
-beyond scipy.linalg and scipy.sparse."""
+tests set is a module constant they patch), a run imports no scipy
+beyond scipy.linalg and scipy.sparse, and every function the benchmark's
+tracer wraps exists with the argument it records."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -221,3 +223,32 @@ def test_every_dataclass_field_is_read_in_the_package():
               and isinstance(item.target, ast.Name)
               and item.target.id not in read]
     assert not unread, f"dataclass fields nothing in src/ reads: {unread}"
+
+
+def _tracer_tables():
+    """SPANS and COUNTED of perfbench/tracer.py, read without importing it."""
+    tree = ast.parse((REPO_ROOT / "perfbench" / "tracer.py").read_text(
+        encoding="utf-8"))
+    return {target.id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+            and target.id in ("SPANS", "COUNTED")}
+
+
+def test_benchmark_tracer_targets_exist():
+    # the benchmark wraps these names from outside the package and reads
+    # the recorded argument off each call; a rename must fail here too
+    tables = _tracer_tables()
+    targets = ([(mod, attr, param) for mod, attr, _, param in tables["SPANS"]]
+               + [(mod, attr, None) for mod, attr, _ in tables["COUNTED"]])
+    assert len(targets) > len(tables["COUNTED"])
+    for mod, attr, param in targets:
+        target = importlib.import_module(f"polaron_effmass.{mod}")
+        for part in attr.split("."):
+            assert hasattr(target, part), f"{mod}.{attr} is gone"
+            target = getattr(target, part)
+        assert callable(target), f"{mod}.{attr}"
+        if param is not None:
+            params = inspect.signature(target).parameters
+            assert param in params, f"{mod}.{attr} has no parameter {param!r}"

@@ -99,12 +99,12 @@ def test_electron_grid_layout():
 # fibers
 # ---------------------------------------------------------------------------
 
-def test_two_level_fiber_against_hand_formula():
+def test_two_level_fiber_against_hand_formula(fiber_matrix):
     """Single mode k=1, omega=1, v=0.2, n_max=1: the fiber at momentum P is
     the 2x2 matrix [[P^2, v], [v, (P-1)^2 + 1]] exactly."""
     template = _single_mode_template(g=0.2)
     for P in (0.0, 0.3, -0.6):
-        dense = template.operator(P).to_dense()
+        dense = fiber_matrix(template, P)
         d = (P - 1.0) ** 2 + 1.0
         assert np.allclose(dense, [[P * P, 0.2], [0.2, d]], atol=1e-14)
         expected = 0.5 * (P * P + d) - 0.5 * math.hypot(d - P * P, 0.4)
@@ -112,19 +112,19 @@ def test_two_level_fiber_against_hand_formula():
         assert got == pytest.approx(expected, abs=1e-12)
 
 
-def test_two_level_fiber_frozen_ground_value():
+def test_two_level_fiber_frozen_ground_value(fiber_matrix):
     # P = 0: eigenvalues of [[0, 0.2], [0.2, 2]] are 1 -/+ sqrt(1.04)
     template = _single_mode_template(g=0.2)
-    ground = dense_ground(template.operator(0.0).to_dense())
+    ground = dense_ground(fiber_matrix(template, 0.0))
     assert ground == pytest.approx(1.0 - math.sqrt(1.04), abs=1e-13)
 
 
-def test_fiber_matrix_elements_from_ladder_rules():
+def test_fiber_matrix_elements_from_ladder_rules(fiber_matrix):
     """Three-state check (n_max=2, one mode): tridiagonal with amplitudes
     v sqrt(n+1) and diagonal (P - n k)^2 + n omega."""
     template = _single_mode_template(g=0.3, n_max=2)
     P = 0.2
-    dense = template.operator(P).to_dense()
+    dense = fiber_matrix(template, P)
     diag = [(P - n) ** 2 + n for n in range(3)]
     v = 0.3
     expected = np.array([
@@ -207,10 +207,10 @@ def test_coupled_operator_decouples_at_zero_coupling():
         assert ours == pytest.approx(ref, abs=1e-11)
 
 
-def test_coupled_operator_matches_dense_oracle():
+def test_coupled_operator_matches_dense_oracle(fiber_matrix):
     cfg = load_config("oracle")
     template = FiberTemplate(cfg.spec)
-    e0 = dense_ground(template.operator(0.0).to_dense())
+    e0 = dense_ground(fiber_matrix(template, 0.0))
     coupled = assemble_coupled_llp(template, cfg.potential, cfg.egrid, 0.4, e0)
     dense = coupled.to_dense()
     assert np.allclose(dense, dense.T, atol=1e-12)

@@ -141,11 +141,11 @@ def test_scaling_identity_for_gaussian_well():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def oracle_setup():
+def oracle_setup(fiber_matrix):
     """(cfg, cache, e0) of the dense-verifiable oracle preset."""
     cfg = load_config("oracle")
     cache = FiberCache(FiberTemplate(cfg.spec), seed=0)
-    e0 = dense_ground(cache.template.operator(0.0).to_dense())
+    e0 = dense_ground(fiber_matrix(cache.template, 0.0))
     return cfg, cache, e0
 
 
@@ -189,6 +189,9 @@ class _SabotagedCache:
             vec = self._rng.standard_normal(rec["vector"].shape)
             vec /= np.linalg.norm(vec)
         return dict(rec, vector=vec)
+
+    def pairs(self, Ps):
+        return [self.pair(P) for P in Ps]
 
 
 @pytest.mark.parametrize("how", ["permuted", "scrambled", "random"])
