@@ -8,11 +8,12 @@ Two independent lower-bound routes:
       A(lam) >= (D + W) (x) I_F,   D = diag((E(lam q_j) - E0)/lam^2),
 
   and L1 = infspec(D + W) is a rigorous lower bound whenever the D entries
-  are themselves lower bounds on the fiber energies.  Every fiber at
-  lam * q_j is solved and its residual subtracted from its Ritz value,
-  which certifies the bound at solver precision.  The dense eigenvalue is
-  then lowered to a floor verified in floating point
-  (:func:`~.eigensolve.verified_floor`), as is L2's operator branch.
+  are themselves lower bounds on the fiber energies.  Each fiber at
+  lam * q_j, from the node set the coupled solve at lam reads, has its
+  residual subtracted from its Ritz value, which certifies the bound at
+  solver precision.  The dense eigenvalue is then lowered to a floor
+  verified in floating point (:func:`~.eigensolve.verified_floor`), as is
+  L2's operator branch.
 
 * Scaled-potential split bound (L2).  Splitting trial vectors by how much
   momentum mass sits outside a ball of radius beta = C_BETA sqrt(lam) and
@@ -42,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import FiberCache
+from .dispersion import FiberNodes
 from .eigensolve import dense_ground, verified_floor
 from .errors import AnalysisError, ConfigError, DomainError
-from .operators import ElectronGrid, assemble_schrodinger, potential_kernel
+from .operators import ElectronGrid, assemble_schrodinger
 
 __all__ = [
     "SplitBoundResult",
@@ -71,24 +72,20 @@ _C_EPS_SAFETY = 2.0
 # momentum-decomposition bound
 # ---------------------------------------------------------------------------
 
-def momentum_lower_bound(lam: float, egrid: ElectronGrid, potential,
-                         e0: float, *, cache: FiberCache) -> float:
+def momentum_lower_bound(lam: float, kernel: np.ndarray, nodes: FiberNodes,
+                         e0: float) -> float:
     """L1 = infspec(D + W) on the electron grid, certified.
 
-    Solves the fiber at every lam*q_j through `cache` and takes each Ritz
-    value minus its residual, a certified floor on the fiber ground energy
-    of a symmetric operator, as the diagonal entry.  Returns a verified
-    floor on that matrix's lowest eigenvalue; SolverError when the
-    verification fails.
+    `kernel` is W on the grid and `nodes` holds the fibers at its nodes
+    lam*q_j.  Each node's Ritz value minus its residual, a certified floor
+    on the fiber ground energy of a symmetric operator, gives its diagonal
+    entry.  Returns a verified floor on that matrix's lowest eigenvalue;
+    SolverError when the verification fails.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
-    floors = np.empty(egrid.size)
-    for i, qi in enumerate(egrid.points):
-        rec = cache.pair(float(lam * qi))
-        floors[i] = rec["energy"] - rec["residual"]
-    h = potential_kernel(potential, egrid)
-    h[np.diag_indices_from(h)] += (floors - e0) / lam**2
+    h = kernel.copy()
+    h[np.diag_indices_from(h)] += (nodes.energy - nodes.residual - e0) / lam**2
     return verified_floor(h, dense_ground(h))
 
 

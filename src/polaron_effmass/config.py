@@ -317,10 +317,10 @@ def validate_config(path_or_data) -> list:
                 notes.append(("warning",
                               "run.P_list extends far beyond the estimated "
                               "window; fits ignore those samples"))
-    if len(cfg.lambda_seq) < 4:
+    if len(set(cfg.lambda_seq)) < 4:
         notes.append(("warning",
-                      "fewer than 4 lambda values: the static-mass "
-                      "extrapolation will be rejected"))
+                      "fewer than 4 distinct lambda values: the static-mass "
+                      "stage cannot extrapolate and refuses to run"))
     return notes
 
 

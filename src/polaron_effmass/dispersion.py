@@ -15,14 +15,17 @@ From the scanned curve E(P) we extract
   which downstream consumers use to bound trial-state supports.
 
 A :class:`FiberCache` memoizes fiber ground pairs by momentum.  The pairs
-come from two-target Davidson runs, solved on first request: the scan asks
-for one momentum at a time, and the static stage for each lambda's grid
-nodes at once, which run as one lockstep batch whose members share every
-block product.  A momentum gets the same bits alone or in any batch.  Mode
-grids are symmetric under k -> -k by construction, so it solves only |P|
-and obtains the -P ground vector by the mode permutation that realizes
-k -> -k, and it fixes phases so that <Phi_0 | Phi_P> > 0 for every cached
-vector, making overlap matrices well-defined across momenta.
+come from two-target Davidson runs, solved on first request, and every
+request goes through :meth:`FiberCache.pairs`, which returns the nodes'
+data as one :class:`FiberNodes` record of arrays.  The scan asks for P = 0
+and then one |P| at a time, and reads its curve back as one node set; the
+static stage asks once per lambda for all its grid nodes, which run as one
+lockstep batch whose members share every block product.  A momentum gets
+the same bits alone or in any batch.  Mode grids are symmetric under
+k -> -k by construction, so the cache solves only |P| and obtains the -P
+ground vector by the mode permutation that realizes k -> -k, and it fixes
+phases so that <Phi_0 | Phi_P> > 0 for every cached vector, making overlap
+matrices well-defined across momenta.
 
 An independent weak-coupling oracle :func:`perturbative_mass` evaluates the
 second-order energy E2(P) = P^2 - sum_i v_i^2 / ((P - k_i)^2 + omega_i - P^2)
@@ -42,8 +45,8 @@ from .errors import AnalysisError, DomainError
 from .operators import FiberTemplate
 
 __all__ = [
+    "FiberNodes",
     "FiberCache",
-    "DispersionSample",
     "DispersionCurve",
     "MassFit",
     "QuasiParabolicCertificate",
@@ -67,19 +70,34 @@ _FIBER_TOL = 1e-9
 _CERTIFY_TOL = 1e-9
 
 
+@dataclass(frozen=True)
+class FiberNodes:
+    """Fiber ground data at a list of momenta, one row per momentum in the
+    order requested: energy, gap to the next level, residual, degeneracy
+    flag and the phase-fixed unit ground vector."""
+
+    P: np.ndarray
+    energy: np.ndarray
+    gap: np.ndarray
+    residual: np.ndarray
+    degenerate: np.ndarray
+    vectors: np.ndarray
+
+
 class FiberCache:
     """Memoized fiber ground pairs by total momentum.
 
     Stores, per momentum P, the ground energy, the gap to the next level,
     the phase-fixed ground vector, the residual, the degeneracy flag and the
-    solver's iterations, matvecs and restarts.  :meth:`pair` solves one
-    momentum at a time; :meth:`pairs` solves all the momenta it lacks as one
-    lockstep batch (:func:`~.eigensolve.lowest_two`).  Every momentum is
-    solved from the same seed, and a member of a batch gets the same bits as
-    it would alone, so a record depends neither on the order of requests nor
-    on the batch it was solved in; each record counts only its own solver
-    work.  The -P data is derived from +P by the parity permutation instead
-    of a second solve (DomainError on a grid not closed under k -> -k).
+    solver's iterations, matvecs and restarts.  :meth:`pairs` is the one
+    way to ask for fibers: it solves all the momenta it lacks as one
+    lockstep batch (:func:`~.eigensolve.lowest_two`) and returns
+    :class:`FiberNodes`.  Every momentum is solved from the same seed, and a
+    member of a batch gets the same bits as it would alone, so a record
+    depends neither on the order of requests nor on the batch it was solved
+    in; each record counts only its own solver work.  The -P data is derived
+    from +P by the parity permutation instead of a second solve (DomainError
+    on a grid not closed under k -> -k).
     """
 
     def __init__(self, template: FiberTemplate, *, seed: int = 0):
@@ -118,74 +136,47 @@ class FiberCache:
             "solved": True,
         } for pair in pairs]
 
-    @staticmethod
-    def _fix_phase(rec: dict, zero: dict):
-        """Flip rec's vector, if need be, so that <Phi_0 | Phi_P> >= 0."""
-        if float(zero["vector"] @ rec["vector"]) < 0.0:
-            rec["vector"] = -rec["vector"]
-
     def _ensure(self, P: float) -> dict:
+        """The record at P: cached, or the parity image of the cached -P."""
         key = self._key(P)
-        if key in self._store:
-            return self._store[key]
-        if key < 0.0:
+        if key not in self._store:
             # the parity image of a phase-fixed vector is already
             # phase-consistent (the reference vector is parity even)
-            pos = self._ensure(-key)
+            pos = self._store[-key]
             vec = np.empty_like(pos["vector"])
             vec[self._state_perm] = pos["vector"]
-            rec = dict(pos, vector=vec, solved=False)
-        else:
-            rec = self._solve(key)[0]
-            if key != 0.0:
-                self._fix_phase(rec, self._ensure(0.0))
-        self._store[key] = rec
-        return rec
+            self._store[key] = dict(pos, vector=vec, solved=False)
+        return self._store[key]
 
-    def pair(self, P: float) -> dict:
-        """Record with energy, gap, degenerate, residual, vector."""
-        return self._ensure(float(P))
-
-    def pairs(self, Ps) -> list:
-        """The records of :meth:`pair` at every momentum of `Ps`.
+    def pairs(self, Ps) -> FiberNodes:
+        """The fiber ground data at every momentum of `Ps`, in that order.
 
         Every |P| not cached yet, and P = 0 if it is missing, is solved in
-        one batch; the -P records then follow by parity.
+        one batch, and each vector's sign is fixed so that <Phi_0 | Phi_P>
+        >= 0; the -P records then follow by parity.
         """
-        keys = [self._key(P) for P in Ps]
+        P = np.asarray(Ps, dtype=float)
+        keys = [self._key(p) for p in P]
         todo = sorted(({abs(key) for key in keys} | {0.0}) - self._store.keys())
         if todo:
             for key, rec in zip(todo, self._solve(*todo)):
-                if key != 0.0:
-                    self._fix_phase(rec, self._store[0.0])
+                if key != 0.0 and float(self._store[0.0]["vector"]
+                                        @ rec["vector"]) < 0.0:
+                    rec["vector"] = -rec["vector"]
                 self._store[key] = rec
-        return [self._ensure(key) for key in keys]
-
-
-@dataclass(frozen=True)
-class DispersionSample:
-    P: float
-    energy: float
-    gap: float
-    residual: float
-    degenerate: bool
+        recs = [self._ensure(key) for key in keys]
+        return FiberNodes(P, *(np.array([rec[field] for rec in recs])
+                               for field in ("energy", "gap", "residual",
+                                             "degenerate", "vector")))
 
 
 @dataclass(frozen=True)
 class DispersionCurve:
-    """E(P) samples sorted by P, including P = 0."""
+    """E(P) at the scanned momenta, sorted by P, including P = 0."""
 
-    samples: tuple
+    nodes: FiberNodes
     e0: float
-    parity_max_diff: float = 0.0
-
-    @property
-    def momenta(self) -> np.ndarray:
-        return np.array([s.P for s in self.samples])
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.samples])
+    parity_max_diff: float
 
 
 def scan_dispersion(cache: FiberCache, P_list) -> DispersionCurve:
@@ -193,36 +184,29 @@ def scan_dispersion(cache: FiberCache, P_list) -> DispersionCurve:
 
     P_list must contain 0 (the curve is pinned to E0 = E(0)).  Momenta are
     solved through `cache`, independently, one two-target Davidson run
-    each; the curve is reduced in sorted order.  E(P) >= E0 and parity
-    symmetry are validated to the fiber solver tolerance.
+    each: P = 0 first, then one |P| per request.  The curve is then read
+    from the cache in sorted order.  E(P) >= E0 and parity symmetry are
+    validated to the fiber solver tolerance.
     """
     P_arr = np.unique(np.asarray(P_list, dtype=float))
-    if not np.any(np.abs(P_arr) <= 1e-15):
+    zero = np.abs(P_arr) <= 1e-15
+    if not np.any(zero):
         raise DomainError("P_list must include 0")
-    samples = []
-    for p in P_arr:
-        rec = cache.pair(p)
-        samples.append(DispersionSample(
-            P=float(p), energy=rec["energy"], gap=rec["gap"],
-            residual=rec["residual"], degenerate=rec["degenerate"],
-        ))
-    e0 = cache.pair(0.0)["energy"]
+    for p in np.unique(np.abs(P_arr)):
+        cache.pairs([p])
+    nodes = cache.pairs(P_arr)
+    e0 = nodes.energy[np.argmax(zero)]
     slack = 10.0 * _FIBER_TOL * max(1.0, abs(e0))
-    for s in samples:
-        if s.energy < e0 - slack:
-            raise AnalysisError(
-                f"dispersion minimum not at P=0: E({s.P}) = {s.energy} < E0 = {e0}"
-            )
-    parity_diff = 0.0
-    by_key = {round(s.P, 12): s for s in samples}
-    for s in samples:
-        twin = by_key.get(round(-s.P, 12))
-        if twin is not None:
-            parity_diff = max(parity_diff, abs(s.energy - twin.energy))
+    i = np.argmin(nodes.energy)
+    if nodes.energy[i] < e0 - slack:
+        raise AnalysisError(f"dispersion minimum not at P=0: E({nodes.P[i]}) "
+                            f"= {nodes.energy[i]} < E0 = {e0}")
+    energy = {round(float(p), 12): e for p, e in zip(nodes.P, nodes.energy)}
+    parity_diff = max([abs(e - energy[-p]) for p, e in energy.items()
+                       if -p in energy], default=0.0)
     if parity_diff > slack:
         raise AnalysisError(f"dispersion not even in P (max diff {parity_diff:.3e})")
-    return DispersionCurve(samples=tuple(samples), e0=e0,
-                           parity_max_diff=parity_diff)
+    return DispersionCurve(nodes=nodes, e0=e0, parity_max_diff=parity_diff)
 
 
 @dataclass(frozen=True)
@@ -243,17 +227,16 @@ def _quartic_fit(P: np.ndarray, dE: np.ndarray):
     return coef, float(np.sqrt(np.mean(resid**2)))
 
 
-def fit_dynamic_mass(curve: DispersionCurve, P_fit: float | None = None,
-                     *, P_c: float | None = None) -> MassFit:
+def fit_dynamic_mass(P: np.ndarray, dE: np.ndarray,
+                     P_fit: float | None = None, *,
+                     P_c: float | None = None) -> MassFit:
     """Windowed quartic-corrected fit of the dispersion curvature at 0.
 
-    Fits E(P) - E0 = P^2/(2M) + b P^4 over 0 < |P| <= P_fit.  The default
-    window is min(P_c/2, 0.3/sqrt(M_guess)) with M_guess from a coarse
-    pre-fit; the fit is repeated on the half window and the relative mass
-    shift reported as the window-sensitivity diagnostic.
+    Fits dE = E(P) - E0 = P^2/(2M) + b P^4 over 0 < |P| <= P_fit.  The
+    default window is min(P_c/2, 0.3/sqrt(M_guess)) with M_guess from a
+    coarse pre-fit; the fit is repeated on the half window and the relative
+    mass shift reported as the window-sensitivity diagnostic.
     """
-    P = curve.momenta
-    dE = curve.energies - curve.e0
     nz = np.abs(P) > 1e-15
     if np.count_nonzero(nz) < 4:
         raise AnalysisError(
@@ -310,8 +293,8 @@ def certify_quasi_parabolic(curve: DispersionCurve, mass: float
     worst slack.
     """
     tol = _CERTIFY_TOL
-    P = curve.momenta
-    dE = curve.energies - curve.e0
+    P = curve.nodes.P
+    dE = curve.nodes.energy - curve.e0
     nz = np.abs(P) > 1e-15
     c_min = 0.0
     worst = 0.0
@@ -353,50 +336,34 @@ def check_ceilings(curve: DispersionCurve, template: FiberTemplate
     the second the P = 0 ground state (whose field momentum has zero mean
     on a symmetric grid).  Margins are (ceiling - E); report-only.
     """
-    tol = _CERTIFY_TOL
-    k = template.grid.momenta
-    omg = template.omegas
+    P, E = curve.nodes.P, curve.nodes.energy
     inv2m = 1.0 / (2.0 * template.spec.mass)
-    one_ph = math.inf
-    parab = math.inf
-    violations = []
-    scale = max(1.0, abs(curve.e0))
-    for s in curve.samples:
-        ceil1 = float(np.min((s.P - k) ** 2 * inv2m + omg))
-        ceil2 = curve.e0 + s.P * s.P * inv2m
-        m1 = ceil1 - s.energy
-        m2 = ceil2 - s.energy
-        one_ph = min(one_ph, m1)
-        parab = min(parab, m2)
-        if m1 < -tol * scale:
-            violations.append(("one_phonon", s.P, m1))
-        if m2 < -tol * scale:
-            violations.append(("parabola", s.P, m2))
-    return CeilingReport(one_phonon_margin=one_ph, parabola_margin=parab,
-                         violations=tuple(violations), passed=not violations)
+    one_ph = np.min((P[:, None] - template.grid.momenta) ** 2 * inv2m
+                    + template.omegas, axis=1) - E
+    parab = curve.e0 + P * P * inv2m - E
+    floor = -_CERTIFY_TOL * max(1.0, abs(curve.e0))
+    violations = tuple(
+        (name, float(p), m) for p, m1, m2 in zip(P, one_ph, parab)
+        for name, m in (("one_phonon", m1), ("parabola", m2)) if m < floor)
+    return CeilingReport(one_phonon_margin=np.min(one_ph),
+                         parabola_margin=np.min(parab), violations=violations,
+                         passed=not violations)
 
 
 def estimate_Pc(curve: DispersionCurve) -> float:
     """Largest contiguous |P| from 0 with a gap above GAP_THRESHOLD and no
     degeneracy flags."""
-    order = np.argsort(np.abs(curve.momenta))
-    samples = [curve.samples[i] for i in order]
-    if samples[0].gap <= GAP_THRESHOLD or samples[0].degenerate:
+    nodes = curve.nodes
+    abs_P = np.abs(nodes.P)
+    ok = (nodes.gap > GAP_THRESHOLD) & ~nodes.degenerate
+    origin = np.argmin(abs_P)
+    if not ok[origin]:
         raise AnalysisError(
-            f"gap at P=0 is {samples[0].gap:.3e} <= threshold "
+            f"gap at P=0 is {nodes.gap[origin]:.3e} <= threshold "
             f"{GAP_THRESHOLD:g}; a unique ground state at 0 is required"
         )
-    p_c = 0.0
-    seen = {}
-    for s in samples:
-        ap = abs(s.P)
-        ok = s.gap > GAP_THRESHOLD and not s.degenerate
-        seen[ap] = min(seen.get(ap, True), ok)
-    for ap in sorted(seen):
-        if not seen[ap]:
-            break
-        p_c = ap
-    return p_c
+    # the largest |P| below the smallest one whose gap closes
+    return float(np.max(abs_P[abs_P < np.min(abs_P[~ok], initial=np.inf)]))
 
 
 def perturbative_energy(template: FiberTemplate, P_values) -> np.ndarray:
@@ -435,10 +402,4 @@ def perturbative_mass(template: FiberTemplate, P_list, *,
         P_arr = np.concatenate([[0.0], P_arr])
     E2 = perturbative_energy(template, P_arr)
     e0 = float(E2[np.argmin(np.abs(P_arr))])
-    samples = tuple(
-        DispersionSample(P=float(p), energy=float(e), gap=1.0, residual=0.0,
-                         degenerate=False)
-        for p, e in zip(P_arr, E2)
-    )
-    curve = DispersionCurve(samples=samples, e0=e0)
-    return fit_dynamic_mass(curve, P_fit=P_fit).mass
+    return fit_dynamic_mass(P_arr, E2 - e0, P_fit=P_fit).mass

@@ -47,7 +47,6 @@ __all__ = [
     "GaussianWell",
     "PoschlTeller",
     "SoftStep",
-    "ScaledPotential",
     "TAIL_TOL",
     "fourier_tail_fraction",
 ]
@@ -396,31 +395,6 @@ class SoftStep(_Potential):
     def sup_norm(self):
         from scipy.special import erf
         return self.depth * float(erf(self.radius / (math.sqrt(2) * self.softness)))
-
-
-@dataclass(frozen=True)
-class ScaledPotential(_Potential):
-    """The rescaled well lam^2 V(lam x) that drives the small-lam limit.
-
-    Vhat_scaled(q) = lam Vhat(q/lam).
-    """
-
-    base: _Potential
-    lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise DomainError(f"scale parameter must be positive, got {self.lam}")
-
-    def values(self, x):
-        return self.lam**2 * self.base.values(self.lam * np.asarray(x, dtype=float))
-
-    def fourier(self, q):
-        q = np.asarray(q, dtype=float)
-        return self.lam * self.base.fourier(q / self.lam)
-
-    def sup_norm(self):
-        return self.lam**2 * self.base.sup_norm()
 
 
 #: Largest fraction of integral |Vhat| the potential kernel may leave beyond

@@ -204,11 +204,6 @@ class ElectronGrid:
     def kinetic_diagonal(self, mass: float) -> np.ndarray:
         return self.points**2 / (2.0 * mass)
 
-    def scaled(self, factor: float) -> "ElectronGrid":
-        if factor <= 0:
-            raise DomainError("scale factor must be positive")
-        return ElectronGrid(self.dq * factor, self.q_max * factor)
-
 
 class FiberTemplate:
     """Shared pieces of the fixed-momentum fibers of one model.
@@ -330,20 +325,22 @@ def _grid_times_fock(n_grid: int, interaction: sp.csr_matrix, int_scale: float,
                              kernel=kernel, validate=False, name=name)
 
 
-def assemble_coupled_llp(template: FiberTemplate, potential, egrid: ElectronGrid,
-                         lam: float, e0: float) -> SymmetricOperator:
+def assemble_coupled_llp(template: FiberTemplate, kernel: np.ndarray,
+                         egrid: ElectronGrid, lam: float,
+                         e0: float) -> SymmetricOperator:
     """The coupled operator A(lam) on the electron grid (x) Fock space.
 
     Block j carries the grounded fiber (fiber(lam q_j) - e0) / lam^2; the
     external potential acts through its momentum kernel on the grid index
-    only.  `e0` is the fiber ground energy at P = 0 and must be supplied by
-    the caller (it is a solver output, not a model parameter).
+    only.  `kernel` is that kernel on `egrid` (:func:`potential_kernel`),
+    which does not depend on lam.  `e0` is the fiber ground energy at P = 0
+    and must be supplied by the caller (it is a solver output, not a model
+    parameter).
     """
     if lam <= 0:
         raise DomainError(f"scaling parameter must be positive, got {lam}")
     spec = template.spec
     n_q = egrid.size
-    kernel = potential_kernel(potential, egrid)
     inv_l2 = 1.0 / (lam * lam)
     # kinetic diagonal of all fibers at once: |lam q_j - P_f|^2 / (2m)
     diff = lam * egrid.points[:, None] - template.field_momenta[None, :]

@@ -1,9 +1,12 @@
 """Experiment stages: dispersion scan, static-mass chain, sandwich, oracles.
 
 Each stage is a pure function from a validated config (plus upstream stage
-state) to a JSON-ready report block and CSV rows; :func:`run` dispatches a
-subcommand, times the stages, folds their verdicts, and writes every
-artifact in one final sequential pass.
+state) to a JSON-ready report block and CSV rows.  The dispersion, static
+and sandwich stages form one chain, which runs up to the subcommand's stage
+and folds their verdicts once; `dispersion`, `staticmass` and `sandwich`
+run it once, and `converge` once per truncation variant, reading its
+verdicts from the blocks.  :func:`run` dispatches a subcommand, times the
+stages, and writes every artifact in one final sequential pass.
 
 Determinism contract: identical config + seed produce byte-identical CSV
 files.  Everything runs in one thread: each fiber solve depends only on its
@@ -35,7 +38,7 @@ from .eigensolve import dense_ground, dense_spectrum, ground_state
 from .errors import AccuracyWarning, ConfigError
 from .model import TAIL_TOL, ModelSpec, fourier_tail_fraction
 from .operators import (FiberTemplate, assemble_direct_tensor,
-                        assemble_llp_ring)
+                        assemble_llp_ring, potential_kernel)
 from .staticmass import (coupled_ground, extrapolate_static_mass,
                          _fit_quadratic_in_lambda)
 from .trialstate import minimize_upper_bound
@@ -99,7 +102,8 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
     cache = FiberCache(template, seed=cfg.seed)
     curve = scan_dispersion(cache, cfg.P_list)
     p_c = estimate_Pc(curve)
-    fit = fit_dynamic_mass(curve, P_c=p_c)
+    nodes = curve.nodes
+    fit = fit_dynamic_mass(nodes.P, nodes.energy - curve.e0, P_c=p_c)
     cert = certify_quasi_parabolic(curve, fit.mass)
     ceilings = check_ceilings(curve, template)
     m_pt = perturbative_mass(template, cfg.P_list, P_fit=fit.window)
@@ -133,27 +137,24 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
         "fiber_iterations": cache.work("iterations"),
         "fiber_matvecs": cache.work("matvecs"),
     }
-    rows = [(s.P, s.energy, s.gap, s.residual) for s in curve.samples]
+    rows = list(zip(nodes.P, nodes.energy, nodes.gap, nodes.residual))
     state = DispersionState(cache, curve, p_c, fit, cert)
     return state, block, rows
 
 
-@dataclass
-class StaticState:
-    e_rows: list                 # (lam, e, L1, U*, residual)
-    u_results: list
-    extrapolation: object
-
-
 def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
-    """e(lam) per lam with its certified bounds, then the lam -> 0 mass."""
+    """e(lam) per lam with its certified bounds, then the lam -> 0 mass and
+    its comparison with M_dyn: the report block, the staticmass.csv rows and
+    the trialstate.csv rows.  The kernel is built once and each lam's fiber
+    nodes are fetched once, for the coupled solve, L1 and U* alike."""
     if cfg.potential is None:
         raise ConfigError(
             "the static-mass stage needs a potential; set potential.type"
         )
-    if len(cfg.lambda_seq) < 4:
-        raise ConfigError("run.lambda_seq needs >= 4 values to extrapolate")
     lams = sorted(set(cfg.lambda_seq), reverse=True)
+    if len(lams) < 4:
+        raise ConfigError(
+            "run.lambda_seq needs >= 4 distinct values to extrapolate")
     e0 = dstate.curve.e0
     # the kernel's tail depends on the grid alone, not on lam: check it once
     tail = fourier_tail_fraction(cfg.potential, 2.0 * cfg.egrid.q_max)
@@ -165,13 +166,15 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
             AccuracyWarning,
         )
 
+    kernel = potential_kernel(cfg.potential, cfg.egrid)
+    cache = dstate.cache
     e_rows, u_results, solves = [], [], []
     for lam in lams:
-        res = coupled_ground(dstate.cache, cfg.potential, cfg.egrid, lam,
-                             e0=e0, seed=cfg.seed)
-        l1 = momentum_lower_bound(lam, cfg.egrid, cfg.potential, e0,
-                                  cache=dstate.cache)
-        ub = minimize_upper_bound(lam, dstate.cache, res.galerkin, cfg.egrid,
+        nodes = cache.pairs(lam * cfg.egrid.points)
+        res = coupled_ground(cache.template, nodes, kernel, cfg.egrid, lam,
+                             e0, seed=cfg.seed)
+        l1 = momentum_lower_bound(lam, kernel, nodes, e0)
+        ub = minimize_upper_bound(lam, nodes, res.galerkin, cfg.egrid,
                                   p_c=dstate.p_c)
         e_rows.append((lam, res.value, l1, ub.value, res.residual))
         u_results.append(ub)
@@ -185,6 +188,9 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     u_coef, _, _ = _fit_quadratic_in_lambda(np.array(lams), u_vals)
     tol = ORDERING_TOL
     consistent = all(r[2] - tol <= r[1] <= r[3] + tol for r in e_rows)
+    m_dyn = dstate.fit.mass
+    rel_gap = (abs(m_dyn - extrap.mass) / m_dyn
+               if not math.isnan(extrap.mass) else math.inf)
     block = {
         "static_mass": {
             "e0": extrap.e0,
@@ -209,18 +215,28 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
             "boundary_hit": [u.boundary_hit for u in u_results],
         },
         "bounds_consistent": consistent,
+        "mass_comparison": {
+            "M_dyn": m_dyn,
+            "M_stat": extrap.mass,
+            "rel_gap": rel_gap,
+            "tolerance": MASS_REL_TOL,
+            "pass": (not extrap.rejected) and rel_gap <= MASS_REL_TOL,
+        },
     }
-    return StaticState(e_rows, u_results, extrap), block
+    trial_rows = [(r[0], f"radius={FMT % u.radius};type=bump", r[3])
+                  for r, u in zip(e_rows, u_results)]
+    return block, e_rows, trial_rows
 
 
 def stage_sandwich(cfg: ExperimentConfig, dstate: DispersionState,
-                   sstate: StaticState) -> tuple:
-    """Split lower bound per lam and the ordering verdict."""
-    lam_max = max(r[0] for r in sstate.e_rows)
+                   static_rows: list) -> tuple:
+    """Split lower bound per lam and the ordering verdict, from the
+    staticmass.csv rows (lam, e, L1, U*, residual)."""
+    lam_max = max(r[0] for r in static_rows)
     c_eps = suggest_c_eps(dstate.fit.mass, dstate.certificate.c_min,
                           cfg.potential.sup_norm(), lam_max)
     rows, l2_blocks = [], []
-    for lam, e_val, l1, u_star, _res in sstate.e_rows:
+    for lam, e_val, l1, u_star, _res in static_rows:
         l2 = split_lower_bound(lam, cfg.potential, cfg.egrid,
                                mass=dstate.fit.mass,
                                c_min=dstate.certificate.c_min,
@@ -250,22 +266,48 @@ def stage_sandwich(cfg: ExperimentConfig, dstate: DispersionState,
          min(r.l1 - r.l2, r.e - r.l1, r.u_star - r.e))
         for r in report.rows
     ]
-    return report, block, csv_rows
+    return block, csv_rows
 
 
-def _fiber_telemetry(caches) -> dict:
-    """Fiber solves and their solver work summed over `caches`: every
-    fiber solve of the run, whichever stage asked for it."""
-    return {"solves": sum(c.solves() for c in caches),
-            **{key: sum(c.work(key) for c in caches)
-               for key in ("iterations", "matvecs", "restarts")}}
+def _timed(timings: dict, name: str, fn, *args):
+    """fn(*args), its wall seconds stored in timings[name]."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    timings[name] = round(time.perf_counter() - t0, 3)
+    return out
 
 
-def _mass_verdict(m_dyn: float, extrap) -> tuple:
-    """(|M_dyn - M_stat| / M_dyn, whether the masses agree)."""
-    rel_gap = (abs(m_dyn - extrap.mass) / m_dyn
-               if not math.isnan(extrap.mass) else math.inf)
-    return rel_gap, (not extrap.rejected) and rel_gap <= MASS_REL_TOL
+def _chain(cfg: ExperimentConfig, last: str, timings: dict) -> tuple:
+    """Dispersion, then static, then sandwich, up to the stage `last`.
+
+    Returns the report blocks, the CSV rows by file name and the folded
+    verdict.  The blocks end with the fiber telemetry, taken after every
+    stage so that the static stage's fiber solves count too.
+    """
+    dstate, dblock, drows = _timed(timings, "dispersion", stage_dispersion,
+                                   cfg)
+    report = {"dispersion": dblock}
+    csvs = {"dispersion.csv": drows}
+    passed = dblock["ceilings"]["passed"]
+    if last != "dispersion":
+        sblock, srows, trows = _timed(timings, "staticmass", stage_static,
+                                      cfg, dstate)
+        report.update(sblock)
+        csvs.update({"staticmass.csv": srows, "trialstate.csv": trows})
+        passed = (passed and sblock["mass_comparison"]["pass"]
+                  and sblock["bounds_consistent"])
+    if last == "sandwich":
+        wblock, wrows = _timed(timings, "sandwich", stage_sandwich, cfg,
+                               dstate, srows)
+        report.update(wblock)
+        csvs["sandwich.csv"] = wrows
+        passed = passed and wblock["verdict"]["pass"]
+    cache = dstate.cache
+    report["telemetry"] = {"fiber": {
+        "solves": cache.solves(),
+        **{key: cache.work(key)
+           for key in ("iterations", "matvecs", "restarts")}}}
+    return report, csvs, passed
 
 
 # ---------------------------------------------------------------------------
@@ -352,35 +394,32 @@ def run_converge(cfg: ExperimentConfig) -> tuple:
 
     Verdicts (sandwich ordering, mass agreement) must not change between
     the base truncation and n_max +- 1 or half the mode spacing; the masses
-    themselves may drift within their tolerances.
+    themselves may drift within their tolerances.  Each variant runs the
+    sandwich chain; its fiber telemetry is summed over the variants.
     """
-    rows, table, caches = [], [], []
-    base_verdicts = None
+    table, fiber = [], []
     for label, spec in _variant_specs(cfg.spec):
-        vcfg = replace(cfg, spec=spec)
-        dstate, dblock, _ = stage_dispersion(vcfg)
-        sstate, sblock = stage_static(vcfg, dstate)
-        report, wblock, _ = stage_sandwich(vcfg, dstate, sstate)
-        caches.append(dstate.cache)
-        m_dyn = dstate.fit.mass
-        extrap = sstate.extrapolation
-        rel_gap, mass_ok = _mass_verdict(m_dyn, extrap)
-        verdicts = (report.passed, mass_ok, dblock["ceilings"]["passed"])
-        if base_verdicts is None:
-            base_verdicts = verdicts
-        rows.append((label, spec.n_max, spec.dk, m_dyn, extrap.mass, rel_gap,
-                     report.passed, mass_ok))
+        report, _, _ = _chain(replace(cfg, spec=spec), "sandwich", {})
+        fiber.append(report["telemetry"]["fiber"])
+        mass = report["mass_comparison"]
         table.append({
             "variant": label, "n_max": spec.n_max, "dk": spec.dk,
-            "M_dyn": m_dyn, "M_stat": extrap.mass, "rel_gap": rel_gap,
-            "sandwich_pass": report.passed, "mass_pass": mass_ok,
-            "ceilings_pass": dblock["ceilings"]["passed"],
-            "stable": verdicts == base_verdicts,
+            "M_dyn": mass["M_dyn"], "M_stat": mass["M_stat"],
+            "rel_gap": mass["rel_gap"],
+            "sandwich_pass": report["verdict"]["pass"],
+            "mass_pass": mass["pass"],
+            "ceilings_pass": report["dispersion"]["ceilings"]["passed"],
         })
-    passed = all(t["stable"] for t in table) and base_verdicts[0] \
-        and base_verdicts[1] and base_verdicts[2]
+    verdicts = [(t["sandwich_pass"], t["mass_pass"], t["ceilings_pass"])
+                for t in table]
+    for t, v in zip(table, verdicts):
+        t["stable"] = v == verdicts[0]
+    passed = all(t["stable"] for t in table) and all(verdicts[0])
+    rows = [tuple(t[key] for key in CSV_HEADERS["converge.csv"].split(","))
+            for t in table]
     block = {"convergence": {"table": table, "passed": passed},
-             "telemetry": {"fiber": _fiber_telemetry(caches)}}
+             "telemetry": {"fiber": {key: sum(f[key] for f in fiber)
+                                     for key in fiber[0]}}}
     return passed, block, rows
 
 
@@ -404,6 +443,9 @@ def _json_default(obj):
 def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | None = None
         ) -> bool:
     """Execute a subcommand; write report.json + CSVs; return overall pass."""
+    if subcommand not in ("dispersion", "staticmass", "sandwich",
+                          "oracle-check", "converge"):
+        raise ConfigError(f"unknown subcommand {subcommand!r}")
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     report = {
@@ -414,66 +456,16 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | None = None
         "seed": cfg.seed,
     }
     timings: dict = {}
-    csvs: dict = {}
-    passed = True
-
-    def timed(name, fn, *args):
-        t0 = time.perf_counter()
-        out_ = fn(*args)
-        timings[name] = round(time.perf_counter() - t0, 3)
-        return out_
-
-    if subcommand in ("dispersion", "staticmass", "sandwich"):
-        dstate, dblock, drows = timed("dispersion", stage_dispersion, cfg)
-        report["dispersion"] = dblock
-        csvs["dispersion.csv"] = drows
-        passed = dblock["ceilings"]["passed"]
-
-    if subcommand in ("staticmass", "sandwich"):
-        sstate, sblock = timed("staticmass", stage_static, cfg, dstate)
-        report.update(sblock)
-        csvs["staticmass.csv"] = sstate.e_rows
-        csvs["trialstate.csv"] = [
-            (r[0], f"radius={FMT % u.radius};type=bump", r[3])
-            for r, u in zip(sstate.e_rows, sstate.u_results)]
-        extrap = sstate.extrapolation
-        m_dyn = dstate.fit.mass
-        rel_gap, mass_ok = _mass_verdict(m_dyn, extrap)
-        report["mass_comparison"] = {
-            "M_dyn": m_dyn,
-            "M_stat": extrap.mass,
-            "rel_gap": rel_gap,
-            "tolerance": MASS_REL_TOL,
-            "pass": mass_ok,
-        }
-        passed = passed and mass_ok and sblock["bounds_consistent"]
-
-    if subcommand == "sandwich":
-        sreport, wblock, wrows = timed("sandwich", stage_sandwich, cfg,
-                                       dstate, sstate)
-        report.update(wblock)
-        csvs["sandwich.csv"] = wrows
-        passed = passed and sreport.passed
-
     if subcommand == "oracle-check":
-        ok, oblock, orows = timed("oracle_check", run_oracle_check, cfg)
-        report.update(oblock)
-        csvs["oracle.csv"] = orows
-        passed = ok
-
-    if subcommand == "converge":
-        ok, cblock, crows = timed("converge", run_converge, cfg)
-        report.update(cblock)
-        csvs["converge.csv"] = crows
-        passed = ok
-
-    if subcommand not in ("dispersion", "staticmass", "sandwich",
-                          "oracle-check", "converge"):
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
-
-    if subcommand in ("dispersion", "staticmass", "sandwich"):
-        # after every stage, so the static stage's fiber solves count too
-        report["telemetry"] = {"fiber": _fiber_telemetry([dstate.cache])}
+        passed, block, rows = _timed(timings, "oracle_check",
+                                     run_oracle_check, cfg)
+        csvs = {"oracle.csv": rows}
+    elif subcommand == "converge":
+        passed, block, rows = _timed(timings, "converge", run_converge, cfg)
+        csvs = {"converge.csv": rows}
+    else:
+        block, csvs, passed = _chain(cfg, subcommand, timings)
+    report.update(block)
     report["timings_seconds"] = timings
     report["pass"] = bool(passed)
     # all artifact writes happen here, sequentially

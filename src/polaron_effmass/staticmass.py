@@ -18,7 +18,9 @@ Pieces:
 * :func:`coupled_ground`: e(lam) through a two-level Davidson solve (the
   coupled operators' diagonal spread rules out plain Lanczos): it starts
   from the fiber-Galerkin vector and corrects the envelope on the grid by
-  a coarse solve with the Galerkin matrix of :func:`fiber_galerkin`.
+  a coarse solve with the Galerkin matrix of :func:`fiber_galerkin`.  It
+  reads the lam's fiber nodes and the potential kernel as the caller
+  fetched them, once, for the solve and both bounds at that lam.
 * :func:`extrapolate_static_mass`: fits e(lam) = e0 + c1 lam + c2 lam^2
   (the leading correction of the scaling limit is O(lam)), propagates the
   fit uncertainty and a drop-the-largest-lam refit shift into e0 and the
@@ -32,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import FiberCache
+from .dispersion import FiberNodes
 from .eigensolve import davidson_ground, dense_ground
 from .errors import (AnalysisError, BracketError, NoBoundStateError,
                      SolverError)
-from .model import ScaledPotential
-from .operators import (ElectronGrid, assemble_coupled_llp,
+from .operators import (ElectronGrid, FiberTemplate, assemble_coupled_llp,
                         assemble_schrodinger)
 
 __all__ = [
@@ -129,25 +130,23 @@ class CoupledResult:
     galerkin: np.ndarray   # the fiber-Galerkin matrix M the solve used
 
 
-def fiber_galerkin(cache: FiberCache, kernel: np.ndarray, lam: float,
-                   points: np.ndarray, e0: float) -> tuple:
-    """(Phi, M): the fiber ground states Phi_j = Phi(lam q_j) and Z^T A Z.
+def fiber_galerkin(nodes: FiberNodes, kernel: np.ndarray, lam: float,
+                   e0: float) -> np.ndarray:
+    """M = Z^T A(lam) Z on the fiber ground states Phi_j = Phi(lam q_j).
 
-    Row j of Phi is the cached unit ground vector at total momentum lam q_j,
-    so the columns Z = [e_j (x) Phi_j] are orthonormal, and
+    `nodes` holds the fibers at the grid nodes lam q_j.  Row j of
+    Phi = nodes.vectors is a unit vector, so the columns
+    Z = [e_j (x) Phi_j] are orthonormal, and
 
         M = diag((E(lam q_j) - e0) / lam^2) + kernel o (Phi Phi^T)
 
     is A(lam) projected onto them, with each fiber's Rayleigh quotient
-    taken as its Ritz value.  Every fiber comes from `cache`, the missing
-    ones solved as one batch.
+    taken as its Ritz value.
     """
-    recs = cache.pairs([float(lam * qi) for qi in points])
-    phi = np.array([rec["vector"] for rec in recs])
-    energies = np.array([rec["energy"] for rec in recs])
+    phi = nodes.vectors
     M = kernel * (phi @ phi.T)
-    M[np.diag_indices_from(M)] += (energies - e0) / (lam * lam)
-    return phi, M
+    M[np.diag_indices_from(M)] += (nodes.energy - e0) / (lam * lam)
+    return M
 
 
 def _coarse_correction(phi: np.ndarray, evals: np.ndarray, U: np.ndarray):
@@ -175,15 +174,17 @@ def _coarse_correction(phi: np.ndarray, evals: np.ndarray, U: np.ndarray):
     return correct
 
 
-def coupled_ground(cache: FiberCache, potential, egrid: ElectronGrid,
-                   lam: float, e0: float, *, seed: int = 0) -> CoupledResult:
+def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
+                   kernel: np.ndarray, egrid: ElectronGrid, lam: float,
+                   e0: float, *, seed: int = 0) -> CoupledResult:
     """e(lam) = infspec A(lam), by a two-level Davidson solve.
 
-    The fiber ground states Phi(lam q_j) in `cache` span a coarse space
-    Z = [e_j (x) Phi(lam q_j)] that holds most of the ground vector.  The
-    solve starts from Z y0, y0 the lowest eigenvector of the Galerkin
-    matrix M = Z^T A Z (:func:`fiber_galerkin`), in a search space of 20
-    vectors.  Each correction r / (diag(A) - theta) has its Z component
+    A(lam) is built from the fibers of `template` and the potential kernel
+    on `egrid`.  The fiber ground states Phi(lam q_j) of `nodes`, one per
+    grid node, span a coarse space Z = [e_j (x) Phi(lam q_j)] that holds
+    most of the ground vector.  The solve starts from Z y0, y0 the lowest
+    eigenvector of the Galerkin matrix M = Z^T A Z (:func:`fiber_galerkin`),
+    in a search space of 20 vectors.  Each correction r / (diag(A) - theta) has its Z component
     replaced by Z (M - theta)^{-1} Z^T r (Nicolaides' deflation applied to
     Davidson's correction equation).  Rayleigh-Ritz still produces the
     value, so the correction can slow the solve but not change its answer.
@@ -191,11 +192,11 @@ def coupled_ground(cache: FiberCache, potential, egrid: ElectronGrid,
     and 1200 iterations, runs before giving up.  M is returned with the
     result, for U* (:func:`~.trialstate.minimize_upper_bound`).
     """
-    op = assemble_coupled_llp(cache.template, potential, egrid, lam, e0)
-    phi, M = fiber_galerkin(cache, op.kernel, lam, egrid.points, e0)
+    op = assemble_coupled_llp(template, kernel, egrid, lam, e0)
+    M = fiber_galerkin(nodes, kernel, lam, e0)
     evals, U = np.linalg.eigh(M)
-    correct = _coarse_correction(phi, evals, U)
-    start = (U[:, 0, None] * phi).ravel()
+    correct = _coarse_correction(nodes.vectors, evals, U)
+    start = (U[:, 0, None] * nodes.vectors).ravel()
     try:
         res = davidson_ground(op, tol=_COUPLED_TOL, seed=seed, v0=start,
                               correction=correct)
@@ -294,15 +295,3 @@ def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid
                             drop_shift=drop_shift, mass=mass, mass_err=mass_err,
                             rejected=rejected, reason=reason)
 
-
-def scaled_comparison_pair(mass: float, potential, lam: float,
-                           egrid: ElectronGrid) -> tuple:
-    """The two sides of the scaling identity on exactly matched grids.
-
-    infspec(p^2/2m + lam^2 V(lam x)) on `egrid` equals lam^2 times
-    infspec(p^2/2m + V) on the grid stretched by 1/lam; the match is an
-    exact discrete similarity, so the pair agrees to rounding.
-    """
-    left = schrodinger_energy(mass, ScaledPotential(potential, lam), egrid)
-    right = schrodinger_energy(mass, potential, egrid.scaled(1.0 / lam))
-    return left, lam * lam * right

@@ -14,10 +14,11 @@ with M the fiber-Galerkin matrix of :func:`~.staticmass.fiber_galerkin`;
 there is no separate family of ground states.  U is the Rayleigh quotient
 of an explicit vector and hence an upper bound on e(lam) up to solver and
 rounding error.  :func:`minimize_upper_bound` takes the M of the coupled
-solve at lam and tunes the radius R, keeping lam R inside the
-quasi-parabolic window, by a golden-section search to within 1e-3.  Every
-candidate radius is scored by :func:`upper_bound`, so whichever radius the
-search returns, U* is the Rayleigh quotient of an explicit vector.
+solve at lam, with the fiber nodes it was built from for the degeneracy
+check, and tunes the radius R, keeping lam R inside the quasi-parabolic
+window, by a golden-section search to within 1e-3.  Every candidate radius
+is scored by :func:`upper_bound`, so whichever radius the search returns,
+U* is the Rayleigh quotient of an explicit vector.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import GAP_THRESHOLD, FiberCache
+from .dispersion import GAP_THRESHOLD, FiberNodes
 from .errors import AnalysisError, ConfigError, DomainError
 from .operators import ElectronGrid
 
@@ -95,14 +96,14 @@ def _golden_section(func, lo: float, hi: float, xatol: float) -> float:
     return c if fc <= fd else d
 
 
-def minimize_upper_bound(lam: float, cache: FiberCache, M: np.ndarray,
+def minimize_upper_bound(lam: float, nodes: FiberNodes, M: np.ndarray,
                          egrid: ElectronGrid, *,
                          p_c: float) -> MinimizedUpperBound:
     """Tune the bump profile's support radius to the smallest upper bound.
 
     `M` is the fiber-Galerkin matrix of `lam` on `egrid`
     (:func:`~.staticmass.fiber_galerkin`, as the coupled solve returns it),
-    and `cache` holds the fibers it was built from.  The radius ranges over
+    and `nodes` holds the fibers it was built from.  The radius ranges over
     [3 dq, min(p_c/lam, q_max)] (the upper cap keeps every dressed node
     strictly inside the quasi-particle window), and every node of that
     range must have a non-degenerate fiber ground state.  All candidate
@@ -116,14 +117,14 @@ def minimize_upper_bound(lam: float, cache: FiberCache, M: np.ndarray,
             f"empty radius range [{r_lo:g}, {r_hi:g}]; the quasi-particle "
             "window is too narrow for this lam and grid"
         )
-    q = egrid.points
-    for p in lam * q[np.abs(q) < r_hi]:
-        rec = cache.pair(float(p))
-        if rec["degenerate"] or rec["gap"] <= GAP_THRESHOLD:
-            raise AnalysisError(
-                f"ground state at P = {p:.6g} is (near-)degenerate "
-                f"(gap {rec['gap']:.3e} <= threshold {GAP_THRESHOLD:g})"
-            )
+    bad = (np.abs(egrid.points) < r_hi) & (nodes.degenerate
+                                           | (nodes.gap <= GAP_THRESHOLD))
+    if np.any(bad):
+        j = np.argmax(bad)
+        raise AnalysisError(
+            f"ground state at P = {nodes.P[j]:.6g} is (near-)degenerate "
+            f"(gap {nodes.gap[j]:.3e} <= threshold {GAP_THRESHOLD:g})"
+        )
 
     radius = _golden_section(lambda r: upper_bound(lam, M, r, egrid),
                              r_lo, r_hi, _XATOL)

@@ -23,8 +23,8 @@ from polaron_effmass.model import (ConstantDispersion, ModelSpec,
                                    PoschlTeller, PowerLawCoupling)
 from polaron_effmass.operators import ElectronGrid, FiberTemplate
 from polaron_effmass.pipeline import run
-from polaron_effmass.staticmass import (invert_E, scaled_comparison_pair,
-                                        schrodinger_energy)
+from polaron_effmass.staticmass import invert_E, schrodinger_energy
+from scaling import scaled_comparison_pair
 
 POT = PoschlTeller(depth=2.0)
 EGRID = ElectronGrid(dq=0.25, q_max=6.0)
@@ -240,7 +240,8 @@ def test_criterion_07_perturbative_window(acceptance_recorder, monkeypatch):
                          dk=0.25, uv_cutoff=1.5, ir_cutoff=0.125, n_max=3)
         template = FiberTemplate(spec)
         cache = FiberCache(template, seed=0)
-        fit = fit_dynamic_mass(scan_dispersion(cache, P_list))
+        curve = scan_dispersion(cache, P_list)
+        fit = fit_dynamic_mass(curve.nodes.P, curve.nodes.energy - curve.e0)
         m_pt = perturbative_mass(template, P_list, P_fit=fit.window)
         deltas[g] = abs(fit.mass - m_pt)
     factor = deltas[0.1] / deltas[0.05]
@@ -308,6 +309,18 @@ def test_criterion_09_truncation_stability(converge_runs,
         9, "verdicts stable under n_max +- 1 and halved mode spacing", ok,
         f"{n_variants} truncation variants over {len(converge_runs)} models")
     assert ok
+
+
+def test_converge_base_row_is_the_sandwich_run(converge_runs, toy_sandwich):
+    # converge runs each variant through the sandwich chain, so its base
+    # truncation reads exactly the numbers and verdicts of the sandwich run
+    base, = [row for row in converge_runs["toy"].report["convergence"]["table"]
+             if row["variant"] == "base"]
+    mass = toy_sandwich.report["mass_comparison"]
+    for key in ("M_dyn", "M_stat", "rel_gap"):
+        assert base[key] == mass[key], key
+    assert base["mass_pass"] == mass["pass"]
+    assert base["sandwich_pass"] == toy_sandwich.report["verdict"]["pass"]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from polaron_effmass.errors import (AnalysisError, ConfigError, DomainError,
 from polaron_effmass.model import (ConstantDispersion, ModelSpec,
                                    PoschlTeller, ZeroCoupling)
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
-                                       assemble_schrodinger)
+                                       assemble_schrodinger, potential_kernel)
 from polaron_effmass.staticmass import coupled_ground
 
 EGRID = ElectronGrid(dq=0.25, q_max=6.0)
@@ -56,10 +56,12 @@ def free_cache():
 @pytest.fixture(scope="module")
 def toy_ground(toy_cfg, toy_cache):
     """e(lam) for the small interacting model at two coupling scales."""
-    e0 = toy_cache.pair(0.0)["energy"]
+    e0 = toy_cache.pairs([0.0]).energy[0]
+    kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
     energies = {
-        lam: coupled_ground(toy_cache, toy_cfg.potential, toy_cfg.egrid,
-                            lam, e0).value
+        lam: coupled_ground(toy_cache.template,
+                            toy_cache.pairs(lam * toy_cfg.egrid.points),
+                            kernel, toy_cfg.egrid, lam, e0).value
         for lam in (0.4, 0.2)
     }
     return e0, energies
@@ -68,7 +70,7 @@ def toy_ground(toy_cfg, toy_cache):
 @pytest.fixture(scope="module")
 def toy_certificate(toy_cfg, toy_cache):
     curve = scan_dispersion(toy_cache, toy_cfg.P_list)
-    fit = fit_dynamic_mass(curve)
+    fit = fit_dynamic_mass(curve.nodes.P, curve.nodes.energy - curve.e0)
     cert = certify_quasi_parabolic(curve, fit.mass)
     return curve, fit, cert
 
@@ -196,17 +198,18 @@ def test_split_bound_sits_below_coupled_energy(toy_cfg, toy_ground,
 
 def test_momentum_bound_guards(toy_cache):
     with pytest.raises(DomainError):
-        momentum_lower_bound(-0.1, EGRID, WELL, 0.0, cache=toy_cache)
+        momentum_lower_bound(-0.1, potential_kernel(WELL, EGRID),
+                             toy_cache.pairs([0.0]), 0.0)
 
 
 def test_momentum_bound_certified_below_coupled_energy(toy_cfg, toy_cache,
                                                        toy_ground):
     e0, energies = toy_ground
+    kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
     for lam, e in energies.items():
-        l1 = momentum_lower_bound(lam, toy_cfg.egrid, toy_cfg.potential, e0,
-                                  cache=toy_cache)
-        assert max(toy_cache.pair(lam * q)["residual"]
-                   for q in toy_cfg.egrid.points) < 1e-7
+        nodes = toy_cache.pairs(lam * toy_cfg.egrid.points)
+        l1 = momentum_lower_bound(lam, kernel, nodes, e0)
+        assert np.max(nodes.residual) < 1e-7
         assert l1 <= e + 1e-12
 
 
@@ -214,8 +217,9 @@ def test_momentum_bound_zero_coupling_matches_schrodinger(free_cache):
     # with the field decoupled and lam * q_max small enough that the
     # zero-excitation sector carries every fiber ground, the bound
     # collapses to the bare-mass comparison operator
-    e0 = free_cache.pair(0.0)["energy"]
-    l1 = momentum_lower_bound(0.15, EGRID, WELL, e0, cache=free_cache)
+    e0 = free_cache.pairs([0.0]).energy[0]
+    l1 = momentum_lower_bound(0.15, potential_kernel(WELL, EGRID),
+                              free_cache.pairs(0.15 * EGRID.points), e0)
     h = assemble_schrodinger(WELL, EGRID, 0.5)
     ground = float(np.linalg.eigvalsh(h)[0])
     assert l1 <= ground + 1e-12
@@ -243,8 +247,10 @@ def _l1_matrix_and_value(preset, lam, monkeypatch):
         return verified_floor(h, mu)
 
     monkeypatch.setattr(bounds, "verified_floor", spy)
-    value = momentum_lower_bound(lam, cfg.egrid, cfg.potential,
-                                 cache.pair(0.0)["energy"], cache=cache)
+    value = momentum_lower_bound(lam, potential_kernel(cfg.potential,
+                                                      cfg.egrid),
+                                 cache.pairs(lam * cfg.egrid.points),
+                                 cache.pairs([0.0]).energy[0])
     (h,) = seen
     return h, value
 

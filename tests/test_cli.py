@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polaron_effmass import bounds, dispersion, staticmass
+from polaron_effmass import bounds, dispersion, pipeline, staticmass
 from polaron_effmass.cli import main
-from polaron_effmass.errors import SolverError
+from polaron_effmass.config import load_config
+from polaron_effmass.errors import ConfigError, SolverError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,6 +41,33 @@ def test_validate_warns_that_too_few_momenta_serve_oracle_check_only(capsys):
     assert ("warning: run.P_list has 0 nonzero momenta, fewer than the 4 the "
             "dynamic-mass fit needs" in out)
     assert "serves oracle-check only" in out
+
+
+def test_repeated_lambda_values_count_once(tmp_path, capsys, monkeypatch):
+    # four entries but three distinct values: validate warns, and the static
+    # stage refuses the config before it solves anything
+    data = json.loads(Path(REPO_ROOT, "src", "polaron_effmass", "presets",
+                           "toy.json").read_text())
+    data["run"]["lambda_seq"] = [0.4, 0.4, 0.2, 0.1]
+    path = _write_config(tmp_path, data)
+    assert main(["validate", "--config", path]) == 0
+    assert ("warning: fewer than 4 distinct lambda values"
+            in capsys.readouterr().out)
+    solves = []
+    monkeypatch.setattr(pipeline, "coupled_ground",
+                        lambda *args, **kwargs: solves.append(args))
+    code = main(["staticmass", "--config", path,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "needs >= 4 distinct values" in capsys.readouterr().err
+    assert solves == []
+
+
+def test_unknown_subcommand_creates_no_output(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="unknown subcommand 'bogus'"):
+        pipeline.run("bogus", load_config("toy"), out_dir=str(out))
+    assert not out.exists()
 
 
 def test_validate_reports_errors(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Dispersion scan, caching, curvature fit, certificates, ceilings."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from polaron_effmass import dispersion
 from polaron_effmass.config import load_config
-from polaron_effmass.dispersion import (DispersionCurve, DispersionSample,
-                                        FiberCache, certify_quasi_parabolic,
+from polaron_effmass.dispersion import (DispersionCurve, FiberCache,
+                                        FiberNodes, certify_quasi_parabolic,
                                         check_ceilings, estimate_Pc,
                                         fit_dynamic_mass, perturbative_mass,
                                         scan_dispersion)
@@ -25,14 +26,21 @@ def _free_template():
     return FiberTemplate(spec)
 
 
-def _synthetic_curve(mass, quartic, P_values):
-    P_values = np.asarray(P_values, dtype=float)
-    samples = tuple(
-        DispersionSample(P=float(p), energy=float(p * p / (2 * mass)
-                                                  + quartic * p**4),
-                         gap=1.0, residual=0.0, degenerate=False)
-        for p in P_values)
-    return DispersionCurve(samples=samples, e0=0.0)
+def _synthetic(mass, quartic, P_values):
+    """(P, E(P) - E0) of the dispersion P^2/(2 mass) + quartic P^4."""
+    P = np.asarray(P_values, dtype=float)
+    return P, P * P / (2 * mass) + quartic * P**4
+
+
+def _curve(P, energy, gap=1.0):
+    """A curve through (P, energy) pinned at E0 = 0, with the given gaps."""
+    P = np.asarray(P, dtype=float)
+    nodes = FiberNodes(P=P, energy=np.asarray(energy, dtype=float),
+                       gap=np.broadcast_to(np.asarray(gap, float), P.shape),
+                       residual=np.zeros(P.shape),
+                       degenerate=np.zeros(P.shape, bool),
+                       vectors=np.zeros((P.size, 0)))
+    return DispersionCurve(nodes=nodes, e0=0.0, parity_max_diff=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +52,10 @@ def test_free_model_dispersion_is_exact_parabola(monkeypatch):
     P_list = np.arange(-0.7, 0.7001, 0.1)
     curve = scan_dispersion(FiberCache(_free_template()), P_list)
     assert curve.e0 == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(curve.energies, curve.momenta**2, atol=1e-10)
+    assert np.allclose(curve.nodes.energy, curve.nodes.P**2, atol=1e-10)
     assert curve.parity_max_diff < 1e-12
     # the first excited state is one field quantum away
-    assert all(s.gap > 0.5 for s in curve.samples)
+    assert np.all(curve.nodes.gap > 0.5)
 
 
 def test_scan_requires_origin():
@@ -57,24 +65,22 @@ def test_scan_requires_origin():
 
 def test_cache_reuses_parity_and_counts_solves(toy_template):
     cache = FiberCache(toy_template, seed=0)
-    e_plus = cache.pair(0.3)["energy"]
+    plus = cache.pairs([0.3])
     solves_after_plus = cache.solves()
-    e_minus = cache.pair(-0.3)["energy"]
+    minus = cache.pairs([-0.3])
     assert cache.solves() == solves_after_plus  # -P came from parity, free
-    assert e_minus == pytest.approx(e_plus, abs=1e-11)
-    v_plus = cache.pair(0.3)["vector"]
-    v_minus = cache.pair(-0.3)["vector"]
-    assert v_plus.shape == v_minus.shape
-    assert np.linalg.norm(v_minus) == pytest.approx(1.0, abs=1e-10)
+    assert minus.energy[0] == pytest.approx(plus.energy[0], abs=1e-11)
+    assert plus.vectors.shape == minus.vectors.shape
+    assert np.linalg.norm(minus.vectors[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_cache_parity_vector_matches_independent_solve(toy_template,
                                                       monkeypatch):
     monkeypatch.setattr(dispersion, "_FIBER_TOL", 1e-11)
     cache = FiberCache(toy_template, seed=0)
-    v_minus = cache.pair(-0.4)["vector"]
+    v_minus = cache.pairs([-0.4]).vectors[0]
     fresh = FiberCache(toy_template, seed=4)
-    w = fresh.pair(-0.4)["vector"]
+    w = fresh.pairs([-0.4]).vectors[0]
     # align signs before comparing: eigenvectors are defined up to sign
     if float(w @ v_minus) < 0:
         w = -w
@@ -82,13 +88,16 @@ def test_cache_parity_vector_matches_independent_solve(toy_template,
 
 
 def test_cache_pair_record_fields(toy_cache):
-    rec = toy_cache.pair(0.0)
-    assert set(rec) == {"energy", "gap", "degenerate", "residual", "vector",
-                        "iterations", "matvecs", "restarts", "solved"}
+    nodes = toy_cache.pairs([0.0])
+    assert nodes.P.tolist() == [0.0]
+    for field in ("energy", "gap", "degenerate", "residual"):
+        assert getattr(nodes, field).shape == (1,), field
+    assert nodes.vectors.shape == (1, toy_cache.template.dim)
     pair, = lowest_two(toy_cache.template.operator([0.0]),
                        tol=dispersion._FIBER_TOL, seed=toy_cache.seed)
-    assert rec["gap"] == pytest.approx(pair.values[1] - pair.values[0])
-    assert not rec["degenerate"]
+    assert nodes.energy[0] == pair.values[0]
+    assert nodes.gap[0] == pytest.approx(pair.values[1] - pair.values[0])
+    assert not nodes.degenerate[0]
 
 
 class _CountingBatch:
@@ -115,15 +124,17 @@ def test_fiber_pair_reports_its_work(toy_template):
     assert pair.matvecs == op.calls
     assert pair.iterations > 0
     cache = FiberCache(toy_template, seed=0)
-    rec = cache.pair(0.0)
-    assert (rec["iterations"], rec["matvecs"], rec["restarts"]) == (
-        pair.iterations, pair.matvecs, pair.restarts)
-    cache.pair(0.3)
-    cache.pair(-0.3)   # from parity: no solve, no work
+    cache.pairs([0.0])
+    assert (cache.work("iterations"), cache.work("matvecs"),
+            cache.work("restarts")) == (pair.iterations, pair.matvecs,
+                                        pair.restarts)
+    cache.pairs([0.3])
+    cache.pairs([-0.3])   # from parity: no solve, no work
     assert cache.solves() == 2
-    assert cache.work("matvecs") == pair.matvecs + cache.pair(0.3)["matvecs"]
-    assert cache.work("iterations") == (pair.iterations
-                                        + cache.pair(0.3)["iterations"])
+    plus, = lowest_two(toy_template.operator([0.3]),
+                       tol=dispersion._FIBER_TOL, seed=0)
+    assert cache.work("matvecs") == pair.matvecs + plus.matvecs
+    assert cache.work("iterations") == pair.iterations + plus.iterations
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +146,6 @@ def batch_templates():
             "small n_max-1": FiberTemplate(replace(small, n_max=small.n_max - 1))}
 
 
-def _record_fields(rec):
-    return {key: value for key, value in rec.items() if key != "vector"}
-
-
 @pytest.mark.parametrize("model", ["toy", "small", "small n_max-1"])
 def test_a_batch_gives_the_records_of_single_requests(batch_templates, model,
                                                       rng):
@@ -148,14 +155,17 @@ def test_a_batch_gives_the_records_of_single_requests(batch_templates, model,
     Ps = [0.0, *P[:8], *-P[4:]]
     rng.shuffle(Ps)
     batched = FiberCache(template, seed=0)
-    records = batched.pairs(Ps)
+    nodes = batched.pairs(Ps)
     assert batched.solves() == 13        # 12 |P| and 0, in one batch
+    assert np.array_equal(nodes.P, Ps)
     single = FiberCache(template, seed=0)
-    for P, rec in zip(Ps, records):
-        ref = single.pair(P)
-        assert _record_fields(rec) == _record_fields(ref), P
-        assert np.array_equal(rec["vector"], ref["vector"]), P
-    assert batched.work("matvecs") == single.work("matvecs")
+    for i, P in enumerate(Ps):
+        ref = single.pairs([P])
+        for field in ("energy", "gap", "residual", "degenerate", "vectors"):
+            assert np.array_equal(getattr(nodes, field)[i],
+                                  getattr(ref, field)[0]), (P, field)
+    for key in ("iterations", "matvecs", "restarts"):
+        assert batched.work(key) == single.work(key), key
 
 
 @pytest.mark.parametrize("model", ["toy", "small", "small n_max-1"])
@@ -181,9 +191,9 @@ def test_a_fiber_gets_the_same_bits_alone_or_in_a_batch_of_20(batch_templates,
 # ---------------------------------------------------------------------------
 
 def test_fit_recovers_synthetic_mass_and_quartic():
-    curve = _synthetic_curve(mass=0.7, quartic=-0.05,
-                             P_values=np.arange(-0.8, 0.8001, 0.05))
-    fit = fit_dynamic_mass(curve, P_fit=0.8)
+    P, dE = _synthetic(mass=0.7, quartic=-0.05,
+                       P_values=np.arange(-0.8, 0.8001, 0.05))
+    fit = fit_dynamic_mass(P, dE, P_fit=0.8)
     assert fit.mass == pytest.approx(0.7, rel=1e-10)
     assert fit.quartic == pytest.approx(-0.05, rel=1e-8)
     assert fit.rms < 1e-12
@@ -192,9 +202,9 @@ def test_fit_recovers_synthetic_mass_and_quartic():
 
 
 def test_fit_window_defaults_inside_certified_region():
-    curve = _synthetic_curve(mass=0.5, quartic=0.0,
-                             P_values=np.arange(-0.9, 0.9001, 0.05))
-    fit = fit_dynamic_mass(curve, P_c=0.4)
+    P, dE = _synthetic(mass=0.5, quartic=0.0,
+                       P_values=np.arange(-0.9, 0.9001, 0.05))
+    fit = fit_dynamic_mass(P, dE, P_c=0.4)
     assert fit.window <= 0.2 + 1e-12
     assert fit.mass == pytest.approx(0.5, rel=1e-9)
     assert abs(fit.window_sensitivity) < 1e-9
@@ -202,12 +212,8 @@ def test_fit_window_defaults_inside_certified_region():
 
 def test_fit_rejects_concave_curves():
     P = np.arange(-0.5, 0.5001, 0.1)
-    samples = tuple(DispersionSample(P=float(p), energy=float(-p * p),
-                                     gap=1.0, residual=0.0, degenerate=False)
-                    for p in P)
-    curve = DispersionCurve(samples=samples, e0=0.0)
     with pytest.raises(AnalysisError):
-        fit_dynamic_mass(curve)
+        fit_dynamic_mass(P, -P * P)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +221,8 @@ def test_fit_rejects_concave_curves():
 # ---------------------------------------------------------------------------
 
 def test_certificate_is_zero_for_exact_parabola():
-    curve = _synthetic_curve(mass=0.5, quartic=0.0,
-                             P_values=np.arange(-0.8, 0.8001, 0.1))
+    curve = _curve(*_synthetic(mass=0.5, quartic=0.0,
+                               P_values=np.arange(-0.8, 0.8001, 0.1)))
     cert = certify_quasi_parabolic(curve, mass=0.5)
     assert cert.c_min == pytest.approx(0.0, abs=1e-12)
     assert cert.margin >= -1e-12
@@ -224,8 +230,8 @@ def test_certificate_is_zero_for_exact_parabola():
 
 def test_certificate_detects_flattening():
     # E = P^2 - 0.3 P^4 bends below the parabola: C_min must be positive
-    curve = _synthetic_curve(mass=0.5, quartic=-0.3,
-                             P_values=np.arange(-0.8, 0.8001, 0.1))
+    curve = _curve(*_synthetic(mass=0.5, quartic=-0.3,
+                               P_values=np.arange(-0.8, 0.8001, 0.1)))
     cert = certify_quasi_parabolic(curve, mass=0.5)
     assert cert.c_min > 0.0
     # hand value at the worst sample: E >= E0 + P^2/(2m(1+CP^2)) solved for C
@@ -251,25 +257,45 @@ def test_ceilings_hold_on_coupled_model(toy_template, toy_cache):
     assert report.passed
 
 
+def _ceilings_by_loop(curve, template):
+    """(one-phonon margin, parabola margin, violations), sample by sample."""
+    k, omg = template.grid.momenta, template.omegas
+    inv2m = 1.0 / (2.0 * template.spec.mass)
+    floor = -dispersion._CERTIFY_TOL * max(1.0, abs(curve.e0))
+    one_ph = parab = math.inf
+    violations = []
+    for p, energy in zip(curve.nodes.P, curve.nodes.energy):
+        m1 = float(np.min((p - k) ** 2 * inv2m + omg)) - energy
+        m2 = curve.e0 + p * p * inv2m - energy
+        one_ph, parab = min(one_ph, m1), min(parab, m2)
+        violations += [(name, float(p), m) for name, m in
+                       (("one_phonon", m1), ("parabola", m2)) if m < floor]
+    return one_ph, parab, tuple(violations)
+
+
+def test_ceilings_match_a_per_sample_loop(toy_template, toy_cache):
+    curve = scan_dispersion(toy_cache, np.arange(-0.7, 0.7001, 0.1))
+    # lift three samples over their ceilings so that violations show
+    lifted = np.isin(np.round(curve.nodes.P, 9), [-0.5, 0.1, 0.6])
+    raised = replace(curve, nodes=replace(
+        curve.nodes, energy=curve.nodes.energy + np.where(lifted, 2.0, 0.0)))
+    for c in (curve, raised):
+        report = check_ceilings(c, toy_template)
+        assert (report.one_phonon_margin, report.parabola_margin,
+                report.violations) == _ceilings_by_loop(c, toy_template)
+    assert {round(v[1], 9) for v in report.violations} == {-0.5, 0.1, 0.6}
+    assert not report.passed
+
+
 def test_estimate_pc_tracks_gap_closing():
-    samples = []
-    for p in np.arange(-1.0, 1.0001, 0.1):
-        gap = 1.0 if abs(p) < 0.65 else 1e-6
-        samples.append(DispersionSample(P=float(p), energy=float(p * p),
-                                        gap=gap, residual=0.0,
-                                        degenerate=False))
-    curve = DispersionCurve(samples=tuple(samples),
-                            e0=0.0)
+    P = np.arange(-1.0, 1.0001, 0.1)
+    curve = _curve(P, P * P, gap=np.where(np.abs(P) < 0.65, 1.0, 1e-6))
     assert dispersion.GAP_THRESHOLD == 1e-3
     assert estimate_Pc(curve) == pytest.approx(0.6)
 
 
 def test_estimate_pc_needs_gap_at_origin():
-    samples = (DispersionSample(P=0.0, energy=0.0, gap=1e-9, residual=0.0,
-                                degenerate=False),
-               DispersionSample(P=0.5, energy=0.25, gap=1.0, residual=0.0,
-                                degenerate=False))
-    curve = DispersionCurve(samples=samples, e0=0.0)
+    curve = _curve([0.0, 0.5], [0.0, 0.25], gap=[1e-9, 1.0])
     with pytest.raises(AnalysisError):
         estimate_Pc(curve)
 
@@ -290,7 +316,8 @@ def test_perturbative_mass_tracks_weak_coupling(toy_template, toy_cache):
     to a few parts in 1e3 (the residual is fourth order)."""
     P_list = np.arange(-0.7, 0.7001, 0.05)
     curve = scan_dispersion(toy_cache, P_list)
-    fit = fit_dynamic_mass(curve, P_c=estimate_Pc(curve))
+    fit = fit_dynamic_mass(curve.nodes.P, curve.nodes.energy - curve.e0,
+                           P_c=estimate_Pc(curve))
     m2 = perturbative_mass(toy_template, P_list, P_fit=fit.window)
     assert m2 == pytest.approx(fit.mass, rel=5e-3)
     assert m2 > 0.5  # coupling makes the composite object heavier

@@ -5,8 +5,10 @@ function, class and method of the package is referenced inside the package
 package, every option of the package (a parameter with a default that a
 call can pass by name) is set by a call inside the package (a value only
 tests set is a module constant they patch), a run imports no scipy
-beyond scipy.linalg and scipy.sparse, and every function the benchmark's
-tracer wraps exists with the argument it records."""
+beyond scipy.linalg and scipy.sparse, every function the benchmark's
+tracer wraps exists with the argument it records, and the dispersion scan
+makes one fiber solve call per momentum it solves, as the tracer's check
+assumes."""
 
 import ast
 import importlib
@@ -21,6 +23,8 @@ from pathlib import Path
 import pytest
 
 import polaron_effmass
+from polaron_effmass.dispersion import FiberCache
+from polaron_effmass.pipeline import stage_dispersion
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,10 +76,8 @@ def test_no_unused_imports():
 
 
 # Definitions kept although nothing in the package refers to them: the
-# docs fixture test trims reports with trim_report, and criterion 8 checks
-# the scaling identity on scaled_comparison_pair.
-UNREFERENCED_ALLOWED = {"docsgen.trim_report",
-                        "staticmass.scaled_comparison_pair"}
+# docs fixture test trims reports with trim_report.
+UNREFERENCED_ALLOWED = {"docsgen.trim_report"}
 
 
 def _definitions(path):
@@ -252,3 +254,20 @@ def test_benchmark_tracer_targets_exist():
         if param is not None:
             params = inspect.signature(target).parameters
             assert param in params, f"{mod}.{attr} has no parameter {param!r}"
+
+
+def test_the_scan_solves_one_momentum_per_solve_call(toy_cfg, monkeypatch):
+    # the benchmark's trace check takes the dispersion stage's
+    # FiberCache._solve calls for the momenta its block reports solved
+    calls = []
+    true_solve = FiberCache._solve
+
+    def counting(cache, P, *more):
+        calls.append((P, *more))
+        return true_solve(cache, P, *more)
+
+    monkeypatch.setattr(FiberCache, "_solve", counting)
+    _, block, _ = stage_dispersion(toy_cfg)
+    assert [len(call) for call in calls] == [1] * len(calls)
+    assert len(calls) == block["fiber_solves"]
+    assert len(calls) == len({abs(P) for P in toy_cfg.P_list})

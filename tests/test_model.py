@@ -15,11 +15,11 @@ from scipy.integrate import quad
 from polaron_effmass.errors import CapacityError, ConfigError, DomainError
 from polaron_effmass.model import (ConstantCoupling, ConstantDispersion,
                                    GaussianWell, ModelSpec, ModeGrid,
-                                   PoschlTeller, PowerLawCoupling,
-                                   ScaledPotential, SoftStep,
+                                   PoschlTeller, PowerLawCoupling, SoftStep,
                                    TabulatedDispersion, ZeroCoupling, build_mode_grid,
                                    effective_couplings,
                                    fourier_tail_fraction)
+from scaling import ScaledPotential
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
 

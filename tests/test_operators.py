@@ -27,6 +27,7 @@ from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        assemble_llp_ring,
                                        assemble_schrodinger, potential_kernel,
                                        ring_potential_kernel, ring_sites)
+from scaling import scaled_grid
 
 
 class _SingleModeSpec(ModelSpec):
@@ -90,7 +91,7 @@ def test_electron_grid_layout():
     assert egrid.size == 9
     assert np.allclose(pts, np.arange(-4, 5) * 0.5)
     assert np.allclose(egrid.kinetic_diagonal(0.5), pts**2)
-    half = egrid.scaled(0.5)
+    half = scaled_grid(egrid, 0.5)
     assert half.dq == pytest.approx(0.25)
     assert half.q_max == pytest.approx(1.0)
 
@@ -201,7 +202,8 @@ def test_coupled_operator_decouples_at_zero_coupling():
     pot = GaussianWell(depth=1.0)
     egrid = ElectronGrid(dq=0.5, q_max=3.0)
     for lam in (0.4, 0.15):
-        coupled = assemble_coupled_llp(template, pot, egrid, lam, 0.0)
+        coupled = assemble_coupled_llp(template, potential_kernel(pot, egrid),
+                                       egrid, lam, 0.0)
         ours = dense_spectrum(coupled.to_dense())[0]
         ref = dense_ground(assemble_schrodinger(pot, egrid, 0.5))
         assert ours == pytest.approx(ref, abs=1e-11)
@@ -211,7 +213,9 @@ def test_coupled_operator_matches_dense_oracle(fiber_matrix):
     cfg = load_config("oracle")
     template = FiberTemplate(cfg.spec)
     e0 = dense_ground(fiber_matrix(template, 0.0))
-    coupled = assemble_coupled_llp(template, cfg.potential, cfg.egrid, 0.4, e0)
+    coupled = assemble_coupled_llp(
+        template, potential_kernel(cfg.potential, cfg.egrid), cfg.egrid, 0.4,
+        e0)
     dense = coupled.to_dense()
     assert np.allclose(dense, dense.T, atol=1e-12)
     ref = np.linalg.eigvalsh(dense)[0]
@@ -247,10 +251,9 @@ def _check_against_kronecker(op, block, kernel, rng):
 @pytest.mark.parametrize("lam", [0.4, 0.1])
 def test_coupled_operator_is_the_kronecker_sum(toy_cfg, toy_template, lam,
                                                rng):
-    op = assemble_coupled_llp(toy_template, toy_cfg.potential, toy_cfg.egrid,
-                              lam, -0.3)
-    block = toy_template.interaction * (1.0 / (lam * lam))
     kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
+    op = assemble_coupled_llp(toy_template, kernel, toy_cfg.egrid, lam, -0.3)
+    block = toy_template.interaction * (1.0 / (lam * lam))
     _check_against_kronecker(op, block, kernel, rng)
 
 

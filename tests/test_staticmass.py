@@ -22,12 +22,12 @@ from polaron_effmass.errors import (AccuracyWarning, AnalysisError,
 from polaron_effmass.model import (TAIL_TOL, GaussianWell, PoschlTeller,
                                    fourier_tail_fraction)
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
-                                       assemble_coupled_llp)
+                                       assemble_coupled_llp, potential_kernel)
 from polaron_effmass.pipeline import stage_dispersion, stage_static
 from polaron_effmass.staticmass import (coupled_ground,
                                         extrapolate_static_mass, invert_E,
-                                        scaled_comparison_pair,
                                         schrodinger_energy)
+from scaling import scaled_comparison_pair
 
 POT = PoschlTeller(depth=2.0)
 EGRID = ElectronGrid(dq=0.25, q_max=6.0)
@@ -151,47 +151,46 @@ def oracle_setup(fiber_matrix):
 
 def _dense_coupled_ground(cache, cfg, lam, e0):
     return np.linalg.eigvalsh(assemble_coupled_llp(
-        cache.template, cfg.potential, cfg.egrid, lam, e0).to_dense())[0]
+        cache.template, potential_kernel(cfg.potential, cfg.egrid),
+        cfg.egrid, lam, e0).to_dense())[0]
+
+
+def _coupled_ground(cfg, cache, lam, e0, seed, nodes=None):
+    """coupled_ground at lam from the cache's fibers at the grid nodes, or
+    from `nodes` in their place."""
+    if nodes is None:
+        nodes = cache.pairs(lam * cfg.egrid.points)
+    return coupled_ground(cache.template, nodes,
+                          potential_kernel(cfg.potential, cfg.egrid),
+                          cfg.egrid, lam, e0, seed=seed)
 
 
 def test_coupled_ground_matches_dense_oracle(oracle_setup, monkeypatch):
     monkeypatch.setattr(staticmass, "_COUPLED_TOL", 1e-10)
     cfg, cache, e0 = oracle_setup
     for lam in (0.4, 0.1):
-        res = coupled_ground(cache, cfg.potential, cfg.egrid, lam, e0, seed=0)
+        res = _coupled_ground(cfg, cache, lam, e0, seed=0)
         ref = _dense_coupled_ground(cache, cfg, lam, e0)
         assert res.value == pytest.approx(ref, abs=1e-9), lam
         assert res.residual <= 1e-9
         assert res.vector.shape == (cache.template.dim * cfg.egrid.size,)
 
 
-class _SabotagedCache:
-    """A fiber cache that hands out wrong ground vectors, right energies.
+def _sabotaged(nodes, how):
+    """`nodes` with wrong ground vectors and right energies.
 
     "permuted" gives the node at P the vector of the node at -P, which
     reverses the rows of Phi; "scrambled" reverses each vector's Fock
     coordinates; "random" gives random unit vectors.
     """
-
-    def __init__(self, cache, how):
-        self.template = cache.template
-        self._cache = cache
-        self._how = how
-        self._rng = np.random.default_rng(7)
-
-    def pair(self, P):
-        rec = self._cache.pair(P)
-        if self._how == "permuted":
-            vec = self._cache.pair(-P)["vector"]
-        elif self._how == "scrambled":
-            vec = rec["vector"][::-1].copy()
-        else:
-            vec = self._rng.standard_normal(rec["vector"].shape)
-            vec /= np.linalg.norm(vec)
-        return dict(rec, vector=vec)
-
-    def pairs(self, Ps):
-        return [self.pair(P) for P in Ps]
+    if how == "permuted":
+        vectors = nodes.vectors[::-1]
+    elif how == "scrambled":
+        vectors = nodes.vectors[:, ::-1]
+    else:
+        vectors = np.random.default_rng(7).standard_normal(nodes.vectors.shape)
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    return replace(nodes, vectors=np.ascontiguousarray(vectors))
 
 
 @pytest.mark.parametrize("how", ["permuted", "scrambled", "random"])
@@ -203,9 +202,9 @@ def test_a_wrong_coarse_space_costs_iterations_not_accuracy(oracle_setup,
     # residual test still decide e, so e must stay right
     monkeypatch.setattr(staticmass, "_COUPLED_TOL", 1e-10)
     cfg, cache, e0 = oracle_setup
-    good = coupled_ground(cache, cfg.potential, cfg.egrid, lam, e0, seed=0)
-    bad = coupled_ground(_SabotagedCache(cache, how), cfg.potential,
-                         cfg.egrid, lam, e0, seed=0)
+    good = _coupled_ground(cfg, cache, lam, e0, seed=0)
+    bad = _coupled_ground(cfg, cache, lam, e0, seed=0, nodes=_sabotaged(
+        cache.pairs(lam * cfg.egrid.points), how))
     ref = _dense_coupled_ground(cache, cfg, lam, e0)
     assert bad.value == pytest.approx(ref, abs=1e-9)
     assert bad.residual <= 1e-9
@@ -214,8 +213,8 @@ def test_a_wrong_coarse_space_costs_iterations_not_accuracy(oracle_setup,
 
 def test_coupled_ground_is_deterministic(oracle_setup):
     cfg, cache, e0 = oracle_setup
-    a = coupled_ground(cache, cfg.potential, cfg.egrid, 0.2, e0, seed=3)
-    b = coupled_ground(cache, cfg.potential, cfg.egrid, 0.2, e0, seed=3)
+    a = _coupled_ground(cfg, cache, 0.2, e0, seed=3)
+    b = _coupled_ground(cfg, cache, 0.2, e0, seed=3)
     assert a.value == b.value
     assert np.array_equal(a.vector, b.vector)
 

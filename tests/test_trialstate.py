@@ -6,6 +6,7 @@ the one-particle comparison operator -- assembled independently.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,8 +58,8 @@ def test_upper_bound_reduces_to_rayleigh_quotient(free_cache):
     # vacuum at energy P^2, and M is q^2 + W node for node
     lam = 0.3
     q = EGRID.points
-    _, M = fiber_galerkin(free_cache, potential_kernel(POT, EGRID), lam, q,
-                          0.0)
+    M = fiber_galerkin(free_cache.pairs(lam * q), potential_kernel(POT, EGRID),
+                       lam, 0.0)
     h = assemble_schrodinger(POT, EGRID, 0.5)
     vacuum = np.abs(lam * q) < 1.0
     assert np.max(np.abs(M - h)[np.ix_(vacuum, vacuum)]) <= 1e-12
@@ -80,9 +81,8 @@ def test_upper_bound_reduces_to_rayleigh_quotient(free_cache):
 def test_galerkin_fibers_are_phase_aligned_in_the_window(toy_cfg, toy_cache):
     lam, p_c = 0.4, 0.7
     q = toy_cfg.egrid.points
-    phi, M = fiber_galerkin(toy_cache,
-                            potential_kernel(toy_cfg.potential, toy_cfg.egrid),
-                            lam, q, toy_cache.pair(0.0)["energy"])
+    nodes, M = _galerkin(toy_cfg, toy_cache, lam)
+    phi = nodes.vectors
     assert np.allclose(M, M.T, rtol=0.0, atol=1e-14)
     assert np.allclose(np.linalg.norm(phi, axis=1), 1.0, atol=1e-10)
     inside = phi[np.abs(lam * q) < p_c]
@@ -92,25 +92,20 @@ def test_galerkin_fibers_are_phase_aligned_in_the_window(toy_cfg, toy_cache):
 
 
 def _galerkin(cfg, cache, lam):
-    """The fiber-Galerkin matrix M of `lam` on the config's grid."""
-    return fiber_galerkin(cache, potential_kernel(cfg.potential, cfg.egrid),
-                          lam, cfg.egrid.points, cache.pair(0.0)["energy"])[1]
+    """The fibers at the nodes lam q_j of the config's grid, and the
+    fiber-Galerkin matrix M of `lam` built from them."""
+    nodes = cache.pairs(lam * cfg.egrid.points)
+    return nodes, fiber_galerkin(
+        nodes, potential_kernel(cfg.potential, cfg.egrid), lam,
+        cache.pairs([0.0]).energy[0])
 
 
-class _GapClosedAt:
-    """The fiber cache, except that the fiber at one momentum reports a
-    degenerate or a too-small gap."""
-
-    def __init__(self, cache, P, field, value):
-        self.template = cache.template
-        self._cache, self._P = cache, P
-        self._field, self._value = field, value
-
-    def pair(self, P):
-        rec = self._cache.pair(P)
-        if abs(P - self._P) < 1e-12:
-            return dict(rec, **{self._field: self._value})
-        return rec
+def _gap_closed_at(nodes, P, field, value):
+    """`nodes`, except that the fiber at momentum P reports a degenerate or
+    a too-small gap."""
+    at = np.abs(nodes.P - P) < 1e-12
+    return replace(nodes,
+                   **{field: np.where(at, value, getattr(nodes, field))})
 
 
 @pytest.mark.parametrize("field, value", [("degenerate", True),
@@ -120,11 +115,11 @@ def test_degenerate_node_inside_the_window_is_rejected(toy_cfg, toy_cache,
     # at lam 0.4 and p_c 0.7 the radius reaches 1.75: the node q = 1 is
     # inside, q = 2.5 is not
     lam = 0.4
-    M = _galerkin(toy_cfg, toy_cache, lam)
-    inside = _GapClosedAt(toy_cache, lam * 1.0, field, value)
+    nodes, M = _galerkin(toy_cfg, toy_cache, lam)
+    inside = _gap_closed_at(nodes, lam * 1.0, field, value)
     with pytest.raises(AnalysisError, match=r"\(near-\)degenerate"):
         minimize_upper_bound(lam, inside, M, toy_cfg.egrid, p_c=0.7)
-    outside = _GapClosedAt(toy_cache, lam * 2.5, field, value)
+    outside = _gap_closed_at(nodes, lam * 2.5, field, value)
     mub = minimize_upper_bound(lam, outside, M, toy_cfg.egrid, p_c=0.7)
     assert math.isfinite(mub.value)
 
@@ -132,8 +127,7 @@ def test_degenerate_node_inside_the_window_is_rejected(toy_cfg, toy_cache,
 def test_empty_radius_range_is_a_config_error(toy_cfg, toy_cache):
     # p_c / lam = 0.25 lies below the smallest radius 3 dq = 0.75
     with pytest.raises(ConfigError, match="empty radius range"):
-        minimize_upper_bound(0.4, toy_cache,
-                             _galerkin(toy_cfg, toy_cache, 0.4),
+        minimize_upper_bound(0.4, *_galerkin(toy_cfg, toy_cache, 0.4),
                              toy_cfg.egrid, p_c=0.1)
 
 
@@ -142,18 +136,17 @@ def test_empty_radius_range_is_a_config_error(toy_cfg, toy_cache):
 # ---------------------------------------------------------------------------
 
 def test_upper_bound_dominates_coupled_ground(toy_cfg, toy_cache):
-    e0 = toy_cache.pair(0.0)["energy"]
+    e0 = toy_cache.pairs([0.0]).energy[0]
     kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
     for lam in (0.4, 0.2):
-        coupled = coupled_ground(toy_cache, toy_cfg.potential,
+        nodes = toy_cache.pairs(lam * toy_cfg.egrid.points)
+        coupled = coupled_ground(toy_cache.template, nodes, kernel,
                                  toy_cfg.egrid, lam, e0, seed=0)
         # the solve returns the M it built, bit for bit the one
         # fiber_galerkin builds from the same kernel and fibers
         M = coupled.galerkin
-        _, ref = fiber_galerkin(toy_cache, kernel, lam, toy_cfg.egrid.points,
-                                e0)
-        assert np.array_equal(M, ref)
-        mub = minimize_upper_bound(lam, toy_cache, M, toy_cfg.egrid, p_c=0.7)
+        assert np.array_equal(M, fiber_galerkin(nodes, kernel, lam, e0))
+        mub = minimize_upper_bound(lam, nodes, M, toy_cfg.egrid, p_c=0.7)
         assert mub.value >= coupled.value - 1e-9
         assert 3.0 * toy_cfg.egrid.dq <= mub.radius
         assert lam * mub.radius < 0.7  # support stays inside the window
@@ -163,8 +156,8 @@ def test_upper_bound_dominates_coupled_ground(toy_cfg, toy_cache):
 
 
 def test_minimize_upper_bound_reports_search(toy_cfg, toy_cache):
-    M = _galerkin(toy_cfg, toy_cache, 0.4)
-    mub = minimize_upper_bound(0.4, toy_cache, M, toy_cfg.egrid, p_c=0.7)
+    nodes, M = _galerkin(toy_cfg, toy_cache, 0.4)
+    mub = minimize_upper_bound(0.4, nodes, M, toy_cfg.egrid, p_c=0.7)
     assert isinstance(mub.boundary_hit, bool)
     # the value is the quotient at the radius reported with it
     assert mub.value == upper_bound(0.4, M, mub.radius, toy_cfg.egrid)
@@ -198,8 +191,8 @@ def test_upper_bound_is_no_worse_than_scipy_bounded_brent(toy_cfg, toy_cache):
     # scipy's bounded Brent search, the reference: U* may only be lower
     egrid = toy_cfg.egrid
     for lam in toy_cfg.lambda_seq:
-        M = _galerkin(toy_cfg, toy_cache, lam)
-        mub = minimize_upper_bound(lam, toy_cache, M, egrid, p_c=0.7)
+        nodes, M = _galerkin(toy_cfg, toy_cache, lam)
+        mub = minimize_upper_bound(lam, nodes, M, egrid, p_c=0.7)
         ref = minimize_scalar(
             lambda r: upper_bound(lam, M, float(r), egrid),
             bounds=(3.0 * egrid.dq, min(0.7 / lam * (1.0 - 1e-9), egrid.q_max)),
