@@ -236,11 +236,12 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def estimate_window(cfg: ExperimentConfig) -> float:
-    """Cheap analytic window estimate: the free parabola E0 + P^2/(2m)
+    """Cheap analytic window estimate: where the bare parabola first meets
+    a one-phonon ceiling.
 
-    meets the lowest one-phonon ceiling where P^2 = (P - k)^2/(2m)... the
-    crossing of P^2 (m = 1/2) with (P - k)^2 + omega(k) sits at
-    P = (k^2 + omega)/(2 k); the window estimate is the minimum over modes.
+    At the bare mass 1/2 the parabola P^2 crosses the ceiling
+    (P - k)^2 + omega(k) of a mode k > 0 at P = (k^2 + omega)/(2 k); the
+    estimate is the minimum over those modes (inf when there is none).
     """
     grid = cfg.spec.mode_grid()
     mags = grid.magnitudes()

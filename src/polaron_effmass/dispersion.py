@@ -176,7 +176,6 @@ class DispersionCurve:
 
     nodes: FiberNodes
     e0: float
-    parity_max_diff: float
 
 
 def scan_dispersion(cache: FiberCache, P_list) -> DispersionCurve:
@@ -185,8 +184,9 @@ def scan_dispersion(cache: FiberCache, P_list) -> DispersionCurve:
     P_list must contain 0 (the curve is pinned to E0 = E(0)).  Momenta are
     solved through `cache`, independently, one two-target Davidson run
     each: P = 0 first, then one |P| per request.  The curve is then read
-    from the cache in sorted order.  E(P) >= E0 and parity symmetry are
-    validated to the fiber solver tolerance.
+    from the cache in sorted order.  E(P) >= E0 is validated to the fiber
+    solver tolerance; E(-P) = E(P) holds by construction, since the cache
+    derives each -P record from +P by parity.
     """
     P_arr = np.unique(np.asarray(P_list, dtype=float))
     zero = np.abs(P_arr) <= 1e-15
@@ -201,12 +201,7 @@ def scan_dispersion(cache: FiberCache, P_list) -> DispersionCurve:
     if nodes.energy[i] < e0 - slack:
         raise AnalysisError(f"dispersion minimum not at P=0: E({nodes.P[i]}) "
                             f"= {nodes.energy[i]} < E0 = {e0}")
-    energy = {round(float(p), 12): e for p, e in zip(nodes.P, nodes.energy)}
-    parity_diff = max([abs(e - energy[-p]) for p, e in energy.items()
-                       if -p in energy], default=0.0)
-    if parity_diff > slack:
-        raise AnalysisError(f"dispersion not even in P (max diff {parity_diff:.3e})")
-    return DispersionCurve(nodes=nodes, e0=e0, parity_max_diff=parity_diff)
+    return DispersionCurve(nodes=nodes, e0=e0)
 
 
 @dataclass(frozen=True)

@@ -215,8 +215,6 @@ _REPORT_DOC = (
     ("`dispersion.E0`", "Fiber ground energy at total momentum 0."),
     ("`dispersion.P_c`", "Estimated half-width of the momentum window on "
                          "which the dispersion stays quasi-parabolic."),
-    ("`dispersion.parity_max_diff`", "Largest |E(P) - E(-P)| over the scan; "
-                                     "a symmetry diagnostic."),
     ("`dispersion.mass_fit`", "Windowed curvature fit: `M_dyn`, "
                               "`quartic_coeff`, `window`, `rms`, "
                               "`mass_half_window`, `window_sensitivity`, "

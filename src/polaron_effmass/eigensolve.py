@@ -14,10 +14,10 @@
   (:class:`~.operators.FiberBatch`) or one operator, from the
   lowest-diagonal coordinate directions; :func:`davidson_ground` the
   coupled small-lambda operators, a batch of one, whose diagonal spread
-  makes plain Krylov iteration impractically slow.  Its caller may supply
-  the start vector and a refinement of each correction, which the coupled
-  solve uses for its fiber-Galerkin start and coarse correction; see the
-  solver notes in the README.
+  makes plain Krylov iteration impractically slow.  Both use a fixed
+  space of 20 vectors and at most 600 iterations; the coupled solve
+  supplies its fiber-Galerkin start and coarse correction (see the solver
+  notes in the README).
 * :func:`ground_state`: one Lanczos pass with full reorthogonalization
   (two classical Gram-Schmidt passes per step), seeded random start and
   residual-based stopping.  The basis may grow to the full dimension (at
@@ -69,15 +69,15 @@ _CHECK_EVERY = 5
 # Largest dimension of the dense eigenvalue routes and of Lanczos, whose
 # basis may grow to the full dimension.
 _DENSE_MAX = 2000
-# Davidson's search spaces V and their images AV, 2 x members x
-# max_subspace x dim doubles over a batch, may take at most this many
-# bytes.  The largest shipped run, the retry space (80) of the powerlaw
-# presets' coupled operator (dim 478,170), needs 584 MiB, so 2 GiB leaves
-# room for a grid or truncation about 3x larger; anything beyond fails at
-# once, not after swapping or being killed.
+# Vectors in every Davidson search space, and iterations before it gives up.
+_SPACE = 20
+_MAX_ITERS = 600
+# Davidson's search spaces V and their images AV, 2 x members x _SPACE x
+# dim doubles over a batch, may take at most this many bytes.  The largest
+# shipped run, the powerlaw presets' coupled operator (dim 478,170), needs
+# 146 MiB; 2 GiB leaves room for a grid or truncation over 10x larger, and
+# anything beyond fails at once, not after swapping or being killed.
 _DAVIDSON_MAX_BYTES = 2 * 2**30
-# Davidson iterations of a fiber pair before lowest_two gives up.
-_PAIR_MAX_ITERS = 600
 # A Gram-Schmidt pass that leaves less than this fraction of a vector's norm
 # is repeated once (the DGKS test).
 _DGKS = 1.0 / math.sqrt(2.0)
@@ -285,8 +285,7 @@ def _fill_rows(H, V, AV, A, k0, k1):
     H[:A, k0:k1, :k1] = V[:A, k0:k1] @ AV[:A, :k1].transpose(0, 2, 1)
 
 
-def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
-              v0=None, correction=None):
+def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
     """Lowest `nwant` Ritz pairs of every member of `op`, in lockstep.
 
     Diagonally preconditioned subspace iteration on B independent problems
@@ -296,7 +295,7 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
     adds the corrections t = r / (diag(A) - theta) of all its `nwant` Ritz
     pairs, so the space size k is the same for all of them and a thick
     restart (to the `restart_keep` lowest Ritz vectors, when the next
-    corrections would not fit) compresses all spaces together.
+    corrections would not fit in _SPACE) compresses all spaces together.
     `correction(t, r, theta)`, when given, refines each t in place.  The
     new vectors of all members go through one apply; Ritz vectors,
     residuals and Gram-Schmidt projections are stacked matrix products.
@@ -306,7 +305,7 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
     per member and form only the `nwant` lowest pairs, or the
     `restart_keep` lowest before a restart.  A member leaves the batch once
     all its pairs meet the tolerance, and the members that stay move up
-    into its slot.
+    into its slot; _MAX_ITERS iterations without that raise SolverError.
 
     No floating-point operation mixes two members, and every operation on
     a member has the same shape whatever the batch, so a member's results
@@ -322,19 +321,19 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
         raise DomainError("Davidson needs an operator exposing its diagonal")
     if n < nwant:
         raise DomainError(f"operator dimension {n} is below the {nwant} wanted pairs")
-    max_subspace = int(min(max_subspace, n))
-    nbytes = 2 * B * max_subspace * n * 8
+    space = min(_SPACE, n)
+    nbytes = 2 * B * space * n * 8
     if nbytes > _DAVIDSON_MAX_BYTES:
         raise CapacityError(
-            f"Davidson space of {max_subspace} vectors at dimension {n} for "
+            f"Davidson space of {space} vectors at dimension {n} for "
             f"{B} operator(s) needs {nbytes / 2**20:.0f} MiB, over "
             f"{_DAVIDSON_MAX_BYTES / 2**20:.0f} MiB")
     diag = np.array(diag_fn(), dtype=float)
-    restart_keep = max(nwant, int(min(restart_keep, max_subspace - nwant)))
+    restart_keep = max(nwant, min(restart_keep, space - nwant))
 
-    V = np.empty((B, max_subspace, n))
-    AV = np.empty((B, max_subspace, n))
-    H = np.zeros((B, max_subspace, max_subspace))
+    V = np.empty((B, space, n))
+    AV = np.empty((B, space, n))
+    H = np.zeros((B, space, space))
     # Without the caller's vector, start from the lowest-diagonal coordinate
     # directions.  For strongly diagonally dominant operators the ground
     # vector lives there; a purely random start can lock onto an interior
@@ -343,7 +342,7 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
         k = 1
         V[0, 0] = v0 / math.sqrt(v0 @ v0)
     else:
-        k = min(4, max_subspace)
+        k = min(4, space)
         V[:, :k] = 0.0
         lowest = np.argsort(diag, axis=1, kind="stable")[:, :k]
         V[np.arange(B)[:, None], np.arange(k), lowest] = 1.0
@@ -355,21 +354,20 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
     restarts = 0
     rngs = {}
     out = [None] * B
-    thetas = ress = X = None
+    thetas = ress = None
 
     def failure(message, a):
-        """SolverError carrying the last lowest Ritz pair of slot a.  Each
-        space keeps its lowest Ritz vector, so that value is the lowest the
-        member reached."""
+        """SolverError carrying the last lowest Ritz value and residual of
+        slot a.  Each space keeps its lowest Ritz vector, so that value is
+        the lowest the member reached."""
         if thetas is None:
             return SolverError(message)
         return SolverError(message, best_value=float(thetas[a, 0]),
-                           best_residual=float(ress[a, 0]),
-                           best_vector=X[a, 0])
+                           best_residual=float(ress[a, 0]))
 
-    for it in range(max_iters):
+    for it in range(_MAX_ITERS):
         A = len(ids)
-        m = min(restart_keep if k + nwant > max_subspace else nwant, k)
+        m = min(restart_keep if k + nwant > space else nwant, k)
         finite = np.isfinite(H[:A, :k, :k])
         if not finite.all():
             raise failure(f"projected {k}x{k} matrix has non-finite entries",
@@ -403,7 +401,7 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
                                                thetas[stay], ress[stay],
                                                scale[stay])
             X, R = X[stay], R[stay]
-        if k + nwant > max_subspace:
+        if k + nwant > space:
             # thick restart: keep the lowest Ritz vectors
             keep = min(restart_keep, k)
             Y = vecs[:, :, :keep].transpose(0, 2, 1)
@@ -413,7 +411,7 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
             k = keep
             restarts += 1
         # the corrections go straight into the next rows of V
-        nadd = min(nwant, max_subspace - k)
+        nadd = min(nwant, space - k)
         theta = thetas[:, :nadd, None]
         denom = diag[:A, None] - theta
         floor = 1e-8 * scale[:, :nadd, None]
@@ -447,7 +445,7 @@ def _davidson(op, nwant, tol, seed, *, max_subspace, max_iters, restart_keep,
         k += nadd
         matvecs += nadd
     raise failure(
-        f"Davidson failed to reach tol={tol} within {max_iters} iterations "
+        f"Davidson failed to reach tol={tol} within {_MAX_ITERS} iterations "
         f"on {len(ids)} of {B} operator(s) (last residual {ress[0, 0]:.3e})", 0)
 
 
@@ -465,8 +463,7 @@ def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> list:
     must not rely on a unique ground direction.  Iterations, matvecs and
     restarts are each member's own; matvecs counts the two fresh ones too.
     """
-    runs = _davidson(op, 2, tol, seed, max_subspace=20,
-                     max_iters=_PAIR_MAX_ITERS, restart_keep=6)
+    runs = _davidson(op, 2, tol, seed, restart_keep=6)
     apply = _as_batch(op)[0]
     xs = [[x / math.sqrt(x @ x) for x in run[1]] for run in runs]
     X = np.array(xs)
@@ -485,8 +482,8 @@ def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> list:
     return pairs
 
 
-def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int = 20,
-                    max_iters: int = 600, v0=None, correction=None) -> EigResult:
+def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, v0=None,
+                    correction=None) -> EigResult:
     """Lowest eigenpair by preconditioned subspace iteration.
 
     The lockstep core of :func:`lowest_two` with one member and one wanted
@@ -498,12 +495,11 @@ def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, max_subspace: int =
     else from the unit vectors on the four smallest diagonal entries.  It is
     kept orthonormal by one Gram-Schmidt pass per vector, with a second
     when the DGKS test asks for it, and compressed to the lowest 4 Ritz
-    vectors when full; `restarts` counts those compressions.  Deterministic
-    for fixed seed and start vector.
+    vectors when its 20 vectors are full; `restarts` counts those
+    compressions.  Deterministic for fixed seed and start vector.
     """
     (thetas, xs, ress, it, matvecs, restarts), = _davidson(
-        op, 1, tol, seed, max_subspace=max_subspace, max_iters=max_iters,
-        restart_keep=4, v0=v0, correction=correction)
+        op, 1, tol, seed, restart_keep=4, v0=v0, correction=correction)
     return EigResult(thetas[0], xs[0], ress[0], it, matvecs, restarts)
 
 

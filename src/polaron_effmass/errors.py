@@ -26,12 +26,10 @@ class DomainError(PolaronError):
 class SolverError(PolaronError):
     """Iterative eigensolver failed to converge within its budget."""
 
-    def __init__(self, message, best_value=None, best_residual=None,
-                 best_vector=None):
+    def __init__(self, message, best_value=None, best_residual=None):
         super().__init__(message)
         self.best_value = best_value
         self.best_residual = best_residual
-        self.best_vector = best_vector
 
 
 class AnalysisError(PolaronError):

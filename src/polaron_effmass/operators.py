@@ -22,9 +22,11 @@ Operators built here, all real-symmetric:
   arithmetic, which pins down the frame transform, the realification and
   the grid (x) Fock layout at once.
 
-The coupled operator and the field-momentum-frame ring operator are
-Kronecker sums of a dense grid kernel and one sparse Fock block; both are
-stored as those two factors and applied in factored form, never assembled.
+The coupled operator and the field-momentum-frame ring operator share one
+operator form, :class:`SymmetricOperator`: the Kronecker sum of a dense
+grid kernel and one sparse Fock block plus a diagonal, stored as those
+factors and applied in factored form, never assembled.  The direct tensor
+and the comparison operator are returned as dense matrices.
 
 The production assembly uses the exact quadratic kinetic energy and the
 closed-form potential transform; the ring pair uses the cosine kinetic and
@@ -62,7 +64,7 @@ __all__ = [
     "assemble_direct_tensor",
 ]
 
-# Largest dimension SymmetricOperator.to_dense forms.
+# Largest dimension to_dense and assemble_direct_tensor densify.
 _DENSIFY_MAX = 4000
 
 
@@ -80,92 +82,68 @@ def _check_symmetric(matrix, name: str):
 
 
 class SymmetricOperator:
-    """A real-symmetric operator: a CSR matrix plus an optional extra diagonal.
+    """The real-symmetric sum I_{n_q} (x) block + kernel (x) I_F + diag.
 
-    The split keeps assemblies free of explicit stored zeros: purely diagonal
-    contributions (kinetic terms, field energies, shifts) live in `diag`,
-    everything else in `matrix`.  With a dense grid factor `kernel`
-    (n_q x n_q) the operator is the Kronecker sum
-
-        I_{n_q} (x) matrix + kernel (x) I_F + diag
-
-    on the grid-major layout, stored as its two factors and applied in
-    factored form; `matrix` is then the F x F block of one grid node.
-    Hermiticity is verified at construction (of each factor) unless the
-    caller has checked the factors itself (`validate=False`).
+    On the grid-major layout, `block` is the sparse F x F part of one grid
+    node, `kernel` the dense n_q x n_q grid factor and `diag` an extra
+    diagonal of length n_q F.  The split keeps assemblies free of explicit
+    stored zeros: purely diagonal contributions (kinetic terms, field
+    energies, shifts) live in `diag`.  The sum is stored as its factors and
+    applied in factored form, never assembled.  It is symmetric when both
+    factors are, so each factor is checked at construction.
     """
 
-    def __init__(self, matrix, diag=None, *, kernel=None, validate=True, name=""):
-        m = sp.csr_matrix(matrix)
+    def __init__(self, block, kernel, diag, *, name=""):
+        m = sp.csr_matrix(block)
         if m.shape[0] != m.shape[1]:
-            raise DomainError("operator matrix must be square")
+            raise DomainError("operator block must be square")
         m.sum_duplicates()
         m.eliminate_zeros()
         self.matrix = m
-        self.kernel = None if kernel is None else np.asarray(kernel, dtype=float)
-        if self.kernel is not None and (
-                self.kernel.ndim != 2 or self.kernel.shape[0] != self.kernel.shape[1]):
+        self.kernel = np.asarray(kernel, dtype=float)
+        if self.kernel.ndim != 2 or self.kernel.shape[0] != self.kernel.shape[1]:
             raise DomainError("operator kernel must be square")
-        self.diag = None if diag is None else np.asarray(diag, dtype=float)
-        if self.diag is not None and self.diag.shape != (self.dim,):
+        self.diag = np.asarray(diag, dtype=float)
+        if self.diag.shape != (self.dim,):
             raise DomainError("diagonal length does not match operator dimension")
         self.name = name
-        if validate:
-            _check_symmetric(m, name)
-            if self.kernel is not None:
-                _check_symmetric(self.kernel, f"{name} kernel")
+        _check_symmetric(m, f"{name} block")
+        _check_symmetric(self.kernel, f"{name} kernel")
 
     @property
     def dim(self) -> int:
-        if self.kernel is None:
-            return self.matrix.shape[0]
         return self.kernel.shape[0] * self.matrix.shape[0]
 
     @property
     def nnz(self) -> int:
         """Stored entries of the equivalent assembled matrix."""
-        extra = 0 if self.diag is None else self.dim
-        if self.kernel is None:
-            return self.matrix.nnz + extra
         n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
-        return n_q * self.matrix.nnz + n_q * n_q * fdim + extra
+        return n_q * self.matrix.nnz + n_q * n_q * fdim + self.dim
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        if self.kernel is None:
-            y = self.matrix @ x
-        else:
-            X = x.reshape(self.kernel.shape[0], -1)
-            Y = self.kernel @ X
-            Y += (self.matrix @ X.T).T
-            y = Y.ravel()
-        if self.diag is not None:
-            y += self.diag * x
+        X = x.reshape(self.kernel.shape[0], -1)
+        Y = self.kernel @ X
+        Y += (self.matrix @ X.T).T
+        y = Y.ravel()
+        y += self.diag * x
         return y
 
     def diagonal(self) -> np.ndarray:
+        n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
         d = np.asarray(self.matrix.diagonal(), dtype=float)
-        if self.kernel is not None:
-            n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
-            d = np.tile(d, n_q) + np.repeat(np.diag(self.kernel), fdim)
-        if self.diag is not None:
-            d = d + self.diag
-        return d
+        return np.tile(d, n_q) + np.repeat(np.diag(self.kernel), fdim) + self.diag
 
     def to_dense(self) -> np.ndarray:
         if self.dim > _DENSIFY_MAX:
             raise CapacityError(
                 f"refusing to densify dimension {self.dim} > {_DENSIFY_MAX}")
-        if self.kernel is None:
-            out = self.matrix.toarray()
-        else:
-            n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
-            out = np.zeros((n_q, fdim, n_q, fdim))
-            s, j = np.arange(fdim), np.arange(n_q)
-            out[:, s, :, s] = self.kernel
-            out[j, :, j, :] += self.matrix.toarray()
-            out = out.reshape(self.dim, self.dim)
-        if self.diag is not None:
-            out[np.diag_indices_from(out)] += self.diag
+        n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
+        out = np.zeros((n_q, fdim, n_q, fdim))
+        s, j = np.arange(fdim), np.arange(n_q)
+        out[:, s, :, s] = self.kernel
+        out[j, :, j, :] += self.matrix.toarray()
+        out = out.reshape(self.dim, self.dim)
+        out[np.diag_indices_from(out)] += self.diag
         return out
 
     def __repr__(self):
@@ -309,22 +287,6 @@ def assemble_schrodinger(potential, egrid: ElectronGrid, mass: float,
     return h
 
 
-def _grid_times_fock(n_grid: int, interaction: sp.csr_matrix, int_scale: float,
-                     kernel: np.ndarray, diag_flat: np.ndarray,
-                     name: str) -> SymmetricOperator:
-    """blockdiag(int_scale * interaction) + kernel (x) I_F + diag, factored.
-
-    The sum is symmetric when both factors are, so each factor is checked
-    once; the Kronecker sum itself is never assembled.
-    """
-    _check_symmetric(interaction, f"{name} interaction")
-    _check_symmetric(kernel, f"{name} kernel")
-    if kernel.shape != (n_grid, n_grid):
-        raise DomainError(f"{name} kernel does not match the {n_grid}-point grid")
-    return SymmetricOperator(interaction * int_scale, diag=diag_flat,
-                             kernel=kernel, validate=False, name=name)
-
-
 def assemble_coupled_llp(template: FiberTemplate, kernel: np.ndarray,
                          egrid: ElectronGrid, lam: float,
                          e0: float) -> SymmetricOperator:
@@ -340,14 +302,13 @@ def assemble_coupled_llp(template: FiberTemplate, kernel: np.ndarray,
     if lam <= 0:
         raise DomainError(f"scaling parameter must be positive, got {lam}")
     spec = template.spec
-    n_q = egrid.size
     inv_l2 = 1.0 / (lam * lam)
     # kinetic diagonal of all fibers at once: |lam q_j - P_f|^2 / (2m)
     diff = lam * egrid.points[:, None] - template.field_momenta[None, :]
     kin = diff * diff / (2.0 * spec.mass)
     diag_flat = ((kin + (template.frequency_sums - e0)[None, :]) * inv_l2).ravel()
-    return _grid_times_fock(n_q, template.interaction, inv_l2, kernel, diag_flat,
-                            name=f"coupled(lam={lam:g})")
+    return SymmetricOperator(template.interaction * inv_l2, kernel, diag_flat,
+                             name=f"coupled(lam={lam:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +381,13 @@ def assemble_llp_ring(template: FiberTemplate, potential,
         kernel = np.zeros((n_x, n_x))
     else:
         kernel = ring_potential_kernel(potential, egrid)
-    return _grid_times_fock(n_x, template.interaction, 1.0, kernel, diag_flat,
-                            name="llp-ring")
+    return SymmetricOperator(template.interaction, kernel, diag_flat,
+                             name="llp-ring")
 
 
 def assemble_direct_tensor(template: FiberTemplate, potential,
-                           egrid: ElectronGrid) -> SymmetricOperator:
-    """Position-space ring tensor Hamiltonian with realified field modes.
+                           egrid: ElectronGrid) -> np.ndarray:
+    """Dense position-space ring tensor Hamiltonian, realified field modes.
 
     Kinetic energy is the periodic 3-point Laplacian on the ring paired with
     `egrid`; the external potential is sampled on the sites.  Each +/-k mode
@@ -435,7 +396,9 @@ def assemble_direct_tensor(template: FiberTemplate, potential,
     coupling into sqrt(2) v [cos(k x)(u^+ + u) + sin(k x)(w^+ + w)]; a k = 0
     mode stays itself with coupling v (u^+ + u).  The rotation preserves the
     total occupation, so the truncated spectra match the momentum-frame
-    twin's exactly.
+    twin's exactly.  The sparse sum is checked for symmetry and densified;
+    dimensions above _DENSIFY_MAX raise CapacityError before anything is
+    built.
     """
     _ring_guard(template, egrid)
     spec = template.spec
@@ -443,6 +406,10 @@ def assemble_direct_tensor(template: FiberTemplate, potential,
     basis = template.basis
     sites = ring_sites(egrid)
     n_x = egrid.size
+    dim = n_x * basis.dim
+    if dim > _DENSIFY_MAX:
+        raise CapacityError(
+            f"refusing to densify dimension {dim} > {_DENSIFY_MAX}")
     dx = 2.0 * math.pi / egrid.dq / n_x
     m = grid.size
     perm = grid.parity_permutation()
@@ -485,4 +452,7 @@ def assemble_direct_tensor(template: FiberTemplate, potential,
         vsite = np.asarray(potential.values(sites), dtype=float)
         diag_flat = diag_flat + np.repeat(vsite, basis.dim)
     mat = interaction + kin
-    return SymmetricOperator(mat, diag=diag_flat, name="direct-tensor")
+    _check_symmetric(mat, "direct-tensor")
+    out = mat.toarray()
+    out[np.diag_indices_from(out)] += diag_flat
+    return out

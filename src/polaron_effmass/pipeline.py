@@ -110,7 +110,6 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
     block = {
         "E0": curve.e0,
         "P_c": p_c,
-        "parity_max_diff": curve.parity_max_diff,
         "mass_fit": {
             "M_dyn": fit.mass,
             "quartic_coeff": fit.quartic,
@@ -342,7 +341,7 @@ def run_oracle_check(cfg: ExperimentConfig) -> tuple:
         ring = assemble_llp_ring(template, pot, cfg.egrid)
         direct = assemble_direct_tensor(template, pot, cfg.egrid)
         s1 = dense_spectrum(ring.to_dense())
-        s2 = dense_spectrum(direct.to_dense())
+        s2 = dense_spectrum(direct)
         diff = float(np.max(np.abs(s1 - s2)))
         checks.append((label, dim, diff, diff <= _ORACLE_TOL))
 

@@ -22,7 +22,7 @@ Pieces:
   reads the lam's fiber nodes and the potential kernel as the caller
   fetched them, once, for the solve and both bounds at that lam.
 * :func:`extrapolate_static_mass`: fits e(lam) = e0 + c1 lam + c2 lam^2
-  (the leading correction of the scaling limit is O(lam)), propagates the
+  (e(lam) is even, so the leading correction is O(lam^2)), propagates the
   fit uncertainty and a drop-the-largest-lam refit shift into e0 and the
   mass, and inverts on the same grid.
 """
@@ -36,8 +36,7 @@ import numpy as np
 
 from .dispersion import FiberNodes
 from .eigensolve import davidson_ground, dense_ground
-from .errors import (AnalysisError, BracketError, NoBoundStateError,
-                     SolverError)
+from .errors import AnalysisError, BracketError, NoBoundStateError
 from .operators import (ElectronGrid, FiberTemplate, assemble_coupled_llp,
                         assemble_schrodinger)
 
@@ -183,27 +182,21 @@ def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
     on `egrid`.  The fiber ground states Phi(lam q_j) of `nodes`, one per
     grid node, span a coarse space Z = [e_j (x) Phi(lam q_j)] that holds
     most of the ground vector.  The solve starts from Z y0, y0 the lowest
-    eigenvector of the Galerkin matrix M = Z^T A Z (:func:`fiber_galerkin`),
-    in a search space of 20 vectors.  Each correction r / (diag(A) - theta) has its Z component
-    replaced by Z (M - theta)^{-1} Z^T r (Nicolaides' deflation applied to
-    Davidson's correction equation).  Rayleigh-Ritz still produces the
+    eigenvector of the Galerkin matrix M = Z^T A Z (:func:`fiber_galerkin`).
+    Each correction r / (diag(A) - theta) has its Z component replaced by
+    Z (M - theta)^{-1} Z^T r (Nicolaides' deflation applied to Davidson's
+    correction equation).  Rayleigh-Ritz still produces the
     value, so the correction can slow the solve but not change its answer.
-    One retry from the stalled attempt's last Ritz vector, with a space of 80
-    and 1200 iterations, runs before giving up.  M is returned with the
-    result, for U* (:func:`~.trialstate.minimize_upper_bound`).
+    A solve that does not converge raises SolverError.  M is returned with
+    the result, for U* (:func:`~.trialstate.minimize_upper_bound`).
     """
     op = assemble_coupled_llp(template, kernel, egrid, lam, e0)
     M = fiber_galerkin(nodes, kernel, lam, e0)
     evals, U = np.linalg.eigh(M)
     correct = _coarse_correction(nodes.vectors, evals, U)
     start = (U[:, 0, None] * nodes.vectors).ravel()
-    try:
-        res = davidson_ground(op, tol=_COUPLED_TOL, seed=seed, v0=start,
-                              correction=correct)
-    except SolverError as exc:
-        res = davidson_ground(op, tol=_COUPLED_TOL, seed=seed + 101,
-                              v0=exc.best_vector, correction=correct,
-                              max_subspace=min(80, op.dim), max_iters=1200)
+    res = davidson_ground(op, tol=_COUPLED_TOL, seed=seed, v0=start,
+                          correction=correct)
     return CoupledResult(value=res.value, residual=res.residual,
                          iterations=res.iterations, matvecs=res.matvecs,
                          vector=res.vector, galerkin=M)
@@ -243,12 +236,15 @@ def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid
                             ) -> StaticMassResult:
     """Extrapolate e(lam) to lam = 0 and invert the comparison curve.
 
-    Fit model e(lam) = e0 + c1 lam + c2 lam^2.  The e0 uncertainty is the
-    larger of the fit's standard error and the shift from refitting without
-    the largest lam.  The mass uncertainty propagates e0_err through the
-    numerically differentiated comparison-curve slope.  A fit with rms
-    residual above _FIT_RMS_TOL is marked rejected (data still returned);
-    the inversion uses the same grid as the coupled solves.
+    Fit model e(lam) = e0 + c1 lam + c2 lam^2.  Reversing the grid maps
+    A(-lam) onto A(lam), so e(lam) is even and its exact c1 is 0; the
+    fitted c1 absorbs the lam^4 and higher terms, and so biases e0.  The
+    e0 uncertainty is the larger of the fit's standard error and the shift
+    from refitting without the largest lam.  The mass uncertainty
+    propagates e0_err through the numerically differentiated
+    comparison-curve slope.  A fit with rms residual above _FIT_RMS_TOL is
+    marked rejected (data still returned); the inversion uses the same grid
+    as the coupled solves.
     """
     lams = np.asarray(lambdas, dtype=float)
     evals = np.asarray(e_values, dtype=float)

@@ -40,7 +40,7 @@ def _curve(P, energy, gap=1.0):
                        residual=np.zeros(P.shape),
                        degenerate=np.zeros(P.shape, bool),
                        vectors=np.zeros((P.size, 0)))
-    return DispersionCurve(nodes=nodes, e0=0.0, parity_max_diff=0.0)
+    return DispersionCurve(nodes=nodes, e0=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,6 @@ def test_free_model_dispersion_is_exact_parabola(monkeypatch):
     curve = scan_dispersion(FiberCache(_free_template()), P_list)
     assert curve.e0 == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(curve.nodes.energy, curve.nodes.P**2, atol=1e-10)
-    assert curve.parity_max_diff < 1e-12
     # the first excited state is one field quantum away
     assert np.all(curve.nodes.gap > 0.5)
 

@@ -6,13 +6,15 @@ package, every option of the package (a parameter with a default that a
 call can pass by name) is set by a call inside the package (a value only
 tests set is a module constant they patch), a run imports no scipy
 beyond scipy.linalg and scipy.sparse, every function the benchmark's
-tracer wraps exists with the argument it records, and the dispersion scan
+tracer wraps exists with the argument it records, the tracer runs a
+sandwich and reads the coupled operator's attributes, and the dispersion scan
 makes one fiber solve call per momentum it solves, as the tracer's check
 assumes."""
 
 import ast
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -254,6 +256,46 @@ def test_benchmark_tracer_targets_exist():
         if param is not None:
             params = inspect.signature(target).parameters
             assert param in params, f"{mod}.{attr} has no parameter {param!r}"
+
+
+_TRACER_GUARD = textwrap.dedent("""
+    import importlib.util
+    import json
+    import sys
+    spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer().install()
+    from polaron_effmass import pipeline
+    from polaron_effmass.config import load_config
+    passed = pipeline.run("sandwich", load_config("toy"), out_dir=sys.argv[2])
+    assembles = [span.attrs for span in tracer.spans
+                 if span.name == "operators.coupled_assemble"]
+    print(json.dumps({
+        "passed": passed,
+        "coupled_matvecs": tracer.counts["coupled_matvecs"],
+        "assembles": len(assembles),
+        "stored_mb": sum("stored_mb" in attrs for attrs in assembles)}))
+""")
+
+
+def test_benchmark_tracer_reads_the_operator_it_wraps(tmp_path):
+    # the tracer reads the coupled operator's matrix, diagonal, nnz and name
+    # on every matvec and assembly; a renamed attribute must fail here, not
+    # only in the benchmark's own tests
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACER_GUARD,
+         str(REPO_ROOT / "perfbench" / "tracer.py"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["passed"] is True
+    assert result["coupled_matvecs"] > 0
+    assert result["assembles"] > 0
+    assert result["stored_mb"] == result["assembles"]
 
 
 def test_the_scan_solves_one_momentum_per_solve_call(toy_cfg, monkeypatch):

@@ -21,8 +21,7 @@ from polaron_effmass.model import (ConstantCoupling, ConstantDispersion,
                                    GaussianWell, ModeGrid, ModelSpec,
                                    PoschlTeller, ZeroCoupling)
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
-                                       SymmetricOperator, _grid_times_fock,
-                                       assemble_coupled_llp,
+                                       SymmetricOperator, assemble_coupled_llp,
                                        assemble_direct_tensor,
                                        assemble_llp_ring,
                                        assemble_schrodinger, potential_kernel,
@@ -53,15 +52,16 @@ def test_symmetric_operator_validates_and_matvecs(rng, monkeypatch):
     a = rng.standard_normal((6, 6))
     sym = (a + a.T) / 2
     diag = rng.standard_normal(6)
-    op = SymmetricOperator(sym, diag=diag)
+    op = SymmetricOperator(sym, np.zeros((1, 1)), diag)
     x = rng.standard_normal(6)
     assert np.allclose(op.matvec(x), sym @ x + diag * x)
     assert np.allclose(op.diagonal(), np.diag(sym) + diag)
     assert np.allclose(op.to_dense(), sym + np.diag(diag))
     with pytest.raises(DomainError):
-        SymmetricOperator(a + np.triu(np.ones((6, 6)), 1))
+        SymmetricOperator(a + np.triu(np.ones((6, 6)), 1), np.zeros((1, 1)),
+                          diag)
     with pytest.raises(DomainError):
-        SymmetricOperator(sym, diag=np.ones(5))
+        SymmetricOperator(sym, np.zeros((1, 1)), np.ones(5))
     monkeypatch.setattr(operators, "_DENSIFY_MAX", 3)
     with pytest.raises(CapacityError):
         op.to_dense()
@@ -72,17 +72,19 @@ def test_grid_times_fock_checks_each_factor(rng):
     a = rng.standard_normal((5, 5))
     kernel = (a + a.T) / 2.0
     diag = np.zeros(5 * template.dim)
-    dense = _grid_times_fock(5, template.interaction, 2.0, kernel, diag,
-                             "ok").to_dense()
+    dense = SymmetricOperator(template.interaction * 2.0, kernel, diag,
+                              name="ok").to_dense()
     assert np.array_equal(dense, dense.T)
     bad_kernel = kernel.copy()
     bad_kernel[0, 1] += 1e-6
-    with pytest.raises(DomainError, match="kernel is not symmetric"):
-        _grid_times_fock(5, template.interaction, 2.0, bad_kernel, diag, "bad")
+    with pytest.raises(DomainError, match="bad kernel is not symmetric"):
+        SymmetricOperator(template.interaction * 2.0, bad_kernel, diag,
+                          name="bad")
     bad_interaction = template.interaction.tolil()
     bad_interaction[0, 1] += 1e-6
-    with pytest.raises(DomainError, match="interaction is not symmetric"):
-        _grid_times_fock(5, bad_interaction.tocsr(), 2.0, kernel, diag, "bad")
+    with pytest.raises(DomainError, match="bad block is not symmetric"):
+        SymmetricOperator(bad_interaction.tocsr() * 2.0, kernel, diag,
+                          name="bad")
 
 
 def test_electron_grid_layout():
@@ -241,11 +243,11 @@ def _check_against_kronecker(op, block, kernel, rng):
     assert np.array_equal(op.diagonal(), ref.diagonal())
     assert np.array_equal(op.to_dense(), ref.toarray())
     with pytest.raises(DomainError, match="diagonal length"):
-        SymmetricOperator(block, diag=op.diag[:-1], kernel=kernel)
+        SymmetricOperator(block, kernel, op.diag[:-1])
     bad_kernel = kernel.copy()
     bad_kernel[0, 1] += 1e-6
     with pytest.raises(DomainError, match="kernel is not symmetric"):
-        SymmetricOperator(block, diag=op.diag, kernel=bad_kernel)
+        SymmetricOperator(block, bad_kernel, op.diag)
 
 
 @pytest.mark.parametrize("lam", [0.4, 0.1])
@@ -268,8 +270,8 @@ def test_factored_operator_with_a_general_kernel(toy_template, rng):
     a = rng.standard_normal((5, 5))
     kernel = a + a.T
     diag = rng.standard_normal(5 * toy_template.dim)
-    op = _grid_times_fock(5, toy_template.interaction, 2.0, kernel, diag,
-                          "general")
+    op = SymmetricOperator(toy_template.interaction * 2.0, kernel, diag,
+                           name="general")
     _check_against_kronecker(op, toy_template.interaction * 2.0, kernel, rng)
 
 
@@ -282,10 +284,19 @@ def test_ring_pair_spectra_agree_when_commensurate():
     template = FiberTemplate(cfg.spec)
     ring = assemble_llp_ring(template, cfg.potential, cfg.egrid)
     direct = assemble_direct_tensor(template, cfg.potential, cfg.egrid)
-    assert ring.dim == direct.dim
+    assert direct.shape == (ring.dim, ring.dim)
     s1 = dense_spectrum(ring.to_dense())
-    s2 = dense_spectrum(direct.to_dense())
+    s2 = dense_spectrum(direct)
     assert np.max(np.abs(s1 - s2)) < 1e-10
+
+
+def test_direct_tensor_refuses_to_densify_over_the_cap(monkeypatch):
+    cfg = load_config("oracle")
+    template = FiberTemplate(cfg.spec)
+    monkeypatch.setattr(operators, "_DENSIFY_MAX",
+                        cfg.egrid.size * template.dim - 1)
+    with pytest.raises(CapacityError, match="refusing to densify"):
+        assemble_direct_tensor(template, cfg.potential, cfg.egrid)
 
 
 def test_ring_pair_rejects_incommensurate_modes():

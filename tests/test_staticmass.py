@@ -22,7 +22,8 @@ from polaron_effmass.errors import (AccuracyWarning, AnalysisError,
 from polaron_effmass.model import (TAIL_TOL, GaussianWell, PoschlTeller,
                                    fourier_tail_fraction)
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
-                                       assemble_coupled_llp, potential_kernel)
+                                       SymmetricOperator, assemble_coupled_llp,
+                                       potential_kernel)
 from polaron_effmass.pipeline import stage_dispersion, stage_static
 from polaron_effmass.staticmass import (coupled_ground,
                                         extrapolate_static_mass, invert_E,
@@ -235,6 +236,37 @@ def test_static_stage_warns_once_on_fat_kernel_tail(toy_cfg):
         "grid's maximum momentum transfer 10; the kernel quadrature may be "
         "under-resolved"]
     assert fourier_tail_fraction(cfg.potential, 10.0) > TAIL_TOL
+
+
+def _dense_coupled_any_sign(template, kernel, egrid, lam, e0):
+    """A(lam) as assemble_coupled_llp builds it, for a lam of either sign."""
+    inv_l2 = 1.0 / (lam * lam)
+    diff = lam * egrid.points[:, None] - template.field_momenta[None, :]
+    kin = diff * diff / (2.0 * template.spec.mass)
+    diag = ((kin + (template.frequency_sums - e0)[None, :]) * inv_l2).ravel()
+    return SymmetricOperator(template.interaction * inv_l2, kernel,
+                             diag).to_dense()
+
+
+def test_coupled_operator_is_even_in_lambda(toy_cfg, toy_template):
+    # e(lam) = e(-lam): reversing the grid (J), or reflecting the field
+    # modes (R), maps A(-lam) onto A(lam) exactly, so the leading
+    # correction to e0 is O(lam^2)
+    lam, e0 = 0.3, -0.3
+    egrid = toy_cfg.egrid
+    kernel = potential_kernel(toy_cfg.potential, egrid)
+    plus = _dense_coupled_any_sign(toy_template, kernel, egrid, lam, e0)
+    assert np.array_equal(plus, assemble_coupled_llp(
+        toy_template, kernel, egrid, lam, e0).to_dense())
+    minus = _dense_coupled_any_sign(toy_template, kernel, egrid, -lam, e0)
+    assert not np.array_equal(plus, minus)
+    n_q, fdim = egrid.size, toy_template.dim
+    grid_index = np.arange(n_q)[:, None] * fdim
+    J = (grid_index[::-1] + np.arange(fdim)).ravel()
+    R = (grid_index + toy_template.basis.permute_modes(
+        toy_template.grid.parity_permutation())).ravel()
+    assert np.array_equal(minus[np.ix_(J, J)], plus)
+    assert np.array_equal(minus[np.ix_(R, R)], plus)
 
 
 # ---------------------------------------------------------------------------
