@@ -10,10 +10,11 @@ Two independent lower-bound routes:
   and L1 = infspec(D + W) is a rigorous lower bound whenever the D entries
   are themselves lower bounds on the fiber energies.  Each fiber at
   lam * q_j, from the node set the coupled solve at lam reads, has its
-  residual subtracted from its Ritz value, which certifies the bound at
-  solver precision.  The dense eigenvalue is then lowered to a floor
-  verified in floating point (:func:`~.eigensolve.verified_floor`), as is
-  L2's operator branch.
+  ground pair's own residual (from a fresh product of the returned
+  vector; the excited pair's looser one never enters) subtracted from its
+  ground Ritz value, which certifies the bound at solver precision.  The
+  dense eigenvalue is then lowered to a floor verified in floating point
+  (:func:`~.eigensolve.verified_floor`), as is L2's operator branch.
 
 * Scaled-potential split bound (L2).  Splitting trial vectors by how much
   momentum mass sits outside a ball of radius beta = C_BETA sqrt(lam) and
@@ -77,10 +78,11 @@ def momentum_lower_bound(lam: float, kernel: np.ndarray, nodes: FiberNodes,
     """L1 = infspec(D + W) on the electron grid, certified.
 
     `kernel` is W on the grid and `nodes` holds the fibers at its nodes
-    lam*q_j.  Each node's Ritz value minus its residual, a certified floor
-    on the fiber ground energy of a symmetric operator, gives its diagonal
-    entry.  Returns a verified floor on that matrix's lowest eigenvalue;
-    SolverError when the verification fails.
+    lam*q_j.  Each node's ground Ritz value minus its ground pair's
+    residual (`nodes.residual`), a certified floor on the fiber ground
+    energy of a symmetric operator, gives its diagonal entry.  Returns a
+    verified floor on that matrix's lowest eigenvalue; SolverError when the
+    verification fails.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")

@@ -88,16 +88,19 @@ class FiberCache:
     """Memoized fiber ground pairs by total momentum.
 
     Stores, per momentum P, the ground energy, the gap to the next level,
-    the phase-fixed ground vector, the residual, the degeneracy flag and the
-    solver's iterations, matvecs and restarts.  :meth:`pairs` is the one
-    way to ask for fibers: it solves all the momenta it lacks as one
-    lockstep batch (:func:`~.eigensolve.lowest_two`) and returns
-    :class:`FiberNodes`.  Every momentum is solved from the same seed, and a
-    member of a batch gets the same bits as it would alone, so a record
-    depends neither on the order of requests nor on the batch it was solved
-    in; each record counts only its own solver work.  The -P data is derived
-    from +P by the parity permutation instead of a second solve (DomainError
-    on a grid not closed under k -> -k).
+    the phase-fixed ground vector, the ground pair's residual from a fresh
+    block product (the one `L1` subtracts; the excited pair is converged
+    only as far as the gap needs), the degeneracy flag and the solver's
+    iterations, matvecs and restarts.  :meth:`pairs` is the one way to ask
+    for fibers: it rounds the momenta to 12 decimals, which key the store,
+    solves all those it lacks as one lockstep batch
+    (:func:`~.eigensolve.lowest_two`) and returns :class:`FiberNodes`.
+    Every momentum is solved from the same seed, and a member of a batch
+    gets the same bits as it would alone, so a record depends neither on
+    the order of requests nor on the batch it was solved in; each record
+    counts only its own solver work.  The -P data is derived from +P by the
+    parity permutation instead of a second solve (DomainError on a grid not
+    closed under k -> -k).
     """
 
     def __init__(self, template: FiberTemplate, *, seed: int = 0):
@@ -106,10 +109,6 @@ class FiberCache:
         self._store: dict = {}
         self._state_perm = template.basis.permute_modes(
             template.grid.parity_permutation())
-
-    @staticmethod
-    def _key(P: float) -> float:
-        return float(np.round(P, 12)) + 0.0   # normalize -0.0 to 0.0
 
     def solves(self) -> int:
         """Number of momenta actually solved (not derived by parity)."""
@@ -128,7 +127,7 @@ class FiberCache:
             "energy": pair.values[0],
             "gap": pair.gap,
             "degenerate": pair.degenerate,
-            "residual": max(pair.residuals),
+            "residual": pair.residuals[0],
             "vector": pair.vectors[0],
             "iterations": pair.iterations,
             "matvecs": pair.matvecs,
@@ -137,16 +136,16 @@ class FiberCache:
         } for pair in pairs]
 
     def _ensure(self, P: float) -> dict:
-        """The record at P: cached, or the parity image of the cached -P."""
-        key = self._key(P)
-        if key not in self._store:
+        """The record at P, a key as :meth:`pairs` rounds it: cached, or the
+        parity image of the cached -P."""
+        if P not in self._store:
             # the parity image of a phase-fixed vector is already
             # phase-consistent (the reference vector is parity even)
-            pos = self._store[-key]
+            pos = self._store[-P]
             vec = np.empty_like(pos["vector"])
             vec[self._state_perm] = pos["vector"]
-            self._store[key] = dict(pos, vector=vec, solved=False)
-        return self._store[key]
+            self._store[P] = dict(pos, vector=vec, solved=False)
+        return self._store[P]
 
     def pairs(self, Ps) -> FiberNodes:
         """The fiber ground data at every momentum of `Ps`, in that order.
@@ -156,7 +155,8 @@ class FiberCache:
         >= 0; the -P records then follow by parity.
         """
         P = np.asarray(Ps, dtype=float)
-        keys = [self._key(p) for p in P]
+        # P to 12 decimals; adding 0.0 turns -0.0 into 0.0
+        keys = (np.round(P, 12) + 0.0).tolist()
         todo = sorted(({abs(key) for key in keys} | {0.0}) - self._store.keys())
         if todo:
             for key, rec in zip(todo, self._solve(*todo)):

@@ -235,6 +235,9 @@ _REPORT_DOC = (
     ("`dispersion.fiber_matvecs`", "Fiber-operator applications summed "
                                    "over those diagonalizations, including "
                                    "the residual checks."),
+    ("`dispersion.fiber_restarts`", "Thick restarts of the Davidson search "
+                                    "space summed over those "
+                                    "diagonalizations."),
     ("`telemetry.fiber`", "Every fiber diagonalization of the run, the "
                           "scan's and the static stage's (summed over the "
                           "variants of `converge`): `solves`, and the "
@@ -333,8 +336,9 @@ def _section_report() -> str:
 # ---------------------------------------------------------------------------
 
 _CSV_DOC = {
-    "dispersion.csv": "One row per scanned momentum: energy, spectral gap "
-                      "and solver residual.",
+    "dispersion.csv": "One row per scanned momentum: ground energy, "
+                      "gap to the first excited level and the ground "
+                      "pair's residual.",
     "staticmass.csv": "One row per scaling parameter: coupled energy, "
                       "certified lower bound, variational upper bound, "
                       "solver residual.",

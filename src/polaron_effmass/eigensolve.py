@@ -12,9 +12,11 @@
   is the same bits alone or in any batch.  :func:`lowest_two` serves the
   fiber ground pairs and their gaps, a batch of fibers
   (:class:`~.operators.FiberBatch`) or one operator, from the
-  lowest-diagonal coordinate directions; :func:`davidson_ground` the
-  coupled small-lambda operators, a batch of one, whose diagonal spread
-  makes plain Krylov iteration impractically slow.  Both use a fixed
+  lowest-diagonal coordinate directions, and converges the ground pair to
+  the caller's tolerance but the excited pair, read only through its Ritz
+  value in the gap, to its square root.  :func:`davidson_ground` serves
+  the coupled small-lambda operators, a batch of one, whose diagonal
+  spread makes plain Krylov iteration impractically slow.  Both use a fixed
   space of 20 vectors and at most 600 iterations; the coupled solve
   supplies its fiber-Galerkin start and coarse correction (see the solver
   notes in the README).
@@ -303,8 +305,12 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
     already in its space is replaced by a random vector from a generator
     seeded with `seed`, one per member.  The projected eigenproblems stay
     per member and form only the `nwant` lowest pairs, or the
-    `restart_keep` lowest before a restart.  A member leaves the batch once
-    all its pairs meet the tolerance, and the members that stay move up
+    `restart_keep` lowest before a restart.  The lowest pair passes at a
+    residual of tol max(1, |theta|), the pairs above it at sqrt(tol)
+    max(1, |theta|): those values only enter gaps, and a Ritz value's error
+    is of order r^2 / delta, delta its distance to the rest of the spectrum
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 11).  A member leaves
+    the batch once all its pairs pass, and the members that stay move up
     into its slot; _MAX_ITERS iterations without that raise SolverError.
 
     No floating-point operation mixes two members, and every operation on
@@ -330,6 +336,7 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
             f"{_DAVIDSON_MAX_BYTES / 2**20:.0f} MiB")
     diag = np.array(diag_fn(), dtype=float)
     restart_keep = max(nwant, min(restart_keep, space - nwant))
+    tols = np.array([tol] + [math.sqrt(tol)] * (nwant - 1))
 
     V = np.empty((B, space, n))
     AV = np.empty((B, space, n))
@@ -384,7 +391,7 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
         R -= thetas[:, :, None] * X
         ress = _row_norms(R)
         scale = np.maximum(1.0, np.abs(thetas))
-        done = (ress <= tol * scale).all(axis=1)
+        done = (ress <= tols * scale).all(axis=1)
         if np.count_nonzero(done):      # the cheapest test of a small mask
             for a in done.nonzero()[0]:
                 out[ids[a]] = ([float(t) for t in thetas[a]], list(X[a]),
@@ -455,10 +462,13 @@ def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> list:
     `op` is a :class:`~.operators.FiberBatch`, whose members run through one
     lockstep two-target Davidson run (space 20, thick restarts to 6), or a
     single operator, a batch of one.  A member's result does not depend on
-    the batch.  The returned residuals ||A x - theta x|| come from a fresh
-    block apply of the returned unit vectors, so `theta - residual` is a
-    certified floor on an eigenvalue.  The gap is the difference of the two
-    Ritz values.  The pair is flagged degenerate when the gap is below
+    the batch.  The ground pair converges to a residual of
+    tol max(1, |theta_0|), the excited pair, which enters only the gap, to
+    sqrt(tol) max(1, |theta_1|) (see :func:`_davidson`).  The returned
+    residuals ||A x - theta x|| come from a fresh block apply of the
+    returned unit vectors, so `theta_0 - residuals[0]` is a certified floor
+    on an eigenvalue.  The gap is the difference of the two Ritz values.
+    The pair is flagged degenerate when the gap is below
     max(10 tol, 1e-10) * max(1, |E0|), in which case downstream consumers
     must not rely on a unique ground direction.  Iterations, matvecs and
     restarts are each member's own; matvecs counts the two fresh ones too.

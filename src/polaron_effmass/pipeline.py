@@ -135,6 +135,7 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
         "fiber_solves": cache.solves(),
         "fiber_iterations": cache.work("iterations"),
         "fiber_matvecs": cache.work("matvecs"),
+        "fiber_restarts": cache.work("restarts"),
     }
     rows = list(zip(nodes.P, nodes.energy, nodes.gap, nodes.residual))
     state = DispersionState(cache, curve, p_c, fit, cert)

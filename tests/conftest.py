@@ -1,5 +1,7 @@
 """Shared fixtures and the acceptance-summary terminal hook."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -44,6 +46,15 @@ def toy_template(toy_cfg):
 @pytest.fixture(scope="session")
 def toy_cache(toy_template):
     return FiberCache(toy_template, seed=0)
+
+
+@pytest.fixture(scope="session")
+def batch_templates(toy_template):
+    """toy, and two truncations of the small model (fiber dims 28, 455, 91)."""
+    small = load_config("small").spec
+    return {"toy": toy_template, "small": FiberTemplate(small),
+            "small n_max-1": FiberTemplate(replace(small,
+                                                   n_max=small.n_max - 1))}
 
 
 @pytest.fixture(scope="session")

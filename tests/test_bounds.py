@@ -213,6 +213,38 @@ def test_momentum_bound_certified_below_coupled_energy(toy_cfg, toy_cache,
         assert l1 <= e + 1e-12
 
 
+def test_momentum_bound_subtracts_the_ground_residual(toy_cfg, toy_cache,
+                                                     fiber_matrix,
+                                                     monkeypatch):
+    # each node's residual is its ground pair's own, and its Ritz value
+    # minus that residual floors the fiber's lowest eigenvalue
+    template = toy_cache.template
+    e0 = toy_cache.pairs([0.0]).energy[0]
+    kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
+    seen = []
+
+    def spy(h, mu):
+        seen.append(h.copy())
+        return verified_floor(h, mu)
+
+    monkeypatch.setattr(bounds, "verified_floor", spy)
+    for lam in (0.4, 0.1):
+        nodes = toy_cache.pairs(lam * toy_cfg.egrid.points)
+        floors = nodes.energy - nodes.residual
+        for P, energy, residual, floor, x in zip(
+                nodes.P, nodes.energy, nodes.residual, floors, nodes.vectors):
+            H = fiber_matrix(template, P)
+            assert residual == pytest.approx(
+                np.linalg.norm(H @ x - energy * x), rel=1e-6), P
+            if residual > 1e-12:
+                assert floor <= np.linalg.eigvalsh(H)[0], P
+        seen.clear()
+        momentum_lower_bound(lam, kernel, nodes, e0)
+        (h,) = seen
+        assert np.array_equal(np.diag(h),
+                              np.diag(kernel) + (floors - e0) / lam**2)
+
+
 def test_momentum_bound_zero_coupling_matches_schrodinger(free_cache):
     # with the field decoupled and lam * q_max small enough that the
     # zero-excitation sector carries every fiber ground, the bound

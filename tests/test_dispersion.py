@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from polaron_effmass import dispersion
-from polaron_effmass.config import load_config
 from polaron_effmass.dispersion import (DispersionCurve, FiberCache,
                                         FiberNodes, certify_quasi_parabolic,
                                         check_ceilings, estimate_Pc,
@@ -134,15 +133,6 @@ def test_fiber_pair_reports_its_work(toy_template):
                        tol=dispersion._FIBER_TOL, seed=0)
     assert cache.work("matvecs") == pair.matvecs + plus.matvecs
     assert cache.work("iterations") == pair.iterations + plus.iterations
-
-
-@pytest.fixture(scope="module")
-def batch_templates():
-    """toy, and two truncations of the small model (fiber dims 28, 455, 91)."""
-    small = load_config("small").spec
-    return {"toy": FiberTemplate(load_config("toy").spec),
-            "small": FiberTemplate(small),
-            "small n_max-1": FiberTemplate(replace(small, n_max=small.n_max - 1))}
 
 
 @pytest.mark.parametrize("model", ["toy", "small", "small n_max-1"])
