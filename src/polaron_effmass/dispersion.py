@@ -73,13 +73,15 @@ _CERTIFY_TOL = 1e-9
 @dataclass(frozen=True)
 class FiberNodes:
     """Fiber ground data at a list of momenta, one row per momentum in the
-    order requested: energy, gap to the next level, residual, degeneracy
-    flag and the phase-fixed unit ground vector."""
+    order requested: energy, gap to the next level, the ground and the
+    excited pair's residuals, degeneracy flag and the phase-fixed unit
+    ground vector."""
 
     P: np.ndarray
     energy: np.ndarray
     gap: np.ndarray
     residual: np.ndarray
+    excited_residual: np.ndarray
     degenerate: np.ndarray
     vectors: np.ndarray
 
@@ -88,9 +90,10 @@ class FiberCache:
     """Memoized fiber ground pairs by total momentum.
 
     Stores, per momentum P, the ground energy, the gap to the next level,
-    the phase-fixed ground vector, the ground pair's residual from a fresh
-    block product (the one `L1` subtracts; the excited pair is converged
-    only as far as the gap needs), the degeneracy flag and the solver's
+    the phase-fixed ground vector, both pairs' residuals from a fresh block
+    product (`L1` subtracts the ground one; the excited pair is converged
+    only as far as the gap needs, and its residual floors the excited level
+    in the coupled solve's enclosure), the degeneracy flag and the solver's
     iterations, matvecs and restarts.  :meth:`pairs` is the one way to ask
     for fibers: it rounds the momenta to 12 decimals, which key the store,
     solves all those it lacks as one lockstep batch
@@ -128,6 +131,7 @@ class FiberCache:
             "gap": pair.gap,
             "degenerate": pair.degenerate,
             "residual": pair.residuals[0],
+            "excited_residual": pair.residuals[1],
             "vector": pair.vectors[0],
             "iterations": pair.iterations,
             "matvecs": pair.matvecs,
@@ -167,7 +171,8 @@ class FiberCache:
         recs = [self._ensure(key) for key in keys]
         return FiberNodes(P, *(np.array([rec[field] for rec in recs])
                                for field in ("energy", "gap", "residual",
-                                             "degenerate", "vector")))
+                                             "excited_residual", "degenerate",
+                                             "vector")))
 
 
 @dataclass(frozen=True)

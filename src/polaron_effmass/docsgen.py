@@ -212,6 +212,8 @@ _REPORT_DOC = (
     ("`config`", "Echo of the parsed configuration."),
     ("`config_sha256`", "SHA-256 of the canonical JSON form of the echo."),
     ("`timings_seconds`", "Wall-clock seconds per pipeline stage."),
+    ("`peak_rss_mb`", "Peak resident memory of the process in MB when the "
+                      "run ends (`ru_maxrss` KiB times 1024 / 1e6)."),
     ("`dispersion.E0`", "Fiber ground energy at total momentum 0."),
     ("`dispersion.P_c`", "Estimated half-width of the momentum window on "
                          "which the dispersion stays quasi-parabolic."),
@@ -280,6 +282,35 @@ _REPORT_DOC = (
                                    "an interval endpoint."),
     ("`upper_bound.extrapolated`", "Quadratic extrapolation of the upper "
                                    "bounds to zero coupling."),
+    ("`upper_bound.galerkin`", "Galerkin upper bound `U_G` per scaling "
+                               "parameter: the lowest eigenvalue of the "
+                               "fiber-Galerkin matrix, at or below "
+                               "`U_star`."),
+    ("`upper_bound.e_below_galerkin`", "True when the coupled energy is at "
+                                       "most `U_G` plus the ordering "
+                                       "tolerance at every scale."),
+    ("`upper_bound.galerkin_below_U_star`", "True when `U_G` is at most "
+                                            "`U_star` plus the ordering "
+                                            "tolerance at every scale."),
+    ("`enclosure.rows`", "Per-scale certificate of the coupled energy: "
+                         "`lam`, the fiber split's floor `rho` on the second "
+                         "level with its parts `eta`, `b`, `c` and the "
+                         "verified floor `lambda2` on the Galerkin matrix's "
+                         "second eigenvalue, the stopping residual `r_star` "
+                         "it allowed, Temple's floor `L_T`, the `width` "
+                         "e - L_T, and a `note`: the premise, or why there "
+                         "is no `L_T` (then `r_star`, `L_T` and `width` "
+                         "are null)."),
+    ("`enclosure.target_width`", "Width e - L_T, relative to "
+                                 "max(1, |U_G|), that the stopping "
+                                 "residual aims for."),
+    ("`enclosure.premise`", "What every `L_T` assumes of the fiber "
+                            "solves."),
+    ("`enclosure.L_T_below_U_G`", "True when every `L_T` is at most `U_G` "
+                                  "plus the ordering tolerance."),
+    ("`enclosure.L_T_below_U_star`", "True when every `L_T` is at most "
+                                     "`U_star` plus the ordering "
+                                     "tolerance."),
     ("`split_bound.c_eps`", "Epsilon schedule scale actually used."),
     ("`split_bound.c_beta`", "Momentum-cut schedule scale actually used."),
     ("`split_bound.rows`", "Per-scale splitting bound: `lam`, `eps`, "
@@ -341,11 +372,15 @@ _CSV_DOC = {
                       "pair's residual.",
     "staticmass.csv": "One row per scaling parameter: coupled energy, "
                       "certified lower bound, variational upper bound, "
-                      "solver residual.",
+                      "solver residual and Temple's floor `L_T` (empty "
+                      "where there is none).",
     "trialstate.csv": "Optimized trial-profile parameters per scaling "
-                      "parameter (`key=value` pairs separated by `;`).",
+                      "parameter (`key=value` pairs separated by `;`), "
+                      "their bound and the Galerkin bound `U_G`.",
     "sandwich.csv": "The two lower bounds, the coupled energy, the upper "
-                    "bound and the smallest margin per scaling parameter.",
+                    "bound, the smallest margin and Temple's floor `L_T` "
+                    "(empty where there is none; not in the margin) per "
+                    "scaling parameter.",
     "oracle.csv": "One row per exact cross-check.",
     "converge.csv": "One row per refinement variant of the truncation "
                     "study.",

@@ -35,6 +35,10 @@
   floating-point Cholesky of the shifted matrix (Rump 2006); L1 and L2
   take their values from it, so no certificate rests on the accuracy of
   the dense eigenvalues.
+* :func:`rayleigh_bounds`: encloses the exact Rayleigh quotient of a stored
+  vector and bounds its residual from above, from the computed image and
+  one product with the entrywise absolute operator; the coupled solve's
+  Temple floor rests on it.
 
 Davidson's projected eigenproblems call dsyevr directly for the lowest m
 pairs (range "I"), with the arguments and workspace sizes that
@@ -64,6 +68,7 @@ __all__ = [
     "dense_ground",
     "dense_spectrum",
     "verified_floor",
+    "rayleigh_bounds",
 ]
 
 # Lanczos steps between two estimates of the ground Ritz residual.
@@ -400,9 +405,12 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
             stay = (~done).nonzero()[0]
             if not stay.size:
                 return out
+            # only the first k rows of a space are live; the rest are
+            # written before they are read
             for a, src in enumerate(stay):
                 if a != src:
-                    V[a], AV[a], H[a], diag[a] = V[src], AV[src], H[src], diag[src]
+                    V[a, :k], AV[a, :k] = V[src, :k], AV[src, :k]
+                    H[a, :k, :k], diag[a] = H[src, :k, :k], diag[src]
             ids, A = ids[stay], stay.size
             vals, vecs, thetas, ress, scale = (vals[stay], vecs[stay],
                                                thetas[stay], ress[stay],
@@ -565,6 +573,56 @@ def dense_ground(A) -> float:
 
 _U = 2.0**-53           # unit roundoff of IEEE double, round to nearest
 _ETA = 2.0**-1074       # smallest positive subnormal
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the bound on k successive roundings."""
+    return k * _U / (1.0 - k * _U)
+
+
+def rayleigh_bounds(x, y, ay, terms: int) -> tuple:
+    """Rounding-safe Rayleigh quotient and residual of a stored vector x.
+
+    `y` is the computed image fl(A x) and `ay` the computed fl(|A| |x|),
+    each entry of both a sum of at most `terms` products.  Returns floats
+    (theta, lo, hi, r_up): the computed quotient theta = x.y / x.x, an
+    enclosure lo <= x^T A x / x^T x <= hi of the exact one, and
+    r_up >= ||A x - theta x|| / ||x||, which bounds the residual of the
+    unit vector at its exact quotient too.
+
+    The image's error is componentwise at most gamma_terms |A||x| (any
+    order of summation), and gamma_terms / (1 - gamma_terms) times the
+    computed |A||x| (Higham, Accuracy and Stability, ch. 3).  Dot products
+    and norms are numpy's pairwise sums, at most 28 + log2(n) additions
+    deep (8-way unrolled blocks of 128, then halving), so
+    gamma_{30 + log2(n)} covers them and their products.  The subtraction
+    y - theta x rounds twice per entry.  The final quotient and norms are
+    widened by a few units of roundoff for their own arithmetic.
+    Underflow is not accounted for.
+    """
+    g_t = _gamma(terms)
+    g_s = _gamma(30 + math.ceil(math.log2(max(x.size, 2))))
+
+    def dot(u, w):
+        return float(np.sum(u * w))
+
+    def norm(w):
+        return math.sqrt(dot(w, w)) * (1.0 + g_s)
+
+    g_y = g_t / (1.0 - g_t) * (1.0 + 4.0 * _U)   # |fl(A x) - A x| <= g_y |A||x|
+    nx2 = dot(x, x)
+    s = dot(x, y)
+    ds = dot(np.abs(x), g_s * np.abs(y) + g_y * ay) * (1.0 + 2.0 * g_s)
+    den_lo = nx2 / (1.0 + g_s) * (1.0 - 2.0 * _U)
+    den_hi = nx2 / (1.0 - g_s) * (1.0 + 2.0 * _U)
+    ends = [num / den for num in (s - ds, s + ds) for den in (den_lo, den_hi)]
+    lo, hi = min(ends), max(ends)
+    theta = s / nx2
+    r_abs = (norm(y - theta * x) + g_y * norm(ay)
+             + _gamma(2) * (norm(y) + abs(theta) * math.sqrt(nx2)
+                            * (1.0 + g_s)))
+    return (theta, lo - 4.0 * _U * abs(lo), hi + 4.0 * _U * abs(hi),
+            r_abs / math.sqrt(den_lo) * (1.0 + 4.0 * _U))
 
 
 def _cholesky(B):

@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -39,8 +40,8 @@ from .errors import AccuracyWarning, ConfigError
 from .model import TAIL_TOL, ModelSpec, fourier_tail_fraction
 from .operators import (FiberTemplate, assemble_direct_tensor,
                         assemble_llp_ring, potential_kernel)
-from .staticmass import (coupled_ground, extrapolate_static_mass,
-                         _fit_quadratic_in_lambda)
+from .staticmass import (_TARGET_WIDTH, PREMISE, coupled_ground,
+                         extrapolate_static_mass, _fit_quadratic_in_lambda)
 from .trialstate import minimize_upper_bound
 
 __all__ = ["run", "stage_dispersion", "stage_static", "stage_sandwich",
@@ -55,9 +56,9 @@ MASS_REL_TOL = 0.02
 # one source of truth for artifact columns (docsgen renders this table)
 CSV_HEADERS = {
     "dispersion.csv": "P,E,gap,residual",
-    "staticmass.csv": "lambda,e_lambda,lower_bound,upper_bound,residual",
-    "trialstate.csv": "lambda,f_params,U_lambda",
-    "sandwich.csv": "lambda,L2,L1,e,U_star,margin_min",
+    "staticmass.csv": "lambda,e_lambda,lower_bound,upper_bound,residual,L_T",
+    "trialstate.csv": "lambda,f_params,U_lambda,U_G",
+    "sandwich.csv": "lambda,L2,L1,e,U_star,margin_min,L_T",
     "oracle.csv": "check,dim,max_diff,passed",
     "converge.csv": "variant,n_max,dk,M_dyn,M_stat,rel_gap,sandwich_pass,"
                     "mass_pass",
@@ -65,6 +66,8 @@ CSV_HEADERS = {
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, np.generic):
         x = x.item()
     if isinstance(x, bool):
@@ -146,7 +149,9 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     """e(lam) per lam with its certified bounds, then the lam -> 0 mass and
     its comparison with M_dyn: the report block, the staticmass.csv rows and
     the trialstate.csv rows.  The kernel is built once and each lam's fiber
-    nodes are fetched once, for the coupled solve, L1 and U* alike."""
+    nodes are fetched once, for the coupled solve, L1 and U* alike.  The
+    Galerkin bound U_G and the Temple floor L_T are checked against the
+    other bounds apart from the sandwich ordering."""
     if cfg.potential is None:
         raise ConfigError(
             "the static-mass stage needs a potential; set potential.type"
@@ -176,7 +181,8 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         l1 = momentum_lower_bound(lam, kernel, nodes, e0)
         ub = minimize_upper_bound(lam, nodes, res.galerkin, cfg.egrid,
                                   p_c=dstate.p_c)
-        e_rows.append((lam, res.value, l1, ub.value, res.residual))
+        e_rows.append((lam, res.value, l1, ub.value, res.residual,
+                       res.temple))
         u_results.append(ub)
         solves.append(res)
 
@@ -188,6 +194,9 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     u_coef, _, _ = _fit_quadratic_in_lambda(np.array(lams), u_vals)
     tol = ORDERING_TOL
     consistent = all(r[2] - tol <= r[1] <= r[3] + tol for r in e_rows)
+    floors = [(res.temple, res.upper, ub.value)
+              for res, ub in zip(solves, u_results)
+              if res.temple is not None]
     m_dyn = dstate.fit.mass
     rel_gap = (abs(m_dyn - extrap.mass) / m_dyn
                if not math.isnan(extrap.mass) else math.inf)
@@ -213,6 +222,24 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
             "extrapolated": float(u_coef[0]),
             "radius": [u.radius for u in u_results],
             "boundary_hit": [u.boundary_hit for u in u_results],
+            "galerkin": [r.upper for r in solves],
+            "e_below_galerkin": all(r.value <= r.upper + tol for r in solves),
+            "galerkin_below_U_star": all(
+                r.upper <= u.value + tol for r, u in zip(solves, u_results)),
+        },
+        "enclosure": {
+            "target_width": _TARGET_WIDTH,
+            "premise": PREMISE,
+            "rows": [{
+                "lam": lam, "rho": r.enclosure.rho, "eta": r.enclosure.eta,
+                "b": r.enclosure.b, "c": r.enclosure.c,
+                "lambda2": r.enclosure.lambda2, "r_star": r.r_star,
+                "L_T": r.temple,
+                "width": None if r.temple is None else r.value - r.temple,
+                "note": r.note,
+            } for lam, r in zip(lams, solves)],
+            "L_T_below_U_G": all(t <= g + tol for t, g, _ in floors),
+            "L_T_below_U_star": all(t <= u + tol for t, _, u in floors),
         },
         "bounds_consistent": consistent,
         "mass_comparison": {
@@ -223,20 +250,21 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
             "pass": (not extrap.rejected) and rel_gap <= MASS_REL_TOL,
         },
     }
-    trial_rows = [(r[0], f"radius={FMT % u.radius};type=bump", r[3])
-                  for r, u in zip(e_rows, u_results)]
+    trial_rows = [(r[0], f"radius={FMT % u.radius};type=bump", r[3],
+                   res.upper)
+                  for r, u, res in zip(e_rows, u_results, solves)]
     return block, e_rows, trial_rows
 
 
 def stage_sandwich(cfg: ExperimentConfig, dstate: DispersionState,
                    static_rows: list) -> tuple:
     """Split lower bound per lam and the ordering verdict, from the
-    staticmass.csv rows (lam, e, L1, U*, residual)."""
+    staticmass.csv rows (lam, e, L1, U*, residual, L_T)."""
     lam_max = max(r[0] for r in static_rows)
     c_eps = suggest_c_eps(dstate.fit.mass, dstate.certificate.c_min,
                           cfg.potential.sup_norm(), lam_max)
     rows, l2_blocks = [], []
-    for lam, e_val, l1, u_star, _res in static_rows:
+    for lam, e_val, l1, u_star, _res, _l_t in static_rows:
         l2 = split_lower_bound(lam, cfg.potential, cfg.egrid,
                                mass=dstate.fit.mass,
                                c_min=dstate.certificate.c_min,
@@ -261,9 +289,10 @@ def stage_sandwich(cfg: ExperimentConfig, dstate: DispersionState,
             "ordering_tol": report.ordering_tol,
         },
     }
+    temple = {row[0]: row[5] for row in static_rows}
     csv_rows = [
         (r.lam, r.l2, r.l1, r.e, r.u_star,
-         min(r.l1 - r.l2, r.e - r.l1, r.u_star - r.e))
+         min(r.l1 - r.l2, r.e - r.l1, r.u_star - r.e), temple[r.lam])
         for r in report.rows
     ]
     return block, csv_rows
@@ -294,8 +323,13 @@ def _chain(cfg: ExperimentConfig, last: str, timings: dict) -> tuple:
                                       cfg, dstate)
         report.update(sblock)
         csvs.update({"staticmass.csv": srows, "trialstate.csv": trows})
+        upper, enclosure = sblock["upper_bound"], sblock["enclosure"]
         passed = (passed and sblock["mass_comparison"]["pass"]
-                  and sblock["bounds_consistent"])
+                  and sblock["bounds_consistent"]
+                  and upper["e_below_galerkin"]
+                  and upper["galerkin_below_U_star"]
+                  and enclosure["L_T_below_U_G"]
+                  and enclosure["L_T_below_U_star"])
     if last == "sandwich":
         wblock, wrows = _timed(timings, "sandwich", stage_sandwich, cfg,
                                dstate, srows)
@@ -467,6 +501,9 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | None = None
         block, csvs, passed = _chain(cfg, subcommand, timings)
     report.update(block)
     report["timings_seconds"] = timings
+    # the formula of the benchmark harness, so the two agree
+    report["peak_rss_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                             * 1024 / 1e6)
     report["pass"] = bool(passed)
     # all artifact writes happen here, sequentially
     for name, rows in csvs.items():

@@ -7,6 +7,7 @@ by construction because the recorded verdict is asserted afterwards.
 
 import json
 import math
+import resource
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -87,8 +88,11 @@ def converge_runs(accept_root):
             for name in ("free", "toy", "small")}
 
 
-def _csv_rows(path):
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+def _csv_rows(path, columns=None):
+    """The rows of a CSV artifact, its first `columns` columns if given."""
+    usecols = None if columns is None else range(columns)
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                      usecols=usecols)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +153,8 @@ def test_criterion_03_sandwich_ordering(sandwich_runs, acceptance_recorder):
     for res in sandwich_runs.values():
         verdict = res.report["verdict"]
         ok = ok and verdict["pass"] and verdict["ordering_tol"] == tol
-        for lam, l2, l1, e, u_star, _ in _csv_rows(res.out / "sandwich.csv"):
+        for lam, l2, l1, e, u_star, _ in _csv_rows(res.out / "sandwich.csv",
+                                                   columns=6):
             margins = (l1 - l2 + tol, e - l1, u_star - e + tol)
             worst = min(worst, *margins)
             n_rows += 1
@@ -335,8 +340,9 @@ def test_criterion_10_determinism(toy_sandwich, toy_sandwich_repeat,
             == (toy_sandwich_repeat.out / n).read_bytes() for n in names}
     r1 = dict(toy_sandwich.report)
     r2 = dict(toy_sandwich_repeat.report)
-    r1.pop("timings_seconds", None)
-    r2.pop("timings_seconds", None)
+    for key in ("timings_seconds", "peak_rss_mb"):
+        r1.pop(key, None)
+        r2.pop(key, None)
     ok = all(same.values()) and r1 == r2
     acceptance_recorder(
         10, "repeated runs are byte-identical", ok,
@@ -389,3 +395,52 @@ def test_report_keys_match_their_docs(free_sandwich, toy_sandwich,
                             for r in runs))
     assert sorted(written - documented) == []
     assert sorted(documented - written) == []
+
+
+# ---------------------------------------------------------------------------
+# the Galerkin bound, the Temple enclosure and peak memory in the report
+# ---------------------------------------------------------------------------
+
+def _csv_column(path, name):
+    """One column of a CSV artifact as strings, by its header name."""
+    lines = path.read_text().splitlines()
+    i = lines[0].split(",").index(name)
+    return [line.split(",")[i] for line in lines[1:]]
+
+
+@pytest.mark.parametrize("run_fixture", ["free_sandwich", "toy_sandwich",
+                                         "g01_sandwich", "g03_sandwich"])
+def test_the_report_certifies_e_below_the_galerkin_bound(run_fixture,
+                                                         request):
+    res = request.getfixturevalue(run_fixture)
+    report, tol = res.report, res.report["verdict"]["ordering_tol"]
+    e = report["static_mass"]["e_values"]
+    upper = report["upper_bound"]
+    enclosure = report["enclosure"]
+    assert upper["e_below_galerkin"] and upper["galerkin_below_U_star"]
+    assert enclosure["L_T_below_U_G"] and enclosure["L_T_below_U_star"]
+    for lam, e_val, u_g, u_star, row in zip(
+            upper["lambda_seq"], e, upper["galerkin"], upper["U_star"],
+            enclosure["rows"]):
+        assert e_val <= u_g + tol and u_g <= u_star + tol
+        assert row["lam"] == lam
+        if lam <= 0.2:
+            assert row["L_T"] is not None, row["note"]
+        if row["L_T"] is None:
+            assert row["note"] and row["width"] is None
+            continue
+        assert row["note"] == enclosure["premise"]
+        assert row["L_T"] <= e_val
+        assert row["width"] == e_val - row["L_T"]
+        assert row["width"] <= enclosure["target_width"] * max(1.0, abs(e_val))
+    # the CSVs carry the same floors and Galerkin bounds
+    temple = [("" if row["L_T"] is None else repr(row["L_T"]))
+              for row in enclosure["rows"]]
+    for name in ("staticmass.csv", "sandwich.csv"):
+        got = _csv_column(res.out / name, "L_T")
+        assert [g if g == "" else repr(float(g)) for g in got] == temple
+    assert [float(x) for x in _csv_column(res.out / "trialstate.csv",
+                                          "U_G")] == upper["galerkin"]
+    # peak memory, measured as the benchmark harness measures it
+    assert 0.0 < report["peak_rss_mb"] <= resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6

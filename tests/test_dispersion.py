@@ -37,6 +37,7 @@ def _curve(P, energy, gap=1.0):
     nodes = FiberNodes(P=P, energy=np.asarray(energy, dtype=float),
                        gap=np.broadcast_to(np.asarray(gap, float), P.shape),
                        residual=np.zeros(P.shape),
+                       excited_residual=np.zeros(P.shape),
                        degenerate=np.zeros(P.shape, bool),
                        vectors=np.zeros((P.size, 0)))
     return DispersionCurve(nodes=nodes, e0=0.0)
@@ -83,6 +84,18 @@ def test_cache_parity_vector_matches_independent_solve(toy_template,
     if float(w @ v_minus) < 0:
         w = -w
     assert np.max(np.abs(w - v_minus)) < 1e-8
+
+
+def test_cache_keeps_the_excited_residual_for_parity_images_too(toy_cache):
+    # the coupled solve's enclosure floors each node's excited level with
+    # it; the -P record carries the +P record's value, which is the same
+    # residual because the mode reflection maps H(P) onto H(-P)
+    template = toy_cache.template
+    nodes = toy_cache.pairs([0.35, -0.35])
+    pair, = lowest_two(template.operator([0.35]), tol=dispersion._FIBER_TOL,
+                       seed=toy_cache.seed)
+    assert nodes.excited_residual.tolist() == [pair.residuals[1]] * 2
+    assert nodes.residual.tolist() == [pair.residuals[0]] * 2
 
 
 def test_cache_pair_record_fields(toy_cache):

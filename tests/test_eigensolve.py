@@ -20,7 +20,8 @@ from polaron_effmass.eigensolve import (_DAVIDSON_MAX_BYTES,
                                         _orthogonalize, _projected_eigh,
                                         davidson_ground, dense_ground,
                                         dense_spectrum, ground_state,
-                                        lowest_two, verified_floor)
+                                        lowest_two, rayleigh_bounds,
+                                        verified_floor)
 from polaron_effmass.errors import CapacityError, DomainError, SolverError
 from polaron_effmass.operators import FiberTemplate, SymmetricOperator
 
@@ -145,6 +146,34 @@ def _mp_rayleigh_quotient(a, x):
         x = [mpmath.mpf(v) for v in x.tolist()]
         ax = [mpmath.fdot(row, x) for row in a.tolist()]
         return mpmath.fdot(x, ax) / mpmath.fdot(x, x)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_rayleigh_bounds_enclose_the_40_digit_quotient_and_residual(rng,
+                                                                    scale):
+    # a widely spread diagonal, as the coupled operators have at small
+    # lambda, and a vector near but not at an eigenvector
+    n = 60
+    a = rng.standard_normal((n, n))
+    a = 0.5 * (a + a.T) + np.diag(scale * rng.random(n) ** 2)
+    near = np.linalg.eigh(a)[1][:, 0] + 1e-6 * rng.standard_normal(n)
+    for x in (near, rng.standard_normal(n)):
+        theta, lo, hi, r_up = rayleigh_bounds(x, a @ x, np.abs(a) @ np.abs(x),
+                                              n + 1)
+        with mpmath.workdps(40):
+            ref = _mp_rayleigh_quotient(a, x)
+            v = [mpmath.mpf(t) for t in x.tolist()]
+            av = [mpmath.fdot(r, v) for r in a.tolist()]
+            res = mpmath.sqrt(mpmath.fsum(
+                (av[k] - ref * v[k]) ** 2 for k in range(n))
+                / mpmath.fdot(v, v))
+            assert lo <= ref <= hi
+            assert res <= r_up
+            assert theta == pytest.approx(float(ref), rel=1e-14,
+                                          abs=1e-14 * scale)
+        # the enclosure is tight: a few hundred roundings wide
+        assert hi - lo <= 1e-12 * scale
+        assert r_up <= float(res) * (1.0 + 1e-6) + 1e-11 * scale
 
 
 @pytest.mark.parametrize("case", sorted(HARD_CASES))

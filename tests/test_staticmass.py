@@ -166,6 +166,22 @@ def _coupled_ground(cfg, cache, lam, e0, seed, nodes=None):
                           cfg.egrid, lam, e0, seed=seed)
 
 
+# Rounding of the dense reference eigenvalue (LAPACK on A(lam), whose
+# largest entries at lam 0.1 are of order 1e3).
+_DENSE_SLACK = 1e-12
+
+
+def _assert_certified_or_converged(res, ref):
+    """Where the enclosure certified e, L_T <= e <= theta with the target
+    width; where it did not, the solve ran to the patched 1e-10."""
+    if res.temple is None:
+        assert res.residual <= 1e-9
+    else:
+        assert res.temple <= ref + _DENSE_SLACK
+        assert ref <= res.value + _DENSE_SLACK
+        assert res.value - res.temple <= 1e-9 * max(1.0, abs(ref))
+
+
 def test_coupled_ground_matches_dense_oracle(oracle_setup, monkeypatch):
     monkeypatch.setattr(staticmass, "_COUPLED_TOL", 1e-10)
     cfg, cache, e0 = oracle_setup
@@ -173,7 +189,7 @@ def test_coupled_ground_matches_dense_oracle(oracle_setup, monkeypatch):
         res = _coupled_ground(cfg, cache, lam, e0, seed=0)
         ref = _dense_coupled_ground(cache, cfg, lam, e0)
         assert res.value == pytest.approx(ref, abs=1e-9), lam
-        assert res.residual <= 1e-9
+        _assert_certified_or_converged(res, ref)
         assert res.vector.shape == (cache.template.dim * cfg.egrid.size,)
 
 
@@ -208,8 +224,91 @@ def test_a_wrong_coarse_space_costs_iterations_not_accuracy(oracle_setup,
         cache.pairs(lam * cfg.egrid.points), how))
     ref = _dense_coupled_ground(cache, cfg, lam, e0)
     assert bad.value == pytest.approx(ref, abs=1e-9)
-    assert bad.residual <= 1e-9
+    _assert_certified_or_converged(bad, ref)
     assert bad.iterations > good.iterations
+
+
+@pytest.fixture(scope="module")
+def certified_setups(oracle_setup, toy_cfg, toy_cache):
+    """(cfg, cache, e0) of the oracle and toy presets."""
+    return {"oracle": oracle_setup,
+            "toy": (toy_cfg, toy_cache, toy_cache.pairs([0.0]).energy[0])}
+
+
+@pytest.mark.parametrize("preset", ["oracle", "toy"])
+@pytest.mark.parametrize("lam", [0.4, 0.1])
+def test_temple_floor_brackets_the_dense_ground_energy(certified_setups,
+                                                       preset, lam):
+    cfg, cache, e0 = certified_setups[preset]
+    res = _coupled_ground(cfg, cache, lam, e0, seed=0)
+    ref = _dense_coupled_ground(cache, cfg, lam, e0)
+    assert res.temple is not None, res.note
+    assert res.note == staticmass.PREMISE
+    assert res.temple <= ref + _DENSE_SLACK
+    assert ref <= res.value + _DENSE_SLACK
+    assert res.value - res.temple <= 1e-9 * max(1.0, abs(ref))
+    # the solve stopped at the residual the enclosure allowed, looser than
+    # the fallback, from the Galerkin bound down
+    assert staticmass._COUPLED_TOL < res.r_star
+    assert res.residual <= res.r_star * 1.01
+    assert res.value <= res.upper <= res.enclosure.rho
+
+
+@pytest.mark.parametrize("how", ["scrambled", "random"])
+@pytest.mark.parametrize("lam", [0.4, 0.1])
+def test_sabotaged_fibers_get_no_temple_floor(oracle_setup, lam, how):
+    # wrong vectors with right energies: the recomputed residuals open the
+    # split's bound b so wide that rho falls below U_G
+    cfg, cache, e0 = oracle_setup
+    bad = _coupled_ground(cfg, cache, lam, e0, seed=0, nodes=_sabotaged(
+        cache.pairs(lam * cfg.egrid.points), how))
+    assert bad.temple is None and bad.r_star is None
+    assert bad.enclosure.rho <= bad.upper
+    assert "not above U_G" in bad.note
+    assert bad.residual <= staticmass._COUPLED_TOL * max(1.0, abs(bad.value))
+
+
+def test_the_second_eigenvector_gets_no_temple_floor(toy_cfg, toy_cache):
+    # the second eigenvector's quotient is lambda_2 >= rho, so Temple's
+    # inequality does not apply to it; the first one's is certified
+    lam = 0.4
+    e0 = toy_cache.pairs([0.0]).energy[0]
+    kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
+    res = _coupled_ground(toy_cfg, toy_cache, lam, e0, seed=0)
+    op = assemble_coupled_llp(toy_cache.template, kernel, toy_cfg.egrid, lam,
+                              e0)
+    evals, vecs = np.linalg.eigh(op.to_dense())
+    rho = res.enclosure.rho
+    assert evals[0] < rho <= evals[1]
+    floor, reason = staticmass.temple_floor(op, vecs[:, 1], rho)
+    assert floor is None and "not below rho" in reason
+    floor, reason = staticmass.temple_floor(op, vecs[:, 0], rho)
+    assert reason == ""
+    assert evals[0] - 1e-12 <= floor <= evals[0] + _DENSE_SLACK
+
+
+@pytest.mark.parametrize("lambda2, c, b", [
+    (0.013, 5.0, 1.06), (0.013, 116.0, 0.065), (2.0, 0.5, 0.3),
+    (-0.2, -0.1, 0.7), (0.3, 0.3, 1e-3), (1.0, 2.0, 0.0), (2.0, 1.0, 0.0)])
+def test_split_floor_matches_a_brute_force_eta_grid(lambda2, c, b):
+    rho, eta = staticmass.split_floor(lambda2, c, b)
+
+    def floor(etas):
+        return np.minimum(lambda2 - etas, c - b * b / etas)
+
+    # a geometric grid, then a fine one around its best point
+    coarse = np.geomspace(1e-9, 1e3, 200_001)
+    i = int(np.argmax(floor(coarse)))
+    fine = np.linspace(coarse[max(i - 1, 0)], coarse[min(i + 1, 200_000)],
+                       200_001)
+    best = max(float(floor(coarse).max()), float(floor(fine).max()))
+    # the closed form is the maximum: no grid point beats it, and the
+    # grid's best lies within its resolution below it
+    assert best <= rho + 1e-12
+    assert rho <= best + 1e-7 * max(1.0, abs(rho))
+    if b > 0.0:
+        assert lambda2 - eta == pytest.approx(c - b * b / eta, abs=1e-12)
+        assert rho <= min(lambda2 - eta, c - b * b / eta)
 
 
 def test_coupled_ground_is_deterministic(oracle_setup):
