@@ -22,10 +22,6 @@ from .config import load_config, validate_config
 from .errors import (CapacityError, ConfigError, DomainError, PolaronError,
                      SolverError)
 
-_RUN_SUBCOMMANDS = ("dispersion", "staticmass", "sandwich", "oracle-check",
-                    "converge")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="polaron-effmass",

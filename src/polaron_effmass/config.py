@@ -31,8 +31,7 @@ from .errors import CapacityError, ConfigError
 from .bounds import C_BETA
 from .model import (TAIL_TOL, ConstantCoupling, ConstantDispersion,
                     GaussianWell, ModelSpec, PoschlTeller, PowerLawCoupling,
-                    SoftStep, TabulatedDispersion, ZeroCoupling,
-                    fourier_tail_fraction)
+                    ZeroCoupling, fourier_tail_fraction)
 from .operators import ElectronGrid
 from .staticmass import DEFAULT_LAMBDA_SEQ
 
@@ -41,7 +40,6 @@ __all__ = ["ExperimentConfig", "load_config", "parse_config",
 
 _DISPERSION_VARIANTS = {
     "constant": {"type": (True, str), "omega0": (False, float)},
-    "tabulated": {"type": (True, str), "samples": (True, list)},
 }
 _COUPLING_VARIANTS = {
     "zero": {"type": (True, str)},
@@ -53,8 +51,6 @@ _POTENTIAL_VARIANTS = {
     "poschl_teller": {"type": (True, str), "depth": (True, float)},
     "gaussian_well": {"type": (True, str), "depth": (True, float),
                       "width": (False, float)},
-    "soft_step": {"type": (True, str), "depth": (True, float),
-                  "radius": (False, float), "softness": (False, float)},
 }
 
 
@@ -98,9 +94,7 @@ def _build_dispersion(block: dict):
             f"{sorted(_DISPERSION_VARIANTS)}, got {kind!r}"
         )
     b = _require(block, "model.dispersion", _DISPERSION_VARIANTS[kind])
-    if kind == "constant":
-        return ConstantDispersion(omega0=float(b.get("omega0", 1.0)))
-    return TabulatedDispersion(samples=tuple(map(tuple, b["samples"])))
+    return ConstantDispersion(omega0=float(b.get("omega0", 1.0)))
 
 
 def _build_coupling(block: dict):
@@ -130,12 +124,8 @@ def _build_potential(block: dict):
         return None
     if kind == "poschl_teller":
         return PoschlTeller(depth=float(b["depth"]))
-    if kind == "gaussian_well":
-        return GaussianWell(depth=float(b["depth"]),
-                            width=float(b.get("width", 1.0)))
-    return SoftStep(depth=float(b["depth"]),
-                    radius=float(b.get("radius", 1.0)),
-                    softness=float(b.get("softness", 0.25)))
+    return GaussianWell(depth=float(b["depth"]),
+                        width=float(b.get("width", 1.0)))
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,6 @@ _CONFIG_DOC = {
                                        "omega(k) = omega0.",
     "model.dispersion[constant].omega0": "Constant mode frequency "
                                          "(default 1, must be positive).",
-    "model.dispersion[tabulated].type": "Selects linear interpolation "
-                                        "through sampled (|k|, omega) pairs.",
-    "model.dispersion[tabulated].samples": "List of [|k|, omega] rows, at "
-                                           "least two, omega > 0.",
     "model.coupling[zero].type": "No coupling; the field decouples and the "
                                  "dispersion is exactly parabolic.",
     "model.coupling[constant].type": "Selects the flat coupling v(k) = g.",
@@ -71,12 +67,6 @@ _CONFIG_DOC = {
                                      "exp(-|x|^2 / (2 width^2)).",
     "potential[gaussian_well].depth": "Well depth (positive number).",
     "potential[gaussian_well].width": "Gaussian width (default 1).",
-    "potential[soft_step].type": "Selects a square well of the given radius "
-                                 "with error-function edges.",
-    "potential[soft_step].depth": "Well depth (positive number).",
-    "potential[soft_step].radius": "Half-width of the flat part (default 1).",
-    "potential[soft_step].softness": "Edge mollification width "
-                                     "(default 0.25).",
     "run.seed": "Base seed for every stochastic choice (default 0).",
     "run.out": "Output directory for reports and CSV artifacts "
                "(default \"out\").",

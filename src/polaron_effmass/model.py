@@ -14,9 +14,7 @@ Units and conventions used throughout the package:
   v_i = v(k_i) * sqrt(w_i), which makes sum_i |v_i|^2 a Riemann sum of
   integral |v(k)|^2 dk.
 
-Only numpy is imported at module load.  The error function that the
-soft-step potential needs comes from scipy.special, imported inside the
-methods that call it; no shipped preset uses it.
+Of the numerical libraries only numpy is imported.
 :func:`fourier_tail_fraction` integrates |Vhat| with a fixed composite
 Gauss-Legendre rule, not an adaptive quadrature; :data:`TAIL_TOL` is the
 largest tail fraction a run accepts without an AccuracyWarning.
@@ -36,7 +34,6 @@ __all__ = [
     "MASS",
     "BASIS_CAPACITY",
     "ConstantDispersion",
-    "TabulatedDispersion",
     "ZeroCoupling",
     "ConstantCoupling",
     "PowerLawCoupling",
@@ -46,7 +43,6 @@ __all__ = [
     "ModelSpec",
     "GaussianWell",
     "PoschlTeller",
-    "SoftStep",
     "TAIL_TOL",
     "fourier_tail_fraction",
 ]
@@ -74,30 +70,6 @@ class ConstantDispersion:
 
     def __call__(self, k_mag: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(k_mag, dtype=float), self.omega0)
-
-
-@dataclass(frozen=True)
-class TabulatedDispersion:
-    """Isotropic dispersion interpolated linearly from (|k|, omega) samples."""
-
-    samples: tuple = ()
-
-    def __post_init__(self):
-        pts = np.asarray(self.samples, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ConfigError("tabulated dispersion needs >= 2 rows of (|k|, omega)")
-        if np.any(np.diff(pts[:, 0]) <= 0):
-            raise ConfigError("tabulated dispersion |k| column must be strictly increasing")
-        if np.any(pts[:, 1] <= 0):
-            raise ConfigError("tabulated dispersion omega values must be positive")
-        object.__setattr__(self, "samples", tuple(map(tuple, pts)))
-
-    def __call__(self, k_mag: np.ndarray) -> np.ndarray:
-        pts = np.asarray(self.samples, dtype=float)
-        k = np.asarray(k_mag, dtype=float)
-        if np.any(k < pts[0, 0] - 1e-12) or np.any(k > pts[-1, 0] + 1e-12):
-            raise DomainError("tabulated dispersion queried outside its sample range")
-        return np.interp(k, pts[:, 0], pts[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +232,10 @@ class ModelSpec:
             )
 
     def mode_grid(self) -> ModeGrid:
-        grid = build_mode_grid(self.dk, self.uv_cutoff, self.ir_cutoff)
-        omega = self.dispersion(grid.magnitudes())
-        if np.any(omega <= 0):
-            raise ConfigError("dispersion must be positive on every retained mode")
-        return grid
+        return build_mode_grid(self.dk, self.uv_cutoff, self.ir_cutoff)
 
-    def fock_dimension(self, grid: ModeGrid | None = None) -> int:
-        m = (grid or self.mode_grid()).size
-        dim = math.comb(m + self.n_max, self.n_max)
+    def fock_dimension(self, grid: ModeGrid) -> int:
+        dim = math.comb(grid.size + self.n_max, self.n_max)
         if dim > BASIS_CAPACITY:
             raise CapacityError(
                 f"truncated Fock dimension {dim} exceeds capacity {BASIS_CAPACITY}"
@@ -358,45 +325,6 @@ class PoschlTeller(_Potential):
         return self.depth
 
 
-@dataclass(frozen=True)
-class SoftStep(_Potential):
-    """Square well of radius a with error-function edges of softness s.
-
-    V(x) = -(depth/2) [erf((x+a)/(sqrt(2) s)) - erf((x-a)/(sqrt(2) s))],
-    i.e. the indicator of [-a, a] mollified by a Gaussian of width s.
-    Vhat(q) = -depth (2 pi)^(-1/2) (2 sin(q a)/q) exp(-s^2 q^2/2).
-    """
-
-    depth: float
-    radius: float = 1.0
-    softness: float = 0.25
-
-    def __post_init__(self):
-        if self.depth <= 0 or self.radius <= 0 or self.softness <= 0:
-            raise ConfigError("SoftStep needs depth, radius and softness > 0")
-
-    def values(self, x):
-        from scipy.special import erf
-        x = np.asarray(x, dtype=float)
-        u = 1.0 / (math.sqrt(2.0) * self.softness)
-        return -0.5 * self.depth * (
-            erf((x + self.radius) * u) - erf((x - self.radius) * u)
-        )
-
-    def fourier(self, q):
-        q = np.asarray(q, dtype=float)
-        qa = q * self.radius
-        box = np.where(np.abs(q) < 1e-12, 2.0 * self.radius,
-                       2.0 * np.sin(qa) / np.where(q == 0.0, 1.0, q))
-        return -self.depth / math.sqrt(2.0 * math.pi) * box * np.exp(
-            -0.5 * self.softness**2 * q * q
-        )
-
-    def sup_norm(self):
-        from scipy.special import erf
-        return self.depth * float(erf(self.radius / (math.sqrt(2) * self.softness)))
-
-
 #: Largest fraction of integral |Vhat| the potential kernel may leave beyond
 #: the grid's maximum momentum transfer 2 q_max before a run warns.
 TAIL_TOL = 1e-6
@@ -411,30 +339,17 @@ _PANEL = 0.25
 _TAIL_RATIO = 1.2
 _TAIL_PANELS = 100
 _GL_NODES, _GL_WEIGHTS = _legendre.leggauss(_GL_ORDER)
-# Legendre coefficients of the interpolant through the nodes: c = _GL_TO_LEG @ f
-_GL_TO_LEG = ((np.arange(_GL_ORDER) + 0.5)[:, None]
-              * _legendre.legvander(_GL_NODES, _GL_ORDER - 1).T * _GL_WEIGHTS)
 
 
 def _abs_integral(f, edges: np.ndarray) -> float:
     """Integral of |f| over [edges[0], edges[-1]], one rule per panel.
 
-    On a panel where f changes sign among the nodes, |f| has a kink that the
-    rule does not resolve; there the integral is that of |p|, with p the
-    Legendre interpolant of f through the nodes, split at p's real roots.
+    Every potential family's transform keeps one sign on the half-line, so
+    |f| has no kink inside a panel for the rule to miss.
     """
     half = 0.5 * np.diff(edges)
     vals = f(edges[:-1, None] + half[:, None] * (1.0 + _GL_NODES))
-    sums = np.abs(vals) @ _GL_WEIGHTS
-    neg = vals < 0.0
-    for i in np.flatnonzero(np.any(neg[:, 1:] != neg[:, :-1], axis=1)):
-        c = _GL_TO_LEG @ vals[i]
-        roots = _legendre.legroots(c)
-        roots = np.sort(roots.real[(np.abs(roots.imag) < 1e-12)
-                                   & (np.abs(roots.real) < 1.0)])
-        anti = _legendre.legval(np.r_[-1.0, roots, 1.0], _legendre.legint(c))
-        sums[i] = np.sum(np.abs(np.diff(anti)))
-    return float(half @ sums)
+    return float(half @ (np.abs(vals) @ _GL_WEIGHTS))
 
 
 def fourier_tail_fraction(potential: _Potential, q_cut: float) -> float:

@@ -376,6 +376,12 @@ def _coarse_correction(phi: np.ndarray, evals: np.ndarray, U: np.ndarray):
     envelope on the grid, which the kernel couples, comes from M.
     Eigenvalues of M within 1e-8 max(1, |theta|) of theta are held at that
     distance, as the diagonal correction's are.
+
+    A wrong coarse space only slows the solve while M is built from the
+    nodes' fiber energies.  Built from the vectors' own Rayleigh quotients,
+    M's diagonal sits far above theta for random vectors, c stays near 0,
+    the Z component of the iterate is never corrected, and the solve does
+    not converge.
     """
     n_q, fdim = phi.shape
 

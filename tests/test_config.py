@@ -14,7 +14,7 @@ from polaron_effmass.config import (PRESET_NAMES, estimate_window,
 from polaron_effmass.errors import ConfigError
 from polaron_effmass.model import (ConstantDispersion, GaussianWell,
                                    ModelSpec, PoschlTeller, PowerLawCoupling,
-                                   SoftStep, ZeroCoupling)
+                                   ZeroCoupling)
 from polaron_effmass.staticmass import DEFAULT_LAMBDA_SEQ
 
 
@@ -143,13 +143,18 @@ def test_type_errors_name_the_key():
 
 
 def test_bad_variant_names_list_the_choices():
-    with pytest.raises(ConfigError, match=r"model.dispersion.type must be one "
-                                          r"of \['constant', 'tabulated'\]"):
-        parse_config(_mutated(model__dispersion__type="quadratic"))
+    for kind in ("quadratic", "tabulated"):
+        with pytest.raises(ConfigError, match=r"model.dispersion.type must be "
+                                              r"one of \['constant'\]"):
+            parse_config(_mutated(model__dispersion__type=kind))
     with pytest.raises(ConfigError, match="model.coupling.type must be one of"):
         parse_config(_mutated(model__coupling__type="cubic"))
     with pytest.raises(ConfigError, match="potential.type must be one of"):
         parse_config(_mutated(potential={"type": "coulomb"}))
+    with pytest.raises(ConfigError, match=r"potential.type must be one of "
+                                          r"\['gaussian_well', 'none', "
+                                          r"'poschl_teller'\]"):
+        parse_config(_mutated(potential={"type": "soft_step", "depth": 1.0}))
 
 
 def test_run_value_guards():
@@ -210,11 +215,10 @@ def test_builders_produce_the_right_objects():
 
     cfg2 = parse_config(_mutated(
         model__coupling={"type": "zero"},
-        potential={"type": "soft_step", "depth": 1.0},
+        potential={"type": "gaussian_well", "depth": 1.0},
     ))
     assert isinstance(cfg2.spec.coupling, ZeroCoupling)
-    assert isinstance(cfg2.potential, SoftStep)
-    assert cfg2.potential.radius == 1.0 and cfg2.potential.softness == 0.25
+    assert cfg2.potential == GaussianWell(depth=1.0, width=1.0)
 
     cfg3 = parse_config(_mutated(potential={"type": "none"}))
     assert cfg3.potential is None

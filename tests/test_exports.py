@@ -1,15 +1,16 @@
 """Every name a module exports in `__all__` exists in that module, no
 module of the package or its tests imports a name it never uses, every
 function, class and method of the package is referenced inside the package
-(a method through attribute access), every dataclass field is read in the
+(a method through attribute access), every name a module assigns at its
+top level is read in the package, every dataclass field is read in the
 package, every option of the package (a parameter with a default that a
 call can pass by name) is set by a call inside the package (a value only
-tests set is a module constant they patch), a run imports no scipy
-beyond scipy.linalg and scipy.sparse, every function the benchmark's
-tracer wraps exists with the argument it records, the tracer runs a
-sandwich and reads the coupled operator's attributes, and the dispersion scan
-makes one fiber solve call per momentum it solves, as the tracer's check
-assumes."""
+tests set is a module constant they patch), no module imports and no run
+loads scipy beyond scipy.linalg and scipy.sparse, every function the
+benchmark's tracer wraps exists with the argument it records, the tracer
+runs a sandwich and reads the coupled operator's attributes, and the
+dispersion scan makes one fiber solve call per momentum it solves, as the
+tracer's check assumes."""
 
 import ast
 import importlib
@@ -120,6 +121,32 @@ def test_every_definition_is_referenced_in_the_package():
     assert not dead, f"definitions nothing in src/ refers to: {dead}"
 
 
+# Module-level names that are read from outside the package.
+MODULE_NAMES_ALLOWED = {"__all__", "__version__"}
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    """A constant that nothing in src/ reads (bare or as an attribute)."""
+    trees = [(path, ast.parse(path.read_text(encoding="utf-8")))
+             for path in _python_files("src")]
+    read = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [f"{path.relative_to(REPO_ROOT)}:{stmt.lineno} {node.id}"
+            for path, tree in trees for stmt in tree.body
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            for target in (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+            for node in ast.walk(target)
+            if isinstance(node, ast.Name) and node.id not in read
+            and node.id not in MODULE_NAMES_ALLOWED]
+    assert not dead, f"module-level names nothing in src/ reads: {dead}"
+
+
 # Options only tests set: the CLI's argument list is how they drive it.
 OPTIONS_ALLOWED = {"main(argv=)"}
 
@@ -204,6 +231,35 @@ def test_a_run_imports_only_linalg_and_sparse_from_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_SCIPY_ALLOWED = {"scipy.linalg", "scipy.sparse"}
+
+
+def _scipy_imports(path):
+    """(line, module) of every scipy import in the module, at any depth;
+    ``from scipy import x`` counts as importing ``scipy.x``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += ([(node.lineno, f"scipy.{alias.name}")
+                       for alias in node.names] if node.module == "scipy"
+                      else [(node.lineno, node.module)])
+    return [(line, name) for line, name in found
+            if name.split(".")[0] == "scipy"]
+
+
+def test_no_module_imports_scipy_beyond_linalg_and_sparse():
+    # the subprocess check above sees only the imports a run reaches; this
+    # one reads every import statement, function-level ones included
+    beyond = [f"{path.relative_to(REPO_ROOT)}:{line} {name}"
+              for path in _python_files("src")
+              for line, name in _scipy_imports(path)
+              if not any(name == allowed or name.startswith(allowed + ".")
+                         for allowed in _SCIPY_ALLOWED)]
+    assert not beyond, f"scipy imports beyond linalg and sparse: {beyond}"
 
 
 def _is_dataclass(node):

@@ -15,8 +15,8 @@ from scipy.integrate import quad
 from polaron_effmass.errors import CapacityError, ConfigError, DomainError
 from polaron_effmass.model import (ConstantCoupling, ConstantDispersion,
                                    GaussianWell, ModelSpec, ModeGrid,
-                                   PoschlTeller, PowerLawCoupling, SoftStep,
-                                   TabulatedDispersion, ZeroCoupling, build_mode_grid,
+                                   PoschlTeller, PowerLawCoupling,
+                                   ZeroCoupling, build_mode_grid,
                                    effective_couplings,
                                    fourier_tail_fraction)
 from scaling import ScaledPotential
@@ -40,14 +40,6 @@ def test_constant_dispersion_value_and_guard():
     assert np.allclose(disp(np.array([0.0, 2.0])), 1.5)
     with pytest.raises(ConfigError):
         ConstantDispersion(omega0=0.0)
-
-
-def test_tabulated_dispersion_interpolates_linearly():
-    disp = TabulatedDispersion(samples=((0.0, 1.0), (2.0, 3.0)))
-    assert disp(np.array([1.0]))[0] == pytest.approx(2.0)
-    assert disp(np.array([0.5]))[0] == pytest.approx(1.5)
-    with pytest.raises(ConfigError):
-        TabulatedDispersion(samples=((0.0, 1.0),))
 
 
 def test_coupling_values_match_formulas():
@@ -143,7 +135,7 @@ def test_singular_coupling_needs_ir_cutoff():
 def test_capacity_guard_fires_before_allocation():
     spec = _spec(dk=0.05, uv_cutoff=5.0, n_max=10)
     with pytest.raises(CapacityError):
-        spec.fock_dimension()
+        spec.fock_dimension(spec.mode_grid())
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +145,6 @@ def test_capacity_guard_fires_before_allocation():
 POTENTIALS = [
     PoschlTeller(depth=2.0),
     GaussianWell(depth=1.0, width=0.8),
-    SoftStep(depth=1.5, radius=1.2, softness=0.3),
 ]
 
 
@@ -195,8 +186,6 @@ def test_potential_guards():
         PoschlTeller(depth=-1.0)
     with pytest.raises(ConfigError):
         GaussianWell(depth=1.0, width=0.0)
-    with pytest.raises(ConfigError):
-        SoftStep(depth=1.0, softness=0.0)
 
 
 def test_scaled_potential_definition():
@@ -224,8 +213,6 @@ def test_fourier_tail_fraction_decays():
 @pytest.mark.parametrize("potential, rtol", [
     (GaussianWell(depth=1.0, width=1.0), 1e-10),
     (PoschlTeller(depth=2.0), 1e-10),
-    # |Vhat| has kinks at the zeros of sin(q a)
-    (SoftStep(depth=1.0), 1e-6),
 ])
 @pytest.mark.parametrize("q_cut", [2.0, 4.0, 8.0, 10.0, 11.0, 12.0])
 def test_fourier_tail_fraction_matches_tight_quadrature(potential, rtol, q_cut,
