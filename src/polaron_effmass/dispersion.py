@@ -102,16 +102,14 @@ class FiberCache:
     gets the same bits as it would alone, so a record depends neither on
     the order of requests nor on the batch it was solved in; each record
     counts only its own solver work.  The -P data is derived from +P by the
-    parity permutation instead of a second solve (DomainError on a grid not
-    closed under k -> -k).
+    template's mode reflection instead of a second solve (DomainError on a
+    grid not closed under k -> -k).
     """
 
     def __init__(self, template: FiberTemplate, *, seed: int = 0):
         self.template = template
         self.seed = seed
         self._store: dict = {}
-        self._state_perm = template.basis.permute_modes(
-            template.grid.parity_permutation())
 
     def solves(self) -> int:
         """Number of momenta actually solved (not derived by parity)."""
@@ -147,7 +145,7 @@ class FiberCache:
             # phase-consistent (the reference vector is parity even)
             pos = self._store[-P]
             vec = np.empty_like(pos["vector"])
-            vec[self._state_perm] = pos["vector"]
+            vec[self.template.reflection] = pos["vector"]
             self._store[P] = dict(pos, vector=vec, solved=False)
         return self._store[P]
 

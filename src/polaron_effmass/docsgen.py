@@ -246,6 +246,11 @@ _REPORT_DOC = (
     ("`static_mass.davidson_matvecs`", "Coupled-operator applications of "
                                        "the coupled solve per scaling "
                                        "parameter."),
+    ("`static_mass.coupled_dim`", "Dimension of the coupled problem: "
+                                  "`full`, the grid times the Fock space, "
+                                  "and `even`, the sector even under grid "
+                                  "reversal times mode reflection that the "
+                                  "solve runs in."),
     ("`static_mass.fit_coeffs`", "Quadratic fit coefficients "
                                  "[e0, c1, c2] in the scaling parameter."),
     ("`static_mass.fit_rms`", "Root-mean-square misfit of the quadratic "

@@ -30,27 +30,18 @@ __all__ = [
 
 
 def _pascal_table(n: int, r: int) -> np.ndarray:
-    """Table P[a, b] = C(a, b) for 0 <= a <= n, 0 <= b <= r, as float64.
+    """Table P[a, b] = C(a, b) for 0 <= a <= n, 0 <= b <= r, as int64.
 
-    Entries stay below 2^53 for every basis admitted by BASIS_CAPACITY, so
-    float64 arithmetic on them is exact.
+    An entry C(a, b) is the sum of entries with a - b no larger, and the
+    ranks read only entries with a - b at most n_max, which stay below the
+    dimension of the basis, so those entries are exact.
     """
-    tab = np.zeros((n + 1, r + 1))
-    tab[:, 0] = 1.0
+    tab = np.zeros((n + 1, r + 1), dtype=np.int64)
+    tab[:, 0] = 1
     for a in range(1, n + 1):
         upto = min(a, r)
         tab[a, 1:upto + 1] = tab[a - 1, 1:upto + 1] + tab[a - 1, 0:upto]
     return tab
-
-
-def _compositions(m: int, total: int):
-    """Yield occupation tuples of m modes summing to total, lex ascending."""
-    if m == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(m - 1, total - head):
-            yield (head,) + rest
 
 
 @dataclass(frozen=True)
@@ -102,12 +93,10 @@ def _rank_batch(occ: np.ndarray, m: int) -> np.ndarray:
         [np.cumsum(occ[:, ::-1], axis=1)[:, ::-1], np.zeros((occ.shape[0], 1), np.int64)],
         axis=1,
     )
-    rank = tab[t + m - 1, m].astype(np.int64)
-    for j in range(m - 1):
-        mj = m - j - 1
-        rank += tab[suff[:, j] + mj, mj].astype(np.int64)
-        rank -= tab[suff[:, j + 1] + mj, mj].astype(np.int64)
-    return rank
+    # the terms of every j < m - 1 at once: mj = m - j - 1
+    mj = np.arange(m - 1, 0, -1)
+    terms = tab[suff[:, :m - 1] + mj, mj] - tab[suff[:, 1:m] + mj, mj]
+    return tab[t + m - 1, m] + terms.sum(axis=1)
 
 
 def enumerate_basis(m_modes: int, n_max: int) -> FockBasis:
@@ -126,27 +115,28 @@ def enumerate_basis(m_modes: int, n_max: int) -> FockBasis:
             f"basis dimension {dim} exceeds capacity {BASIS_CAPACITY} "
             f"(m={m_modes}, n_max={n_max})"
         )
-    occ = np.empty((dim, m_modes), dtype=np.uint16)
-    row = 0
-    for total in range(n_max + 1):
-        for state in _compositions(m_modes, total):
-            occ[row] = state
-            row += 1
-
-    # creation maps: index of o + e_i, or -1 when the cap would be exceeded
+    # Each total-t block is the set of states o + e_i, o of total t - 1,
+    # and every such state lands on its rank: the block comes out in
+    # graded-lex order, and the ranks are the creation maps of the states
+    # below it (-1 where o + e_i would exceed n_max).
+    occ = np.zeros((dim, m_modes), dtype=np.int64)
     cidx = np.full((dim, m_modes), -1, dtype=np.int32)
     camp = np.zeros((dim, m_modes), dtype=float)
-    open_rows = occ.sum(axis=1) < n_max
-    base = occ[open_rows].astype(np.int64)
-    for i in range(m_modes):
-        bumped = base.copy()
-        bumped[:, i] += 1
-        cidx[open_rows, i] = _rank_batch(bumped, m_modes).astype(np.int32)
-        camp[open_rows, i] = np.sqrt(base[:, i] + 1.0)
+    eye = np.eye(m_modes, dtype=np.int64)
+    start = 0
+    for total in range(n_max):
+        stop = math.comb(total + m_modes, m_modes)
+        base = occ[start:stop]
+        bumped = (base[:, None, :] + eye).reshape(-1, m_modes)
+        ranks = _rank_batch(bumped, m_modes)
+        occ[ranks] = bumped
+        cidx[start:stop] = ranks.reshape(-1, m_modes)
+        camp[start:stop] = np.sqrt(base + 1.0)
+        start = stop
     return FockBasis(
         m_modes=m_modes,
         n_max=n_max,
-        occupations=occ,
+        occupations=occ.astype(np.uint16),
         creation_index=cidx,
         creation_amp=camp,
     )

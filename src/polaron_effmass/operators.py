@@ -10,7 +10,8 @@ Operators built here, all real-symmetric:
 
       A(lam) = blockdiag_j [fiber(lam q_j) - e0] / lam^2 + W (x) I_F,
 
-  where W is the momentum-space kernel of the external potential;
+  where W is the momentum-space kernel of the external potential, folded
+  onto the sector even under grid reversal times mode reflection;
 * the one-particle comparison operator q^2/(2m) + W on the same grid
   (:func:`assemble_schrodinger`);
 * a matched pair of finite-ring operators used only for cross-checks:
@@ -25,7 +26,8 @@ Operators built here, all real-symmetric:
 The coupled operator and the field-momentum-frame ring operator share one
 operator form, :class:`SymmetricOperator`: the Kronecker sum of a dense
 grid kernel and one sparse Fock block plus a diagonal, stored as those
-factors and applied in factored form, never assembled.  The direct tensor
+factors and applied in factored form, never assembled; the coupled one is
+folded and gains a mirrored kernel factor.  The direct tensor
 and the comparison operator are returned as dense matrices.
 
 The production assembly uses the exact quadratic kinetic energy and the
@@ -33,7 +35,8 @@ closed-form potential transform; the ring pair uses the cosine kinetic and
 the sampled kernel so that the two ring operators match each other exactly.
 Spectra are compared only between matched discretizations.
 
-Index layout everywhere: grid-major, state = j * fock_dim + s.
+Index layout everywhere: grid-major, state = j * fock_dim + s; a fold
+stores node 0's orbit coordinates first, then the nodes after it.
 """
 
 from __future__ import annotations
@@ -82,18 +85,29 @@ def _check_symmetric(matrix, name: str):
 
 
 class SymmetricOperator:
-    """The real-symmetric sum I_{n_q} (x) block + kernel (x) I_F + diag.
+    """The real-symmetric sum I_{n_q} (x) block + kernel (x) I_F + diag, or
+    its fold onto a sector even under a grid reversal.
 
     On the grid-major layout, `block` is the sparse F x F part of one grid
     node, `kernel` the dense n_q x n_q grid factor and `diag` an extra
-    diagonal of length n_q F.  The split keeps assemblies free of explicit
+    diagonal of length `dim`.  The split keeps assemblies free of explicit
     stored zeros: purely diagonal contributions (kinetic terms, field
     energies, shifts) live in `diag`.  The sum is stored as its factors and
-    applied in factored form, never assembled.  It is symmetric when both
-    factors are, so each factor is checked at construction.
+    applied in factored form, never assembled.  It is symmetric when every
+    factor is, so each factor is checked at construction.
+
+    With `mirror` and `reflection` it is a fold (:func:`assemble_coupled_llp`):
+    the sum gains the factor mirror (x) S on the nodes after node 0, S the
+    Fock state involution `reflection`, and node 0 keeps only the S-even
+    vectors, in the coordinates of the orbits (f + S f) / sqrt(2) and the
+    fixed points of S.  Such a vector has F0 + (n_q - 1) F entries, F0 the
+    number of orbits.  :meth:`to_rows` spreads a vector over the n_q x F
+    node rows the factors act on and :meth:`from_rows` takes rows back,
+    node 0 to its S-even part.
     """
 
-    def __init__(self, block, kernel, diag, *, name=""):
+    def __init__(self, block, kernel, diag, *, mirror=None, reflection=None,
+                 name=""):
         m = sp.csr_matrix(block)
         if m.shape[0] != m.shape[1]:
             raise DomainError("operator block must be square")
@@ -103,6 +117,26 @@ class SymmetricOperator:
         self.kernel = np.asarray(kernel, dtype=float)
         if self.kernel.ndim != 2 or self.kernel.shape[0] != self.kernel.shape[1]:
             raise DomainError("operator kernel must be square")
+        self.mirror = self.reflection = None
+        fdim = m.shape[0]
+        self._head = fdim
+        if mirror is not None:
+            S = np.asarray(reflection)
+            if S.shape != (fdim,) or not np.array_equal(S[S], np.arange(fdim)):
+                raise DomainError("reflection must be an involution of the "
+                                  "Fock states")
+            self.mirror = np.asarray(mirror, dtype=float)
+            n = self.kernel.shape[0] - 1
+            if self.mirror.shape != (n, n):
+                raise DomainError("mirror must span the nodes after node 0")
+            _check_symmetric(self.mirror, f"{name} mirror")
+            self.reflection = S
+            reps = np.flatnonzero(S >= np.arange(fdim))
+            fixed = S[reps] == reps
+            # P = spread of the orbit coordinates, P^T = their gather
+            self._orbits = (reps, S[reps], np.where(fixed, 1.0, math.sqrt(0.5)),
+                            np.where(fixed, 0.5, math.sqrt(0.5)))
+            self._head = reps.size
         self.diag = np.asarray(diag, dtype=float)
         if self.diag.shape != (self.dim,):
             raise DomainError("diagonal length does not match operator dimension")
@@ -112,31 +146,88 @@ class SymmetricOperator:
 
     @property
     def dim(self) -> int:
-        return self.kernel.shape[0] * self.matrix.shape[0]
+        return self._head + (self.kernel.shape[0] - 1) * self.matrix.shape[0]
 
     @property
     def nnz(self) -> int:
-        """Stored entries of the equivalent assembled matrix."""
+        """Stored entries of the equivalent assembled matrix, node 0 counted
+        at its F states."""
         n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
-        return n_q * self.matrix.nnz + n_q * n_q * fdim + self.dim
+        n_mirror = 0 if self.mirror is None else self.mirror.size
+        return (n_q * self.matrix.nnz + (n_q * n_q + n_mirror) * fdim
+                + self.dim)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        X = x.reshape(self.kernel.shape[0], -1)
-        Y = self.kernel @ X
-        Y += (self.matrix @ X.T).T
-        y = Y.ravel()
-        y += self.diag * x
+    def to_rows(self, x: np.ndarray) -> np.ndarray:
+        """The n_q x F node rows of a vector; a fold spreads node 0's orbit
+        coordinates over its F states."""
+        fdim = self.matrix.shape[0]
+        if self.mirror is None:
+            return x.reshape(-1, fdim)
+        reps, partners, spread, _ = self._orbits
+        X = np.empty((self.kernel.shape[0], fdim))
+        head = spread * x[:self._head]
+        X[0, partners] = head
+        X[0, reps] = head
+        X[1:] = x[self._head:].reshape(-1, fdim)
+        return X
+
+    def from_rows(self, X: np.ndarray) -> np.ndarray:
+        """The vector of node rows X, the adjoint of :meth:`to_rows`: a fold
+        takes node 0's row to its orbit coordinates."""
+        if self.mirror is None:
+            return X.ravel()
+        reps, partners, _, gather = self._orbits
+        return np.concatenate([(X[0, reps] + X[0, partners]) * gather,
+                               X[1:].ravel()])
+
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        """The grid-major vector on all 2 n_q - 1 nodes of a fold's x: node
+        -q_j carries S of node q_j's row, and both carry it over sqrt(2)."""
+        X = self.to_rows(x)
+        X[1:] *= math.sqrt(0.5)
+        return np.concatenate([X[:0:-1, self.reflection], X]).ravel()
+
+    def _apply(self, x, block, kernel, mirror, diag):
+        X = self.to_rows(x)
+        Y = kernel @ X
+        Y += (block @ X.T).T
+        if mirror is not None:
+            Y[1:] += mirror @ X[1:, self.reflection]
+        y = self.from_rows(Y)
+        y += diag * x
         return y
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self._apply(x, self.matrix, self.kernel, self.mirror, self.diag)
+
+    def absolute_matvec(self, x: np.ndarray) -> np.ndarray:
+        """|op| x: the product with every factor taken entrywise absolute."""
+        mirror = None if self.mirror is None else np.abs(self.mirror)
+        return self._apply(x, abs(self.matrix), np.abs(self.kernel), mirror,
+                           np.abs(self.diag))
+
     def diagonal(self) -> np.ndarray:
-        n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
+        n_q = self.kernel.shape[0]
         d = np.asarray(self.matrix.diagonal(), dtype=float)
-        return np.tile(d, n_q) + np.repeat(np.diag(self.kernel), fdim) + self.diag
+        D = np.tile(d, (n_q, 1)) + np.diag(self.kernel)[:, None]
+        if self.mirror is None:
+            return D.ravel() + self.diag
+        reps, partners, _, _ = self._orbits
+        S = self.reflection
+        D[1:] += np.diag(self.mirror)[:, None] * (S == np.arange(S.size))
+        # node 0: the orbit's mean, and its pair's coupling in the block
+        cross = np.asarray(self.matrix[reps, partners]).ravel()
+        head = (0.5 * (D[0, reps] + D[0, partners])
+                + np.where(reps == partners, 0.0, cross))
+        return np.concatenate([head, D[1:].ravel()]) + self.diag
 
     def to_dense(self) -> np.ndarray:
         if self.dim > _DENSIFY_MAX:
             raise CapacityError(
                 f"refusing to densify dimension {self.dim} > {_DENSIFY_MAX}")
+        if self.mirror is not None:
+            # a fold's columns, one product each
+            return np.stack([self.matvec(e) for e in np.eye(self.dim)], axis=1)
         n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
         out = np.zeros((n_q, fdim, n_q, fdim))
         s, j = np.arange(fdim), np.arange(n_q)
@@ -220,6 +311,22 @@ class FiberTemplate:
     def dim(self) -> int:
         return self.basis.dim
 
+    @cached_property
+    def reflection(self) -> np.ndarray:
+        """The Fock state map S of the mode reflection R, k -> -k: state S[s]
+        is state s with each mode's occupation moved to its mirror mode.
+
+        S maps the fiber at P onto the fiber at -P.  Raises DomainError when
+        the mode grid is not closed under k -> -k, or when the couplings or
+        frequencies are not even in k.
+        """
+        perm = self.grid.parity_permutation()
+        if not (np.array_equal(self.couplings[perm], self.couplings)
+                and np.array_equal(self.omegas[perm], self.omegas)):
+            raise DomainError("mode reflection needs couplings and "
+                              "frequencies even in k")
+        return self.basis.permute_modes(perm)
+
     def operator(self, Ps) -> "FiberBatch":
         """The fibers at the total momenta `Ps`, as one batch."""
         diff = np.asarray(Ps, dtype=float)[:, None] - self.field_momenta
@@ -290,24 +397,51 @@ def assemble_schrodinger(potential, egrid: ElectronGrid, mass: float,
 def assemble_coupled_llp(template: FiberTemplate, kernel: np.ndarray,
                          egrid: ElectronGrid, lam: float,
                          e0: float) -> SymmetricOperator:
-    """The coupled operator A(lam) on the electron grid (x) Fock space.
+    """The coupled operator A(lam), folded onto its J (x) R-even sector.
 
-    Block j carries the grounded fiber (fiber(lam q_j) - e0) / lam^2; the
-    external potential acts through its momentum kernel on the grid index
-    only.  `kernel` is that kernel on `egrid` (:func:`potential_kernel`),
-    which does not depend on lam.  `e0` is the fiber ground energy at P = 0
-    and must be supplied by the caller (it is a solver output, not a model
-    parameter).
+    On the grid (x) Fock space, block j carries the grounded fiber
+    (fiber(lam q_j) - e0) / lam^2; the external potential acts through its
+    momentum kernel on the grid index only.  `kernel` is that kernel on
+    `egrid` (:func:`potential_kernel`), which does not depend on lam.  `e0`
+    is the fiber ground energy at P = 0 and must be supplied by the caller
+    (it is a solver output, not a model parameter).
+
+    J reverses the grid and R reflects the field modes (S =
+    template.reflection on the Fock states).  For an even kernel J (x) R
+    maps A(lam) onto itself, and the returned operator is E^T A(lam) E on
+    its even sector, E the isometry that keeps the nodes q_j >= 0, scales
+    the nodes q_j > 0 by sqrt(2) and keeps at q = 0 the R-even orbits (see
+    :class:`SymmetricOperator`).  With W_+ the kernel among the kept nodes
+    and W_- its block from q_j to -q_k, j, k > 0, the fold is
+
+        I (x) block + W_+' (x) I + W_- (x) S + diag,
+
+    W_+' being W_+ with its node-0 couplings scaled by sqrt(2); the
+    blocks and the diagonal are those of the kept nodes.  Its vectors have
+    about half the entries of A's; :meth:`SymmetricOperator.unfold` maps
+    them back.  A kernel that is not even raises DomainError.
     """
     if lam <= 0:
         raise DomainError(f"scaling parameter must be positive, got {lam}")
+    if not np.array_equal(kernel, kernel[::-1, ::-1]):
+        raise DomainError("the even-sector fold needs a kernel even under "
+                          "q -> -q")
     spec = template.spec
+    half = egrid.size // 2
     inv_l2 = 1.0 / (lam * lam)
-    # kinetic diagonal of all fibers at once: |lam q_j - P_f|^2 / (2m)
-    diff = lam * egrid.points[:, None] - template.field_momenta[None, :]
+    # kinetic diagonal of the kept fibers at once: |lam q_j - P_f|^2 / (2m)
+    diff = lam * egrid.points[half:, None] - template.field_momenta[None, :]
     kin = diff * diff / (2.0 * spec.mass)
-    diag_flat = ((kin + (template.frequency_sums - e0)[None, :]) * inv_l2).ravel()
-    return SymmetricOperator(template.interaction * inv_l2, kernel, diag_flat,
+    diag = (kin + (template.frequency_sums - e0)[None, :]) * inv_l2
+    S = template.reflection
+    head = 0.5 * (diag[0] + diag[0, S])[S >= np.arange(S.size)]
+    plus = kernel[half:, half:].copy()
+    plus[0, 1:] *= math.sqrt(2.0)
+    plus[1:, 0] *= math.sqrt(2.0)
+    mirror = np.ascontiguousarray(kernel[half + 1:, :half][:, ::-1])
+    return SymmetricOperator(template.interaction * inv_l2, plus,
+                             np.concatenate([head, diag[1:].ravel()]),
+                             mirror=mirror, reflection=S,
                              name=f"coupled(lam={lam:g})")
 
 

@@ -35,7 +35,8 @@ from .config import ExperimentConfig
 from .dispersion import (FiberCache, certify_quasi_parabolic, check_ceilings,
                          estimate_Pc, fit_dynamic_mass, perturbative_mass,
                          scan_dispersion)
-from .eigensolve import dense_ground, dense_spectrum, ground_state
+from .eigensolve import (dense_ground, dense_spectrum, ground_state,
+                         verified_floor)
 from .errors import AccuracyWarning, ConfigError
 from .model import TAIL_TOL, ModelSpec, fourier_tail_fraction
 from .operators import (FiberTemplate, assemble_direct_tensor,
@@ -148,10 +149,11 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
 def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     """e(lam) per lam with its certified bounds, then the lam -> 0 mass and
     its comparison with M_dyn: the report block, the staticmass.csv rows and
-    the trialstate.csv rows.  The kernel is built once and each lam's fiber
-    nodes are fetched once, for the coupled solve, L1 and U* alike.  The
-    Galerkin bound U_G and the Temple floor L_T are checked against the
-    other bounds apart from the sandwich ordering."""
+    the trialstate.csv rows.  The kernel and its verified floor are built
+    once and each lam's fiber nodes are fetched once, for the coupled
+    solve, L1 and U* alike.  The Galerkin bound U_G and the Temple floor
+    L_T are checked against the other bounds apart from the sandwich
+    ordering."""
     if cfg.potential is None:
         raise ConfigError(
             "the static-mass stage needs a potential; set potential.type"
@@ -172,12 +174,13 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         )
 
     kernel = potential_kernel(cfg.potential, cfg.egrid)
+    k_min = verified_floor(kernel, dense_ground(kernel))
     cache = dstate.cache
     e_rows, u_results, solves = [], [], []
     for lam in lams:
         nodes = cache.pairs(lam * cfg.egrid.points)
-        res = coupled_ground(cache.template, nodes, kernel, cfg.egrid, lam,
-                             e0, seed=cfg.seed)
+        res = coupled_ground(cache.template, nodes, kernel, k_min, cfg.egrid,
+                             lam, e0, seed=cfg.seed)
         l1 = momentum_lower_bound(lam, kernel, nodes, e0)
         ub = minimize_upper_bound(lam, nodes, res.galerkin, cfg.egrid,
                                   p_c=dstate.p_c)
@@ -210,6 +213,8 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
             "e_values": list(extrap.e_values),
             "davidson_iterations": [r.iterations for r in solves],
             "davidson_matvecs": [r.matvecs for r in solves],
+            "coupled_dim": {"full": solves[0].vector.size,
+                            "even": solves[0].dim},
             "fit_coeffs": list(extrap.coeffs),
             "fit_rms": extrap.fit_rms,
             "drop_largest_shift": extrap.drop_shift,

@@ -16,9 +16,11 @@ Pieces:
 * :func:`invert_E`: bisection inverse of the strictly decreasing comparison
   curve, with on-the-fly monotonicity validation and bracket expansion.
 * :func:`coupled_ground`: e(lam) through a two-level Davidson solve (the
-  coupled operators' diagonal spread rules out plain Lanczos): it starts
-  from the fiber-Galerkin vector and corrects the envelope on the grid by
-  a coarse solve with the fibers' Galerkin matrix.  It reads the lam's
+  coupled operators' diagonal spread rules out plain Lanczos) in the
+  sector even under grid reversal times mode reflection, half the coupled
+  space: it starts from the fiber-Galerkin vector and corrects the
+  envelope on the grid by a coarse solve with the fibers' Galerkin
+  matrix, both folded onto the sector.  It reads the lam's
   fiber nodes and the potential kernel as the caller fetched them, once,
   for the solve and both bounds at that lam.  It also certifies e(lam):
   the split of the coupled space by the fiber states
@@ -175,8 +177,9 @@ class CoupledResult:
     residual: float
     iterations: int
     matvecs: int
-    vector: np.ndarray
-    galerkin: np.ndarray   # the fiber-Galerkin matrix M the solve used
+    vector: np.ndarray     # the unfolded ground vector, length n_q F
+    dim: int               # the even sector's dimension the solve ran in
+    galerkin: np.ndarray   # the full fiber-Galerkin matrix M, for U*
     upper: float           # U_G, lambda_min of the recomputed M
     enclosure: Enclosure
     r_star: float | None   # the stopping residual the enclosure allows
@@ -272,14 +275,15 @@ def split_floor(lambda2: float, c: float, b: float) -> tuple:
 
 
 def _split_enclosure(nodes: FiberNodes, fg: FiberSplit,
-                     kernel: np.ndarray, lam: float, e0: float,
+                     kernel: np.ndarray, k_min: float, lam: float, e0: float,
                      evals: np.ndarray, U: np.ndarray) -> Enclosure:
     """A floor rho on lambda_2(A(lam)) from the fiber split P = Z Z^T.
 
     A >= (M - eta) (+) (c - b^2 / eta) on range(P) (+) range(Q) for every
     eta > 0, so lambda_2(A) >= min(lambda_2(M) - eta, c - b^2 / eta):
 
-    * Q A Q >= c = min_j (mu_j - e0) / lam^2 + lambda_min(K), where mu_j
+    * Q A Q >= c = min_j (mu_j - e0) / lam^2 + k_min, k_min <= lambda_min(K)
+      the caller's verified floor (it does not depend on lam), where mu_j
       floors the fiber at lam q_j on Phi_j's complement.  If Phi_j makes
       the angle s_j with the ground state, mu_j >= E1_j - s_j^2 (E1_j -
       E0_j), and s_j <= r_j / (E1_j - theta_j) (Davis & Kahan).  The floors
@@ -291,7 +295,7 @@ def _split_enclosure(nodes: FiberNodes, fg: FiberSplit,
       its neighbours' complements.
     * lambda_2(M) >= lambda_1(M + tau y y^T), y the computed lowest
       eigenvector of M and tau >= 0 (interlacing), verified in floating
-      point; so is lambda_min(K).
+      point.
 
     Every term is rounded toward a smaller rho: M's and G's rounding
     against the exact Galerkin matrix of the unit vectors, and the
@@ -312,7 +316,6 @@ def _split_enclosure(nodes: FiberNodes, fg: FiberSplit,
     mu = (E1 - s * s * (E1 - E0)
           - 8.0 * _U * (np.abs(E1) + np.abs(E0)))
     mu_min = float(mu.min())
-    k_min = verified_floor(kernel, dense_ground(kernel))
     c = ((mu_min - e0) * inv + k_min
          - 4.0 * _U * ((abs(mu_min) + abs(e0)) * inv + abs(k_min)))
     g_err = _gamma(3 * fdim + 10)
@@ -339,14 +342,6 @@ def _split_enclosure(nodes: FiberNodes, fg: FiberSplit,
     return Enclosure(rho=rho, eta=eta, b=b, c=c, lambda2=lambda2)
 
 
-def _absolute_apply(op, x: np.ndarray) -> np.ndarray:
-    """|op| x for a coupled operator: each factor taken entrywise absolute."""
-    X = x.reshape(op.kernel.shape[0], -1)
-    Y = np.abs(op.kernel) @ X
-    Y += (abs(op.matrix) @ X.T).T
-    return Y.ravel() + np.abs(op.diag) * x
-
-
 def temple_floor(op, x: np.ndarray, rho: float) -> tuple:
     """(L_T, reason): Temple's floor on lambda_min(op) from the vector x.
 
@@ -357,10 +352,16 @@ def temple_floor(op, x: np.ndarray, rho: float) -> tuple:
     the floor is taken at the low end of theta's enclosure, where it is
     smallest as long as that enclosure lies below rho - r, and rounded
     down.  Without that, L_T is None and the reason says why.
+
+    A fold's products sum the mirror's terms too, and round its sqrt(2)
+    scalings of the kernel and of node 0's orbits, spread and gathered:
+    eight more roundings cover those.
     """
     terms = op.kernel.shape[0] + _max_row_nnz(op.matrix) + 2
+    if op.mirror is not None:
+        terms += op.mirror.shape[0] + 8
     _, lo, hi, r = rayleigh_bounds(x, op.matvec(x),
-                                   _absolute_apply(op, np.abs(x)), terms)
+                                   op.absolute_matvec(np.abs(x)), terms)
     if not hi < rho - r:
         return None, (f"the quotient {hi:.9g} is not below rho - r = "
                       f"{rho - r:.9g}")
@@ -368,12 +369,15 @@ def temple_floor(op, x: np.ndarray, rho: float) -> tuple:
     return float(np.nextafter(floor - 2.0 * _U * abs(floor), -np.inf)), ""
 
 
-def _coarse_correction(phi: np.ndarray, evals: np.ndarray, U: np.ndarray):
+def _coarse_correction(op, rows: np.ndarray, evals: np.ndarray,
+                       U: np.ndarray):
     """Davidson correction whose Z component solves (M - theta) c = Z^T r.
 
-    `evals` and `U` are the eigenpairs of the Galerkin matrix M.  The
-    diagonal correction t handles the Fock excitations at each node; the
-    envelope on the grid, which the kernel couples, comes from M.
+    Column j of Z is the vector of node row j of `rows` alone
+    (:meth:`~.operators.SymmetricOperator.from_rows` of `op`), and `evals`
+    and `U` are the eigenpairs of the Galerkin matrix M on those columns.
+    The diagonal correction t handles the Fock excitations at each node;
+    the envelope on the grid, which the kernel couples, comes from M.
     Eigenvalues of M within 1e-8 max(1, |theta|) of theta are held at that
     distance, as the diagonal correction's are.
 
@@ -383,20 +387,45 @@ def _coarse_correction(phi: np.ndarray, evals: np.ndarray, U: np.ndarray):
     the Z component of the iterate is never corrected, and the solve does
     not converge.
     """
-    n_q, fdim = phi.shape
 
     def correct(t, r, theta):
-        T = t.reshape(n_q, fdim)
-        zr = np.einsum("jf,jf->j", phi, r.reshape(n_q, fdim))
-        zt = np.einsum("jf,jf->j", phi, T)
+        zr = np.vecdot(rows, op.to_rows(r))
+        zt = np.vecdot(rows, op.to_rows(t))
         denom = evals - theta
         floor = 1e-8 * max(1.0, abs(theta))
         denom = np.where(np.abs(denom) < floor, np.copysign(floor, denom),
                          denom)
         c = U @ ((U.T @ zr) / denom)
-        T += (c - zt)[:, None] * phi
+        t += op.from_rows((c - zt)[:, None] * rows)
 
     return correct
+
+
+def _folded_coarse_space(op, nodes: FiberNodes, lam: float,
+                         e0: float) -> tuple:
+    """(rows, M): the fold's coarse space as node rows, and its Galerkin
+    matrix from the nodes' fiber energies.
+
+    The rows are the fiber vectors at the nodes q_j >= 0 only, node 0's
+    taken to its R-even part and renormalized.  With G the rows' overlaps
+    and H = Phi S Phi^T among the nodes q_j > 0,
+
+        M = W_+' o G + (0 (+) W_- o H) + diag((E(lam q_j) - e0) / lam^2),
+
+    the fold of the matrix of :func:`fiber_galerkin` when the vector at -P
+    is the reflection of the one at P, as the fiber cache makes it.
+    """
+    S = op.reflection
+    n_q = op.kernel.shape[0]
+    rows = nodes.vectors[-n_q:].copy()
+    rows[0] = 0.5 * (rows[0] + rows[0, S])
+    norm = math.sqrt(float(rows[0] @ rows[0]))
+    if norm > 0.0:
+        rows[0] /= norm
+    M, _ = _galerkin(rows, nodes.energy[-n_q:], op.kernel, lam, e0)
+    H = rows[1:] @ rows[1:, S].T
+    M[1:, 1:] += op.mirror * (0.5 * (H + H.T))
+    return rows, M
 
 
 # The premise under every L_T, as the report states it.
@@ -405,21 +434,29 @@ PREMISE = ("each fiber's Davidson pair is its two lowest levels: "
 
 
 def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
-                   kernel: np.ndarray, egrid: ElectronGrid, lam: float,
-                   e0: float, *, seed: int = 0) -> CoupledResult:
-    """e(lam) = infspec A(lam), by a two-level Davidson solve, certified.
+                   kernel: np.ndarray, k_min: float, egrid: ElectronGrid,
+                   lam: float, e0: float, *, seed: int = 0) -> CoupledResult:
+    """e(lam) = infspec A(lam), by a two-level Davidson solve in the even
+    sector, certified.
 
     A(lam) is built from the fibers of `template` and the potential kernel
-    on `egrid`.  The fiber ground states Phi(lam q_j) of `nodes`, one per
-    grid node, span a coarse space Z = [e_j (x) Phi(lam q_j)] that holds
-    most of the ground vector.  The solve starts from Z y0, y0 the lowest
-    eigenvector of the Galerkin matrix M = Z^T A Z (:func:`fiber_galerkin`,
-    with the nodes' fiber energies).  Each correction r / (diag(A) - theta)
-    has its Z component replaced by Z (M - theta)^{-1} Z^T r (Nicolaides'
-    deflation applied to Davidson's correction equation).  Rayleigh-Ritz
-    still produces the value, so the correction can slow the solve but not
-    change its answer.  The same M with the vectors' own Rayleigh
-    quotients (:func:`fiber_split`) gives U_G, its lowest eigenvalue, an
+    on `egrid`; `k_min` is a verified floor on the kernel's lowest
+    eigenvalue, which does not depend on lam, so the caller computes it
+    once per kernel.  The solve runs on the fold of A(lam) onto its
+    J (x) R-even sector (:func:`~.operators.assemble_coupled_llp`), half
+    of A's dimension, and returns the unfolded full-length vector.  The
+    fiber ground states Phi(lam q_j) of `nodes`, one per grid node, span a
+    coarse space Z = [e_j (x) Phi(lam q_j)] that holds most of the ground
+    vector; its fold keeps the nodes q_j >= 0, node 0's vector taken to
+    its R-even part (:func:`_folded_coarse_space`).  The solve starts from
+    Z y0, y0 the lowest eigenvector of the folded Galerkin matrix
+    M = Z^T A Z, with the nodes' fiber energies.  Each correction
+    r / (diag(A) - theta) has its Z component replaced by
+    Z (M - theta)^{-1} Z^T r (Nicolaides' deflation applied to Davidson's
+    correction equation).  Rayleigh-Ritz still produces the value, so the
+    correction can slow the solve but not change its answer.  The full
+    Galerkin matrix with the vectors' own Rayleigh quotients
+    (:func:`fiber_split`, every node) gives U_G, its lowest eigenvalue, an
     upper bound on e(lam); with right vectors the two agree to rounding,
     and with wrong ones the nodes' energies still model the envelope
     problem, which keeps the solve converging.
@@ -431,25 +468,28 @@ def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
     keeps Temple's term r^2 / (rho - theta) below w, half of the target
     width _TARGET_WIDTH max(1, |U_G|): the solve stops there (never below
     _COUPLED_TOL), and :func:`temple_floor` turns the returned vector into
-    L_T.  Otherwise the solve runs to _COUPLED_TOL and there is no L_T;
-    `note` says why, or states the premise an L_T rests on.  A solve that
-    does not converge raises SolverError.  M is returned with the result,
-    for U* (:func:`~.trialstate.minimize_upper_bound`).
+    L_T.  The sector's second level is no lower than A's, so rho floors
+    it too, and A has one eigenvalue below rho: a sector's quotient below
+    rho makes L_T a floor on e(lam) itself.  Otherwise the solve runs to
+    _COUPLED_TOL and there is no L_T; `note` says why, or states the
+    premise an L_T rests on.  A solve that does not converge raises
+    SolverError.  The full M is returned with the result, for U*
+    (:func:`~.trialstate.minimize_upper_bound`).
     """
     op = assemble_coupled_llp(template, kernel, egrid, lam, e0)
     fg = fiber_split(template, nodes, kernel, lam, e0)
     evals, U = np.linalg.eigh(fg.matrix)
     upper = float(evals[0])
-    enclosure = _split_enclosure(nodes, fg, kernel, lam, e0, evals, U)
+    enclosure = _split_enclosure(nodes, fg, kernel, k_min, lam, e0, evals, U)
     scale = max(1.0, abs(upper))
     r_star = None
     if enclosure.rho > upper:
         r_star = math.sqrt(0.5 * _TARGET_WIDTH * scale
                            * (enclosure.rho - upper))
-    M = fiber_galerkin(nodes, kernel, lam, e0)
-    evals, U = np.linalg.eigh(M)
-    correct = _coarse_correction(nodes.vectors, evals, U)
-    start = (U[:, 0, None] * nodes.vectors).ravel()
+    rows, M_even = _folded_coarse_space(op, nodes, lam, e0)
+    evals, U = np.linalg.eigh(M_even)
+    correct = _coarse_correction(op, rows, evals, U)
+    start = op.from_rows(U[:, 0, None] * rows)
     tol = _COUPLED_TOL if r_star is None else max(_COUPLED_TOL, r_star / scale)
     res = davidson_ground(op, tol=tol, seed=seed, v0=start,
                           correction=correct)
@@ -461,9 +501,10 @@ def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
         note = note or PREMISE
     return CoupledResult(value=res.value, residual=res.residual,
                          iterations=res.iterations, matvecs=res.matvecs,
-                         vector=res.vector, galerkin=M, upper=upper,
-                         enclosure=enclosure, r_star=r_star, temple=temple,
-                         note=note)
+                         vector=op.unfold(res.vector), dim=op.dim,
+                         galerkin=fiber_galerkin(nodes, kernel, lam, e0),
+                         upper=upper, enclosure=enclosure, r_star=r_star,
+                         temple=temple, note=note)
 
 
 @dataclass

@@ -61,7 +61,8 @@ def toy_ground(toy_cfg, toy_cache):
     energies = {
         lam: coupled_ground(toy_cache.template,
                             toy_cache.pairs(lam * toy_cfg.egrid.points),
-                            kernel, toy_cfg.egrid, lam, e0).value
+                            kernel, verified_floor(kernel, dense_ground(kernel)),
+                            toy_cfg.egrid, lam, e0).value
         for lam in (0.4, 0.2)
     }
     return e0, energies

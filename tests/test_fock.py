@@ -53,6 +53,44 @@ def test_totals_are_nondecreasing_and_states_unique():
     assert len(seen) == basis.dim
 
 
+def _recursive_basis(m: int, n_max: int) -> tuple:
+    """(occupations, creation_index, creation_amp) by the recursive
+    enumeration: each total block generated composition by composition,
+    lex ascending, and each creation map looked up state by state."""
+
+    def compositions(m, total):
+        if m == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in compositions(m - 1, total - head):
+                yield (head,) + rest
+
+    states = [s for t in range(n_max + 1) for s in compositions(m, t)]
+    index = {s: i for i, s in enumerate(states)}
+    cidx = np.full((len(states), m), -1, dtype=np.int32)
+    camp = np.zeros((len(states), m))
+    for i, s in enumerate(states):
+        for mode in range(m):
+            step = apply_creation(s, mode, n_max)
+            if step is not None:
+                cidx[i, mode] = index[step[0]]
+                camp[i, mode] = step[1]
+    return np.array(states, dtype=np.uint16).reshape(-1, m), cidx, camp
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("n_max", range(5))
+def test_enumeration_matches_the_recursive_one(m, n_max):
+    basis = enumerate_basis(m, n_max)
+    occ, cidx, camp = _recursive_basis(m, n_max)
+    assert basis.occupations.dtype == occ.dtype
+    assert np.array_equal(basis.occupations, occ)
+    assert basis.creation_index.dtype == cidx.dtype
+    assert np.array_equal(basis.creation_index, cidx)
+    assert np.array_equal(basis.creation_amp, camp)
+
+
 def rank(basis, occ) -> int:
     """Graded-lex rank of one occupation tuple."""
     return int(_rank_batch(np.array([occ]), basis.m_modes)[0])

@@ -253,10 +253,35 @@ def _check_against_kronecker(op, block, kernel, rng):
 @pytest.mark.parametrize("lam", [0.4, 0.1])
 def test_coupled_operator_is_the_kronecker_sum(toy_cfg, toy_template, lam,
                                                rng):
-    kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
-    op = assemble_coupled_llp(toy_template, kernel, toy_cfg.egrid, lam, -0.3)
+    # the coupled operator is E^T A E: A the Kronecker sum on the whole
+    # grid, built without the fold, and E the isometry onto its J (x) R-even
+    # sector, whose columns unfold the fold's unit vectors
+    egrid = toy_cfg.egrid
+    kernel = potential_kernel(toy_cfg.potential, egrid)
+    op = assemble_coupled_llp(toy_template, kernel, egrid, lam, -0.3)
     block = toy_template.interaction * (1.0 / (lam * lam))
-    _check_against_kronecker(op, block, kernel, rng)
+    diff = lam * egrid.points[:, None] - toy_template.field_momenta[None, :]
+    diag = ((diff * diff / (2.0 * toy_template.spec.mass)
+             + toy_template.frequency_sums + 0.3) / (lam * lam)).ravel()
+    full = _kronecker_reference(block, kernel, diag).toarray()
+    # F0 = (F + #fixed) / 2 = (28 + 4) / 2 orbits at q = 0, F at each q > 0
+    n_q, fdim = egrid.size, toy_template.dim
+    assert op.dim == 16 + (n_q // 2) * fdim == 688
+    n_half = n_q // 2 + 1
+    assert op.nnz == (n_half * block.nnz + (n_half**2 + (n_half - 1)**2)
+                      * fdim + op.dim)
+    E = np.stack([op.unfold(e) for e in np.eye(op.dim)], axis=1)
+    assert np.abs(E.T @ E - np.eye(op.dim)).max() <= 1e-15
+    ref = E.T @ full @ E
+    scale = np.abs(ref).max()
+    assert np.abs(op.to_dense() - ref).max() <= 1e-14 * scale
+    assert np.abs(op.diagonal() - np.diag(ref)).max() <= 1e-14 * scale
+    x = rng.standard_normal(op.dim)
+    assert np.abs(op.matvec(x) - ref @ x).max() <= 1e-14 * np.abs(ref @ x).max()
+    bad_kernel = kernel.copy()
+    bad_kernel[0, 1] = bad_kernel[1, 0] = bad_kernel[0, 1] * (1.0 + 1e-9)
+    with pytest.raises(DomainError, match="kernel even"):
+        assemble_coupled_llp(toy_template, bad_kernel, egrid, lam, -0.3)
 
 
 def test_ring_operator_is_the_kronecker_sum(toy_cfg, toy_template, rng):

@@ -6,6 +6,7 @@ l(m) = (-1 + sqrt(1 + 16 m))/2, derived independently of the code.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ import pytest
 from polaron_effmass import staticmass
 from polaron_effmass.config import load_config
 from polaron_effmass.dispersion import FiberCache
-from polaron_effmass.eigensolve import dense_ground
+from polaron_effmass.eigensolve import dense_ground, verified_floor
 from polaron_effmass.errors import (AccuracyWarning, AnalysisError,
                                     BracketError, DomainError,
                                     NoBoundStateError)
@@ -150,8 +151,18 @@ def oracle_setup(fiber_matrix):
     return cfg, cache, e0
 
 
+def _full_coupled(template, kernel, egrid, lam, e0):
+    """A(lam) on the whole grid (x) Fock space, built without the fold, for
+    a lam of either sign."""
+    inv_l2 = 1.0 / (lam * lam)
+    diff = lam * egrid.points[:, None] - template.field_momenta[None, :]
+    kin = diff * diff / (2.0 * template.spec.mass)
+    diag = ((kin + (template.frequency_sums - e0)[None, :]) * inv_l2).ravel()
+    return SymmetricOperator(template.interaction * inv_l2, kernel, diag)
+
+
 def _dense_coupled_ground(cache, cfg, lam, e0):
-    return np.linalg.eigvalsh(assemble_coupled_llp(
+    return np.linalg.eigvalsh(_full_coupled(
         cache.template, potential_kernel(cfg.potential, cfg.egrid),
         cfg.egrid, lam, e0).to_dense())[0]
 
@@ -161,8 +172,9 @@ def _coupled_ground(cfg, cache, lam, e0, seed, nodes=None):
     from `nodes` in their place."""
     if nodes is None:
         nodes = cache.pairs(lam * cfg.egrid.points)
-    return coupled_ground(cache.template, nodes,
-                          potential_kernel(cfg.potential, cfg.egrid),
+    kernel = potential_kernel(cfg.potential, cfg.egrid)
+    return coupled_ground(cache.template, nodes, kernel,
+                          verified_floor(kernel, dense_ground(kernel)),
                           cfg.egrid, lam, e0, seed=seed)
 
 
@@ -270,19 +282,29 @@ def test_sabotaged_fibers_get_no_temple_floor(oracle_setup, lam, how):
 
 def test_the_second_eigenvector_gets_no_temple_floor(toy_cfg, toy_cache):
     # the second eigenvector's quotient is lambda_2 >= rho, so Temple's
-    # inequality does not apply to it; the first one's is certified
+    # inequality does not apply to it; the first one's is certified, in the
+    # full space and in the even sector, whose levels are levels of A
     lam = 0.4
     e0 = toy_cache.pairs([0.0]).energy[0]
     kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
     res = _coupled_ground(toy_cfg, toy_cache, lam, e0, seed=0)
-    op = assemble_coupled_llp(toy_cache.template, kernel, toy_cfg.egrid, lam,
-                              e0)
+    op = _full_coupled(toy_cache.template, kernel, toy_cfg.egrid, lam, e0)
     evals, vecs = np.linalg.eigh(op.to_dense())
     rho = res.enclosure.rho
     assert evals[0] < rho <= evals[1]
     floor, reason = staticmass.temple_floor(op, vecs[:, 1], rho)
     assert floor is None and "not below rho" in reason
     floor, reason = staticmass.temple_floor(op, vecs[:, 0], rho)
+    assert reason == ""
+    assert evals[0] - 1e-12 <= floor <= evals[0] + _DENSE_SLACK
+    fold = assemble_coupled_llp(toy_cache.template, kernel, toy_cfg.egrid,
+                                lam, e0)
+    even, even_vecs = np.linalg.eigh(fold.to_dense())
+    assert even[0] == pytest.approx(evals[0], abs=_DENSE_SLACK)
+    assert rho <= evals[1] <= even[1] + _DENSE_SLACK
+    floor, reason = staticmass.temple_floor(fold, even_vecs[:, 1], rho)
+    assert floor is None and "not below rho" in reason
+    floor, reason = staticmass.temple_floor(fold, even_vecs[:, 0], rho)
     assert reason == ""
     assert evals[0] - 1e-12 <= floor <= evals[0] + _DENSE_SLACK
 
@@ -337,27 +359,16 @@ def test_static_stage_warns_once_on_fat_kernel_tail(toy_cfg):
     assert fourier_tail_fraction(cfg.potential, 10.0) > TAIL_TOL
 
 
-def _dense_coupled_any_sign(template, kernel, egrid, lam, e0):
-    """A(lam) as assemble_coupled_llp builds it, for a lam of either sign."""
-    inv_l2 = 1.0 / (lam * lam)
-    diff = lam * egrid.points[:, None] - template.field_momenta[None, :]
-    kin = diff * diff / (2.0 * template.spec.mass)
-    diag = ((kin + (template.frequency_sums - e0)[None, :]) * inv_l2).ravel()
-    return SymmetricOperator(template.interaction * inv_l2, kernel,
-                             diag).to_dense()
-
-
 def test_coupled_operator_is_even_in_lambda(toy_cfg, toy_template):
     # e(lam) = e(-lam): reversing the grid (J), or reflecting the field
     # modes (R), maps A(-lam) onto A(lam) exactly, so the leading
-    # correction to e0 is O(lam^2)
+    # correction to e0 is O(lam^2); J (x) R maps A(lam) onto itself, which
+    # the coupled solve's fold rests on
     lam, e0 = 0.3, -0.3
     egrid = toy_cfg.egrid
     kernel = potential_kernel(toy_cfg.potential, egrid)
-    plus = _dense_coupled_any_sign(toy_template, kernel, egrid, lam, e0)
-    assert np.array_equal(plus, assemble_coupled_llp(
-        toy_template, kernel, egrid, lam, e0).to_dense())
-    minus = _dense_coupled_any_sign(toy_template, kernel, egrid, -lam, e0)
+    plus = _full_coupled(toy_template, kernel, egrid, lam, e0).to_dense()
+    minus = _full_coupled(toy_template, kernel, egrid, -lam, e0).to_dense()
     assert not np.array_equal(plus, minus)
     n_q, fdim = egrid.size, toy_template.dim
     grid_index = np.arange(n_q)[:, None] * fdim
@@ -366,6 +377,55 @@ def test_coupled_operator_is_even_in_lambda(toy_cfg, toy_template):
         toy_template.grid.parity_permutation())).ravel()
     assert np.array_equal(minus[np.ix_(J, J)], plus)
     assert np.array_equal(minus[np.ix_(R, R)], plus)
+    assert np.array_equal(plus[np.ix_(J[R], J[R])], plus)
+
+
+def test_the_coupled_vector_is_full_length_and_even(toy_cfg, toy_cache):
+    # the solve runs in the even sector and returns E y: the whole grid,
+    # node -q_j the reflection of node q_j, and an eigenvector of the
+    # full-space A(lam) to the solve's residual
+    lam = 0.4
+    e0 = toy_cache.pairs([0.0]).energy[0]
+    res = _coupled_ground(toy_cfg, toy_cache, lam, e0, seed=0)
+    template = toy_cache.template
+    n_q, fdim = toy_cfg.egrid.size, template.dim
+    assert res.dim == 688 < n_q * fdim
+    X = res.vector.reshape(n_q, fdim)
+    assert np.abs(X - X[::-1][:, template.reflection]).max() \
+        <= 1e-14 * np.abs(X).max()
+    A = _full_coupled(template, potential_kernel(toy_cfg.potential,
+                                                 toy_cfg.egrid),
+                      toy_cfg.egrid, lam, e0).to_dense()
+    x = res.vector
+    assert x @ x == pytest.approx(1.0, abs=1e-14)
+    assert x @ A @ x == pytest.approx(res.value, abs=1e-12)
+    assert np.linalg.norm(A @ x - res.value * x) <= 1.01 * res.residual + 1e-12
+
+
+def test_a_coupled_solve_stores_half_a_coupled_space():
+    # the even sector halves every stored coupled vector: the traced peak of
+    # one solve on `small` (dim 22,295) stays below the 20 full-length
+    # vectors of V and A V the full-space Davidson space held
+    cfg = load_config("small")
+    cache = FiberCache(FiberTemplate(cfg.spec), seed=0)
+    lam = 0.1
+    e0 = cache.pairs([0.0]).energy[0]
+    nodes = cache.pairs(lam * cfg.egrid.points)
+    kernel = potential_kernel(cfg.potential, cfg.egrid)
+    k_min = verified_floor(kernel, dense_ground(kernel))
+    full = cfg.egrid.size * cache.template.dim
+    assert full == 22_295
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = coupled_ground(cache.template, nodes, kernel, k_min, cfg.egrid,
+                             lam, e0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.dim == 11_151
+    assert res.temple is not None
+    assert peak < 2 * 20 * 8 * full
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from polaron_effmass.dispersion import FiberCache
+from polaron_effmass.eigensolve import dense_ground, verified_floor
 from polaron_effmass.errors import AnalysisError, ConfigError
 from polaron_effmass.model import (ConstantDispersion, ModelSpec,
                                    PoschlTeller, ZeroCoupling)
@@ -138,9 +139,10 @@ def test_empty_radius_range_is_a_config_error(toy_cfg, toy_cache):
 def test_upper_bound_dominates_coupled_ground(toy_cfg, toy_cache):
     e0 = toy_cache.pairs([0.0]).energy[0]
     kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
+    k_min = verified_floor(kernel, dense_ground(kernel))
     for lam in (0.4, 0.2):
         nodes = toy_cache.pairs(lam * toy_cfg.egrid.points)
-        coupled = coupled_ground(toy_cache.template, nodes, kernel,
+        coupled = coupled_ground(toy_cache.template, nodes, kernel, k_min,
                                  toy_cfg.egrid, lam, e0, seed=0)
         # the solve returns the M it built, bit for bit the one
         # fiber_galerkin builds from the same kernel and fibers
