@@ -9,17 +9,17 @@
   stacked matrix products; the projected eigenproblems stay per member and
   form only the Ritz pairs in use.  Each new vector takes one Gram-Schmidt
   pass, a second only when the DGKS test asks for it.  A member's result
-  is the same bits alone or in any batch.  :func:`lowest_two` serves the
-  fiber ground pairs and their gaps, a batch of fibers
-  (:class:`~.operators.FiberBatch`) or one operator, from the
-  lowest-diagonal coordinate directions, and converges the ground pair to
-  the caller's tolerance but the excited pair, read only through its Ritz
-  value in the gap, to its square root.  :func:`davidson_ground` serves
-  the coupled small-lambda operators, a batch of one, whose diagonal
-  spread makes plain Krylov iteration impractically slow.  Both use a fixed
-  space of 20 vectors and at most 600 iterations; the coupled solve
-  supplies its fiber-Galerkin start and coarse correction (see the solver
-  notes in the README).
+  is the same bits alone or in any batch.  Both read an operator through
+  the block-apply protocol of :mod:`~.operators`.  :func:`lowest_two`
+  serves the fiber ground pairs and their gaps, a batch of fibers
+  (:class:`~.operators.FiberBatch`), from the lowest-diagonal coordinate
+  directions, and converges the ground pair to the caller's tolerance but
+  the excited pair, read only through its Ritz value in the gap, to its
+  square root.  :func:`davidson_ground` serves the coupled small-lambda
+  operators, a batch of one, whose diagonal spread makes plain Krylov
+  iteration impractically slow.  Both use a fixed space of 20 vectors and
+  at most 600 iterations; the coupled solve supplies its fiber-Galerkin
+  start and coarse correction (see the solver notes in the README).
 * :func:`ground_state`: one Lanczos pass with full reorthogonalization
   (two classical Gram-Schmidt passes per step), seeded random start and
   residual-based stopping.  The basis may grow to the full dimension (at
@@ -55,7 +55,6 @@ from functools import cache
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import CapacityError, DomainError, SolverError
 
@@ -114,20 +113,6 @@ class PairResult:
     iterations: int
     matvecs: int
     restarts: int
-
-
-def _as_operator(op):
-    """Adapt an operator-like object to (matvec, dim, diagonal_fn)."""
-    if hasattr(op, "matvec") and hasattr(op, "dim"):
-        return op.matvec, op.dim, getattr(op, "diagonal", None)
-    if sp.issparse(op):
-        n = op.shape[0]
-        csr = op.tocsr()
-        return (lambda x: csr @ x), n, csr.diagonal
-    arr = np.asarray(op, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DomainError("operator must be square")
-    return (lambda x: arr @ x), arr.shape[0], (lambda: np.diag(arr).copy())
 
 
 _SYEVR, _SYEVR_LWORK = sla.get_lapack_funcs(("syevr", "syevr_lwork"),
@@ -204,17 +189,19 @@ def _lowest_ritz(alphas, betas):
 def ground_state(op, tol: float = 1e-9, seed: int = 0) -> EigResult:
     """Lowest eigenpair by one Lanczos pass with full reorthogonalization.
 
-    The start vector is drawn from a generator seeded with `seed`.
-    Convergence is declared when the explicitly computed residual
-    ||A x - theta x|| falls below tol * max(1, |theta|).  The basis may grow
-    to the full dimension n, where the Krylov space is invariant and the
-    Ritz value exact, so there are no restarts.  Dimensions above
-    _DENSE_MAX are refused with DomainError before anything is allocated.
+    `op` is a square matrix, read only through `op.shape` and `op @ v`,
+    which numpy arrays and scipy sparse matrices share.  The start vector
+    is drawn from a generator seeded with `seed`.  Convergence is declared
+    when the explicitly computed residual ||A x - theta x|| falls below
+    tol * max(1, |theta|).  The basis may grow to the full dimension n,
+    where the Krylov space is invariant and the Ritz value exact, so there
+    are no restarts.  Dimensions above _DENSE_MAX are refused with
+    DomainError before anything is allocated.
 
     Raises SolverError (carrying the best value/residual seen) when the
     pass ends, by breakdown or at step n, without meeting the tolerance.
     """
-    matvec, n, _ = _as_operator(op)
+    n = op.shape[0]
     if n < 1:
         raise DomainError("operator dimension must be >= 1")
     if n > _DENSE_MAX:
@@ -229,7 +216,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0) -> EigResult:
     matvecs = 0
     k = 0
     while True:
-        w = matvec(V[k])
+        w = op @ V[k]
         matvecs += 1
         a = float(V[k] @ w)
         alphas.append(a)
@@ -248,7 +235,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0) -> EigResult:
             if last or b * abs(y[-1]) <= tol * max(1.0, abs(theta)):
                 x = V[:k].T @ y
                 x /= np.linalg.norm(x)
-                r = matvec(x) - theta * x
+                r = op @ x - theta * x
                 matvecs += 1
                 res = float(np.linalg.norm(r))
                 if res < best_res:
@@ -265,26 +252,6 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0) -> EigResult:
         V[k] = w / b
 
 
-def _as_batch(op):
-    """Adapt an operator, or a batch of them, to (apply, members, dim, diagonals).
-
-    A batch (:class:`~.operators.FiberBatch`) exposes `dim`, its length,
-    `diagonals()`, one row per member, and `apply(members, X)`, the image of
-    each row X[i] under the operator of member members[i].  Anything
-    :func:`_as_operator` takes is a batch of one, applied a row at a time.
-    """
-    if hasattr(op, "apply"):
-        return op.apply, len(op), op.dim, op.diagonals
-    matvec, n, diag_fn = _as_operator(op)
-
-    def apply(members, X):
-        if len(X) == 1:
-            return matvec(X[0])[None]
-        return np.stack([matvec(x) for x in X])
-
-    return apply, 1, n, (None if diag_fn is None else lambda: diag_fn()[None])
-
-
 def _fill_rows(H, V, AV, A, k0, k1):
     """Rows k0..k1-1 of the projected matrices H[a] = V[a] A V[a]^T of the
     first A slots: entry (i, j) is v_i . (A v_j).  Only the lower triangle
@@ -295,8 +262,8 @@ def _fill_rows(H, V, AV, A, k0, k1):
 def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
     """Lowest `nwant` Ritz pairs of every member of `op`, in lockstep.
 
-    Diagonally preconditioned subspace iteration on B independent problems
-    that share one block apply (:func:`_as_batch`).  Each space starts from
+    Diagonally preconditioned subspace iteration on the B = len(op)
+    independent members of the batch `op`.  Each space starts from
     `v0` when given (a batch of one), else from the unit vectors on its
     member's smallest diagonal entries.  Each iteration every active member
     adds the corrections t = r / (diag(A) - theta) of all its `nwant` Ritz
@@ -327,9 +294,7 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
     operator, when V and A V of all members would exceed
     _DAVIDSON_MAX_BYTES.
     """
-    apply, B, n, diag_fn = _as_batch(op)
-    if diag_fn is None:
-        raise DomainError("Davidson needs an operator exposing its diagonal")
+    B, n = len(op), op.dim
     if n < nwant:
         raise DomainError(f"operator dimension {n} is below the {nwant} wanted pairs")
     space = min(_SPACE, n)
@@ -339,7 +304,7 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
             f"Davidson space of {space} vectors at dimension {n} for "
             f"{B} operator(s) needs {nbytes / 2**20:.0f} MiB, over "
             f"{_DAVIDSON_MAX_BYTES / 2**20:.0f} MiB")
-    diag = np.array(diag_fn(), dtype=float)
+    diag = np.array(op.diagonals(), dtype=float)
     restart_keep = max(nwant, min(restart_keep, space - nwant))
     tols = np.array([tol] + [math.sqrt(tol)] * (nwant - 1))
 
@@ -359,8 +324,8 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
         lowest = np.argsort(diag, axis=1, kind="stable")[:, :k]
         V[np.arange(B)[:, None], np.arange(k), lowest] = 1.0
     ids = np.arange(B)           # the member in each slot
-    AV[:, :k] = apply(np.repeat(ids, k), V[:, :k].reshape(B * k, n)
-                      ).reshape(B, k, n)
+    AV[:, :k] = op.apply(np.repeat(ids, k), V[:, :k].reshape(B * k, n)
+                         ).reshape(B, k, n)
     _fill_rows(H, V, AV, B, 0, k)
     matvecs = k
     restarts = 0
@@ -454,8 +419,9 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
                     nt[a] = _orthogonalize(t[a:a + 1], V[a:a + 1, :k + j],
                                            _row_norms(t[a:a + 1]))[0]
             t /= nt[:, None]
-        AV[:A, k:k + nadd] = apply(np.repeat(ids, nadd),
-                                   T.reshape(A * nadd, n)).reshape(A, nadd, n)
+        AV[:A, k:k + nadd] = op.apply(np.repeat(ids, nadd),
+                                      T.reshape(A * nadd, n)
+                                      ).reshape(A, nadd, n)
         _fill_rows(H, V, AV, A, k, k + nadd)
         k += nadd
         matvecs += nadd
@@ -467,26 +433,26 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
 def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> list:
     """Two lowest eigenpairs of every member of `op`, one PairResult each.
 
-    `op` is a :class:`~.operators.FiberBatch`, whose members run through one
-    lockstep two-target Davidson run (space 20, thick restarts to 6), or a
-    single operator, a batch of one.  A member's result does not depend on
-    the batch.  The ground pair converges to a residual of
-    tol max(1, |theta_0|), the excited pair, which enters only the gap, to
-    sqrt(tol) max(1, |theta_1|) (see :func:`_davidson`).  The returned
-    residuals ||A x - theta x|| come from a fresh block apply of the
-    returned unit vectors, so `theta_0 - residuals[0]` is a certified floor
-    on an eigenvalue.  The gap is the difference of the two Ritz values.
-    The pair is flagged degenerate when the gap is below
-    max(10 tol, 1e-10) * max(1, |E0|), in which case downstream consumers
-    must not rely on a unique ground direction.  Iterations, matvecs and
+    `op` is a batch (:class:`~.operators.FiberBatch`), whose members run
+    through one lockstep two-target Davidson run (space 20, thick restarts
+    to 6).  A member's result does not depend on the batch.  The ground
+    pair converges to a residual of tol max(1, |theta_0|), the excited
+    pair, which enters only the gap, to sqrt(tol) max(1, |theta_1|) (see
+    :func:`_davidson`).  The returned residuals ||A x - theta x|| come from
+    a fresh block apply of the returned unit vectors, so
+    `theta_0 - residuals[0]` is a certified floor on an eigenvalue.  The
+    gap is the difference of the two Ritz values.  The pair is flagged
+    degenerate when the gap is below max(10 tol, 1e-10) * max(1, |E0|), in
+    which case downstream consumers must not rely on a unique ground
+    direction.  Iterations, matvecs and
     restarts are each member's own; matvecs counts the two fresh ones too.
     """
     runs = _davidson(op, 2, tol, seed, restart_keep=6)
-    apply = _as_batch(op)[0]
     xs = [[x / math.sqrt(x @ x) for x in run[1]] for run in runs]
     X = np.array(xs)
     B, n = len(runs), X.shape[-1]
-    R = apply(np.repeat(np.arange(B), 2), X.reshape(2 * B, n)).reshape(B, 2, n)
+    R = op.apply(np.repeat(np.arange(B), 2),
+                 X.reshape(2 * B, n)).reshape(B, 2, n)
     R -= np.array([run[0] for run in runs])[:, :, None] * X
     res = _row_norms(R)
     pairs = []

@@ -30,6 +30,12 @@ factors and applied in factored form, never assembled; the coupled one is
 folded and gains a mirrored kernel factor.  The direct tensor
 and the comparison operator are returned as dense matrices.
 
+The Davidson solvers read every operator through one block-apply protocol:
+`dim`, `len(op)` members, `diagonals()`, one row per member, and
+`apply(members, X)`, row i of X times member members[i].
+:class:`FiberBatch` has a member per momentum, :class:`SymmetricOperator`
+is a batch of one, applied one :meth:`matvec` per row.
+
 The production assembly uses the exact quadratic kinetic energy and the
 closed-form potential transform; the ring pair uses the cosine kinetic and
 the sampled kernel so that the two ring operators match each other exactly.
@@ -206,12 +212,18 @@ class SymmetricOperator:
         return self._apply(x, abs(self.matrix), np.abs(self.kernel), mirror,
                            np.abs(self.diag))
 
-    def diagonal(self) -> np.ndarray:
+    def __len__(self) -> int:
+        return 1
+
+    def apply(self, members: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return np.stack([self.matvec(x) for x in X])
+
+    def diagonals(self) -> np.ndarray:
         n_q = self.kernel.shape[0]
         d = np.asarray(self.matrix.diagonal(), dtype=float)
         D = np.tile(d, (n_q, 1)) + np.diag(self.kernel)[:, None]
         if self.mirror is None:
-            return D.ravel() + self.diag
+            return (D.ravel() + self.diag)[None]
         reps, partners, _, _ = self._orbits
         S = self.reflection
         D[1:] += np.diag(self.mirror)[:, None] * (S == np.arange(S.size))
@@ -219,23 +231,14 @@ class SymmetricOperator:
         cross = np.asarray(self.matrix[reps, partners]).ravel()
         head = (0.5 * (D[0, reps] + D[0, partners])
                 + np.where(reps == partners, 0.0, cross))
-        return np.concatenate([head, D[1:].ravel()]) + self.diag
+        return (np.concatenate([head, D[1:].ravel()]) + self.diag)[None]
 
     def to_dense(self) -> np.ndarray:
+        """The matrix, its columns the images of the unit vectors."""
         if self.dim > _DENSIFY_MAX:
             raise CapacityError(
                 f"refusing to densify dimension {self.dim} > {_DENSIFY_MAX}")
-        if self.mirror is not None:
-            # a fold's columns, one product each
-            return np.stack([self.matvec(e) for e in np.eye(self.dim)], axis=1)
-        n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
-        out = np.zeros((n_q, fdim, n_q, fdim))
-        s, j = np.arange(fdim), np.arange(n_q)
-        out[:, s, :, s] = self.kernel
-        out[j, :, j, :] += self.matrix.toarray()
-        out = out.reshape(self.dim, self.dim)
-        out[np.diag_indices_from(out)] += self.diag
-        return out
+        return self.apply(np.zeros(self.dim, dtype=int), np.eye(self.dim)).T
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""

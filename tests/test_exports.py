@@ -327,9 +327,14 @@ _TRACER_GUARD = textwrap.dedent("""
     passed = pipeline.run("sandwich", load_config("toy"), out_dir=sys.argv[2])
     assembles = [span.attrs for span in tracer.spans
                  if span.name == "operators.coupled_assemble"]
+    with open(f"{sys.argv[2]}/report.json", encoding="utf-8") as fh:
+        report = json.load(fh)
     print(json.dumps({
         "passed": passed,
         "coupled_matvecs": tracer.counts["coupled_matvecs"],
+        "davidson_matvecs": sum(report["static_mass"]["davidson_matvecs"]),
+        "temple_products": sum(row["r_star"] is not None
+                               for row in report["enclosure"]["rows"]),
         "assembles": len(assembles),
         "stored_mb": sum("stored_mb" in attrs for attrs in assembles)}))
 """)
@@ -338,7 +343,9 @@ _TRACER_GUARD = textwrap.dedent("""
 def test_benchmark_tracer_reads_the_operator_it_wraps(tmp_path):
     # the tracer reads the coupled operator's matrix, diagonal, nnz and name
     # on every matvec and assembly; a renamed attribute must fail here, not
-    # only in the benchmark's own tests
+    # only in the benchmark's own tests.  It counts every coupled product:
+    # the Davidson solves' and one for each Temple floor, where the split
+    # gave an r*; a block apply that bypassed matvec would miss some
     paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)),
                PYTHONDONTWRITEBYTECODE="1")
@@ -350,6 +357,8 @@ def test_benchmark_tracer_reads_the_operator_it_wraps(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["passed"] is True
     assert result["coupled_matvecs"] > 0
+    assert result["coupled_matvecs"] == (result["davidson_matvecs"]
+                                         + result["temple_products"])
     assert result["assembles"] > 0
     assert result["stored_mb"] == result["assembles"]
 

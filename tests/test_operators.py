@@ -55,7 +55,7 @@ def test_symmetric_operator_validates_and_matvecs(rng, monkeypatch):
     op = SymmetricOperator(sym, np.zeros((1, 1)), diag)
     x = rng.standard_normal(6)
     assert np.allclose(op.matvec(x), sym @ x + diag * x)
-    assert np.allclose(op.diagonal(), np.diag(sym) + diag)
+    assert np.allclose(op.diagonals()[0], np.diag(sym) + diag)
     assert np.allclose(op.to_dense(), sym + np.diag(diag))
     with pytest.raises(DomainError):
         SymmetricOperator(a + np.triu(np.ones((6, 6)), 1), np.zeros((1, 1)),
@@ -240,7 +240,7 @@ def _check_against_kronecker(op, block, kernel, rng):
     x = rng.standard_normal(op.dim)
     y_ref = ref @ x
     assert np.max(np.abs(op.matvec(x) - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
-    assert np.array_equal(op.diagonal(), ref.diagonal())
+    assert np.array_equal(op.diagonals()[0], ref.diagonal())
     assert np.array_equal(op.to_dense(), ref.toarray())
     with pytest.raises(DomainError, match="diagonal length"):
         SymmetricOperator(block, kernel, op.diag[:-1])
@@ -275,7 +275,7 @@ def test_coupled_operator_is_the_kronecker_sum(toy_cfg, toy_template, lam,
     ref = E.T @ full @ E
     scale = np.abs(ref).max()
     assert np.abs(op.to_dense() - ref).max() <= 1e-14 * scale
-    assert np.abs(op.diagonal() - np.diag(ref)).max() <= 1e-14 * scale
+    assert np.abs(op.diagonals()[0] - np.diag(ref)).max() <= 1e-14 * scale
     x = rng.standard_normal(op.dim)
     assert np.abs(op.matvec(x) - ref @ x).max() <= 1e-14 * np.abs(ref @ x).max()
     bad_kernel = kernel.copy()
@@ -298,6 +298,58 @@ def test_factored_operator_with_a_general_kernel(toy_template, rng):
     op = SymmetricOperator(toy_template.interaction * 2.0, kernel, diag,
                            name="general")
     _check_against_kronecker(op, toy_template.interaction * 2.0, kernel, rng)
+
+
+def _protocol_cases(case, toy_cfg, toy_template, fiber_matrix, rng):
+    """(operator, one dense reference matrix per member) for each operator
+    form the Davidson solvers take."""
+    if case == "fiber-batch":
+        Ps = (0.0, 0.35, -0.7)
+        return (toy_template.operator(Ps),
+                [fiber_matrix(toy_template, P) for P in Ps])
+    if case == "coupled-fold":
+        # the fold's matrix is E^T A E (checked against the Kronecker sum
+        # above); its columns are the images of the unit vectors
+        op = assemble_coupled_llp(
+            toy_template, potential_kernel(toy_cfg.potential, toy_cfg.egrid),
+            toy_cfg.egrid, 0.1, -0.3)
+        return op, [op.to_dense()]
+    if case == "ring":
+        cfg = load_config("oracle")
+        template = FiberTemplate(cfg.spec)
+        op = assemble_llp_ring(template, cfg.potential, cfg.egrid)
+        kernel = ring_potential_kernel(cfg.potential, cfg.egrid)
+        ref = _kronecker_reference(template.interaction, kernel, op.diag)
+        return op, [ref.toarray()]
+    a = sp.random(120, 120, density=0.05, format="csr",
+                  random_state=np.random.RandomState(7))
+    m = (a + a.T) * 0.5
+    diag = rng.standard_normal(120)
+    return (SymmetricOperator(m, np.zeros((1, 1)), diag),
+            [m.toarray() + np.diag(diag)])
+
+
+@pytest.mark.parametrize("case", ["fiber-batch", "coupled-fold", "ring",
+                                  "wrapped-sparse"])
+def test_every_operator_follows_the_block_apply_protocol(
+        case, toy_cfg, toy_template, fiber_matrix, rng):
+    # dim, len, diagonals() and apply(members, X) are all the Davidson
+    # solvers read; a block's image is its rows' images, bit for bit
+    op, refs = _protocol_cases(case, toy_cfg, toy_template, fiber_matrix,
+                               rng)
+    assert len(op) == len(refs)
+    assert all(ref.shape == (op.dim, op.dim) for ref in refs)
+    diagonals = op.diagonals()
+    assert diagonals.shape == (len(op), op.dim)
+    for diagonal, ref in zip(diagonals, refs):
+        assert np.array_equal(diagonal, np.diag(ref))
+    members = np.array([2, 0, 1]) % len(op)
+    X = rng.standard_normal((3, op.dim))
+    Y = op.apply(members, X)
+    for i in range(3):
+        assert np.array_equal(Y[i], op.apply(members[i:i + 1], X[i:i + 1])[0])
+        ref = refs[members[i]] @ X[i]
+        assert np.abs(Y[i] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
