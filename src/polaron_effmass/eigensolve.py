@@ -2,49 +2,36 @@
 
 * :func:`lowest_two` / :func:`davidson_ground`: diagonally preconditioned
   subspace iteration (Davidson) with thick restarts, one lockstep core for
-  a batch of independent problems that share one block apply, in the
-  manner of Liu's simultaneous expansion (1978), one or two wanted pairs
-  each.  Each iteration applies the new vectors of every active member at
-  once and forms Ritz vectors, residuals and Gram-Schmidt projections as
-  stacked matrix products; the projected eigenproblems stay per member and
-  form only the Ritz pairs in use.  Each new vector takes one Gram-Schmidt
-  pass, a second only when the DGKS test asks for it.  A member's result
-  is the same bits alone or in any batch.  Both read an operator through
-  the block-apply protocol of :mod:`~.operators`.  :func:`lowest_two`
-  serves the fiber ground pairs and their gaps, a batch of fibers
-  (:class:`~.operators.FiberBatch`), from the lowest-diagonal coordinate
-  directions, and converges the ground pair to the caller's tolerance but
-  the excited pair, read only through its Ritz value in the gap, to its
-  square root.  :func:`davidson_ground` serves the coupled small-lambda
-  operators, a batch of one, whose diagonal spread makes plain Krylov
-  iteration impractically slow.  Both use a fixed space of 20 vectors and
-  at most 600 iterations; the coupled solve supplies its fiber-Galerkin
-  start and coarse correction (see the solver notes in the README).
-* :func:`ground_state`: one Lanczos pass with full reorthogonalization
-  (two classical Gram-Schmidt passes per step), seeded random start and
-  residual-based stopping.  The basis may grow to the full dimension (at
-  most 2000), where the Ritz value is exact, so nothing restarts.  The
-  iterative route of the oracle checks.
+  a batch of independent problems that share one block apply (Liu's
+  simultaneous expansion, 1978), read through the block-apply protocol of
+  :mod:`~.operators`.  Ritz vectors, residuals and Gram-Schmidt
+  projections are stacked matrix products; each new vector takes one
+  Gram-Schmidt pass, a second only when the DGKS test asks for it.  A
+  member's result is the same bits alone or in any batch.
+  :func:`lowest_two` serves the fiber ground pairs and their gaps (a
+  :class:`~.operators.FiberBatch`), :func:`davidson_ground` the coupled
+  small-lambda operators (a batch of one), whose diagonal spread makes
+  plain Krylov iteration impractically slow (README, solver notes).
+* :func:`ground_state`: one Lanczos pass with full reorthogonalization,
+  seeded random start and residual stopping, up to the full dimension (at
+  most 2000), so nothing restarts; the iterative route of the oracle checks.
 * :func:`dense_ground` / :func:`dense_spectrum`: eigenvalues of a small
-  dense matrix (at most 2000 rows) by LAPACK dsyevr without vectors;
-  :func:`dense_ground` asks for the lowest one only.  They serve the
-  certificates' small dense operators, the Schroedinger curve and the
-  oracle checks.
+  dense matrix (at most 2000 rows) by dsyevr without vectors, the lowest
+  one only for :func:`dense_ground`.  They serve the certificates' small
+  dense operators, the Schroedinger curve and the oracle checks.
 * :func:`verified_floor`: turns a computed lowest eigenvalue of a small
-  dense matrix into a float that is provably below the spectrum, by a
-  floating-point Cholesky of the shifted matrix (Rump 2006); L1 and L2
-  take their values from it, so no certificate rests on the accuracy of
-  the dense eigenvalues.
+  dense matrix into a float provably below the spectrum, by a dpotrf
+  Cholesky of the shifted matrix (Rump 2006); L1 and L2 take their values
+  from it, so no certificate rests on the dense eigenvalues.
 * :func:`rayleigh_bounds`: encloses the exact Rayleigh quotient of a stored
-  vector and bounds its residual from above, from the computed image and
-  one product with the entrywise absolute operator; the coupled solve's
-  Temple floor rests on it.
+  vector and bounds its residual from above; the coupled solve's Temple
+  floor rests on it.
 
-Davidson's projected eigenproblems call dsyevr directly for the lowest m
-pairs (range "I"), with the arguments and workspace sizes that
-scipy.linalg.eigh(subset_by_index=[0, m - 1]) passes, so the Ritz pairs are
-those of eigh bit for bit without its per-call checks and workspace query.
-Lanczos' Ritz pair comes from scipy.linalg.eigh_tridiagonal.
+dsyevr, dstebz and dstein are called directly (get_lapack_funcs) with the
+arguments and workspace sizes that scipy's eigh (subset_by_index) and
+eigh_tridiagonal (select "i") pass: the Ritz pairs are their bits, without
+their per-call checks.  The dense routes test their input without n x n
+temporaries, and each eigenvalue solve works in one copy of it.
 """
 
 from __future__ import annotations
@@ -75,6 +62,7 @@ _CHECK_EVERY = 5
 # Largest dimension of the dense eigenvalue routes and of Lanczos, whose
 # basis may grow to the full dimension.
 _DENSE_MAX = 2000
+_BLOCK = 32     # rows per block of the dense routes' symmetry test
 # Vectors in every Davidson search space, and iterations before it gives up.
 _SPACE = 20
 _MAX_ITERS = 600
@@ -115,8 +103,8 @@ class PairResult:
     restarts: int
 
 
-_SYEVR, _SYEVR_LWORK = sla.get_lapack_funcs(("syevr", "syevr_lwork"),
-                                           dtype=np.float64)
+_SYEVR, _SYEVR_LWORK, _STEBZ, _STEIN = sla.get_lapack_funcs(
+    ("syevr", "syevr_lwork", "stebz", "stein"), dtype=np.float64)
 
 
 @cache
@@ -176,14 +164,23 @@ def _orthogonalize(W, V, norms):
 
 
 def _lowest_ritz(alphas, betas):
-    """Lowest eigenpair of the Lanczos tridiagonal matrix."""
+    """Lowest eigenpair of the Lanczos tridiagonal matrix by dstebz (range
+    "I", il = iu = 1, tolerance 0, block order) and dstein: the bits of
+    eigh_tridiagonal(d, e, select="i", select_range=(0, 0)).  A non-finite
+    entry raises SolverError before LAPACK sees it."""
     k = len(alphas)
-    if k == 1:
-        return float(alphas[0]), np.ones(1)
     d = np.asarray(alphas, dtype=float)
     e = np.asarray(betas[: k - 1], dtype=float)
-    vals, vecs = sla.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    return float(vals[0]), vecs[:, 0]
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise SolverError(f"Lanczos tridiagonal of order {k} is not finite")
+    if k == 1:
+        return float(d[0]), np.ones(1)
+    m, w, iblock, isplit, info = _STEBZ(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        vecs, info = _STEIN(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise SolverError(f"dstebz/dstein failed at order {k} (info {info})")
+    return float(w[0]), vecs[:, 0]
 
 
 def ground_state(op, tol: float = 1e-9, seed: int = 0) -> EigResult:
@@ -199,7 +196,7 @@ def ground_state(op, tol: float = 1e-9, seed: int = 0) -> EigResult:
     DomainError before anything is allocated.
 
     Raises SolverError (carrying the best value/residual seen) when the
-    pass ends, by breakdown or at step n, without meeting the tolerance.
+    pass ends short of the tolerance, or its tridiagonal is not finite.
     """
     n = op.shape[0]
     if n < 1:
@@ -491,26 +488,33 @@ def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, v0=None,
 # dense oracle: LAPACK dsyevr, eigenvalues only
 # ---------------------------------------------------------------------------
 
-def _dense_input(A, who):
-    """Validate a dense oracle input and return it as a float array."""
+def _dense_input(A, who, exact=False):
+    """Validate a dense oracle input and return it as a float array: finite
+    and symmetric to max|A - A^T| <= 1e-10 max|A|, or to the bit with
+    `exact`.  max|A| is max(max A, -min A) and the asymmetry is taken over
+    blocks of _BLOCK rows, so no n x n temporary is formed."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise DomainError(f"{who} needs a non-empty square matrix")
     if A.shape[0] > _DENSE_MAX:
         raise DomainError(f"dense oracle is limited to dimension <= {_DENSE_MAX}")
-    if not np.all(np.isfinite(A)):
+    hi, lo = float(A.max()), float(A.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise DomainError(f"{who} needs a finite matrix")
-    if np.max(np.abs(A - A.T)) > 1e-10 * np.max(np.abs(A)):
+    asym = 0.0
+    for i in range(0, A.shape[0], _BLOCK):
+        d = A[i:i + _BLOCK] - A[:, i:i + _BLOCK].T
+        asym = max(asym, float(d.max()), -float(d.min()))
+    if asym > 1e-10 * max(hi, -lo):
         raise DomainError(f"{who} needs a symmetric matrix")
+    if exact and asym > 0.0:
+        raise DomainError(f"{who} needs an exactly symmetric matrix")
     return A
 
 
 def _dense_eigenvalues(A, who, **window):
-    """Ascending eigenvalues of a symmetric matrix by LAPACK dsyevr.
-
-    Lower triangle, no vectors; `window` is dsyevr's range selection
-    (range "A" by default).  A nonzero info raises SolverError.
-    """
+    """Ascending eigenvalues of a symmetric matrix by dsyevr on the lower
+    triangle, no vectors; `window` is its range selection (default "A")."""
     A = _dense_input(A, who)
     n = A.shape[0]
     lwork, liwork = _syevr_workspace(n)
@@ -591,22 +595,6 @@ def rayleigh_bounds(x, y, ay, terms: int) -> tuple:
             r_abs / math.sqrt(den_lo) * (1.0 + 4.0 * _U))
 
 
-def _cholesky(B):
-    """Lower Cholesky factor of B in floating point, or None on breakdown.
-
-    Textbook column order; every pivot must be positive (a NaN fails).
-    """
-    n = B.shape[0]
-    G = np.zeros_like(B)
-    for j in range(n):
-        pivot = B[j, j] - G[j, :j] @ G[j, :j]
-        if not pivot > 0.0:
-            return None
-        G[j, j] = math.sqrt(pivot)
-        G[j + 1:, j] = (B[j + 1:, j] - G[j + 1:, :j] @ G[j, :j]) / G[j, j]
-    return G
-
-
 def verified_floor(A, mu: float) -> float:
     """A float sigma <= lambda_min(A), verified in floating point.
 
@@ -614,38 +602,39 @@ def verified_floor(A, mu: float) -> float:
     (from :func:`dense_ground`).  The trial shift tau = mu - delta lies
     below mu by n u ||A||_inf, which covers mu's error, plus
     gamma_{n+1} ||A - mu I||_inf, room for the factorization's own
-    rounding.  A floating-point Cholesky of B = fl(A - tau I) must then
-    complete.  Its factor G satisfies G G^T = B + dB with
-    |dB| <= gamma_{n+1} |G||G^T| for any order of the inner products
-    (Demmel; Higham, Accuracy and Stability, Thm 10.3), so
-    lambda_min(B) >= -gamma_{n+1} || |G||G^T| ||_inf, which bounds the
-    2-norm of that nonnegative symmetric matrix.  Forming B rounded its
+    rounding.  LAPACK dpotrf (numpy.linalg.cholesky) must then factor
+    B = fl(A - tau I).  Its factor G satisfies G G^T = B + dB with
+    |dB| <= gamma_{n+1} |G||G^T| for any order of the inner products, so
+    blocked BLAS-3 too (Demmel; Higham, Accuracy and Stability, Thm 10.3),
+    and lambda_min(B) >= -gamma_{n+1} times the largest row sum
+    |G| (|G|^T 1) of that nonnegative matrix.  Forming B rounded its
     diagonal once (u max b_ii more), and an allowance for underflow
     3 n (2n + max b_ii) eta follows Rump (BIT 46, 2006), whose method of
     verifying positive definiteness this is.  The slack is inflated by 1%
     for its own rounding, and sigma = tau - slack is rounded down.
 
-    A factorization that breaks down means mu is not within delta of the
-    bottom of the spectrum: it raises SolverError carrying mu, so a failed
-    verification never becomes a silent floor.
+    A breakdown, or a factor that is not finite (dpotrf lets a NaN pivot
+    pass), means mu is not within delta of the bottom of the spectrum: it
+    raises SolverError carrying mu, never a silent floor.
     """
-    A = _dense_input(A, "verified_floor")
-    if not np.array_equal(A, A.T):
-        raise DomainError("verified_floor needs an exactly symmetric matrix")
+    A = _dense_input(A, "verified_floor", exact=True)
     n = A.shape[0]
-    eye = np.eye(n)
-    gamma = (n + 1) * _U / (1.0 - (n + 1) * _U)
-    delta = (n * _U * float(np.abs(A).sum(axis=1).max())
-             + gamma * float(np.abs(A - mu * eye).sum(axis=1).max()))
-    tau = mu - delta
-    B = A - tau * eye
-    G = _cholesky(B)
-    if G is None:
+    gamma = _gamma(n + 1)
+    W = np.abs(A, out=np.empty((n, n)))     # |A|, |A - mu I|, then B
+    norm_a = float(W.sum(axis=1).max())
+    W.flat[::n + 1] = np.abs(A.diagonal() - mu)
+    tau = mu - (n * _U * norm_a + gamma * float(W.sum(axis=1).max()))
+    np.copyto(W, A)
+    W.flat[::n + 1] -= tau
+    dmax = float(W.diagonal().max())
+    try:
+        absG = np.abs(np.linalg.cholesky(W))
+        if not np.isfinite(absG.diagonal()).all():  # a NaN pivot got through
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"could not verify that A - ({tau:.17g}) I is positive definite "
-            f"(computed lowest eigenvalue {mu:.17g})", best_value=mu)
-    absG = np.abs(G)
-    dmax = float(np.diag(B).max())
-    slack = (gamma * float((absG @ absG.T).sum(axis=1).max()) + _U * dmax
+            f"(computed lowest eigenvalue {mu:.17g})", best_value=mu) from exc
+    slack = (gamma * float((absG @ absG.sum(axis=0)).max()) + _U * dmax
              + 3.0 * n * (2 * n + dmax) * _ETA)
     return float(np.nextafter(tau - 1.01 * slack, -np.inf))

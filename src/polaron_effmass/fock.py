@@ -82,21 +82,28 @@ class FockBasis:
         return _rank_batch(permuted.astype(np.int64), self.m_modes)
 
 
-def _rank_batch(occ: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized graded-lex rank of a batch of occupation rows."""
+def _rank_batch(occ: np.ndarray, m: int, bumped: bool = False) -> np.ndarray:
+    """Vectorized graded-lex rank of a batch of occupation rows; with
+    `bumped`, the (rows, m) ranks of each row o plus every e_i.  o + e_i
+    adds one to S_j for j <= i: its terms are o's shifted by one before i,
+    a mixed one at i and o's own after i, all m in O(m) by prefix sums."""
     occ = occ.astype(np.int64)
     t = occ.sum(axis=1)
-    n_hi = int(t.max(initial=0)) + m
-    tab = _pascal_table(n_hi, m)
-    # suffix sums S_j, with S_m = 0 appended
-    suff = np.concatenate(
-        [np.cumsum(occ[:, ::-1], axis=1)[:, ::-1], np.zeros((occ.shape[0], 1), np.int64)],
-        axis=1,
-    )
+    tab = _pascal_table(int(t.max(initial=0)) + m, m)
+    suff = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]     # S_j, j < m
     # the terms of every j < m - 1 at once: mj = m - j - 1
     mj = np.arange(m - 1, 0, -1)
-    terms = tab[suff[:, :m - 1] + mj, mj] - tab[suff[:, 1:m] + mj, mj]
-    return tab[t + m - 1, m] + terms.sum(axis=1)
+    a, b = suff[:, :m - 1] + mj, suff[:, 1:m] + mj     # S_j + mj, S_{j+1} + mj
+    c_b = tab[b, mj]
+    terms = tab[a, mj] - c_b
+    if not bumped:
+        return tab[t + m - 1, m] + terms.sum(axis=1)
+    c_a1 = tab[a + 1, mj]
+    ranks = np.repeat(tab[t + m, m][:, None], m, axis=1)
+    ranks[:, :-1] += c_a1 - c_b                                 # j = i
+    ranks[:, 1:] += np.cumsum(c_a1 - tab[b + 1, mj], axis=1)    # j < i
+    ranks[:, :-2] += np.cumsum(terms[:, ::-1], axis=1)[:, -2::-1]   # j > i
+    return ranks
 
 
 def enumerate_basis(m_modes: int, n_max: int) -> FockBasis:
@@ -127,10 +134,9 @@ def enumerate_basis(m_modes: int, n_max: int) -> FockBasis:
     for total in range(n_max):
         stop = math.comb(total + m_modes, m_modes)
         base = occ[start:stop]
-        bumped = (base[:, None, :] + eye).reshape(-1, m_modes)
-        ranks = _rank_batch(bumped, m_modes)
-        occ[ranks] = bumped
-        cidx[start:stop] = ranks.reshape(-1, m_modes)
+        ranks = _rank_batch(base, m_modes, bumped=True)
+        occ[ranks] = base[:, None, :] + eye
+        cidx[start:stop] = ranks
         camp[start:stop] = np.sqrt(base + 1.0)
         start = stop
     return FockBasis(

@@ -234,11 +234,15 @@ class SymmetricOperator:
         return (np.concatenate([head, D[1:].ravel()]) + self.diag)[None]
 
     def to_dense(self) -> np.ndarray:
-        """The matrix, its columns the images of the unit vectors."""
-        if self.dim > _DENSIFY_MAX:
-            raise CapacityError(
-                f"refusing to densify dimension {self.dim} > {_DENSIFY_MAX}")
-        return self.apply(np.zeros(self.dim, dtype=int), np.eye(self.dim)).T
+        """The matrix, written column by column: the unit vectors' images."""
+        n = self.dim
+        if n > _DENSIFY_MAX:
+            raise CapacityError(f"refusing to densify dimension {n} > {_DENSIFY_MAX}")
+        out, e = np.empty((n, n), order="F"), np.zeros(n)
+        for j in range(n):
+            e[j - 1], e[j] = 0.0, 1.0       # e = e_j
+            out[:, j] = self.matvec(e)
+        return out
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""

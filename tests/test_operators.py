@@ -7,6 +7,7 @@ matched finite-ring pair whose spectra must agree to rounding.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,27 @@ def test_ring_operator_is_the_kronecker_sum(toy_cfg, toy_template, rng):
     op = assemble_llp_ring(toy_template, toy_cfg.potential, toy_cfg.egrid)
     kernel = ring_potential_kernel(toy_cfg.potential, toy_cfg.egrid)
     _check_against_kronecker(op, toy_template.interaction, kernel, rng)
+
+
+def test_to_dense_writes_each_column_into_one_array():
+    # a ring of dimension 1005: the output and one image at a time, where
+    # the identity, the images and their stack took about three outputs
+    cfg = load_config("oracle")
+    op = assemble_llp_ring(FiberTemplate(cfg.spec), cfg.potential,
+                           ElectronGrid(dq=0.5, q_max=16.5))
+    assert op.dim >= 1000
+    tracemalloc.start()
+    try:
+        dense = op.to_dense()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * dense.nbytes
+    e = np.zeros(op.dim)
+    for j in (0, 517, op.dim - 1):
+        e[j] = 1.0
+        assert np.array_equal(dense[:, j], op.matvec(e))
+        e[j] = 0.0
 
 
 def test_factored_operator_with_a_general_kernel(toy_template, rng):
