@@ -103,7 +103,8 @@ class FiberCache:
     the order of requests nor on the batch it was solved in; each record
     counts only its own solver work.  The -P data is derived from +P by the
     template's mode reflection instead of a second solve (DomainError on a
-    grid not closed under k -> -k).
+    grid not closed under k -> -k), on every request: the store holds the
+    solved momenta only, one vector each.
     """
 
     def __init__(self, template: FiberTemplate, *, seed: int = 0):
@@ -113,11 +114,11 @@ class FiberCache:
 
     def solves(self) -> int:
         """Number of momenta actually solved (not derived by parity)."""
-        return sum(1 for rec in self._store.values() if rec["solved"])
+        return len(self._store)
 
     def work(self, key: str) -> int:
         """Sum of "iterations", "matvecs" or "restarts" over the solves."""
-        return sum(rec[key] for rec in self._store.values() if rec["solved"])
+        return sum(rec[key] for rec in self._store.values())
 
     def _solve(self, P: float, *more: float) -> list:
         """Records of the fibers at P and at every momentum of `more`,
@@ -134,20 +135,19 @@ class FiberCache:
             "iterations": pair.iterations,
             "matvecs": pair.matvecs,
             "restarts": pair.restarts,
-            "solved": True,
         } for pair in pairs]
 
     def _ensure(self, P: float) -> dict:
         """The record at P, a key as :meth:`pairs` rounds it: cached, or the
-        parity image of the cached -P."""
-        if P not in self._store:
-            # the parity image of a phase-fixed vector is already
-            # phase-consistent (the reference vector is parity even)
-            pos = self._store[-P]
-            vec = np.empty_like(pos["vector"])
-            vec[self.template.reflection] = pos["vector"]
-            self._store[P] = dict(pos, vector=vec, solved=False)
-        return self._store[P]
+        parity image of the cached -P, derived anew and not stored."""
+        if P in self._store:
+            return self._store[P]
+        # the parity image of a phase-fixed vector is already
+        # phase-consistent (the reference vector is parity even)
+        pos = self._store[-P]
+        vec = np.empty_like(pos["vector"])
+        vec[self.template.reflection] = pos["vector"]
+        return dict(pos, vector=vec)
 
     def pairs(self, Ps) -> FiberNodes:
         """The fiber ground data at every momentum of `Ps`, in that order.

@@ -203,7 +203,10 @@ _REPORT_DOC = (
     ("`config_sha256`", "SHA-256 of the canonical JSON form of the echo."),
     ("`timings_seconds`", "Wall-clock seconds per pipeline stage."),
     ("`peak_rss_mb`", "Peak resident memory of the process in MB when the "
-                      "run ends (`ru_maxrss` KiB times 1024 / 1e6)."),
+                      "last stage ends (`ru_maxrss` KiB times 1024 / 1e6)."),
+    ("`peak_rss_mb_by_stage`", "Peak resident memory of the process in MB "
+                               "after each stage of `timings_seconds`, so "
+                               "the stage that set the peak shows."),
     ("`dispersion.E0`", "Fiber ground energy at total momentum 0."),
     ("`dispersion.P_c`", "Estimated half-width of the momentum window on "
                          "which the dispersion stays quasi-parabolic."),

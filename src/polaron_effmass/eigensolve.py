@@ -66,12 +66,16 @@ _BLOCK = 32     # rows per block of the dense routes' symmetry test
 # Vectors in every Davidson search space, and iterations before it gives up.
 _SPACE = 20
 _MAX_ITERS = 600
-# Davidson's search spaces V and their images AV, 2 x members x _SPACE x
-# dim doubles over a batch, may take at most this many bytes.  The largest
-# shipped run, the powerlaw presets' coupled operator (dim 478,170), needs
-# 146 MiB; 2 GiB leaves room for a grid or truncation over 10x larger, and
+# One member's Davidson search space V and its images AV, 2 x _SPACE x dim
+# doubles, may take at most this many bytes.  The largest shipped run, the
+# powerlaw presets' coupled operator (its even sector, dim 239,118), needs
+# 73 MiB; 2 GiB leaves room for a grid or truncation over 20x larger, and
 # anything beyond fails at once, not after swapping or being killed.
 _DAVIDSON_MAX_BYTES = 2 * 2**30
+# A batch runs in lockstep groups whose V and AV fit in half of a 2 MiB L2
+# cache: groups of 3-7 fibers at dims 455-969 ran within a few percent of
+# whole batches of 20-21, and a batch's memory does not grow with its size.
+_GROUP_BYTES = 2**20
 # A Gram-Schmidt pass that leaves less than this fraction of a vector's norm
 # is repeated once (the DGKS test).
 _DGKS = 1.0 / math.sqrt(2.0)
@@ -260,22 +264,24 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
     """Lowest `nwant` Ritz pairs of every member of `op`, in lockstep.
 
     Diagonally preconditioned subspace iteration on the B = len(op)
-    independent members of the batch `op`.  Each space starts from
-    `v0` when given (a batch of one), else from the unit vectors on its
-    member's smallest diagonal entries.  Each iteration every active member
-    adds the corrections t = r / (diag(A) - theta) of all its `nwant` Ritz
-    pairs, so the space size k is the same for all of them and a thick
-    restart (to the `restart_keep` lowest Ritz vectors, when the next
-    corrections would not fit in _SPACE) compresses all spaces together.
-    `correction(t, r, theta)`, when given, refines each t in place.  The
-    new vectors of all members go through one apply; Ritz vectors,
-    residuals and Gram-Schmidt projections are stacked matrix products.
-    Every new vector is orthogonalized by _orthogonalize; one that is
-    already in its space is replaced by a random vector from a generator
-    seeded with `seed`, one per member.  The projected eigenproblems stay
-    per member and form only the `nwant` lowest pairs, or the
-    `restart_keep` lowest before a restart.  The lowest pair passes at a
-    residual of tol max(1, |theta|), the pairs above it at sqrt(tol)
+    independent members of the batch `op`, in consecutive groups of
+    max(1, _GROUP_BYTES // (2 _SPACE dim 8)) members that use one V, A V
+    and H workspace in turn, so memory does not grow with B.  Each space
+    starts from `v0` when given (a batch of one), else from the unit
+    vectors on its member's smallest diagonal entries.  Each iteration
+    every active member adds the corrections t = r / (diag(A) - theta) of
+    all its `nwant` Ritz pairs, so the space size k is the same for all of
+    them and a thick restart (to the `restart_keep` lowest Ritz vectors,
+    when the next corrections would not fit in _SPACE) compresses all
+    spaces together.  `correction(t, r, theta)`, when given, refines each
+    t in place.  The new vectors of all members go through one apply; Ritz
+    vectors, residuals and Gram-Schmidt projections are stacked matrix
+    products.  Every new vector is orthogonalized by _orthogonalize; one
+    that is already in its space is replaced by a random vector from a
+    generator seeded with `seed`, one per member.  The projected
+    eigenproblems stay per member and form only the `nwant` lowest pairs,
+    or the `restart_keep` lowest before a restart.  The lowest pair passes
+    at a residual of tol max(1, |theta|), the pairs above it at sqrt(tol)
     max(1, |theta|): those values only enter gaps, and a Ritz value's error
     is of order r^2 / delta, delta its distance to the rest of the spectrum
     (Parlett, The Symmetric Eigenvalue Problem, ch. 11).  A member leaves
@@ -287,48 +293,29 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
     are the same bits alone or in any batch.  Returns, per member,
     (values, vectors, residuals, iterations, matvecs, restarts), counted
     while the member was active; the residuals are those of the carried
-    A V, not of a fresh matvec.  Raises CapacityError, before touching the
-    operator, when V and A V of all members would exceed
-    _DAVIDSON_MAX_BYTES.
+    A V, not of a fresh matvec.  A group inherits the workspace's stale
+    upper triangle of H, finite and never read by dsyevr.  Raises
+    CapacityError, before touching the operator, when one member's V and
+    A V would exceed _DAVIDSON_MAX_BYTES.
     """
     B, n = len(op), op.dim
     if n < nwant:
         raise DomainError(f"operator dimension {n} is below the {nwant} wanted pairs")
     space = min(_SPACE, n)
-    nbytes = 2 * B * space * n * 8
+    nbytes = 2 * space * n * 8
     if nbytes > _DAVIDSON_MAX_BYTES:
         raise CapacityError(
-            f"Davidson space of {space} vectors at dimension {n} for "
-            f"{B} operator(s) needs {nbytes / 2**20:.0f} MiB, over "
+            f"Davidson space of {space} vectors at dimension {n} needs "
+            f"{nbytes / 2**20:.0f} MiB per operator, over "
             f"{_DAVIDSON_MAX_BYTES / 2**20:.0f} MiB")
-    diag = np.array(op.diagonals(), dtype=float)
+    diags = np.array(op.diagonals(), dtype=float)
     restart_keep = max(nwant, min(restart_keep, space - nwant))
     tols = np.array([tol] + [math.sqrt(tol)] * (nwant - 1))
-
-    V = np.empty((B, space, n))
-    AV = np.empty((B, space, n))
-    H = np.zeros((B, space, space))
-    # Without the caller's vector, start from the lowest-diagonal coordinate
-    # directions.  For strongly diagonally dominant operators the ground
-    # vector lives there; a purely random start can lock onto an interior
-    # eigenpair whose residual passes the test.
-    if v0 is not None and np.linalg.norm(v0) > 1e-14:
-        k = 1
-        V[0, 0] = v0 / math.sqrt(v0 @ v0)
-    else:
-        k = min(4, space)
-        V[:, :k] = 0.0
-        lowest = np.argsort(diag, axis=1, kind="stable")[:, :k]
-        V[np.arange(B)[:, None], np.arange(k), lowest] = 1.0
-    ids = np.arange(B)           # the member in each slot
-    AV[:, :k] = op.apply(np.repeat(ids, k), V[:, :k].reshape(B * k, n)
-                         ).reshape(B, k, n)
-    _fill_rows(H, V, AV, B, 0, k)
-    matvecs = k
-    restarts = 0
+    group = min(B, max(1, _GROUP_BYTES // nbytes))
+    V, AV = np.empty((group, space, n)), np.empty((group, space, n))
+    H = np.zeros((group, space, space))
     rngs = {}
     out = [None] * B
-    thetas = ress = None
 
     def failure(message, a):
         """SolverError carrying the last lowest Ritz value and residual of
@@ -339,109 +326,135 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
         return SolverError(message, best_value=float(thetas[a, 0]),
                            best_residual=float(ress[a, 0]))
 
-    for it in range(_MAX_ITERS):
+    for first in range(0, B, group):
+        ids = np.arange(first, min(first + group, B))  # member per slot
         A = len(ids)
-        m = min(restart_keep if k + nwant > space else nwant, k)
-        finite = np.isfinite(H[:A, :k, :k])
-        if not finite.all():
-            raise failure(f"projected {k}x{k} matrix has non-finite entries",
-                          int(finite.all(axis=(1, 2)).argmin()))
-        vals, vecs = np.empty((A, m)), np.empty((A, k, m))
-        for a in range(A):
-            try:
-                vals[a], vecs[a] = _projected_eigh(H[a, :k, :k], m)
-            except SolverError as exc:
-                raise failure(str(exc), a) from exc
-        thetas = vals[:, :nwant]
-        Y = vecs[:, :, :nwant].transpose(0, 2, 1)
-        X, R = Y @ V[:A, :k], Y @ AV[:A, :k]
-        R -= thetas[:, :, None] * X
-        ress = _row_norms(R)
-        scale = np.maximum(1.0, np.abs(thetas))
-        done = (ress <= tols * scale).all(axis=1)
-        if np.count_nonzero(done):      # the cheapest test of a small mask
-            for a in done.nonzero()[0]:
-                out[ids[a]] = ([float(t) for t in thetas[a]], list(X[a]),
-                               [float(r) for r in ress[a]], it, matvecs,
-                               restarts)
-            stay = (~done).nonzero()[0]
-            if not stay.size:
-                return out
-            # only the first k rows of a space are live; the rest are
-            # written before they are read
-            for a, src in enumerate(stay):
-                if a != src:
-                    V[a, :k], AV[a, :k] = V[src, :k], AV[src, :k]
-                    H[a, :k, :k], diag[a] = H[src, :k, :k], diag[src]
-            ids, A = ids[stay], stay.size
-            vals, vecs, thetas, ress, scale = (vals[stay], vecs[stay],
-                                               thetas[stay], ress[stay],
-                                               scale[stay])
-            X, R = X[stay], R[stay]
-        if k + nwant > space:
-            # thick restart: keep the lowest Ritz vectors
-            keep = min(restart_keep, k)
-            Y = vecs[:, :, :keep].transpose(0, 2, 1)
-            V[:A, :keep], AV[:A, :keep] = Y @ V[:A, :k], Y @ AV[:A, :k]
-            H[:A, :keep, :keep] = 0.0
-            H[:A, np.arange(keep), np.arange(keep)] = vals[:, :keep]
-            k = keep
-            restarts += 1
-        # the corrections go straight into the next rows of V
-        nadd = min(nwant, space - k)
-        theta = thetas[:, :nadd, None]
-        denom = diag[:A, None] - theta
-        floor = 1e-8 * scale[:, :nadd, None]
-        small = np.abs(denom) < floor
-        if np.count_nonzero(small):
-            denom = np.where(small, np.copysign(floor, denom), denom)
-        T = V[:A, k:k + nadd]
-        np.divide(R[:, :nadd], denom, out=T)
-        if correction is not None:
+        diag = diags[first:first + group]     # a view, compacted in place
+        # Without the caller's vector, start from the lowest-diagonal
+        # coordinate directions.  For strongly diagonally dominant operators
+        # the ground vector lives there; a purely random start can lock onto
+        # an interior eigenpair whose residual passes the test.
+        if v0 is not None and np.linalg.norm(v0) > 1e-14:
+            k = 1
+            V[0, 0] = v0 / math.sqrt(v0 @ v0)
+        else:
+            k = min(4, space)
+            V[:A, :k] = 0.0
+            lowest = np.argsort(diag, axis=1, kind="stable")[:, :k]
+            V[np.arange(A)[:, None], np.arange(k), lowest] = 1.0
+        AV[:A, :k] = op.apply(np.repeat(ids, k), V[:A, :k].reshape(A * k, n)
+                              ).reshape(A, k, n)
+        _fill_rows(H, V, AV, A, 0, k)
+        matvecs, restarts = k, 0
+        thetas = ress = None
+        for it in range(_MAX_ITERS):
+            A = len(ids)
+            m = min(restart_keep if k + nwant > space else nwant, k)
+            finite = np.isfinite(H[:A, :k, :k])
+            if not finite.all():
+                raise failure(f"projected {k}x{k} matrix has non-finite "
+                              "entries", int(finite.all(axis=(1, 2)).argmin()))
+            vals, vecs = np.empty((A, m)), np.empty((A, k, m))
             for a in range(A):
-                for j in range(nadd):
-                    correction(T[a, j], R[a, j], float(theta[a, j, 0]))
-        # a correction already in the space is replaced by a random vector;
-        # the test is relative, since t shrinks with r
-        nt0 = _row_norms(T)
-        tiny = 1e-12 * nt0
-        for j in range(nadd):
-            t = T[:, j]
-            nt = _orthogonalize(t, V[:A, :k + j], nt0[:, j])
-            lost = nt <= tiny[:, j]
-            if np.count_nonzero(lost):
-                for a in lost.nonzero()[0]:
-                    rng = rngs.setdefault(ids[a], np.random.default_rng(seed))
-                    t[a] = rng.standard_normal(n)
-                    nt[a] = _orthogonalize(t[a:a + 1], V[a:a + 1, :k + j],
-                                           _row_norms(t[a:a + 1]))[0]
-            t /= nt[:, None]
-        AV[:A, k:k + nadd] = op.apply(np.repeat(ids, nadd),
-                                      T.reshape(A * nadd, n)
-                                      ).reshape(A, nadd, n)
-        _fill_rows(H, V, AV, A, k, k + nadd)
-        k += nadd
-        matvecs += nadd
-    raise failure(
-        f"Davidson failed to reach tol={tol} within {_MAX_ITERS} iterations "
-        f"on {len(ids)} of {B} operator(s) (last residual {ress[0, 0]:.3e})", 0)
+                try:
+                    vals[a], vecs[a] = _projected_eigh(H[a, :k, :k], m)
+                except SolverError as exc:
+                    raise failure(str(exc), a) from exc
+            thetas = vals[:, :nwant]
+            Y = vecs[:, :, :nwant].transpose(0, 2, 1)
+            X, R = Y @ V[:A, :k], Y @ AV[:A, :k]
+            R -= thetas[:, :, None] * X
+            ress = _row_norms(R)
+            scale = np.maximum(1.0, np.abs(thetas))
+            done = (ress <= tols * scale).all(axis=1)
+            if np.count_nonzero(done):      # the cheapest test of a small mask
+                for a in done.nonzero()[0]:
+                    out[ids[a]] = ([float(t) for t in thetas[a]], list(X[a]),
+                                   [float(r) for r in ress[a]], it, matvecs,
+                                   restarts)
+                stay = (~done).nonzero()[0]
+                if not stay.size:
+                    break
+                # only the first k rows of a space are live; the rest are
+                # written before they are read
+                for a, src in enumerate(stay):
+                    if a != src:
+                        V[a, :k], AV[a, :k] = V[src, :k], AV[src, :k]
+                        H[a, :k, :k], diag[a] = H[src, :k, :k], diag[src]
+                ids, A = ids[stay], stay.size
+                vals, vecs, thetas, ress, scale = (vals[stay], vecs[stay],
+                                                   thetas[stay], ress[stay],
+                                                   scale[stay])
+                X, R = X[stay], R[stay]
+            if k + nwant > space:
+                # thick restart: keep the lowest Ritz vectors
+                keep = min(restart_keep, k)
+                Y = vecs[:, :, :keep].transpose(0, 2, 1)
+                V[:A, :keep], AV[:A, :keep] = Y @ V[:A, :k], Y @ AV[:A, :k]
+                H[:A, :keep, :keep] = 0.0
+                H[:A, np.arange(keep), np.arange(keep)] = vals[:, :keep]
+                k = keep
+                restarts += 1
+            # the corrections go straight into the next rows of V
+            nadd = min(nwant, space - k)
+            theta = thetas[:, :nadd, None]
+            denom = diag[:A, None] - theta
+            floor = 1e-8 * scale[:, :nadd, None]
+            small = np.abs(denom) < floor
+            if np.count_nonzero(small):
+                denom = np.where(small, np.copysign(floor, denom), denom)
+            T = V[:A, k:k + nadd]
+            np.divide(R[:, :nadd], denom, out=T)
+            if correction is not None:
+                for a in range(A):
+                    for j in range(nadd):
+                        correction(T[a, j], R[a, j], float(theta[a, j, 0]))
+            # a correction already in the space is replaced by a random vector;
+            # the test is relative, since t shrinks with r
+            nt0 = _row_norms(T)
+            tiny = 1e-12 * nt0
+            for j in range(nadd):
+                t = T[:, j]
+                nt = _orthogonalize(t, V[:A, :k + j], nt0[:, j])
+                lost = nt <= tiny[:, j]
+                if np.count_nonzero(lost):
+                    for a in lost.nonzero()[0]:
+                        rng = rngs.setdefault(ids[a],
+                                              np.random.default_rng(seed))
+                        t[a] = rng.standard_normal(n)
+                        nt[a] = _orthogonalize(t[a:a + 1], V[a:a + 1, :k + j],
+                                               _row_norms(t[a:a + 1]))[0]
+                t /= nt[:, None]
+            AV[:A, k:k + nadd] = op.apply(np.repeat(ids, nadd),
+                                          T.reshape(A * nadd, n)
+                                          ).reshape(A, nadd, n)
+            _fill_rows(H, V, AV, A, k, k + nadd)
+            k += nadd
+            matvecs += nadd
+        else:
+            raise failure(
+                f"Davidson failed to reach tol={tol} within {_MAX_ITERS} "
+                f"iterations on {len(ids)} of {B} operator(s) (last residual "
+                f"{ress[0, 0]:.3e})", 0)
+    return out
 
 
 def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> list:
     """Two lowest eigenpairs of every member of `op`, one PairResult each.
 
     `op` is a batch (:class:`~.operators.FiberBatch`), whose members run
-    through one lockstep two-target Davidson run (space 20, thick restarts
-    to 6).  A member's result does not depend on the batch.  The ground
-    pair converges to a residual of tol max(1, |theta_0|), the excited
-    pair, which enters only the gap, to sqrt(tol) max(1, |theta_1|) (see
-    :func:`_davidson`).  The returned residuals ||A x - theta x|| come from
-    a fresh block apply of the returned unit vectors, so
-    `theta_0 - residuals[0]` is a certified floor on an eigenvalue.  The
-    gap is the difference of the two Ritz values.  The pair is flagged
-    degenerate when the gap is below max(10 tol, 1e-10) * max(1, |E0|), in
-    which case downstream consumers must not rely on a unique ground
-    direction.  Iterations, matvecs and
+    through a lockstep two-target Davidson run (space 20, thick restarts
+    to 6), in groups whose spaces fit in _GROUP_BYTES (1 MiB: 3 fibers at
+    dim 969, 7 at dim 455).  A member's result does not depend on the
+    batch or its group.  The ground pair converges to a residual of
+    tol max(1, |theta_0|), the excited pair, which enters only the gap, to
+    sqrt(tol) max(1, |theta_1|) (see :func:`_davidson`).  The returned
+    residuals ||A x - theta x|| come from a fresh block apply of the
+    returned unit vectors, so `theta_0 - residuals[0]` is a certified floor
+    on an eigenvalue.  The gap is the difference of the two Ritz values.
+    The pair is flagged degenerate when the gap is below
+    max(10 tol, 1e-10) * max(1, |E0|), in which case downstream consumers
+    must not rely on a unique ground direction.  Iterations, matvecs and
     restarts are each member's own; matvecs counts the two fresh ones too.
     """
     runs = _davidson(op, 2, tol, seed, restart_keep=6)

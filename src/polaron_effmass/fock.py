@@ -122,10 +122,10 @@ def enumerate_basis(m_modes: int, n_max: int) -> FockBasis:
             f"basis dimension {dim} exceeds capacity {BASIS_CAPACITY} "
             f"(m={m_modes}, n_max={n_max})"
         )
-    # Each total-t block is the set of states o + e_i, o of total t - 1,
-    # and every such state lands on its rank: the block comes out in
-    # graded-lex order, and the ranks are the creation maps of the states
-    # below it (-1 where o + e_i would exceed n_max).
+    # Each total-t block is the set of states o + e_i, o of total t - 1 with
+    # no quanta before mode i (one pair per state), each written at its
+    # rank: the block comes out in graded-lex order, and the ranks are the
+    # creation maps of the states below it (-1 where o + e_i > n_max).
     occ = np.zeros((dim, m_modes), dtype=np.int64)
     cidx = np.full((dim, m_modes), -1, dtype=np.int32)
     camp = np.zeros((dim, m_modes), dtype=float)
@@ -135,7 +135,8 @@ def enumerate_basis(m_modes: int, n_max: int) -> FockBasis:
         stop = math.comb(total + m_modes, m_modes)
         base = occ[start:stop]
         ranks = _rank_batch(base, m_modes, bumped=True)
-        occ[ranks] = base[:, None, :] + eye
+        rows, modes = np.nonzero(np.cumsum(base, axis=1) == base)
+        occ[ranks[rows, modes]] = base[rows] + eye[modes]
         cidx[start:stop] = ranks
         camp[start:stop] = np.sqrt(base + 1.0)
         start = stop

@@ -187,6 +187,8 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         e_rows.append((lam, res.value, l1, ub.value, res.residual,
                        res.temple))
         u_results.append(ub)
+        # only the vector's length is reported: free it before the next lam
+        full, res.vector = res.vector.size, None
         solves.append(res)
 
     extrap = extrapolate_static_mass(
@@ -213,8 +215,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
             "e_values": list(extrap.e_values),
             "davidson_iterations": [r.iterations for r in solves],
             "davidson_matvecs": [r.matvecs for r in solves],
-            "coupled_dim": {"full": solves[0].vector.size,
-                            "even": solves[0].dim},
+            "coupled_dim": {"full": full, "even": solves[0].dim},
             "fit_coeffs": list(extrap.coeffs),
             "fit_rms": extrap.fit_rms,
             "drop_largest_shift": extrap.drop_shift,
@@ -303,28 +304,31 @@ def stage_sandwich(cfg: ExperimentConfig, dstate: DispersionState,
     return block, csv_rows
 
 
-def _timed(timings: dict, name: str, fn, *args):
-    """fn(*args), its wall seconds stored in timings[name]."""
+def _timed(stats: dict, name: str, fn, *args):
+    """fn(*args); its seconds and the peak RSS after it (MB, the harness's
+    formula) go to stats' "timings_seconds" and "peak_rss_mb_by_stage"."""
     t0 = time.perf_counter()
     out = fn(*args)
-    timings[name] = round(time.perf_counter() - t0, 3)
+    seconds = round(time.perf_counter() - t0, 3)
+    stats.setdefault("timings_seconds", {})[name] = seconds
+    stats.setdefault("peak_rss_mb_by_stage", {})[name] = (
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6)
     return out
 
 
-def _chain(cfg: ExperimentConfig, last: str, timings: dict) -> tuple:
+def _chain(cfg: ExperimentConfig, last: str, stats: dict) -> tuple:
     """Dispersion, then static, then sandwich, up to the stage `last`.
 
     Returns the report blocks, the CSV rows by file name and the folded
     verdict.  The blocks end with the fiber telemetry, taken after every
     stage so that the static stage's fiber solves count too.
     """
-    dstate, dblock, drows = _timed(timings, "dispersion", stage_dispersion,
-                                   cfg)
+    dstate, dblock, drows = _timed(stats, "dispersion", stage_dispersion, cfg)
     report = {"dispersion": dblock}
     csvs = {"dispersion.csv": drows}
     passed = dblock["ceilings"]["passed"]
     if last != "dispersion":
-        sblock, srows, trows = _timed(timings, "staticmass", stage_static,
+        sblock, srows, trows = _timed(stats, "staticmass", stage_static,
                                       cfg, dstate)
         report.update(sblock)
         csvs.update({"staticmass.csv": srows, "trialstate.csv": trows})
@@ -336,7 +340,7 @@ def _chain(cfg: ExperimentConfig, last: str, timings: dict) -> tuple:
                   and enclosure["L_T_below_U_G"]
                   and enclosure["L_T_below_U_star"])
     if last == "sandwich":
-        wblock, wrows = _timed(timings, "sandwich", stage_sandwich, cfg,
+        wblock, wrows = _timed(stats, "sandwich", stage_sandwich, cfg,
                                dstate, srows)
         report.update(wblock)
         csvs["sandwich.csv"] = wrows
@@ -356,6 +360,23 @@ def _chain(cfg: ExperimentConfig, last: str, timings: dict) -> tuple:
 _ORACLE_DENSE_LIMIT = 1000
 _ORACLE_RANDOM_INSTANCES = 50
 _ORACLE_TOL = 1e-8
+
+
+def _oracle_instance(rng) -> np.ndarray:
+    """The next random sparse symmetric oracle instance drawn from `rng`,
+    symmetrized in place over blocks of 32 rows: no second float matrix."""
+    n = int(rng.integers(20, 501))
+    density = float(rng.uniform(0.02, 0.2))
+    a = np.empty((n, n))    # perfbench replays these draws in order
+    mask = rng.random(out=a) < density
+    np.multiply(rng.standard_normal(out=a), mask, out=a)
+    del mask
+    for i in range(0, n, 32):
+        a[i:i + 32, i:] += a[i:, i:i + 32].T    # numpy copies the overlap
+        a[i + 32:, i:i + 32] = a[i:i + 32, i + 32:].T
+    a *= 0.5
+    a[np.diag_indices(n)] += rng.standard_normal(n)
+    return a
 
 
 def run_oracle_check(cfg: ExperimentConfig) -> tuple:
@@ -388,19 +409,12 @@ def run_oracle_check(cfg: ExperimentConfig) -> tuple:
     rng = np.random.default_rng(cfg.seed + 12345)
     worst = 0.0
     for i in range(_ORACLE_RANDOM_INSTANCES):
-        n = int(rng.integers(20, 501))
-        density = float(rng.uniform(0.02, 0.2))
-        a = np.empty((n, n))    # perfbench replays these draws in order
-        mask = rng.random(out=a) < density
-        np.multiply(rng.standard_normal(out=a), mask, out=a)
-        a += a.T
-        a *= 0.5
-        a[np.diag_indices(n)] += rng.standard_normal(n)
+        a = _oracle_instance(rng)
         dense_val = dense_ground(a)
         lanczos_val = ground_state(a, tol=1e-11, seed=cfg.seed + i).value
         diff = abs(dense_val - lanczos_val)
         worst = max(worst, diff)
-        checks.append((f"lanczos_vs_dense_{i:02d}", n, diff,
+        checks.append((f"lanczos_vs_dense_{i:02d}", len(a), diff,
                        diff <= _ORACLE_TOL))
     passed = all(ok for (_, _, _, ok) in checks)
     block = {
@@ -495,21 +509,19 @@ def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | None = None
         "config_sha256": _config_hash(cfg.raw),
         "seed": cfg.seed,
     }
-    timings: dict = {}
+    stats: dict = {}
     if subcommand == "oracle-check":
-        passed, block, rows = _timed(timings, "oracle_check",
+        passed, block, rows = _timed(stats, "oracle_check",
                                      run_oracle_check, cfg)
         csvs = {"oracle.csv": rows}
     elif subcommand == "converge":
-        passed, block, rows = _timed(timings, "converge", run_converge, cfg)
+        passed, block, rows = _timed(stats, "converge", run_converge, cfg)
         csvs = {"converge.csv": rows}
     else:
-        block, csvs, passed = _chain(cfg, subcommand, timings)
+        block, csvs, passed = _chain(cfg, subcommand, stats)
     report.update(block)
-    report["timings_seconds"] = timings
-    # the formula of the benchmark harness, so the two agree
-    report["peak_rss_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                             * 1024 / 1e6)
+    report.update(stats)
+    report["peak_rss_mb"] = max(stats["peak_rss_mb_by_stage"].values())
     report["pass"] = bool(passed)
     # all artifact writes happen here, sequentially
     for name, rows in csvs.items():

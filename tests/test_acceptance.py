@@ -340,7 +340,7 @@ def test_criterion_10_determinism(toy_sandwich, toy_sandwich_repeat,
             == (toy_sandwich_repeat.out / n).read_bytes() for n in names}
     r1 = dict(toy_sandwich.report)
     r2 = dict(toy_sandwich_repeat.report)
-    for key in ("timings_seconds", "peak_rss_mb"):
+    for key in ("timings_seconds", "peak_rss_mb", "peak_rss_mb_by_stage"):
         r1.pop(key, None)
         r2.pop(key, None)
     ok = all(same.values()) and r1 == r2

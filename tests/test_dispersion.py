@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polaron_effmass import dispersion
+from polaron_effmass import dispersion, eigensolve
 from polaron_effmass.dispersion import (DispersionCurve, FiberCache,
                                         FiberNodes, certify_quasi_parabolic,
                                         check_ceilings, estimate_Pc,
@@ -112,16 +112,18 @@ def test_cache_pair_record_fields(toy_cache):
 
 
 class _CountingBatch:
-    """Delegates to a batch of fibers and counts the vectors it applies."""
+    """Delegates to a batch of fibers, counts the vectors it applies and
+    records the members of each apply."""
 
     def __init__(self, op):
-        self.op, self.dim, self.calls = op, op.dim, 0
+        self.op, self.dim, self.calls, self.members = op, op.dim, 0, []
 
     def __len__(self):
         return len(self.op)
 
     def apply(self, members, X):
         self.calls += len(X)
+        self.members.append(set(members.tolist()))
         return self.op.apply(members, X)
 
     def diagonals(self):
@@ -186,6 +188,43 @@ def test_a_fiber_gets_the_same_bits_alone_or_in_a_batch_of_20(batch_templates,
             assert getattr(pair, field) == getattr(alone, field), (P, field)
         for u, v in zip(pair.vectors, alone.vectors):
             assert np.array_equal(u, v), P
+
+
+def test_a_fiber_gets_the_same_bits_in_any_group(toy_template,
+                                                 monkeypatch):
+    # a budget of three toy spaces splits a batch of 8 into groups of 3, 3
+    # and 2, which share one workspace in turn
+    space_bytes = 2 * eigensolve._SPACE * toy_template.dim * 8
+    monkeypatch.setattr(eigensolve, "_GROUP_BYTES", 3 * space_bytes)
+    Ps = np.linspace(-0.7, 0.7, 8)
+    op = _CountingBatch(toy_template.operator(Ps))
+    batch = lowest_two(op, tol=dispersion._FIBER_TOL, seed=0)
+    # the groups run one after another, each Davidson apply within one of
+    # them; the last apply is the fresh residuals' of the whole batch
+    groups = [{0, 1, 2}, {3, 4, 5}, {6, 7}]
+    owner = [[i for i, g in enumerate(groups) if m <= g]
+             for m in op.members[:-1]]
+    assert owner == sorted(owner)
+    assert {tuple(o) for o in owner} == {(0,), (1,), (2,)}
+    assert op.members[-1] == set(range(8))
+    for P, pair in zip(Ps, batch):
+        alone, = lowest_two(toy_template.operator([P]),
+                            tol=dispersion._FIBER_TOL, seed=0)
+        for field in ("values", "residuals", "gap", "degenerate",
+                      "iterations", "matvecs", "restarts"):
+            assert getattr(pair, field) == getattr(alone, field), (P, field)
+        for u, v in zip(pair.vectors, alone.vectors):
+            assert np.array_equal(u, v), P
+
+
+def test_the_cache_stores_only_what_it_solved(toy_template):
+    # -P records are derived from +P on every request, never stored
+    cache = FiberCache(toy_template, seed=0)
+    P = np.linspace(-0.6, 0.6, 13)
+    scan_dispersion(cache, P)
+    cache.pairs(-P)
+    assert cache.solves() == 7
+    assert len(cache._store) == cache.solves()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ the two iterative routes, which also check each other on the fibers.
 import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -26,6 +27,9 @@ from polaron_effmass.eigensolve import (_DAVIDSON_MAX_BYTES, _dense_input,
                                         verified_floor)
 from polaron_effmass.errors import CapacityError, DomainError, SolverError
 from polaron_effmass.operators import FiberTemplate, SymmetricOperator
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -507,9 +511,49 @@ def test_oracle_draws_the_pinned_instances(monkeypatch):
         rng.standard_normal(n)
 
 
+def test_an_oracle_instance_builds_without_an_n_by_n_temporary():
+    # a += a.T took 2.15 copies of the matrix at n = 500; over blocks of
+    # rows the build holds the matrix, its mask while it is read, and one
+    # block.  The largest of the pinned instances is measured.
+    rng = np.random.default_rng(load_config("oracle").seed + 12345)
+    sizes = [n for n, _, _ in ORACLE_DRAWS]
+    largest = max(sizes)
+    for _ in range(sizes.index(largest)):
+        pipeline._oracle_instance(rng)
+    tracemalloc.start()
+    try:
+        a = pipeline._oracle_instance(rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.shape == (largest, largest)
+    assert peak <= 1.2 * a.nbytes
+
+
 # ---------------------------------------------------------------------------
 # two-target Davidson route (fiber ground pairs)
 # ---------------------------------------------------------------------------
+
+def test_a_fiber_batch_solves_in_bounded_memory():
+    # the lambda = 0.28 batch of the sandwich_g01_scaled workload: the 17
+    # momenta 0.28 q_j (q_j > 0) that its scan and lambda = 0.4 left
+    # unsolved, at fiber dim 969.  Its V and AV took 5.3 MB in one lockstep
+    # run (a 7.35 MB peak); groups of 3 take 0.93 MB
+    cfg = load_config(str(WORKLOADS / "sandwich_g01_scaled.json"))
+    template = FiberTemplate(cfg.spec)
+    q = cfg.egrid.points[cfg.egrid.points > 0]
+    seen = set(np.round(np.abs(cfg.P_list), 12)) | set(np.round(0.4 * q, 12))
+    Ps = [P for P in np.round(0.28 * q, 12) if P not in seen]
+    assert (len(Ps), template.dim) == (17, 969)
+    op = template.operator(Ps)
+    tracemalloc.start()
+    try:
+        lowest_two(op, tol=1e-9, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
+
 
 def test_lowest_two_reports_gap(rng):
     a = np.diag([0.0, 1.0, 3.0]) + 0.01 * random_symmetric(rng, 3)
@@ -928,15 +972,21 @@ class _HugeOperator:
     (davidson_ground, 1), (lowest_two, 1), (lowest_two, 21)],
     ids=["default", "fiber-pair", "fiber-batch"])
 def test_davidson_refuses_a_space_over_its_storage_cap(solver, members):
-    # V and AV hold 2 x members x space x dim doubles; the largest dim within
-    # the cap reaches the operator, one more is refused before anything is
-    # read.  The space of 20 is the coupled solve's and the fiber pairs',
-    # alone and in a batch of 21 members.
+    # V and AV hold 2 x space x dim doubles per member; the largest dim
+    # within the cap reaches the operator, one more is refused before
+    # anything is read.  The space of 20 is the coupled solve's and the
+    # fiber pairs', alone and in a batch of 21 members, which run in groups
+    # and so share one member's edge.
     space = 20
-    edge = _DAVIDSON_MAX_BYTES // (2 * members * space * 8)
+    edge = _DAVIDSON_MAX_BYTES // (2 * space * 8)
 
     for dim in (edge + 1, 10**12):
         with pytest.raises(CapacityError, match=f"{space} vectors"):
             solver(_HugeOperator(dim, members))
     with pytest.raises(_Touched, match="diagonals"):
         solver(_HugeOperator(edge, members))
+    if members > 1:
+        # past the old edge of the whole batch's spaces, the groups still run
+        batch_edge = _DAVIDSON_MAX_BYTES // (2 * members * space * 8)
+        with pytest.raises(_Touched, match="diagonals"):
+            solver(_HugeOperator(batch_edge + 1, members))
