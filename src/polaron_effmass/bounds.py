@@ -18,8 +18,7 @@ Two independent lower-bound routes:
 
 * Scaled-potential split bound (L2).  Splitting trial vectors by how much
   momentum mass sits outside a ball of radius beta = C_BETA sqrt(lam) and
-  using the quasi-parabolic certificate E(P) >= E0 + P^2/(2M(1+CP^2))
-  yields
+  using the quasi-parabolic premise E(P) >= E0 + P^2/(2M(1+CP^2)) yields
 
       L2 = min( infspec(p^2/(2 M_c) + (1+eps) V),
                 beta^2/(2 lam^2 M_c) - (1 + 1/eps) sup|V| ),
@@ -31,7 +30,12 @@ Two independent lower-bound routes:
   branch grows like 1/lam and the first branch converges to the
   static-mass comparison energy, so the bound is tight in the limit.
   Implemented for nonpositive potentials (wells); sign-mixed potentials
-  are rejected.
+  are rejected.  The premise is checked only at the scanned samples,
+  which reach P_c (:func:`~.dispersion.certify_quasi_parabolic`); between
+  them and beyond P_c it is assumed.  Well beyond P_c the form fails
+  outright, since E - E0 saturates near the phonon energy omega0 while
+  the form keeps growing; there the scalar branch needs only E(P) - E0 >=
+  beta^2/(2 M_c) for |P| >= beta.
 
 :func:`sandwich_report` lines the bounds up against e(lam) and the trial
 upper bound U(lam) and checks the ordering chain at a pinned tolerance.

@@ -14,9 +14,9 @@ config keys.
 Validation is strict: unknown keys anywhere are hard errors naming the
 full dotted path, as are missing required keys and out-of-range values.
 :func:`validate_config` additionally reports physics-range diagnostics
-(warnings) that do not block a run, e.g. when lam_max * Q_max reaches the
-estimated quasi-particle window so the trial-profile support will be
-clipped.
+(warnings) that do not block a run, e.g. when beta at the largest lam
+reaches the estimated quasi-particle window so the split bound will fail
+there.
 """
 
 from __future__ import annotations
@@ -264,18 +264,9 @@ def validate_config(path_or_data) -> list:
     notes.append(("info", f"{grid.size} field modes, Fock dimension {fdim}, "
                           f"electron grid {cfg.egrid.size} nodes"))
     p_c_est = estimate_window(cfg)
-    lam_max = max(cfg.lambda_seq)
-    lam_min = min(cfg.lambda_seq)
     if math.isfinite(p_c_est):
         notes.append(("info", f"estimated quasi-particle window: {p_c_est:.4g}"))
-        if lam_min * cfg.egrid.q_max >= p_c_est:
-            notes.append((
-                "warning",
-                f"lambda_min * Q_max = {lam_min * cfg.egrid.q_max:.4g} >= "
-                f"estimated window {p_c_est:.4g}; the trial-profile support "
-                "will be clipped to the window at every lambda"
-            ))
-        beta_max = C_BETA * math.sqrt(lam_max)
+        beta_max = C_BETA * math.sqrt(max(cfg.lambda_seq))
         if beta_max >= p_c_est:
             notes.append((
                 "warning",

@@ -272,12 +272,12 @@ _REPORT_DOC = (
     ("`static_mass.reason`", "Empty string or the rejection reason."),
     ("`upper_bound.lambda_seq`", "Scaling parameters of the variational "
                                  "upper bounds."),
-    ("`upper_bound.U_star`", "Optimized variational upper bound per "
-                             "scaling parameter."),
-    ("`upper_bound.radius`", "Optimal profile support radius per scaling "
-                             "parameter."),
-    ("`upper_bound.boundary_hit`", "True when the radius search stopped at "
-                                   "an interval endpoint."),
+    ("`upper_bound.U_star`", "Variational upper bound per scaling "
+                             "parameter: the fiber-Galerkin matrix's "
+                             "quotient at the Schroedinger envelope."),
+    ("`upper_bound.envelope_mass`", "Mass of the one-particle ground state "
+                                    "that weights the fibers in `U_star`: "
+                                    "the dynamic mass."),
     ("`upper_bound.extrapolated`", "Quadratic extrapolation of the upper "
                                    "bounds to zero coupling."),
     ("`upper_bound.galerkin`", "Galerkin upper bound `U_G` per scaling "
@@ -372,9 +372,10 @@ _CSV_DOC = {
                       "certified lower bound, variational upper bound, "
                       "solver residual and Temple's floor `L_T` (empty "
                       "where there is none).",
-    "trialstate.csv": "Optimized trial-profile parameters per scaling "
-                      "parameter (`key=value` pairs separated by `;`), "
-                      "their bound and the Galerkin bound `U_G`.",
+    "trialstate.csv": "Trial envelope per scaling parameter (`key=value` "
+                      "pairs separated by `;`: the Schroedinger ground "
+                      "state and its mass), its bound and the Galerkin "
+                      "bound `U_G`.",
     "sandwich.csv": "The two lower bounds, the coupled energy, the upper "
                     "bound, the smallest margin and Temple's floor `L_T` "
                     "(empty where there is none; not in the margin) per "

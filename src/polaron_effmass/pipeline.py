@@ -43,7 +43,7 @@ from .operators import (FiberTemplate, assemble_direct_tensor,
                         assemble_llp_ring, potential_kernel)
 from .staticmass import (_TARGET_WIDTH, PREMISE, coupled_ground,
                          extrapolate_static_mass, _fit_quadratic_in_lambda)
-from .trialstate import minimize_upper_bound
+from .trialstate import envelope, minimize_upper_bound
 
 __all__ = ["run", "stage_dispersion", "stage_static", "stage_sandwich",
            "run_oracle_check", "run_converge", "write_csv", "FMT",
@@ -149,11 +149,11 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
 def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     """e(lam) per lam with its certified bounds, then the lam -> 0 mass and
     its comparison with M_dyn: the report block, the staticmass.csv rows and
-    the trialstate.csv rows.  The kernel and its verified floor are built
-    once and each lam's fiber nodes are fetched once, for the coupled
-    solve, L1 and U* alike.  The Galerkin bound U_G and the Temple floor
-    L_T are checked against the other bounds apart from the sandwich
-    ordering."""
+    the trialstate.csv rows.  The kernel, its verified floor and U*'s
+    envelope at M_dyn are built once and each lam's fiber nodes are fetched
+    once, for the coupled solve, L1 and U* alike.  The Galerkin bound U_G
+    and the Temple floor L_T are checked against the other bounds apart
+    from the sandwich ordering."""
     if cfg.potential is None:
         raise ConfigError(
             "the static-mass stage needs a potential; set potential.type"
@@ -175,18 +175,18 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
 
     kernel = potential_kernel(cfg.potential, cfg.egrid)
     k_min = verified_floor(kernel, dense_ground(kernel))
+    m_dyn = dstate.fit.mass
+    weights = envelope(cfg.potential, cfg.egrid, m_dyn)
     cache = dstate.cache
-    e_rows, u_results, solves = [], [], []
+    e_rows, solves = [], []
     for lam in lams:
         nodes = cache.pairs(lam * cfg.egrid.points)
         res = coupled_ground(cache.template, nodes, kernel, k_min, cfg.egrid,
                              lam, e0, seed=cfg.seed)
         l1 = momentum_lower_bound(lam, kernel, nodes, e0)
-        ub = minimize_upper_bound(lam, nodes, res.galerkin, cfg.egrid,
-                                  p_c=dstate.p_c)
-        e_rows.append((lam, res.value, l1, ub.value, res.residual,
+        u_star = minimize_upper_bound(lam, res.galerkin, weights)
+        e_rows.append((lam, res.value, l1, u_star, res.residual,
                        res.temple))
-        u_results.append(ub)
         # only the vector's length is reported: free it before the next lam
         full, res.vector = res.vector.size, None
         solves.append(res)
@@ -195,14 +195,12 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         [r[0] for r in e_rows], [r[1] for r in e_rows], cfg.potential,
         cfg.egrid)
 
-    u_vals = np.array([u.value for u in u_results])
-    u_coef, _, _ = _fit_quadratic_in_lambda(np.array(lams), u_vals)
+    u_vals = [r[3] for r in e_rows]
+    u_coef, _, _ = _fit_quadratic_in_lambda(np.array(lams), np.array(u_vals))
     tol = ORDERING_TOL
     consistent = all(r[2] - tol <= r[1] <= r[3] + tol for r in e_rows)
-    floors = [(res.temple, res.upper, ub.value)
-              for res, ub in zip(solves, u_results)
-              if res.temple is not None]
-    m_dyn = dstate.fit.mass
+    floors = [(res.temple, res.upper, u)
+              for res, u in zip(solves, u_vals) if res.temple is not None]
     rel_gap = (abs(m_dyn - extrap.mass) / m_dyn
                if not math.isnan(extrap.mass) else math.inf)
     block = {
@@ -224,14 +222,13 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         },
         "upper_bound": {
             "lambda_seq": list(lams),
-            "U_star": [u.value for u in u_results],
+            "U_star": u_vals,
             "extrapolated": float(u_coef[0]),
-            "radius": [u.radius for u in u_results],
-            "boundary_hit": [u.boundary_hit for u in u_results],
+            "envelope_mass": m_dyn,
             "galerkin": [r.upper for r in solves],
             "e_below_galerkin": all(r.value <= r.upper + tol for r in solves),
             "galerkin_below_U_star": all(
-                r.upper <= u.value + tol for r, u in zip(solves, u_results)),
+                r.upper <= u + tol for r, u in zip(solves, u_vals)),
         },
         "enclosure": {
             "target_width": _TARGET_WIDTH,
@@ -256,9 +253,9 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
             "pass": (not extrap.rejected) and rel_gap <= MASS_REL_TOL,
         },
     }
-    trial_rows = [(r[0], f"radius={FMT % u.radius};type=bump", r[3],
-                   res.upper)
-                  for r, u, res in zip(e_rows, u_results, solves)]
+    profile = f"type=schroedinger;mass={FMT % m_dyn}"
+    trial_rows = [(r[0], profile, r[3], res.upper)
+                  for r, res in zip(e_rows, solves)]
     return block, e_rows, trial_rows
 
 

@@ -60,7 +60,6 @@ __all__ = [
     "schrodinger_energy",
     "invert_E",
     "coupled_ground",
-    "fiber_galerkin",
     "fiber_split",
     "split_floor",
     "temple_floor",
@@ -179,8 +178,8 @@ class CoupledResult:
     matvecs: int
     vector: np.ndarray     # the unfolded ground vector, length n_q F
     dim: int               # the even sector's dimension the solve ran in
-    galerkin: np.ndarray   # the full fiber-Galerkin matrix M, for U*
-    upper: float           # U_G, lambda_min of the recomputed M
+    galerkin: np.ndarray   # the fiber split's full Galerkin matrix M, for U*
+    upper: float           # U_G, lambda_min of M
     enclosure: Enclosure
     r_star: float | None   # the stopping residual the enclosure allows
     temple: float | None   # the certified floor L_T on e(lam), if any
@@ -203,32 +202,20 @@ def _galerkin(vectors: np.ndarray, energies: np.ndarray,
     return M, G
 
 
-def fiber_galerkin(nodes: FiberNodes, kernel: np.ndarray, lam: float,
-                   e0: float) -> np.ndarray:
-    """M = Z^T A(lam) Z on the fiber ground states Phi_j = Phi(lam q_j).
-
-    `nodes` holds the fibers at the grid nodes lam q_j.  Row j of
-    Phi = nodes.vectors is a unit vector, so the columns
-    Z = [e_j (x) Phi_j] are orthonormal, and
-
-        M = diag((E(lam q_j) - e0) / lam^2) + kernel o (Phi Phi^T)
-
-    is A(lam) projected onto them, with each fiber's Ritz value taken as
-    its Rayleigh quotient.  :func:`fiber_split` recomputes the quotients.
-    """
-    return _galerkin(nodes.vectors, nodes.energy, kernel, lam, e0)[0]
-
-
 def fiber_split(template: FiberTemplate, nodes: FiberNodes,
                 kernel: np.ndarray, lam: float, e0: float) -> FiberSplit:
-    """The Galerkin matrix of the supplied fiber vectors, recomputed.
+    """M = Z^T A(lam) Z on the supplied fiber vectors Phi_j, recomputed.
 
-    As :func:`fiber_galerkin`, but with the vectors normalized and theta_j,
-    the Rayleigh quotient of Phi_j under the fiber of `template` at lam q_j,
-    in place of the nodes' energies.  The quotients and the residuals come
-    from one block product of the vectors, not from the energies and
-    residuals `nodes` carries, so M is the Galerkin matrix of the vectors
-    supplied, whatever they are.
+    With Phi_j the rows of nodes.vectors, normalized, the columns
+    Z = [e_j (x) Phi_j] are orthonormal, and
+
+        M = diag((theta_j - e0) / lam^2) + kernel o (Phi Phi^T)
+
+    is A(lam) projected onto them, theta_j the Rayleigh quotient of Phi_j
+    under the fiber of `template` at lam q_j.  The quotients and the
+    residuals come from one block product of the vectors, not from the
+    energies and residuals `nodes` carries, so M is the Galerkin matrix of
+    the vectors supplied, whatever they are.
 
     Rounding: with N the largest absolute row sum of the fibers, the
     product, the dot products (any order) and the normalization each move
@@ -412,8 +399,10 @@ def _folded_coarse_space(op, nodes: FiberNodes, lam: float,
 
         M = W_+' o G + (0 (+) W_- o H) + diag((E(lam q_j) - e0) / lam^2),
 
-    the fold of the matrix of :func:`fiber_galerkin` when the vector at -P
-    is the reflection of the one at P, as the fiber cache makes it.
+    the fold of the Galerkin matrix of the nodes (:func:`fiber_split`,
+    with the nodes' energies in place of the recomputed quotients) when the
+    vector at -P is the reflection of the one at P, as the fiber cache
+    makes it.
     """
     S = op.reflection
     n_q = op.kernel.shape[0]
@@ -473,7 +462,7 @@ def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
     rho makes L_T a floor on e(lam) itself.  Otherwise the solve runs to
     _COUPLED_TOL and there is no L_T; `note` says why, or states the
     premise an L_T rests on.  A solve that does not converge raises
-    SolverError.  The full M is returned with the result, for U*
+    SolverError.  The split's full M is returned with the result, for U*
     (:func:`~.trialstate.minimize_upper_bound`).
     """
     op = assemble_coupled_llp(template, kernel, egrid, lam, e0)
@@ -502,7 +491,7 @@ def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
     return CoupledResult(value=res.value, residual=res.residual,
                          iterations=res.iterations, matvecs=res.matvecs,
                          vector=op.unfold(res.vector), dim=op.dim,
-                         galerkin=fiber_galerkin(nodes, kernel, lam, e0),
+                         galerkin=fg.matrix,
                          upper=upper, enclosure=enclosure, r_star=r_star,
                          temple=temple, note=note)
 

@@ -23,7 +23,7 @@ from polaron_effmass.docsgen import _REPORT_DOC, trim_report
 from polaron_effmass.model import (ConstantDispersion, ModelSpec,
                                    PoschlTeller, PowerLawCoupling)
 from polaron_effmass.operators import ElectronGrid, FiberTemplate
-from polaron_effmass.pipeline import run
+from polaron_effmass.pipeline import FMT, run
 from polaron_effmass.staticmass import invert_E, schrodinger_energy
 from scaling import scaled_comparison_pair
 
@@ -444,3 +444,42 @@ def test_the_report_certifies_e_below_the_galerkin_bound(run_fixture,
     # peak memory, measured as the benchmark harness measures it
     assert 0.0 < report["peak_rss_mb"] <= resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
+def _upper_gaps(report):
+    """(lam, U* - e) per lam, in the report's descending lam order, after
+    checking U_G <= U* up to four units of roundoff at every lam."""
+    upper = report["upper_bound"]
+    for u_g, u_star in zip(upper["galerkin"], upper["U_star"]):
+        assert u_g <= u_star + 4.0 * 2.0**-53 * abs(u_star)
+    e = dict(zip(report["static_mass"]["lambda_seq"],
+                 report["static_mass"]["e_values"]))
+    return [(lam, u - e[lam])
+            for lam, u in zip(upper["lambda_seq"], upper["U_star"])]
+
+
+@pytest.mark.parametrize("run_fixture", ["toy_sandwich", "g01_sandwich",
+                                         "g03_sandwich"])
+def test_u_star_closes_on_e_as_lambda_falls(run_fixture, request):
+    res = request.getfixturevalue(run_fixture)
+    gaps = _upper_gaps(res.report)
+    assert gaps[-1][0] == 0.1 and gaps[-1][1] < 3e-5
+    assert all(later < earlier
+               for (_, earlier), (_, later) in zip(gaps, gaps[1:]))
+
+
+def test_u_star_is_e_on_the_free_model(free_sandwich):
+    for lam, gap in _upper_gaps(free_sandwich.report):
+        if lam <= 0.14:
+            assert abs(gap) <= 1e-12
+
+
+@pytest.mark.parametrize("run_fixture", ["free_sandwich", "toy_sandwich",
+                                         "g01_sandwich", "g03_sandwich"])
+def test_the_envelope_mass_is_the_dynamic_mass(run_fixture, request):
+    res = request.getfixturevalue(run_fixture)
+    mass = res.report["mass_comparison"]["M_dyn"]
+    assert res.report["upper_bound"]["envelope_mass"] == mass
+    assert _csv_column(res.out / "trialstate.csv", "f_params") == [
+        f"type=schroedinger;mass={FMT % mass}"] * len(
+            res.report["upper_bound"]["lambda_seq"])
