@@ -36,7 +36,7 @@ when comparing masses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .errors import AnalysisError, DomainError
 from .operators import FiberTemplate
 
 __all__ = [
+    "FiberLevels",
     "FiberNodes",
     "FiberCache",
     "DispersionCurve",
@@ -71,11 +72,10 @@ _CERTIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class FiberNodes:
-    """Fiber ground data at a list of momenta, one row per momentum in the
+class FiberLevels:
+    """Fiber ground levels at a list of momenta, one row per momentum in the
     order requested: energy, gap to the next level, the ground and the
-    excited pair's residuals, degeneracy flag and the phase-fixed unit
-    ground vector."""
+    excited pair's residuals and degeneracy flag."""
 
     P: np.ndarray
     energy: np.ndarray
@@ -83,7 +83,20 @@ class FiberNodes:
     residual: np.ndarray
     excited_residual: np.ndarray
     degenerate: np.ndarray
+
+
+@dataclass(frozen=True)
+class FiberNodes(FiberLevels):
+    """:class:`FiberLevels` with the phase-fixed unit ground vector of each
+    momentum."""
+
     vectors: np.ndarray
+
+    def levels(self) -> FiberLevels:
+        """The same levels without the vectors, sharing the arrays: what a
+        holder keeps once it no longer reads the vectors."""
+        return FiberLevels(*(getattr(self, f.name)
+                             for f in fields(FiberLevels)))
 
 
 class FiberCache:
@@ -332,7 +345,9 @@ def check_ceilings(curve: DispersionCurve, template: FiberTemplate
     Both are variational on the truncated model: the first uses a
     one-phonon trial state (the interaction has zero expectation there),
     the second the P = 0 ground state (whose field momentum has zero mean
-    on a symmetric grid).  Margins are (ceiling - E); report-only.
+    on a symmetric grid).  Margins are (ceiling - E).  A violation fails
+    the run: `passed` folds into the sandwich chain's verdict and into
+    `converge`'s `ceilings_pass`.
     """
     P, E = curve.nodes.P, curve.nodes.energy
     inv2m = 1.0 / (2.0 * template.spec.mass)

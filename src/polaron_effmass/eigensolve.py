@@ -260,15 +260,17 @@ def _fill_rows(H, V, AV, A, k0, k1):
     H[:A, k0:k1, :k1] = V[:A, k0:k1] @ AV[:A, :k1].transpose(0, 2, 1)
 
 
-def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
+def _davidson(op, nwant, tol, seed, *, restart_keep, start=None,
+              correction=None):
     """Lowest `nwant` Ritz pairs of every member of `op`, in lockstep.
 
     Diagonally preconditioned subspace iteration on the B = len(op)
     independent members of the batch `op`, in consecutive groups of
     max(1, _GROUP_BYTES // (2 _SPACE dim 8)) members that use one V, A V
     and H workspace in turn, so memory does not grow with B.  Each space
-    starts from `v0` when given (a batch of one), else from the unit
-    vectors on its member's smallest diagonal entries.  Each iteration
+    starts from the vector `start()` returns when given (a batch of one;
+    it is not held once copied in), else from the unit vectors on its
+    member's smallest diagonal entries.  Each iteration
     every active member adds the corrections t = r / (diag(A) - theta) of
     all its `nwant` Ritz pairs, so the space size k is the same for all of
     them and a thick restart (to the `restart_keep` lowest Ritz vectors,
@@ -334,6 +336,7 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
         # coordinate directions.  For strongly diagonally dominant operators
         # the ground vector lives there; a purely random start can lock onto
         # an interior eigenpair whose residual passes the test.
+        v0 = None if start is None else start()
         if v0 is not None and np.linalg.norm(v0) > 1e-14:
             k = 1
             V[0, 0] = v0 / math.sqrt(v0 @ v0)
@@ -342,6 +345,7 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, v0=None, correction=None):
             V[:A, :k] = 0.0
             lowest = np.argsort(diag, axis=1, kind="stable")[:, :k]
             V[np.arange(A)[:, None], np.arange(k), lowest] = 1.0
+        del v0      # the space holds its copy
         AV[:A, :k] = op.apply(np.repeat(ids, k), V[:A, :k].reshape(A * k, n)
                               ).reshape(A, k, n)
         _fill_rows(H, V, AV, A, 0, k)
@@ -476,7 +480,7 @@ def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> list:
     return pairs
 
 
-def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, v0=None,
+def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, start=None,
                     correction=None) -> EigResult:
     """Lowest eigenpair by preconditioned subspace iteration.
 
@@ -485,15 +489,17 @@ def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, v0=None,
     which tames operators whose diagonal spread is many orders of magnitude
     larger than the spectral gap (the coupled small-lambda operators);
     `correction(t, r, theta)` may refine each one in place, as the coupled
-    solve's coarse correction does.  The space starts from `v0` when given,
-    else from the unit vectors on the four smallest diagonal entries.  It is
-    kept orthonormal by one Gram-Schmidt pass per vector, with a second
-    when the DGKS test asks for it, and compressed to the lowest 4 Ritz
-    vectors when its 20 vectors are full; `restarts` counts those
-    compressions.  Deterministic for fixed seed and start vector.
+    solve's coarse correction does.  The space starts from the vector
+    `start()` returns when given, built only when the space is filled and
+    not held once copied in, else from the unit vectors on the four
+    smallest diagonal entries.  It is kept orthonormal by one Gram-Schmidt
+    pass per vector, with a second when the DGKS test asks for it, and
+    compressed to the lowest 4 Ritz vectors when its 20 vectors are full;
+    `restarts` counts those compressions.  Deterministic for fixed seed
+    and start vector.
     """
     (thetas, xs, ress, it, matvecs, restarts), = _davidson(
-        op, 1, tol, seed, restart_keep=4, v0=v0, correction=correction)
+        op, 1, tol, seed, restart_keep=4, start=start, correction=correction)
     return EigResult(thetas[0], xs[0], ress[0], it, matvecs, restarts)
 
 
@@ -525,14 +531,20 @@ def _dense_input(A, who, exact=False):
     return A
 
 
-def _dense_eigenvalues(A, who, **window):
+def _dense_eigenvalues(A, who, overwrite=False, **window):
     """Ascending eigenvalues of a symmetric matrix by dsyevr on the lower
-    triangle, no vectors; `window` is its range selection (default "A")."""
-    A = _dense_input(A, who)
+    triangle, no vectors; `window` is its range selection (default "A").
+
+    dsyevr works in a Fortran-ordered copy of A.  With `overwrite`, A must
+    be exactly symmetric (DomainError otherwise), and dsyevr works in A's
+    own storage and destroys it: A.T is then the same matrix, in Fortran
+    order, so it gets the copy's bits."""
+    A = _dense_input(A, who, exact=overwrite)
     n = A.shape[0]
     lwork, liwork = _syevr_workspace(n)
-    vals, _, m, _, info = _SYEVR(A, compute_v=0, lower=1, lwork=lwork,
-                                 liwork=liwork, **window)
+    vals, _, m, _, info = _SYEVR(A.T if overwrite else A, compute_v=0,
+                                 lower=1, lwork=lwork, liwork=liwork,
+                                 overwrite_a=int(overwrite), **window)
     if info != 0:
         raise SolverError(f"dsyevr failed on the {n}x{n} matrix of {who} "
                           f"(info {info})")
@@ -544,10 +556,13 @@ def dense_spectrum(A) -> np.ndarray:
     return _dense_eigenvalues(A, "dense_spectrum")
 
 
-def dense_ground(A) -> float:
-    """Lowest eigenvalue of a symmetric matrix; dsyevr forms no other."""
-    return float(_dense_eigenvalues(A, "dense_ground", range="I", il=1,
-                                    iu=1)[0])
+def dense_ground(A, *, overwrite: bool = False) -> float:
+    """Lowest eigenvalue of a symmetric matrix; dsyevr forms no other.
+
+    With `overwrite`, A must be exactly symmetric and is destroyed, and
+    no working copy of it is made (see :func:`_dense_eigenvalues`)."""
+    return float(_dense_eigenvalues(A, "dense_ground", overwrite, range="I",
+                                    il=1, iu=1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -186,13 +186,6 @@ class SymmetricOperator:
         return np.concatenate([(X[0, reps] + X[0, partners]) * gather,
                                X[1:].ravel()])
 
-    def unfold(self, x: np.ndarray) -> np.ndarray:
-        """The grid-major vector on all 2 n_q - 1 nodes of a fold's x: node
-        -q_j carries S of node q_j's row, and both carry it over sqrt(2)."""
-        X = self.to_rows(x)
-        X[1:] *= math.sqrt(0.5)
-        return np.concatenate([X[:0:-1, self.reflection], X]).ravel()
-
     def _apply(self, x, block, kernel, mirror, diag):
         X = self.to_rows(x)
         Y = kernel @ X
@@ -425,8 +418,9 @@ def assemble_coupled_llp(template: FiberTemplate, kernel: np.ndarray,
 
     W_+' being W_+ with its node-0 couplings scaled by sqrt(2); the
     blocks and the diagonal are those of the kept nodes.  Its vectors have
-    about half the entries of A's; :meth:`SymmetricOperator.unfold` maps
-    them back.  A kernel that is not even raises DomainError.
+    about half the entries of A's: E y puts node q_j's row of y, over
+    sqrt(2) where q_j > 0, at q_j and its reflection at -q_j.  A kernel
+    that is not even raises DomainError.
     """
     if lam <= 0:
         raise DomainError(f"scaling parameter must be positive, got {lam}")

@@ -91,8 +91,12 @@ def write_csv(path: str, header: str, rows) -> None:
 
 @dataclass
 class DispersionState:
+    """What the later stages read of the dispersion stage.  The scanned
+    curve itself, with a vector per momentum, ends with the stage: only
+    its E0 is read after it."""
+
     cache: FiberCache
-    curve: object
+    e0: float
     p_c: float
     fit: object
     certificate: object
@@ -142,7 +146,7 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
         "fiber_restarts": cache.work("restarts"),
     }
     rows = list(zip(nodes.P, nodes.energy, nodes.gap, nodes.residual))
-    state = DispersionState(cache, curve, p_c, fit, cert)
+    state = DispersionState(cache, curve.e0, p_c, fit, cert)
     return state, block, rows
 
 
@@ -151,7 +155,9 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     its comparison with M_dyn: the report block, the staticmass.csv rows and
     the trialstate.csv rows.  The kernel, its verified floor and U*'s
     envelope at M_dyn are built once and each lam's fiber nodes are fetched
-    once, for the coupled solve, L1 and U* alike.  The Galerkin bound U_G
+    once, for the coupled solve, L1 and U* alike.  The nodes go to the
+    solve alone, which drops their vectors before its Davidson run; L1
+    reads the levels it returns.  The Galerkin bound U_G
     and the Temple floor L_T are checked against the other bounds apart
     from the sandwich ordering."""
     if cfg.potential is None:
@@ -162,7 +168,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     if len(lams) < 4:
         raise ConfigError(
             "run.lambda_seq needs >= 4 distinct values to extrapolate")
-    e0 = dstate.curve.e0
+    e0 = dstate.e0
     # the kernel's tail depends on the grid alone, not on lam: check it once
     tail = fourier_tail_fraction(cfg.potential, 2.0 * cfg.egrid.q_max)
     if tail > TAIL_TOL:
@@ -180,15 +186,16 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     cache = dstate.cache
     e_rows, solves = [], []
     for lam in lams:
-        nodes = cache.pairs(lam * cfg.egrid.points)
-        res = coupled_ground(cache.template, nodes, kernel, k_min, cfg.egrid,
-                             lam, e0, seed=cfg.seed)
-        l1 = momentum_lower_bound(lam, kernel, nodes, e0)
+        # no name holds the nodes here, so the solve frees their vectors
+        res = coupled_ground(cache.template,
+                             cache.pairs(lam * cfg.egrid.points), kernel,
+                             k_min, cfg.egrid, lam, e0, seed=cfg.seed)
+        l1 = momentum_lower_bound(lam, kernel, res.fibers, e0)
         u_star = minimize_upper_bound(lam, res.galerkin, weights)
         e_rows.append((lam, res.value, l1, u_star, res.residual,
                        res.temple))
-        # only the vector's length is reported: free it before the next lam
-        full, res.vector = res.vector.size, None
+        # the vector is not reported: free it before the next lam
+        res.vector = None
         solves.append(res)
 
     extrap = extrapolate_static_mass(
@@ -213,7 +220,8 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
             "e_values": list(extrap.e_values),
             "davidson_iterations": [r.iterations for r in solves],
             "davidson_matvecs": [r.matvecs for r in solves],
-            "coupled_dim": {"full": full, "even": solves[0].dim},
+            "coupled_dim": {"full": solves[0].full_dim,
+                            "even": solves[0].dim},
             "fit_coeffs": list(extrap.coeffs),
             "fit_rms": extrap.fit_rms,
             "drop_largest_shift": extrap.drop_shift,
@@ -384,7 +392,8 @@ def run_oracle_check(cfg: ExperimentConfig) -> tuple:
         commensurate grids; full sorted spectra must agree.
     2.  The iterative ground-state solver (Lanczos) must reproduce the
         dense LAPACK eigenvalue on a seeded batch of random sparse
-        symmetric instances.
+        symmetric instances.  Lanczos runs first: the dense solve then
+        works in the instance's own storage, which it destroys.
     """
     template = FiberTemplate(cfg.spec)
     dim = cfg.egrid.size * template.dim
@@ -407,8 +416,8 @@ def run_oracle_check(cfg: ExperimentConfig) -> tuple:
     worst = 0.0
     for i in range(_ORACLE_RANDOM_INSTANCES):
         a = _oracle_instance(rng)
-        dense_val = dense_ground(a)
         lanczos_val = ground_state(a, tol=1e-11, seed=cfg.seed + i).value
+        dense_val = dense_ground(a, overwrite=True)
         diff = abs(dense_val - lanczos_val)
         worst = max(worst, diff)
         checks.append((f"lanczos_vs_dense_{i:02d}", len(a), diff,

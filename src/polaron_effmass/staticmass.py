@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import FiberNodes
+from .dispersion import FiberLevels, FiberNodes
 from .eigensolve import (_U, _gamma, davidson_ground, dense_ground,
                          rayleigh_bounds, verified_floor)
 from .errors import AnalysisError, BracketError, NoBoundStateError
@@ -141,16 +141,18 @@ def invert_E(target: float, potential, egrid: ElectronGrid) -> float:
 class FiberSplit:
     """The fiber split Z = [e_j (x) Phi_j] of one lam, recomputed.
 
-    `vectors` are the supplied Phi_j, normalized; `ritz` each one's
-    computed Rayleigh quotient under its fiber, within `rounding` of the
-    exact one, and `residual` a bound on its residual; `norm` bounds every
-    fiber's largest absolute row sum.  `overlap` is G = Phi Phi^T and
-    `matrix` the Galerkin matrix M = K o G + diag((ritz - e0) / lam^2).
+    Phi_j are the supplied vectors, normalized, of fiber dimension `dim`;
+    `ritz` is each one's computed Rayleigh quotient under its fiber, within
+    `rounding` of the exact one, and `residual` a bound on its residual;
+    `norm` bounds every fiber's largest absolute row sum.  `overlap` is
+    G = Phi Phi^T and `matrix` the Galerkin matrix
+    M = K o G + diag((ritz - e0) / lam^2).  The vectors themselves are not
+    kept: every bound on the split reads only these.
     """
 
     matrix: np.ndarray
     overlap: np.ndarray
-    vectors: np.ndarray
+    dim: int
     ritz: np.ndarray
     residual: np.ndarray
     rounding: float
@@ -176,8 +178,10 @@ class CoupledResult:
     residual: float
     iterations: int
     matvecs: int
-    vector: np.ndarray     # the unfolded ground vector, length n_q F
+    vector: np.ndarray     # the ground vector in the even sector, length dim
     dim: int               # the even sector's dimension the solve ran in
+    full_dim: int          # A(lam)'s dimension n_q F
+    fibers: FiberLevels    # the nodes' levels the bounds were built on
     galerkin: np.ndarray   # the fiber split's full Galerkin matrix M, for U*
     upper: float           # U_G, lambda_min of M
     enclosure: Enclosure
@@ -238,7 +242,7 @@ def fiber_split(template: FiberTemplate, nodes: FiberNodes,
     residual = (np.sqrt(np.vecdot(Y, Y)) * (1.0 + _gamma(2 * fdim + 8))
                 + rounding)
     M, G = _galerkin(phi, ritz, kernel, lam, e0)
-    return FiberSplit(matrix=M, overlap=G, vectors=phi, ritz=ritz,
+    return FiberSplit(matrix=M, overlap=G, dim=fdim, ritz=ritz,
                       residual=residual, rounding=rounding, norm=norm)
 
 
@@ -261,7 +265,7 @@ def split_floor(lambda2: float, c: float, b: float) -> tuple:
     return rho - 4.0 * _U * (abs(lambda2) + eta + abs(c) + tail), eta
 
 
-def _split_enclosure(nodes: FiberNodes, fg: FiberSplit,
+def _split_enclosure(nodes: FiberLevels, fg: FiberSplit,
                      kernel: np.ndarray, k_min: float, lam: float, e0: float,
                      evals: np.ndarray, U: np.ndarray) -> Enclosure:
     """A floor rho on lambda_2(A(lam)) from the fiber split P = Z Z^T.
@@ -290,7 +294,7 @@ def _split_enclosure(nodes: FiberNodes, fg: FiberSplit,
     of which each entry carries a few units of roundoff.
     """
     inv = 1.0 / (lam * lam)
-    n_q, fdim = fg.vectors.shape
+    n_q, fdim = len(fg.ritz), fg.dim
     theta1 = nodes.energy + nodes.gap
     E1 = theta1 - nodes.excited_residual - 4.0 * _U * np.abs(theta1)
     E0 = (np.minimum(fg.ritz - fg.rounding - fg.residual,
@@ -433,7 +437,8 @@ def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
     eigenvalue, which does not depend on lam, so the caller computes it
     once per kernel.  The solve runs on the fold of A(lam) onto its
     J (x) R-even sector (:func:`~.operators.assemble_coupled_llp`), half
-    of A's dimension, and returns the unfolded full-length vector.  The
+    of A's dimension, and returns its vector in that sector, with A's full
+    dimension.  The
     fiber ground states Phi(lam q_j) of `nodes`, one per grid node, span a
     coarse space Z = [e_j (x) Phi(lam q_j)] that holds most of the ground
     vector; its fold keeps the nodes q_j >= 0, node 0's vector taken to
@@ -463,10 +468,19 @@ def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
     _COUPLED_TOL and there is no L_T; `note` says why, or states the
     premise an L_T rests on.  A solve that does not converge raises
     SolverError.  The split's full M is returned with the result, for U*
-    (:func:`~.trialstate.minimize_upper_bound`).
+    (:func:`~.trialstate.minimize_upper_bound`), and so are the nodes'
+    levels, for L1.
+
+    The nodes' vectors are read only by the split and the coarse rows,
+    before the solve; from there on only their levels are held, and the
+    start vector is built when the solve copies it into its space.  A
+    caller that passes `nodes` without keeping them, as the static stage
+    does, thus holds no fiber vector stack through the Davidson run.
     """
     op = assemble_coupled_llp(template, kernel, egrid, lam, e0)
     fg = fiber_split(template, nodes, kernel, lam, e0)
+    rows, M_even = _folded_coarse_space(op, nodes, lam, e0)
+    nodes = nodes.levels()
     evals, U = np.linalg.eigh(fg.matrix)
     upper = float(evals[0])
     enclosure = _split_enclosure(nodes, fg, kernel, k_min, lam, e0, evals, U)
@@ -475,12 +489,11 @@ def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
     if enclosure.rho > upper:
         r_star = math.sqrt(0.5 * _TARGET_WIDTH * scale
                            * (enclosure.rho - upper))
-    rows, M_even = _folded_coarse_space(op, nodes, lam, e0)
     evals, U = np.linalg.eigh(M_even)
     correct = _coarse_correction(op, rows, evals, U)
-    start = op.from_rows(U[:, 0, None] * rows)
     tol = _COUPLED_TOL if r_star is None else max(_COUPLED_TOL, r_star / scale)
-    res = davidson_ground(op, tol=tol, seed=seed, v0=start,
+    res = davidson_ground(op, tol=tol, seed=seed,
+                          start=lambda: op.from_rows(U[:, 0, None] * rows),
                           correction=correct)
     if r_star is None:
         temple, note = None, (f"the split's floor {enclosure.rho:.9g} on the "
@@ -490,7 +503,8 @@ def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
         note = note or PREMISE
     return CoupledResult(value=res.value, residual=res.residual,
                          iterations=res.iterations, matvecs=res.matvecs,
-                         vector=op.unfold(res.vector), dim=op.dim,
+                         vector=res.vector, dim=op.dim,
+                         full_dim=egrid.size * template.dim, fibers=nodes,
                          galerkin=fg.matrix,
                          upper=upper, enclosure=enclosure, r_star=r_star,
                          temple=temple, note=note)

@@ -1,5 +1,6 @@
 """Shared fixtures and the acceptance-summary terminal hook."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,18 @@ def batch_templates(toy_template):
     return {"toy": toy_template, "small": FiberTemplate(small),
             "small n_max-1": FiberTemplate(replace(small,
                                                    n_max=small.n_max - 1))}
+
+
+@pytest.fixture(scope="session")
+def unfold():
+    """E y, the grid-major vector on all 2 n_q - 1 nodes of a fold's vector
+    y: node -q_j carries S of node q_j's row, and both carry it over
+    sqrt(2).  The package reports folded vectors only."""
+    def full(op, y):
+        X = op.to_rows(y)
+        X[1:] *= math.sqrt(0.5)
+        return np.concatenate([X[:0:-1, op.reflection], X]).ravel()
+    return full
 
 
 @pytest.fixture(scope="session")

@@ -204,7 +204,7 @@ def test_unreachable_tolerance_exits_3(tmp_path, capsys, monkeypatch):
     attempt, = calls
     # it starts from the unit Galerkin vector Z y0, with the coarse
     # correction
-    assert np.linalg.norm(attempt["v0"]) == pytest.approx(1.0)
+    assert np.linalg.norm(attempt["start"]()) == pytest.approx(1.0)
     assert callable(attempt["correction"])
 
 

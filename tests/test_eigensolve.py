@@ -200,6 +200,31 @@ def test_dense_ground_works_in_one_copy_of_its_input(rng):
     assert peak <= 1.2 * a.nbytes
 
 
+def test_dense_ground_in_place_needs_no_copy_and_gets_the_same_bits(rng):
+    # (a + a.T) / 2 is symmetric to the bit; dsyevr then works in a's own
+    # storage as a.T, which is the Fortran-ordered copy it would have made
+    a = random_symmetric(rng, 500)
+    expected = dense_ground(a)
+    work = a.copy()
+    tracemalloc.start()
+    try:
+        got = dense_ground(work, overwrite=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert not np.array_equal(work, a)     # the input was the workspace
+    assert peak <= 0.2 * a.nbytes
+
+
+def test_dense_ground_in_place_refuses_a_matrix_not_exactly_symmetric(rng):
+    a = random_symmetric(rng, 50)
+    a[3, 7] += 1e-15    # symmetric to 1e-10 max|a|: the copying route runs
+    dense_ground(a)
+    with pytest.raises(DomainError, match="exactly symmetric"):
+        dense_ground(a, overwrite=True)
+
+
 def _mp_rayleigh_quotient(a, x):
     """x^T a x / x^T x in 40 digits: an upper bound on lambda_min(a)."""
     with mpmath.workdps(40):
@@ -493,9 +518,9 @@ ORACLE_DRAWS = [
 def test_oracle_draws_the_pinned_instances(monkeypatch):
     seen = []
 
-    def recording(a):
+    def recording(a, **kwargs):
         seen.append((a.shape[0], hashlib.sha256(a.tobytes()).hexdigest()))
-        return dense_ground(a)
+        return dense_ground(a, **kwargs)
 
     monkeypatch.setattr(pipeline, "dense_ground", recording)
     cfg = load_config("oracle")
@@ -708,7 +733,7 @@ def test_davidson_matches_dense_on_generic_matrix(rng):
 def test_davidson_warm_start_accepts_v0(rng):
     op = spread_diag_operator(rng)
     cold = davidson_ground(op, tol=1e-10, seed=5)
-    warm = davidson_ground(op, tol=1e-10, seed=5, v0=cold.vector)
+    warm = davidson_ground(op, tol=1e-10, seed=5, start=lambda: cold.vector)
     assert warm.value == pytest.approx(cold.value, abs=1e-9)
     assert warm.matvecs <= cold.matvecs
 

@@ -253,7 +253,7 @@ def _check_against_kronecker(op, block, kernel, rng):
 
 @pytest.mark.parametrize("lam", [0.4, 0.1])
 def test_coupled_operator_is_the_kronecker_sum(toy_cfg, toy_template, lam,
-                                               rng):
+                                               rng, unfold):
     # the coupled operator is E^T A E: A the Kronecker sum on the whole
     # grid, built without the fold, and E the isometry onto its J (x) R-even
     # sector, whose columns unfold the fold's unit vectors
@@ -271,7 +271,7 @@ def test_coupled_operator_is_the_kronecker_sum(toy_cfg, toy_template, lam,
     n_half = n_q // 2 + 1
     assert op.nnz == (n_half * block.nnz + (n_half**2 + (n_half - 1)**2)
                       * fdim + op.dim)
-    E = np.stack([op.unfold(e) for e in np.eye(op.dim)], axis=1)
+    E = np.stack([unfold(op, e) for e in np.eye(op.dim)], axis=1)
     assert np.abs(E.T @ E - np.eye(op.dim)).max() <= 1e-15
     ref = E.T @ full @ E
     scale = np.abs(ref).max()

@@ -48,6 +48,11 @@ def _split(cfg, cache, lam):
         cache.pairs([0.0]).energy[0])
 
 
+def _unit_rows(vectors):
+    """The rows of `vectors` normalized, as :func:`fiber_split` takes them."""
+    return vectors / np.sqrt(np.vecdot(vectors, vectors))[:, None]
+
+
 # ---------------------------------------------------------------------------
 # the envelope
 # ---------------------------------------------------------------------------
@@ -91,7 +96,7 @@ def test_galerkin_fibers_are_phase_aligned_in_the_window(toy_cfg, toy_cache):
     lam, p_c = 0.4, 0.7
     q = toy_cfg.egrid.points
     fg = _split(toy_cfg, toy_cache, lam)
-    phi = fg.vectors
+    phi = _unit_rows(toy_cache.pairs(lam * q).vectors)
     assert np.allclose(fg.matrix, fg.matrix.T, rtol=0.0, atol=1e-14)
     assert np.allclose(np.linalg.norm(phi, axis=1), 1.0, atol=1e-10)
     inside = phi[np.abs(lam * q) < p_c]
@@ -102,21 +107,22 @@ def test_galerkin_fibers_are_phase_aligned_in_the_window(toy_cfg, toy_cache):
 
 @pytest.mark.parametrize("lam", [0.4, 0.1])
 def test_u_star_is_the_quotient_of_its_explicit_trial_vector(toy_cfg,
-                                                             toy_cache, lam):
+                                                             toy_cache, lam,
+                                                             unfold):
     egrid = toy_cfg.egrid
     fg = _split(toy_cfg, toy_cache, lam)
     a = envelope(toy_cfg.potential, egrid, TOY_MASS)
     u_star = minimize_upper_bound(lam, fg.matrix, a)
     # Z a, node j carrying a_j Phi_j, is even under J (x) R: its fold keeps
     # the nodes q_j >= 0, those past node 0 scaled by sqrt(2)
-    X = a[:, None] * fg.vectors
+    X = a[:, None] * _unit_rows(toy_cache.pairs(lam * egrid.points).vectors)
     op = assemble_coupled_llp(toy_cache.template,
                               potential_kernel(toy_cfg.potential, egrid),
                               egrid, lam, toy_cache.pairs([0.0]).energy[0])
     rows = X[egrid.size // 2:].copy()
     rows[1:] *= math.sqrt(2.0)
     x = op.from_rows(rows)
-    assert np.allclose(op.unfold(x), X.ravel(), rtol=0.0, atol=1e-14)
+    assert np.allclose(unfold(op, x), X.ravel(), rtol=0.0, atol=1e-14)
     quotient = float(x @ op.matvec(x)) / float(x @ x)
     assert u_star == pytest.approx(quotient, rel=1e-12, abs=0.0)
 
