@@ -55,7 +55,8 @@ _POTENTIAL_VARIANTS = {
 
 
 def _require(block: dict, path: str, allowed: dict):
-    """Check `block` against {key: (required, type_or_none)}; return a copy."""
+    """Check `block` against {key: (required, type_or_none)}; return a copy.
+    A list must hold numbers."""
     if not isinstance(block, dict):
         raise ConfigError(f"config section '{path}' must be an object")
     unknown = set(block) - set(allowed)
@@ -80,6 +81,10 @@ def _require(block: dict, path: str, allowed: dict):
         elif typ is list:
             if not isinstance(val, list):
                 raise ConfigError(f"config key '{path}.{key}' must be a list")
+            for i, e in enumerate(val):
+                if not isinstance(e, (int, float)) or isinstance(e, bool):
+                    raise ConfigError(
+                        f"config key '{path}.{key}[{i}]' must be a number")
         elif typ is dict:
             if not isinstance(val, dict):
                 raise ConfigError(f"config key '{path}.{key}' must be an object")

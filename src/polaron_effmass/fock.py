@@ -52,7 +52,6 @@ class FockBasis:
     n_max: int
     occupations: np.ndarray   # (dim, m) uint16
     creation_index: np.ndarray  # (dim, m) int32, -1 when sum would exceed n_max
-    creation_amp: np.ndarray    # (dim, m) float64, sqrt(o_i + 1)
 
     @property
     def dim(self) -> int:
@@ -128,7 +127,6 @@ def enumerate_basis(m_modes: int, n_max: int) -> FockBasis:
     # creation maps of the states below it (-1 where o + e_i > n_max).
     occ = np.zeros((dim, m_modes), dtype=np.int64)
     cidx = np.full((dim, m_modes), -1, dtype=np.int32)
-    camp = np.zeros((dim, m_modes), dtype=float)
     eye = np.eye(m_modes, dtype=np.int64)
     start = 0
     for total in range(n_max):
@@ -138,13 +136,11 @@ def enumerate_basis(m_modes: int, n_max: int) -> FockBasis:
         rows, modes = np.nonzero(np.cumsum(base, axis=1) == base)
         occ[ranks[rows, modes]] = base[rows] + eye[modes]
         cidx[start:stop] = ranks
-        camp[start:stop] = np.sqrt(base + 1.0)
         start = stop
     return FockBasis(
         m_modes=m_modes,
         n_max=n_max,
         occupations=occ.astype(np.uint16),
         creation_index=cidx,
-        creation_amp=camp,
     )
 

@@ -9,10 +9,10 @@ Units and conventions used throughout the package:
 * Fourier transform: Vhat(q) = (2*pi)^(-1/2) * integral V(x) exp(-i q x) dx.
   Every module uses this convention; the inverse carries the same prefactor
   with exp(+i q x).
-* A field mode lattice with spacing dk carries midpoint quadrature weights
-  w_i = dk.  The discretized coupling amplitude of mode i is
-  v_i = v(k_i) * sqrt(w_i), which makes sum_i |v_i|^2 a Riemann sum of
-  integral |v(k)|^2 dk.
+* Every mode of a field mode lattice with spacing dk carries the midpoint
+  quadrature weight dk, so the grid stores only its momenta and dk.  The
+  discretized coupling amplitude of mode i is v_i = v(k_i) * sqrt(dk),
+  which makes sum_i |v_i|^2 a Riemann sum of integral |v(k)|^2 dk.
 
 Of the numerical libraries only numpy is imported.
 :func:`fourier_tail_fraction` integrates |Vhat| with a fixed composite
@@ -124,28 +124,22 @@ class PowerLawCoupling:
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Finite set of retained field modes with quadrature weights.
+    """Finite set of retained field modes on a lattice of spacing dk.
 
-    momenta and weights have shape (m,).  Grids built by
-    :func:`build_mode_grid` are symmetric under k -> -k and sorted by k.
+    momenta has shape (m,); each mode's quadrature weight is dk.  Grids
+    built by :func:`build_mode_grid` are symmetric under k -> -k and sorted
+    by k.
     """
 
     momenta: np.ndarray
-    weights: np.ndarray
     dk: float
 
     def __post_init__(self):
         momenta = np.asarray(self.momenta, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
         if momenta.ndim != 1:
             raise DomainError(
                 f"mode momenta must be a 1-d array, got shape {momenta.shape}")
-        if momenta.shape != weights.shape:
-            raise DomainError("mode grid momenta and weights disagree in length")
-        if np.any(weights <= 0):
-            raise DomainError("mode quadrature weights must be positive")
         object.__setattr__(self, "momenta", momenta)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def size(self) -> int:
@@ -155,27 +149,22 @@ class ModeGrid:
         return np.abs(self.momenta)
 
     def parity_permutation(self) -> np.ndarray:
-        """Index permutation pi with momenta[pi[i]] = -momenta[i].
+        """Index permutation pi with momenta[pi[i]] = -momenta[i]: on a
+        sorted symmetric grid, the reversal.
 
-        Raises DomainError when the grid is not closed under k -> -k.
+        Raises DomainError unless the reversed grid is the negated one.
         """
-        keys = {round(k / max(self.dk, 1e-300), 6): i
-                for i, k in enumerate(self.momenta)}
-        perm = np.empty(self.size, dtype=np.int64)
-        for i, k in enumerate(self.momenta):
-            j = keys.get(round(-k / max(self.dk, 1e-300), 6))
-            if j is None or not np.isclose(self.momenta[j], -k, atol=1e-12):
-                raise DomainError("mode grid is not symmetric under k -> -k")
-            perm[i] = j
-        return perm
+        if not np.array_equal(self.momenta[::-1], -self.momenta):
+            raise DomainError("mode grid is not symmetric under k -> -k")
+        return np.arange(self.size - 1, -1, -1)
 
 
 def build_mode_grid(dk: float, uv_cutoff: float, ir_cutoff: float = 0.0
                     ) -> ModeGrid:
     """Enumerate lattice modes k = dk * n, n integer, with ir <= |k| <= uv.
 
-    Weights are the midpoint quadrature weights dk.  An empty selection is a
-    configuration error.
+    Each mode carries the midpoint quadrature weight dk.  An empty
+    selection is a configuration error.
     """
     if dk <= 0:
         raise ConfigError(f"dk must be positive, got {dk}")
@@ -190,15 +179,13 @@ def build_mode_grid(dk: float, uv_cutoff: float, ir_cutoff: float = 0.0
         raise ConfigError(
             f"mode window [{ir_cutoff}, {uv_cutoff}] with dk={dk} retains no modes"
         )
-    momenta = dk * np.asarray(sel, dtype=float)
-    weights = np.full(len(sel), dk, dtype=float)
-    return ModeGrid(momenta=momenta, weights=weights, dk=dk)
+    return ModeGrid(momenta=dk * np.asarray(sel, dtype=float), dk=dk)
 
 
 def effective_couplings(coupling, grid: ModeGrid) -> np.ndarray:
-    """Discretized amplitudes v_i = v(k_i) sqrt(w_i) on a mode grid."""
+    """Discretized amplitudes v_i = v(k_i) sqrt(dk) on a mode grid."""
     v = coupling(grid.magnitudes())
-    return np.asarray(v, dtype=float) * np.sqrt(grid.weights)
+    return np.asarray(v, dtype=float) * math.sqrt(grid.dk)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ Operators built here, all real-symmetric:
   the grid (x) Fock layout at once.
 
 The coupled operator and the field-momentum-frame ring operator share one
-operator form, :class:`SymmetricOperator`: the Kronecker sum of a dense
-grid kernel and one sparse Fock block plus a diagonal, stored as those
-factors and applied in factored form, never assembled; the coupled one is
-folded and gains a mirrored kernel factor.  The direct tensor
-and the comparison operator are returned as dense matrices.
+form and one apply path, :class:`SymmetricOperator`: the Kronecker sum of a
+dense grid kernel and a sparse Fock block plus a diagonal, applied in
+factored form on its sector even under a symmetry, which is the grid
+reversal times the mode reflection for the coupled operator and trivial
+for the ring.  The direct tensor and the comparison operator are dense.
 
 The Davidson solvers read every operator through one block-apply protocol:
 `dim`, `len(op)` members, `diagonals()`, one row per member, and
@@ -91,8 +91,9 @@ def _check_symmetric(matrix, name: str):
 
 
 class SymmetricOperator:
-    """The real-symmetric sum I_{n_q} (x) block + kernel (x) I_F + diag, or
-    its fold onto a sector even under a grid reversal.
+    """The real-symmetric sum I_{n_q} (x) block + kernel (x) I_F + diag,
+    folded onto the sector even under a grid reversal times a Fock state
+    involution.
 
     On the grid-major layout, `block` is the sparse F x F part of one grid
     node, `kernel` the dense n_q x n_q grid factor and `diag` an extra
@@ -102,14 +103,16 @@ class SymmetricOperator:
     applied in factored form, never assembled.  It is symmetric when every
     factor is, so each factor is checked at construction.
 
-    With `mirror` and `reflection` it is a fold (:func:`assemble_coupled_llp`):
-    the sum gains the factor mirror (x) S on the nodes after node 0, S the
-    Fock state involution `reflection`, and node 0 keeps only the S-even
-    vectors, in the coordinates of the orbits (f + S f) / sqrt(2) and the
-    fixed points of S.  Such a vector has F0 + (n_q - 1) F entries, F0 the
-    number of orbits.  :meth:`to_rows` spreads a vector over the n_q x F
-    node rows the factors act on and :meth:`from_rows` takes rows back,
-    node 0 to its S-even part.
+    The fold (:func:`assemble_coupled_llp`) adds the factor mirror (x) S on
+    the nodes after node 0, S the Fock state involution `reflection`, and
+    node 0 keeps only the S-even vectors, in the coordinates of the orbits
+    (f + S f) / sqrt(2) and the fixed points of S.  Such a vector has
+    F0 + (n_q - 1) F entries, F0 the number of orbits.  :meth:`to_rows`
+    spreads a vector over the n_q x F node rows the factors act on and
+    :meth:`from_rows` takes rows back, node 0 to its S-even part.  By
+    default S is the identity and the mirror zero: the trivial symmetry,
+    under which the fold is the unfolded Kronecker sum itself
+    (:func:`assemble_llp_ring`).
     """
 
     def __init__(self, block, kernel, diag, *, mirror=None, reflection=None,
@@ -123,26 +126,23 @@ class SymmetricOperator:
         self.kernel = np.asarray(kernel, dtype=float)
         if self.kernel.ndim != 2 or self.kernel.shape[0] != self.kernel.shape[1]:
             raise DomainError("operator kernel must be square")
-        self.mirror = self.reflection = None
-        fdim = m.shape[0]
-        self._head = fdim
-        if mirror is not None:
-            S = np.asarray(reflection)
-            if S.shape != (fdim,) or not np.array_equal(S[S], np.arange(fdim)):
-                raise DomainError("reflection must be an involution of the "
-                                  "Fock states")
-            self.mirror = np.asarray(mirror, dtype=float)
-            n = self.kernel.shape[0] - 1
-            if self.mirror.shape != (n, n):
-                raise DomainError("mirror must span the nodes after node 0")
-            _check_symmetric(self.mirror, f"{name} mirror")
-            self.reflection = S
-            reps = np.flatnonzero(S >= np.arange(fdim))
-            fixed = S[reps] == reps
-            # P = spread of the orbit coordinates, P^T = their gather
-            self._orbits = (reps, S[reps], np.where(fixed, 1.0, math.sqrt(0.5)),
-                            np.where(fixed, 0.5, math.sqrt(0.5)))
-            self._head = reps.size
+        fdim, n = m.shape[0], self.kernel.shape[0] - 1
+        S = np.arange(fdim) if reflection is None else np.asarray(reflection)
+        if S.shape != (fdim,) or not np.array_equal(S[S], np.arange(fdim)):
+            raise DomainError("reflection must be an involution of the "
+                              "Fock states")
+        self.mirror = np.asarray(mirror if mirror is not None
+                                 else np.zeros((n, n)), dtype=float)
+        if self.mirror.shape != (n, n):
+            raise DomainError("mirror must span the nodes after node 0")
+        _check_symmetric(self.mirror, f"{name} mirror")
+        self.reflection = S
+        reps = np.flatnonzero(S >= np.arange(fdim))
+        fixed = S[reps] == reps
+        # P = spread of the orbit coordinates, P^T = their gather
+        self._orbits = (reps, S[reps], np.where(fixed, 1.0, math.sqrt(0.5)),
+                        np.where(fixed, 0.5, math.sqrt(0.5)))
+        self._head = reps.size
         self.diag = np.asarray(diag, dtype=float)
         if self.diag.shape != (self.dim,):
             raise DomainError("diagonal length does not match operator dimension")
@@ -159,16 +159,14 @@ class SymmetricOperator:
         """Stored entries of the equivalent assembled matrix, node 0 counted
         at its F states."""
         n_q, fdim = self.kernel.shape[0], self.matrix.shape[0]
-        n_mirror = 0 if self.mirror is None else self.mirror.size
-        return (n_q * self.matrix.nnz + (n_q * n_q + n_mirror) * fdim
+        return (n_q * self.matrix.nnz
+                + (n_q * n_q + np.count_nonzero(self.mirror)) * fdim
                 + self.dim)
 
     def to_rows(self, x: np.ndarray) -> np.ndarray:
-        """The n_q x F node rows of a vector; a fold spreads node 0's orbit
-        coordinates over its F states."""
+        """The n_q x F node rows of a vector, node 0's orbit coordinates
+        spread over its F states."""
         fdim = self.matrix.shape[0]
-        if self.mirror is None:
-            return x.reshape(-1, fdim)
         reps, partners, spread, _ = self._orbits
         X = np.empty((self.kernel.shape[0], fdim))
         head = spread * x[:self._head]
@@ -178,10 +176,8 @@ class SymmetricOperator:
         return X
 
     def from_rows(self, X: np.ndarray) -> np.ndarray:
-        """The vector of node rows X, the adjoint of :meth:`to_rows`: a fold
-        takes node 0's row to its orbit coordinates."""
-        if self.mirror is None:
-            return X.ravel()
+        """The vector of node rows X, the adjoint of :meth:`to_rows`: node
+        0's row goes to its orbit coordinates."""
         reps, partners, _, gather = self._orbits
         return np.concatenate([(X[0, reps] + X[0, partners]) * gather,
                                X[1:].ravel()])
@@ -190,8 +186,7 @@ class SymmetricOperator:
         X = self.to_rows(x)
         Y = kernel @ X
         Y += (block @ X.T).T
-        if mirror is not None:
-            Y[1:] += mirror @ X[1:, self.reflection]
+        Y[1:] += mirror @ X[1:, self.reflection]
         y = self.from_rows(Y)
         y += diag * x
         return y
@@ -201,9 +196,8 @@ class SymmetricOperator:
 
     def absolute_matvec(self, x: np.ndarray) -> np.ndarray:
         """|op| x: the product with every factor taken entrywise absolute."""
-        mirror = None if self.mirror is None else np.abs(self.mirror)
-        return self._apply(x, abs(self.matrix), np.abs(self.kernel), mirror,
-                           np.abs(self.diag))
+        return self._apply(x, abs(self.matrix), np.abs(self.kernel),
+                           np.abs(self.mirror), np.abs(self.diag))
 
     def __len__(self) -> int:
         return 1
@@ -215,8 +209,6 @@ class SymmetricOperator:
         n_q = self.kernel.shape[0]
         d = np.asarray(self.matrix.diagonal(), dtype=float)
         D = np.tile(d, (n_q, 1)) + np.diag(self.kernel)[:, None]
-        if self.mirror is None:
-            return (D.ravel() + self.diag)[None]
         reps, partners, _, _ = self._orbits
         S = self.reflection
         D[1:] += np.diag(self.mirror)[:, None] * (S == np.arange(S.size))
@@ -299,13 +291,13 @@ class FiberTemplate:
         valid = basis.creation_index >= 0
         state_idx, mode_idx = np.nonzero(valid)
         rows = basis.creation_index[valid]
-        vals = basis.creation_amp[valid] * self.couplings[mode_idx]
+        # sqrt(o_i + 1), the amplitude of a_i^+ on each state
+        vals = (np.sqrt(basis.occupations[valid] + 1.0)
+                * self.couplings[mode_idx])
         keep = vals != 0.0
         rows, cols, vals = rows[keep], state_idx[keep], vals[keep]
         upper = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-        mat = (upper + upper.T).tocsr()
-        mat.sum_duplicates()
-        return mat
+        return (upper + upper.T).tocsr()
 
     @property
     def dim(self) -> int:
@@ -316,16 +308,12 @@ class FiberTemplate:
         """The Fock state map S of the mode reflection R, k -> -k: state S[s]
         is state s with each mode's occupation moved to its mirror mode.
 
-        S maps the fiber at P onto the fiber at -P.  Raises DomainError when
-        the mode grid is not closed under k -> -k, or when the couplings or
-        frequencies are not even in k.
+        S maps the fiber at P onto the fiber at -P: couplings and
+        frequencies depend on |k| only, and k and -k have the same
+        magnitude bit for bit.  Raises DomainError when the mode grid is not
+        closed under k -> -k.
         """
-        perm = self.grid.parity_permutation()
-        if not (np.array_equal(self.couplings[perm], self.couplings)
-                and np.array_equal(self.omegas[perm], self.omegas)):
-            raise DomainError("mode reflection needs couplings and "
-                              "frequencies even in k")
-        return self.basis.permute_modes(perm)
+        return self.basis.permute_modes(self.grid.parity_permutation())
 
     def operator(self, Ps) -> "FiberBatch":
         """The fibers at the total momenta `Ps`, as one batch."""
@@ -546,36 +534,23 @@ def assemble_direct_tensor(template: FiberTemplate, potential,
         raise CapacityError(
             f"refusing to densify dimension {dim} > {_DENSIFY_MAX}")
     dx = 2.0 * math.pi / egrid.dq / n_x
-    m = grid.size
-    perm = grid.parity_permutation()
-    v = template.couplings
-    # per-mode, per-site coupling fields
-    fields = np.zeros((m, n_x))
-    for i in range(m):
-        j = int(perm[i])
-        if j == i:
-            fields[i, :] = v[i]
-        elif i < j:
-            kpos = grid.momenta[j]
-            if abs(v[i] - v[j]) > 1e-12 * max(1.0, abs(v[i])):
-                raise DomainError("realification needs even couplings in k")
-            fields[i, :] = math.sqrt(2.0) * v[i] * np.cos(kpos * sites)
-            fields[j, :] = math.sqrt(2.0) * v[i] * np.sin(kpos * sites)
-    # one creation+annihilation matrix per mode, combined per site
+    v = template.couplings[:, None]
+    k = grid.momenta[:, None]
+    grid.parity_permutation()   # DomainError unless k -> -k maps the grid
+    # fields per mode and site: v on k = 0; a pair +/-k turns into the real
+    # pair sqrt(2) v cos(|k| x) on the k < 0 mode, sqrt(2) v sin(k x) on k > 0
+    fields = np.where(k < 0, np.cos(-k * sites), np.sin(k * sites))
+    fields = np.where(k == 0, v, math.sqrt(2.0) * v * fields)
+    # sum_i diag(fields_i) (x) (a_i + a_i^+); a_i^+ has amplitude sqrt(o_i + 1)
     valid = basis.creation_index >= 0
-    mode_mats = []
-    for i in range(m):
-        rows = basis.creation_index[valid[:, i], i]
-        cols = np.nonzero(valid[:, i])[0]
-        amps = basis.creation_amp[valid[:, i], i]
-        up = sp.coo_matrix((amps, (rows, cols)), shape=(basis.dim, basis.dim))
-        mode_mats.append((up + up.T).tocsr())
-    blocks = [
-        sum((fields[i, n] * mode_mats[i] for i in range(m)),
-            sp.csr_matrix((basis.dim, basis.dim)))
-        for n in range(n_x)
-    ]
-    interaction = sp.block_diag(blocks, format="csr")
+    interaction = sp.csr_matrix((dim, dim))
+    for i in range(grid.size):
+        cols = np.flatnonzero(valid[:, i])
+        up = sp.coo_matrix((np.sqrt(basis.occupations[cols, i] + 1.0),
+                            (basis.creation_index[cols, i], cols)),
+                           shape=(basis.dim, basis.dim))
+        interaction = interaction + sp.kron(sp.diags(fields[i]), up + up.T,
+                                            format="csr")
     # periodic 3-point Laplacian / (2m)
     main = np.full(n_x, 2.0)
     lap = sp.diags([main, -np.ones(n_x - 1), -np.ones(n_x - 1), [-1.0], [-1.0]],

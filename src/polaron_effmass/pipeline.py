@@ -455,11 +455,13 @@ def run_converge(cfg: ExperimentConfig) -> tuple:
     Verdicts (sandwich ordering, mass agreement) must not change between
     the base truncation and n_max +- 1 or half the mode spacing; the masses
     themselves may drift within their tolerances.  Each variant runs the
-    sandwich chain; its fiber telemetry is summed over the variants.
+    sandwich chain, and passes only if the chain's whole verdict does; the
+    fiber telemetry is summed over the variants.
     """
-    table, fiber = [], []
+    table, fiber, passed = [], [], True
     for label, spec in _variant_specs(cfg.spec):
-        report, _, _ = _chain(replace(cfg, spec=spec), "sandwich", {})
+        report, _, ok = _chain(replace(cfg, spec=spec), "sandwich", {})
+        passed = passed and ok
         fiber.append(report["telemetry"]["fiber"])
         mass = report["mass_comparison"]
         table.append({
@@ -474,7 +476,6 @@ def run_converge(cfg: ExperimentConfig) -> tuple:
                 for t in table]
     for t, v in zip(table, verdicts):
         t["stable"] = v == verdicts[0]
-    passed = all(t["stable"] for t in table) and all(verdicts[0])
     rows = [tuple(t[key] for key in CSV_HEADERS["converge.csv"].split(","))
             for t in table]
     block = {"convergence": {"table": table, "passed": passed},

@@ -344,13 +344,12 @@ def temple_floor(op, x: np.ndarray, rho: float) -> tuple:
     smallest as long as that enclosure lies below rho - r, and rounded
     down.  Without that, L_T is None and the reason says why.
 
-    A fold's products sum the mirror's terms too, and round its sqrt(2)
+    The products sum the mirror's terms too, and round the fold's sqrt(2)
     scalings of the kernel and of node 0's orbits, spread and gathered:
     eight more roundings cover those.
     """
-    terms = op.kernel.shape[0] + _max_row_nnz(op.matrix) + 2
-    if op.mirror is not None:
-        terms += op.mirror.shape[0] + 8
+    terms = (op.kernel.shape[0] + op.mirror.shape[0]
+             + _max_row_nnz(op.matrix) + 10)
     _, lo, hi, r = rayleigh_bounds(x, op.matvec(x),
                                    op.absolute_matvec(np.abs(x)), terms)
     if not hi < rho - r:

@@ -122,6 +122,20 @@ def test_schema_error_exits_2(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["validate", "sandwich"])
+def test_non_numeric_list_entry_exits_2(tmp_path, capsys, subcommand):
+    data = json.loads(Path(REPO_ROOT, "src", "polaron_effmass", "presets",
+                           "toy.json").read_text())
+    data["run"]["lambda_seq"][1] = "a"
+    args = [subcommand, "--config", _write_config(tmp_path, data)]
+    if subcommand != "validate":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert ("configuration error: config key 'run.lambda_seq[1]' must be a "
+            "number" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -185,6 +199,24 @@ def test_fiber_telemetry_counts_every_fiber_solve(tmp_path, monkeypatch,
         "restarts": sum(p.restarts for p in pairs)}
     if subcommand == "sandwich":
         assert report["dispersion"]["fiber_solves"] < len(pairs)
+
+
+def test_converge_fails_on_any_failed_chain_verdict(monkeypatch):
+    # an L_T above U_G fails the chain's enclosure check, which none of the
+    # converge table's verdict columns reads
+    real = pipeline.coupled_ground
+
+    def temple_above_upper(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.temple = res.upper + 1.0
+        return res
+
+    monkeypatch.setattr(pipeline, "coupled_ground", temple_above_upper)
+    cfg = load_config("toy")
+    _, _, chained = pipeline._chain(cfg, "sandwich", {})
+    assert not chained
+    passed, block, _ = pipeline.run_converge(cfg)
+    assert not passed and not block["convergence"]["passed"]
 
 
 def test_unreachable_tolerance_exits_3(tmp_path, capsys, monkeypatch):

@@ -164,6 +164,16 @@ def test_run_value_guards():
         parse_config(_mutated(run__threads=1))
 
 
+@pytest.mark.parametrize("key", ["P_list", "lambda_seq"])
+@pytest.mark.parametrize("entry", ["0.28", "a", [0.1], None, True])
+def test_list_entries_must_be_numbers(key, entry):
+    # a numeric string would pass a bare float(); the others would escape
+    # as ValueError or TypeError instead of a config error
+    with pytest.raises(ConfigError,
+                       match=rf"'run\.{key}\[1\]' must be a number"):
+        parse_config(_mutated(**{f"run__{key}": [0.4, entry, 0.1]}))
+
+
 # tolerances and trial knobs are module constants, not config keys
 @pytest.mark.parametrize("path, value", [
     ("trial", {}), ("solver", {}),

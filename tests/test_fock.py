@@ -54,7 +54,7 @@ def test_totals_are_nondecreasing_and_states_unique():
 
 
 def _recursive_basis(m: int, n_max: int) -> tuple:
-    """(occupations, creation_index, creation_amp) by the recursive
+    """(occupations, creation_index, creation amplitudes) by the recursive
     enumeration: each total block generated composition by composition,
     lex ascending, and each creation map looked up state by state."""
 
@@ -88,7 +88,10 @@ def test_enumeration_matches_the_recursive_one(m, n_max):
     assert np.array_equal(basis.occupations, occ)
     assert basis.creation_index.dtype == cidx.dtype
     assert np.array_equal(basis.creation_index, cidx)
-    assert np.array_equal(basis.creation_amp, camp)
+    # the amplitude of a_i^+ is sqrt(o_i + 1) at every valid creation slot
+    valid = basis.creation_index >= 0
+    assert np.array_equal(np.sqrt(basis.occupations[valid] + 1.0),
+                          camp[valid])
 
 
 def rank(basis, occ) -> int:
@@ -113,11 +116,11 @@ def test_creation_maps_match_ladder_action():
             out = apply_creation(occ, mode, basis.n_max)
             if out is None:
                 assert target == -1
-                assert basis.creation_amp[s, mode] == 0.0
             else:
                 new_occ, amp = out
                 assert target == index[new_occ]
-                assert basis.creation_amp[s, mode] == pytest.approx(amp)
+                assert math.sqrt(basis.occupations[s, mode] + 1) \
+                    == pytest.approx(amp)
                 back, down_amp = apply_annihilation(new_occ, mode)
                 assert back == occ
                 assert down_amp == pytest.approx(amp)

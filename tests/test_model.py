@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from polaron_effmass.config import PRESET_NAMES, load_config
 from polaron_effmass.errors import CapacityError, ConfigError, DomainError
 from polaron_effmass.model import (ConstantCoupling, ConstantDispersion,
                                    GaussianWell, ModelSpec, ModeGrid,
@@ -58,7 +59,7 @@ def test_build_mode_grid_enumerates_lattice():
     grid = build_mode_grid(dk=0.5, uv_cutoff=1.0)
     assert np.allclose(np.sort(grid.momenta),
                        [-1.0, -0.5, 0.0, 0.5, 1.0])
-    assert np.allclose(grid.weights, 0.5)
+    assert grid.dk == 0.5
     assert np.allclose(grid.momenta[grid.parity_permutation()], -grid.momenta)
 
 
@@ -78,19 +79,19 @@ def test_build_mode_grid_guards():
 
 
 def test_parity_permutation_roundtrip():
-    grid = build_mode_grid(dk=0.5, uv_cutoff=1.5)
-    perm = grid.parity_permutation()
-    assert np.allclose(grid.momenta[perm], -grid.momenta)
-    asym = ModeGrid(momenta=np.array([0.5, 1.0]),
-                    weights=np.array([1.0, 1.0]), dk=0.5)
+    # a grid with k = 0, and every shipped preset's grid
+    for grid in [build_mode_grid(dk=0.5, uv_cutoff=1.5),
+                 *(load_config(p).spec.mode_grid() for p in PRESET_NAMES)]:
+        perm = grid.parity_permutation()
+        assert np.allclose(grid.momenta[perm], -grid.momenta)
+    asym = ModeGrid(momenta=np.array([0.5, 1.0]), dk=0.5)
     with pytest.raises(DomainError, match="not symmetric"):
         asym.parity_permutation()
 
 
 def test_mode_grid_rejects_vector_momenta():
     with pytest.raises(DomainError, match="1-d"):
-        ModeGrid(momenta=np.array([[0.5], [1.0]]),
-                 weights=np.array([1.0, 1.0]), dk=0.5)
+        ModeGrid(momenta=np.array([[0.5], [1.0]]), dk=0.5)
 
 
 def test_effective_couplings_include_sqrt_weight():

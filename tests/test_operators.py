@@ -34,8 +34,7 @@ class _SingleModeSpec(ModelSpec):
     """One retained mode at k = +1 with unit weight: v_eff = g exactly."""
 
     def mode_grid(self):
-        return ModeGrid(momenta=np.array([1.0]), weights=np.array([1.0]),
-                        dk=1.0)
+        return ModeGrid(momenta=np.array([1.0]), dk=1.0)
 
 
 def _single_mode_template(g=0.2, n_max=1):
