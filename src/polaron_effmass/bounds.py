@@ -51,7 +51,7 @@ import numpy as np
 from .dispersion import FiberNodes
 from .eigensolve import dense_ground, verified_floor
 from .errors import AnalysisError, ConfigError, DomainError
-from .operators import ElectronGrid, assemble_schrodinger
+from .operators import ElectronGrid, assemble_schrodinger, potential_kernel
 
 __all__ = [
     "SplitBoundResult",
@@ -147,7 +147,8 @@ def split_lower_bound(lam: float, potential, egrid: ElectronGrid, *,
             f"p_c = {p_c:.4g}; lam = {lam:g} is too large for this window"
         )
     m_c = mass * (1.0 + c_min * beta**2)
-    op = assemble_schrodinger(potential, egrid, m_c, v_scale=1.0 + eps)
+    op = assemble_schrodinger(potential_kernel(potential, egrid), egrid, m_c,
+                              v_scale=1.0 + eps)
     operator_branch = verified_floor(op, dense_ground(op))
     scalar_branch = (beta**2 / (2.0 * lam**2 * m_c)
                      - (1.0 + 1.0 / eps) * potential.sup_norm())

@@ -56,7 +56,8 @@ _POTENTIAL_VARIANTS = {
 
 def _require(block: dict, path: str, allowed: dict):
     """Check `block` against {key: (required, type_or_none)}; return a copy.
-    A list must hold numbers."""
+    A list must hold numbers.  A number must be finite: json reads NaN,
+    Infinity and -Infinity as floats."""
     if not isinstance(block, dict):
         raise ConfigError(f"config section '{path}' must be an object")
     unknown = set(block) - set(allowed)
@@ -72,6 +73,8 @@ def _require(block: dict, path: str, allowed: dict):
         if typ is float:
             if not isinstance(val, (int, float)) or isinstance(val, bool):
                 raise ConfigError(f"config key '{path}.{key}' must be a number")
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"config key '{path}.{key}' must be finite")
         elif typ is int:
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ConfigError(f"config key '{path}.{key}' must be an integer")
@@ -85,6 +88,9 @@ def _require(block: dict, path: str, allowed: dict):
                 if not isinstance(e, (int, float)) or isinstance(e, bool):
                     raise ConfigError(
                         f"config key '{path}.{key}[{i}]' must be a number")
+                if isinstance(e, float) and not math.isfinite(e):
+                    raise ConfigError(
+                        f"config key '{path}.{key}[{i}]' must be finite")
         elif typ is dict:
             if not isinstance(val, dict):
                 raise ConfigError(f"config key '{path}.{key}' must be an object")

@@ -15,7 +15,9 @@ From the scanned curve E(P) we extract
   which downstream consumers use to bound trial-state supports.
 
 A :class:`FiberCache` memoizes fiber ground pairs by momentum.  The pairs
-come from two-target Davidson runs, solved on first request, and every
+come from :func:`~.eigensolve.lowest_two`, solved on first request: one
+dsyevr of the whole matrix for a fiber of at most 128 states, a two-target
+Davidson run with a Jacobi-Davidson step per correction above that.  Every
 request goes through :meth:`FiberCache.pairs`, which returns the nodes'
 data as one :class:`FiberNodes` record of arrays.  The scan asks for P = 0
 and then one |P| at a time, and reads its curve back as one node set; the
@@ -198,7 +200,7 @@ def scan_dispersion(cache: FiberCache, P_list) -> DispersionCurve:
     """Solve the fibers at the requested momenta and assemble the curve.
 
     P_list must contain 0 (the curve is pinned to E0 = E(0)).  Momenta are
-    solved through `cache`, independently, one two-target Davidson run
+    solved through `cache`, independently, one :func:`lowest_two` call
     each: P = 0 first, then one |P| per request.  The curve is then read
     from the cache in sorted order.  E(P) >= E0 is validated to the fiber
     solver tolerance; E(-P) = E(P) holds by construction, since the cache

@@ -9,9 +9,14 @@
   Gram-Schmidt pass, a second only when the DGKS test asks for it.  A
   member's result is the same bits alone or in any batch.
   :func:`lowest_two` serves the fiber ground pairs and their gaps (a
-  :class:`~.operators.FiberBatch`), :func:`davidson_ground` the coupled
-  small-lambda operators (a batch of one), whose diagonal spread makes
-  plain Krylov iteration impractically slow (README, solver notes).
+  :class:`~.operators.FiberBatch`): a fiber of at most _DENSE_PAIR_MAX
+  states gets both pairs from one dsyevr of its whole matrix, formed by a
+  block apply of the unit rows; a larger one runs Davidson with each
+  correction refined by one projected Jacobi-Davidson step.
+  :func:`davidson_ground` serves the coupled small-lambda operators (a
+  batch of one), whose diagonal spread makes plain Krylov iteration
+  impractically slow (README, solver notes); its caller's coarse
+  correction takes the place of the Jacobi-Davidson step.
 * :func:`ground_state`: one Lanczos pass with full reorthogonalization,
   seeded random start and residual stopping, up to the full dimension (at
   most 2000), so nothing restarts; the iterative route of the oracle checks.
@@ -79,6 +84,14 @@ _GROUP_BYTES = 2**20
 # A Gram-Schmidt pass that leaves less than this fraction of a vector's norm
 # is repeated once (the DGKS test).
 _DGKS = 1.0 / math.sqrt(2.0)
+# lowest_two solves a batch of at most this many states per member directly:
+# it forms each member's matrix and takes both pairs from one dsyevr.  Per
+# fiber, direct against Davidson (one BLAS thread): alone, 86 against 756 us
+# at dim 28, 343 against 993 us at 84, 736 against 1159 us at 126 and 1.21
+# against 1.01 ms at 165; in batches of 20, 79 against 219 us at 28, 336
+# against 321 us at 84 and 713 against 440 us at 126.  The scan's single
+# solves cross near 150 states, the static stage's batches near 90.
+_DENSE_PAIR_MAX = 128
 
 
 @dataclass
@@ -260,6 +273,39 @@ def _fill_rows(H, V, AV, A, k0, k1):
     H[:A, k0:k1, :k1] = V[:A, k0:k1] @ AV[:A, :k1].transpose(0, 2, 1)
 
 
+def _jacobi_davidson_step(op, ids, T, X, R, denom, theta):
+    """Refine the corrections T = D^-1 R in place by one projected
+    Jacobi-Davidson step (Sleijpen & van der Vorst, SIAM J. Matrix Anal.
+    Appl. 17, 1996).
+
+    Row T[a, j] belongs to the Ritz pair (theta[a, j], X[a, j]) of member
+    ids[a], with residual R[a, j] and floored D = denom[a, j] = diag -
+    theta.  With P = I - x x^T, the preconditioner of the correction
+    equation P (A - theta) P t = r is M_P^-1 y = D^-1 y - (x.D^-1 y /
+    x.D^-1 x) D^-1 x, which maps onto the complement of x.  The step
+    takes t = M_P^-1 r, then t += M_P^-1 (r - P (A - theta) P t) through
+    one apply of all rows, so each row costs one matvec.  Every operation
+    is per row.
+    """
+    A, nadd, n = T.shape
+    DX = X / denom
+    xdx = np.vecdot(X, DX)
+
+    def project(Y):
+        """D^-1 y in Y, in place, to M_P^-1 y."""
+        Y -= (np.vecdot(X, Y) / xdx)[:, :, None] * DX
+
+    project(T)
+    W = op.apply(np.repeat(ids, nadd), T.reshape(A * nadd, n))
+    W = W.reshape(A, nadd, n)
+    W -= theta * T
+    W -= np.vecdot(X, W)[:, :, None] * X
+    np.subtract(R, W, out=W)
+    W /= denom
+    project(W)
+    T += W
+
+
 def _davidson(op, nwant, tol, seed, *, restart_keep, start=None,
               correction=None):
     """Lowest `nwant` Ritz pairs of every member of `op`, in lockstep.
@@ -276,10 +322,13 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, start=None,
     them and a thick restart (to the `restart_keep` lowest Ritz vectors,
     when the next corrections would not fit in _SPACE) compresses all
     spaces together.  `correction(t, r, theta)`, when given, refines each
-    t in place.  The new vectors of all members go through one apply; Ritz
-    vectors, residuals and Gram-Schmidt projections are stacked matrix
-    products.  Every new vector is orthogonalized by _orthogonalize; one
-    that is already in its space is replaced by a random vector from a
+    t in place; without it, each t takes one projected Jacobi-Davidson
+    step (:func:`_jacobi_davidson_step`), one more apply of all the
+    corrections, counted in matvecs.  The new vectors of all members go
+    through one apply; Ritz vectors, residuals and Gram-Schmidt projections
+    are stacked matrix products.  Every new vector is orthogonalized by
+    _orthogonalize; one that is already in its space is replaced by a
+    random vector from a
     generator seeded with `seed`, one per member.  The projected
     eigenproblems stay per member and form only the `nwant` lowest pairs,
     or the `restart_keep` lowest before a restart.  The lowest pair passes
@@ -310,7 +359,7 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, start=None,
             f"Davidson space of {space} vectors at dimension {n} needs "
             f"{nbytes / 2**20:.0f} MiB per operator, over "
             f"{_DAVIDSON_MAX_BYTES / 2**20:.0f} MiB")
-    diags = np.array(op.diagonals(), dtype=float)
+    diags = op.diagonals()    # fresh, so compacted in place
     restart_keep = max(nwant, min(restart_keep, space - nwant))
     tols = np.array([tol] + [math.sqrt(tol)] * (nwant - 1))
     group = min(B, max(1, _GROUP_BYTES // nbytes))
@@ -373,7 +422,10 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, start=None,
             done = (ress <= tols * scale).all(axis=1)
             if np.count_nonzero(done):      # the cheapest test of a small mask
                 for a in done.nonzero()[0]:
-                    out[ids[a]] = ([float(t) for t in thetas[a]], list(X[a]),
+                    # a member that leaves others behind copies its Ritz
+                    # vectors out, so it does not hold the group's block
+                    out[ids[a]] = ([float(t) for t in thetas[a]],
+                                   list(X[a] if A == 1 else X[a].copy()),
                                    [float(r) for r in ress[a]], it, matvecs,
                                    restarts)
                 stay = (~done).nonzero()[0]
@@ -413,6 +465,10 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, start=None,
                 for a in range(A):
                     for j in range(nadd):
                         correction(T[a, j], R[a, j], float(theta[a, j, 0]))
+            else:
+                _jacobi_davidson_step(op, ids, T, X[:, :nadd], R[:, :nadd],
+                                      denom, theta)
+                matvecs += nadd
             # a correction already in the space is replaced by a random vector;
             # the test is relative, since t shrinks with r
             nt0 = _row_norms(T)
@@ -443,25 +499,59 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, start=None,
     return out
 
 
+def _direct_pairs(op, m):
+    """Lowest `m` eigenpairs of every member of `op` from its whole matrix.
+
+    A member's matrix is the block apply of the unit rows, so any operator
+    of the block-apply protocol can be read this way; entry (i, j) is
+    e_j.(A e_i), and dsyevr reads its lower triangle.  A non-finite entry
+    raises SolverError before LAPACK sees it.  Returns the tuples of
+    :func:`_davidson`: values, vectors, no residuals, and per member 0
+    iterations, `dim` matvecs and 0 restarts.
+    """
+    B, n = len(op), op.dim
+    if n < m:
+        raise DomainError(f"operator dimension {n} is below the {m} wanted pairs")
+    eye = np.eye(n)
+    out = []
+    for b in range(B):
+        H = op.apply(np.full(n, b), eye)
+        if not np.isfinite(H).all():
+            raise SolverError(f"matrix of member {b} at dimension {n} has "
+                              "non-finite entries")
+        vals, vecs = _projected_eigh(H, m)
+        out.append(([float(v) for v in vals], list(vecs.T), None, 0, n, 0))
+    return out
+
+
 def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> list:
     """Two lowest eigenpairs of every member of `op`, one PairResult each.
 
-    `op` is a batch (:class:`~.operators.FiberBatch`), whose members run
-    through a lockstep two-target Davidson run (space 20, thick restarts
-    to 6), in groups whose spaces fit in _GROUP_BYTES (1 MiB: 3 fibers at
-    dim 969, 7 at dim 455).  A member's result does not depend on the
-    batch or its group.  The ground pair converges to a residual of
-    tol max(1, |theta_0|), the excited pair, which enters only the gap, to
-    sqrt(tol) max(1, |theta_1|) (see :func:`_davidson`).  The returned
-    residuals ||A x - theta x|| come from a fresh block apply of the
-    returned unit vectors, so `theta_0 - residuals[0]` is a certified floor
-    on an eigenvalue.  The gap is the difference of the two Ritz values.
-    The pair is flagged degenerate when the gap is below
-    max(10 tol, 1e-10) * max(1, |E0|), in which case downstream consumers
-    must not rely on a unique ground direction.  Iterations, matvecs and
-    restarts are each member's own; matvecs counts the two fresh ones too.
+    `op` is a batch (:class:`~.operators.FiberBatch`).  Its dimension alone
+    picks the route.  Up to _DENSE_PAIR_MAX states, each member's matrix is
+    formed by one block apply of the unit rows and both pairs come from one
+    dsyevr (:func:`_direct_pairs`): the two lowest levels by LAPACK's own
+    eigenvalue count, with residuals near roundoff, iterations 0, matvecs
+    dim + 2 and restarts 0.  Above it, the members run through a lockstep
+    two-target Davidson run (space 20, thick restarts to 6, each
+    correction refined by one Jacobi-Davidson step), in groups whose
+    spaces fit in _GROUP_BYTES (1 MiB: 3 fibers at dim 969, 7 at dim 455);
+    the ground pair converges to a residual of tol max(1, |theta_0|), the
+    excited pair, which enters only the gap, to sqrt(tol) max(1,
+    |theta_1|) (see :func:`_davidson`).  A member's result does not depend
+    on the batch or its group.  The returned residuals ||A x - theta x||
+    come from a fresh block apply of the returned unit vectors, so
+    `theta_0 - residuals[0]` is a certified floor on an eigenvalue.  The
+    gap is the difference of the two Ritz values.  The pair is flagged
+    degenerate when the gap is below max(10 tol, 1e-10) * max(1, |E0|), in
+    which case downstream consumers must not rely on a unique ground
+    direction.  Iterations, matvecs and restarts are each member's own;
+    matvecs counts the two fresh ones too.
     """
-    runs = _davidson(op, 2, tol, seed, restart_keep=6)
+    if op.dim <= _DENSE_PAIR_MAX:
+        runs = _direct_pairs(op, 2)
+    else:
+        runs = _davidson(op, 2, tol, seed, restart_keep=6)
     xs = [[x / math.sqrt(x @ x) for x in run[1]] for run in runs]
     X = np.array(xs)
     B, n = len(runs), X.shape[-1]

@@ -31,8 +31,9 @@ reversal times the mode reflection for the coupled operator and trivial
 for the ring.  The direct tensor and the comparison operator are dense.
 
 The Davidson solvers read every operator through one block-apply protocol:
-`dim`, `len(op)` members, `diagonals()`, one row per member, and
-`apply(members, X)`, row i of X times member members[i].
+`dim`, `len(op)` members, `diagonals()`, a fresh (members, dim) array the
+caller may overwrite, one row per member, and `apply(members, X)`, row i of
+X times member members[i].
 :class:`FiberBatch` has a member per momentum, :class:`SymmetricOperator`
 is a batch of one, applied one :meth:`matvec` per row.
 
@@ -54,6 +55,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import CapacityError, ConfigError, DomainError
 from .fock import enumerate_basis
@@ -78,11 +80,18 @@ _DENSIFY_MAX = 4000
 
 
 def _check_symmetric(matrix, name: str):
-    """Raise DomainError unless max|M - M^T| <= 1e-12 max(1, max|M|)."""
-    m = sp.csr_matrix(matrix)
-    diff = (m - m.T).tocoo()
-    err = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
-    scale = max(1.0, float(np.max(np.abs(m.data))) if m.nnz else 0.0)
+    """Raise DomainError unless max|M - M^T| <= 1e-12 max(1, max|M|).
+
+    A dense array is checked densely, a sparse matrix on its stored
+    entries; both take the same maxima."""
+    if isinstance(matrix, np.ndarray):
+        err = float(np.abs(matrix - matrix.T).max(initial=0.0))
+        scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
+    else:
+        m = sp.csr_matrix(matrix)
+        diff = (m - m.T).tocoo()
+        err = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+        scale = max(1.0, float(np.max(np.abs(m.data))) if m.nnz else 0.0)
     if err > 1e-12 * scale:
         raise DomainError(
             f"operator {name or '<unnamed>'} is not symmetric "
@@ -344,13 +353,28 @@ class FiberBatch:
         return self.diag.shape[0]
 
     def diagonals(self) -> np.ndarray:
-        """(members, dim) array of the members' diagonals."""
+        """Fresh (members, dim) array of the members' diagonals."""
         return self.diag + self.interaction.diagonal()
 
     def apply(self, members: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Row i of X times the fiber of member members[i]."""
-        Y = (self.interaction @ X.T).T
-        Y += self.diag[members] * X
+        """Row i of X times the fiber of member members[i], as a C-ordered
+        array of X's shape.
+
+        csr_matvec, the kernel scipy's own product calls for one vector,
+        writes each row's product straight into its row of the result: the
+        sums of the multi-vector kernel csr_matvecs, in the same order, so
+        the same bits, without its transposed copies.  Its one temporary of
+        X's size is the gathered diagonals, scaled in place.
+        """
+        m = self.interaction
+        n = m.shape[0]
+        X = np.ascontiguousarray(X)
+        Y = np.zeros(X.shape)
+        for x, y in zip(X, Y):
+            _csr_matvec(n, n, m.indptr, m.indices, m.data, x, y)
+        D = self.diag[members]
+        D *= X
+        Y += D
         return Y
 
 
@@ -367,17 +391,19 @@ def potential_kernel(potential, egrid: ElectronGrid) -> np.ndarray:
     return 0.5 * (w + w.T)
 
 
-def assemble_schrodinger(potential, egrid: ElectronGrid, mass: float,
+def assemble_schrodinger(kernel: np.ndarray, egrid: ElectronGrid, mass: float,
                          *, v_scale: float = 1.0) -> np.ndarray:
     """Dense one-particle operator q^2/(2 mass) + v_scale * W on the grid.
 
-    The comparison energy curve is only meaningful for mass >= 1/2 (the
-    particle cannot get lighter by coupling to the field), so smaller masses
-    are rejected.
+    `kernel` is the potential's kernel W on `egrid` (:func:`potential_kernel`),
+    which does not depend on the mass, so a caller that scans masses builds
+    it once; it is not modified.  The comparison energy curve is only
+    meaningful for mass >= 1/2 (the particle cannot get lighter by coupling
+    to the field), so smaller masses are rejected.
     """
     if mass < 0.5 - 1e-12:
         raise DomainError(f"mass must be >= 1/2, got {mass}")
-    h = v_scale * potential_kernel(potential, egrid)
+    h = v_scale * kernel
     h[np.diag_indices_from(h)] += egrid.kinetic_diagonal(mass)
     return h
 

@@ -33,7 +33,8 @@ Pieces:
 * :func:`extrapolate_static_mass`: fits e(lam) = e0 + c1 lam + c2 lam^2
   (e(lam) is even, so the leading correction is O(lam^2)), propagates the
   fit uncertainty and a drop-the-largest-lam refit shift into e0 and the
-  mass, and inverts on the same grid.
+  mass, and inverts on the same grid, building the potential kernel once
+  for all the comparison energies it evaluates.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .eigensolve import (_U, _gamma, davidson_ground, dense_ground,
                          rayleigh_bounds, verified_floor)
 from .errors import AnalysisError, BracketError, NoBoundStateError
 from .operators import (ElectronGrid, FiberTemplate, assemble_coupled_llp,
-                        assemble_schrodinger)
+                        assemble_schrodinger, potential_kernel)
 
 __all__ = [
     "CoupledResult",
@@ -79,14 +80,17 @@ _COUPLED_TOL = 1e-9
 _TARGET_WIDTH = 1e-9
 
 
-def schrodinger_energy(mass: float, potential, egrid: ElectronGrid) -> float:
+def schrodinger_energy(mass: float, kernel: np.ndarray,
+                       egrid: ElectronGrid) -> float:
     """Ground energy of the one-particle comparison operator on `egrid`.
 
-    The dense route caps the grid at 2000 points (DomainError beyond).  A
-    nonnegative result means the potential has no bound state at this mass
-    and raises NoBoundStateError.
+    `kernel` is the potential's kernel on `egrid`
+    (:func:`~.operators.potential_kernel`), built once by a caller that
+    scans masses.  The dense route caps the grid at 2000 points
+    (DomainError beyond).  A nonnegative result means the potential has no
+    bound state at this mass and raises NoBoundStateError.
     """
-    value = dense_ground(assemble_schrodinger(potential, egrid, mass))
+    value = dense_ground(assemble_schrodinger(kernel, egrid, mass))
     if value >= 0.0:
         raise NoBoundStateError(
             f"no bound state at mass {mass:g} (ground energy {value:.3e} >= 0)"
@@ -94,8 +98,10 @@ def schrodinger_energy(mass: float, potential, egrid: ElectronGrid) -> float:
     return float(value)
 
 
-def invert_E(target: float, potential, egrid: ElectronGrid) -> float:
+def invert_E(target: float, kernel: np.ndarray, egrid: ElectronGrid) -> float:
     """Mass m with E(m) = target, by bisection on the decreasing curve.
+
+    E is :func:`schrodinger_energy` with the potential's kernel `kernel`.
 
     The bracket [1/2, 4] is bisected to a relative width of 1e-6; its upper
     end first expands geometrically, up to _MAX_HI, until it straddles the
@@ -104,7 +110,7 @@ def invert_E(target: float, potential, egrid: ElectronGrid) -> float:
     returns exactly the endpoint mass (the free-particle edge case).
     """
     lo, hi = 0.5, 4.0
-    e_lo = schrodinger_energy(lo, potential, egrid)
+    e_lo = schrodinger_energy(lo, kernel, egrid)
     if abs(target - e_lo) <= 1e-7:
         return lo
     if target > e_lo:
@@ -112,7 +118,7 @@ def invert_E(target: float, potential, egrid: ElectronGrid) -> float:
             f"target energy {target:.6g} is above E({lo:g}) = {e_lo:.6g}; "
             "would need a mass below 1/2"
         )
-    e_hi = schrodinger_energy(hi, potential, egrid)
+    e_hi = schrodinger_energy(hi, kernel, egrid)
     while target < e_hi:
         hi *= 2.0
         if hi > _MAX_HI:
@@ -120,11 +126,11 @@ def invert_E(target: float, potential, egrid: ElectronGrid) -> float:
                 f"target energy {target:.6g} below E({_MAX_HI:g}); bracket "
                 "expansion exhausted"
             )
-        e_hi = schrodinger_energy(hi, potential, egrid)
+        e_hi = schrodinger_energy(hi, kernel, egrid)
     slack = 1e-12 * max(1.0, abs(e_lo), abs(e_hi))
     while (hi - lo) > 1e-6 * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
-        e_mid = schrodinger_energy(mid, potential, egrid)
+        e_mid = schrodinger_energy(mid, kernel, egrid)
         if not (e_hi - slack <= e_mid <= e_lo + slack):
             raise AnalysisError(
                 f"comparison curve non-monotone at m = {mid:g} "
@@ -551,7 +557,7 @@ def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid
     propagates e0_err through the numerically differentiated
     comparison-curve slope.  A fit with rms residual above _FIT_RMS_TOL is
     marked rejected (data still returned); the inversion uses the same grid
-    as the coupled solves.
+    as the coupled solves, and one potential kernel for every E(m).
     """
     lams = np.asarray(lambdas, dtype=float)
     evals = np.asarray(e_values, dtype=float)
@@ -576,16 +582,17 @@ def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid
 
     mass = math.nan
     mass_err = math.nan
+    kernel = potential_kernel(potential, egrid)    # one for every E(m)
     try:
-        mass = invert_E(e0, potential, egrid)
+        mass = invert_E(e0, kernel, egrid)
         h = max(1e-3 * mass, 1e-4)
         if mass - h >= 0.5:
-            e_plus = schrodinger_energy(mass + h, potential, egrid)
-            e_minus = schrodinger_energy(mass - h, potential, egrid)
+            e_plus = schrodinger_energy(mass + h, kernel, egrid)
+            e_minus = schrodinger_energy(mass - h, kernel, egrid)
             slope = (e_plus - e_minus) / (2.0 * h)
         else:
-            e_plus = schrodinger_energy(mass + h, potential, egrid)
-            e_here = schrodinger_energy(mass, potential, egrid)
+            e_plus = schrodinger_energy(mass + h, kernel, egrid)
+            e_here = schrodinger_energy(mass, kernel, egrid)
             slope = (e_plus - e_here) / h
         mass_err = e0_err / abs(slope) if slope != 0.0 else math.inf
     except (BracketError, NoBoundStateError, AnalysisError) as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .operators import ElectronGrid, assemble_schrodinger
+from .operators import ElectronGrid, assemble_schrodinger, potential_kernel
 
 __all__ = ["envelope", "upper_bound", "minimize_upper_bound"]
 
@@ -34,7 +34,8 @@ def envelope(potential, egrid: ElectronGrid, mass: float) -> np.ndarray:
     """a = psi_m on `egrid`: the unit lowest eigenvector of q^2/(2 `mass`)
     + W (:func:`~.operators.assemble_schrodinger`), signed so that its
     entries sum to a positive number."""
-    _, vectors = np.linalg.eigh(assemble_schrodinger(potential, egrid, mass))
+    _, vectors = np.linalg.eigh(assemble_schrodinger(
+        potential_kernel(potential, egrid), egrid, mass))
     a = vectors[:, 0]
     return a if a.sum() > 0.0 else -a
 

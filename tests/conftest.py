@@ -59,6 +59,14 @@ def batch_templates(toy_template):
 
 
 @pytest.fixture(scope="session")
+def davidson_template():
+    """The smallest fiber of the converge workload above the direct pair
+    route's limit: the small model at uv_cutoff 1.5 and n_max 4, dim 210."""
+    small = load_config("small").spec
+    return FiberTemplate(replace(small, uv_cutoff=1.5, n_max=4))
+
+
+@pytest.fixture(scope="session")
 def unfold():
     """E y, the grid-major vector on all 2 n_q - 1 nodes of a fold's vector
     y: node -q_j carries S of node q_j's row, and both carry it over

@@ -12,7 +12,7 @@ import numpy as np
 
 from polaron_effmass.errors import DomainError
 from polaron_effmass.model import _Potential
-from polaron_effmass.operators import ElectronGrid
+from polaron_effmass.operators import ElectronGrid, potential_kernel
 from polaron_effmass.staticmass import schrodinger_energy
 
 
@@ -56,6 +56,9 @@ def scaled_comparison_pair(mass: float, potential, lam: float,
     infspec(p^2/2m + V) on the grid stretched by 1/lam; the match is an
     exact discrete similarity, so the pair agrees to rounding.
     """
-    left = schrodinger_energy(mass, ScaledPotential(potential, lam), egrid)
-    right = schrodinger_energy(mass, potential, scaled_grid(egrid, 1.0 / lam))
+    left = schrodinger_energy(
+        mass, potential_kernel(ScaledPotential(potential, lam), egrid), egrid)
+    stretched = scaled_grid(egrid, 1.0 / lam)
+    right = schrodinger_energy(mass, potential_kernel(potential, stretched),
+                               stretched)
     return left, lam * lam * right

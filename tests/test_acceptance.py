@@ -22,13 +22,15 @@ from polaron_effmass.dispersion import (FiberCache, fit_dynamic_mass,
 from polaron_effmass.docsgen import _REPORT_DOC, trim_report
 from polaron_effmass.model import (ConstantDispersion, ModelSpec,
                                    PoschlTeller, PowerLawCoupling)
-from polaron_effmass.operators import ElectronGrid, FiberTemplate
+from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
+                                       potential_kernel)
 from polaron_effmass.pipeline import FMT, run
 from polaron_effmass.staticmass import invert_E, schrodinger_energy
 from scaling import scaled_comparison_pair
 
 POT = PoschlTeller(depth=2.0)
 EGRID = ElectronGrid(dq=0.25, q_max=6.0)
+KERNEL = potential_kernel(POT, EGRID)
 
 
 def _run(subcommand, preset, out_path):
@@ -263,11 +265,11 @@ def test_criterion_07_perturbative_window(acceptance_recorder, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_criterion_08_static_chain(acceptance_recorder):
-    ref = schrodinger_energy(0.5, POT, EGRID)
+    ref = schrodinger_energy(0.5, KERNEL, EGRID)
     ok = abs(ref + 1.0) <= 1e-4
 
     masses = (0.5, 0.75, 1.0, 1.5)
-    curve = [schrodinger_energy(m, POT, EGRID) for m in masses]
+    curve = [schrodinger_energy(m, KERNEL, EGRID) for m in masses]
     ok = ok and all(a - b > 1e-6 for a, b in zip(curve, curve[1:]))
 
     worst_scaling = 0.0
@@ -278,8 +280,8 @@ def test_criterion_08_static_chain(acceptance_recorder):
 
     worst_invert = 0.0
     for mass in (0.8, 1.3, 2.5):
-        target = schrodinger_energy(mass, POT, EGRID)
-        back = invert_E(target, POT, EGRID)
+        target = schrodinger_energy(mass, KERNEL, EGRID)
+        back = invert_E(target, KERNEL, EGRID)
         worst_invert = max(worst_invert, abs(back - mass) / mass)
     ok = ok and worst_invert <= 1e-5
 

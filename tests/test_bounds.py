@@ -161,7 +161,8 @@ def test_split_bound_components_match_hand_assembly(monkeypatch):
     m_c = mass * (1.0 + c_min * beta**2)
     assert res.eps == pytest.approx(eps, rel=1e-15)
     assert res.beta == pytest.approx(beta, rel=1e-15)
-    h = assemble_schrodinger(WELL, EGRID, m_c, v_scale=1.0 + eps)
+    h = assemble_schrodinger(potential_kernel(WELL, EGRID), EGRID, m_c,
+                             v_scale=1.0 + eps)
     assert res.operator_branch == pytest.approx(
         float(np.linalg.eigvalsh(h)[0]), abs=1e-11)
     scalar = beta**2 / (2.0 * lam**2 * m_c) - (1.0 + 1.0 / eps) * WELL.sup_norm()
@@ -253,7 +254,7 @@ def test_momentum_bound_zero_coupling_matches_schrodinger(free_cache):
     e0 = free_cache.pairs([0.0]).energy[0]
     l1 = momentum_lower_bound(0.15, potential_kernel(WELL, EGRID),
                               free_cache.pairs(0.15 * EGRID.points), e0)
-    h = assemble_schrodinger(WELL, EGRID, 0.5)
+    h = assemble_schrodinger(potential_kernel(WELL, EGRID), EGRID, 0.5)
     ground = float(np.linalg.eigvalsh(h)[0])
     assert l1 <= ground + 1e-12
     assert l1 == pytest.approx(ground, abs=1e-6)

@@ -136,6 +136,21 @@ def test_non_numeric_list_entry_exits_2(tmp_path, capsys, subcommand):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_non_finite_list_entry_exits_2(tmp_path, capsys, literal):
+    data = json.loads(Path(REPO_ROOT, "src", "polaron_effmass", "presets",
+                           "toy.json").read_text())
+    data["run"]["lambda_seq"][1] = float(literal.lower().replace("infinity",
+                                                                 "inf"))
+    path = _write_config(tmp_path, data)
+    assert literal in Path(path).read_text(encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sandwich", "--config", path, "--out", str(out)]) == 2
+    assert ("configuration error: config key 'run.lambda_seq[1]' must be "
+            "finite" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

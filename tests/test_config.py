@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -172,6 +173,38 @@ def test_list_entries_must_be_numbers(key, entry):
     with pytest.raises(ConfigError,
                        match=rf"'run\.{key}\[1\]' must be a number"):
         parse_config(_mutated(**{f"run__{key}": [0.4, entry, 0.1]}))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("path, shown", [
+    ("run__lambda_seq", "run.lambda_seq[1]"),
+    ("run__P_list", "run.P_list[1]"),
+    ("model__coupling__g", "model.coupling.g"),
+    ("model__mode_grid__dk", "model.mode_grid.dk"),
+    ("potential__depth", "potential.depth"),
+    ("run__electron_grid__dq", "run.electron_grid.dq"),
+])
+def test_non_finite_numbers_name_the_key(path, shown, value):
+    # json reads NaN and Infinity as floats; a list keeps its other entries
+    if path.startswith("run__electron_grid"):
+        value = {"dq": value, "q_max": 6.0}
+        path = "run__electron_grid"
+    elif path in ("run__lambda_seq", "run__P_list"):
+        value = [0.4, value, 0.1]
+    with pytest.raises(ConfigError, match=re.escape(f"'{shown}' must be finite")):
+        parse_config(_mutated(**{path: value}))
+
+
+def test_non_finite_literals_in_a_config_file_are_config_errors(tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_mutated(run__lambda_seq=[0.4, math.nan, 0.2,
+                                                         0.14, 0.1])),
+                    encoding="utf-8")
+    assert "NaN" in path.read_text(encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"'run\.lambda_seq\[1\]' must be "
+                                          "finite"):
+        load_config(str(path))
 
 
 # tolerances and trial knobs are module constants, not config keys

@@ -130,24 +130,34 @@ class _CountingBatch:
         return self.op.diagonals()
 
 
-def test_fiber_pair_reports_its_work(toy_template):
-    op = _CountingBatch(toy_template.operator([0.0]))
-    pair, = lowest_two(op, tol=dispersion._FIBER_TOL, seed=0)
-    # every application, the two fresh residual matvecs included
-    assert pair.matvecs == op.calls
-    assert pair.iterations > 0
-    cache = FiberCache(toy_template, seed=0)
-    cache.pairs([0.0])
-    assert (cache.work("iterations"), cache.work("matvecs"),
-            cache.work("restarts")) == (pair.iterations, pair.matvecs,
-                                        pair.restarts)
-    cache.pairs([0.3])
-    cache.pairs([-0.3])   # from parity: no solve, no work
-    assert cache.solves() == 2
-    plus, = lowest_two(toy_template.operator([0.3]),
-                       tol=dispersion._FIBER_TOL, seed=0)
-    assert cache.work("matvecs") == pair.matvecs + plus.matvecs
-    assert cache.work("iterations") == pair.iterations + plus.iterations
+def test_fiber_pair_reports_its_work(toy_template, davidson_template):
+    # every application counts: on the direct route the unit rows that form
+    # the matrix, on the Davidson route every new vector and every
+    # Jacobi-Davidson step, and on both the two fresh residual matvecs
+    for template in (toy_template, davidson_template):
+        op = _CountingBatch(template.operator([0.0]))
+        pair, = lowest_two(op, tol=dispersion._FIBER_TOL, seed=0)
+        assert pair.matvecs == op.calls
+        if template.dim <= eigensolve._DENSE_PAIR_MAX:
+            assert (pair.iterations, pair.matvecs, pair.restarts) == (
+                0, template.dim + 2, 0)
+        else:
+            # four start vectors, then per iteration two corrections and
+            # their two Jacobi-Davidson applies
+            assert pair.iterations > 0
+            assert pair.matvecs == 4 + 4 * pair.iterations + 2
+        cache = FiberCache(template, seed=0)
+        cache.pairs([0.0])
+        assert (cache.work("iterations"), cache.work("matvecs"),
+                cache.work("restarts")) == (pair.iterations, pair.matvecs,
+                                            pair.restarts)
+        cache.pairs([0.3])
+        cache.pairs([-0.3])   # from parity: no solve, no work
+        assert cache.solves() == 2
+        plus, = lowest_two(template.operator([0.3]),
+                           tol=dispersion._FIBER_TOL, seed=0)
+        assert cache.work("matvecs") == pair.matvecs + plus.matvecs
+        assert cache.work("iterations") == pair.iterations + plus.iterations
 
 
 @pytest.mark.parametrize("model", ["toy", "small", "small n_max-1"])
@@ -179,7 +189,10 @@ def test_a_fiber_gets_the_same_bits_alone_or_in_a_batch_of_20(batch_templates,
     Ps = rng.uniform(-1.1, 1.1, 20)
     batch = lowest_two(template.operator(Ps), tol=dispersion._FIBER_TOL,
                        seed=0)
-    assert len({pair.iterations for pair in batch}) > 1  # members leave apart
+    # Davidson members leave the lockstep run apart; the direct route takes
+    # no iterations
+    assert (len({pair.iterations for pair in batch}) > 1) == (
+        template.dim > eigensolve._DENSE_PAIR_MAX)
     for P, pair in zip(Ps, batch):
         alone, = lowest_two(template.operator([P]), tol=dispersion._FIBER_TOL,
                             seed=0)
@@ -190,14 +203,15 @@ def test_a_fiber_gets_the_same_bits_alone_or_in_a_batch_of_20(batch_templates,
             assert np.array_equal(u, v), P
 
 
-def test_a_fiber_gets_the_same_bits_in_any_group(toy_template,
+def test_a_fiber_gets_the_same_bits_in_any_group(davidson_template,
                                                  monkeypatch):
-    # a budget of three toy spaces splits a batch of 8 into groups of 3, 3
-    # and 2, which share one workspace in turn
-    space_bytes = 2 * eigensolve._SPACE * toy_template.dim * 8
+    # a budget of three Davidson spaces splits a batch of 8 into groups of
+    # 3, 3 and 2, which share one workspace in turn
+    assert davidson_template.dim > eigensolve._DENSE_PAIR_MAX
+    space_bytes = 2 * eigensolve._SPACE * davidson_template.dim * 8
     monkeypatch.setattr(eigensolve, "_GROUP_BYTES", 3 * space_bytes)
     Ps = np.linspace(-0.7, 0.7, 8)
-    op = _CountingBatch(toy_template.operator(Ps))
+    op = _CountingBatch(davidson_template.operator(Ps))
     batch = lowest_two(op, tol=dispersion._FIBER_TOL, seed=0)
     # the groups run one after another, each Davidson apply within one of
     # them; the last apply is the fresh residuals' of the whole batch
@@ -208,7 +222,7 @@ def test_a_fiber_gets_the_same_bits_in_any_group(toy_template,
     assert {tuple(o) for o in owner} == {(0,), (1,), (2,)}
     assert op.members[-1] == set(range(8))
     for P, pair in zip(Ps, batch):
-        alone, = lowest_two(toy_template.operator([P]),
+        alone, = lowest_two(davidson_template.operator([P]),
                             tol=dispersion._FIBER_TOL, seed=0)
         for field in ("values", "residuals", "gap", "degenerate",
                       "iterations", "matvecs", "restarts"):

@@ -8,6 +8,7 @@ the two iterative routes, which also check each other on the fibers.
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -580,6 +581,19 @@ def test_a_fiber_batch_solves_in_bounded_memory():
     assert peak <= 2.5e6
 
 
+def test_a_finished_fiber_holds_only_its_own_vectors(davidson_template):
+    # a member that leaves its group copies its two Ritz vectors out of the
+    # group's block, which would otherwise stay alive with them while the
+    # rest of the batch iterates
+    n = davidson_template.dim
+    op = davidson_template.operator(np.linspace(-1.0, 1.0, 9))
+    runs = eigensolve._davidson(op, 2, 1e-9, 0, restart_keep=6)
+    assert len({run[3] for run in runs}) > 1   # members leave apart
+    for run in runs:
+        for x in run[1]:
+            assert x.base is None or x.base.size <= 2 * n
+
+
 def test_lowest_two_reports_gap(rng):
     a = np.diag([0.0, 1.0, 3.0]) + 0.01 * random_symmetric(rng, 3)
     pair, = lowest_two(wrap(a), tol=1e-12, seed=0)
@@ -692,6 +706,63 @@ def test_lowest_two_agrees_with_lanczos_and_dense_on_fibers(preset,
         assert np.allclose(pair.values, ref, rtol=0, atol=1e-9)
         lanczos = ground_state(dense, tol=1e-10, seed=0)
         assert pair.values[0] == pytest.approx(lanczos.value, abs=1e-9)
+
+
+def _route_cases(rng, davidson_template):
+    """Batches on either side of the direct route's limit: random sparse
+    matrices of dims _DENSE_PAIR_MAX and one more, and fibers of dims 126
+    (small at uv_cutoff 1 and n_max 5) and 210."""
+    for n in (eigensolve._DENSE_PAIR_MAX, eigensolve._DENSE_PAIR_MAX + 1):
+        yield wrap(random_sparse_symmetric(rng, n), np.linspace(0.0, 5.0, n))
+    small = load_config("small").spec
+    below = FiberTemplate(replace(small, uv_cutoff=1.0, n_max=5))
+    for template in (below, davidson_template):
+        yield template.operator([0.0, 0.45, -1.1])
+
+
+def test_direct_and_davidson_pairs_agree_at_the_route_limit(
+        rng, davidson_template):
+    # both routes on every member, the Davidson one converged far enough
+    # that its excited value is good to 1e-12 too
+    dims = []
+    for op in _route_cases(rng, davidson_template):
+        dims.append(op.dim)
+        direct = eigensolve._direct_pairs(op, 2)
+        davidson = eigensolve._davidson(op, 2, 1e-14, 0, restart_keep=6)
+        for (values, vectors, *_), (ref, ref_vectors, *_) in zip(direct,
+                                                                davidson):
+            assert np.abs(np.subtract(values, ref)).max() <= 1e-12
+            assert abs(abs(vectors[0] @ ref_vectors[0])
+                       / np.linalg.norm(vectors[0])
+                       / np.linalg.norm(ref_vectors[0]) - 1.0) <= 1e-12
+    assert min(dims) <= eigensolve._DENSE_PAIR_MAX < max(dims)
+
+
+def test_the_dimension_alone_picks_the_pair_route(rng, davidson_template,
+                                                  monkeypatch):
+    routes = []
+    for name in ("_direct_pairs", "_davidson"):
+        def spy(*args, _name=name, _f=getattr(eigensolve, name), **kwargs):
+            routes.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(eigensolve, name, spy)
+    for op in _route_cases(rng, davidson_template):
+        routes.clear()
+        pairs = lowest_two(op, tol=1e-10, seed=0)
+        direct = op.dim <= eigensolve._DENSE_PAIR_MAX
+        assert routes == ["_direct_pairs" if direct else "_davidson"]
+        for pair in pairs:
+            assert (pair.iterations == 0) == direct
+            if direct:
+                assert (pair.matvecs, pair.restarts) == (op.dim + 2, 0)
+                assert max(pair.residuals) <= 1e-13 * max(
+                    1.0, *map(abs, pair.values))
+
+
+def test_the_direct_route_refuses_a_non_finite_matrix():
+    # LAPACK may never return on a NaN entry; the matrix is checked first
+    with pytest.raises(SolverError, match="non-finite"):
+        lowest_two(_NaNOperator(), tol=1e-10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -904,34 +975,26 @@ def test_projected_eigh_forms_only_the_pairs_in_use(rng, monkeypatch):
             assert m == min(keep if k + nwant > space else nwant, k)
 
 
-# iterations and matvecs (before the two fresh ones) of
-# lowest_two(tol=1e-10, seed=0) on the toy and small fibers, in the space of
-# 20 to which every iteration adds both pairs' corrections, with the excited
-# pair converged to sqrt(tol)
+# iterations and matvecs (the two fresh ones included) of
+# lowest_two(tol=1e-10, seed=0) on the toy and small fibers.  toy's 28 states
+# take the direct route, one matvec per unit row.  small's 455 take the
+# Davidson route: the space of 20, to which every iteration adds both pairs'
+# corrections, each refined by one Jacobi-Davidson step, with the excited
+# pair converged to sqrt(tol).
 PAIR_COUNTS = {
-    ("toy", 0.0): (6, 16), ("toy", 0.25): (7, 18), ("toy", -0.6): (8, 20),
-    ("toy", 1.1): (8, 20), ("small", 0.0): (13, 30),
-    ("small", 0.25): (14, 32), ("small", -0.6): (15, 34),
-    ("small", 1.1): (17, 38),
+    ("toy", 0.0): (0, 30), ("toy", 0.25): (0, 30), ("toy", -0.6): (0, 30),
+    ("toy", 1.1): (0, 30), ("small", 0.0): (8, 38),
+    ("small", 0.25): (8, 38), ("small", -0.6): (8, 38),
+    ("small", 1.1): (10, 46),
 }
 
 
 @pytest.mark.parametrize("preset", ["toy", "small"])
-def test_lowest_two_keeps_its_iteration_counts(preset, monkeypatch):
-    davidson = eigensolve._davidson
-    counts = []
-
-    def spy(*args, **kwargs):
-        out = davidson(*args, **kwargs)
-        counts.extend(run[3:5] for run in out)
-        return out
-
-    monkeypatch.setattr(eigensolve, "_davidson", spy)
+def test_lowest_two_keeps_its_iteration_counts(preset):
     template = FiberTemplate(load_config(preset).spec)
     for P in (0.0, 0.25, -0.6, 1.1):
-        counts.clear()
-        lowest_two(template.operator([P]), tol=1e-10, seed=0)
-        assert counts == [PAIR_COUNTS[preset, P]], P
+        pair, = lowest_two(template.operator([P]), tol=1e-10, seed=0)
+        assert (pair.iterations, pair.matvecs) == PAIR_COUNTS[preset, P], P
 
 
 def test_second_gram_schmidt_pass_is_the_exception(monkeypatch):

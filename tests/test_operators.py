@@ -87,6 +87,31 @@ def test_grid_times_fock_checks_each_factor(rng):
                           name="bad")
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+def test_dense_and_sparse_symmetry_checks_give_one_verdict(rng, scale):
+    # a dense factor is checked densely; the verdict and the message are
+    # those of the sparse check of the same matrix, on either side of the
+    # tolerance 1e-12 max(1, max|M|)
+    a = rng.standard_normal((7, 7))
+    sym = scale * (a + a.T)
+    tol = 1e-12 * max(1.0, float(np.abs(sym).max()))
+    for bump, fails in ((0.0, False), (0.5 * tol, False), (4.0 * tol, True)):
+        m = sym.copy()
+        m[2, 5] += bump
+        m[0, 0] = 0.0
+        verdicts = []
+        for form in (m, sp.csr_matrix(m)):
+            try:
+                operators._check_symmetric(form, "m")
+                verdicts.append(None)
+            except DomainError as exc:
+                verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1]
+        assert (verdicts[0] is not None) == fails
+    for empty in (np.zeros((0, 0)), np.zeros((1, 1))):
+        operators._check_symmetric(empty, "empty")
+
+
 def test_electron_grid_layout():
     egrid = ElectronGrid(dq=0.5, q_max=2.0)
     pts = egrid.points
@@ -181,11 +206,13 @@ def test_kernel_quadratic_form_matches_box_integral(rng):
 def test_schrodinger_operator_structure():
     pot = PoschlTeller(depth=2.0)
     egrid = ElectronGrid(dq=0.25, q_max=6.0)
-    h = assemble_schrodinger(pot, egrid, mass=0.5)
     w = potential_kernel(pot, egrid)
+    h = assemble_schrodinger(w, egrid, mass=0.5)
     assert np.allclose(h - w, np.diag(egrid.kinetic_diagonal(0.5)))
-    h2 = assemble_schrodinger(pot, egrid, mass=0.5, v_scale=2.0)
+    h2 = assemble_schrodinger(w, egrid, mass=0.5, v_scale=2.0)
     assert np.allclose(h2 - h, w)
+    # the kernel is read, not written
+    assert np.array_equal(w, potential_kernel(pot, egrid))
     # depth 2 well at mass 1/2 binds at -1; the grid gets close already
     assert dense_ground(h) == pytest.approx(-1.0, abs=1e-3)
 
@@ -204,10 +231,10 @@ def test_coupled_operator_decouples_at_zero_coupling():
     pot = GaussianWell(depth=1.0)
     egrid = ElectronGrid(dq=0.5, q_max=3.0)
     for lam in (0.4, 0.15):
-        coupled = assemble_coupled_llp(template, potential_kernel(pot, egrid),
-                                       egrid, lam, 0.0)
+        kernel = potential_kernel(pot, egrid)
+        coupled = assemble_coupled_llp(template, kernel, egrid, lam, 0.0)
         ours = dense_spectrum(coupled.to_dense())[0]
-        ref = dense_ground(assemble_schrodinger(pot, egrid, 0.5))
+        ref = dense_ground(assemble_schrodinger(kernel, egrid, 0.5))
         assert ours == pytest.approx(ref, abs=1e-11)
 
 
@@ -364,13 +391,32 @@ def test_every_operator_follows_the_block_apply_protocol(
     assert diagonals.shape == (len(op), op.dim)
     for diagonal, ref in zip(diagonals, refs):
         assert np.array_equal(diagonal, np.diag(ref))
+    # a fresh array each call, which the solver compacts in place
+    diagonals[:] = np.nan
+    assert np.array_equal(op.diagonals(), [np.diag(ref) for ref in refs])
     members = np.array([2, 0, 1]) % len(op)
     X = rng.standard_normal((3, op.dim))
     Y = op.apply(members, X)
+    assert Y.shape == X.shape and Y.flags.c_contiguous
     for i in range(3):
         assert np.array_equal(Y[i], op.apply(members[i:i + 1], X[i:i + 1])[0])
         ref = refs[members[i]] @ X[i]
         assert np.abs(Y[i] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("preset", ["toy", "small"])
+def test_a_fiber_block_has_the_bits_of_the_multivector_product(preset, rng):
+    # row by row, csr_matvec sums each entry as csr_matvecs does, so the
+    # C-ordered block is the transposed CSR product's bits
+    template = FiberTemplate(load_config(preset).spec)
+    op = template.operator([0.0, 0.35, -0.7])
+    members = np.array([2, 0, 1, 1, 2, 0, 0])
+    X = rng.standard_normal((members.size, op.dim))
+    ref = (template.interaction @ X.T).T
+    ref += op.diag[members] * X
+    assert np.array_equal(op.apply(members, X), ref)
+    # a strided block is read as its rows
+    assert np.array_equal(op.apply(members[::2], X[::2]), ref[::2])
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from scaling import scaled_comparison_pair
 
 POT = PoschlTeller(depth=2.0)
 EGRID = ElectronGrid(dq=0.25, q_max=6.0)
+KERNEL = potential_kernel(POT, EGRID)
 
 
 def exact_energy(mass):
@@ -63,32 +64,33 @@ class RepulsiveGaussian:
 # ---------------------------------------------------------------------------
 
 def test_reference_energy_hits_closed_form():
-    res = schrodinger_energy(0.5, POT, EGRID)
+    res = schrodinger_energy(0.5, KERNEL, EGRID)
     assert res == pytest.approx(-1.0, abs=1e-5)
 
 
 @pytest.mark.parametrize("mass", [0.5, 0.75, 1.0, 1.5])
 def test_reference_curve_matches_exact_formula(mass):
-    res = schrodinger_energy(mass, POT, EGRID)
+    res = schrodinger_energy(mass, KERNEL, EGRID)
     assert res == pytest.approx(exact_energy(mass), rel=1e-5)
 
 
 def test_curve_is_strictly_decreasing_in_mass():
     masses = np.array([0.5, 0.75, 1.0, 1.5])
-    energies = [schrodinger_energy(m, POT, EGRID) for m in masses]
+    energies = [schrodinger_energy(m, KERNEL, EGRID) for m in masses]
     assert np.all(np.diff(energies) < 0)
 
 
 def test_no_bound_state_raises():
     with pytest.raises(NoBoundStateError):
-        schrodinger_energy(0.5, RepulsiveGaussian(), EGRID)
+        schrodinger_energy(0.5, potential_kernel(RepulsiveGaussian(), EGRID),
+                           EGRID)
 
 
 def test_reference_energy_refuses_grids_beyond_the_dense_cap():
     egrid = ElectronGrid(dq=0.01, q_max=10.01)
     assert egrid.size == 2003
     with pytest.raises(DomainError, match="2000"):
-        schrodinger_energy(0.5, POT, egrid)
+        schrodinger_energy(0.5, potential_kernel(POT, egrid), egrid)
 
 
 # ---------------------------------------------------------------------------
@@ -97,29 +99,29 @@ def test_reference_energy_refuses_grids_beyond_the_dense_cap():
 
 def test_invert_roundtrips_through_the_curve():
     for mass in (0.8, 1.3, 2.5):
-        target = schrodinger_energy(mass, POT, EGRID)
-        back = invert_E(target, POT, EGRID)
+        target = schrodinger_energy(mass, KERNEL, EGRID)
+        back = invert_E(target, KERNEL, EGRID)
         assert back == pytest.approx(mass, rel=1e-5)
 
 
 def test_invert_returns_exact_endpoint():
-    target = schrodinger_energy(0.5, POT, EGRID)
-    assert invert_E(target, POT, EGRID) == 0.5
+    target = schrodinger_energy(0.5, KERNEL, EGRID)
+    assert invert_E(target, KERNEL, EGRID) == 0.5
 
 
 def test_invert_rejects_unreachable_targets(monkeypatch):
-    shallow = schrodinger_energy(0.5, POT, EGRID)
+    shallow = schrodinger_energy(0.5, KERNEL, EGRID)
     with pytest.raises(BracketError):
-        invert_E(shallow + 0.2, POT, EGRID)  # above the lightest mass
-    deep = schrodinger_energy(8.0, POT, EGRID)
+        invert_E(shallow + 0.2, KERNEL, EGRID)  # above the lightest mass
+    deep = schrodinger_energy(8.0, KERNEL, EGRID)
     monkeypatch.setattr(staticmass, "_MAX_HI", 4.0)
     with pytest.raises(BracketError):
-        invert_E(deep, POT, EGRID)  # expansion capped too early
+        invert_E(deep, KERNEL, EGRID)  # expansion capped too early
 
 
 def test_invert_expands_bracket_when_needed():
-    heavy = schrodinger_energy(6.0, POT, EGRID)
-    assert invert_E(heavy, POT, EGRID) == pytest.approx(6.0, rel=1e-5)
+    heavy = schrodinger_energy(6.0, KERNEL, EGRID)
+    assert invert_E(heavy, KERNEL, EGRID) == pytest.approx(6.0, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +466,7 @@ def test_a_coupled_solve_stores_half_a_coupled_space():
 
 def test_extrapolation_recovers_planted_quadratic():
     mass_true = 0.8
-    e_limit = schrodinger_energy(mass_true, POT, EGRID)
+    e_limit = schrodinger_energy(mass_true, KERNEL, EGRID)
     lams = np.array([0.4, 0.28, 0.2, 0.14, 0.1])
     evals = e_limit + 0.3 * lams + 0.1 * lams**2
     res = extrapolate_static_mass(lams, evals, POT, EGRID)
@@ -474,6 +476,32 @@ def test_extrapolation_recovers_planted_quadratic():
     assert res.mass == pytest.approx(mass_true, rel=1e-5)
     assert res.mass_err < 1e-6
     assert np.allclose(res.coeffs, [e_limit, 0.3, 0.1], atol=1e-10)
+
+
+def test_extrapolation_builds_the_potential_kernel_once(monkeypatch):
+    # the bisection and the slope evaluate E(m) some 26 times, all with one
+    # kernel; the mass is the bits of the inversion on that kernel
+    built, energies = [], []
+
+    def kernel_spy(*args):
+        built.append(args)
+        return potential_kernel(*args)
+
+    def energy_spy(mass, kernel, egrid):
+        energies.append(kernel)
+        return schrodinger_energy(mass, kernel, egrid)
+
+    monkeypatch.setattr(staticmass, "potential_kernel", kernel_spy)
+    monkeypatch.setattr(staticmass, "schrodinger_energy", energy_spy)
+    lams = np.array([0.4, 0.28, 0.2, 0.14, 0.1])
+    evals = -1.2 + 0.3 * lams + 0.1 * lams**2
+    res = extrapolate_static_mass(lams, evals, POT, EGRID)
+    assert built == [(POT, EGRID)]
+    assert len(energies) > 20
+    assert all(kernel is energies[0] for kernel in energies)
+    assert np.array_equal(energies[0], KERNEL)
+    monkeypatch.undo()
+    assert res.mass == invert_E(res.e0, KERNEL, EGRID)
 
 
 def test_extrapolation_flags_bad_fit_without_raising():

@@ -59,7 +59,7 @@ def _unit_rows(vectors):
 
 def test_envelope_is_the_positive_comparison_ground_state():
     a = envelope(POT, EGRID, 0.5)
-    h = assemble_schrodinger(POT, EGRID, 0.5)
+    h = assemble_schrodinger(potential_kernel(POT, EGRID), EGRID, 0.5)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-14)
     assert np.all(a > 0.0)
     assert np.allclose(a, a[::-1], rtol=0.0, atol=1e-12)
@@ -82,7 +82,7 @@ def test_upper_bound_reduces_to_rayleigh_quotient(free_cache):
     assert np.all(np.abs(lam * q) < 1.0)
     fg = fiber_split(free_cache.template, free_cache.pairs(lam * q),
                      potential_kernel(POT, EGRID), lam, 0.0)
-    h = assemble_schrodinger(POT, EGRID, 0.5)
+    h = assemble_schrodinger(potential_kernel(POT, EGRID), EGRID, 0.5)
     assert np.max(np.abs(fg.matrix - h)) <= 1e-12
     value = minimize_upper_bound(lam, fg.matrix, envelope(POT, EGRID, 0.5))
     assert value == pytest.approx(dense_ground(h), abs=1e-12)
