@@ -347,9 +347,10 @@ def check_ceilings(curve: DispersionCurve, template: FiberTemplate
     Both are variational on the truncated model: the first uses a
     one-phonon trial state (the interaction has zero expectation there),
     the second the P = 0 ground state (whose field momentum has zero mean
-    on a symmetric grid).  Margins are (ceiling - E).  A violation fails
-    the run: `passed` folds into the sandwich chain's verdict and into
-    `converge`'s `ceilings_pass`.
+    on a symmetric grid).  Margins are the worst (ceiling - E); the
+    parabola's skips P = 0, where it is 0 by construction.  A violation at
+    any sample fails the run: `passed` folds into the sandwich chain's
+    verdict and into `converge`'s `ceilings_pass`.
     """
     P, E = curve.nodes.P, curve.nodes.energy
     inv2m = 1.0 / (2.0 * template.spec.mass)
@@ -360,9 +361,10 @@ def check_ceilings(curve: DispersionCurve, template: FiberTemplate
     violations = tuple(
         (name, float(p), m) for p, m1, m2 in zip(P, one_ph, parab)
         for name, m in (("one_phonon", m1), ("parabola", m2)) if m < floor)
-    return CeilingReport(one_phonon_margin=np.min(one_ph),
-                         parabola_margin=np.min(parab), violations=violations,
-                         passed=not violations)
+    return CeilingReport(
+        one_phonon_margin=np.min(one_ph),
+        parabola_margin=np.min(parab[np.abs(P) > 1e-15], initial=math.inf),
+        violations=violations, passed=not violations)
 
 
 def estimate_Pc(curve: DispersionCurve) -> float:

@@ -218,8 +218,8 @@ _REPORT_DOC = (
                                  "window: `C_min`, `worst_P`, `margin`, "
                                  "`passed`."),
     ("`dispersion.ceilings`", "One-excitation and parabola ceiling checks: "
-                              "`one_phonon_margin`, `parabola_margin`, "
-                              "`violations`, `passed`."),
+                              "`one_phonon_margin`, `parabola_margin` (over "
+                              "`P != 0`), `violations`, `passed`."),
     ("`dispersion.perturbative_mass`", "Second-order weak-coupling mass "
                                        "used as a cross-check."),
     ("`dispersion.fiber_solves`", "Number of distinct fiber "

@@ -182,7 +182,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     kernel = potential_kernel(cfg.potential, cfg.egrid)
     k_min = verified_floor(kernel, dense_ground(kernel))
     m_dyn = dstate.fit.mass
-    weights = envelope(cfg.potential, cfg.egrid, m_dyn)
+    weights = envelope(kernel, cfg.egrid, m_dyn)
     cache = dstate.cache
     e_rows, solves = [], []
     for lam in lams:
@@ -199,8 +199,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         solves.append(res)
 
     extrap = extrapolate_static_mass(
-        [r[0] for r in e_rows], [r[1] for r in e_rows], cfg.potential,
-        cfg.egrid)
+        [r[0] for r in e_rows], [r[1] for r in e_rows], kernel, cfg.egrid)
 
     u_vals = [r[3] for r in e_rows]
     u_coef, _, _ = _fit_quadratic_in_lambda(np.array(lams), np.array(u_vals))

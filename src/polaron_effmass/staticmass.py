@@ -13,8 +13,8 @@ Pieces:
 
 * :func:`schrodinger_energy`: ground energy of q^2/(2m) + W on the grid it
   is given, so that its discretization bias matches the coupled solves'.
-* :func:`invert_E`: bisection inverse of the strictly decreasing comparison
-  curve, with on-the-fly monotonicity validation and bracket expansion.
+* :func:`invert_E`: the exact inverse of the comparison curve, from one
+  eigensolve of a pencil, confirmed by one E(m).
 * :func:`coupled_ground`: e(lam) through a two-level Davidson solve (the
   coupled operators' diagonal spread rules out plain Lanczos) in the
   sector even under grid reversal times mode reflection, half the coupled
@@ -32,9 +32,9 @@ Pieces:
   takes each fiber's Davidson pair as its two lowest levels, as L1 does.
 * :func:`extrapolate_static_mass`: fits e(lam) = e0 + c1 lam + c2 lam^2
   (e(lam) is even, so the leading correction is O(lam^2)), propagates the
-  fit uncertainty and a drop-the-largest-lam refit shift into e0 and the
-  mass, and inverts on the same grid, building the potential kernel once
-  for all the comparison energies it evaluates.
+  fit uncertainty and a drop-the-largest-lam refit shift into e0 and,
+  through the Hellmann-Feynman slope of the comparison curve, into the
+  mass, and inverts on the same grid with the caller's potential kernel.
 """
 
 from __future__ import annotations
@@ -43,13 +43,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .dispersion import FiberLevels, FiberNodes
 from .eigensolve import (_U, _gamma, davidson_ground, dense_ground,
                          rayleigh_bounds, verified_floor)
 from .errors import AnalysisError, BracketError, NoBoundStateError
 from .operators import (ElectronGrid, FiberTemplate, assemble_coupled_llp,
-                        assemble_schrodinger, potential_kernel)
+                        assemble_schrodinger)
+from .trialstate import envelope
 
 __all__ = [
     "CoupledResult",
@@ -71,8 +73,6 @@ DEFAULT_LAMBDA_SEQ = (0.4, 0.28, 0.2, 0.14, 0.1)
 
 # Largest rms residual of the quadratic fit in lam that is not rejected.
 _FIT_RMS_TOL = 1e-3
-# Largest mass to which invert_E expands its bracket.
-_MAX_HI = 1024.0
 # Residual tolerance of the coupled Davidson solve where no L_T is possible.
 _COUPLED_TOL = 1e-9
 # Width e - L_T, relative to max(1, |U_G|), that the coupled solve's
@@ -99,48 +99,34 @@ def schrodinger_energy(mass: float, kernel: np.ndarray,
 
 
 def invert_E(target: float, kernel: np.ndarray, egrid: ElectronGrid) -> float:
-    """Mass m with E(m) = target, by bisection on the decreasing curve.
-
-    E is :func:`schrodinger_energy` with the potential's kernel `kernel`.
-
-    The bracket [1/2, 4] is bisected to a relative width of 1e-6; its upper
-    end first expands geometrically, up to _MAX_HI, until it straddles the
-    target.  Every evaluation is checked against monotonicity; a violation
-    (a grid artifact) is a hard error.  A target within 1e-7 of E(1/2)
-    returns exactly the endpoint mass (the free-particle edge case).
+    """Mass m with E(m) = target, exactly: E(m) = lambda_1(W + D/m), W =
+    `kernel` and D = diag(q^2/2) >= 0, and every eigenvalue of W + t D is
+    nondecreasing in t, so 1/m is the largest finite real eigenvalue t* of
+    the pencil (target I - W, D) (QZ; D's zero at q = 0 adds an infinite
+    one).  One E(m) confirms it to tol = 1e-10 max(1, |target|), or raises
+    AnalysisError.  A target in [E(1/2) - tol, E(1/2) + 1e-7] returns
+    exactly 1/2, the free-particle edge; a higher one, or one at or below
+    lambda_min(W) (t* <= 0), is a BracketError.
     """
-    lo, hi = 0.5, 4.0
-    e_lo = schrodinger_energy(lo, kernel, egrid)
-    if abs(target - e_lo) <= 1e-7:
-        return lo
-    if target > e_lo:
-        raise BracketError(
-            f"target energy {target:.6g} is above E({lo:g}) = {e_lo:.6g}; "
-            "would need a mass below 1/2"
-        )
-    e_hi = schrodinger_energy(hi, kernel, egrid)
-    while target < e_hi:
-        hi *= 2.0
-        if hi > _MAX_HI:
-            raise BracketError(
-                f"target energy {target:.6g} below E({_MAX_HI:g}); bracket "
-                "expansion exhausted"
-            )
-        e_hi = schrodinger_energy(hi, kernel, egrid)
-    slack = 1e-12 * max(1.0, abs(e_lo), abs(e_hi))
-    while (hi - lo) > 1e-6 * 0.5 * (hi + lo):
-        mid = 0.5 * (lo + hi)
-        e_mid = schrodinger_energy(mid, kernel, egrid)
-        if not (e_hi - slack <= e_mid <= e_lo + slack):
-            raise AnalysisError(
-                f"comparison curve non-monotone at m = {mid:g} "
-                f"(E = {e_mid:.9g} outside [{e_hi:.9g}, {e_lo:.9g}])"
-            )
-        if e_mid > target:
-            lo, e_lo = mid, e_mid
-        else:
-            hi, e_hi = mid, e_mid
-    return 0.5 * (lo + hi)
+    e_lo = schrodinger_energy(0.5, kernel, egrid)
+    tol = 1e-10 * max(1.0, abs(target))
+    if target > e_lo + 1e-7:
+        raise BracketError(f"target energy {target:.6g} is above E(0.5) = "
+                           f"{e_lo:.6g}; would need a mass below 1/2")
+    if target >= e_lo - tol:
+        return 0.5
+    t = sla.eigvals(target * np.eye(len(kernel)) - kernel,
+                    np.diag(egrid.kinetic_diagonal(1.0)))
+    t_star = t.real[np.isfinite(t) & (t.imag == 0.0)].max(initial=-math.inf)
+    if not t_star > 0.0:
+        raise BracketError(f"target energy {target:.6g} is at or below "
+                           "lambda_min(W); no mass reaches it")
+    mass = 1.0 / float(t_star)
+    miss = schrodinger_energy(mass, kernel, egrid) - target
+    if abs(miss) > tol:
+        raise AnalysisError(f"pencil root m = {mass:.12g} misses the target "
+                            f"energy {target:.9g} by {miss:.3e}")
+    return mass
 
 
 @dataclass
@@ -545,19 +531,20 @@ def _fit_quadratic_in_lambda(lams: np.ndarray, evals: np.ndarray):
     return coef, rms, e0_sigma
 
 
-def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid
-                            ) -> StaticMassResult:
+def extrapolate_static_mass(lambdas, e_values, kernel: np.ndarray,
+                            egrid: ElectronGrid) -> StaticMassResult:
     """Extrapolate e(lam) to lam = 0 and invert the comparison curve.
 
     Fit model e(lam) = e0 + c1 lam + c2 lam^2.  Reversing the grid maps
     A(-lam) onto A(lam), so e(lam) is even and its exact c1 is 0; the
     fitted c1 absorbs the lam^4 and higher terms, and so biases e0.  The
     e0 uncertainty is the larger of the fit's standard error and the shift
-    from refitting without the largest lam.  The mass uncertainty
-    propagates e0_err through the numerically differentiated
-    comparison-curve slope.  A fit with rms residual above _FIT_RMS_TOL is
-    marked rejected (data still returned); the inversion uses the same grid
-    as the coupled solves, and one potential kernel for every E(m).
+    from refitting without the largest lam.  The mass uncertainty is
+    e0_err / |dE/dm|, dE/dm = -a^T D a / m^2 by Hellmann-Feynman with a
+    the unit ground vector at m (:func:`~.trialstate.envelope`).  A fit
+    with rms residual above _FIT_RMS_TOL is marked rejected (data still
+    returned); the inversion uses `kernel`, the potential's kernel on the
+    coupled solves' grid.
     """
     lams = np.asarray(lambdas, dtype=float)
     evals = np.asarray(e_values, dtype=float)
@@ -582,19 +569,11 @@ def extrapolate_static_mass(lambdas, e_values, potential, egrid: ElectronGrid
 
     mass = math.nan
     mass_err = math.nan
-    kernel = potential_kernel(potential, egrid)    # one for every E(m)
     try:
         mass = invert_E(e0, kernel, egrid)
-        h = max(1e-3 * mass, 1e-4)
-        if mass - h >= 0.5:
-            e_plus = schrodinger_energy(mass + h, kernel, egrid)
-            e_minus = schrodinger_energy(mass - h, kernel, egrid)
-            slope = (e_plus - e_minus) / (2.0 * h)
-        else:
-            e_plus = schrodinger_energy(mass + h, kernel, egrid)
-            e_here = schrodinger_energy(mass, kernel, egrid)
-            slope = (e_plus - e_here) / h
-        mass_err = e0_err / abs(slope) if slope != 0.0 else math.inf
+        a = envelope(kernel, egrid, mass)
+        slope = -float(a * a @ egrid.kinetic_diagonal(1.0)) / (mass * mass)
+        mass_err = e0_err / abs(slope)
     except (BracketError, NoBoundStateError, AnalysisError) as exc:
         if not rejected:
             rejected = True

@@ -25,17 +25,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .operators import ElectronGrid, assemble_schrodinger, potential_kernel
+from .operators import ElectronGrid, assemble_schrodinger
 
 __all__ = ["envelope", "upper_bound", "minimize_upper_bound"]
 
 
-def envelope(potential, egrid: ElectronGrid, mass: float) -> np.ndarray:
+def envelope(kernel, egrid: ElectronGrid, mass: float) -> np.ndarray:
     """a = psi_m on `egrid`: the unit lowest eigenvector of q^2/(2 `mass`)
-    + W (:func:`~.operators.assemble_schrodinger`), signed so that its
-    entries sum to a positive number."""
-    _, vectors = np.linalg.eigh(assemble_schrodinger(
-        potential_kernel(potential, egrid), egrid, mass))
+    + `kernel` (:func:`~.operators.assemble_schrodinger`), signed so that
+    its entries sum to a positive number."""
+    _, vectors = np.linalg.eigh(assemble_schrodinger(kernel, egrid, mass))
     a = vectors[:, 0]
     return a if a.sum() > 0.0 else -a
 

@@ -283,7 +283,7 @@ def test_criterion_08_static_chain(acceptance_recorder):
         target = schrodinger_energy(mass, KERNEL, EGRID)
         back = invert_E(target, KERNEL, EGRID)
         worst_invert = max(worst_invert, abs(back - mass) / mass)
-    ok = ok and worst_invert <= 1e-5
+    ok = ok and worst_invert <= 1e-12
 
     acceptance_recorder(
         8, "comparison-energy chain matches the closed-form well", ok,
@@ -291,7 +291,7 @@ def test_criterion_08_static_chain(acceptance_recorder):
         f"{worst_scaling:.1e}, inversion err {worst_invert:.1e}")
     assert abs(ref + 1.0) <= 1e-4
     assert worst_scaling <= 1e-8
-    assert worst_invert <= 1e-5
+    assert worst_invert <= 1e-12
     assert ok
 
 

@@ -313,7 +313,8 @@ def test_ceilings_hold_on_coupled_model(toy_template, toy_cache):
 
 
 def _ceilings_by_loop(curve, template):
-    """(one-phonon margin, parabola margin, violations), sample by sample."""
+    """(one-phonon margin, parabola margin, violations), sample by sample;
+    the parabola margin skips P = 0, where it is 0 by construction."""
     k, omg = template.grid.momenta, template.omegas
     inv2m = 1.0 / (2.0 * template.spec.mass)
     floor = -dispersion._CERTIFY_TOL * max(1.0, abs(curve.e0))
@@ -322,7 +323,9 @@ def _ceilings_by_loop(curve, template):
     for p, energy in zip(curve.nodes.P, curve.nodes.energy):
         m1 = float(np.min((p - k) ** 2 * inv2m + omg)) - energy
         m2 = curve.e0 + p * p * inv2m - energy
-        one_ph, parab = min(one_ph, m1), min(parab, m2)
+        one_ph = min(one_ph, m1)
+        if abs(p) > 1e-15:
+            parab = min(parab, m2)
         violations += [(name, float(p), m) for name, m in
                        (("one_phonon", m1), ("parabola", m2)) if m < floor]
     return one_ph, parab, tuple(violations)
@@ -340,6 +343,20 @@ def test_ceilings_match_a_per_sample_loop(toy_template, toy_cache):
                 report.violations) == _ceilings_by_loop(c, toy_template)
     assert {round(v[1], 9) for v in report.violations} == {-0.5, 0.1, 0.6}
     assert not report.passed
+
+
+def test_parabola_margin_is_the_worst_nonzero_momentum(toy_template,
+                                                        toy_cache):
+    # at P = 0 the ceiling E0 + 0 is E(0) itself; the margin reads the
+    # other samples, and it is positive on toy
+    curve = scan_dispersion(toy_cache, np.arange(-0.7, 0.7001, 0.1))
+    report = check_ceilings(curve, toy_template)
+    P, E = curve.nodes.P, curve.nodes.energy
+    nz = np.abs(P) > 1e-15
+    inv2m = 1.0 / (2.0 * toy_template.spec.mass)
+    assert report.parabola_margin > 0.0
+    assert report.parabola_margin == np.min(
+        curve.e0 + P[nz] ** 2 * inv2m - E[nz])
 
 
 def test_estimate_pc_tracks_gap_closing():

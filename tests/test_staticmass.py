@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polaron_effmass import eigensolve, staticmass
+from polaron_effmass import eigensolve, pipeline, staticmass, trialstate
 from polaron_effmass.config import load_config
 from polaron_effmass.dispersion import FiberCache
 from polaron_effmass.eigensolve import dense_ground, verified_floor
@@ -98,30 +98,47 @@ def test_reference_energy_refuses_grids_beyond_the_dense_cap():
 # ---------------------------------------------------------------------------
 
 def test_invert_roundtrips_through_the_curve():
-    for mass in (0.8, 1.3, 2.5):
+    # the pencil's root is exact to rounding, however heavy the mass; a
+    # bisection to 1e-6 relative width is not
+    for mass in (0.5000001, 0.8, 1.3, 2.5, 64.0, 1024.0):
         target = schrodinger_energy(mass, KERNEL, EGRID)
         back = invert_E(target, KERNEL, EGRID)
-        assert back == pytest.approx(mass, rel=1e-5)
+        assert back == pytest.approx(mass, rel=1e-12, abs=0.0)
 
 
 def test_invert_returns_exact_endpoint():
     target = schrodinger_energy(0.5, KERNEL, EGRID)
     assert invert_E(target, KERNEL, EGRID) == 0.5
+    assert invert_E(target + 5e-8, KERNEL, EGRID) == 0.5
 
 
-def test_invert_rejects_unreachable_targets(monkeypatch):
+def test_invert_rejects_unreachable_targets():
     shallow = schrodinger_energy(0.5, KERNEL, EGRID)
-    with pytest.raises(BracketError):
+    with pytest.raises(BracketError, match="above"):
         invert_E(shallow + 0.2, KERNEL, EGRID)  # above the lightest mass
-    deep = schrodinger_energy(8.0, KERNEL, EGRID)
-    monkeypatch.setattr(staticmass, "_MAX_HI", 4.0)
-    with pytest.raises(BracketError):
-        invert_E(deep, KERNEL, EGRID)  # expansion capped too early
+    floor = float(np.linalg.eigvalsh(KERNEL)[0])
+    with pytest.raises(BracketError, match="lambda_min"):
+        invert_E(floor - 1e-3, KERNEL, EGRID)  # below every mass
 
 
 def test_invert_expands_bracket_when_needed():
+    # a heavy mass lies far past the old bisection's first bracket; the
+    # pencil needs no bracket and still returns it to rounding
     heavy = schrodinger_energy(6.0, KERNEL, EGRID)
-    assert invert_E(heavy, KERNEL, EGRID) == pytest.approx(6.0, rel=1e-5)
+    assert invert_E(heavy, KERNEL, EGRID) == pytest.approx(6.0, rel=1e-12,
+                                                           abs=0.0)
+
+
+def test_invert_confirms_the_root(monkeypatch):
+    # a curve that the pencil does not describe fails the confirming E(m)
+    def offset(mass, kernel, egrid):
+        value = schrodinger_energy(mass, kernel, egrid)
+        return value if mass == 0.5 else value + 1e-6
+
+    target = schrodinger_energy(1.3, KERNEL, EGRID)
+    monkeypatch.setattr(staticmass, "schrodinger_energy", offset)
+    with pytest.raises(AnalysisError, match="misses"):
+        invert_E(target, KERNEL, EGRID)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +486,7 @@ def test_extrapolation_recovers_planted_quadratic():
     e_limit = schrodinger_energy(mass_true, KERNEL, EGRID)
     lams = np.array([0.4, 0.28, 0.2, 0.14, 0.1])
     evals = e_limit + 0.3 * lams + 0.1 * lams**2
-    res = extrapolate_static_mass(lams, evals, POT, EGRID)
+    res = extrapolate_static_mass(lams, evals, KERNEL, EGRID)
     assert not res.rejected
     assert res.e0 == pytest.approx(e_limit, abs=1e-12)
     assert res.fit_rms < 1e-13
@@ -478,37 +495,43 @@ def test_extrapolation_recovers_planted_quadratic():
     assert np.allclose(res.coeffs, [e_limit, 0.3, 0.1], atol=1e-10)
 
 
-def test_extrapolation_builds_the_potential_kernel_once(monkeypatch):
-    # the bisection and the slope evaluate E(m) some 26 times, all with one
-    # kernel; the mass is the bits of the inversion on that kernel
-    built, energies = [], []
+def test_mass_error_is_e0_error_over_the_hellmann_feynman_slope():
+    lams = np.array([0.4, 0.28, 0.2, 0.14, 0.1])
+    evals = (schrodinger_energy(1.3, KERNEL, EGRID) + 0.3 * lams
+             + 0.1 * lams**2 + 1e-6 * np.array([1.0, -2.0, 0.0, 2.0, -1.0]))
+    res = extrapolate_static_mass(lams, evals, KERNEL, EGRID)
+    assert not res.rejected and res.e0_err > 0.0
+    h = 1e-3 * res.mass
+    central = (schrodinger_energy(res.mass + h, KERNEL, EGRID)
+               - schrodinger_energy(res.mass - h, KERNEL, EGRID)) / (2.0 * h)
+    slope = res.e0_err / res.mass_err
+    assert slope == pytest.approx(abs(central), rel=1e-5)
+    assert res.mass == invert_E(res.e0, KERNEL, EGRID)
+
+
+def test_a_static_stage_builds_the_potential_kernel_once(monkeypatch,
+                                                         toy_cfg):
+    # the envelope, the coupled solves and the inversion read one kernel;
+    # every module that could build one is spied
+    built = []
 
     def kernel_spy(*args):
         built.append(args)
         return potential_kernel(*args)
 
-    def energy_spy(mass, kernel, egrid):
-        energies.append(kernel)
-        return schrodinger_energy(mass, kernel, egrid)
-
-    monkeypatch.setattr(staticmass, "potential_kernel", kernel_spy)
-    monkeypatch.setattr(staticmass, "schrodinger_energy", energy_spy)
-    lams = np.array([0.4, 0.28, 0.2, 0.14, 0.1])
-    evals = -1.2 + 0.3 * lams + 0.1 * lams**2
-    res = extrapolate_static_mass(lams, evals, POT, EGRID)
-    assert built == [(POT, EGRID)]
-    assert len(energies) > 20
-    assert all(kernel is energies[0] for kernel in energies)
-    assert np.array_equal(energies[0], KERNEL)
-    monkeypatch.undo()
-    assert res.mass == invert_E(res.e0, KERNEL, EGRID)
+    dstate, _, _ = stage_dispersion(toy_cfg)
+    for module in (pipeline, staticmass, trialstate):
+        if hasattr(module, "potential_kernel"):
+            monkeypatch.setattr(module, "potential_kernel", kernel_spy)
+    stage_static(toy_cfg, dstate)
+    assert built == [(toy_cfg.potential, toy_cfg.egrid)]
 
 
 def test_extrapolation_flags_bad_fit_without_raising():
     rng = np.random.default_rng(5)
     lams = np.array([0.4, 0.28, 0.2, 0.14, 0.1])
     evals = -1.0 + 0.3 * lams + 0.05 * rng.standard_normal(5)
-    res = extrapolate_static_mass(lams, evals, POT, EGRID)
+    res = extrapolate_static_mass(lams, evals, KERNEL, EGRID)
     assert res.rejected
     assert "rms" in res.reason
 
@@ -516,7 +539,7 @@ def test_extrapolation_flags_bad_fit_without_raising():
 def test_extrapolation_flags_unreachable_limit():
     lams = np.array([0.4, 0.28, 0.2, 0.14])
     evals = np.full(4, -0.2)  # shallower than any admissible mass
-    res = extrapolate_static_mass(lams, evals, POT, EGRID)
+    res = extrapolate_static_mass(lams, evals, KERNEL, EGRID)
     assert res.rejected
     assert "inversion" in res.reason
     assert math.isnan(res.mass)
@@ -524,8 +547,8 @@ def test_extrapolation_flags_unreachable_limit():
 
 def test_extrapolation_input_guards():
     with pytest.raises(AnalysisError):
-        extrapolate_static_mass([0.4, 0.2, 0.1], [-1.0, -1.0, -1.0], POT,
+        extrapolate_static_mass([0.4, 0.2, 0.1], [-1.0, -1.0, -1.0], KERNEL,
                                 EGRID)
     with pytest.raises(AnalysisError):
-        extrapolate_static_mass([0.4, 0.4, 0.2, 0.1], np.full(4, -1.0), POT,
-                                EGRID)
+        extrapolate_static_mass([0.4, 0.4, 0.2, 0.1], np.full(4, -1.0),
+                                KERNEL, EGRID)

@@ -27,6 +27,7 @@ from polaron_effmass.trialstate import (envelope, minimize_upper_bound,
 
 POT = PoschlTeller(depth=2.0)
 EGRID = ElectronGrid(dq=0.25, q_max=6.0)
+KERNEL = potential_kernel(POT, EGRID)
 # any mass gives a bound; this one is near toy's dynamic mass
 TOY_MASS = 0.52
 
@@ -58,8 +59,8 @@ def _unit_rows(vectors):
 # ---------------------------------------------------------------------------
 
 def test_envelope_is_the_positive_comparison_ground_state():
-    a = envelope(POT, EGRID, 0.5)
-    h = assemble_schrodinger(potential_kernel(POT, EGRID), EGRID, 0.5)
+    a = envelope(KERNEL, EGRID, 0.5)
+    h = assemble_schrodinger(KERNEL, EGRID, 0.5)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-14)
     assert np.all(a > 0.0)
     assert np.allclose(a, a[::-1], rtol=0.0, atol=1e-12)
@@ -81,10 +82,10 @@ def test_upper_bound_reduces_to_rayleigh_quotient(free_cache):
     q = EGRID.points
     assert np.all(np.abs(lam * q) < 1.0)
     fg = fiber_split(free_cache.template, free_cache.pairs(lam * q),
-                     potential_kernel(POT, EGRID), lam, 0.0)
-    h = assemble_schrodinger(potential_kernel(POT, EGRID), EGRID, 0.5)
+                     KERNEL, lam, 0.0)
+    h = assemble_schrodinger(KERNEL, EGRID, 0.5)
     assert np.max(np.abs(fg.matrix - h)) <= 1e-12
-    value = minimize_upper_bound(lam, fg.matrix, envelope(POT, EGRID, 0.5))
+    value = minimize_upper_bound(lam, fg.matrix, envelope(KERNEL, EGRID, 0.5))
     assert value == pytest.approx(dense_ground(h), abs=1e-12)
 
 
@@ -111,7 +112,8 @@ def test_u_star_is_the_quotient_of_its_explicit_trial_vector(toy_cfg,
                                                              unfold):
     egrid = toy_cfg.egrid
     fg = _split(toy_cfg, toy_cache, lam)
-    a = envelope(toy_cfg.potential, egrid, TOY_MASS)
+    a = envelope(potential_kernel(toy_cfg.potential, egrid), egrid,
+                 TOY_MASS)
     u_star = minimize_upper_bound(lam, fg.matrix, a)
     # Z a, node j carrying a_j Phi_j, is even under J (x) R: its fold keeps
     # the nodes q_j >= 0, those past node 0 scaled by sqrt(2)
@@ -135,7 +137,7 @@ def test_upper_bound_dominates_coupled_ground(toy_cfg, toy_cache):
     e0 = toy_cache.pairs([0.0]).energy[0]
     kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
     k_min = verified_floor(kernel, dense_ground(kernel))
-    a = envelope(toy_cfg.potential, toy_cfg.egrid, TOY_MASS)
+    a = envelope(kernel, toy_cfg.egrid, TOY_MASS)
     for lam in (0.4, 0.2):
         nodes = toy_cache.pairs(lam * toy_cfg.egrid.points)
         coupled = coupled_ground(toy_cache.template, nodes, kernel, k_min,
@@ -164,7 +166,8 @@ def test_upper_bound_is_no_worse_than_scipy_bounded_brent(toy_cfg, toy_cache):
     # inside the quasi-particle window, is the reference: U* may only be
     # lower
     egrid = toy_cfg.egrid
-    a = envelope(toy_cfg.potential, egrid, TOY_MASS)
+    a = envelope(potential_kernel(toy_cfg.potential, egrid), egrid,
+                 TOY_MASS)
     for lam in toy_cfg.lambda_seq:
         fg = _split(toy_cfg, toy_cache, lam)
         ref = minimize_scalar(
