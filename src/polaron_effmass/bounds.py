@@ -9,11 +9,19 @@ Two independent lower-bound routes:
 
   and L1 = infspec(D + W) is a rigorous lower bound whenever the D entries
   are themselves lower bounds on the fiber energies.  Each fiber at
-  lam * q_j, from the node set the coupled solve at lam reads, has its
-  ground pair's own residual (from a fresh product of the returned
-  vector; the excited pair's looser one never enters) subtracted from its
-  ground Ritz value, which certifies the bound at solver precision.  The
-  dense eigenvalue is then lowered to a floor verified in floating point
+  lam * q_j, from the node set the coupled solve at lam reads, gets the
+  floor that solve's fiber split computes
+  (:func:`~.staticmass.fiber_floors`): the quotient of the node's vector
+  and its residual r come from fresh products, enclosed against rounding,
+  and with sigma the floor on the fiber's second level from its excited
+  pair, Temple's theta - r^2 / (sigma - theta) floors the ground level
+  where the quotient lies below sigma - r, else theta - r.  A node then
+  loses r^2 / (sigma - theta), not r, so the fiber solves stop at a
+  residual of 1e-6 and L1 still rises above the first-order floors of
+  solves at 1e-9.  Both halves of the fiber premise
+  (:data:`~.staticmass.PREMISE`, the one L_T states) carry it: the
+  excited pair floors sigma, the ground pair the fallback.  The entries (floor - E0) / lam^2 are rounded down, and
+  the dense eigenvalue is lowered to a floor verified in floating point
   (:func:`~.eigensolve.verified_floor`), as is L2's operator branch.
 
 * Scaled-potential split bound (L2).  Splitting trial vectors by how much
@@ -48,8 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import FiberNodes
-from .eigensolve import dense_ground, verified_floor
+from .eigensolve import _U, dense_ground, verified_floor
 from .errors import AnalysisError, ConfigError, DomainError
 from .operators import ElectronGrid, assemble_schrodinger, potential_kernel
 
@@ -77,21 +84,25 @@ _C_EPS_SAFETY = 2.0
 # momentum-decomposition bound
 # ---------------------------------------------------------------------------
 
-def momentum_lower_bound(lam: float, kernel: np.ndarray, nodes: FiberNodes,
+def momentum_lower_bound(lam: float, kernel: np.ndarray, floors: np.ndarray,
                          e0: float) -> float:
     """L1 = infspec(D + W) on the electron grid, certified.
 
-    `kernel` is W on the grid and `nodes` holds the fibers at its nodes
-    lam*q_j.  Each node's ground Ritz value minus its ground pair's
-    residual (`nodes.residual`), a certified floor on the fiber ground
-    energy of a symmetric operator, gives its diagonal entry.  Returns a
-    verified floor on that matrix's lowest eigenvalue; SolverError when the
+    `kernel` is W on the grid and `floors` floors the fiber ground energy
+    at each of its nodes lam*q_j (:func:`~.staticmass.fiber_floors`, as
+    the coupled solve at lam returns them).  Each diagonal entry
+    (floor - e0) / lam^2 is rounded down, and so is its sum with the
+    kernel's diagonal, so the matrix lies below the exact D + W.  Returns
+    a verified floor on its lowest eigenvalue; SolverError when the
     verification fails.
     """
     if lam <= 0:
         raise DomainError(f"lam must be positive, got {lam}")
+    # three roundings move d by at most 3u|d|; 5u|d| less lies below
+    d = (floors - e0) / (lam * lam)
     h = kernel.copy()
-    h[np.diag_indices_from(h)] += (nodes.energy - nodes.residual - e0) / lam**2
+    i = np.diag_indices_from(h)
+    h[i] = np.nextafter(h[i] + (d - 5.0 * _U * np.abs(d)), -np.inf)
     return verified_floor(h, dense_ground(h))
 
 

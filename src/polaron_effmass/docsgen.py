@@ -302,8 +302,8 @@ _REPORT_DOC = (
     ("`enclosure.target_width`", "Width e - L_T, relative to "
                                  "max(1, |U_G|), that the stopping "
                                  "residual aims for."),
-    ("`enclosure.premise`", "What every `L_T` assumes of the fiber "
-                            "solves."),
+    ("`enclosure.premise`", "What `L1` and every `L_T` assume of the "
+                            "fiber solves."),
     ("`enclosure.L_T_below_U_G`", "True when every `L_T` is at most `U_G` "
                                   "plus the ordering tolerance."),
     ("`enclosure.L_T_below_U_star`", "True when every `L_T` is at most "
@@ -369,7 +369,8 @@ _CSV_DOC = {
                       "gap to the first excited level and the ground "
                       "pair's residual.",
     "staticmass.csv": "One row per scaling parameter: coupled energy, "
-                      "certified lower bound, variational upper bound, "
+                      "certified lower bound `L1` (from Temple floors on the "
+                      "fiber nodes), variational upper bound, "
                       "solver residual and Temple's floor `L_T` (empty "
                       "where there is none).",
     "trialstate.csv": "Trial envelope per scaling parameter (`key=value` "

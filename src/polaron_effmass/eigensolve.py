@@ -29,8 +29,9 @@
   Cholesky of the shifted matrix (Rump 2006); L1 and L2 take their values
   from it, so no certificate rests on the dense eigenvalues.
 * :func:`rayleigh_bounds`: encloses the exact Rayleigh quotient of a stored
-  vector and bounds its residual from above; the coupled solve's Temple
-  floor rests on it.
+  vector, or of each row of a stack, and bounds its residual from above;
+  the coupled solve's Temple floor and the fiber floors under L1 rest on
+  it.
 
 dsyevr, dstebz and dstein are called directly (get_lapack_funcs) with the
 arguments and workspace sizes that scipy's eigh (subset_by_index) and
@@ -669,33 +670,35 @@ def _gamma(k: int) -> float:
 
 
 def rayleigh_bounds(x, y, ay, terms: int) -> tuple:
-    """Rounding-safe Rayleigh quotient and residual of a stored vector x.
+    """Rounding-safe Rayleigh quotient and residual of a stored vector x,
+    or of each row of a stack of them.
 
     `y` is the computed image fl(A x) and `ay` the computed fl(|A| |x|),
-    each entry of both a sum of at most `terms` products.  Returns floats
-    (theta, lo, hi, r_up): the computed quotient theta = x.y / x.x, an
-    enclosure lo <= x^T A x / x^T x <= hi of the exact one, and
+    each entry of both a sum of at most `terms` products.  Returns
+    (theta, lo, hi, r_up), scalars for one vector and arrays over the rows
+    for a stack: the computed quotient theta = x.y / x.x, an enclosure
+    lo <= x^T A x / x^T x <= hi of the exact one, and
     r_up >= ||A x - theta x|| / ||x||, which bounds the residual of the
     unit vector at its exact quotient too.
 
     The image's error is componentwise at most gamma_terms |A||x| (any
     order of summation), and gamma_terms / (1 - gamma_terms) times the
     computed |A||x| (Higham, Accuracy and Stability, ch. 3).  Dot products
-    and norms are numpy's pairwise sums, at most 28 + log2(n) additions
-    deep (8-way unrolled blocks of 128, then halving), so
-    gamma_{30 + log2(n)} covers them and their products.  The subtraction
-    y - theta x rounds twice per entry.  The final quotient and norms are
-    widened by a few units of roundoff for their own arithmetic.
+    and norms are numpy's pairwise sums along the rows, at most
+    28 + log2(n) additions deep (8-way unrolled blocks of 128, then
+    halving), so gamma_{30 + log2(n)} covers them and their products.  The
+    subtraction y - theta x rounds twice per entry.  The final quotient and
+    norms are widened by a few units of roundoff for their own arithmetic.
     Underflow is not accounted for.
     """
     g_t = _gamma(terms)
-    g_s = _gamma(30 + math.ceil(math.log2(max(x.size, 2))))
+    g_s = _gamma(30 + math.ceil(math.log2(max(x.shape[-1], 2))))
 
     def dot(u, w):
-        return float(np.sum(u * w))
+        return np.sum(u * w, axis=-1)
 
     def norm(w):
-        return math.sqrt(dot(w, w)) * (1.0 + g_s)
+        return np.sqrt(dot(w, w)) * (1.0 + g_s)
 
     g_y = g_t / (1.0 - g_t) * (1.0 + 4.0 * _U)   # |fl(A x) - A x| <= g_y |A||x|
     nx2 = dot(x, x)
@@ -704,13 +707,13 @@ def rayleigh_bounds(x, y, ay, terms: int) -> tuple:
     den_lo = nx2 / (1.0 + g_s) * (1.0 - 2.0 * _U)
     den_hi = nx2 / (1.0 - g_s) * (1.0 + 2.0 * _U)
     ends = [num / den for num in (s - ds, s + ds) for den in (den_lo, den_hi)]
-    lo, hi = min(ends), max(ends)
+    lo, hi = np.minimum.reduce(ends), np.maximum.reduce(ends)
     theta = s / nx2
-    r_abs = (norm(y - theta * x) + g_y * norm(ay)
-             + _gamma(2) * (norm(y) + abs(theta) * math.sqrt(nx2)
+    r_abs = (norm(y - theta[..., None] * x) + g_y * norm(ay)
+             + _gamma(2) * (norm(y) + np.abs(theta) * np.sqrt(nx2)
                             * (1.0 + g_s)))
-    return (theta, lo - 4.0 * _U * abs(lo), hi + 4.0 * _U * abs(hi),
-            r_abs / math.sqrt(den_lo) * (1.0 + 4.0 * _U))
+    return (theta, lo - 4.0 * _U * np.abs(lo), hi + 4.0 * _U * np.abs(hi),
+            r_abs / np.sqrt(den_lo) * (1.0 + 4.0 * _U))
 
 
 def verified_floor(A, mu: float) -> float:

@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 
 from .errors import CapacityError, ConfigError, DomainError
 from .fock import enumerate_basis
@@ -360,22 +360,26 @@ class FiberBatch:
         """Row i of X times the fiber of member members[i], as a C-ordered
         array of X's shape.
 
-        csr_matvec, the kernel scipy's own product calls for one vector,
-        writes each row's product straight into its row of the result: the
-        sums of the multi-vector kernel csr_matvecs, in the same order, so
-        the same bits, without its transposed copies.  Its one temporary of
-        X's size is the gathered diagonals, scaled in place.
+        One call of scipy's multi-vector kernel csr_matvecs on the
+        transposed block: each entry sums its row's products in stored
+        order, the bits of the per-vector kernel csr_matvec, in one call
+        instead of one per row.
         """
         m = self.interaction
-        n = m.shape[0]
-        X = np.ascontiguousarray(X)
-        Y = np.zeros(X.shape)
-        for x, y in zip(X, Y):
-            _csr_matvec(n, n, m.indptr, m.indices, m.data, x, y)
-        D = self.diag[members]
-        D *= X
-        Y += D
+        n, k = m.shape[0], X.shape[0]
+        XT = np.ascontiguousarray(X.T)
+        YT = np.zeros((n, k))
+        _csr_matvecs(n, n, k, m.indptr, m.indices, m.data, XT.ravel(),
+                     YT.ravel())
+        del XT
+        Y = self.diag[members]
+        Y *= X
+        Y += YT.T
         return Y
+
+    def absolute(self) -> FiberBatch:
+        """The members' |fiber|: the batch with every entry taken absolute."""
+        return FiberBatch(abs(self.interaction), np.abs(self.diag))
 
 
 def potential_kernel(potential, egrid: ElectronGrid) -> np.ndarray:

@@ -157,7 +157,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     envelope at M_dyn are built once and each lam's fiber nodes are fetched
     once, for the coupled solve, L1 and U* alike.  The nodes go to the
     solve alone, which drops their vectors before its Davidson run; L1
-    reads the levels it returns.  The Galerkin bound U_G
+    reads the fiber floors it returns.  The Galerkin bound U_G
     and the Temple floor L_T are checked against the other bounds apart
     from the sandwich ordering."""
     if cfg.potential is None:
@@ -190,7 +190,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         res = coupled_ground(cache.template,
                              cache.pairs(lam * cfg.egrid.points), kernel,
                              k_min, cfg.egrid, lam, e0, seed=cfg.seed)
-        l1 = momentum_lower_bound(lam, kernel, res.fibers, e0)
+        l1 = momentum_lower_bound(lam, kernel, res.floors, e0)
         u_star = minimize_upper_bound(lam, res.galerkin, weights)
         e_rows.append((lam, res.value, l1, u_star, res.residual,
                        res.temple))

@@ -14,7 +14,8 @@ Pieces:
 * :func:`schrodinger_energy`: ground energy of q^2/(2m) + W on the grid it
   is given, so that its discretization bias matches the coupled solves'.
 * :func:`invert_E`: the exact inverse of the comparison curve, from one
-  eigensolve of a pencil, confirmed by one E(m).
+  symmetric eigensolve of a pencil reduced by its q = 0 row, confirmed by
+  one E(m).
 * :func:`coupled_ground`: e(lam) through a two-level Davidson solve (the
   coupled operators' diagonal spread rules out plain Lanczos) in the
   sector even under grid reversal times mode reflection, half the coupled
@@ -28,8 +29,12 @@ Pieces:
   bound U_G = lambda_min(M) and a floor rho on the second eigenvalue, and
   where rho > U_G the solve stops at the residual that Temple's inequality
   needs for a width of 1e-9 (:func:`temple_floor`, L_T <= e <= theta),
-  about half the iterations of the fixed 1e-9 residual.  The enclosure
-  takes each fiber's Davidson pair as its two lowest levels, as L1 does.
+  about half the iterations of the fixed 1e-9 residual.  The split also
+  floors each node's fiber ground energy (:func:`fiber_floors`: Temple's
+  floor from the node's enclosed quotient and residual, below the excited
+  pair's floor on the second level), and the enclosure and L1 read those
+  same floors; both take each fiber's Davidson pair as its two lowest
+  levels (:data:`PREMISE`).
 * :func:`extrapolate_static_mass`: fits e(lam) = e0 + c1 lam + c2 lam^2
   (e(lam) is even, so the leading correction is O(lam^2)), propagates the
   fit uncertainty and a drop-the-largest-lam refit shift into e0 and,
@@ -43,9 +48,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .dispersion import FiberLevels, FiberNodes
+from .dispersion import FiberNodes
 from .eigensolve import (_U, _gamma, davidson_ground, dense_ground,
                          rayleigh_bounds, verified_floor)
 from .errors import AnalysisError, BracketError, NoBoundStateError
@@ -65,6 +69,7 @@ __all__ = [
     "coupled_ground",
     "fiber_split",
     "split_floor",
+    "fiber_floors",
     "temple_floor",
     "extrapolate_static_mass",
 ]
@@ -78,6 +83,8 @@ _COUPLED_TOL = 1e-9
 # Width e - L_T, relative to max(1, |U_G|), that the coupled solve's
 # stopping residual aims for where the fiber split certifies a gap.
 _TARGET_WIDTH = 1e-9
+# Nodes per group in the fiber split's products.
+_SPLIT_ROWS = 16
 
 
 def schrodinger_energy(mass: float, kernel: np.ndarray,
@@ -101,12 +108,23 @@ def schrodinger_energy(mass: float, kernel: np.ndarray,
 def invert_E(target: float, kernel: np.ndarray, egrid: ElectronGrid) -> float:
     """Mass m with E(m) = target, exactly: E(m) = lambda_1(W + D/m), W =
     `kernel` and D = diag(q^2/2) >= 0, and every eigenvalue of W + t D is
-    nondecreasing in t, so 1/m is the largest finite real eigenvalue t* of
-    the pencil (target I - W, D) (QZ; D's zero at q = 0 adds an infinite
-    one).  One E(m) confirms it to tol = 1e-10 max(1, |target|), or raises
-    AnalysisError.  A target in [E(1/2) - tol, E(1/2) + 1e-7] returns
-    exactly 1/2, the free-particle edge; a higher one, or one at or below
-    lambda_min(W) (t* <= 0), is a BracketError.
+    nondecreasing in t, so 1/m is the largest finite eigenvalue t* of the
+    pencil (A, D), A = target I - W.  D is 0 only at the grid's centre
+    q = 0, and there A's pivot target - W_cc is negative: the unit vector
+    at q = 0 has quotient W_cc >= E(1/2) > target.  Eliminating that row
+    leaves D'^(-1/2) (A' - a a^T / (target - W_cc)) D'^(-1/2) on the other
+    nodes (A' their block of A, a the centre's column there), a symmetric
+    matrix whose eigenvalues are the pencil's finite ones: t* is its
+    largest, from one dsyevr.  One E(m) confirms it to
+    tol = 1e-10 max(1, |target|), or raises AnalysisError.  dsyevr pins t*
+    only to about u times that matrix's norm, which the scaling by the
+    smallest q^2 makes large against a small t* (a heavy mass), so one
+    Newton step on E(1/t) = target with the Hellmann-Feynman slope
+    dE/dt = a^T D a, a the unit ground vector at m
+    (:func:`~.trialstate.envelope`), takes t* to E's own accuracy.  A
+    target in [E(1/2) - tol, E(1/2) + 1e-7] returns exactly 1/2, the
+    free-particle edge; a higher one, or one at or below lambda_min(W)
+    (t* <= 0), is a BracketError.
     """
     e_lo = schrodinger_energy(0.5, kernel, egrid)
     tol = 1e-10 * max(1.0, abs(target))
@@ -115,18 +133,24 @@ def invert_E(target: float, kernel: np.ndarray, egrid: ElectronGrid) -> float:
                            f"{e_lo:.6g}; would need a mass below 1/2")
     if target >= e_lo - tol:
         return 0.5
-    t = sla.eigvals(target * np.eye(len(kernel)) - kernel,
-                    np.diag(egrid.kinetic_diagonal(1.0)))
-    t_star = t.real[np.isfinite(t) & (t.imag == 0.0)].max(initial=-math.inf)
+    c = egrid.size // 2
+    A = -kernel
+    A[np.diag_indices_from(A)] += target
+    a = np.delete(A[c], c)
+    S = np.delete(np.delete(A, c, 0), c, 1) - np.outer(a, a) / A[c, c]
+    D = egrid.kinetic_diagonal(1.0)
+    s = 1.0 / np.sqrt(np.delete(D, c))
+    t_star = -dense_ground(-(s[:, None] * S * s))
     if not t_star > 0.0:
         raise BracketError(f"target energy {target:.6g} is at or below "
                            "lambda_min(W); no mass reaches it")
-    mass = 1.0 / float(t_star)
+    mass = 1.0 / t_star
     miss = schrodinger_energy(mass, kernel, egrid) - target
     if abs(miss) > tol:
         raise AnalysisError(f"pencil root m = {mass:.12g} misses the target "
                             f"energy {target:.9g} by {miss:.3e}")
-    return mass
+    a = envelope(kernel, egrid, mass)
+    return 1.0 / (t_star - miss / float(a * a @ D))
 
 
 @dataclass
@@ -138,8 +162,10 @@ class FiberSplit:
     `rounding` of the exact one, and `residual` a bound on its residual;
     `norm` bounds every fiber's largest absolute row sum.  `overlap` is
     G = Phi Phi^T and `matrix` the Galerkin matrix
-    M = K o G + diag((ritz - e0) / lam^2).  The vectors themselves are not
-    kept: every bound on the split reads only these.
+    M = K o G + diag((ritz - e0) / lam^2).  `excited` floors each fiber's
+    second level and `floor` its ground level, under :data:`PREMISE`
+    (:func:`fiber_floors`).  The vectors themselves are not kept: every
+    bound on the split, and L1, reads only these.
     """
 
     matrix: np.ndarray
@@ -149,6 +175,8 @@ class FiberSplit:
     residual: np.ndarray
     rounding: float
     norm: float
+    excited: np.ndarray
+    floor: np.ndarray
 
 
 @dataclass
@@ -173,7 +201,7 @@ class CoupledResult:
     vector: np.ndarray     # the ground vector in the even sector, length dim
     dim: int               # the even sector's dimension the solve ran in
     full_dim: int          # A(lam)'s dimension n_q F
-    fibers: FiberLevels    # the nodes' levels the bounds were built on
+    floors: np.ndarray     # each node's fiber ground floor, for L1
     galerkin: np.ndarray   # the fiber split's full Galerkin matrix M, for U*
     upper: float           # U_G, lambda_min of M
     enclosure: Enclosure
@@ -200,7 +228,8 @@ def _galerkin(vectors: np.ndarray, energies: np.ndarray,
 
 def fiber_split(template: FiberTemplate, nodes: FiberNodes,
                 kernel: np.ndarray, lam: float, e0: float) -> FiberSplit:
-    """M = Z^T A(lam) Z on the supplied fiber vectors Phi_j, recomputed.
+    """M = Z^T A(lam) Z on the supplied fiber vectors Phi_j, recomputed,
+    and each node's fiber floors.
 
     With Phi_j the rows of nodes.vectors, normalized, the columns
     Z = [e_j (x) Phi_j] are orthonormal, and
@@ -211,31 +240,59 @@ def fiber_split(template: FiberTemplate, nodes: FiberNodes,
     under the fiber of `template` at lam q_j.  The quotients and the
     residuals come from one block product of the vectors, not from the
     energies and residuals `nodes` carries, so M is the Galerkin matrix of
-    the vectors supplied, whatever they are.
-
-    Rounding: with N the largest absolute row sum of the fibers, the
-    product, the dot products (any order) and the normalization each move
-    a quotient or a residual by at most a gamma_k multiple of N, and
-    gamma_{3F + w + 13} N covers them all (F the fiber dimension, w the
-    largest row count of the product; Higham, Accuracy and Stability,
-    ch. 3).  The enclosure needs no more: it sits far from where this
-    moves L_T.
+    the vectors supplied, whatever they are.  One more block product with
+    the absolute fibers encloses each quotient and bounds each residual
+    against rounding (:func:`~.eigensolve.rayleigh_bounds`; an image entry
+    sums a row's stored products and the diagonal's).  Both products run
+    in groups of _SPLIT_ROWS nodes, so their temporaries stay small beside
+    the nodes' vectors.  The second level of the fiber at lam q_j is
+    floored from the nodes' excited pair, E1_j >= theta1_j - r1_j
+    (:data:`PREMISE`), and the ground level by :func:`fiber_floors` from
+    the enclosure and that floor.
     """
     phi = nodes.vectors / np.sqrt(np.vecdot(nodes.vectors,
                                             nodes.vectors))[:, None]
     batch = template.operator(nodes.P)
-    Y = batch.apply(np.arange(len(phi)), phi)
-    ritz = np.vecdot(phi, Y)
-    fdim = phi.shape[1]
-    norm = (float(np.abs(batch.diag).max())
-            + float(abs(batch.interaction).sum(axis=1).max()))
-    rounding = _gamma(3 * fdim + _max_row_nnz(batch.interaction) + 13) * norm
-    Y -= ritz[:, None] * phi
-    residual = (np.sqrt(np.vecdot(Y, Y)) * (1.0 + _gamma(2 * fdim + 8))
-                + rounding)
+    absolute = batch.absolute()
+    terms = _max_row_nnz(batch.interaction) + 1
+    members = np.arange(len(phi))
+    ritz, lo, hi, residual = (np.empty(len(phi)) for _ in range(4))
+    for i in range(0, len(phi), _SPLIT_ROWS):
+        part = slice(i, i + _SPLIT_ROWS)
+        x = phi[part]
+        y = batch.apply(members[part], x)
+        ritz[part] = np.vecdot(x, y)
+        _, lo[part], hi[part], residual[part] = rayleigh_bounds(
+            x, y, absolute.apply(members[part], np.abs(x)), terms)
+    theta1 = nodes.energy + nodes.gap
+    excited = theta1 - nodes.excited_residual - 4.0 * _U * np.abs(theta1)
+    norm = (float(absolute.diag.max())
+            + float(absolute.interaction.sum(axis=1).max()))
     M, G = _galerkin(phi, ritz, kernel, lam, e0)
-    return FiberSplit(matrix=M, overlap=G, dim=fdim, ritz=ritz,
-                      residual=residual, rounding=rounding, norm=norm)
+    return FiberSplit(matrix=M, overlap=G, dim=phi.shape[1], ritz=ritz,
+                      residual=residual,
+                      rounding=float(np.maximum(hi - ritz, ritz - lo).max()),
+                      norm=norm, excited=excited,
+                      floor=fiber_floors(lo, hi, residual, excited))
+
+
+def fiber_floors(lo: np.ndarray, hi: np.ndarray, r: np.ndarray,
+                 sigma: np.ndarray) -> np.ndarray:
+    """Floors on the lowest eigenvalue of each fiber, rounded down.
+
+    Each fiber has a unit vector whose exact quotient lies in [lo, hi],
+    with residual at most r, and sigma floors its second eigenvalue.
+    Where hi < sigma - r, Temple's inequality gives
+    E0 >= theta - r^2 / (sigma - theta) at the exact quotient theta
+    (Temple 1928; Kato 1949), which rises with theta there, so its value
+    at lo is the floor, as in :func:`temple_floor`.  Elsewhere the floor
+    is lo - r, which takes the vector's quotient to approximate the
+    lowest level (:data:`PREMISE`).
+    """
+    temple = hi < sigma - r
+    gap = np.where(temple, sigma - lo, 1.0)
+    floor = np.where(temple, lo - r * r / gap * (1.0 + 4.0 * _U), lo - r)
+    return np.nextafter(floor - 2.0 * _U * np.abs(floor), -np.inf)
 
 
 def split_floor(lambda2: float, c: float, b: float) -> tuple:
@@ -257,9 +314,9 @@ def split_floor(lambda2: float, c: float, b: float) -> tuple:
     return rho - 4.0 * _U * (abs(lambda2) + eta + abs(c) + tail), eta
 
 
-def _split_enclosure(nodes: FiberLevels, fg: FiberSplit,
-                     kernel: np.ndarray, k_min: float, lam: float, e0: float,
-                     evals: np.ndarray, U: np.ndarray) -> Enclosure:
+def _split_enclosure(fg: FiberSplit, kernel: np.ndarray, k_min: float,
+                     lam: float, e0: float, evals: np.ndarray,
+                     U: np.ndarray) -> Enclosure:
     """A floor rho on lambda_2(A(lam)) from the fiber split P = Z Z^T.
 
     A >= (M - eta) (+) (c - b^2 / eta) on range(P) (+) range(Q) for every
@@ -269,10 +326,9 @@ def _split_enclosure(nodes: FiberLevels, fg: FiberSplit,
       the caller's verified floor (it does not depend on lam), where mu_j
       floors the fiber at lam q_j on Phi_j's complement.  If Phi_j makes
       the angle s_j with the ground state, mu_j >= E1_j - s_j^2 (E1_j -
-      E0_j), and s_j <= r_j / (E1_j - theta_j) (Davis & Kahan).  The floors
-      E0_j >= theta_0 - r_0 and E1_j >= theta_1 - r_1 take the nodes'
-      Davidson pair as the fiber's two lowest levels (the premise L1 rests
-      on too); E0_j also stays below the supplied vector's own floor.
+      E0_j), and s_j <= r_j / (E1_j - theta_j) (Davis & Kahan).  E1_j and
+      E0_j are the split's floors on the fiber's two lowest levels
+      (`excited` and `floor`, :data:`PREMISE`), the floors L1 reads too.
     * ||P A Q|| <= b = max_j r_j / lam^2 + (sum K^2 (1 - G^2))^(1/2): the
       fiber residuals, and the kernel's coupling of each node's vector to
       its neighbours' complements.
@@ -287,12 +343,8 @@ def _split_enclosure(nodes: FiberLevels, fg: FiberSplit,
     """
     inv = 1.0 / (lam * lam)
     n_q, fdim = len(fg.ritz), fg.dim
-    theta1 = nodes.energy + nodes.gap
-    E1 = theta1 - nodes.excited_residual - 4.0 * _U * np.abs(theta1)
-    E0 = (np.minimum(fg.ritz - fg.rounding - fg.residual,
-                     nodes.energy - nodes.residual)
-          - 4.0 * _U * np.abs(nodes.energy))
-    sep = E1 - fg.ritz
+    E1, E0 = fg.excited, fg.floor
+    sep = E1 - fg.ritz - fg.rounding
     s = np.where(sep > fg.residual,
                  fg.residual / np.where(sep > 0.0, sep, 1.0)
                  * (1.0 + 4.0 * _U), 1.0)
@@ -412,7 +464,7 @@ def _folded_coarse_space(op, nodes: FiberNodes, lam: float,
     return rows, M
 
 
-# The premise under every L_T, as the report states it.
+# The premise under L1 and every L_T, as the report states it.
 PREMISE = ("each fiber's Davidson pair is its two lowest levels: "
            "E0 >= theta0 - r0 and E1 >= theta1 - r1 at every node")
 
@@ -460,21 +512,22 @@ def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
     premise an L_T rests on.  A solve that does not converge raises
     SolverError.  The split's full M is returned with the result, for U*
     (:func:`~.trialstate.minimize_upper_bound`), and so are the nodes'
-    levels, for L1.
+    fiber floors, for L1 (:func:`~.bounds.momentum_lower_bound`): one
+    floor per node, which the enclosure reads too.
 
-    The nodes' vectors are read only by the split and the coarse rows,
-    before the solve; from there on only their levels are held, and the
-    start vector is built when the solve copies it into its space.  A
-    caller that passes `nodes` without keeping them, as the static stage
-    does, thus holds no fiber vector stack through the Davidson run.
+    The nodes are read only by the split and the coarse rows, before the
+    solve, and the start vector is built when the solve copies it into its
+    space.  A caller that passes `nodes` without keeping them, as the
+    static stage does, thus holds no fiber vector stack through the
+    Davidson run.
     """
-    op = assemble_coupled_llp(template, kernel, egrid, lam, e0)
     fg = fiber_split(template, nodes, kernel, lam, e0)
+    op = assemble_coupled_llp(template, kernel, egrid, lam, e0)
     rows, M_even = _folded_coarse_space(op, nodes, lam, e0)
-    nodes = nodes.levels()
+    del nodes
     evals, U = np.linalg.eigh(fg.matrix)
     upper = float(evals[0])
-    enclosure = _split_enclosure(nodes, fg, kernel, k_min, lam, e0, evals, U)
+    enclosure = _split_enclosure(fg, kernel, k_min, lam, e0, evals, U)
     scale = max(1.0, abs(upper))
     r_star = None
     if enclosure.rho > upper:
@@ -495,7 +548,8 @@ def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
     return CoupledResult(value=res.value, residual=res.residual,
                          iterations=res.iterations, matvecs=res.matvecs,
                          vector=res.vector, dim=op.dim,
-                         full_dim=egrid.size * template.dim, fibers=nodes,
+                         full_dim=egrid.size * template.dim,
+                         floors=fg.floor,
                          galerkin=fg.matrix,
                          upper=upper, enclosure=enclosure, r_star=r_star,
                          temple=temple, note=note)

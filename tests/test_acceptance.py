@@ -9,6 +9,7 @@ import json
 import math
 import resource
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from polaron_effmass.config import load_config
 from polaron_effmass.dispersion import (FiberCache, fit_dynamic_mass,
                                         perturbative_mass, scan_dispersion)
 from polaron_effmass.docsgen import _REPORT_DOC, trim_report
+from polaron_effmass.errors import AccuracyWarning
 from polaron_effmass.model import (ConstantDispersion, ModelSpec,
                                    PoschlTeller, PowerLawCoupling)
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
@@ -28,6 +30,7 @@ from polaron_effmass.pipeline import FMT, run
 from polaron_effmass.staticmass import invert_E, schrodinger_energy
 from scaling import scaled_comparison_pair
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 POT = PoschlTeller(depth=2.0)
 EGRID = ElectronGrid(dq=0.25, q_max=6.0)
 KERNEL = potential_kernel(POT, EGRID)
@@ -485,3 +488,29 @@ def test_the_envelope_mass_is_the_dynamic_mass(run_fixture, request):
     assert _csv_column(res.out / "trialstate.csv", "f_params") == [
         f"type=schroedinger;mass={FMT % mass}"] * len(
             res.report["upper_bound"]["lambda_seq"])
+
+
+# ---------------------------------------------------------------------------
+# work counters: the fiber tolerance that Temple's floors allow
+# ---------------------------------------------------------------------------
+
+# sandwich.csv's L1 on the benchmark's sandwich workload, lambda 0.4 ... 0.1,
+# with the fiber solves at residual 1e-9 and first-order floors theta - r
+_L1_FIRST_ORDER = (-1.0132177313031749, -1.0099677855508249,
+                   -1.0094102351769583, -1.0091980241805159,
+                   -1.0091065572426654)
+
+
+def test_looser_fiber_solves_keep_l1(accept_root, g01_sandwich):
+    # iteration counts are exact, so a lost gain shows on any host; L1
+    # stays at or above what the tight solves gave
+    workload = REPO_ROOT / "perfbench" / "workloads" / "sandwich_g01_scaled.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        res = _run("sandwich", str(workload), accept_root / "g01_scaled")
+    assert res.report["telemetry"]["fiber"]["iterations"] <= 240
+    l1 = [float(v) for v in _csv_column(res.out / "sandwich.csv", "L1")]
+    assert len(l1) == len(_L1_FIRST_ORDER)
+    for new, old in zip(l1, _L1_FIRST_ORDER):
+        assert new >= old - 1e-12
+    assert g01_sandwich.report["telemetry"]["fiber"]["iterations"] <= 260

@@ -1,6 +1,7 @@
 """Lower bounds (momentum split and scaled-potential split) and the sandwich."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -15,14 +16,16 @@ from polaron_effmass.bounds import (SandwichRow, momentum_lower_bound,
 from polaron_effmass.dispersion import (FiberCache, certify_quasi_parabolic,
                                         fit_dynamic_mass, scan_dispersion)
 from polaron_effmass.config import load_config
-from polaron_effmass.eigensolve import dense_ground, verified_floor
+from polaron_effmass.eigensolve import (_U, dense_ground, rayleigh_bounds,
+                                        verified_floor)
 from polaron_effmass.errors import (AnalysisError, ConfigError, DomainError,
                                     SolverError)
 from polaron_effmass.model import (ConstantDispersion, ModelSpec,
                                    PoschlTeller, ZeroCoupling)
 from polaron_effmass.operators import (ElectronGrid, FiberTemplate,
                                        assemble_schrodinger, potential_kernel)
-from polaron_effmass.staticmass import coupled_ground
+from polaron_effmass.staticmass import (coupled_ground, fiber_floors,
+                                        fiber_split)
 
 EGRID = ElectronGrid(dq=0.25, q_max=6.0)
 WELL = PoschlTeller(depth=2.0)
@@ -198,10 +201,17 @@ def test_split_bound_sits_below_coupled_energy(toy_cfg, toy_ground,
 # momentum-decomposition bound
 # ---------------------------------------------------------------------------
 
+def _floors(template, nodes, lam=1.0, e0=0.0):
+    """The fiber floors L1 reads at `nodes`, as the coupled solve's fiber
+    split computes them (its kernel only enters the Galerkin matrix)."""
+    n = len(nodes.P)
+    return fiber_split(template, nodes, np.zeros((n, n)), lam, e0).floor
+
+
 def test_momentum_bound_guards(toy_cache):
     with pytest.raises(DomainError):
         momentum_lower_bound(-0.1, potential_kernel(WELL, EGRID),
-                             toy_cache.pairs([0.0]), 0.0)
+                             toy_cache.pairs([0.0]).energy, 0.0)
 
 
 def test_momentum_bound_certified_below_coupled_energy(toy_cfg, toy_cache,
@@ -210,41 +220,85 @@ def test_momentum_bound_certified_below_coupled_energy(toy_cfg, toy_cache,
     kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
     for lam, e in energies.items():
         nodes = toy_cache.pairs(lam * toy_cfg.egrid.points)
-        l1 = momentum_lower_bound(lam, kernel, nodes, e0)
+        floors = _floors(toy_cache.template, nodes)
+        l1 = momentum_lower_bound(lam, kernel, floors, e0)
         assert np.max(nodes.residual) < 1e-7
+        assert np.all(floors <= nodes.energy + 1e-12)
         assert l1 <= e + 1e-12
 
 
-def test_momentum_bound_subtracts_the_ground_residual(toy_cfg, toy_cache,
-                                                     fiber_matrix,
-                                                     monkeypatch):
-    # each node's residual is its ground pair's own, and its Ritz value
-    # minus that residual floors the fiber's lowest eigenvalue
+def _enclosed_quotients(template, nodes):
+    """(lo, hi, r, sigma) of the nodes' vectors, from products taken here:
+    the enclosure the fiber floors start from."""
+    batch = template.operator(nodes.P)
+    phi = nodes.vectors / np.sqrt(np.vecdot(nodes.vectors,
+                                            nodes.vectors))[:, None]
+    members = np.arange(len(phi))
+    _, lo, hi, r = rayleigh_bounds(
+        phi, batch.apply(members, phi),
+        batch.absolute().apply(members, np.abs(phi)),
+        int(np.diff(batch.interaction.indptr).max()) + 1)
+    theta1 = nodes.energy + nodes.gap
+    sigma = theta1 - nodes.excited_residual - 4.0 * _U * np.abs(theta1)
+    return lo, hi, r, sigma
+
+
+def test_davidson_fiber_floors_lie_below_the_dense_ground(davidson_template,
+                                                          fiber_matrix):
+    # dim 210 runs Davidson at the fiber tolerance 1e-6: each floor is
+    # Temple's, below the dense ground energy, above the first-order
+    # floor lo - r and within r^2 / gap of the quotient
+    cache = FiberCache(davidson_template, seed=0)
+    nodes = cache.pairs(np.linspace(-0.6, 0.6, 7))
+    assert davidson_template.dim > 128
+    assert np.max(nodes.residual) > 1e-9      # a loose Davidson residual
+    floors = _floors(davidson_template, nodes)
+    lo, hi, r, sigma = _enclosed_quotients(davidson_template, nodes)
+    assert np.array_equal(floors, fiber_floors(lo, hi, r, sigma))
+    assert np.all(hi < sigma - r)
+    for P, floor, low, res in zip(nodes.P, floors, lo, r):
+        ground = np.linalg.eigvalsh(fiber_matrix(davidson_template, P))[0]
+        assert low - res < floor <= ground, P
+        assert ground - floor <= 1e-10, P
+
+
+def test_a_quotient_near_the_second_level_falls_back_to_first_order():
+    lo = np.array([-1.0, -1.0, 0.5])
+    hi = lo + 1e-12
+    r = np.array([1e-3, 0.2, 1e-6])
+    sigma = np.array([-0.9, -0.85, 0.5 + 1e-6])
+    floors = fiber_floors(lo, hi, r, sigma)
+    # node 0 clears sigma - r: Temple's floor; nodes 1 and 2 do not
+    assert hi[0] < sigma[0] - r[0]
+    assert lo[0] - r[0] ** 2 / (sigma[0] - lo[0]) - 1e-15 <= floors[0]
+    assert floors[0] < lo[0] - r[0] ** 2 / (sigma[0] - lo[0])
+    for i in (1, 2):
+        assert hi[i] >= sigma[i] - r[i]
+        assert floors[i] < lo[i] - r[i]
+        assert floors[i] >= lo[i] - r[i] - 4.0 * _U * abs(lo[i] - r[i])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_perturbed_vector_never_floors_above_the_ground(seed, toy_cache,
+                                                          fiber_matrix):
+    # the dense ground vector pushed off to a residual of 1e-3: Temple's
+    # floor falls below the ground energy, by about r^2 / gap
     template = toy_cache.template
-    e0 = toy_cache.pairs([0.0]).energy[0]
-    kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
-    seen = []
-
-    def spy(h, mu):
-        seen.append(h.copy())
-        return verified_floor(h, mu)
-
-    monkeypatch.setattr(bounds, "verified_floor", spy)
-    for lam in (0.4, 0.1):
-        nodes = toy_cache.pairs(lam * toy_cfg.egrid.points)
-        floors = nodes.energy - nodes.residual
-        for P, energy, residual, floor, x in zip(
-                nodes.P, nodes.energy, nodes.residual, floors, nodes.vectors):
-            H = fiber_matrix(template, P)
-            assert residual == pytest.approx(
-                np.linalg.norm(H @ x - energy * x), rel=1e-6), P
-            if residual > 1e-12:
-                assert floor <= np.linalg.eigvalsh(H)[0], P
-        seen.clear()
-        momentum_lower_bound(lam, kernel, nodes, e0)
-        (h,) = seen
-        assert np.array_equal(np.diag(h),
-                              np.diag(kernel) + (floors - e0) / lam**2)
+    nodes = toy_cache.pairs([0.1 * seed])
+    H = fiber_matrix(template, nodes.P[0])
+    evals, vecs = np.linalg.eigh(H)
+    g = vecs[:, 0]
+    w = np.random.default_rng(seed).standard_normal(H.shape[0])
+    w -= (w @ g) * g
+    w /= np.linalg.norm(w)
+    v = g + 1e-3 / np.linalg.norm(H @ w - evals[0] * w) * w
+    perturbed = replace(nodes, vectors=(v / np.linalg.norm(v))[None])
+    lo, hi, r, sigma = _enclosed_quotients(template, perturbed)
+    assert r[0] == pytest.approx(1e-3, rel=0.05)
+    assert hi[0] < sigma[0] - r[0]
+    floor = _floors(template, perturbed)[0]
+    assert floor <= evals[0]
+    assert evals[0] - floor <= 2.0 * r[0] ** 2 / (evals[1] - evals[0])
 
 
 def test_momentum_bound_zero_coupling_matches_schrodinger(free_cache):
@@ -252,8 +306,9 @@ def test_momentum_bound_zero_coupling_matches_schrodinger(free_cache):
     # zero-excitation sector carries every fiber ground, the bound
     # collapses to the bare-mass comparison operator
     e0 = free_cache.pairs([0.0]).energy[0]
+    nodes = free_cache.pairs(0.15 * EGRID.points)
     l1 = momentum_lower_bound(0.15, potential_kernel(WELL, EGRID),
-                              free_cache.pairs(0.15 * EGRID.points), e0)
+                              _floors(free_cache.template, nodes), e0)
     h = assemble_schrodinger(potential_kernel(WELL, EGRID), EGRID, 0.5)
     ground = float(np.linalg.eigvalsh(h)[0])
     assert l1 <= ground + 1e-12
@@ -281,9 +336,10 @@ def _l1_matrix_and_value(preset, lam, monkeypatch):
         return verified_floor(h, mu)
 
     monkeypatch.setattr(bounds, "verified_floor", spy)
+    nodes = cache.pairs(lam * cfg.egrid.points)
     value = momentum_lower_bound(lam, potential_kernel(cfg.potential,
                                                       cfg.egrid),
-                                 cache.pairs(lam * cfg.egrid.points),
+                                 _floors(cache.template, nodes),
                                  cache.pairs([0.0]).energy[0])
     (h,) = seen
     return h, value
@@ -302,6 +358,43 @@ def test_certified_floor_lies_below_the_40_digit_eigenvalue(source,
     assert h.shape == (49, 49)
     assert mpmath.mpf(value) < exact
     assert exact - mpmath.mpf(value) < 1e-10     # a floor, not a guess
+
+
+def test_l1_entries_lie_below_the_40_digit_fiber_floors(toy_cfg, toy_cache,
+                                                        fiber_matrix,
+                                                        monkeypatch):
+    # every diagonal entry of the matrix L1 floors lies below
+    # W_jj + (E0(lam q_j) - e0) / lam^2 at 40 digits, E0 the exact ground
+    # energy of the stored fiber; the fiber at -P is the one at P with its
+    # modes reflected, so the nodes q_j >= 0 cover every entry
+    lam = 0.1
+    template = toy_cache.template
+    kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
+    e0 = toy_cache.pairs([0.0]).energy[0]
+    seen = []
+
+    def spy(h, mu):
+        seen.append(h.copy())
+        return verified_floor(h, mu)
+
+    monkeypatch.setattr(bounds, "verified_floor", spy)
+    nodes = toy_cache.pairs(lam * toy_cfg.egrid.points)
+    momentum_lower_bound(lam, kernel, _floors(template, nodes), e0)
+    (h,) = seen
+    S = template.reflection
+    n_q = len(nodes.P)
+    with mpmath.workdps(40):
+        for j in range(n_q // 2, n_q):
+            H = fiber_matrix(template, nodes.P[j])
+            assert np.array_equal(fiber_matrix(template, -nodes.P[j]),
+                                  H[np.ix_(S, S)])
+            E0 = min(mpmath.eigsy(mpmath.matrix(H.tolist()),
+                                  eigvals_only=True))
+            exact = (mpmath.mpf(kernel[j, j])
+                     + (E0 - mpmath.mpf(e0)) / mpmath.mpf(lam) ** 2)
+            for i in (j, n_q - 1 - j):
+                assert mpmath.mpf(h[i, i]) < exact, (i, nodes.P[j])
+                assert exact - mpmath.mpf(h[i, i]) < 1e-11
 
 
 def test_unverifiable_floor_raises_solver_error():

@@ -262,6 +262,19 @@ def test_rayleigh_bounds_enclose_the_40_digit_quotient_and_residual(rng,
         assert r_up <= float(res) * (1.0 + 1e-6) + 1e-11 * scale
 
 
+def test_rayleigh_bounds_of_a_stack_are_its_rows_bounds(rng):
+    # a stack is bounded row by row, with each row's own bits
+    n = 60
+    a = rng.standard_normal((n, n))
+    a = 0.5 * (a + a.T)
+    X = rng.standard_normal((5, n))
+    stacked = rayleigh_bounds(X, X @ a, np.abs(X) @ np.abs(a), n + 1)
+    for i, x in enumerate(X):
+        alone = rayleigh_bounds(x, (X @ a)[i], (np.abs(X) @ np.abs(a))[i],
+                                n + 1)
+        assert [float(v[i]) for v in stacked] == [float(v) for v in alone]
+
+
 @pytest.mark.parametrize("case", sorted(HARD_CASES))
 def test_dense_ground_matches_40_digit_eigenvalues(rng, case):
     # Against A itself, within dsyevr's backward error, taken as

@@ -8,11 +8,13 @@ matched finite-ring pair whose spectra must agree to rounding.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.sparse._sparsetools import csr_matvec
 
 from polaron_effmass import operators
 from polaron_effmass.config import load_config
@@ -404,19 +406,40 @@ def test_every_operator_follows_the_block_apply_protocol(
         assert np.abs(Y[i] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("preset", ["toy", "small"])
+def _fiber_spec(preset):
+    """toy (fiber dim 28), small (455) and small at uv_cutoff 1.5 with
+    n_max 3 and 4 (84 and 210)."""
+    if preset in ("toy", "small"):
+        return load_config(preset).spec
+    n_max = {"small-84": 3, "small-210": 4}[preset]
+    return replace(load_config("small").spec, uv_cutoff=1.5, n_max=n_max)
+
+
+@pytest.mark.parametrize("preset", ["toy", "small", "small-84",
+                                    "small-210"])
 def test_a_fiber_block_has_the_bits_of_the_multivector_product(preset, rng):
-    # row by row, csr_matvec sums each entry as csr_matvecs does, so the
-    # C-ordered block is the transposed CSR product's bits
-    template = FiberTemplate(load_config(preset).spec)
+    # one csr_matvecs call on the transposed block sums each entry in
+    # stored order, as the per-row csr_matvec loop does: the block has the
+    # loop's bits, and scipy's own product's
+    template = FiberTemplate(_fiber_spec(preset))
     op = template.operator([0.0, 0.35, -0.7])
     members = np.array([2, 0, 1, 1, 2, 0, 0])
     X = rng.standard_normal((members.size, op.dim))
-    ref = (template.interaction @ X.T).T
+    m = template.interaction
+    loop = np.zeros(X.shape)
+    for x, y in zip(X, loop):
+        csr_matvec(op.dim, op.dim, m.indptr, m.indices, m.data, x, y)
+    loop += op.diag[members] * X
+    ref = (m @ X.T).T
     ref += op.diag[members] * X
+    assert np.array_equal(loop, ref)
     assert np.array_equal(op.apply(members, X), ref)
     # a strided block is read as its rows
     assert np.array_equal(op.apply(members[::2], X[::2]), ref[::2])
+    # the absolute batch applies |interaction| and |diag|
+    absolute = op.absolute().apply(members, np.abs(X))
+    assert np.array_equal(absolute, (abs(m) @ np.abs(X).T).T
+                          + np.abs(op.diag[members]) * np.abs(X))
 
 
 # ---------------------------------------------------------------------------
