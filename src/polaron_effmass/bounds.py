@@ -58,7 +58,7 @@ import numpy as np
 
 from .eigensolve import _U, dense_ground, verified_floor
 from .errors import AnalysisError, ConfigError, DomainError
-from .operators import ElectronGrid, assemble_schrodinger, potential_kernel
+from .operators import ElectronGrid, assemble_schrodinger
 
 __all__ = [
     "SplitBoundResult",
@@ -130,11 +130,12 @@ class SplitBoundResult:
     beta: float
 
 
-def split_lower_bound(lam: float, potential, egrid: ElectronGrid, *,
-                      mass: float, c_min: float, p_c: float,
-                      c_eps: float) -> SplitBoundResult:
+def split_lower_bound(lam: float, potential, kernel: np.ndarray,
+                      egrid: ElectronGrid, *, mass: float, c_min: float,
+                      p_c: float, c_eps: float) -> SplitBoundResult:
     """L2 from the momentum-split argument (nonpositive potentials only).
 
+    `kernel` is the potential's kernel on `egrid`, built once by the caller.
     The sign of the potential is checked on |x| <= max(q_max, pi / dq): the
     kernel is a convolution on the box of circumference 2 pi / dq implied by
     the grid, so a positive part anywhere in that box is rejected.
@@ -158,8 +159,7 @@ def split_lower_bound(lam: float, potential, egrid: ElectronGrid, *,
             f"p_c = {p_c:.4g}; lam = {lam:g} is too large for this window"
         )
     m_c = mass * (1.0 + c_min * beta**2)
-    op = assemble_schrodinger(potential_kernel(potential, egrid), egrid, m_c,
-                              v_scale=1.0 + eps)
+    op = assemble_schrodinger(kernel, egrid, m_c, v_scale=1.0 + eps)
     operator_branch = verified_floor(op, dense_ground(op))
     scalar_branch = (beta**2 / (2.0 * lam**2 * m_c)
                      - (1.0 + 1.0 / eps) * potential.sup_norm())

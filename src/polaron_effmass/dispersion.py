@@ -102,18 +102,16 @@ class FiberCache:
     for fibers: it rounds the momenta to 12 decimals, which key the store,
     solves all those it lacks as one lockstep batch
     (:func:`~.eigensolve.lowest_two`) and returns :class:`FiberNodes`.
-    Every momentum is solved from the same seed, and a member of a batch
-    gets the same bits as it would alone, so a record depends neither on
-    the order of requests nor on the batch it was solved in; each record
-    counts only its own solver work.  The -P data is derived from +P by the
-    template's mode reflection instead of a second solve (DomainError on a
-    grid not closed under k -> -k), on every request: the store holds the
-    solved momenta only, one vector each.
+    A member of a batch gets the same bits as it would alone, so a record
+    depends only on its momentum, not on the order of requests or the batch
+    it was solved in; each record counts only its own solver work.  The -P
+    data is derived from +P by the template's mode reflection instead of a
+    second solve (DomainError on a grid not closed under k -> -k), on every
+    request: the store holds the solved momenta only, one vector each.
     """
 
-    def __init__(self, template: FiberTemplate, *, seed: int = 0):
+    def __init__(self, template: FiberTemplate):
         self.template = template
-        self.seed = seed
         self._store: dict = {}
 
     def solves(self) -> int:
@@ -127,8 +125,7 @@ class FiberCache:
     def _solve(self, P: float, *more: float) -> list:
         """Records of the fibers at P and at every momentum of `more`,
         solved as one batch."""
-        pairs = lowest_two(self.template.operator((P, *more)), tol=_FIBER_TOL,
-                           seed=self.seed)
+        pairs = lowest_two(self.template.operator((P, *more)), tol=_FIBER_TOL)
         return [{
             "energy": pair.values[0],
             "gap": pair.gap,

@@ -67,7 +67,8 @@ _CONFIG_DOC = {
                                      "exp(-|x|^2 / (2 width^2)).",
     "potential[gaussian_well].depth": "Well depth (positive number).",
     "potential[gaussian_well].width": "Gaussian width (default 1).",
-    "run.seed": "Base seed for every stochastic choice (default 0).",
+    "run.seed": "Seed of oracle-check's random instances and Lanczos "
+                "starts (default 0); no other output reads it.",
     "run.out": "Output directory for reports and CSV artifacts "
                "(default \"out\").",
     "run.P_list": "Total momenta scanned for the dispersion curve; must "

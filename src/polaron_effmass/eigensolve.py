@@ -307,8 +307,7 @@ def _jacobi_davidson_step(op, ids, T, X, R, denom, theta):
     T += W
 
 
-def _davidson(op, nwant, tol, seed, *, restart_keep, start=None,
-              correction=None):
+def _davidson(op, nwant, tol, *, restart_keep, start=None, correction=None):
     """Lowest `nwant` Ritz pairs of every member of `op`, in lockstep.
 
     Diagonally preconditioned subspace iteration on the B = len(op)
@@ -329,10 +328,10 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, start=None,
     through one apply; Ritz vectors, residuals and Gram-Schmidt projections
     are stacked matrix products.  Every new vector is orthogonalized by
     _orthogonalize; one that is already in its space is replaced by a
-    random vector from a
-    generator seeded with `seed`, one per member.  The projected
-    eigenproblems stay per member and form only the `nwant` lowest pairs,
-    or the `restart_keep` lowest before a restart.  The lowest pair passes
+    random vector from a generator seeded with 0, one per member, so a
+    member's draws do not depend on its batch.  The projected eigenproblems
+    stay per member and form only the `nwant` lowest pairs, or the
+    `restart_keep` lowest before a restart.  The lowest pair passes
     at a residual of tol max(1, |theta|), the pairs above it at sqrt(tol)
     max(1, |theta|): those values only enter gaps, and a Ritz value's error
     is of order r^2 / delta, delta its distance to the rest of the spectrum
@@ -480,8 +479,7 @@ def _davidson(op, nwant, tol, seed, *, restart_keep, start=None,
                 lost = nt <= tiny[:, j]
                 if np.count_nonzero(lost):
                     for a in lost.nonzero()[0]:
-                        rng = rngs.setdefault(ids[a],
-                                              np.random.default_rng(seed))
+                        rng = rngs.setdefault(ids[a], np.random.default_rng(0))
                         t[a] = rng.standard_normal(n)
                         nt[a] = _orthogonalize(t[a:a + 1], V[a:a + 1, :k + j],
                                                _row_norms(t[a:a + 1]))[0]
@@ -525,7 +523,7 @@ def _direct_pairs(op, m):
     return out
 
 
-def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> list:
+def lowest_two(op, tol: float = 1e-9) -> list:
     """Two lowest eigenpairs of every member of `op`, one PairResult each.
 
     `op` is a batch (:class:`~.operators.FiberBatch`).  Its dimension alone
@@ -552,7 +550,7 @@ def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> list:
     if op.dim <= _DENSE_PAIR_MAX:
         runs = _direct_pairs(op, 2)
     else:
-        runs = _davidson(op, 2, tol, seed, restart_keep=6)
+        runs = _davidson(op, 2, tol, restart_keep=6)
     xs = [[x / math.sqrt(x @ x) for x in run[1]] for run in runs]
     X = np.array(xs)
     B, n = len(runs), X.shape[-1]
@@ -571,7 +569,7 @@ def lowest_two(op, tol: float = 1e-9, seed: int = 0) -> list:
     return pairs
 
 
-def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, start=None,
+def davidson_ground(op, tol: float = 1e-9, *, start=None,
                     correction=None) -> EigResult:
     """Lowest eigenpair by preconditioned subspace iteration.
 
@@ -586,11 +584,11 @@ def davidson_ground(op, tol: float = 1e-9, seed: int = 0, *, start=None,
     smallest diagonal entries.  It is kept orthonormal by one Gram-Schmidt
     pass per vector, with a second when the DGKS test asks for it, and
     compressed to the lowest 4 Ritz vectors when its 20 vectors are full;
-    `restarts` counts those compressions.  Deterministic for fixed seed
-    and start vector.
+    `restarts` counts those compressions.  Deterministic for a fixed start
+    vector.
     """
     (thetas, xs, ress, it, matvecs, restarts), = _davidson(
-        op, 1, tol, seed, restart_keep=4, start=start, correction=correction)
+        op, 1, tol, restart_keep=4, start=start, correction=correction)
     return EigResult(thetas[0], xs[0], ress[0], it, matvecs, restarts)
 
 

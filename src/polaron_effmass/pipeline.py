@@ -8,11 +8,11 @@ run it once, and `converge` once per truncation variant, reading its
 verdicts from the blocks.  :func:`run` dispatches a subcommand, times the
 stages, and writes every artifact in one final sequential pass.
 
-Determinism contract: identical config + seed produce byte-identical CSV
-files.  Everything runs in one thread: each fiber solve depends only on its
-momentum and the seed, each coupled lam solve starts from that lam's fibers
-alone (not from its neighbor's result), and all floats are printed through
-one fixed format.
+Determinism contract: an identical config produces byte-identical CSV
+files at every seed, which only the oracle suite reads.  Everything runs in
+one thread: each fiber solve depends only on its momentum, each coupled lam
+solve starts from that lam's fibers alone (not from its neighbor's result),
+and all floats are printed through one fixed format.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
     if not cfg.P_list:
         raise ConfigError("run.P_list is required for this subcommand")
     template = FiberTemplate(cfg.spec)
-    cache = FiberCache(template, seed=cfg.seed)
+    cache = FiberCache(template)
     curve = scan_dispersion(cache, cfg.P_list)
     p_c = estimate_Pc(curve)
     nodes = curve.nodes
@@ -152,14 +152,14 @@ def stage_dispersion(cfg: ExperimentConfig) -> tuple:
 
 def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     """e(lam) per lam with its certified bounds, then the lam -> 0 mass and
-    its comparison with M_dyn: the report block, the staticmass.csv rows and
-    the trialstate.csv rows.  The kernel, its verified floor and U*'s
-    envelope at M_dyn are built once and each lam's fiber nodes are fetched
-    once, for the coupled solve, L1 and U* alike.  The nodes go to the
-    solve alone, which drops their vectors before its Davidson run; L1
-    reads the fiber floors it returns.  The Galerkin bound U_G
-    and the Temple floor L_T are checked against the other bounds apart
-    from the sandwich ordering."""
+    its comparison with M_dyn: the report block, the staticmass.csv rows,
+    the trialstate.csv rows and the potential kernel, for the sandwich
+    stage.  The kernel, its verified floor and U*'s envelope at M_dyn are
+    built once and each lam's fiber nodes are fetched once, for the coupled
+    solve, L1 and U* alike.  The nodes go to the solve alone, which drops
+    their vectors before its Davidson run; L1 reads the fiber floors it
+    returns.  The Galerkin bound U_G and the Temple floor L_T are checked
+    against the other bounds apart from the sandwich ordering."""
     if cfg.potential is None:
         raise ConfigError(
             "the static-mass stage needs a potential; set potential.type"
@@ -189,7 +189,7 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
         # no name holds the nodes here, so the solve frees their vectors
         res = coupled_ground(cache.template,
                              cache.pairs(lam * cfg.egrid.points), kernel,
-                             k_min, cfg.egrid, lam, e0, seed=cfg.seed)
+                             k_min, cfg.egrid, lam, e0)
         l1 = momentum_lower_bound(lam, kernel, res.floors, e0)
         u_star = minimize_upper_bound(lam, res.galerkin, weights)
         e_rows.append((lam, res.value, l1, u_star, res.residual,
@@ -263,19 +263,19 @@ def stage_static(cfg: ExperimentConfig, dstate: DispersionState) -> tuple:
     profile = f"type=schroedinger;mass={FMT % m_dyn}"
     trial_rows = [(r[0], profile, r[3], res.upper)
                   for r, res in zip(e_rows, solves)]
-    return block, e_rows, trial_rows
+    return block, e_rows, trial_rows, kernel
 
 
 def stage_sandwich(cfg: ExperimentConfig, dstate: DispersionState,
-                   static_rows: list) -> tuple:
+                   static_rows: list, kernel: np.ndarray) -> tuple:
     """Split lower bound per lam and the ordering verdict, from the
-    staticmass.csv rows (lam, e, L1, U*, residual, L_T)."""
+    staticmass.csv rows (lam, e, L1, U*, residual, L_T) and the kernel."""
     lam_max = max(r[0] for r in static_rows)
     c_eps = suggest_c_eps(dstate.fit.mass, dstate.certificate.c_min,
                           cfg.potential.sup_norm(), lam_max)
     rows, l2_blocks = [], []
     for lam, e_val, l1, u_star, _res, _l_t in static_rows:
-        l2 = split_lower_bound(lam, cfg.potential, cfg.egrid,
+        l2 = split_lower_bound(lam, cfg.potential, kernel, cfg.egrid,
                                mass=dstate.fit.mass,
                                c_min=dstate.certificate.c_min,
                                p_c=dstate.p_c, c_eps=c_eps)
@@ -332,8 +332,8 @@ def _chain(cfg: ExperimentConfig, last: str, stats: dict) -> tuple:
     csvs = {"dispersion.csv": drows}
     passed = dblock["ceilings"]["passed"]
     if last != "dispersion":
-        sblock, srows, trows = _timed(stats, "staticmass", stage_static,
-                                      cfg, dstate)
+        sblock, srows, trows, kernel = _timed(stats, "staticmass",
+                                              stage_static, cfg, dstate)
         report.update(sblock)
         csvs.update({"staticmass.csv": srows, "trialstate.csv": trows})
         upper, enclosure = sblock["upper_bound"], sblock["enclosure"]
@@ -345,7 +345,7 @@ def _chain(cfg: ExperimentConfig, last: str, stats: dict) -> tuple:
                   and enclosure["L_T_below_U_star"])
     if last == "sandwich":
         wblock, wrows = _timed(stats, "sandwich", stage_sandwich, cfg,
-                               dstate, srows)
+                               dstate, srows, kernel)
         report.update(wblock)
         csvs["sandwich.csv"] = wrows
         passed = passed and wblock["verdict"]["pass"]

@@ -285,9 +285,9 @@ def fiber_floors(lo: np.ndarray, hi: np.ndarray, r: np.ndarray,
     Where hi < sigma - r, Temple's inequality gives
     E0 >= theta - r^2 / (sigma - theta) at the exact quotient theta
     (Temple 1928; Kato 1949), which rises with theta there, so its value
-    at lo is the floor, as in :func:`temple_floor`.  Elsewhere the floor
-    is lo - r, which takes the vector's quotient to approximate the
-    lowest level (:data:`PREMISE`).
+    at lo is the floor; :func:`temple_floor` takes L_T from it.  Elsewhere
+    the floor is lo - r, which takes the vector's quotient to approximate
+    the lowest level (:data:`PREMISE`).
     """
     temple = hi < sigma - r
     gap = np.where(temple, sigma - lo, 1.0)
@@ -383,9 +383,9 @@ def temple_floor(op, x: np.ndarray, rho: float) -> tuple:
     With rho <= lambda_2(op), a quotient theta of x below rho and the
     residual r of the unit x, lambda_min >= theta - r^2 / (rho - theta)
     (Temple 1928; Kato 1949).  theta and r come from a fresh product and
-    are enclosed against rounding (:func:`~.eigensolve.rayleigh_bounds`);
-    the floor is taken at the low end of theta's enclosure, where it is
-    smallest as long as that enclosure lies below rho - r, and rounded
+    are enclosed against rounding (:func:`~.eigensolve.rayleigh_bounds`),
+    and :func:`fiber_floors` (sigma = rho) takes the floor at the low end of
+    theta's enclosure, smallest there while it lies below rho - r, rounded
     down.  Without that, L_T is None and the reason says why.
 
     The products sum the mirror's terms too, and round the fold's sqrt(2)
@@ -399,8 +399,7 @@ def temple_floor(op, x: np.ndarray, rho: float) -> tuple:
     if not hi < rho - r:
         return None, (f"the quotient {hi:.9g} is not below rho - r = "
                       f"{rho - r:.9g}")
-    floor = lo - r * r / (rho - lo) * (1.0 + 4.0 * _U)
-    return float(np.nextafter(floor - 2.0 * _U * abs(floor), -np.inf)), ""
+    return float(fiber_floors(lo, hi, r, rho)), ""
 
 
 def _coarse_correction(op, rows: np.ndarray, evals: np.ndarray,
@@ -471,7 +470,7 @@ PREMISE = ("each fiber's Davidson pair is its two lowest levels: "
 
 def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
                    kernel: np.ndarray, k_min: float, egrid: ElectronGrid,
-                   lam: float, e0: float, *, seed: int = 0) -> CoupledResult:
+                   lam: float, e0: float) -> CoupledResult:
     """e(lam) = infspec A(lam), by a two-level Davidson solve in the even
     sector, certified.
 
@@ -536,7 +535,7 @@ def coupled_ground(template: FiberTemplate, nodes: FiberNodes,
     evals, U = np.linalg.eigh(M_even)
     correct = _coarse_correction(op, rows, evals, U)
     tol = _COUPLED_TOL if r_star is None else max(_COUPLED_TOL, r_star / scale)
-    res = davidson_ground(op, tol=tol, seed=seed,
+    res = davidson_ground(op, tol=tol,
                           start=lambda: op.from_rows(U[:, 0, None] * rows),
                           correction=correct)
     if r_star is None:

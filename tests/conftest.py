@@ -46,7 +46,7 @@ def toy_template(toy_cfg):
 
 @pytest.fixture(scope="session")
 def toy_cache(toy_template):
-    return FiberCache(toy_template, seed=0)
+    return FiberCache(toy_template)
 
 
 @pytest.fixture(scope="session")

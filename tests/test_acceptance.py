@@ -249,7 +249,7 @@ def test_criterion_07_perturbative_window(acceptance_recorder, monkeypatch):
                          coupling=PowerLawCoupling(g=g, s=1.0),
                          dk=0.25, uv_cutoff=1.5, ir_cutoff=0.125, n_max=3)
         template = FiberTemplate(spec)
-        cache = FiberCache(template, seed=0)
+        cache = FiberCache(template)
         curve = scan_dispersion(cache, P_list)
         fit = fit_dynamic_mass(curve.nodes.P, curve.nodes.energy - curve.e0)
         m_pt = perturbative_mass(template, P_list, P_fit=fit.window)
@@ -355,6 +355,26 @@ def test_criterion_10_determinism(toy_sandwich, toy_sandwich_repeat,
         f"reports match: {r1 == r2}")
     assert same == {n: True for n in names}
     assert r1 == r2
+
+
+def test_the_seed_moves_no_sandwich_output(toy_sandwich, tmp_path):
+    # only oracle-check reads run.seed; the fiber and coupled solves do not
+    raw = json.loads(json.dumps(load_config("toy").raw))
+    raw["run"]["seed"] = 7
+    path = tmp_path / "toy_seed7.json"
+    path.write_text(json.dumps(raw))
+    seeded = _run("sandwich", str(path), tmp_path / "out")
+    assert (toy_sandwich.report["seed"], seeded.report["seed"]) == (0, 7)
+    names = sorted(p.name for p in toy_sandwich.out.glob("*.csv"))
+    assert names == sorted(p.name for p in seeded.out.glob("*.csv"))
+    for name in names:
+        assert ((seeded.out / name).read_bytes()
+                == (toy_sandwich.out / name).read_bytes()), name
+    loose = {"seed", "config", "config_sha256", "timings_seconds",
+             "peak_rss_mb", "peak_rss_mb_by_stage"}
+    assert ({k: v for k, v in seeded.report.items() if k not in loose}
+            == {k: v for k, v in toy_sandwich.report.items()
+                if k not in loose})
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from polaron_effmass.staticmass import (coupled_ground, fiber_floors,
 
 EGRID = ElectronGrid(dq=0.25, q_max=6.0)
 WELL = PoschlTeller(depth=2.0)
+WELL_KERNEL = potential_kernel(WELL, EGRID)
 
 
 class _PositiveBump:
@@ -53,7 +54,7 @@ def free_cache():
                      coupling=ZeroCoupling(), dk=0.5, uv_cutoff=1.0,
                      ir_cutoff=0.0, n_max=2)
     template = FiberTemplate(spec)
-    return FiberCache(template, seed=0)
+    return FiberCache(template)
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +107,9 @@ def test_suggest_c_eps_scales_linearly_in_safety_and_sup_norm(monkeypatch):
 
 def test_split_bound_rejects_positive_potential():
     with pytest.raises(DomainError, match="nonpositive"):
-        split_lower_bound(0.2, _PositiveBump(), EGRID, mass=0.5, c_min=0.1,
-                          p_c=0.7, c_eps=4.0)
+        bump = _PositiveBump()
+        split_lower_bound(0.2, bump, potential_kernel(bump, EGRID), EGRID,
+                          mass=0.5, c_min=0.1, p_c=0.7, c_eps=4.0)
 
 
 class _WellWithFarBumps:
@@ -134,38 +136,38 @@ class _WellWithFarBumps:
 
 def test_split_bound_sees_positive_part_beyond_q_max():
     with pytest.raises(DomainError, match="nonpositive"):
-        split_lower_bound(0.2, _WellWithFarBumps(), EGRID, mass=0.5,
-                          c_min=0.1, p_c=0.7, c_eps=4.0)
+        pot = _WellWithFarBumps()
+        split_lower_bound(0.2, pot, potential_kernel(pot, EGRID), EGRID,
+                          mass=0.5, c_min=0.1, p_c=0.7, c_eps=4.0)
 
 
 def test_split_bound_rejects_beta_at_window_edge():
     # beta = sqrt(0.5) ~ 0.707 reaches p_c = 0.7
     with pytest.raises(AnalysisError, match="window"):
-        split_lower_bound(0.5, WELL, EGRID, mass=0.5, c_min=0.1, p_c=0.7,
-                          c_eps=4.0)
+        split_lower_bound(0.5, WELL, WELL_KERNEL, EGRID, mass=0.5,
+                          c_min=0.1, p_c=0.7, c_eps=4.0)
 
 
 def test_split_bound_guards():
     with pytest.raises(DomainError):
-        split_lower_bound(0.0, WELL, EGRID, mass=0.5, c_min=0.1, p_c=0.7,
-                          c_eps=4.0)
+        split_lower_bound(0.0, WELL, WELL_KERNEL, EGRID, mass=0.5,
+                          c_min=0.1, p_c=0.7, c_eps=4.0)
     with pytest.raises(ConfigError):
-        split_lower_bound(0.2, WELL, EGRID, mass=0.5, c_min=0.1, p_c=0.7,
-                          c_eps=0.0)
+        split_lower_bound(0.2, WELL, WELL_KERNEL, EGRID, mass=0.5,
+                          c_min=0.1, p_c=0.7, c_eps=0.0)
 
 
 def test_split_bound_components_match_hand_assembly(monkeypatch):
     monkeypatch.setattr(bounds, "C_BETA", 0.9)
     lam, mass, c_min = 0.2, 0.52, 0.15
-    res = split_lower_bound(lam, WELL, EGRID, mass=mass, c_min=c_min,
-                            p_c=0.7, c_eps=5.0)
+    res = split_lower_bound(lam, WELL, WELL_KERNEL, EGRID, mass=mass,
+                            c_min=c_min, p_c=0.7, c_eps=5.0)
     eps = 5.0 * lam
     beta = 0.9 * math.sqrt(lam)
     m_c = mass * (1.0 + c_min * beta**2)
     assert res.eps == pytest.approx(eps, rel=1e-15)
     assert res.beta == pytest.approx(beta, rel=1e-15)
-    h = assemble_schrodinger(potential_kernel(WELL, EGRID), EGRID, m_c,
-                             v_scale=1.0 + eps)
+    h = assemble_schrodinger(WELL_KERNEL, EGRID, m_c, v_scale=1.0 + eps)
     assert res.operator_branch == pytest.approx(
         float(np.linalg.eigvalsh(h)[0]), abs=1e-11)
     scalar = beta**2 / (2.0 * lam**2 * m_c) - (1.0 + 1.0 / eps) * WELL.sup_norm()
@@ -176,8 +178,9 @@ def test_split_bound_components_match_hand_assembly(monkeypatch):
 def test_split_bound_scalar_branch_grows_as_lam_shrinks():
     # with c_eps above the threshold the scalar branch must climb ~ 1/lam
     c_eps = suggest_c_eps(0.5, 0.1, WELL.sup_norm(), 0.4)
-    res = [split_lower_bound(lam, WELL, EGRID, mass=0.5, c_min=0.1, p_c=0.7,
-                             c_eps=c_eps) for lam in (0.4, 0.2, 0.1)]
+    res = [split_lower_bound(lam, WELL, WELL_KERNEL, EGRID, mass=0.5,
+                             c_min=0.1, p_c=0.7, c_eps=c_eps)
+           for lam in (0.4, 0.2, 0.1)]
     scalars = [r.scalar_branch for r in res]
     assert scalars[0] < scalars[1] < scalars[2]
     # eventually the operator branch is the binding one
@@ -190,8 +193,9 @@ def test_split_bound_sits_below_coupled_energy(toy_cfg, toy_ground,
     _, fit, cert = toy_certificate
     c_eps = suggest_c_eps(fit.mass, cert.c_min, toy_cfg.potential.sup_norm(),
                           0.4)
+    kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
     for lam, e in energies.items():
-        res = split_lower_bound(lam, toy_cfg.potential, toy_cfg.egrid,
+        res = split_lower_bound(lam, toy_cfg.potential, kernel, toy_cfg.egrid,
                                 mass=fit.mass, c_min=cert.c_min, p_c=0.7,
                                 c_eps=c_eps)
         assert res.value <= e + 1e-9
@@ -210,7 +214,7 @@ def _floors(template, nodes, lam=1.0, e0=0.0):
 
 def test_momentum_bound_guards(toy_cache):
     with pytest.raises(DomainError):
-        momentum_lower_bound(-0.1, potential_kernel(WELL, EGRID),
+        momentum_lower_bound(-0.1, WELL_KERNEL,
                              toy_cache.pairs([0.0]).energy, 0.0)
 
 
@@ -248,7 +252,7 @@ def test_davidson_fiber_floors_lie_below_the_dense_ground(davidson_template,
     # dim 210 runs Davidson at the fiber tolerance 1e-6: each floor is
     # Temple's, below the dense ground energy, above the first-order
     # floor lo - r and within r^2 / gap of the quotient
-    cache = FiberCache(davidson_template, seed=0)
+    cache = FiberCache(davidson_template)
     nodes = cache.pairs(np.linspace(-0.6, 0.6, 7))
     assert davidson_template.dim > 128
     assert np.max(nodes.residual) > 1e-9      # a loose Davidson residual
@@ -307,9 +311,9 @@ def test_momentum_bound_zero_coupling_matches_schrodinger(free_cache):
     # collapses to the bare-mass comparison operator
     e0 = free_cache.pairs([0.0]).energy[0]
     nodes = free_cache.pairs(0.15 * EGRID.points)
-    l1 = momentum_lower_bound(0.15, potential_kernel(WELL, EGRID),
+    l1 = momentum_lower_bound(0.15, WELL_KERNEL,
                               _floors(free_cache.template, nodes), e0)
-    h = assemble_schrodinger(potential_kernel(WELL, EGRID), EGRID, 0.5)
+    h = assemble_schrodinger(WELL_KERNEL, EGRID, 0.5)
     ground = float(np.linalg.eigvalsh(h)[0])
     assert l1 <= ground + 1e-12
     assert l1 == pytest.approx(ground, abs=1e-6)
@@ -328,7 +332,7 @@ def _lowest_at_40_digits(A):
 def _l1_matrix_and_value(preset, lam, monkeypatch):
     """L1 at lam on a preset, and the matrix h it is the floor of."""
     cfg = load_config(preset)
-    cache = FiberCache(FiberTemplate(cfg.spec), seed=0)
+    cache = FiberCache(FiberTemplate(cfg.spec))
     seen = []
 
     def spy(h, mu):

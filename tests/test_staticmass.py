@@ -13,7 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polaron_effmass import eigensolve, pipeline, staticmass, trialstate
+from polaron_effmass import (bounds, eigensolve, pipeline, staticmass,
+                             trialstate)
 from polaron_effmass.config import load_config
 from polaron_effmass.dispersion import FiberCache
 from polaron_effmass.eigensolve import dense_ground, verified_floor
@@ -165,7 +166,7 @@ def test_scaling_identity_for_gaussian_well():
 def oracle_setup(fiber_matrix):
     """(cfg, cache, e0) of the dense-verifiable oracle preset."""
     cfg = load_config("oracle")
-    cache = FiberCache(FiberTemplate(cfg.spec), seed=0)
+    cache = FiberCache(FiberTemplate(cfg.spec))
     e0 = dense_ground(fiber_matrix(cache.template, 0.0))
     return cfg, cache, e0
 
@@ -186,7 +187,7 @@ def _dense_coupled_ground(cache, cfg, lam, e0):
         cfg.egrid, lam, e0).to_dense())[0]
 
 
-def _coupled_ground(cfg, cache, lam, e0, seed, nodes=None):
+def _coupled_ground(cfg, cache, lam, e0, nodes=None):
     """coupled_ground at lam from the cache's fibers at the grid nodes, or
     from `nodes` in their place."""
     if nodes is None:
@@ -194,7 +195,7 @@ def _coupled_ground(cfg, cache, lam, e0, seed, nodes=None):
     kernel = potential_kernel(cfg.potential, cfg.egrid)
     return coupled_ground(cache.template, nodes, kernel,
                           verified_floor(kernel, dense_ground(kernel)),
-                          cfg.egrid, lam, e0, seed=seed)
+                          cfg.egrid, lam, e0)
 
 
 # Rounding of the dense reference eigenvalue (LAPACK on A(lam), whose
@@ -217,7 +218,7 @@ def test_coupled_ground_matches_dense_oracle(oracle_setup, monkeypatch):
     monkeypatch.setattr(staticmass, "_COUPLED_TOL", 1e-10)
     cfg, cache, e0 = oracle_setup
     for lam in (0.4, 0.1):
-        res = _coupled_ground(cfg, cache, lam, e0, seed=0)
+        res = _coupled_ground(cfg, cache, lam, e0)
         ref = _dense_coupled_ground(cache, cfg, lam, e0)
         assert res.value == pytest.approx(ref, abs=1e-9), lam
         _assert_certified_or_converged(res, ref)
@@ -251,8 +252,8 @@ def test_a_wrong_coarse_space_costs_iterations_not_accuracy(oracle_setup,
     # residual test still decide e, so e must stay right
     monkeypatch.setattr(staticmass, "_COUPLED_TOL", 1e-10)
     cfg, cache, e0 = oracle_setup
-    good = _coupled_ground(cfg, cache, lam, e0, seed=0)
-    bad = _coupled_ground(cfg, cache, lam, e0, seed=0, nodes=_sabotaged(
+    good = _coupled_ground(cfg, cache, lam, e0)
+    bad = _coupled_ground(cfg, cache, lam, e0, nodes=_sabotaged(
         cache.pairs(lam * cfg.egrid.points), how))
     ref = _dense_coupled_ground(cache, cfg, lam, e0)
     assert bad.value == pytest.approx(ref, abs=1e-9)
@@ -272,7 +273,7 @@ def certified_setups(oracle_setup, toy_cfg, toy_cache):
 def test_temple_floor_brackets_the_dense_ground_energy(certified_setups,
                                                        preset, lam):
     cfg, cache, e0 = certified_setups[preset]
-    res = _coupled_ground(cfg, cache, lam, e0, seed=0)
+    res = _coupled_ground(cfg, cache, lam, e0)
     ref = _dense_coupled_ground(cache, cfg, lam, e0)
     assert res.temple is not None, res.note
     assert res.note == staticmass.PREMISE
@@ -292,7 +293,7 @@ def test_sabotaged_fibers_get_no_temple_floor(oracle_setup, lam, how):
     # wrong vectors with right energies: the recomputed residuals open the
     # split's bound b so wide that rho falls below U_G
     cfg, cache, e0 = oracle_setup
-    bad = _coupled_ground(cfg, cache, lam, e0, seed=0, nodes=_sabotaged(
+    bad = _coupled_ground(cfg, cache, lam, e0, nodes=_sabotaged(
         cache.pairs(lam * cfg.egrid.points), how))
     assert bad.temple is None and bad.r_star is None
     assert bad.enclosure.rho <= bad.upper
@@ -307,7 +308,7 @@ def test_the_second_eigenvector_gets_no_temple_floor(toy_cfg, toy_cache):
     lam = 0.4
     e0 = toy_cache.pairs([0.0]).energy[0]
     kernel = potential_kernel(toy_cfg.potential, toy_cfg.egrid)
-    res = _coupled_ground(toy_cfg, toy_cache, lam, e0, seed=0)
+    res = _coupled_ground(toy_cfg, toy_cache, lam, e0)
     op = _full_coupled(toy_cache.template, kernel, toy_cfg.egrid, lam, e0)
     evals, vecs = np.linalg.eigh(op.to_dense())
     rho = res.enclosure.rho
@@ -355,8 +356,8 @@ def test_split_floor_matches_a_brute_force_eta_grid(lambda2, c, b):
 
 def test_coupled_ground_is_deterministic(oracle_setup):
     cfg, cache, e0 = oracle_setup
-    a = _coupled_ground(cfg, cache, 0.2, e0, seed=3)
-    b = _coupled_ground(cfg, cache, 0.2, e0, seed=3)
+    a = _coupled_ground(cfg, cache, 0.2, e0)
+    b = _coupled_ground(cfg, cache, 0.2, e0)
     assert a.value == b.value
     assert np.array_equal(a.vector, b.vector)
 
@@ -434,7 +435,7 @@ def test_the_coupled_vector_is_full_length_and_even(toy_cfg, toy_cache,
     # eigenvector of the full-space A(lam) to the solve's residual
     lam = 0.4
     e0 = toy_cache.pairs([0.0]).energy[0]
-    res = _coupled_ground(toy_cfg, toy_cache, lam, e0, seed=0)
+    res = _coupled_ground(toy_cfg, toy_cache, lam, e0)
     template = toy_cache.template
     n_q, fdim = toy_cfg.egrid.size, template.dim
     assert res.dim == 688 < n_q * fdim
@@ -456,7 +457,7 @@ def test_a_coupled_solve_stores_half_a_coupled_space():
     # one solve on `small` (dim 22,295) stays below the 20 full-length
     # vectors of V and A V the full-space Davidson space held
     cfg = load_config("small")
-    cache = FiberCache(FiberTemplate(cfg.spec), seed=0)
+    cache = FiberCache(FiberTemplate(cfg.spec))
     lam = 0.1
     e0 = cache.pairs([0.0]).energy[0]
     nodes = cache.pairs(lam * cfg.egrid.points)
@@ -468,7 +469,7 @@ def test_a_coupled_solve_stores_half_a_coupled_space():
     try:
         base = tracemalloc.get_traced_memory()[0]
         res = coupled_ground(cache.template, nodes, kernel, k_min, cfg.egrid,
-                             lam, e0, seed=0)
+                             lam, e0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -511,19 +512,20 @@ def test_mass_error_is_e0_error_over_the_hellmann_feynman_slope():
 
 def test_a_static_stage_builds_the_potential_kernel_once(monkeypatch,
                                                          toy_cfg):
-    # the envelope, the coupled solves and the inversion read one kernel;
-    # every module that could build one is spied
+    # the envelope, the coupled solves and the inversion read one kernel,
+    # and over a whole sandwich chain the split bound reads it too; every
+    # module that could build one is spied
     built = []
 
     def kernel_spy(*args):
         built.append(args)
         return potential_kernel(*args)
 
-    dstate, _, _ = stage_dispersion(toy_cfg)
-    for module in (pipeline, staticmass, trialstate):
+    for module in (pipeline, staticmass, trialstate, bounds):
         if hasattr(module, "potential_kernel"):
             monkeypatch.setattr(module, "potential_kernel", kernel_spy)
-    stage_static(toy_cfg, dstate)
+    _, csvs, _ = pipeline._chain(toy_cfg, "sandwich", {})
+    assert len(csvs["sandwich.csv"]) == 5
     assert built == [(toy_cfg.potential, toy_cfg.egrid)]
 
 

@@ -37,7 +37,7 @@ def free_cache():
     spec = ModelSpec(dispersion=ConstantDispersion(omega0=1.0),
                      coupling=ZeroCoupling(), dk=0.5, uv_cutoff=1.0,
                      ir_cutoff=0.0, n_max=2)
-    return FiberCache(FiberTemplate(spec), seed=0)
+    return FiberCache(FiberTemplate(spec))
 
 
 def _split(cfg, cache, lam):
@@ -141,7 +141,7 @@ def test_upper_bound_dominates_coupled_ground(toy_cfg, toy_cache):
     for lam in (0.4, 0.2):
         nodes = toy_cache.pairs(lam * toy_cfg.egrid.points)
         coupled = coupled_ground(toy_cache.template, nodes, kernel, k_min,
-                                 toy_cfg.egrid, lam, e0, seed=0)
+                                 toy_cfg.egrid, lam, e0)
         # the solve returns the M of its fiber split, bit for bit the one
         # fiber_split builds from the same kernel and fibers
         M = coupled.galerkin
